@@ -961,7 +961,7 @@ let prefix_table () =
           && p.Prefix_rules.s_conflicts = Some (Csc.n_conflicts sg)
         in
         let source =
-          match Mpart.certificate_source Mpart.default_config stg with
+          match (Mpart.resolve Mpart.default_config stg).Mpart.certificate with
           | `Lockrel -> "lockrel"
           | `Prefix -> "prefix"
           | `None -> "none"

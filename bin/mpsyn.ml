@@ -481,19 +481,8 @@ let print_functions fs =
   List.iter (fun f -> Format.printf "  %a@." Derive.pp_func f) fs
 
 let synth_cmd =
-  let symbolic_arg =
-    let doc =
-      "Force the partitioned-transition-relation BDD engine for \
-       reachability (the complete state graph every module projects \
-       from).  Without it the engine is chosen automatically from the \
-       exact U4 prefix state bound.  Either engine produces a \
-       byte-identical state graph, so this flag only changes how fast \
-       the graph is built."
-    in
-    Arg.(value & flag & info [ "symbolic" ] ~doc)
-  in
   let run stg_name method_ backtrack_limit time_limit hazard_free backend
-      symbolic portfolio celements no_lint jobs_opt cache_opt =
+      portfolio celements no_lint jobs_opt cache_opt =
     guard_budget @@ fun () ->
     let jobs = resolve_jobs jobs_opt in
     let cache = resolve_cache cache_opt in
@@ -508,15 +497,19 @@ let synth_cmd =
           time_limit;
           hazard_free;
           backend;
-          reach = (if symbolic then `Symbolic else `Auto);
           jobs;
           cache;
         }
       in
+      (* Wall time goes to stderr, so stdout stays byte-stable across
+         runs, pool widths and warm or cold caches. *)
+      let t0 = Unix.gettimeofday () in
       let r =
         if portfolio then Mpart.synthesize_best ~config stg
         else Mpart.synthesize ~config stg
       in
+      Printf.eprintf "mpsyn: synthesized in %.3fs\n%!"
+        (Unix.gettimeofday () -. t0);
       Format.printf "%a@." Mpart.pp_report r;
       print_functions r.Mpart.functions;
       Format.printf "speed independence: %s@."
@@ -583,7 +576,7 @@ let synth_cmd =
     (Cmd.info "synth" ~exits ~doc:"Synthesize a speed-independent circuit from an STG")
     Term.(
       const run $ stg_arg $ method_arg $ backtrack_arg $ time_arg $ hazard_arg
-      $ backend_arg $ symbolic_arg $ portfolio_arg $ celements_arg $ no_lint_arg
+      $ backend_arg $ portfolio_arg $ celements_arg $ no_lint_arg
       $ jobs_arg $ cache_arg)
 
 let bench_cmd =

@@ -22,7 +22,8 @@
       {!Mpart} accepts as a second prescreen besides A6.
     - {b U4} ([U4-statebound]): exact state-graph size (markings and
       ε-classes) reported as a diagnostic and used by
-      [Mpart.synthesize_best] to pick a constraint backend statically.
+      [Mpart.resolve] to pick the constraint backend and the
+      reachability engine statically.
 
     All verdicts are tri-state: when the prefix or the sweep hit their
     caps the analysis abstains ([None]s) rather than guessing, and the

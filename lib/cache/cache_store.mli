@@ -1,11 +1,11 @@
-(** Content-addressed, on-disk memoization store (schema [mpsyn-cache/3]).
+(** Content-addressed, on-disk memoization store (schema [mpsyn-cache/4]).
 
-    One entry per file under [DIR/3/] (the subdirectory is the schema
+    One entry per file under [DIR/4/] (the subdirectory is the schema
     major version: bumping {!schema_version} orphans every old entry at
     once — explicit wholesale invalidation).  An entry is:
 
     {v
-    mpsyn-cache/3\n
+    mpsyn-cache/4\n
     <md5 hex of payload>\n
     <payload: Marshal bytes>
     v}
@@ -31,7 +31,7 @@
 type t
 
 val schema_version : string
-(** ["mpsyn-cache/3"].  v1 → v2: whole-synthesis entries now carry the
+(** ["mpsyn-cache/4"].  v1 → v2: whole-synthesis entries now carry the
     audited partition plan ({!Mpart.result} gained fields), changing
     their marshal layout — the bump orphans every v1 entry at once.
     v2 → v3: state graphs precompute their adjacency lists ([Sg.t]
@@ -39,7 +39,12 @@ val schema_version : string
     a graph), and the reachability stage splits into ["sg"] (explicit
     sweep) and ["symbolic"] (partitioned-transition-relation BDD
     engine) entries — byte-identical artifacts, recorded under the
-    engine that produced them. *)
+    engine that produced them.  v3 → v4: the engines are chosen by
+    one decision from the specification, so those two stages merge
+    back into one ["sg"] stage; synthesis results record which
+    prescreen issued their CSC certificate and no longer carry timings;
+    the option fingerprint and the ["prefix"] key parameters shrink
+    with the configuration. *)
 
 val open_dir : ?max_bytes:int -> string -> t
 (** [open_dir dir] opens (creating directories as needed) the store

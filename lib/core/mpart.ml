@@ -10,12 +10,6 @@ type config = {
   backend : [ `Sat | `Dpll | `Bdd ];
   normalize_modules : bool;
   exact_covers : bool;
-  prescreen : bool;
-  prefix_prescreen : bool;
-  prefix_max_events : int;
-  bdd_threshold : int;
-  reach : [ `Auto | `Explicit | `Symbolic ];
-  symbolic_threshold : int;
   dedup_cones : bool;
   order_by_risk : bool;
   jobs : int;
@@ -31,12 +25,6 @@ let default_config =
     backend = `Sat;
     normalize_modules = true;
     exact_covers = false;
-    prescreen = true;
-    prefix_prescreen = true;
-    prefix_max_events = 2048;
-    bdd_threshold = 2048;
-    reach = `Auto;
-    symbolic_threshold = 2048;
     dedup_cones = true;
     order_by_risk = true;
     jobs = Pool.default_jobs ();
@@ -49,11 +37,9 @@ let default_config =
 
 (* Everything a cached result depends on besides the content digest.
    [jobs] is deliberately absent: results are bit-identical for any
-   pool width, so entries are shared across --jobs settings.  [reach]
-   and [symbolic_threshold] are absent for the same reason — the
-   symbolic engine reproduces the explicit graph byte for byte (tested
-   on every benchmark), so which engine explored is as irrelevant to a
-   cached artifact as how many domains derived it. *)
+   pool width, so entries are shared across --jobs settings.  The
+   engine choices {!resolve} makes are absent because they are a
+   function of the specification and the options below. *)
 let fingerprint config =
   [
     ( "backend",
@@ -62,10 +48,6 @@ let fingerprint config =
     ("normalize", string_of_bool config.normalize_modules);
     ("exact_covers", string_of_bool config.exact_covers);
     ("hazard_free", string_of_bool config.hazard_free);
-    ("prescreen", string_of_bool config.prescreen);
-    ("prefix_prescreen", string_of_bool config.prefix_prescreen);
-    ("prefix_max_events", string_of_int config.prefix_max_events);
-    ("bdd_threshold", string_of_int config.bdd_threshold);
     ("dedup_cones", string_of_bool config.dedup_cones);
     ("order_by_risk", string_of_bool config.order_by_risk);
     ("max_states", string_of_int config.max_states);
@@ -127,7 +109,6 @@ type module_report = {
   module_conflicts : int;
   new_signals : string list;
   formulas : formula_size list;
-  sat_elapsed : float;
 }
 
 type result = {
@@ -137,11 +118,10 @@ type result = {
   functions : Derive.func list;
   modules : module_report list;
   fallback : module_report option;
-  csc_certified : bool;
+  certificate : [ `Lockrel | `Prefix | `None ];
   plan : Partition_check.summary;
   replayed : string list;
   stale_analyses : int;
-  elapsed : float;
 }
 
 exception Synthesis_failed of string
@@ -164,7 +144,6 @@ let sm_violations sg0 =
 type module_solution = {
   sol_extras : Sg.extra array;
   sol_formulas : formula_size list;
-  sol_elapsed : float;
 }
 
 (* Solve one modular graph and propagate the new signals back.  Returns
@@ -185,12 +164,7 @@ let solve_module ~config ~fresh_name complete (inp : Input_derivation.t) =
     match report.Modular_sat.outcome with
     | Modular_sat.Gave_up reason -> Error reason
     | Modular_sat.Solved { new_extras; _ } ->
-      Ok
-        {
-          sol_extras = new_extras;
-          sol_formulas = report.Modular_sat.formulas;
-          sol_elapsed = report.Modular_sat.elapsed;
-        }
+      Ok { sol_extras = new_extras; sol_formulas = report.Modular_sat.formulas }
   in
   (* Only solved modules are cached; a gave-up verdict depends on the
      budget and must be retried, never replayed. *)
@@ -245,7 +219,6 @@ let module_report complete (inp : Input_derivation.t)
     module_conflicts = conflicts;
     new_signals;
     formulas = (match sat with None -> [] | Some s -> s.sol_formulas);
-    sat_elapsed = (match sat with None -> 0.0 | Some s -> s.sol_elapsed);
   }
 
 (* A derived module, described for the partition auditor against the
@@ -261,8 +234,7 @@ let cone_of (inp : Input_derivation.t) conflicts =
     c_conflicts = conflicts;
   }
 
-let synthesize_sg_uncached ~config ~csc_certified complete =
-  let t0 = Sys.time () in
+let synthesize_sg_uncached ~config ~certificate complete =
   let counter = ref 0 in
   let fresh_name () =
     let n = Printf.sprintf "n%d" !counter in
@@ -294,13 +266,13 @@ let synthesize_sg_uncached ~config ~csc_certified complete =
     Log.debug (fun m ->
         m "deriving module for output %s" (Sg.signal_name complete o));
     let inp = Input_derivation.determine g ~output:o in
-    (* A static CSC certificate (lock-relation prescreen, rule A6)
+    (* A static CSC certificate (lock relation A6 or prefix rule U3)
        guarantees the complete graph is conflict-free, so the module
        quotients need no state signals: skip conflict counting and the
        SAT engine outright.  Artifact conflicts a quotient would show
        are exactly the pairs the certificate proves spurious. *)
     let conflicts =
-      if csc_certified then 0
+      if certificate <> `None then 0
       else
         Csc.n_output_conflicts inp.Input_derivation.module_sg
           ~output:
@@ -502,7 +474,6 @@ let synthesize_sg_uncached ~config ~csc_certified complete =
             module_conflicts = List.length remaining;
             new_signals = List.rev !names;
             formulas = r.Modular_sat.formulas;
-            sat_elapsed = r.Modular_sat.elapsed;
           }
   end;
   (* All conflicts are resolved; serialize the inserted transitions so
@@ -615,7 +586,6 @@ let synthesize_sg_uncached ~config ~csc_certified complete =
               module_conflicts = List.length (Csc.conflict_pairs complete);
               new_signals = List.rev !names;
               formulas = r.Modular_sat.formulas;
-              sat_elapsed = r.Modular_sat.elapsed;
             };
         Sg_expand.expand (minimize_safely !acc)
     end
@@ -653,22 +623,27 @@ let synthesize_sg_uncached ~config ~csc_certified complete =
     functions;
     modules = List.rev !reports;
     fallback = !fallback;
-    csc_certified;
+    certificate;
     plan;
     replayed = List.rev !replayed;
     stale_analyses = !stale_analyses;
-    elapsed = Sys.time () -. t0;
   }
+
+let certificate_label = function
+  | `Lockrel -> "lockrel"
+  | `Prefix -> "prefix"
+  | `None -> "none"
 
 (* A whole synthesis run keyed by the complete state graph's content:
    the entry carries every downstream stage at once — per-output
    modular projections, CSC solutions, propagated expansions, and
    minimized covers. *)
-let synthesize_sg ?(config = default_config) ?(csc_certified = false) complete =
+let synthesize_sg ?(config = default_config) ?(certificate = `None) complete =
   memoize config ~stage:"synth-sg"
-    ~params:(("certified", string_of_bool csc_certified) :: fingerprint config)
+    ~params:
+      (("certificate", certificate_label certificate) :: fingerprint config)
     (Sg.digest complete)
-    (fun () -> synthesize_sg_uncached ~config ~csc_certified complete)
+    (fun () -> synthesize_sg_uncached ~config ~certificate complete)
 
 (* The partial-order prescreen: a complete finite prefix of the STG's
    unfolding, with the exact U1-U4 verdicts computed on it.  The summary
@@ -677,86 +652,72 @@ let synthesize_sg ?(config = default_config) ?(csc_certified = false) complete =
    shared across --jobs settings and across lint/synth/verify, which all
    consult the same entry. *)
 let prefix_summary ?(jobs = 1) config stg =
-  memoize config ~stage:"prefix"
-    ~params:[ ("max_events", string_of_int config.prefix_max_events) ]
-    (Cache_key.stg_digest stg)
-    (fun () ->
-      Prefix_rules.analyze ~jobs ~max_events:config.prefix_max_events stg)
+  memoize config ~stage:"prefix" ~params:[] (Cache_key.stg_digest stg)
+    (fun () -> Prefix_rules.analyze ~jobs stg)
 
-(* CSC prescreens, cheapest first.  A6 (lock relations) is purely
-   structural; when it abstains, the exact U3 verdict from the complete
-   prefix certifies conflict-freedom on nets A6's sufficient condition
-   misses (e.g. USC fails but CSC holds).  The dynamic
-   [Csc.csc_satisfied] checks downstream stay in place as a safety net,
-   so an over-eager certificate degrades to a normal run rather than a
-   wrong circuit. *)
-let certificate_source config stg =
-  if not config.prescreen then `None
-  else if Lint.prescreen stg <> None then `Lockrel
-  else if
-    config.prefix_prescreen
-    && (prefix_summary ~jobs:config.jobs config stg).Prefix_rules.s_csc
-       = Some true
-  then `Prefix
-  else `None
+let engine_threshold = 2048
 
-let certificate config stg = certificate_source config stg <> `None
-
-(* U4-driven backend selection: the prefix sweep knows the exact state
-   count before any explicit graph is built, so the constraint engine
-   can be picked statically — BDD-first for big state spaces, the
-   default WalkSAT+DPLL hybrid otherwise.  Only the default [`Sat]
-   choice is overridden; an explicit --backend always wins. *)
-let choose_backend config ~state_bound =
+(* The U4 flip of the constraint engine: BDD-first for big state spaces,
+   the default WalkSAT+DPLL hybrid otherwise.  Only the default [`Sat]
+   is overridden; an explicit --backend always wins. *)
+let choose_backend (config : config) ~state_bound =
   match (config.backend, state_bound) with
-  | `Sat, Some n when n >= config.bdd_threshold -> `Bdd
+  | `Sat, Some n when n >= engine_threshold -> `Bdd
   | b, _ -> b
 
-(* The same flip for the reachability engine: when the exact U4 bound
-   says the explicit sweep will enumerate a large state space, [`Auto]
-   switches to the partitioned-transition-relation BDD engine (whose
-   graph is byte-identical); an explicit [`Explicit]/[`Symbolic] choice
-   — the --symbolic flag — is never overridden. *)
-let choose_reach config ~state_bound =
-  match (config.reach, state_bound) with
-  | `Auto, Some n when n >= config.symbolic_threshold -> `Symbolic
-  | r, _ -> r
+type resolved = {
+  certificate : [ `Lockrel | `Prefix | `None ];
+  backend : [ `Sat | `Dpll | `Bdd ];
+  reach : [ `Explicit | `Symbolic ];
+}
 
-(* Resolve an [`Auto] reach engine from the exact prefix bound (U4
-   marking count when the sweep finished, otherwise the marking lower
-   bound).  Without the prefix prescreen there is no bound to consult
-   and [`Auto] stays on the explicit sweep. *)
-let auto_reach config stg =
-  match config.reach with
-  | `Explicit | `Symbolic -> config
-  | `Auto ->
-    if not config.prefix_prescreen then config
-    else begin
-      let p = prefix_summary ~jobs:config.jobs config stg in
-      let state_bound =
-        match p.Prefix_rules.s_sg_states with
-        | Some _ as b -> b
-        | None -> p.Prefix_rules.s_markings
-      in
-      { config with reach = choose_reach config ~state_bound }
-    end
+(* Every engine decision, made once from measured properties of the net.
+   The certificate tries A6 (lock relations, purely structural) first;
+   when it abstains, the exact U3 verdict of the complete prefix
+   certifies conflict-freedom on nets A6's sufficient condition misses.
+   The dynamic [Csc.csc_satisfied] checks downstream stay in place, so
+   an over-eager certificate degrades to a normal run rather than a
+   wrong circuit.  The same prefix gives the exact U4 state count (or
+   its marking lower bound when the sweep stopped short), which flips
+   both engines at one threshold: the graphs they build are
+   byte-identical, so the choice only decides how fast. *)
+let resolve (config : config) stg =
+  let p = prefix_summary ~jobs:config.jobs config stg in
+  let certificate =
+    if Lint.prescreen stg <> None then `Lockrel
+    else if p.Prefix_rules.s_csc = Some true then `Prefix
+    else `None
+  in
+  let state_bound =
+    match p.Prefix_rules.s_sg_states with
+    | Some _ as b -> b
+    | None -> p.Prefix_rules.s_markings
+  in
+  let reach =
+    match state_bound with
+    | Some n when n >= engine_threshold -> `Symbolic
+    | _ -> `Explicit
+  in
+  let backend = choose_backend config ~state_bound in
+  Log.debug (fun m ->
+      m "engines: certificate %s, backend %s, reach %s (U4 bound %s, \
+         threshold %d)"
+        (certificate_label certificate)
+        (match backend with `Sat -> "sat" | `Dpll -> "dpll" | `Bdd -> "bdd")
+        (match reach with `Explicit -> "explicit" | `Symbolic -> "symbolic")
+        (match state_bound with Some n -> string_of_int n | None -> "unknown")
+        engine_threshold);
+  { certificate; backend; reach }
 
 (* Reachability exploration + consistent state assignment, keyed by the
-   canonical [.g] digest of the specification.  The stage name records
-   which engine explored ("sg" = explicit sweep, "symbolic" = BDD
-   fixpoint); both produce the same bytes, so every downstream stage is
-   keyed off the resulting graph's digest and shared between them. *)
-let complete_of_stg config stg =
-  let backend =
-    match config.reach with
-    | `Symbolic -> `Symbolic
-    | `Auto | `Explicit -> `Explicit
-  in
-  let stage = match backend with `Symbolic -> "symbolic" | `Explicit -> "sg" in
-  memoize config ~stage
+   canonical [.g] digest of the specification.  The engine is a function
+   of the specification, and both engines produce the same bytes, so one
+   "sg" stage serves either. *)
+let complete_of_stg config ~reach stg =
+  memoize config ~stage:"sg"
     ~params:[ ("max_states", string_of_int config.max_states) ]
     (Cache_key.stg_digest stg)
-    (fun () -> Sg.of_stg ~max_states:config.max_states ~backend stg)
+    (fun () -> Sg.of_stg ~max_states:config.max_states ~backend:reach stg)
 
 (* The partition plan as a standalone artifact (`mpsyn lint
    --partition`): every output's cone derived against the complete
@@ -766,18 +727,22 @@ let complete_of_stg config stg =
    only on the specification and the state cap, so it is memoized by
    the STG digest alone. *)
 let partition_summary ?jobs config stg =
-  let jobs = match jobs with Some j -> j | None -> config.jobs in
+  let config =
+    match jobs with Some jobs -> { config with jobs } | None -> config
+  in
   memoize config ~stage:"plan"
     ~params:[ ("max_states", string_of_int config.max_states) ]
     (Cache_key.stg_digest stg)
     (fun () ->
-      let complete = complete_of_stg config stg in
+      let complete =
+        complete_of_stg config ~reach:(resolve config stg).reach stg
+      in
       let outputs =
         List.filter (Sg.non_input complete)
           (List.init (Sg.n_signals complete) Fun.id)
       in
       let cones =
-        Pool.map_list ~jobs
+        Pool.map_list ~jobs:config.jobs
           (fun o ->
             let inp = Input_derivation.determine complete ~output:o in
             let conflicts =
@@ -791,68 +756,45 @@ let partition_summary ?jobs config stg =
       in
       Partition_check.summarize ~complete cones)
 
-let synthesize ?(config = default_config) stg =
-  (* The top-level entry elides even the reachability exploration and
-     the structural prescreen on a warm run. *)
-  memoize config ~stage:"synth" ~params:(fingerprint config)
-    (Cache_key.stg_digest stg)
+(* The one synthesis flow behind both entry points, which differ only in
+   the module-normalization candidates they try.  The whole run is keyed
+   by the specification, so a warm run elides even the prescreen and the
+   reachability exploration.  Candidates are independent full runs over
+   the same immutable complete graph, so they fan out over the pool;
+   results come back in candidate order and the min-area fold keeps the
+   earlier candidate on ties, so the winner never depends on
+   scheduling. *)
+let synthesize_with ~stage candidates (config : config) stg =
+  memoize config ~stage ~params:(fingerprint config) (Cache_key.stg_digest stg)
     (fun () ->
-      let csc_certified = certificate config stg in
-      let complete = complete_of_stg (auto_reach config stg) stg in
-      synthesize_sg ~config ~csc_certified complete)
-
-let synthesize_best ?(config = default_config) stg =
-  memoize config ~stage:"synth-best" ~params:(fingerprint config)
-    (Cache_key.stg_digest stg)
-    (fun () ->
-      let source = certificate_source config stg in
-      let csc_certified = source <> `None in
-      (match source with
-      | `Prefix ->
-        Log.debug (fun m ->
-            m "CSC certified by the finite prefix (U3); SAT skipped")
-      | `Lockrel | `None -> ());
-      let config =
-        if not config.prefix_prescreen then config
-        else begin
-          let p = prefix_summary ~jobs:config.jobs config stg in
-          let state_bound =
-            match p.Prefix_rules.s_sg_states with
-            | Some _ as b -> b
-            | None -> p.Prefix_rules.s_markings
-          in
-          {
-            config with
-            backend = choose_backend config ~state_bound;
-            reach = choose_reach config ~state_bound;
-          }
-        end
-      in
-      let complete = complete_of_stg config stg in
-      let area r = Derive.total_literals r.functions in
-      (* The portfolio candidates are independent full runs over the same
-         immutable complete graph, so they fan out over the pool.  Results
-         come back in candidate order and the min-area fold below keeps the
-         earlier candidate on ties, so the winner never depends on
-         scheduling. *)
-      let candidates =
-        Pool.map_filter ~jobs:config.jobs
+      let { certificate; backend; reach } = resolve config stg in
+      let config = { config with backend } in
+      let complete = complete_of_stg config ~reach stg in
+      let outcomes =
+        Pool.map_list ~jobs:config.jobs
           (fun normalize_modules ->
             match
               synthesize_sg
                 ~config:{ config with normalize_modules }
-                ~csc_certified complete
+                ~certificate complete
             with
-            | r -> Some r
-            | exception Synthesis_failed _ -> None)
-          [ true; false ]
+            | r -> Either.Left r
+            | exception Synthesis_failed msg -> Either.Right msg)
+          candidates
       in
-      match candidates with
-      | [] -> raise (Synthesis_failed "no portfolio configuration succeeded")
-      | first :: rest ->
+      let area r = Derive.total_literals r.functions in
+      match List.partition_map Fun.id outcomes with
+      | first :: rest, _ ->
         List.fold_left
           (fun best r -> if area r < area best then r else best)
-          first rest)
+          first rest
+      | [], failures -> raise (Synthesis_failed (String.concat "; " failures)))
+
+let synthesize ?(config = default_config) stg =
+  synthesize_with ~stage:"synth" [ config.normalize_modules ] config stg
+
+let synthesize_best ?(config = default_config) stg =
+  synthesize_with ~stage:"synth-best" [ true; false ] config stg
 
 let initial_states r = Sg.n_states r.complete
 let initial_signals r = Sg.n_signals r.complete
@@ -870,14 +812,18 @@ let verify r =
     | (name, m) :: _ ->
       Some (Printf.sprintf "function %s disagrees with state %d" name m)
 
-let pp_report ppf r =
+let pp_report ppf (r : result) =
   Format.fprintf ppf
-    "@[<v>modular synthesis: %d -> %d states, %d -> %d signals, %d literals, %.3fs@,"
+    "@[<v>modular synthesis: %d -> %d states, %d -> %d signals, %d literals@,"
     (initial_states r) (final_states r) (initial_signals r) (final_signals r)
-    (area_literals r) r.elapsed;
-  if r.csc_certified then
-    Format.fprintf ppf
-      "  CSC certified statically (lock relation); SAT skipped@,";
+    (area_literals r);
+  (match r.certificate with
+  | `None -> ()
+  | (`Lockrel | `Prefix) as c ->
+    Format.fprintf ppf "  CSC certified statically (%s); SAT skipped@,"
+      (match c with
+      | `Lockrel -> "lock relation"
+      | `Prefix -> "finite prefix (U3)"));
   List.iter
     (fun m ->
       Format.fprintf ppf "  %s: |Is|=%d, %d module states, %d conflicts%s@,"

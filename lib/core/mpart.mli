@@ -26,47 +26,15 @@ type config = {
   hazard_free : bool;  (** enlarge covers to kill static-1 hazards *)
   backend : [ `Sat | `Dpll | `Bdd ];
       (** constraint engine: WalkSAT+DPLL hybrid, DPLL alone, or
-          BDD-first (paper [19]) *)
+          BDD-first (paper [19]).  The default [`Sat] flips to [`Bdd]
+          on large state spaces ({!resolve}); an explicit choice is
+          never overridden *)
   normalize_modules : bool;
       (** shrink excitation regions at the module level (default true);
           {!synthesize_best} tries both settings *)
   exact_covers : bool;
       (** minimize covers with {!Exact} instead of {!Espresso}
           (default false; exact falls back to the heuristic on caps) *)
-  prescreen : bool;
-      (** run the structural lock-relation CSC prescreen (lint rule A6)
-          before building state graphs; a certificate lets the whole
-          SAT pipeline be skipped (default true) *)
-  prefix_prescreen : bool;
-      (** when A6 abstains, fall back to the exact partial-order
-          prescreen: build a complete finite prefix of the unfolding
-          and accept rule U3's conflict-free verdict as a CSC
-          certificate; also lets {!synthesize_best} pick a constraint
-          backend from the exact U4 state bound (default true) *)
-  prefix_max_events : int;
-      (** event cap for the prefix construction; past it the prefix
-          rules abstain and synthesis proceeds as if unscreened
-          (default 2048) *)
-  bdd_threshold : int;
-      (** U4 state bound at which {!synthesize_best} switches the
-          default [`Sat] backend to [`Bdd]; an explicit backend choice
-          is never overridden (default 2048) *)
-  reach : [ `Auto | `Explicit | `Symbolic ];
-      (** reachability engine for the complete state graph every module
-          projects from: the explicit marking sweep ([Reach.explore])
-          or the partitioned-transition-relation BDD fixpoint
-          ({!Symbolic}), which produces a byte-identical graph.
-          [`Auto] (the default) consults the exact U4 prefix bound —
-          mirroring the [bdd_threshold] backend flip — and switches to
-          the symbolic engine when the bound reaches
-          [symbolic_threshold]; an explicit choice (the [--symbolic]
-          flag) is never overridden.  Nets outside the symbolic
-          encoding fall back to the explicit sweep internally, so the
-          setting never changes any result, only how fast the graph is
-          built. *)
-  symbolic_threshold : int;
-      (** U4 state bound at which [`Auto] switches the reachability
-          engine to the symbolic fixpoint (default 2048) *)
   dedup_cones : bool;
       (** solve each distinct module cone once: when two outputs'
           modules have the same canonical cone digest (rule M3 — the
@@ -94,10 +62,10 @@ type config = {
           digest of the derived graph) with a fingerprint of every
           jobs-invariant option above, so a cached entry is only ever
           replayed for a run that would have recomputed it bit for bit.
-          Cached stages: the complete state graph (reachability +
-          consistent assignment), per-output modular CSC solutions
-          (keyed by the module graph's digest — edits outside an
-          output's input-set cone leave its entry valid, the
+          Cached stages: the complete prefix, the complete state graph
+          (reachability + consistent assignment), per-output modular
+          CSC solutions (keyed by the module graph's digest — edits
+          outside an output's input-set cone leave its entry valid, the
           incremental-re-synthesis property of partitioned
           representations), minimized covers, and whole synthesis
           results.  Failures are never cached. *)
@@ -118,7 +86,6 @@ type module_report = {
   module_conflicts : int;
   new_signals : string list;
   formulas : formula_size list;
-  sat_elapsed : float;
 }
 
 type result = {
@@ -129,43 +96,78 @@ type result = {
   modules : module_report list;
   fallback : module_report option;
       (** the final direct pass, when modules left conflicts behind *)
-  csc_certified : bool;
-      (** the lock-relation prescreen proved CSC statically, so no
-          module invoked a solver *)
+  certificate : [ `Lockrel | `Prefix | `None ];
+      (** which static prescreen proved CSC — the A6 lock relation or
+          the prefix rule U3 — so that no module invoked a solver *)
   plan : Partition_check.summary;
       (** the audited partition plan the run consumed (conflict counts
-          are zero when [csc_certified]) *)
+          are zero under a certificate) *)
   replayed : string list;
       (** outputs whose module was a duplicate cone and reused an
           earlier CSC solution instead of solving (dedup_cones) *)
   stale_analyses : int;
       (** module analyses recomputed because an earlier solve mutated
           the complete graph — the M4 ordering tries to keep this low *)
-  elapsed : float;
 }
 
 exception Synthesis_failed of string
 (** Raised when a SAT budget is exhausted before CSC is satisfied. *)
 
-(** [synthesize ?config stg] runs the full modular flow.
+(** [synthesize ?config stg] runs the full modular flow with the
+    engines {!resolve} picks.
     @raise Synthesis_failed on exhausted budgets
     @raise Sg.Inconsistent if the STG has no consistent assignment *)
 val synthesize : ?config:config -> Stg.t -> result
 
-(** [synthesize_sg ?config ?csc_certified sg] is the same flow starting
+(** [synthesize_sg ?config ?certificate sg] is the same flow starting
     from an already-derived complete state graph (used by baselines and
-    tests).  [csc_certified] asserts a static CSC certificate for [sg]
-    (the caller ran the prescreen); modules then skip conflict analysis
-    and SAT. *)
-val synthesize_sg : ?config:config -> ?csc_certified:bool -> Sg.t -> result
+    tests).  A [certificate] other than [`None] (the default) asserts
+    that a static prescreen proved CSC for [sg]; modules then skip
+    conflict analysis and SAT. *)
+val synthesize_sg :
+  ?config:config ->
+  ?certificate:[ `Lockrel | `Prefix | `None ] ->
+  Sg.t ->
+  result
 
 (** [prefix_summary ?jobs config stg] is the memoized partial-order
-    analysis of [stg] ({!Prefix_rules.analyze} with
-    [config.prefix_max_events]): the entry is keyed by the canonical
-    [.g] digest and the event cap only — the summary is deterministic
-    for any pool width and carries no timings, so lint, synthesis and
-    verification all share one cached prefix per specification. *)
+    analysis of [stg] ({!Prefix_rules.analyze} with its default event
+    cap): the entry is keyed by the canonical [.g] digest only — the
+    summary is deterministic for any pool width and carries no timings,
+    so lint, synthesis and verification all share one cached prefix per
+    specification. *)
 val prefix_summary : ?jobs:int -> config -> Stg.t -> Prefix_rules.summary
+
+(** The engines one run uses. *)
+type resolved = {
+  certificate : [ `Lockrel | `Prefix | `None ];
+  backend : [ `Sat | `Dpll | `Bdd ];
+  reach : [ `Explicit | `Symbolic ];
+}
+
+(** [resolve config stg] makes every engine decision for [stg], reading
+    the complete prefix ({!prefix_summary}) once:
+    - [certificate]: [`Lockrel] when the structural lock relation (lint
+      rule A6, {!Lint.prescreen}) proves CSC; otherwise [`Prefix] when
+      the exact prefix rule U3 finds no conflict (nets whose USC fails
+      but CSC holds, which A6's sufficient condition cannot see);
+      otherwise [`None].  Certified runs skip module SAT.
+    - [backend]: {!choose_backend} on the exact U4 state bound — large
+      state spaces take the BDD engine.
+    - [reach]: [`Symbolic] (the partitioned-transition-relation BDD
+      fixpoint, {!Symbolic}) when the U4 bound reaches
+      {!engine_threshold}, else [`Explicit] (the marking sweep).  Both
+      build the same graph byte for byte, so this only decides how
+      fast; nets outside the symbolic encoding fall back to the sweep
+      internally.
+    The bound is the prefix's state count, or its marking lower bound
+    when the prefix stopped short.  {!synthesize}, {!synthesize_best}
+    and {!partition_summary} all take their engines from here. *)
+val resolve : config -> Stg.t -> resolved
+
+(** The U4 state bound (2048) at which both engines flip to their BDD
+    variants. *)
+val engine_threshold : int
 
 (** [partition_summary ?jobs config stg] is the memoized partition plan
     of [stg] ({!Partition_check.summarize} over every output's derived
@@ -176,16 +178,9 @@ val prefix_summary : ?jobs:int -> config -> Stg.t -> Prefix_rules.summary
     cached plan per specification ([jobs] defaults to [config.jobs]). *)
 val partition_summary : ?jobs:int -> config -> Stg.t -> Partition_check.summary
 
-(** [certificate_source config stg] says which prescreen certified CSC:
-    the structural A6 lock relation, the exact prefix rule U3 (tried
-    only when A6 abstains and [config.prefix_prescreen]), or neither.
-    [`Prefix] is what lets nets whose USC fails but CSC holds skip the
-    SAT pipeline — A6's sufficient condition cannot see those. *)
-val certificate_source : config -> Stg.t -> [ `Lockrel | `Prefix | `None ]
-
 (** [choose_backend config ~state_bound] applies the U4 heuristic: the
     default [`Sat] backend becomes [`Bdd] when the exact state bound
-    reaches [config.bdd_threshold]; explicit choices pass through. *)
+    reaches {!engine_threshold}; explicit choices pass through. *)
 val choose_backend :
   config -> state_bound:int option -> [ `Sat | `Dpll | `Bdd ]
 

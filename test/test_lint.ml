@@ -38,6 +38,11 @@ let has_error_on rule subject report =
 
 let check b msg = Alcotest.(check bool) msg true b
 
+let mem_sub hay sub =
+  let n = String.length sub and len = String.length hay in
+  let rec go i = i + n <= len && (String.sub hay i n = sub || go (i + 1)) in
+  go 0
+
 (* ---- source spans ---- *)
 
 let test_spans () =
@@ -162,12 +167,7 @@ let test_mutant_unlocked () =
        (fun d ->
          let m = d.Diagnostic.message in
          (* mentions both signals of the unlocked pair *)
-         let mem sub =
-           let n = String.length sub and len = String.length m in
-           let rec go i = i + n <= len && (String.sub m i n = sub || go (i + 1)) in
-           go 0
-         in
-         mem "not certified" && mem "s1" && mem "s2")
+         mem_sub m "not certified" && mem_sub m "s1" && mem_sub m "s2")
        a6)
     "A6 names the unlocked pair";
   check (Diagnostic.clean result.Lint.report) "mutant is otherwise clean"
@@ -208,7 +208,11 @@ let test_certified_synthesis_skips_sat () =
       let before = Solver_calls.total () in
       let r = Mpart.synthesize stg in
       let delta = Solver_calls.total () - before in
-      check r.Mpart.csc_certified (name ^ ": result records certificate");
+      check (r.Mpart.certificate = `Lockrel)
+        (name ^ ": result records certificate");
+      check
+        (mem_sub (Format.asprintf "%a" Mpart.pp_report r) "(lock relation)")
+        (name ^ ": report names the lock relation");
       Alcotest.(check int) (name ^ ": zero solver calls") 0 delta;
       Alcotest.(check (option string)) (name ^ ": verifies") None (Mpart.verify r))
     [ "lock-ring2"; "lock-ring3"; "lock-ring5" ]
@@ -220,7 +224,7 @@ let test_uncertified_synthesis_calls_sat () =
   let before = Solver_calls.total () in
   let r = Mpart.synthesize stg in
   let delta = Solver_calls.total () - before in
-  check (not r.Mpart.csc_certified) "vbe-ex1 not certified";
+  check (r.Mpart.certificate = `None) "vbe-ex1 not certified";
   check (delta > 0) "vbe-ex1 synthesis invokes the solver"
 
 (* Every certificate the prescreen issues must agree with the real state
@@ -320,11 +324,7 @@ let test_json () =
                                b+\nb+ a-\na- b-\nb- a+\n.marking { <b-,a+> \
                                }\n.end\n" in
   let s = Diagnostic.to_json result.Lint.report in
-  let mem sub =
-    let n = String.length sub and len = String.length s in
-    let rec go i = i + n <= len && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
+  let mem = mem_sub s in
   check (String.length s > 0 && s.[0] = '{') "object";
   check (mem "\"schema\":\"mpsyn-lint/1\"") "has schema version";
   check (mem "\"summary\"") "has summary";

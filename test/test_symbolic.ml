@@ -148,26 +148,31 @@ let test_adjacency_no_allocation () =
 (* ---------------- Auto engine selection in Mpart ---------------- *)
 
 (* parallel_rings 5 has 3126 states: its exact U4 prefix bound crosses
-   the default [symbolic_threshold], so a plain [synthesize] must take
-   the BDD path — counter-proven, like the backend flip it mirrors —
-   while an explicit [`Explicit] choice is never overridden. *)
+   [Mpart.engine_threshold], so a plain [synthesize] must take the BDD
+   path — counter-proven — while parallel_rings 3 (126 states) stays on
+   the explicit sweep. *)
 let test_auto_reach () =
-  let stg = Bench_gen.parallel_rings ~rings:5 in
   let before = Symbolic_calls.total () in
-  let r = Mpart.synthesize stg in
-  check "auto picked the symbolic engine" true
+  let r = Mpart.synthesize (Bench_gen.parallel_rings ~rings:5) in
+  check "U4 bound picked the symbolic engine" true
     (Symbolic_calls.total () > before);
   check "verifies" true (Mpart.verify r = None);
   let before = Symbolic_calls.total () in
-  let _ =
-    Mpart.synthesize
-      ~config:{ Mpart.default_config with reach = `Explicit }
-      stg
-  in
-  check_int "explicit choice is never overridden" before
+  let _ = Mpart.synthesize (Bench_gen.parallel_rings ~rings:3) in
+  check_int "a small net keeps the explicit sweep" before
     (Symbolic_calls.total ())
 
-(* ---------------- CLI: exit code 6, --symbolic flag ---------------- *)
+(* The partition plan takes its engine from the same decision. *)
+let test_partition_reach () =
+  let before = Symbolic_calls.total () in
+  let _ =
+    Mpart.partition_summary Mpart.default_config
+      (Bench_gen.parallel_rings ~rings:5)
+  in
+  check "partition plan took the symbolic engine" true
+    (Symbolic_calls.total () > before)
+
+(* ---------------- CLI: exit code 6 ---------------- *)
 
 let mpsyn = Filename.concat ".." (Filename.concat "bin" "mpsyn.exe")
 
@@ -208,19 +213,6 @@ let test_cli_budget_exit () =
   check "message names the exhausted budget" true
     (mem_sub stderr "state budget exhausted" && mem_sub stderr "100000")
 
-(* --symbolic forces the BDD engine; the synthesized result must verify
-   exactly as the default engine's does (the graphs are byte-identical,
-   so everything downstream is too). *)
-let test_cli_symbolic_flag () =
-  let file = Filename.concat data_dir "alex-nonfc.g" in
-  let before = Symbolic_calls.total () in
-  let code, stdout, _ = run_cli (Printf.sprintf "synth --symbolic %s" file) in
-  check_int "synth --symbolic exits 0" 0 code;
-  check "verification ok" true (mem_sub stdout "verification: ok");
-  (* the flag lives in the child process; the parent counter must not
-     move — guards against the test silently measuring nothing *)
-  check_int "parent counter untouched" before (Symbolic_calls.total ())
-
 let () =
   let benchmark_cases =
     List.map
@@ -250,12 +242,14 @@ let () =
         [ Alcotest.test_case "no per-call allocation" `Quick
             test_adjacency_no_allocation ] );
       ( "auto",
-        [ Alcotest.test_case "U4 bound flips the engine" `Quick test_auto_reach ]
-      );
+        [
+          Alcotest.test_case "U4 bound flips the engine" `Quick test_auto_reach;
+          Alcotest.test_case "partition plan follows the flip" `Quick
+            test_partition_reach;
+        ] );
       ( "cli",
         [
           Alcotest.test_case "budget exhaustion exits 6" `Quick
             test_cli_budget_exit;
-          Alcotest.test_case "--symbolic flag" `Quick test_cli_symbolic_flag;
         ] );
     ]

@@ -17,6 +17,11 @@
 
 let check b msg = Alcotest.(check bool) msg true b
 
+let mem_sub hay sub =
+  let n = String.length sub and len = String.length hay in
+  let rec go i = i + n <= len && (String.sub hay i n = sub || go (i + 1)) in
+  go 0
+
 (* ---------------- exact agreement with the explicit graph ----------- *)
 
 let sorted_marking_set ms = List.sort compare (List.map Marking.pack ms)
@@ -185,15 +190,18 @@ let test_parallel_rings_prescreen rings () =
   let stg = Bench_gen.parallel_rings ~rings in
   check (Lint.prescreen stg = None) "A6 abstains on parallel rings";
   let cfg = Mpart.default_config in
-  (match Mpart.certificate_source cfg stg with
+  (match (Mpart.resolve cfg stg).Mpart.certificate with
   | `Prefix -> ()
   | `Lockrel -> Alcotest.fail "A6 certified a family it cannot see"
   | `None -> Alcotest.fail "U3 failed to certify parallel rings");
   Solver_calls.reset ();
   let r = Mpart.synthesize ~config:cfg stg in
-  check r.Mpart.csc_certified "synthesis saw the certificate";
+  check (r.Mpart.certificate = `Prefix) "synthesis saw the certificate";
   Alcotest.(check int) "zero solver calls" 0 (Solver_calls.total ());
   Alcotest.(check (option string)) "verified" None (Mpart.verify r);
+  check
+    (mem_sub (Format.asprintf "%a" Mpart.pp_report r) "(finite prefix (U3))")
+    "report names the prefix";
   (* the partial-order saving the family exists to demonstrate *)
   let u = Unfold.build (Stg.net stg) in
   let g = Reach.explore (Stg.net stg) in
@@ -214,10 +222,10 @@ let test_lockring_bound signals () =
 let test_choose_backend () =
   let cfg = Mpart.default_config in
   Alcotest.(check bool) "under threshold stays sat" true
-    (Mpart.choose_backend cfg ~state_bound:(Some (cfg.Mpart.bdd_threshold - 1))
+    (Mpart.choose_backend cfg ~state_bound:(Some (Mpart.engine_threshold - 1))
     = `Sat);
   Alcotest.(check bool) "over threshold goes bdd" true
-    (Mpart.choose_backend cfg ~state_bound:(Some cfg.Mpart.bdd_threshold)
+    (Mpart.choose_backend cfg ~state_bound:(Some Mpart.engine_threshold)
     = `Bdd);
   Alcotest.(check bool) "no bound stays sat" true
     (Mpart.choose_backend cfg ~state_bound:None = `Sat);
@@ -226,6 +234,53 @@ let test_choose_backend () =
        { cfg with Mpart.backend = `Dpll }
        ~state_bound:(Some 1_000_000)
     = `Dpll)
+
+(* ---------------- engine choice: one decision table ----------------- *)
+
+let data_dir = Filename.concat ".." "data"
+
+let data_stg f = Gformat.parse_file (Filename.concat data_dir f)
+
+(* [Mpart.resolve] reads only the prefix, so the whole table is cheap.
+   Every Table-1 STG is small (U4 bound at most 382) and needs state
+   signals; the generated families pin the other decisions. *)
+let test_resolve_table () =
+  let expect name stg (certificate, backend, reach) =
+    let r = Mpart.resolve Mpart.default_config stg in
+    check (r.Mpart.certificate = certificate) (name ^ ": certificate");
+    check (r.Mpart.backend = backend) (name ^ ": backend");
+    check (r.Mpart.reach = reach) (name ^ ": reach")
+  in
+  let files =
+    Sys.readdir data_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".g")
+  in
+  Alcotest.(check int) "Table-1 STGs" 23 (List.length files);
+  List.iter (fun f -> expect f (data_stg f) (`None, `Sat, `Explicit)) files;
+  expect "lock_ring 5" (Bench_gen.lock_ring ~signals:5)
+    (`Lockrel, `Sat, `Explicit);
+  expect "parallel_rings 3" (Bench_gen.parallel_rings ~rings:3)
+    (`Prefix, `Sat, `Explicit);
+  expect "parallel_rings 5" (Bench_gen.parallel_rings ~rings:5)
+    (`Prefix, `Bdd, `Symbolic);
+  expect "pulsers-5" (Bench_gen.concurrent_pulsers ~branches:5)
+    (`None, `Bdd, `Symbolic)
+
+(* Both entry points run one flow, so they record the same certificate. *)
+let test_entry_points_agree () =
+  List.iter
+    (fun (name, stg, certificate) ->
+      check
+        ((Mpart.synthesize stg).Mpart.certificate = certificate)
+        (name ^ ": synthesize");
+      check
+        ((Mpart.synthesize_best stg).Mpart.certificate = certificate)
+        (name ^ ": synthesize_best"))
+    [
+      ("lock_ring 3", Bench_gen.lock_ring ~signals:3, `Lockrel);
+      ("parallel_rings 3", Bench_gen.parallel_rings ~rings:3, `Prefix);
+      ("vbe-ex1", data_stg "vbe-ex1.g", `None);
+    ]
 
 (* ---------------- U1/U2 refute with witnesses ---------------------- *)
 
@@ -358,6 +413,12 @@ let () =
           Alcotest.test_case "lock-ring8 prefix < states" `Quick
             (test_lockring_bound 8);
           Alcotest.test_case "backend selection" `Quick test_choose_backend;
+        ] );
+      ( "resolve",
+        [
+          Alcotest.test_case "decision table" `Quick test_resolve_table;
+          Alcotest.test_case "entry points agree on the certificate" `Quick
+            test_entry_points_agree;
         ] );
       ( "refutations",
         [

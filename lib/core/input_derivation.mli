@@ -7,9 +7,13 @@
     every other signal is greedily hidden — its transitions relabelled ε
     and the ε-connected states merged — as long as
 
-    - the number of CSC conflicts {e relevant to o} (equal-code pairs
-      with different implied value of [o], {!Csc.output_conflict_pairs})
-      does not increase,
+    - the number of CSC conflict classes {e relevant to o} (full codes
+      carried by states of both implied values of [o]) does not
+      increase.  Classes, not the pairs of
+      {!Csc.output_conflict_pairs}: merging states multiplies same-code
+      pairs without changing which codes are ambiguous, whereas the
+      class count only grows when a hide fuses a 0-implying and a
+      1-implying code,
     - no merge class mixes both implied values of [o] (which would make
       [o]'s logic ill-defined over the module and hide a conflict this
       module must resolve), and
@@ -21,7 +25,23 @@
     so the per-output passes collectively remove all CSC conflicts — the
     convergence the paper reports observing in practice.  Finally,
     inserted state signals whose removal would increase [o]'s conflicts
-    are kept in the module. *)
+    are kept in the module.
+
+    Candidates are decided on a partition, and the module is
+    materialized once.  A union-find over the complete graph's states
+    holds the classes of the accepted hidden set; hiding a signal
+    unions its edges, dropping a state signal flips one bit.  Each test
+    reads the partition exactly as it would read the quotient
+    {!Sg.quotient} builds:
+    - a kept state signal survives when the {!Fourval.merge} rules,
+      applied to the set of its values in each class, succeed and every
+      hidden and cross-class edge stays {!Fourval.edge_ok};
+    - homogeneity reads the implied values of [o] per class;
+    - the conflict count groups classes by projected full code.  [o] is
+      never hidden, so its edges always cross classes and a class's
+      implied value of [o] is read off its members' raw [o] edges.
+    The single {!Sg.quotient} over the final hidden and dropped sets is
+    the view the last accepted candidate stood for. *)
 
 type t = {
   output : int;  (** signal id in the complete graph *)

@@ -51,15 +51,6 @@ let output_conflict_pairs sg ~output =
 
 let n_output_conflicts sg ~output = List.length (output_conflict_pairs sg ~output)
 
-let n_output_conflict_classes sg ~output =
-  List.length
-    (List.filter
-       (fun members ->
-         let implied m = Sg.implied_value sg m output in
-         List.exists implied members
-         && List.exists (fun m -> not (implied m)) members)
-       (code_classes sg))
-
 let visible_signature sg m =
   let buf = Buffer.create 16 in
   List.iter

@@ -24,14 +24,6 @@ val output_conflict_pairs : Sg.t -> output:int -> (int * int) list
 (** [n_output_conflicts sg ~output] counts them. *)
 val n_output_conflicts : Sg.t -> output:int -> int
 
-(** [n_output_conflict_classes sg ~output] counts the code classes that
-    contain both implied values of [output].  Class counting is the
-    stable metric for the greedy hiding decision: merging states
-    multiplies same-code {e pairs} combinatorially without changing
-    which codes are ambiguous, whereas the class count only grows when a
-    hide genuinely fuses a 0-implying and a 1-implying code. *)
-val n_output_conflict_classes : Sg.t -> output:int -> int
-
 (** [orphan_conflict_pairs sg] lists the conflict pairs whose excitation
     signatures differ {e only} through inserted state signals (extras):
     equal codes, identical excitation of every visible non-input signal,

@@ -10,16 +10,18 @@ let edge_ok a b =
   | V0, Up | Up, V1 | V1, Dn | Dn, V0 -> true
   | V0, (V1 | Dn) | V1, (V0 | Up) | Up, (V0 | Dn) | Dn, (V1 | Up) -> false
 
-let merge vs =
-  match vs with
-  | [] -> None
-  | v :: _ ->
-    let has x = List.exists (equal x) vs in
-    if has Up && has Dn then None
-    else if has Up then Some Up
-    else if has Dn then Some Dn
-    else if has V0 && has V1 then None
-    else Some v
+type presence = int
+
+let absent = 0
+let present p v = p lor match v with V0 -> 1 | V1 -> 2 | Up -> 4 | Dn -> 8
+
+let merge_presence p =
+  if p land 12 = 12 then None
+  else if p land 4 <> 0 then Some Up
+  else if p land 8 <> 0 then Some Dn
+  else match p with 1 -> Some V0 | 2 -> Some V1 | _ -> None
+
+let merge vs = merge_presence (List.fold_left present absent vs)
 
 let of_bits ~a ~b =
   match (a, b) with

@@ -35,6 +35,21 @@ val edge_ok : t -> t -> bool
     excitation — such a signal cannot be represented in the merged state. *)
 val merge : t list -> t option
 
+(** The set of values occurring in a merge class.  {!merge} depends on
+    its argument only through this set, so a class can be merged
+    without listing its members. *)
+type presence
+
+(** [absent] is the empty set. *)
+val absent : presence
+
+(** [present p v] adds [v] to [p]. *)
+val present : presence -> t -> presence
+
+(** [merge_presence p] is [merge vs] for any [vs] whose values form
+    exactly the set [p]; [None] on the empty set. *)
+val merge_presence : presence -> t option
+
 (** [of_bits ~a ~b] decodes the paper's 2-bit encoding (footnote 2):
     00→V0, 01→V1, 10→Up, 11→Dn; [to_bits] is its inverse. *)
 val of_bits : a:bool -> b:bool -> t

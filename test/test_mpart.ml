@@ -77,6 +77,31 @@ let test_determine_conflicts_preserved () =
       check "pair not merged" true (cover.(m) <> cover.(m')))
     (Csc.output_conflict_pairs sg ~output:x)
 
+(* Candidate hides are decided on a state partition, and only the module
+   itself is built: a derivation allocates about one quotient of the
+   complete graph, not one per candidate signal. *)
+let test_determine_allocation () =
+  let sg = Sg.of_stg (Bench_gen.parallel_rings ~rings:5) in
+  let allocated f =
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.allocated_bytes () -. before
+  in
+  let quotient =
+    allocated (fun () ->
+        Sg.quotient sg ~keep_signal:(fun _ -> true) ~keep_extra:(fun _ -> true))
+  in
+  for o = 0 to Sg.n_signals sg - 1 do
+    if Sg.non_input sg o then begin
+      let bytes = allocated (fun () -> Input_derivation.determine sg ~output:o) in
+      check
+        (Printf.sprintf "%s: %.0f bytes <= 2 x %.0f" (Sg.signal_name sg o) bytes
+           quotient)
+        true
+        (bytes <= 2. *. quotient)
+    end
+  done
+
 (* ---------------- Modular SAT ---------------- *)
 
 let test_modular_sat_pulse () =
@@ -440,6 +465,7 @@ let () =
           Alcotest.test_case "homogeneity" `Quick test_determine_homogeneity;
           Alcotest.test_case "conflicts preserved" `Quick
             test_determine_conflicts_preserved;
+          Alcotest.test_case "allocation" `Quick test_determine_allocation;
         ] );
       ( "modular sat",
         [

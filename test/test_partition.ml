@@ -4,8 +4,10 @@
    - differential: a naive, from-scratch re-implementation of the
      Fig. 2 greedy derivation (list-based sets, its own trigger scan,
      its own conflict counting over independently recomputed full
-     codes) must agree with Input_derivation on every shipped
-     benchmark and on fuzzed STGs;
+     codes, one Sg.quotient per candidate) must agree with
+     Input_derivation, down to the module digest, on every shipped
+     benchmark and on fuzzed STGs, with and without inserted state
+     signals;
    - mutants: each M rule fires on a programmatically tampered cone,
      with the diagnostic span resolving to the output's declaration
      and the witness naming the offending chain;
@@ -178,26 +180,50 @@ let compare_derivations ctx g =
       Alcotest.(check (list string))
         (where ^ ": kept extras agree")
         n_kept inp.Input_derivation.kept_extras;
-      Alcotest.(check int)
-        (where ^ ": module states agree")
-        (Sg.n_states n_msg)
-        (Sg.n_states inp.Input_derivation.module_sg);
-      Alcotest.(check int)
-        (where ^ ": module edges agree")
-        (Sg.n_edges n_msg)
-        (Sg.n_edges inp.Input_derivation.module_sg);
+      Alcotest.(check string)
+        (where ^ ": module graphs agree")
+        (Sg.digest n_msg)
+        (Sg.digest inp.Input_derivation.module_sg);
       Alcotest.(check (array int))
         (where ^ ": covers agree")
         n_cover inp.Input_derivation.cover
     end
   done
 
+(* The complete graph of [stg] carrying the first k state signals of
+   its synthesized final graph, for every k >= 1: extras drive the
+   derivation through the Figure-3 merge rules, which plain [Sg.of_stg]
+   graphs never reach.  Empty when synthesis fails. *)
+let with_extras stg g =
+  match (Mpart.synthesize stg).Mpart.final with
+  | exception _ -> []
+  | final ->
+    let xs = Sg.extras final in
+    List.init (Array.length xs) (fun k ->
+        Array.fold_left
+          (fun acc (x : Sg.extra) ->
+            Sg.add_extra acc ~name:x.Sg.xname ~values:x.Sg.values)
+          g (Array.sub xs 0 (k + 1)))
+
+(* Compares the plain complete graph and each of its extra-carrying
+   variants; returns the number of variants. *)
+let compare_with_extras ctx stg g =
+  compare_derivations ctx g;
+  let variants = with_extras stg g in
+  List.iteri
+    (fun k g' -> compare_derivations (Printf.sprintf "%s+%dx" ctx (k + 1)) g')
+    variants;
+  List.length variants
+
 let test_differential_benchmarks () =
-  List.iter
-    (fun f ->
-      let stg = Gformat.parse_file (Filename.concat data_dir f) in
-      compare_derivations f (Sg.of_stg stg))
-    (g_files ())
+  let variants =
+    List.fold_left
+      (fun acc f ->
+        let stg = Gformat.parse_file (Filename.concat data_dir f) in
+        acc + compare_with_extras f stg (Sg.of_stg stg))
+      0 (g_files ())
+  in
+  check (variants > 0) "some benchmark graphs carried extras"
 
 let test_differential_fuzz () =
   let rand = Qseed.state () in
@@ -208,7 +234,7 @@ let test_differential_fuzz () =
     | exception _ -> () (* inconsistent/oversized random STG: skip *)
     | g ->
       incr tried;
-      compare_derivations (Printf.sprintf "fuzz%d" i) g
+      ignore (compare_with_extras (Printf.sprintf "fuzz%d" i) stg g : int)
   done;
   check (!tried > 10) "most fuzzed STGs were comparable"
 
@@ -226,7 +252,7 @@ let cone_of g output =
     c_kept_extras = inp.Input_derivation.kept_extras;
     c_module = msg;
     c_cover = inp.Input_derivation.cover;
-    c_conflicts = Csc.n_output_conflict_classes msg ~output:local;
+    c_conflicts = nconflict_classes msg ~output:local;
   }
 
 let cones_of g =

@@ -248,36 +248,15 @@ let rec remove_tree path =
   | false -> ( try Sys.remove path with Sys_error _ -> ())
   | exception Sys_error _ -> ()
 
-type trajectory_row = {
-  t_name : string;
-  t_states : int;
-  t_area : int;
-  t_seq : float; (* wall seconds, --jobs 1 *)
-  t_par : float; (* wall seconds, parallel *)
-  t_identical : bool; (* parallel netlist = sequential netlist *)
-  t_hazard : float; (* wall seconds, static H1-H5 analysis *)
-  t_hazard_verdict : string; (* certified | refuted | abstained *)
-  t_dynamic : float; (* wall seconds, Conform.check product exploration *)
-  t_bdd_nodes : int; (* total nodes across the per-signal managers *)
-  t_cache_cold : float; (* wall seconds, empty cache (populating) *)
-  t_cache_warm : float; (* wall seconds, same cache, second run *)
-  t_cache_hits : int; (* cache hits during the warm run *)
-  t_cache_identical : bool; (* cold = warm = uncached netlist bytes *)
-  t_prefix_events : int; (* non-cutoff events of the complete prefix *)
-  t_prefix_time : float; (* wall seconds, Prefix_rules.analyze *)
-  t_prefix_agree : bool; (* U3/U4 verdicts = explicit ground truth *)
-  t_solver_bdd_ops : int; (* computed-table probes of the BDD backend run *)
-  t_solver_props : int; (* CDCL propagations on the direct CSC encoding *)
-  t_solver_conflicts : int; (* CDCL conflicts on the direct CSC encoding *)
-  t_solver_time : float; (* wall seconds, CDCL + BDD backend on the encoding *)
-  t_partition_dup : int; (* duplicate-cone twins the plan found (M3) *)
-  t_partition_saved : int; (* solver calls the dedup replay saved *)
-  t_partition_time : float; (* wall seconds, Mpart.partition_summary *)
-  t_symbolic_time : float; (* wall seconds, Sg.of_stg on the BDD engine *)
-  t_symbolic_nodes : int; (* manager nodes live after the fixpoint *)
-  t_symbolic_agree : bool; (* symbolic Sg digest = explicit Sg digest *)
-  t_peak_live : int; (* Gc top_heap_words after this row's measurements *)
-}
+exception Gate_error of string
+
+(* A column of a trajectory row.  The check gate requires every column
+   it reads: a trajectory without one fails instead of silently skipping
+   the gate. *)
+let column conv key row =
+  try conv (Json.member key row)
+  with Json.Type_error msg ->
+    raise (Gate_error (Printf.sprintf "column %s: %s" key msg))
 
 (* Twins: cones the dedup replay can serve from an earlier solve — one
    per duplicate-group member beyond the first. *)
@@ -290,9 +269,9 @@ let plan_dup (plan : Partition_check.summary) =
 (* Solver invocations of one sequential synthesis run, measured through
    the process-wide counter (jobs = 1 keeps other domains quiet). *)
 let solver_calls_of config stg =
-  let before = Solver_calls.total () in
+  let before = Counter.get Counter.solver in
   let r = Mpart.synthesize ~config:{ config with Mpart.jobs = 1 } stg in
-  (r, Solver_calls.total () - before)
+  (r, Counter.get Counter.solver - before)
 
 (* The static H1-H5 pass and the dynamic product exploration it can
    replace, each wall-clocked on the synthesized netlist — the
@@ -316,7 +295,8 @@ let measure_hazard (r : Mpart.result) =
    synthesized netlists must match gate for gate.  A third and fourth
    run measure the cache: cold (populating a fresh store) then warm,
    both at [par] domains, and both netlists must again match the
-   uncached sequential bytes. *)
+   uncached sequential bytes.  The result is the benchmark's
+   [mpsyn-bench/1] trajectory row. *)
 let measure ~par name stg =
   let r1, t1 =
     wall (fun () ->
@@ -336,11 +316,11 @@ let measure ~par name stg =
   let rc, t_cache_cold =
     wall (fun () -> Mpart.synthesize_best ~config:cached_config stg)
   in
-  Cache_calls.reset ();
+  Counter.reset Counter.cache_hit;
   let rw, t_cache_warm =
     wall (fun () -> Mpart.synthesize_best ~config:cached_config stg)
   in
-  let t_cache_hits = Cache_calls.hits () in
+  let t_cache_hits = Counter.get Counter.cache_hit in
   remove_tree dir;
   let reference = netlist_verilog stg r1 in
   (* the partial-order columns: exact verdicts from the complete prefix
@@ -387,50 +367,59 @@ let measure ~par name stg =
     wall (fun () -> Sg.digest (Sg.of_stg ~backend:`Symbolic stg))
   in
   let _, sym_info = Symbolic.explore_edges_info (Stg.net stg) in
-  {
-    t_name = name;
-    t_states = Mpart.final_states rp;
-    t_area = Mpart.area_literals rp;
-    t_seq = t1;
-    t_par = tp;
-    t_identical = netlist_verilog stg rp = reference;
-    t_hazard;
-    t_hazard_verdict = Hazard_check.verdict_name hz;
-    t_dynamic;
-    t_bdd_nodes = hz.Hazard_check.bdd_nodes;
-    t_cache_cold;
-    t_cache_warm;
-    t_cache_hits;
-    t_cache_identical =
-      netlist_verilog stg rc = reference && netlist_verilog stg rw = reference;
-    t_prefix_events =
-      psum.Prefix_rules.s_events - psum.Prefix_rules.s_cutoffs;
-    t_prefix_time;
-    t_prefix_agree;
-    t_solver_bdd_ops = solver_bdd_ops;
-    t_solver_props = solver_props;
-    t_solver_conflicts = solver_conflicts;
-    t_solver_time;
-    t_partition_dup = plan_dup plan;
-    t_partition_saved = calls_fresh - calls_dedup;
-    t_partition_time;
-    t_symbolic_time;
-    t_symbolic_nodes = sym_info.Symbolic.i_bdd_nodes;
-    t_symbolic_agree = symbolic_digest = explicit_digest;
-    t_peak_live = (Gc.quick_stat ()).Gc.top_heap_words;
-  }
-
-let speedup row = if row.t_par > 0.0 then row.t_seq /. row.t_par else 1.0
-
-let cache_speedup row =
-  if row.t_cache_warm > 0.0 then row.t_cache_cold /. row.t_cache_warm else 1.0
+  let time t = Json.fixed 6 t in
+  let ratio a b = Json.fixed 3 (if b > 0.0 then a /. b else 1.0) in
+  Json.Obj
+    [
+      ("name", Str name);
+      ("states", Json.int (Mpart.final_states rp));
+      ("area", Json.int (Mpart.area_literals rp));
+      ("time_jobs1", time t1);
+      ("time_parallel", time tp);
+      ("speedup", ratio t1 tp);
+      ("identical", Bool (netlist_verilog stg rp = reference));
+      ("hazard", Str (Hazard_check.verdict_name hz));
+      ("hazard_time", time t_hazard);
+      ("dynamic_time", time t_dynamic);
+      ("bdd_nodes", Json.int hz.Hazard_check.bdd_nodes);
+      ("cache_cold", time t_cache_cold);
+      ("cache_warm", time t_cache_warm);
+      ("cache_speedup", ratio t_cache_cold t_cache_warm);
+      ("cache_hits", Json.int t_cache_hits);
+      ( "cache_identical",
+        Bool
+          (netlist_verilog stg rc = reference
+          && netlist_verilog stg rw = reference) );
+      ( "prefix_events",
+        Json.int (psum.Prefix_rules.s_events - psum.Prefix_rules.s_cutoffs) );
+      ("prefix_time", time t_prefix_time);
+      ("prefix_agree", Bool t_prefix_agree);
+      ("solver_bdd_ops", Json.int solver_bdd_ops);
+      ("solver_props", Json.int solver_props);
+      ("solver_conflicts", Json.int solver_conflicts);
+      ("solver_time", time t_solver_time);
+      ("partition_dup", Json.int (plan_dup plan));
+      ("partition_saved", Json.int (calls_fresh - calls_dedup));
+      ("partition_time", time t_partition_time);
+      ("symbolic_time", time t_symbolic_time);
+      ("symbolic_nodes", Json.int sym_info.Symbolic.i_bdd_nodes);
+      ("symbolic_agree", Bool (symbolic_digest = explicit_digest));
+      (* Gc top_heap_words after this row's measurements *)
+      ("peak_live_words", Json.int (Gc.quick_stat ()).Gc.top_heap_words);
+    ]
 
 let pp_row row =
+  let col conv key = column conv key row in
   Printf.printf "%-16s %8d %6d %10.3f %10.3f %9.2fx %s %s %.3fs cache %.2fx %s\n%!"
-    row.t_name row.t_states row.t_area row.t_seq row.t_par (speedup row)
-    (if row.t_identical then "identical" else "NETLISTS DIFFER")
-    row.t_hazard_verdict row.t_hazard (cache_speedup row)
-    (if row.t_cache_identical then "identical" else "CACHE DIVERGES")
+    (col Json.to_str "name") (col Json.to_int "states") (col Json.to_int "area")
+    (col Json.to_float "time_jobs1")
+    (col Json.to_float "time_parallel")
+    (col Json.to_float "speedup")
+    (if col Json.to_bool "identical" then "identical" else "NETLISTS DIFFER")
+    (col Json.to_str "hazard")
+    (col Json.to_float "hazard_time")
+    (col Json.to_float "cache_speedup")
+    (if col Json.to_bool "cache_identical" then "identical" else "CACHE DIVERGES")
 
 let scaling () =
   let par = 4 in
@@ -453,28 +442,15 @@ let scaling () =
         [ (1, 1); (2, 2); (4, 2); (2, 3); (3, 3) ])
 
 (* The trajectory file: per-benchmark states, area, wall times and
-   speedup, one benchmark per line so the [check] gate (and any
-   follow-up tooling) can parse it without a JSON library. *)
+   speedup, one benchmark object per line. *)
 let write_trajectory path ~par rows =
   let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"schema\": \"mpsyn-bench/1\",\n";
-  Printf.fprintf oc "  \"jobs\": %d,\n" par;
+  Printf.fprintf oc "{\n  \"schema\": \"mpsyn-bench/1\",\n  \"jobs\": %d,\n" par;
   Printf.fprintf oc "  \"benchmarks\": [\n";
   let n = List.length rows in
   List.iteri
     (fun i row ->
-      Printf.fprintf oc
-        "    {\"name\":%S,\"states\":%d,\"area\":%d,\"time_jobs1\":%.6f,\"time_parallel\":%.6f,\"speedup\":%.3f,\"identical\":%b,\"hazard\":%S,\"hazard_time\":%.6f,\"dynamic_time\":%.6f,\"bdd_nodes\":%d,\"cache_cold\":%.6f,\"cache_warm\":%.6f,\"cache_speedup\":%.3f,\"cache_hits\":%d,\"cache_identical\":%b,\"prefix_events\":%d,\"prefix_time\":%.6f,\"prefix_agree\":%b,\"solver_bdd_ops\":%d,\"solver_props\":%d,\"solver_conflicts\":%d,\"solver_time\":%.6f,\"partition_dup\":%d,\"partition_saved\":%d,\"partition_time\":%.6f,\"symbolic_time\":%.6f,\"symbolic_nodes\":%d,\"symbolic_agree\":%b,\"peak_live_words\":%d}%s\n"
-        row.t_name row.t_states row.t_area row.t_seq row.t_par (speedup row)
-        row.t_identical row.t_hazard_verdict row.t_hazard row.t_dynamic
-        row.t_bdd_nodes row.t_cache_cold row.t_cache_warm (cache_speedup row)
-        row.t_cache_hits row.t_cache_identical row.t_prefix_events
-        row.t_prefix_time row.t_prefix_agree row.t_solver_bdd_ops
-        row.t_solver_props row.t_solver_conflicts row.t_solver_time
-        row.t_partition_dup row.t_partition_saved row.t_partition_time
-        row.t_symbolic_time row.t_symbolic_nodes row.t_symbolic_agree
-        row.t_peak_live
+      Printf.fprintf oc "    %s%s\n" (Json.to_string row)
         (if i = n - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ]\n}\n";
@@ -497,115 +473,22 @@ let json names =
   write_trajectory "BENCH_results.json" ~par rows;
   Printf.printf "wrote BENCH_results.json (%d benchmarks, jobs=%d)\n"
     (List.length rows) par;
-  if List.for_all (fun r -> r.t_identical) rows then 0 else 1
+  if List.for_all (column Json.to_bool "identical") rows then 0 else 1
 
 (* ------------------------------------------------------------------ *)
 (* check: regression gate over two trajectory files                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Minimal extraction from the one-benchmark-per-line layout that
-   [write_trajectory] emits; no JSON library in the tree. *)
-let find_sub s pat =
-  let n = String.length s and m = String.length pat in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = pat then Some (i + m)
-    else go (i + 1)
-  in
-  go 0
-
-let field_string line key =
-  Option.map
-    (fun start -> String.sub line start (String.index_from line start '"' - start))
-    (find_sub line (Printf.sprintf "\"%s\":\"" key))
-
-let field_raw line key =
-  Option.map
-    (fun start ->
-      let stop = ref start in
-      let n = String.length line in
-      while !stop < n && line.[!stop] <> ',' && line.[!stop] <> '}' do
-        incr stop
-      done;
-      String.sub line start (!stop - start))
-    (find_sub line (Printf.sprintf "\"%s\":" key))
-
-type traj_row = {
-  j_name : string;
-  j_time : float;
-  j_identical : bool;
-  j_hazard : string option; (* absent in pre-hazard baselines *)
-  j_hazard_time : float option;
-  j_cache_identical : bool option; (* absent in pre-cache baselines *)
-  j_cache_warm : float option;
-  j_prefix_agree : bool option; (* absent in pre-prefix baselines *)
-  j_solver_bdd_ops : int option; (* absent in pre-solver baselines *)
-  j_solver_props : int option;
-  j_solver_conflicts : int option;
-  j_solver_time : float option;
-  j_partition_saved : int option; (* absent in pre-partition baselines *)
-  j_partition_time : float option;
-  j_symbolic_agree : bool option; (* absent in pre-symbolic baselines *)
-  j_symbolic_time : float option;
-  j_symbolic_nodes : int option;
-  j_peak_live : int option;
-}
-
+(* (name, row) pairs, in file order *)
 let read_trajectory path =
-  let ic = open_in path in
-  let rows = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       match field_string line "name" with
-       | None -> ()
-       | Some name ->
-         let time =
-           Option.bind (field_raw line "time_parallel") float_of_string_opt
-         in
-         let identical =
-           Option.bind (field_raw line "identical") bool_of_string_opt
-         in
-         rows :=
-           {
-             j_name = name;
-             j_time = Option.value time ~default:nan;
-             j_identical = Option.value identical ~default:false;
-             j_hazard = field_string line "hazard";
-             j_hazard_time =
-               Option.bind (field_raw line "hazard_time") float_of_string_opt;
-             j_cache_identical =
-               Option.bind (field_raw line "cache_identical") bool_of_string_opt;
-             j_cache_warm =
-               Option.bind (field_raw line "cache_warm") float_of_string_opt;
-             j_prefix_agree =
-               Option.bind (field_raw line "prefix_agree") bool_of_string_opt;
-             j_solver_bdd_ops =
-               Option.bind (field_raw line "solver_bdd_ops") int_of_string_opt;
-             j_solver_props =
-               Option.bind (field_raw line "solver_props") int_of_string_opt;
-             j_solver_conflicts =
-               Option.bind (field_raw line "solver_conflicts") int_of_string_opt;
-             j_solver_time =
-               Option.bind (field_raw line "solver_time") float_of_string_opt;
-             j_partition_saved =
-               Option.bind (field_raw line "partition_saved") int_of_string_opt;
-             j_partition_time =
-               Option.bind (field_raw line "partition_time") float_of_string_opt;
-             j_symbolic_agree =
-               Option.bind (field_raw line "symbolic_agree") bool_of_string_opt;
-             j_symbolic_time =
-               Option.bind (field_raw line "symbolic_time") float_of_string_opt;
-             j_symbolic_nodes =
-               Option.bind (field_raw line "symbolic_nodes") int_of_string_opt;
-             j_peak_live =
-               Option.bind (field_raw line "peak_live_words") int_of_string_opt;
-           }
-           :: !rows
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !rows
+  match
+    In_channel.with_open_bin path In_channel.input_all
+    |> Json.of_string |> Json.member "benchmarks" |> Json.to_list
+  with
+  | rows -> List.map (fun row -> (column Json.to_str "name" row, row)) rows
+  | exception Sys_error msg -> raise (Gate_error msg)
+  | exception (Json.Parse_error msg | Json.Type_error msg) ->
+    raise (Gate_error (Printf.sprintf "%s: %s" path msg))
 
 (* A benchmark regresses when its parallel wall time exceeds twice the
    baseline's; an absolute floor keeps sub-50ms noise from tripping the
@@ -613,184 +496,111 @@ let read_trajectory path =
 let regression_factor = 2.0
 let regression_floor = 0.05
 
+(* The per-row gates, in report order.  Each reads its columns from the
+   baseline row [b] and the fresh row [f] and returns the failure it
+   finds. *)
+let gates =
+  (* absolute: cache divergence, a prefix verdict disagreeing with the
+     explicit ground truth, or a symbolic state graph that is not the
+     explicit one fails whatever the baseline says *)
+  let holds key what _ f =
+    if column Json.to_bool key f then None else Some what
+  in
+  (* wall times gate on the factor and an absolute noise floor *)
+  let slower key what floor b f =
+    let bt = column Json.to_float key b and ft = column Json.to_float key f in
+    if ft > regression_factor *. bt && ft > floor then
+      Some
+        (Printf.sprintf "%s %.3fs vs baseline %.3fs (> %.1fx)" what ft bt
+           regression_factor)
+    else None
+  in
+  (* deterministic counts (solver counters, fixpoint nodes, peak heap)
+     gate on the factor; the floor ignores trivial instances *)
+  let grows key (what, unit) floor b f =
+    let bn = column Json.to_int key b and fn = column Json.to_int key f in
+    if float_of_int fn > regression_factor *. float_of_int bn && fn > floor
+    then
+      Some
+        (Printf.sprintf "%s %d%s vs baseline %d (> %.1fx)" what fn unit bn
+           regression_factor)
+    else None
+  in
+  [
+    holds "identical" "parallel netlist differs";
+    (* losing a baseline certificate silently re-enables the dynamic
+       exploration: a correctness smell, not noise *)
+    (fun b f ->
+      match (column Json.to_str "hazard" b, column Json.to_str "hazard" f) with
+      | "certified", v when v <> "certified" ->
+        Some (Printf.sprintf "hazard verdict %s, baseline certified" v)
+      | _ -> None);
+    holds "cache_identical" "warm-cache netlist diverges";
+    holds "prefix_agree" "prefix verdicts disagree with the state graph";
+    slower "cache_warm" "warm cache" regression_floor;
+    grows "solver_bdd_ops" ("solver_bdd_ops", "") 1000;
+    grows "solver_props" ("solver_props", "") 1000;
+    grows "solver_conflicts" ("solver_conflicts", "") 1000;
+    (* a tenth-of-a-second backend run doubles under scheduler noise
+       alone; the counters above catch algorithmic regressions *)
+    slower "solver_time" "solver backends" 0.5;
+    (* the plan and the replay are pure functions of the specification,
+       so saving fewer solver calls than the baseline gates exactly *)
+    (fun b f ->
+      let bn = column Json.to_int "partition_saved" b
+      and fn = column Json.to_int "partition_saved" f in
+      if fn < bn then
+        Some
+          (Printf.sprintf "dedup saves %d solver call(s) vs baseline %d" fn bn)
+      else None);
+    holds "symbolic_agree" "symbolic state graph diverges from explicit";
+    slower "symbolic_time" "symbolic engine" regression_floor;
+    grows "symbolic_nodes" ("symbolic fixpoint", " nodes") 1000;
+    (* a 1M-word (8 MB) floor keeps minor-heap sizing noise out *)
+    grows "peak_live_words" ("peak heap", " words") 1_000_000;
+    slower "partition_time" "partition audit" regression_floor;
+    slower "hazard_time" "hazard check" regression_floor;
+  ]
+
 let check fresh_path base_path =
-  let fresh = read_trajectory fresh_path in
-  let base = read_trajectory base_path in
-  let failures = ref 0 in
-  List.iter
-    (fun b ->
-      match List.find_opt (fun f -> f.j_name = b.j_name) fresh with
-      | None ->
-        incr failures;
-        Printf.printf "%-16s FAIL: missing from %s\n" b.j_name fresh_path
-      | Some f ->
-        if not f.j_identical then begin
-          incr failures;
-          Printf.printf "%-16s FAIL: parallel netlist differs\n" b.j_name
-        end;
-        (* a benchmark the baseline certified statically must stay
-           certified — losing a certificate silently re-enables the
-           dynamic exploration and is a correctness smell, not noise *)
-        (match (b.j_hazard, f.j_hazard) with
-        | Some "certified", Some v when v <> "certified" ->
-          incr failures;
-          Printf.printf "%-16s FAIL: hazard verdict %s, baseline certified\n"
-            b.j_name v
-        | _ -> ());
-        (* cache divergence is a correctness failure regardless of the
-           baseline: a warm run must replay the cold netlist byte for
-           byte, so any [false] in the fresh trajectory gates *)
-        (match f.j_cache_identical with
-        | Some false ->
-          incr failures;
-          Printf.printf "%-16s FAIL: warm-cache netlist diverges\n" b.j_name
-        | _ -> ());
-        (* exactness is absolute: a prefix verdict disagreeing with the
-           explicit ground truth gates regardless of the baseline *)
-        (match f.j_prefix_agree with
-        | Some false ->
-          incr failures;
-          Printf.printf
-            "%-16s FAIL: prefix verdicts disagree with the state graph\n"
-            b.j_name
-        | _ -> ());
-        (* warm-cache wall time gates with the same factor and noise
-           floor; pre-cache baselines have no column to compare *)
-        (match (b.j_cache_warm, f.j_cache_warm) with
-        | Some bt, Some ft
-          when ft > (regression_factor *. bt) && ft > regression_floor ->
-          incr failures;
-          Printf.printf
-            "%-16s FAIL: warm cache %.3fs vs baseline %.3fs (> %.1fx)\n"
-            b.j_name ft bt regression_factor
-        | _ -> ());
-        (* solver counters are deterministic (no randomization in either
-           backend), so growth beyond the factor is an algorithmic
-           regression, not noise; a small absolute floor ignores trivial
-           formulas where a handful of extra operations is meaningless *)
-        List.iter
-          (fun (what, bv, fv) ->
-            match (bv, fv) with
-            | Some bn, Some fn
-              when float_of_int fn
-                   > (regression_factor *. float_of_int bn)
-                   && fn > 1000 ->
-              incr failures;
-              Printf.printf "%-16s FAIL: %s %d vs baseline %d (> %.1fx)\n"
-                b.j_name what fn bn regression_factor
-            | _ -> ())
-          [
-            ("solver_bdd_ops", b.j_solver_bdd_ops, f.j_solver_bdd_ops);
-            ("solver_props", b.j_solver_props, f.j_solver_props);
-            ("solver_conflicts", b.j_solver_conflicts, f.j_solver_conflicts);
-          ];
-        (* solver wall time gates with the usual factor but a higher
-           noise floor: a tenth-of-a-second backend run doubles under
-           scheduler noise alone, and the deterministic counters above
-           already catch algorithmic regressions at any scale *)
-        (match (b.j_solver_time, f.j_solver_time) with
-        | Some bt, Some ft when ft > (regression_factor *. bt) && ft > 0.5 ->
-          incr failures;
-          Printf.printf
-            "%-16s FAIL: solver backends %.3fs vs baseline %.3fs (> %.1fx)\n"
-            b.j_name ft bt regression_factor
-        | _ -> ());
-        (* dedup savings are deterministic (the plan and the replay are
-           pure functions of the specification), so saving fewer solver
-           calls than the baseline means the duplicate detection or the
-           replay path regressed — that gates exactly *)
-        (match (b.j_partition_saved, f.j_partition_saved) with
-        | Some bn, Some fn when fn < bn ->
-          incr failures;
-          Printf.printf
-            "%-16s FAIL: dedup saves %d solver call(s) vs baseline %d\n"
-            b.j_name fn bn
-        | _ -> ());
-        (* digest identity is absolute: the symbolic engine rebuilding
-           anything but the byte-identical state graph gates regardless
-           of the baseline — downstream digests must never be able to
-           tell which engine ran *)
-        (match f.j_symbolic_agree with
-        | Some false ->
-          incr failures;
-          Printf.printf
-            "%-16s FAIL: symbolic state graph diverges from explicit\n"
-            b.j_name
-        | _ -> ());
-        (* symbolic wall time gates with the usual factor and floor *)
-        (match (b.j_symbolic_time, f.j_symbolic_time) with
-        | Some bt, Some ft
-          when ft > (regression_factor *. bt) && ft > regression_floor ->
-          incr failures;
-          Printf.printf
-            "%-16s FAIL: symbolic engine %.3fs vs baseline %.3fs (> %.1fx)\n"
-            b.j_name ft bt regression_factor
-        | _ -> ());
-        (* fixpoint node counts are deterministic (clustering and
-           variable order are fixed), so growth past the factor is an
-           encoding regression; the floor ignores trivial nets *)
-        (match (b.j_symbolic_nodes, f.j_symbolic_nodes) with
-        | Some bn, Some fn
-          when float_of_int fn > (regression_factor *. float_of_int bn)
-               && fn > 1000 ->
-          incr failures;
-          Printf.printf
-            "%-16s FAIL: symbolic fixpoint %d nodes vs baseline %d (> %.1fx)\n"
-            b.j_name fn bn regression_factor
-        | _ -> ());
-        (* peak heap words gate a memory blowup anywhere in the row's
-           measurements; rows run in a fixed order, so the snapshot is
-           comparable between fresh and baseline, and a 1M-word floor
-           (8 MB) keeps minor-heap sizing noise out *)
-        (match (b.j_peak_live, f.j_peak_live) with
-        | Some bw, Some fw
-          when float_of_int fw > (regression_factor *. float_of_int bw)
-               && fw > 1_000_000 ->
-          incr failures;
-          Printf.printf
-            "%-16s FAIL: peak heap %d words vs baseline %d (> %.1fx)\n"
-            b.j_name fw bw regression_factor
-        | _ -> ());
-        (* plan-audit wall time gates with the usual factor and floor *)
-        (match (b.j_partition_time, f.j_partition_time) with
-        | Some bt, Some ft
-          when ft > (regression_factor *. bt) && ft > regression_floor ->
-          incr failures;
-          Printf.printf
-            "%-16s FAIL: partition audit %.3fs vs baseline %.3fs (> %.1fx)\n"
-            b.j_name ft bt regression_factor
-        | _ -> ());
-        (* hazard-analysis wall time gates like synthesis wall time,
-           with the same factor and noise floor; pre-hazard baselines
-           simply have no column to compare *)
-        (match (b.j_hazard_time, f.j_hazard_time) with
-        | Some bt, Some ft
-          when ft > (regression_factor *. bt) && ft > regression_floor ->
-          incr failures;
-          Printf.printf
-            "%-16s FAIL: hazard check %.3fs vs baseline %.3fs (> %.1fx)\n"
-            b.j_name ft bt regression_factor
-        | _ -> ());
-        if
-          f.j_time > (regression_factor *. b.j_time)
-          && f.j_time > regression_floor
-        then begin
-          incr failures;
-          Printf.printf "%-16s FAIL: %.3fs vs baseline %.3fs (> %.1fx)\n"
-            b.j_name f.j_time b.j_time regression_factor
-        end
-        else
-          Printf.printf "%-16s ok: %.3fs (baseline %.3fs)\n" b.j_name f.j_time
-            b.j_time)
-    base;
-  if !failures = 0 then begin
-    Printf.printf "bench check: no regression vs %s\n" base_path;
-    0
-  end
-  else begin
-    Printf.printf "bench check: %d failure(s) vs %s\n" !failures base_path;
+  match (read_trajectory fresh_path, read_trajectory base_path) with
+  | exception Gate_error msg ->
+    Printf.printf "bench check: %s\n" msg;
     1
-  end
+  | fresh, base ->
+    let failures = ref 0 in
+    let fail name msg =
+      incr failures;
+      Printf.printf "%-16s FAIL: %s\n" name msg
+    in
+    let run name gate = try gate () with Gate_error msg -> fail name msg in
+    List.iter
+      (fun (name, b) ->
+        match List.assoc_opt name fresh with
+        | None -> fail name ("missing from " ^ fresh_path)
+        | Some f ->
+          List.iter
+            (fun gate ->
+              run name (fun () -> Option.iter (fail name) (gate b f)))
+            gates;
+          run name (fun () ->
+              let bt = column Json.to_float "time_parallel" b
+              and ft = column Json.to_float "time_parallel" f in
+              if ft > regression_factor *. bt && ft > regression_floor then
+                fail name
+                  (Printf.sprintf "%.3fs vs baseline %.3fs (> %.1fx)" ft bt
+                     regression_factor)
+              else
+                Printf.printf "%-16s ok: %.3fs (baseline %.3fs)\n" name ft bt))
+      base;
+    if !failures = 0 then begin
+      Printf.printf "bench check: no regression vs %s\n" base_path;
+      0
+    end
+    else begin
+      Printf.printf "bench check: %d failure(s) vs %s\n" !failures base_path;
+      1
+    end
 
 (* ------------------------------------------------------------------ *)
 (* E9: static hazard certification vs dynamic conformance              *)
@@ -856,11 +666,11 @@ let cache_table () =
       let rc, cold =
         wall (fun () -> Mpart.synthesize_best ~config:(config 1) stg)
       in
-      Cache_calls.reset ();
+      Counter.reset Counter.cache_hit;
       let rw, warm =
         wall (fun () -> Mpart.synthesize_best ~config:(config 1) stg)
       in
-      let hits = Cache_calls.hits () in
+      let hits = Counter.get Counter.cache_hit in
       let rwp, warm_par =
         wall (fun () -> Mpart.synthesize_best ~config:(config 4) stg)
       in

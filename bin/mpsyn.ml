@@ -165,8 +165,10 @@ let resolve_cache = function
 let report_cache = function
   | None -> ()
   | Some store ->
-    Printf.eprintf "mpsyn: cache %d hits, %d misses (%s)\n" (Cache_calls.hits ())
-      (Cache_calls.misses ()) (Cache_store.dir store)
+    Printf.eprintf "mpsyn: cache %d hits, %d misses (%s)\n"
+      (Counter.get Counter.cache_hit)
+      (Counter.get Counter.cache_miss)
+      (Cache_store.dir store)
 
 let stg_arg =
   let doc = "STG file in .g format, or the name of a built-in benchmark." in
@@ -403,11 +405,9 @@ let lint_cmd =
             "mpsyn lint: %s: synthesis failed (%s); netlist rules skipped\n"
             name msg)
       results;
-    if json then begin
-      match List.rev !jsons with
-      | [ one ] -> print_endline one
-      | many -> Printf.printf "[%s]\n" (String.concat "," many)
-    end;
+    (* one input renders as its document, several as an array *)
+    let document = function [ one ] -> one | many -> Json.List many in
+    if json then print_endline (Json.to_string (document (List.rev !jsons)));
     (match plan with
     | None -> ()
     | Some file ->
@@ -416,13 +416,8 @@ let lint_cmd =
           (fun (_, _, s, _) -> Option.map Partition_check.to_json s)
           results
       in
-      let text =
-        match docs with
-        | [ one ] -> one
-        | many -> Printf.sprintf "[%s]" (String.concat "," many)
-      in
       let oc = open_out file in
-      output_string oc text;
+      output_string oc (Json.to_string (document docs));
       output_char oc '\n';
       close_out oc);
     report_cache cache;
@@ -735,7 +730,7 @@ let verify_cmd =
     let doc =
       "Run the dynamic product exploration even when the static H1-H5 \
        rules certify the netlist (the default elides it on a \
-       certificate, which $(b,Sim_calls) counters prove)."
+       certificate, which the simulation counter proves)."
     in
     Arg.(value & flag & info [ "force-dynamic" ] ~doc)
   in
@@ -852,6 +847,13 @@ let dot_cmd =
     Term.(const run $ stg_arg)
 
 let () =
+  (* library warnings (a dropped corrupt cache entry, a failed cache
+     write) go to stderr, whichever domain raises them *)
+  let m = Mutex.create () in
+  Logs.set_reporter_mutex
+    ~lock:(fun () -> Mutex.lock m)
+    ~unlock:(fun () -> Mutex.unlock m);
+  Logs.set_reporter (Logs_fmt.reporter ~app:Format.err_formatter ());
   let doc = "modular partitioning synthesis of asynchronous circuits" in
   let cmd =
     Cmd.group

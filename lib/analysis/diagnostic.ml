@@ -106,22 +106,6 @@ let pp ppf r =
   List.iter (fun d -> Format.fprintf ppf "%a@," pp_diag d) r.diagnostics;
   Format.fprintf ppf "@]"
 
-(* Hand-rolled JSON: the repo deliberately has no JSON dependency. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let subject_kind = function
   | Sig _ -> "signal"
   | Trans _ -> "transition"
@@ -129,36 +113,39 @@ let subject_kind = function
   | Net _ -> "netlist"
 
 let diag_to_json d =
-  let b = Buffer.create 256 in
-  let field ?(first = false) k v =
-    if not first then Buffer.add_char b ',';
-    Buffer.add_string b (Printf.sprintf "\"%s\":%s" k v)
+  let span (s : Gformat.span) =
+    Json.Obj
+      [
+        ("line", Json.int s.line);
+        ("col_start", Json.int s.col_start);
+        ("col_end", Json.int s.col_end);
+      ]
   in
-  let str s = "\"" ^ json_escape s ^ "\"" in
-  Buffer.add_char b '{';
-  field ~first:true "rule" (str d.rule);
-  field "severity" (str (severity_to_string d.severity));
-  (match d.span with
-  | None -> field "span" "null"
-  | Some s ->
-    field "span"
-      (Printf.sprintf "{\"line\":%d,\"col_start\":%d,\"col_end\":%d}"
-         s.Gformat.line s.Gformat.col_start s.Gformat.col_end));
-  field "subject_kind" (str (subject_kind d.subject));
-  field "subject" (str (subject_name d.subject));
-  field "message" (str d.message);
-  field "explanation" (str d.explanation);
-  (match d.hint with
-  | None -> field "hint" "null"
-  | Some h -> field "hint" (str h));
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.Obj
+    [
+      ("rule", Str d.rule);
+      ("severity", Str (severity_to_string d.severity));
+      ("span", Json.opt span d.span);
+      ("subject_kind", Str (subject_kind d.subject));
+      ("subject", Str (subject_name d.subject));
+      ("message", Str d.message);
+      ("explanation", Str d.explanation);
+      ("hint", Json.opt (fun h -> Json.Str h) d.hint);
+    ]
 
 let schema = "mpsyn-lint/1"
 
 let to_json r =
-  Printf.sprintf
-    "{\"schema\":\"%s\",\"target\":\"%s\",\"summary\":{\"errors\":%d,\"warnings\":%d,\"infos\":%d},\"diagnostics\":[%s]}"
-    schema (json_escape r.target) (count Error r) (count Warning r)
-    (count Info r)
-    (String.concat "," (List.map diag_to_json r.diagnostics))
+  Json.Obj
+    [
+      ("schema", Str schema);
+      ("target", Str r.target);
+      ( "summary",
+        Obj
+          [
+            ("errors", Json.int (count Error r));
+            ("warnings", Json.int (count Warning r));
+            ("infos", Json.int (count Info r));
+          ] );
+      ("diagnostics", List (List.map diag_to_json r.diagnostics));
+    ]

@@ -93,4 +93,4 @@ val schema : string
 (** [to_json r] renders the report as a JSON object with a [schema]
     version, a [summary] and a [diagnostics] array — the
     machine-readable interface promised by [mpsyn lint --json]. *)
-val to_json : report -> string
+val to_json : report -> Json.t

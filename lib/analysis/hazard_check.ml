@@ -345,71 +345,54 @@ let pp_result ppf r =
     Format.fprintf ppf "@]"
   | Abstained why -> Format.fprintf ppf "static check abstained: %s" why
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json r =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"schema\":\"mpsyn-hazard/1\",\"verdict\":%S"
-       (verdict_name r));
-  Buffer.add_string b (Printf.sprintf ",\"bdd_nodes\":%d" r.bdd_nodes);
-  (match r.verdict with
-  | Certified c ->
-    Buffer.add_string b
-      (Printf.sprintf
-         ",\"certificate\":{\"target\":\"%s\",\"states\":%d,\"signals\":%d,\"rules\":[%s],\"regions\":[%s]}"
-         (json_escape c.c_target) c.c_states c.c_signals
-         (String.concat ","
-            (List.map (fun s -> Printf.sprintf "%S" s) c.c_rules))
-         (String.concat ","
-            (List.map
-               (fun rs ->
-                 Printf.sprintf
-                   "{\"signal\":\"%s\",\"er_rise\":%d,\"er_fall\":%d,\"bdd_nodes\":%d}"
-                   (json_escape rs.rs_signal) rs.rs_er_rise rs.rs_er_fall
-                   rs.rs_bdd_nodes)
-               c.c_regions)))
-  | Refuted cxs ->
-    Buffer.add_string b
-      (Printf.sprintf ",\"counterexamples\":[%s]"
-         (String.concat ","
-            (List.map
-               (fun cx ->
-                 Printf.sprintf
-                   "{\"rule\":%S,\"signal\":\"%s\",\"state\":{%s},%s\"detail\":\"%s\"}"
-                   cx.cx_rule (json_escape cx.cx_signal)
-                   (String.concat ","
-                      (List.map
-                         (fun (n, v) ->
-                           Printf.sprintf "\"%s\":%b" (json_escape n) v)
-                         cx.cx_state))
-                   ((match cx.cx_fired with
-                    | Some (f, rising) ->
-                      Printf.sprintf "\"fired\":\"%s%s\"," (json_escape f)
-                        (dir_str rising)
-                    | None -> "")
-                   ^
-                   match cx.cx_expected with
-                   | Some e -> Printf.sprintf "\"expected\":%b," e
-                   | None -> "")
-                   (json_escape cx.cx_detail))
-               cxs)))
-  | Abstained why ->
-    Buffer.add_string b (Printf.sprintf ",\"reason\":\"%s\"" (json_escape why)));
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let region rs =
+    Json.Obj
+      [
+        ("signal", Str rs.rs_signal);
+        ("er_rise", Json.int rs.rs_er_rise);
+        ("er_fall", Json.int rs.rs_er_fall);
+        ("bdd_nodes", Json.int rs.rs_bdd_nodes);
+      ]
+  in
+  let counterexample cx =
+    let fired (f, rising) = ("fired", Json.Str (f ^ dir_str rising)) in
+    let expected e = ("expected", Json.Bool e) in
+    Json.Obj
+      ([
+         ("rule", Json.Str cx.cx_rule);
+         ("signal", Str cx.cx_signal);
+         ("state", Obj (List.map (fun (n, v) -> (n, Json.Bool v)) cx.cx_state));
+       ]
+      @ Option.to_list (Option.map fired cx.cx_fired)
+      @ Option.to_list (Option.map expected cx.cx_expected)
+      @ [ ("detail", Str cx.cx_detail) ])
+  in
+  let body =
+    match r.verdict with
+    | Certified c ->
+      [
+        ( "certificate",
+          Json.Obj
+            [
+              ("target", Str c.c_target);
+              ("states", Json.int c.c_states);
+              ("signals", Json.int c.c_signals);
+              ("rules", Json.str_list c.c_rules);
+              ("regions", List (List.map region c.c_regions));
+            ] );
+      ]
+    | Refuted cxs ->
+      [ ("counterexamples", Json.List (List.map counterexample cxs)) ]
+    | Abstained why -> [ ("reason", Json.Str why) ]
+  in
+  Json.Obj
+    ([
+       ("schema", Json.Str "mpsyn-hazard/1");
+       ("verdict", Str (verdict_name r));
+       ("bdd_nodes", Json.int r.bdd_nodes);
+     ]
+    @ body)
 
 (* ---------------- the analysis ---------------- *)
 

@@ -120,7 +120,7 @@ val verdict_name : result -> string
 
 (** [to_json r] renders the verdict with its certificate or
     counterexamples as a JSON document (schema [mpsyn-hazard/1]). *)
-val to_json : result -> string
+val to_json : result -> Json.t
 
 val pp_counterexample : Format.formatter -> counterexample -> unit
 val pp_result : Format.formatter -> result -> unit

@@ -588,60 +588,49 @@ let diagnostics ?(degenerate_threshold = 0.9) ?(min_signals = 10) ?locked ~loc
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_strings names =
-  "[" ^ String.concat "," (List.map (fun n -> "\"" ^ json_escape n ^ "\"") names) ^ "]"
-
 let to_json summary =
   let cone_json cs =
-    Printf.sprintf
-      "{\"output\":\"%s\",\"inputs\":%s,\"immediate\":%s,\"kept_extras\":%s,\
-       \"states\":%d,\"edges\":%d,\"conflicts\":%d,\"frac\":%.4f,\
-       \"state_frac\":%.4f,\"digest\":\"%s\",\"risk\":%d}"
-      (json_escape cs.cs_output)
-      (json_strings cs.cs_inputs)
-      (json_strings cs.cs_immediate)
-      (json_strings cs.cs_kept_extras)
-      cs.cs_states cs.cs_edges cs.cs_conflicts cs.cs_frac cs.cs_state_frac
-      cs.cs_digest cs.cs_risk
+    Json.Obj
+      [
+        ("output", Str cs.cs_output);
+        ("inputs", Json.str_list cs.cs_inputs);
+        ("immediate", Json.str_list cs.cs_immediate);
+        ("kept_extras", Json.str_list cs.cs_kept_extras);
+        ("states", Json.int cs.cs_states);
+        ("edges", Json.int cs.cs_edges);
+        ("conflicts", Json.int cs.cs_conflicts);
+        ("frac", Json.fixed 4 cs.cs_frac);
+        ("state_frac", Json.fixed 4 cs.cs_state_frac);
+        ("digest", Str cs.cs_digest);
+        ("risk", Json.int cs.cs_risk);
+      ]
   in
   let dup_json g =
-    Printf.sprintf "{\"digest\":\"%s\",\"outputs\":%s}" g.dg_digest
-      (json_strings g.dg_outputs)
+    Json.Obj
+      [ ("digest", Str g.dg_digest); ("outputs", Json.str_list g.dg_outputs) ]
   in
   let risk_json rp =
-    Printf.sprintf "{\"a\":\"%s\",\"b\":\"%s\",\"shared\":%d}"
-      (json_escape rp.rp_a) (json_escape rp.rp_b) rp.rp_shared
+    Json.Obj
+      [ ("a", Str rp.rp_a); ("b", Str rp.rp_b); ("shared", Json.int rp.rp_shared) ]
   in
   let violation_json v =
-    Printf.sprintf
-      "{\"rule\":\"%s\",\"output\":\"%s\",\"witness\":\"%s\",\"detail\":\"%s\"}"
-      (json_escape v.v_rule) (json_escape v.v_output) (json_escape v.v_witness)
-      (json_escape v.v_detail)
+    Json.Obj
+      [
+        ("rule", Str v.v_rule);
+        ("output", Str v.v_output);
+        ("witness", Str v.v_witness);
+        ("detail", Str v.v_detail);
+      ]
   in
-  Printf.sprintf
-    "{\"schema\":\"%s\",\"target\":\"%s\",\"signals\":%d,\"states\":%d,\
-     \"cones\":[%s],\"duplicates\":[%s],\"overlaps\":[%s],\"order\":%s,\
-     \"violations\":[%s]}"
-    schema
-    (json_escape summary.p_target)
-    summary.p_signals summary.p_states
-    (String.concat "," (List.map cone_json summary.p_cones))
-    (String.concat "," (List.map dup_json summary.p_duplicates))
-    (String.concat "," (List.map risk_json summary.p_risky))
-    (json_strings summary.p_order)
-    (String.concat "," (List.map violation_json summary.p_violations))
+  Json.Obj
+    [
+      ("schema", Str schema);
+      ("target", Str summary.p_target);
+      ("signals", Json.int summary.p_signals);
+      ("states", Json.int summary.p_states);
+      ("cones", List (List.map cone_json summary.p_cones));
+      ("duplicates", List (List.map dup_json summary.p_duplicates));
+      ("overlaps", List (List.map risk_json summary.p_risky));
+      ("order", Json.str_list summary.p_order);
+      ("violations", List (List.map violation_json summary.p_violations));
+    ]

@@ -126,4 +126,4 @@ val schema : string
 (** [to_json summary] renders the standalone machine-readable plan
     (schema, target, sizes, cones, duplicates, overlaps, solve order,
     violations). *)
-val to_json : summary -> string
+val to_json : summary -> Json.t

@@ -19,7 +19,6 @@ type summary = {
   s_conflicts : int option;
   s_signals : string list;
   s_coexcited : ((string * bool) * (string * bool)) list option;
-  s_cert : string;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -287,7 +286,6 @@ let analyze ?(jobs = 1) ?(max_events = 2048) ?(max_cuts = 262144) stg =
     s_conflicts = Option.map (fun c -> c.cd_conflicts) coding;
     s_signals = List.init (Stg.n_signals stg) (Stg.signal_name stg);
     s_coexcited = Option.map (fun c -> c.cd_coexcited) coding;
-    s_cert = Unfold.cert_json u;
   }
 
 (* ------------------------------------------------------------------ *)

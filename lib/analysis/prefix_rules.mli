@@ -58,7 +58,6 @@ type summary = {
           ordered pairs of signal edges ([(name, is_rise)]) excited
           together at some quotient state.  Feeds the H2 persistency
           prune in {!Hazard_check}. *)
-  s_cert : string;  (** the [mpsyn-prefix/1] certificate JSON *)
 }
 
 (** [analyze ?jobs ?max_events ?max_cuts stg] builds the prefix and

@@ -3,7 +3,7 @@ type result = Sat of bool array | Unsat | Blowup
 exception Too_big
 
 let solve_with_stats ?(node_limit = 300_000) cnf =
-  Solver_calls.bump ();
+  Counter.bump Counter.solver;
   (* the clause-product build is the one blowup-prone workload in the
      tree: worth a large computed table *)
   let mgr = Bdd.manager ~cache_bits:16 () in

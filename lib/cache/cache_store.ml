@@ -2,7 +2,7 @@ let src = Logs.Src.create "mpsyn.cache" ~doc:"content-addressed synthesis cache"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let schema_version = "mpsyn-cache/4"
+let schema_version = "mpsyn-cache/5"
 
 (* The schema major version doubles as the entry subdirectory, so a
    version bump orphans (and [clear] ignores) every old entry. *)
@@ -104,17 +104,17 @@ let get t key =
   let path = path_of t key in
   match read_file path with
   | exception Sys_error _ ->
-    Cache_calls.record_miss ();
+    Counter.bump Counter.cache_miss;
     None
   | body -> (
     match decode body with
     | Ok v ->
-      Cache_calls.record_hit ();
+      Counter.bump Counter.cache_hit;
       touch path; (* LRU: a served entry is recent again *)
       Some v
     | Error reason ->
       drop_corrupt t key reason;
-      Cache_calls.record_miss ();
+      Counter.bump Counter.cache_miss;
       None)
 
 (* ------------------------------------------------------------------ *)

@@ -1,11 +1,11 @@
-(** Content-addressed, on-disk memoization store (schema [mpsyn-cache/4]).
+(** Content-addressed, on-disk memoization store (schema [mpsyn-cache/5]).
 
-    One entry per file under [DIR/4/] (the subdirectory is the schema
+    One entry per file under [DIR/5/] (the subdirectory is the schema
     major version: bumping {!schema_version} orphans every old entry at
     once — explicit wholesale invalidation).  An entry is:
 
     {v
-    mpsyn-cache/4\n
+    mpsyn-cache/5\n
     <md5 hex of payload>\n
     <payload: Marshal bytes>
     v}
@@ -31,7 +31,7 @@
 type t
 
 val schema_version : string
-(** ["mpsyn-cache/4"].  v1 → v2: whole-synthesis entries now carry the
+(** ["mpsyn-cache/5"].  v1 → v2: whole-synthesis entries now carry the
     audited partition plan ({!Mpart.result} gained fields), changing
     their marshal layout — the bump orphans every v1 entry at once.
     v2 → v3: state graphs precompute their adjacency lists ([Sg.t]
@@ -44,7 +44,9 @@ val schema_version : string
     back into one ["sg"] stage; synthesis results record which
     prescreen issued their CSC certificate and no longer carry timings;
     the option fingerprint and the ["prefix"] key parameters shrink
-    with the configuration. *)
+    with the configuration.  v4 → v5: prefix summaries no longer embed
+    the rendered [mpsyn-prefix/1] certificate, changing the marshal
+    layout of every ["prefix"] entry. *)
 
 val open_dir : ?max_bytes:int -> string -> t
 (** [open_dir dir] opens (creating directories as needed) the store
@@ -62,7 +64,7 @@ val dir : t -> string
 val get : t -> string -> 'a option
 (** [get store key] returns the entry stored under [key], or [None] on
     absence, truncation, or corruption (checksum mismatch).  Records
-    exactly one {!Cache_calls} hit or miss. *)
+    exactly one {!Counter} hit or miss. *)
 
 val put : t -> string -> 'a -> unit
 (** [put store key v] durably publishes [v] under [key]

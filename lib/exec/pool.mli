@@ -22,7 +22,7 @@
     Tasks must not share unsynchronized mutable state; everything this
     repository fans out operates on immutable state graphs and
     per-call solver instances (the only process-wide mutable is the
-    {!Solver_calls} counter, which is atomic). *)
+    {!Counter.solver} counter, which is atomic). *)
 
 val default_jobs : unit -> int
 (** The pool width used when [?jobs] is omitted: the last

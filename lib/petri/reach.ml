@@ -30,7 +30,7 @@ module Grow = struct
 end
 
 let explore ?(max_states = 100_000) net =
-  Reach_calls.bump ();
+  Counter.bump Counter.reach;
   (* Interning hashes the packed bitvector form of each marking — a
      short flat string — rather than the int-array marking itself, and
      the table is preallocated from the exploration cap so the hot

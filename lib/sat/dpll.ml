@@ -333,7 +333,7 @@ let learn s learnt btlevel =
 (* ---------------- top level ---------------- *)
 
 let solve ?backtrack_limit ?(time_limit = infinity) f =
-  Solver_calls.bump ();
+  Counter.bump Counter.solver;
   let t0 = Sys.time () in
   let nv = Cnf.n_vars f in
   let clauses = Cnf.clauses f in
@@ -614,7 +614,7 @@ type decision = {
 }
 
 let solve_basic ?backtrack_limit ?(time_limit = infinity) f =
-  Solver_calls.bump ();
+  Counter.bump Counter.solver;
   let t0 = Sys.time () in
   let finish s result =
     ( result,

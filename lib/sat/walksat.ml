@@ -12,7 +12,7 @@ type stats = { flips : int; tries : int; elapsed : float }
 
 let solve ?(seed = 0) ?(noise = 0.5) ?(init = `Random) ?max_flips
     ?(max_tries = 10) f =
-  Solver_calls.bump ();
+  Counter.bump Counter.solver;
   let t0 = Sys.time () in
   let rng = Random.State.make [| seed |] in
   let nv = Cnf.n_vars f in

@@ -336,7 +336,7 @@ let explore_info ?max_states ?cluster_max net =
   run ?max_states ?cluster_max net
     ~finish:(fun fx ->
       let g = reconstruct fx.fx_enc fx.fx_states in
-      Symbolic_calls.bump ();
+      Counter.bump Counter.symbolic;
       (g, sym_info fx))
     ~fall:(fun ~reason ->
       let g = Reach.explore ?max_states net in
@@ -349,7 +349,7 @@ let explore_edges_info ?max_states ?cluster_max net =
   run ?max_states ?cluster_max net
     ~finish:(fun fx ->
       let _, edata, n_edges = replay fx.fx_enc fx.fx_states in
-      Symbolic_calls.bump ();
+      Counter.bump Counter.symbolic;
       ((fx.fx_states, edata, n_edges), sym_info fx))
     ~fall:(fun ~reason ->
       let g = Reach.explore ?max_states net in

@@ -613,60 +613,36 @@ let marking_graph ?(max_cuts = 262144) u =
 
 (* ---- certificate ------------------------------------------------------ *)
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let fire_names u config =
   List.map
     (fun e -> Petri.transition_name u.u_net (Iv.get u.e_trans e))
     (linearize u config)
 
 let cert_json u =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"schema\":\"mpsyn-prefix/1\"";
-  Buffer.add_string b (Printf.sprintf ",\"events\":%d" (n_events u));
-  Buffer.add_string b (Printf.sprintf ",\"conditions\":%d" (n_conditions u));
-  Buffer.add_string b (Printf.sprintf ",\"cutoffs\":%d" u.cutoffs);
-  Buffer.add_string b (Printf.sprintf ",\"non_cutoff\":%d" (n_noncutoff u));
-  Buffer.add_string b
-    (Printf.sprintf ",\"complete\":%b" u.is_complete);
-  Buffer.add_string b ",\"cutoff_witnesses\":[";
-  let first = ref true in
-  for e = 0 to n_events u - 1 do
+  let witness e =
     let comp = Iv.get u.e_companion e in
-    if comp <> -2 then begin
-      if not !first then Buffer.add_char b ',';
-      first := false;
-      Buffer.add_string b
-        (Printf.sprintf "{\"event\":%d,\"transition\":\"" e);
-      json_escape b
-        (Petri.transition_name u.u_net (Iv.get u.e_trans e));
-      Buffer.add_string b (Printf.sprintf "\",\"companion\":%d" comp);
-      let seq name config =
-        Buffer.add_string b (Printf.sprintf ",\"%s\":[" name);
-        List.iteri
-          (fun i tn ->
-            if i > 0 then Buffer.add_char b ',';
-            Buffer.add_char b '"';
-            json_escape b tn;
-            Buffer.add_char b '"')
-          (fire_names u config);
-        Buffer.add_char b ']'
-      in
-      seq "fire" (Ga.get u.e_config e);
-      seq "companion_fire"
-        (if comp < 0 then [||] else Ga.get u.e_config comp);
-      Buffer.add_char b '}'
-    end
-  done;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+    Json.Obj
+      [
+        ("event", Json.int e);
+        ("transition", Str (Petri.transition_name u.u_net (Iv.get u.e_trans e)));
+        ("companion", Json.int comp);
+        ("fire", Json.str_list (fire_names u (Ga.get u.e_config e)));
+        ( "companion_fire",
+          Json.str_list
+            (fire_names u (if comp < 0 then [||] else Ga.get u.e_config comp)) );
+      ]
+  in
+  Json.Obj
+    [
+      ("schema", Str "mpsyn-prefix/1");
+      ("events", Json.int (n_events u));
+      ("conditions", Json.int (n_conditions u));
+      ("cutoffs", Json.int u.cutoffs);
+      ("non_cutoff", Json.int (n_noncutoff u));
+      ("complete", Bool u.is_complete);
+      ( "cutoff_witnesses",
+        List
+          (List.init (n_events u) Fun.id
+          |> List.filter (is_cutoff u)
+          |> List.map witness) );
+    ]

@@ -104,7 +104,8 @@ val marking_graph : ?max_cuts:int -> t -> mgraph
 
 (** [cert_json t] renders the machine-checkable [mpsyn-prefix/1]
     certificate: event/condition/cutoff counts, completeness, and one
-    witness per cutoff — its transition, its companion event (or the
-    initial marking) and the shared marking, so a checker can replay
-    each local configuration and confirm marking equivalence. *)
-val cert_json : t -> string
+    witness per cutoff — its transition, its companion event ([-1] for
+    the initial marking) and the firing sequences of both local
+    configurations, so a checker can replay them and confirm they reach
+    the same marking. *)
+val cert_json : t -> Json.t

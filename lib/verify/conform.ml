@@ -39,7 +39,7 @@ let event_name sg (s, d) =
   Sg.signal_name sg s ^ (match d with Sg.R -> "+" | Sg.F -> "-")
 
 let check ?(max_states = 1_000_000) ?(max_violations = 32) ~spec ~initial nl =
-  Sim_calls.bump ();
+  Counter.bump Counter.sim;
   let violations = ref [] and vkeys = Hashtbl.create 16 in
   let n_violations = ref 0 in
   let add_violation v =

@@ -89,7 +89,7 @@ let certify ?max_states ?(skip_when_certified = false) ?cache impl =
      cover everything the result depends on: the graphs' content
      digests, the netlist's rendered form, the reset valuation, and the
      exploration cap.  A warm hit elides {!Conform.check} — visible as
-     a frozen {!Sim_calls} counter, exactly like a static certificate. *)
+     a frozen {!Counter.sim} counter, exactly like a static certificate. *)
   let memo_conform ~stage ~spec_digest ~content compute =
     match (cache : Cache_store.t option) with
     | None -> compute ()

@@ -67,13 +67,13 @@ val passed : report -> bool
 (** [certify ?max_states ?skip_when_certified ?cache impl] runs the
     static H1–H5 pass and the dynamic checks.  With
     [skip_when_certified] (default [false]) a static certificate elides
-    the exponential {!Conform.check} product exploration — {!Sim_calls}
+    the exponential {!Conform.check} product exploration — {!Counter.sim}
     proves the skip — while the cheap graph-level checks still run.
     With [cache] the two explorations ({!Conform.check} and
     {!Conform.refines}) are memoized content-addressed: the key covers
     the graphs' content digests, the rendered netlist, the reset
     valuation, and the exploration cap, so a warm verification replays
-    the cold verdict byte for byte and leaves {!Sim_calls} frozen. *)
+    the cold verdict byte for byte and leaves {!Counter.sim} frozen. *)
 val certify :
   ?max_states:int ->
   ?skip_when_certified:bool ->

@@ -51,8 +51,8 @@ let with_store ?max_bytes f =
     ~finally:(fun () -> remove_tree dir)
     (fun () -> f dir (Cache_store.open_dir ?max_bytes dir))
 
-(* The entry subdirectory is the schema major version ("4" for
-   mpsyn-cache/4) — derived here the same way the store derives it, so
+(* The entry subdirectory is the schema major version ("5" for
+   mpsyn-cache/5) — derived here the same way the store derives it, so
    the corruption tests can reach the files without new API surface. *)
 let entry_dir root =
   let v = Cache_store.schema_version in
@@ -256,14 +256,15 @@ let () =
 
 let test_store_roundtrip () =
   with_store (fun _dir store ->
-      Cache_calls.reset ();
+      Counter.reset Counter.cache_hit;
+      Counter.reset Counter.cache_miss;
       Alcotest.(check (option (list int))) "absent key misses" None
         (Cache_store.get store "absent");
       Cache_store.put store "k1" [ 1; 2; 3 ];
       Alcotest.(check (option (list int))) "roundtrip" (Some [ 1; 2; 3 ])
         (Cache_store.get store "k1");
-      Alcotest.(check int) "one hit" 1 (Cache_calls.hits ());
-      Alcotest.(check int) "one miss" 1 (Cache_calls.misses ());
+      Alcotest.(check int) "one hit" 1 (Counter.get Counter.cache_hit);
+      Alcotest.(check int) "one miss" 1 (Counter.get Counter.cache_miss);
       Cache_store.put store "k1" [ 9 ];
       Alcotest.(check (option (list int))) "overwrite wins" (Some [ 9 ])
         (Cache_store.get store "k1"))
@@ -275,10 +276,10 @@ let test_store_truncation () =
       | [ path ] -> Unix.truncate path 7
       | files -> Alcotest.failf "expected 1 entry file, found %d" (List.length files));
       let before = !log_warnings in
-      Cache_calls.reset ();
+      Counter.reset Counter.cache_miss;
       Alcotest.(check bool) "truncated entry misses" true
         (Cache_store.get store "k" = (None : string array option));
-      Alcotest.(check int) "miss recorded" 1 (Cache_calls.misses ());
+      Alcotest.(check int) "miss recorded" 1 (Counter.get Counter.cache_miss);
       Alcotest.(check bool) "drop was logged" true (!log_warnings > before);
       Alcotest.(check int) "corrupt entry deleted" 0
         (List.length (entry_files dir));
@@ -366,12 +367,12 @@ let test_cold_warm_suite () =
           let rc = synth ~cache:store ~jobs:1 stg in
           Alcotest.(check string)
             (file ^ ": cold = uncached") reference (verilog stg rc);
-          Cache_calls.reset ();
+          Counter.reset Counter.cache_hit;
           let rw = synth ~cache:store ~jobs:1 stg in
           Alcotest.(check string)
             (file ^ ": warm = uncached") reference (verilog stg rw);
           Alcotest.(check bool)
-            (file ^ ": warm run hit the cache") true (Cache_calls.hits () > 0);
+            (file ^ ": warm run hit the cache") true (Counter.get Counter.cache_hit > 0);
           let rw4 = synth ~cache:store ~jobs:4 stg in
           Alcotest.(check string)
             (file ^ ": warm at jobs=4 = uncached") reference (verilog stg rw4);
@@ -420,6 +421,50 @@ let test_corrupted_cache_correct () =
             (!log_warnings > warned_before))
         [ "atod.g"; "vbe4a.g" ])
 
+(* The CLI's Logs reporter puts a dropped entry on stderr, while stdout
+   still carries the cold bytes. *)
+let mpsyn = Filename.concat ".." (Filename.concat "bin" "mpsyn.exe")
+
+let run_verilog dir file =
+  let out = Filename.temp_file "mpsyn_cache" ".out"
+  and err = Filename.temp_file "mpsyn_cache" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s verilog --cache %s %s > %s 2> %s" mpsyn
+         (Filename.quote dir) (Filename.quote file) out err)
+  in
+  let o = read_file out and e = read_file err in
+  Sys.remove out;
+  Sys.remove err;
+  (code, o, e)
+
+let test_cli_warns_on_corruption () =
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> remove_tree dir)
+    (fun () ->
+      let file = Filename.concat data_dir "atod.g" in
+      let code, cold, _ = run_verilog dir file in
+      Alcotest.(check int) "cold run exits 0" 0 code;
+      Alcotest.(check bool) "cold run wrote entries" true (entry_files dir <> []);
+      List.iter corrupt_byte (entry_files dir);
+      let code, warm, err = run_verilog dir file in
+      Alcotest.(check int) "run over corrupt entries exits 0" 0 code;
+      Alcotest.(check string) "stdout unchanged" cold warm;
+      let warned =
+        List.exists
+          (fun line ->
+            let pat = "dropped, treated as a miss" in
+            let n = String.length pat in
+            let rec go i =
+              i + n <= String.length line
+              && (String.sub line i n = pat || go (i + 1))
+            in
+            go 0)
+          (String.split_on_char '\n' err)
+      in
+      if not warned then Alcotest.failf "no drop warning on stderr:\n%s" err)
+
 (* The verification oracle's cached explorations: a warm certificate
    must replay the cold one and stop simulating. *)
 let test_oracle_warm () =
@@ -427,15 +472,15 @@ let test_oracle_warm () =
       let stg = Gformat.parse_file (Filename.concat data_dir "atod.g") in
       let impl = Oracle.impl_of_result (Mpart.synthesize stg) in
       let cold = Oracle.certify ~cache:store impl in
-      let sim_before = Sim_calls.total () in
-      Cache_calls.reset ();
+      let sim_before = Counter.get Counter.sim in
+      Counter.reset Counter.cache_hit;
       let warm = Oracle.certify ~cache:store impl in
       Alcotest.(check bool) "cold certificate passes" true (Oracle.passed cold);
       Alcotest.(check bool) "warm certificate passes" true (Oracle.passed warm);
       Alcotest.(check bool) "warm certify hit the cache" true
-        (Cache_calls.hits () > 0);
+        (Counter.get Counter.cache_hit > 0);
       Alcotest.(check int) "warm certify ran no simulation" sim_before
-        (Sim_calls.total ());
+        (Counter.get Counter.sim);
       Alcotest.(check string) "reports render identically"
         (Format.asprintf "%a" Oracle.pp_report cold)
         (Format.asprintf "%a" Oracle.pp_report warm))
@@ -488,11 +533,11 @@ let test_same_key_race () =
             reference v)
         got;
       (* whatever racer won the rename, the published entry is whole *)
-      Cache_calls.reset ();
+      Counter.reset Counter.cache_hit;
       Alcotest.(check string) "entry valid after the race" reference
         (verilog stg (synth ~cache:store ~jobs:1 stg));
       Alcotest.(check bool) "and it was served from the cache" true
-        (Cache_calls.hits () > 0))
+        (Counter.get Counter.cache_hit > 0))
 
 let () =
   Qseed.announce ();
@@ -534,6 +579,8 @@ let () =
             test_corrupted_cache_correct;
           Alcotest.test_case "oracle warm certificate replays" `Quick
             test_oracle_warm;
+          Alcotest.test_case "CLI warns on stderr about a corrupt entry"
+            `Quick test_cli_warns_on_corruption;
         ] );
       ( "concurrency",
         [

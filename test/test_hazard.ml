@@ -9,8 +9,8 @@
      oracle, over the shipped suite and over fuzzed STGs (abstention
      claims nothing and never conflicts);
    - a static certificate makes [Oracle.certify ~skip_when_certified]
-     elide the product exploration, and the {!Sim_calls} /
-     {!Solver_calls} counters *prove* the skip on the lock-ring family;
+     elide the product exploration, and the {!Counter.sim} /
+     {!Counter.solver} counters *prove* the skip on the lock-ring family;
    - a genuinely hazardous circuit (an output whose excitation an input
      can steal) is refuted with replayable counterexamples, and the CLI
      surfaces that as exit code 5. *)
@@ -55,17 +55,12 @@ let test_benchmark_certifies file () =
           Alcotest.failf "%s: empty excitation region for %s" file
             rs.Hazard_check.rs_signal)
       cert.Hazard_check.c_regions;
-    let json = Hazard_check.to_json hz in
-    let mem sub =
-      let n = String.length sub and len = String.length json in
-      let rec go i = i + n <= len && (String.sub json i n = sub || go (i + 1)) in
-      go 0
-    in
-    Alcotest.(check bool)
-      (file ^ ": JSON schema tag") true
-      (mem "\"schema\":\"mpsyn-hazard/1\"");
-    Alcotest.(check bool)
-      (file ^ ": JSON certificate") true (mem "\"verdict\":\"certified\"")
+    let json = Json.of_string (Json.to_string (Hazard_check.to_json hz)) in
+    let field k = Json.to_str (Json.member k json) in
+    Alcotest.(check string) (file ^ ": JSON schema tag") "mpsyn-hazard/1"
+      (field "schema");
+    Alcotest.(check string) (file ^ ": JSON certificate") "certified"
+      (field "verdict")
   | Hazard_check.Refuted _ | Hazard_check.Abstained _ ->
     Alcotest.failf "%s: expected a certificate, got %s:@\n%a" file
       (Hazard_check.verdict_name hz) Hazard_check.pp_result hz
@@ -79,22 +74,22 @@ let test_benchmark_certifies file () =
    prove it rather than assert it. *)
 let test_lockring_skip signals () =
   let impl = impl_of (Bench_gen.lock_ring ~signals) in
-  Solver_calls.reset ();
-  Sim_calls.reset ();
+  Counter.reset Counter.solver;
+  Counter.reset Counter.sim;
   let rep = Oracle.certify ~skip_when_certified:true impl in
   Alcotest.(check bool) "passed" true (Oracle.passed rep);
   Alcotest.(check bool) "dynamic skipped" true (Oracle.skipped_dynamic rep);
   Alcotest.(check bool) "statically certified" true
     (Hazard_check.certified rep.Oracle.hazard);
-  Alcotest.(check int) "zero dynamic explorations" 0 (Sim_calls.total ());
-  Alcotest.(check int) "zero solver calls" 0 (Solver_calls.total ());
+  Alcotest.(check int) "zero dynamic explorations" 0 (Counter.get Counter.sim);
+  Alcotest.(check int) "zero solver calls" 0 (Counter.get Counter.solver);
   (* forcing the dynamic path simulates — the counter moves, and both
      verdicts still agree *)
   let rep' = Oracle.certify ~skip_when_certified:false impl in
   Alcotest.(check bool) "forced dynamic passes" true (Oracle.passed rep');
   Alcotest.(check bool) "forced dynamic ran" false
     (Oracle.skipped_dynamic rep');
-  Alcotest.(check bool) "simulation counted" true (Sim_calls.total () > 0)
+  Alcotest.(check bool) "simulation counted" true (Counter.get Counter.sim > 0)
 
 (* ---------------- a real hazard is refuted, replayably ------------- *)
 

@@ -20,11 +20,11 @@ let g_files () =
 let test_benchmark_digest file () =
   let stg = Gformat.parse_file (Filename.concat data_dir file) in
   let explicit = Sg.of_stg stg in
-  let before = Symbolic_calls.total () in
+  let before = Counter.get Counter.symbolic in
   let symbolic = Sg.of_stg ~backend:`Symbolic stg in
   Alcotest.(check string)
     "digest agrees" (Sg.digest explicit) (Sg.digest symbolic);
-  check "took the symbolic path" true (Symbolic_calls.total () > before)
+  check "took the symbolic path" true (Counter.get Counter.symbolic > before)
 
 (* ---------------- digest identity: fuzzed STGs ---------------- *)
 
@@ -152,25 +152,25 @@ let test_adjacency_no_allocation () =
    path — counter-proven — while parallel_rings 3 (126 states) stays on
    the explicit sweep. *)
 let test_auto_reach () =
-  let before = Symbolic_calls.total () in
+  let before = Counter.get Counter.symbolic in
   let r = Mpart.synthesize (Bench_gen.parallel_rings ~rings:5) in
   check "U4 bound picked the symbolic engine" true
-    (Symbolic_calls.total () > before);
+    (Counter.get Counter.symbolic > before);
   check "verifies" true (Mpart.verify r = None);
-  let before = Symbolic_calls.total () in
+  let before = Counter.get Counter.symbolic in
   let _ = Mpart.synthesize (Bench_gen.parallel_rings ~rings:3) in
   check_int "a small net keeps the explicit sweep" before
-    (Symbolic_calls.total ())
+    (Counter.get Counter.symbolic)
 
 (* The partition plan takes its engine from the same decision. *)
 let test_partition_reach () =
-  let before = Symbolic_calls.total () in
+  let before = Counter.get Counter.symbolic in
   let _ =
     Mpart.partition_summary Mpart.default_config
       (Bench_gen.parallel_rings ~rings:5)
   in
   check "partition plan took the symbolic engine" true
-    (Symbolic_calls.total () > before)
+    (Counter.get Counter.symbolic > before)
 
 (* ---------------- CLI: exit code 6 ---------------- *)
 

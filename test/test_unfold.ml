@@ -99,33 +99,10 @@ let prop_marking_count =
 
 (* ---------------- certificate replay ------------------------------- *)
 
-(* Pull every "fire"/"companion_fire" name sequence out of the
-   certificate JSON with a dumb scanner (benchmark transition names
-   need no unescaping), and machine-check the cutoff claims: both
-   sequences must be fireable from the initial marking and land on the
-   same marking.  That is exactly what makes a cutoff sound. *)
-let scan_sequences key json =
-  let needle = Printf.sprintf "\"%s\":[" key in
-  let nl = String.length needle and jl = String.length json in
-  let rec find acc i =
-    if i + nl > jl then List.rev acc
-    else if String.sub json i nl = needle then begin
-      let close = String.index_from json (i + nl) ']' in
-      let body = String.sub json (i + nl) (close - (i + nl)) in
-      let names =
-        if body = "" then []
-        else
-          List.map
-            (fun s ->
-              let s = String.trim s in
-              String.sub s 1 (String.length s - 2))
-            (String.split_on_char ',' body)
-      in
-      find (names :: acc) close
-    end
-    else find acc (i + 1)
-  in
-  find [] 0
+(* Read every cutoff witness back from the printed certificate and
+   machine-check its claim: the "fire" and "companion_fire" sequences
+   must both be fireable from the initial marking and land on the same
+   marking.  That is exactly what makes a cutoff sound. *)
 
 let fire_sequence net names =
   let find_trans n =
@@ -149,13 +126,17 @@ let test_cert_replay name () =
   let stg = (List.assoc name Bench_data.all) () in
   let net = Stg.net stg in
   let u = Unfold.build net in
-  let cert = Unfold.cert_json u in
+  let cert = Json.of_string (Json.to_string (Unfold.cert_json u)) in
   check
-    (String.length cert > 0
-    && String.sub cert 0 26 = "{\"schema\":\"mpsyn-prefix/1\"")
+    (Json.to_str (Json.member "schema" cert) = "mpsyn-prefix/1")
     "certificate carries its schema";
-  let fires = scan_sequences "fire" cert in
-  let comps = scan_sequences "companion_fire" cert in
+  let witnesses = Json.to_list (Json.member "cutoff_witnesses" cert) in
+  let sequences key =
+    List.map
+      (fun w -> List.map Json.to_str (Json.to_list (Json.member key w)))
+      witnesses
+  in
+  let fires = sequences "fire" and comps = sequences "companion_fire" in
   Alcotest.(check int)
     "one witness per cutoff" (Unfold.n_cutoffs u) (List.length fires);
   Alcotest.(check int) "paired sequences" (List.length fires)
@@ -175,13 +156,13 @@ let test_cert_replay name () =
    it was. *)
 let test_no_reach_calls () =
   let stg = (List.assoc "vbe4a" Bench_data.all) () in
-  Reach_calls.reset ();
+  Counter.reset Counter.reach;
   let p = Prefix_rules.analyze stg in
   let _ = Prefix_rules.diagnostics ~loc:Diagnostic.no_loc stg p in
-  Alcotest.(check int) "zero Reach.explore calls" 0 (Reach_calls.total ());
+  Alcotest.(check int) "zero Reach.explore calls" 0 (Counter.get Counter.reach);
   (* sanity: the counter does move when exploration happens *)
   let _ = Reach.explore (Stg.net stg) in
-  Alcotest.(check int) "counter counts" 1 (Reach_calls.total ())
+  Alcotest.(check int) "counter counts" 1 (Counter.get Counter.reach)
 
 (* Parallel rings: CSC holds but cross-ring pairs never alternate, so
    the A6 lock relation abstains — only the exact U3 verdict certifies
@@ -194,10 +175,10 @@ let test_parallel_rings_prescreen rings () =
   | `Prefix -> ()
   | `Lockrel -> Alcotest.fail "A6 certified a family it cannot see"
   | `None -> Alcotest.fail "U3 failed to certify parallel rings");
-  Solver_calls.reset ();
+  Counter.reset Counter.solver;
   let r = Mpart.synthesize ~config:cfg stg in
   check (r.Mpart.certificate = `Prefix) "synthesis saw the certificate";
-  Alcotest.(check int) "zero solver calls" 0 (Solver_calls.total ());
+  Alcotest.(check int) "zero solver calls" 0 (Counter.get Counter.solver);
   Alcotest.(check (option string)) "verified" None (Mpart.verify r);
   check
     (mem_sub (Format.asprintf "%a" Mpart.pp_report r) "(finite prefix (U3))")
@@ -331,8 +312,9 @@ let test_jobs_deterministic () =
       let net = Stg.net stg in
       let u1 = Unfold.build ~jobs:1 net and u4 = Unfold.build ~jobs:4 net in
       Alcotest.(check string)
-        "certificates byte-identical" (Unfold.cert_json u1)
-        (Unfold.cert_json u4);
+        "certificates byte-identical"
+        (Json.to_string (Unfold.cert_json u1))
+        (Json.to_string (Unfold.cert_json u4));
       let m1 = Unfold.marking_graph u1 and m4 = Unfold.marking_graph u4 in
       check
         (Array.map Marking.pack m1.Unfold.mg_markings

@@ -58,15 +58,19 @@ let exits =
 (* Every subcommand that explores a state space runs under this guard:
    exceeding the cap is a budget exhaustion, not a crash, and exits
    with the documented code and the budget in the message — the same
-   [Reach.Too_many_states] contract whichever engine explored. *)
+   [Reach.Too_many_states] contract whichever engine explored.  A SAT
+   give-up exits 1, naming the bound that ran out. *)
 let guard_budget f =
-  try f ()
-  with Reach.Too_many_states budget ->
+  try f () with
+  | Reach.Too_many_states budget ->
     Printf.eprintf
       "mpsyn: state budget exhausted: more than %d reachable markings (the \
        exploration cap; raise it with --max-states where available)\n"
       budget;
     exit exit_budget
+  | Mpart.Synthesis_failed msg ->
+    Printf.eprintf "mpsyn: synthesis gave up: %s\n" msg;
+    exit 1
 
 (* [load_stg_spans] keeps the source map when the STG comes from a .g
    file, so diagnostics can point into the text. *)
@@ -190,7 +194,7 @@ let backtrack_arg =
   Arg.(value & opt (some int) None & info [ "backtrack-limit" ] ~doc)
 
 let time_arg =
-  let doc = "Abort after this many CPU seconds." in
+  let doc = "Abort after this many wall-clock seconds for the whole run." in
   Arg.(value & opt (some float) None & info [ "time-limit" ] ~doc)
 
 let hazard_arg =
@@ -475,6 +479,14 @@ let info_cmd =
 let print_functions fs =
   List.iter (fun f -> Format.printf "  %a@." Derive.pp_func f) fs
 
+(* Wall time goes to stderr, so stdout stays byte-stable across runs,
+   pool widths and warm or cold caches. *)
+let timed what f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  Printf.eprintf "mpsyn: %s in %.3fs\n%!" what (Unix.gettimeofday () -. t0);
+  r
+
 let synth_cmd =
   let run stg_name method_ backtrack_limit time_limit hazard_free backend
       portfolio celements no_lint jobs_opt cache_opt =
@@ -496,15 +508,11 @@ let synth_cmd =
           cache;
         }
       in
-      (* Wall time goes to stderr, so stdout stays byte-stable across
-         runs, pool widths and warm or cold caches. *)
-      let t0 = Unix.gettimeofday () in
       let r =
-        if portfolio then Mpart.synthesize_best ~config stg
-        else Mpart.synthesize ~config stg
+        timed "synthesized" (fun () ->
+            if portfolio then Mpart.synthesize_best ~config stg
+            else Mpart.synthesize ~config stg)
       in
-      Printf.eprintf "mpsyn: synthesized in %.3fs\n%!"
-        (Unix.gettimeofday () -. t0);
       Format.printf "%a@." Mpart.pp_report r;
       print_functions r.Mpart.functions;
       Format.printf "speed independence: %s@."
@@ -525,7 +533,10 @@ let synth_cmd =
       | Some e -> Format.printf "verification: %s@." e; exit_verification)
     | `Direct -> (
       let sg = Sg.of_stg stg in
-      let r = Csc_direct.solve ?backtrack_limit ?time_limit sg in
+      let r =
+        timed "direct CSC solve finished" (fun () ->
+            Csc_direct.solve ?backtrack_limit ?time_limit sg)
+      in
       List.iter
         (fun (f : Csc_direct.formula_size) ->
           Format.printf "formula: %d vars, %d clauses@." f.vars f.clauses)
@@ -533,37 +544,34 @@ let synth_cmd =
       match r.Csc_direct.outcome with
       | Csc_direct.Gave_up reason ->
         Format.printf "direct method aborted (%s)@."
-          (match reason with
-          | Dpll.Backtrack_limit -> "backtrack limit"
-          | Dpll.Time_limit -> "time limit");
+          (Dpll.string_of_abort_reason reason);
         1
       | Csc_direct.Solved solved ->
         let expanded = Sg_expand.expand solved in
         let fs = Derive.synthesize expanded in
         Format.printf
-          "direct: %d -> %d states, %d -> %d signals, %d literals, %.3fs@."
+          "direct: %d -> %d states, %d -> %d signals, %d literals@."
           (Sg.n_states sg) (Sg.n_states expanded) (Sg.n_signals sg)
           (Sg.n_signals expanded)
-          (Derive.total_literals fs)
-          r.Csc_direct.elapsed;
+          (Derive.total_literals fs);
         print_functions fs;
         0)
     | `Sequential -> (
       let sg = Sg.of_stg stg in
-      match Sequential_insertion.synthesize ?backtrack_limit ?time_limit sg with
+      match
+        timed "sequential insertion finished" (fun () ->
+            Sequential_insertion.synthesize ?backtrack_limit ?time_limit sg)
+      with
       | Either.Right reason ->
         Format.printf "sequential method aborted (%s)@."
-          (match reason with
-          | Dpll.Backtrack_limit -> "backtrack limit"
-          | Dpll.Time_limit -> "time limit");
+          (Dpll.string_of_abort_reason reason);
         1
-      | Either.Left (expanded, fs, rep) ->
+      | Either.Left (expanded, fs, _) ->
         Format.printf
-          "sequential: %d -> %d states, %d -> %d signals, %d literals, %.3fs@."
+          "sequential: %d -> %d states, %d -> %d signals, %d literals@."
           (Sg.n_states sg) (Sg.n_states expanded) (Sg.n_signals sg)
           (Sg.n_signals expanded)
-          (Derive.total_literals fs)
-          rep.Sequential_insertion.elapsed;
+          (Derive.total_literals fs);
         print_functions fs;
         0)
   in
@@ -580,12 +588,12 @@ let bench_cmd =
     let stg = load_stg stg_name in
     let sg = Sg.of_stg stg in
     Format.printf "%a@." Csc.pp_summary sg;
-    let t0 = Sys.time () in
+    let t0 = Unix.gettimeofday () in
     let r = Mpart.synthesize stg in
     Format.printf "modular:    %3d signals, %4d states, area %4d, %6.3fs@."
       (Mpart.final_signals r) (Mpart.final_states r) (Mpart.area_literals r)
-      (Sys.time () -. t0);
-    let t0 = Sys.time () in
+      (Unix.gettimeofday () -. t0);
+    let t0 = Unix.gettimeofday () in
     (match
        Csc_direct.solve ~backtrack_limit:2_000_000 ~time_limit:60.0 sg
      with
@@ -594,10 +602,11 @@ let bench_cmd =
       let fs = Derive.synthesize expanded in
       Format.printf "direct:     %3d signals, %4d states, area %4d, %6.3fs@."
         (Sg.n_signals expanded) (Sg.n_states expanded)
-        (Derive.total_literals fs) (Sys.time () -. t0)
+        (Derive.total_literals fs) (Unix.gettimeofday () -. t0)
     | { Csc_direct.outcome = Csc_direct.Gave_up _; _ } ->
-      Format.printf "direct:     aborted after %6.3fs@." (Sys.time () -. t0));
-    let t0 = Sys.time () in
+      Format.printf "direct:     aborted after %6.3fs@."
+        (Unix.gettimeofday () -. t0));
+    let t0 = Unix.gettimeofday () in
     (match
        Sequential_insertion.synthesize ~backtrack_limit:2_000_000
          ~time_limit:60.0 sg
@@ -605,9 +614,10 @@ let bench_cmd =
     | Either.Left (expanded, fs, _) ->
       Format.printf "sequential: %3d signals, %4d states, area %4d, %6.3fs@."
         (Sg.n_signals expanded) (Sg.n_states expanded)
-        (Derive.total_literals fs) (Sys.time () -. t0)
+        (Derive.total_literals fs) (Unix.gettimeofday () -. t0)
     | Either.Right _ ->
-      Format.printf "sequential: aborted after %6.3fs@." (Sys.time () -. t0));
+      Format.printf "sequential: aborted after %6.3fs@."
+        (Unix.gettimeofday () -. t0));
     0
   in
   Cmd.v
@@ -792,15 +802,11 @@ let verify_cmd =
          differential runs fan out over the pool and report in order.
          Unbounded solving would let the whole-graph direct baseline
          run forever on the large instances fuzzing routinely
-         produces; and since solver budgets measure process CPU time,
-         which all domains share, the default budget scales with the
-         fan-out so each case keeps the same effective allowance. *)
+         produces, so each backend run gets 10 wall-clock seconds
+         unless --time-limit says otherwise. *)
       let rand = Random.State.make [| seed |] in
       let stgs = Array.init n (fun _ -> Bench_gen.random ~rand) in
-      let fan = max 1 (min jobs n) in
-      let time_limit =
-        Some (Option.value time_limit ~default:10.0 *. float_of_int fan)
-      in
+      let time_limit = Some (Option.value time_limit ~default:10.0) in
       let results =
         Pool.map ~jobs
           (fun stg ->

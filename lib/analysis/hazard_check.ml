@@ -36,7 +36,6 @@ type result = {
   verdict : verdict;
   diags : Diagnostic.t list;
   bdd_nodes : int;
-  elapsed : float;
 }
 
 let rule_h1 = "H1-cover"
@@ -398,7 +397,6 @@ let to_json r =
 
 let analyze ?(node_budget = 2_000_000) ?(coexcited = fun _ _ -> true)
     ~expanded ~functions (nl : Netlist.t) =
-  let t0 = Sys.time () in
   let diags = ref [] in
   let cexs = ref [] in
   let total_nodes = ref 0 in
@@ -798,9 +796,4 @@ let analyze ?(node_budget = 2_000_000) ?(coexcited = fun _ _ -> true)
          conformance oracle remains the authority";
       Abstained why
   in
-  {
-    verdict;
-    diags = List.rev !diags;
-    bdd_nodes = !total_nodes;
-    elapsed = Sys.time () -. t0;
-  }
+  { verdict; diags = List.rev !diags; bdd_nodes = !total_nodes }

@@ -81,7 +81,6 @@ type result = {
   diags : Diagnostic.t list;
       (** the H-rule findings, ready for a {!Diagnostic.report} *)
   bdd_nodes : int;  (** total nodes across all per-signal managers *)
-  elapsed : float;
 }
 
 (** [analyze ~expanded ~functions netlist] runs H1–H5.  [expanded] must

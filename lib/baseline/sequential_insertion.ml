@@ -5,7 +5,6 @@ type report = {
   n_new : int;
   rounds : int;
   formulas : Csc_direct.formula_size list;
-  elapsed : float;
 }
 
 (* Pick the conflict pair to force this round: one from the largest
@@ -35,8 +34,7 @@ let pick_target sg =
     best
 
 let solve ?backtrack_limit ?time_limit ?max_rounds ?(name_prefix = "seq") sg =
-  let t0 = Sys.time () in
-  let deadline = Option.map (fun l -> t0 +. l) time_limit in
+  let deadline = Deadline.of_limit time_limit in
   let max_rounds =
     match max_rounds with
     | Some m -> m
@@ -44,19 +42,13 @@ let solve ?backtrack_limit ?time_limit ?max_rounds ?(name_prefix = "seq") sg =
   in
   let formulas = ref [] in
   let finish outcome n_new rounds =
-    {
-      outcome;
-      n_new;
-      rounds;
-      formulas = List.rev !formulas;
-      elapsed = Sys.time () -. t0;
-    }
+    { outcome; n_new; rounds; formulas = List.rev !formulas }
   in
   let rec round sg rounds =
     match pick_target sg with
     | None -> finish (Solved sg) rounds rounds
     | Some _ when rounds >= max_rounds ->
-      finish (Gave_up Dpll.Time_limit) 0 rounds
+      finish (Gave_up Dpll.Signal_limit) 0 rounds
     | Some pair ->
       (* one new signal per round; forcing just this pair keeps the
          instance satisfiable with a single signal in practice, but fall
@@ -71,12 +63,7 @@ let solve ?backtrack_limit ?time_limit ?max_rounds ?(name_prefix = "seq") sg =
               clauses = Cnf.n_clauses enc.Csc_encode.cnf;
             }
             :: !formulas;
-          let time_limit =
-            match deadline with
-            | None -> None
-            | Some d -> Some (max 0.0 (d -. Sys.time ()))
-          in
-          match Dpll.solve ?backtrack_limit ?time_limit enc.Csc_encode.cnf with
+          match Dpll.solve ?backtrack_limit ~deadline enc.Csc_encode.cnf with
           | Dpll.Sat model, _ ->
             let names =
               Array.init n_new (fun k ->
@@ -88,7 +75,7 @@ let solve ?backtrack_limit ?time_limit ?max_rounds ?(name_prefix = "seq") sg =
         end
       in
       (match attempt 1 with
-      | None -> finish (Gave_up Dpll.Time_limit) 0 rounds
+      | None -> finish (Gave_up Dpll.Signal_limit) 0 rounds
       | Some (Error r) -> finish (Gave_up r) 0 rounds
       | Some (Ok (sg', added)) -> round sg' (rounds + added))
   in

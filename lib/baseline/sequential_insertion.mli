@@ -18,13 +18,16 @@ type report = {
   n_new : int;
   rounds : int;
   formulas : Csc_direct.formula_size list;
-  elapsed : float;
 }
 
 (** [solve ?backtrack_limit ?time_limit ?max_rounds ?name_prefix sg]
     resolves CSC by sequential insertion.
-    @param max_rounds abort after this many inserted signals
-           (default: 4 + the lower bound × 4) *)
+    @param time_limit wall-clock seconds for the whole call, shared by
+           every round; running out gives up with [Time_limit]
+           (default: none)
+    @param max_rounds give up with [Signal_limit] after this many
+           inserted signals (default: 4 + the lower bound × 4), as when
+           one round needs more than three signals *)
 val solve :
   ?backtrack_limit:int ->
   ?time_limit:float ->

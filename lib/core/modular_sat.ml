@@ -6,7 +6,6 @@ type report = {
   outcome : outcome;
   formulas : Csc_direct.formula_size list;
   solver_stats : Dpll.stats list;
-  elapsed : float;
 }
 
 (* Hybrid SAT strategy.  WalkSAT first (the authors' own SAT line of
@@ -38,24 +37,11 @@ let walksat_model cnf =
    encoding (looser mode, then one more signal). *)
 let max_model_rejects = 32
 
-let solve_pairs ?backtrack_limit ?time_limit ?(max_new = 6)
-    ?(backend = `Sat) ?(normalize = true) ?(accept = fun _ -> true) ~resolve
-    sg =
-  let t0 = Sys.time () in
-  let deadline = Option.map (fun l -> t0 +. l) time_limit in
-  let remaining () =
-    match deadline with
-    | None -> None
-    | Some d -> Some (max 0.0 (d -. Sys.time ()))
-  in
+let solve_pairs ?backtrack_limit ?deadline ?(max_new = 6) ?(backend = `Sat)
+    ?(normalize = true) ?(accept = fun _ -> true) ~resolve sg =
   let formulas = ref [] and stats = ref [] in
   let finish outcome =
-    {
-      outcome;
-      formulas = List.rev !formulas;
-      solver_stats = List.rev !stats;
-      elapsed = Sys.time () -. t0;
-    }
+    { outcome; formulas = List.rev !formulas; solver_stats = List.rev !stats }
   in
   if resolve = [] then finish (Solved { module_sg = sg; new_extras = [||] })
   else begin
@@ -78,7 +64,7 @@ let solve_pairs ?backtrack_limit ?time_limit ?(max_new = 6)
        (clean regions, small covers), while the loose relaxation saves
        signals on modules where strict separation is infeasible. *)
     let rec attempt n_new mode =
-      if n_new > max_new then finish (Gave_up Dpll.Time_limit)
+      if n_new > max_new then finish (Gave_up Dpll.Signal_limit)
       else begin
         let enc = Csc_encode.encode ~resolve ~mode sg ~n_new in
         let cnf = enc.Csc_encode.cnf in
@@ -106,33 +92,31 @@ let solve_pairs ?backtrack_limit ?time_limit ?(max_new = 6)
             | Some model -> `Model model
             | None -> (
               let quick, st =
-                Dpll.solve ~backtrack_limit:quick_backtrack_cap
-                  ?time_limit:(remaining ()) cnf
+                Dpll.solve ~backtrack_limit:quick_backtrack_cap ?deadline cnf
               in
               stats := st :: !stats;
               match quick with
               | Dpll.Sat model -> `Model model
               | Dpll.Unsat -> `Unsat
-              | Dpll.Aborted Dpll.Time_limit -> `Abort
               | Dpll.Aborted Dpll.Backtrack_limit -> (
                 let cap =
                   max quick_backtrack_cap
                     (Option.value backtrack_limit ~default:500_000)
                 in
                 let result, st =
-                  Dpll.solve ~backtrack_limit:cap ?time_limit:(remaining ())
-                    cnf
+                  Dpll.solve ~backtrack_limit:cap ?deadline cnf
                 in
                 stats := st :: !stats;
                 match result with
                 | Dpll.Sat model -> `Model model
                 | Dpll.Unsat | Dpll.Aborted Dpll.Backtrack_limit -> `Unsat
-                | Dpll.Aborted Dpll.Time_limit -> `Abort)))
+                | Dpll.Aborted r -> `Abort r)
+              | Dpll.Aborted r -> `Abort r))
         in
         let rec models rejected =
           match propose () with
           | `Unsat -> next ()
-          | `Abort -> finish (Gave_up Dpll.Time_limit)
+          | `Abort r -> finish (Gave_up r)
           | `Model model ->
             let solved = realize enc model in
             if accept solved then begin
@@ -158,12 +142,12 @@ let solve_pairs ?backtrack_limit ?time_limit ?(max_new = 6)
     attempt 1 `Strict
   end
 
-let solve ?backtrack_limit ?time_limit ?max_new ?backend ?normalize ?accept
+let solve ?backtrack_limit ?deadline ?max_new ?backend ?normalize ?accept
     ~output module_sg =
   let resolve =
     List.sort_uniq compare
       (Csc.output_conflict_pairs module_sg ~output
       @ Csc.orphan_conflict_pairs module_sg)
   in
-  solve_pairs ?backtrack_limit ?time_limit ?max_new ?backend ?normalize
+  solve_pairs ?backtrack_limit ?deadline ?max_new ?backend ?normalize
     ?accept ~resolve module_sg

@@ -18,10 +18,9 @@ type report = {
   outcome : outcome;
   formulas : Csc_direct.formula_size list;
   solver_stats : Dpll.stats list;
-  elapsed : float;
 }
 
-(** [solve ?backtrack_limit ?time_limit ?max_new ~output module_sg]
+(** [solve ?backtrack_limit ?deadline ?max_new ~output module_sg]
     resolves [output]'s conflicts — and any {!Csc.orphan_conflict_pairs}
     the module can see — in [module_sg].  [output] is a signal id of
     [module_sg].  New extras are named ["__m0"], ["__m1"], …; the caller
@@ -31,7 +30,11 @@ type report = {
     instances that dominate this flow), then DPLL under a backtrack cap
     as the unsatisfiability prover; an inconclusive capped run escalates
     to one more state signal, which is always sound.
-    @param max_new maximum state signals to try (default 6).
+    @param deadline the caller's wall-clock {!Deadline}, passed to
+           every DPLL call unchanged; when it passes the solve gives up
+           with [Time_limit] (default: none).
+    @param max_new maximum state signals to try (default 6); beyond it
+           the solve gives up with [Signal_limit].
     @param backend [`Sat] (default) decides with WalkSAT + DPLL;
            [`Dpll] skips the WalkSAT front end and decides with DPLL
            alone (the pure systematic baseline, used by the conformance
@@ -48,7 +51,7 @@ type report = {
            semi-modularity. *)
 val solve :
   ?backtrack_limit:int ->
-  ?time_limit:float ->
+  ?deadline:Deadline.t ->
   ?max_new:int ->
   ?backend:[ `Sat | `Dpll | `Bdd ] ->
   ?normalize:bool ->
@@ -57,7 +60,7 @@ val solve :
   Sg.t ->
   report
 
-(** [solve_pairs ?backtrack_limit ?time_limit ?max_new ~resolve sg]
+(** [solve_pairs ?backtrack_limit ?deadline ?max_new ~resolve sg]
     is the underlying engine: distinguish exactly the pairs in [resolve]
     (other equal-code pairs may stay together with identical values).
     Used by the driver's global cleanup pass.
@@ -68,7 +71,7 @@ val solve :
     results — the portfolio driver exploits exactly that. *)
 val solve_pairs :
   ?backtrack_limit:int ->
-  ?time_limit:float ->
+  ?deadline:Deadline.t ->
   ?max_new:int ->
   ?backend:[ `Sat | `Dpll | `Bdd ] ->
   ?normalize:bool ->

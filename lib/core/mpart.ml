@@ -148,16 +148,16 @@ type module_solution = {
 
 (* Solve one modular graph and propagate the new signals back.  Returns
    the updated complete graph, the new signal names, and SAT metrics. *)
-let solve_module ~config ~fresh_name complete (inp : Input_derivation.t) =
+let solve_module ~config ~deadline ~fresh_name complete
+    (inp : Input_derivation.t) =
   let module_sg = inp.Input_derivation.module_sg in
   let output_name = Sg.signal_name complete inp.Input_derivation.output in
   let module_output = Sg.find_signal module_sg output_name in
   let baseline = sm_violations module_sg in
   let compute () =
     let report =
-      Modular_sat.solve ?backtrack_limit:config.backtrack_limit
-        ?time_limit:config.time_limit ~backend:config.backend
-        ~normalize:config.normalize_modules
+      Modular_sat.solve ?backtrack_limit:config.backtrack_limit ~deadline
+        ~backend:config.backend ~normalize:config.normalize_modules
         ~accept:(fun solved -> sm_violations solved <= baseline)
         ~output:module_output module_sg
     in
@@ -190,10 +190,8 @@ let solve_module ~config ~fresh_name complete (inp : Input_derivation.t) =
   | Error reason ->
     raise
       (Synthesis_failed
-         (Printf.sprintf "module %s: SAT %s" output_name
-            (match reason with
-            | Dpll.Backtrack_limit -> "backtrack limit exceeded"
-            | Dpll.Time_limit -> "time limit exceeded")))
+         (Printf.sprintf "module %s: SAT %s exceeded" output_name
+            (Dpll.string_of_abort_reason reason)))
   | Ok sol ->
     let complete = ref complete in
     let names = ref [] in
@@ -234,7 +232,7 @@ let cone_of (inp : Input_derivation.t) conflicts =
     c_conflicts = conflicts;
   }
 
-let synthesize_sg_uncached ~config ~certificate complete =
+let synthesize_sg_uncached ~config ~deadline ~certificate complete =
   let counter = ref 0 in
   let fresh_name () =
     let n = Printf.sprintf "n%d" !counter in
@@ -326,7 +324,9 @@ let synthesize_sg_uncached ~config ~certificate complete =
           (Sg.signal_name complete o)
           (Sg.n_states inp.Input_derivation.module_sg));
     let solve_fresh ?digest_perm () =
-      let c, names, r = solve_module ~config ~fresh_name !current inp in
+      let c, names, r =
+        solve_module ~config ~deadline ~fresh_name !current inp
+      in
       (match digest_perm with
       | Some (digest, perm) when config.dedup_cones ->
         let inv = Array.make (Array.length perm) 0 in
@@ -445,7 +445,7 @@ let synthesize_sg_uncached ~config ~certificate complete =
     let baseline = sm_violations !current in
     let r =
       Modular_sat.solve_pairs ?backtrack_limit:config.backtrack_limit
-        ?time_limit:config.time_limit ~backend:config.backend
+        ~deadline ~backend:config.backend
         ~accept:(fun solved -> sm_violations solved <= baseline)
         ~resolve:remaining !current
     in
@@ -519,7 +519,7 @@ let synthesize_sg_uncached ~config ~certificate complete =
       let baseline = sm_violations expanded in
       let r =
         Modular_sat.solve_pairs ?backtrack_limit:config.backtrack_limit
-          ?time_limit:config.time_limit ~backend:config.backend
+          ~deadline ~backend:config.backend
           ~accept:(fun solved -> sm_violations solved <= baseline)
           ~resolve:(Csc.conflict_pairs expanded) expanded
       in
@@ -555,7 +555,7 @@ let synthesize_sg_uncached ~config ~certificate complete =
           m "modular composition lost semi-modularity; global re-insertion");
       let r =
         Modular_sat.solve_pairs ?backtrack_limit:config.backtrack_limit
-          ?time_limit:config.time_limit ~backend:config.backend
+          ~deadline ~backend:config.backend
           ~accept:implementable
           ~resolve:(Csc.conflict_pairs complete) complete
       in
@@ -638,12 +638,20 @@ let certificate_label = function
    the entry carries every downstream stage at once — per-output
    modular projections, CSC solutions, propagated expansions, and
    minimized covers. *)
-let synthesize_sg ?(config = default_config) ?(certificate = `None) complete =
+let synthesize_sg_by ~deadline ~config ~certificate complete =
   memoize config ~stage:"synth-sg"
     ~params:
       (("certificate", certificate_label certificate) :: fingerprint config)
     (Sg.digest complete)
-    (fun () -> synthesize_sg_uncached ~config ~certificate complete)
+    (fun () -> synthesize_sg_uncached ~config ~deadline ~certificate complete)
+
+(* Each public entry turns [config.time_limit] into one wall-clock
+   deadline that every module, cleanup, repair and global pass — and
+   both portfolio candidates — share, so the limit bounds the whole run
+   at any [jobs]. *)
+let synthesize_sg ?(config = default_config) ?(certificate = `None) complete =
+  synthesize_sg_by ~deadline:(Deadline.of_limit config.time_limit) ~config
+    ~certificate complete
 
 (* The partial-order prescreen: a complete finite prefix of the STG's
    unfolding, with the exact U1-U4 verdicts computed on it.  The summary
@@ -765,6 +773,7 @@ let partition_summary ?jobs config stg =
    earlier candidate on ties, so the winner never depends on
    scheduling. *)
 let synthesize_with ~stage candidates (config : config) stg =
+  let deadline = Deadline.of_limit config.time_limit in
   memoize config ~stage ~params:(fingerprint config) (Cache_key.stg_digest stg)
     (fun () ->
       let { certificate; backend; reach } = resolve config stg in
@@ -774,7 +783,7 @@ let synthesize_with ~stage candidates (config : config) stg =
         Pool.map_list ~jobs:config.jobs
           (fun normalize_modules ->
             match
-              synthesize_sg
+              synthesize_sg_by ~deadline
                 ~config:{ config with normalize_modules }
                 ~certificate complete
             with

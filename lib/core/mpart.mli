@@ -21,7 +21,12 @@
 
 type config = {
   backtrack_limit : int option;  (** per SAT call *)
-  time_limit : float option;  (** seconds, for the whole run *)
+  time_limit : float option;
+      (** wall-clock seconds for the whole run: each {!synthesize},
+          {!synthesize_best} or {!synthesize_sg} call makes one
+          {!Deadline} that every module solve, the cleanup, repair and
+          global passes, and both portfolio candidates share, so the
+          limit means the same at any [jobs] *)
   max_states : int;  (** reachability cap *)
   hazard_free : bool;  (** enlarge covers to kill static-1 hazards *)
   backend : [ `Sat | `Dpll | `Bdd ];
@@ -111,7 +116,9 @@ type result = {
 }
 
 exception Synthesis_failed of string
-(** Raised when a SAT budget is exhausted before CSC is satisfied. *)
+(** Raised when a SAT budget is exhausted before CSC is satisfied.  A
+    module's message names the bound that ran out: the backtrack limit,
+    the time limit, or the state-signal limit. *)
 
 (** [synthesize ?config stg] runs the full modular flow with the
     engines {!resolve} picks.

@@ -1,4 +1,4 @@
-type abort_reason = Backtrack_limit | Time_limit
+type abort_reason = Backtrack_limit | Time_limit | Signal_limit
 type result = Sat of bool array | Unsat | Aborted of abort_reason
 
 type stats = {
@@ -8,7 +8,6 @@ type stats = {
   backtracks : int;
   restarts : int;
   learned : int;
-  elapsed : float;
 }
 
 exception Abort of abort_reason
@@ -332,9 +331,8 @@ let learn s learnt btlevel =
 
 (* ---------------- top level ---------------- *)
 
-let solve ?backtrack_limit ?(time_limit = infinity) f =
+let solve ?backtrack_limit ?(deadline = Deadline.none) f =
   Counter.bump Counter.solver;
-  let t0 = Sys.time () in
   let nv = Cnf.n_vars f in
   let clauses = Cnf.clauses f in
   let s =
@@ -375,7 +373,6 @@ let solve ?backtrack_limit ?(time_limit = infinity) f =
         backtracks = s.s_backtracks;
         restarts = s.s_restarts;
         learned = s.s_learned;
-        elapsed = Sys.time () -. t0;
       } )
   in
   (* Jeroslow-Wang scores seed the activity order, so early decisions
@@ -425,7 +422,7 @@ let solve ?backtrack_limit ?(time_limit = infinity) f =
         let rec loop () =
           if
             (s.s_decisions + s.s_conflicts) land 127 = 0
-            && Sys.time () -. t0 > time_limit
+            && Deadline.expired deadline
           then raise (Abort Time_limit);
           let confl = propagate s in
           if confl >= 0 then begin
@@ -613,9 +610,8 @@ type decision = {
   mutable flipped : bool;
 }
 
-let solve_basic ?backtrack_limit ?(time_limit = infinity) f =
+let solve_basic ?backtrack_limit ?(deadline = Deadline.none) f =
   Counter.bump Counter.solver;
-  let t0 = Sys.time () in
   let finish s result =
     ( result,
       {
@@ -625,7 +621,6 @@ let solve_basic ?backtrack_limit ?(time_limit = infinity) f =
         backtracks = s.b_backtracks;
         restarts = 0;
         learned = 0;
-        elapsed = Sys.time () -. t0;
       } )
   in
   let s = make_basic f in
@@ -654,7 +649,7 @@ let solve_basic ?backtrack_limit ?(time_limit = infinity) f =
       in
       try
         let rec search () =
-          if s.b_propagations land 1023 = 0 && Sys.time () -. t0 > time_limit
+          if s.b_propagations land 1023 = 0 && Deadline.expired deadline
           then raise (Abort Time_limit);
           match pick_var () with
           | None ->
@@ -712,12 +707,16 @@ let satisfiable f =
 let pp_stats ppf st =
   Format.fprintf ppf
     "%d decisions, %d propagations, %d conflicts, %d backtracks, %d restarts, \
-     %d learned, %.3fs"
+     %d learned"
     st.decisions st.propagations st.conflicts st.backtracks st.restarts
-    st.learned st.elapsed
+    st.learned
+
+let string_of_abort_reason = function
+  | Backtrack_limit -> "backtrack limit"
+  | Time_limit -> "time limit"
+  | Signal_limit -> "state-signal limit"
 
 let pp_result ppf = function
   | Sat _ -> Format.fprintf ppf "SAT"
   | Unsat -> Format.fprintf ppf "UNSAT"
-  | Aborted Backtrack_limit -> Format.fprintf ppf "ABORTED(backtrack limit)"
-  | Aborted Time_limit -> Format.fprintf ppf "ABORTED(time limit)"
+  | Aborted r -> Format.fprintf ppf "ABORTED(%s)" (string_of_abort_reason r)

@@ -15,7 +15,12 @@
     Limit" aborts come from [backtrack_limit] (counting conflict-driven
     backjumps in CDCL, chronological flips in DPLL). *)
 
-type abort_reason = Backtrack_limit | Time_limit
+(** Why a search gave up.  The solvers here return [Backtrack_limit]
+    and [Time_limit]; [Signal_limit] is reported by the CSC solvers
+    above them ({!Csc_direct}, {!Modular_sat}, {!Sequential_insertion})
+    when their bound on new state signals or insertion rounds runs
+    out, whatever the solver budget. *)
+type abort_reason = Backtrack_limit | Time_limit | Signal_limit
 
 type result =
   | Sat of bool array
@@ -30,23 +35,28 @@ type stats = {
   backtracks : int;  (** conflict-driven backjumps (CDCL) / flips (DPLL) *)
   restarts : int;  (** always 0 for {!solve_basic} *)
   learned : int;  (** learned clauses; always 0 for {!solve_basic} *)
-  elapsed : float;  (** seconds of CPU time *)
 }
 
-(** [solve ?backtrack_limit ?time_limit f] decides [f] with CDCL.
+(** [solve ?backtrack_limit ?deadline f] decides [f] with CDCL.
     @param backtrack_limit abort after this many backjumps (default: none)
-    @param time_limit abort after this many CPU seconds (default: none) *)
+    @param deadline abort with [Time_limit] once this wall-clock
+           {!Deadline} has passed (default {!Deadline.none}).  It is
+           checked before the first decision, then periodically. *)
 val solve :
-  ?backtrack_limit:int -> ?time_limit:float -> Cnf.t -> result * stats
+  ?backtrack_limit:int -> ?deadline:Deadline.t -> Cnf.t -> result * stats
 
-(** [solve_basic ?backtrack_limit ?time_limit f] decides [f] with the
+(** [solve_basic ?backtrack_limit ?deadline f] decides [f] with the
     original chronological DPLL.  Same budget semantics as {!solve}. *)
 val solve_basic :
-  ?backtrack_limit:int -> ?time_limit:float -> Cnf.t -> result * stats
+  ?backtrack_limit:int -> ?deadline:Deadline.t -> Cnf.t -> result * stats
 
 (** [satisfiable f] is a convenience wrapper around {!solve} returning
     [Some model] / [None]; aborts raise [Failure]. *)
 val satisfiable : Cnf.t -> bool array option
 
 val pp_stats : Format.formatter -> stats -> unit
+
+(** ["backtrack limit"], ["time limit"] or ["state-signal limit"]. *)
+val string_of_abort_reason : abort_reason -> string
+
 val pp_result : Format.formatter -> result -> unit

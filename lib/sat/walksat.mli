@@ -14,7 +14,7 @@
     produces the same flip trajectory, model and statistics as the
     historical re-scanning implementation. *)
 
-type stats = { flips : int; tries : int; elapsed : float }
+type stats = { flips : int; tries : int }
 
 (** [solve ?seed ?noise ?init ?max_flips ?max_tries f] searches for a
     model.

@@ -6,38 +6,27 @@ type report = {
   n_new : int;
   formulas : formula_size list;
   solver_stats : Dpll.stats list;
-  elapsed : float;
 }
 
 let max_model_rejects = 32
 
 let solve ?backtrack_limit ?time_limit ?(name_prefix = "csc") ?(max_extra = 6)
     ?(accept = fun _ -> true) sg =
-  let t0 = Sys.time () in
-  let deadline = Option.map (fun l -> t0 +. l) time_limit in
-  let remaining () =
-    match deadline with None -> None | Some d -> Some (d -. Sys.time ())
-  in
-  if Csc.csc_satisfied sg then
+  let deadline = Deadline.of_limit time_limit in
+  let formulas = ref [] and stats = ref [] in
+  let finish outcome n_new =
     {
-      outcome = Solved sg;
-      n_new = 0;
-      formulas = [];
-      solver_stats = [];
-      elapsed = Sys.time () -. t0;
+      outcome;
+      n_new;
+      formulas = List.rev !formulas;
+      solver_stats = List.rev !stats;
     }
+  in
+  if Csc.csc_satisfied sg then finish (Solved sg) 0
   else begin
     let lb = max 1 (Csc.lower_bound sg) in
-    let formulas = ref [] and stats = ref [] in
     let rec attempt n_new =
-      if n_new > lb + max_extra then
-        {
-          outcome = Gave_up Dpll.Time_limit;
-          n_new = 0;
-          formulas = List.rev !formulas;
-          solver_stats = List.rev !stats;
-          elapsed = Sys.time () -. t0;
-        }
+      if n_new > lb + max_extra then finish (Gave_up Dpll.Signal_limit) 0
       else begin
         let enc = Csc_encode.encode sg ~n_new in
         formulas :=
@@ -45,13 +34,8 @@ let solve ?backtrack_limit ?time_limit ?(name_prefix = "csc") ?(max_extra = 6)
             clauses = Cnf.n_clauses enc.Csc_encode.cnf }
           :: !formulas;
         let rec models rejected =
-          let time_limit =
-            match remaining () with
-            | Some r when r <= 0.0 -> Some 0.0
-            | other -> other
-          in
           let result, st =
-            Dpll.solve ?backtrack_limit ?time_limit enc.Csc_encode.cnf
+            Dpll.solve ?backtrack_limit ~deadline enc.Csc_encode.cnf
           in
           stats := st :: !stats;
           match result with
@@ -61,14 +45,7 @@ let solve ?backtrack_limit ?time_limit ?(name_prefix = "csc") ?(max_extra = 6)
             in
             let solved = Csc_encode.apply sg enc model ~names in
             assert (Csc.csc_satisfied solved);
-            if accept solved then
-              {
-                outcome = Solved solved;
-                n_new;
-                formulas = List.rev !formulas;
-                solver_stats = List.rev !stats;
-                elapsed = Sys.time () -. t0;
-              }
+            if accept solved then finish (Solved solved) n_new
             else if rejected + 1 >= max_model_rejects then attempt (n_new + 1)
             else begin
               (* exclude this labeling's value bits and re-solve: the
@@ -82,14 +59,7 @@ let solve ?backtrack_limit ?time_limit ?(name_prefix = "csc") ?(max_extra = 6)
               models (rejected + 1)
             end)
           | Dpll.Unsat -> attempt (n_new + 1)
-          | Dpll.Aborted r ->
-            {
-              outcome = Gave_up r;
-              n_new = 0;
-              formulas = List.rev !formulas;
-              solver_stats = List.rev !stats;
-              elapsed = Sys.time () -. t0;
-            }
+          | Dpll.Aborted r -> finish (Gave_up r) 0
         in
         models 0
       end

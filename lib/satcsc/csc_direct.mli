@@ -19,14 +19,16 @@ type report = {
   n_new : int;  (** state signals in the solution (0 if aborted) *)
   formulas : formula_size list;  (** one entry per SAT attempt *)
   solver_stats : Dpll.stats list;
-  elapsed : float;
 }
 
 (** [solve ?backtrack_limit ?time_limit ?name_prefix ?max_extra sg]
     resolves all CSC conflicts of [sg].
+    @param time_limit wall-clock seconds for the whole call, shared by
+           every SAT attempt; running out gives up with [Time_limit]
+           (default: none)
     @param name_prefix new signals are named [prefix ^ string_of_int k]
            (default ["csc"])
-    @param max_extra give up (via [Time_limit]) beyond lower bound +
+    @param max_extra give up (with [Signal_limit]) beyond lower bound +
            this many additional signals (default 6)
     @param accept extra validation of a solved labeling (default accepts
            everything); a rejected labeling is excluded with a blocking

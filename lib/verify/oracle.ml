@@ -38,7 +38,6 @@ type report = {
   cover_errors : int;
   netlist_lint : Diagnostic.report;
   gates : int;
-  elapsed : float;
 }
 
 let skipped_dynamic r = r.conform = None
@@ -84,7 +83,6 @@ let passed r =
    certificate is still cross-checked on every component that does not
    require simulation. *)
 let certify ?max_states ?(skip_when_certified = false) ?cache impl =
-  let t0 = Sys.time () in
   (* Content-addressed memoization of the two explorations.  The keys
      cover everything the result depends on: the graphs' content
      digests, the netlist's rendered form, the reset valuation, and the
@@ -146,7 +144,6 @@ let certify ?max_states ?(skip_when_certified = false) ?cache impl =
     cover_errors = List.length (Derive.check impl.functions impl.expanded);
     netlist_lint = Lint.run_netlist impl.netlist;
     gates = Netlist.n_gates impl.netlist;
-    elapsed = Sys.time () -. t0;
   }
 
 let pp_report ppf r =
@@ -223,11 +220,7 @@ let synthesize_with ?backtrack_limit ?time_limit ?cache backend stg =
     match r.Csc_direct.outcome with
     | Csc_direct.Solved solved ->
       Ok (impl_of_expanded ~spec:sg (Sg_expand.expand solved))
-    | Csc_direct.Gave_up reason ->
-      Error
-        (match reason with
-        | Dpll.Backtrack_limit -> "backtrack limit"
-        | Dpll.Time_limit -> "time limit")))
+    | Csc_direct.Gave_up reason -> Error (Dpll.string_of_abort_reason reason)))
 
 type differential = {
   stg_name : string;

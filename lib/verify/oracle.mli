@@ -49,7 +49,6 @@ type report = {
       (** structural A7 lints over the generated netlist; any error
           fails the certificate *)
   gates : int;
-  elapsed : float;
 }
 
 (** [skipped_dynamic r] holds when the product exploration was elided on
@@ -93,7 +92,8 @@ val all_backends : backend list
 (** [synthesize_with ?backtrack_limit ?time_limit backend stg] runs one
     backend end to end.  The three modular backends drive {!Mpart} with
     the corresponding solver engine; [Direct] is the whole-graph
-    {!Csc_direct} baseline.  [Error msg] means synthesis gave up (budget
+    {!Csc_direct} baseline.  [time_limit] is wall-clock seconds for
+    this one backend run.  [Error msg] means synthesis gave up (budget
     exhausted), not that the circuit is wrong. *)
 val synthesize_with :
   ?backtrack_limit:int ->

@@ -134,6 +134,17 @@ let test_modular_sat_no_conflicts () =
     check_int "no formulas" 0 (List.length r.Modular_sat.formulas)
   | Modular_sat.Gave_up _ -> Alcotest.fail "trivial"
 
+let test_modular_sat_signal_limit () =
+  (* running out of state signals is not a solver budget: it must not
+     be reported as a time limit when no time limit was set *)
+  let sg = Sg.of_stg (pulse_stg ()) in
+  let a = Sg.find_signal sg "a" in
+  match (Modular_sat.solve ~max_new:0 ~output:a sg).Modular_sat.outcome with
+  | Modular_sat.Gave_up Dpll.Signal_limit -> ()
+  | Modular_sat.Gave_up r ->
+    Alcotest.failf "wrong reason: %s" (Dpll.string_of_abort_reason r)
+  | Modular_sat.Solved _ -> Alcotest.fail "cannot solve with zero signals"
+
 (* ---------------- Propagation ---------------- *)
 
 let test_propagate_lifts_cover () =
@@ -366,6 +377,30 @@ let test_budget_abort () =
   in
   check "still correct" true (Mpart.verify r = None)
 
+(* [time_limit] is one wall-clock deadline for the whole run, whatever
+   the pool width: at zero seconds the first module's DPLL search finds
+   it already passed (CDCL checks before its first decision), at one
+   job and at two alike. *)
+let test_time_limit_any_jobs () =
+  let stg = Gformat.parse_file (Filename.concat ".." "data/vbe4a.g") in
+  List.iter
+    (fun jobs ->
+      let config =
+        {
+          Mpart.default_config with
+          time_limit = Some 0.0;
+          backend = `Dpll;
+          jobs;
+        }
+      in
+      match Mpart.synthesize ~config stg with
+      | _ -> Alcotest.failf "jobs %d: synthesized in zero seconds" jobs
+      | exception Mpart.Synthesis_failed msg ->
+        if not (String.ends_with ~suffix:": SAT time limit exceeded" msg) then
+          Alcotest.failf "jobs %d: failure does not name the time limit: %s"
+            jobs msg)
+    [ 1; 2 ]
+
 let test_fallback_orphan_conflict () =
   (* a conflict pair that no output module claims: both states imply
      identical values for every output, so the per-output passes skip
@@ -471,6 +506,7 @@ let () =
         [
           Alcotest.test_case "pulse" `Quick test_modular_sat_pulse;
           Alcotest.test_case "no conflicts" `Quick test_modular_sat_no_conflicts;
+          Alcotest.test_case "signal limit" `Quick test_modular_sat_signal_limit;
         ] );
       ( "propagation",
         [
@@ -503,6 +539,8 @@ let () =
           Alcotest.test_case "state cap" `Quick test_state_cap;
           Alcotest.test_case "headline claim (Table 1 shape)" `Slow
             test_headline_claim;
+          Alcotest.test_case "time limit at any jobs" `Quick
+            test_time_limit_any_jobs;
         ] );
       ( "properties",
         [

@@ -117,8 +117,18 @@ let test_direct_backtrack_abort () =
   let sg = Sg.of_stg (Bench_gen.concurrent_pulsers ~branches:3) in
   match (Csc_direct.solve ~backtrack_limit:1 sg).Csc_direct.outcome with
   | Csc_direct.Gave_up Dpll.Backtrack_limit -> ()
-  | Csc_direct.Gave_up Dpll.Time_limit -> Alcotest.fail "wrong abort"
+  | Csc_direct.Gave_up (Dpll.Time_limit | Dpll.Signal_limit) ->
+    Alcotest.fail "wrong abort"
   | Csc_direct.Solved _ -> Alcotest.fail "cannot solve with 1 backtrack"
+
+let test_direct_time_abort () =
+  (* a zero wall-clock budget for the whole call: the first DPLL search
+     finds its deadline already passed *)
+  match (Csc_direct.solve ~time_limit:0.0 (pulse_sg ())).Csc_direct.outcome with
+  | Csc_direct.Gave_up Dpll.Time_limit -> ()
+  | Csc_direct.Gave_up r ->
+    Alcotest.failf "wrong abort: %s" (Dpll.string_of_abort_reason r)
+  | Csc_direct.Solved _ -> Alcotest.fail "cannot solve in zero seconds"
 
 let test_direct_expansion_valid () =
   let r = Csc_direct.solve (double_pulse_sg ()) in
@@ -166,6 +176,7 @@ let () =
             test_direct_backtrack_abort;
           Alcotest.test_case "expansion valid" `Quick
             test_direct_expansion_valid;
+          Alcotest.test_case "time abort" `Quick test_direct_time_abort;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_direct_pipelines ]);
     ]

@@ -172,7 +172,7 @@ let test_partition_reach () =
   check "partition plan took the symbolic engine" true
     (Counter.get Counter.symbolic > before)
 
-(* ---------------- CLI: exit code 6 ---------------- *)
+(* ---------------- CLI: budget exit codes ---------------- *)
 
 let mpsyn = Filename.concat ".." (Filename.concat "bin" "mpsyn.exe")
 
@@ -213,6 +213,24 @@ let test_cli_budget_exit () =
   check "message names the exhausted budget" true
     (mem_sub stderr "state budget exhausted" && mem_sub stderr "100000")
 
+(* A SAT give-up exits 1, the documented synthesis-failure code, with
+   the bound that ran out in the message — not an uncaught exception
+   (125).  A zero wall-clock limit stops the first module's DPLL search
+   at any --jobs. *)
+let test_cli_time_limit_exit () =
+  List.iter
+    (fun jobs ->
+      let code, _, stderr =
+        run_cli
+          (Printf.sprintf
+             "synth ../data/vbe4a.g --time-limit 0 --backend dpll --jobs %d"
+             jobs)
+      in
+      check_int "SAT give-up exits 1" 1 code;
+      check "message names the time limit" true
+        (mem_sub stderr "SAT time limit exceeded"))
+    [ 1; 2 ]
+
 let () =
   let benchmark_cases =
     List.map
@@ -251,5 +269,7 @@ let () =
         [
           Alcotest.test_case "budget exhaustion exits 6" `Quick
             test_cli_budget_exit;
+          Alcotest.test_case "time limit exits 1" `Quick
+            test_cli_time_limit_exit;
         ] );
     ]

@@ -10,19 +10,11 @@ type func = {
 
 exception Not_csc of string
 
-let implied_value sg m s =
-  let excited dir =
-    List.exists
-      (fun (s', d) -> s' = s && d = dir)
-      (Sg.excited_events sg m)
-  in
-  if Sg.bit sg m s then not (excited Sg.F) else excited Sg.R
-
 let on_off_sets sg ~signal =
   let on = ref [] and off = ref [] in
   for m = 0 to Sg.n_states sg - 1 do
     let c = Sg.code sg m in
-    if implied_value sg m signal then on := c :: !on else off := c :: !off
+    if Sg.implied_value sg m signal then on := c :: !on else off := c :: !off
   done;
   ( List.sort_uniq Int.compare !on,
     List.sort_uniq Int.compare !off )
@@ -41,13 +33,11 @@ type cover_memo =
    and depends on nothing but its literal arguments. *)
 let no_memo ~minimizer:_ ~width:_ ~onset:_ ~offset:_ compute = compute ()
 
-let synthesize_one ?(minimizer = `Heuristic) ?(memo_cover = no_memo) sg ~signal
-    ~support =
+let derive_one ~minimizer ~memo_cover sg ~signal ~support (onset, offset) =
   if Sg.n_extras sg > 0 then
     invalid_arg "Derive.synthesize_one: expand the state graph first";
-  let onset, offset = on_off_sets sg ~signal in
   let width = Sg.n_signals sg in
-  (match List.find_opt (fun m -> List.mem m offset) onset with
+  (match Support.first_overlap ~onset ~offset with
   | Some m ->
     raise
       (Not_csc
@@ -85,20 +75,26 @@ let synthesize_one ?(minimizer = `Heuristic) ?(memo_cover = no_memo) sg ~signal
     cover;
   }
 
-let synthesize ?minimizer ?memo_cover ?(support_of = fun _ -> None) sg =
+let synthesize_one ?(minimizer = `Heuristic) ?(memo_cover = no_memo) sg ~signal
+    ~support =
+  derive_one ~minimizer ~memo_cover sg ~signal ~support (on_off_sets sg ~signal)
+
+let synthesize ?(minimizer = `Heuristic) ?(memo_cover = no_memo)
+    ?(support_of = fun _ -> None) sg =
   let non_inputs =
     List.filter (Sg.non_input sg) (List.init (Sg.n_signals sg) Fun.id)
   in
   List.map
     (fun s ->
+      let sets = on_off_sets sg ~signal:s in
       let support =
         match support_of s with
         | Some vars -> vars
         | None ->
-          let onset, offset = on_off_sets sg ~signal:s in
+          let onset, offset = sets in
           Support.reduce ~width:(Sg.n_signals sg) ~onset ~offset
       in
-      synthesize_one ?minimizer ?memo_cover sg ~signal:s ~support)
+      derive_one ~minimizer ~memo_cover sg ~signal:s ~support sets)
     non_inputs
 
 let total_literals fs =
@@ -109,7 +105,7 @@ let check fs sg =
   List.iter
     (fun f ->
       for m = 0 to Sg.n_states sg - 1 do
-        let expected = implied_value sg m f.signal in
+        let expected = Sg.implied_value sg m f.signal in
         let projected = Support.project ~vars:f.support (Sg.code sg m) in
         if Cover.eval f.cover projected <> expected then
           bad := (f.name, m) :: !bad

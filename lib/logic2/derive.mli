@@ -19,9 +19,6 @@ type func = {
 exception Not_csc of string
 (** Raised when a code implies both values — the graph violates CSC. *)
 
-(** [implied_value sg m s] is the next value of signal [s] in state [m]. *)
-val implied_value : Sg.t -> int -> int -> bool
-
 (** A memoization hook around cover minimization.  [memo ~minimizer
     ~width ~onset ~offset compute] must return [compute ()] or a value
     previously returned by [compute] under the {e same} four arguments

@@ -11,12 +11,11 @@ let expand_cube ~width ~offset cube =
 let minimize ~width ~onset ~offset =
   let onset = List.sort_uniq Int.compare onset in
   let offset = List.sort_uniq Int.compare offset in
-  List.iter
+  Option.iter
     (fun m ->
-      if List.mem m offset then
-        invalid_arg
-          (Printf.sprintf "Espresso.minimize: minterm %d in both sets" m))
-    onset;
+      invalid_arg
+        (Printf.sprintf "Espresso.minimize: minterm %d in both sets" m))
+    (Support.first_overlap ~onset ~offset);
   if onset = [] then Cover.empty ~width
   else begin
     (* EXPAND every on-set minterm to a prime. *)
@@ -38,61 +37,78 @@ let minimize ~width ~onset ~offset =
     in
     let primes = Array.of_list primes in
     let np = Array.length primes in
-    let cover_sets =
-      Array.map
-        (fun c -> List.filter (Cube.covers_minterm c) onset)
-        primes
+    let on = Array.of_list onset in
+    let n_on = Array.length on in
+    (* covers.(ci).(j): prime [ci] covers the [j]-th on-set minterm *)
+    let covers =
+      Array.map (fun c -> Array.map (Cube.covers_minterm c) on) primes
     in
     let chosen = Array.make np false in
-    let covered = Hashtbl.create (List.length onset) in
+    let covered = Array.make n_on false in
+    let n_uncovered = ref n_on in
     let mark_covered ci =
       chosen.(ci) <- true;
-      List.iter (fun m -> Hashtbl.replace covered m ()) cover_sets.(ci)
+      Array.iteri
+        (fun j hit ->
+          if hit && not covered.(j) then begin
+            covered.(j) <- true;
+            decr n_uncovered
+          end)
+        covers.(ci)
     in
     (* Essential primes: sole cover of some minterm. *)
-    List.iter
-      (fun m ->
-        let covering = ref [] in
+    for j = 0 to n_on - 1 do
+      let n_covering = ref 0 and last = ref (-1) in
+      for ci = 0 to np - 1 do
+        if covers.(ci).(j) then begin
+          incr n_covering;
+          last := ci
+        end
+      done;
+      if !n_covering = 1 && not chosen.(!last) then mark_covered !last
+    done;
+    (* Greedy cover of what is left: the first prime of largest gain. *)
+    while !n_uncovered > 0 do
+      let best = ref (-1) and best_gain = ref (-1) in
+      for ci = 0 to np - 1 do
+        if not chosen.(ci) then begin
+          let gain = ref 0 in
+          Array.iteri
+            (fun j hit -> if hit && not covered.(j) then incr gain)
+            covers.(ci);
+          if !gain > !best_gain then begin
+            best_gain := !gain;
+            best := ci
+          end
+        end
+      done;
+      assert (!best >= 0 && !best_gain > 0);
+      mark_covered !best
+    done;
+    (* Backward sweep: drop anything still redundant, last chosen first.
+       A kept prime is redundant when every minterm it covers is covered
+       by another kept prime. *)
+    let n_kept = Array.make n_on 0 in
+    Array.iteri
+      (fun ci c ->
+        if chosen.(ci) then
+          Array.iteri (fun j hit -> if hit then n_kept.(j) <- n_kept.(j) + 1) c)
+      covers;
+    for ci = np - 1 downto 0 do
+      if
+        chosen.(ci)
+        && Array.for_all2 (fun hit k -> (not hit) || k >= 2) covers.(ci) n_kept
+      then begin
+        chosen.(ci) <- false;
         Array.iteri
-          (fun ci c -> if Cube.covers_minterm c m then covering := ci :: !covering)
-          primes;
-        match !covering with [ ci ] -> if not chosen.(ci) then mark_covered ci | _ -> ())
-      onset;
-    (* Greedy cover of what is left. *)
-    let uncovered () = List.filter (fun m -> not (Hashtbl.mem covered m)) onset in
-    let rec greedy () =
-      match uncovered () with
-      | [] -> ()
-      | remaining ->
-        let best = ref (-1) and best_gain = ref (-1) in
-        Array.iteri
-          (fun ci _ ->
-            if not chosen.(ci) then begin
-              let gain =
-                List.length (List.filter (fun m -> List.mem m cover_sets.(ci)) remaining)
-              in
-              if gain > !best_gain then begin
-                best_gain := gain;
-                best := ci
-              end
-            end)
-          primes;
-        assert (!best >= 0 && !best_gain > 0);
-        mark_covered !best;
-        greedy ()
-    in
-    greedy ();
-    (* Backward sweep: drop anything still redundant. *)
-    let kept = ref (List.filter (fun ci -> chosen.(ci)) (List.init np Fun.id)) in
-    List.iter
-      (fun ci ->
-        let without = List.filter (( <> ) ci) !kept in
-        let still_covered m =
-          List.exists (fun cj -> Cube.covers_minterm primes.(cj) m) without
-        in
-        if List.for_all still_covered onset then kept := without)
-      (List.rev !kept);
-    Cover.make ~width (List.map (fun ci -> primes.(ci)) !kept)
+          (fun j hit -> if hit then n_kept.(j) <- n_kept.(j) - 1)
+          covers.(ci)
+      end
+    done;
+    Cover.make ~width
+      (List.filter_map
+         (fun ci -> if chosen.(ci) then Some primes.(ci) else None)
+         (List.init np Fun.id))
   end
 
 let verify ~onset ~offset cover =

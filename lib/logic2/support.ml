@@ -3,6 +3,14 @@ let project ~vars m =
   List.iteri (fun i v -> if m land (1 lsl v) <> 0 then r := !r lor (1 lsl i)) vars;
   !r
 
+let rec first_overlap ~onset ~offset =
+  match (onset, offset) with
+  | x :: on', y :: off' ->
+    if x = y then Some x
+    else if x < y then first_overlap ~onset:on' ~offset
+    else first_overlap ~onset ~offset:off'
+  | [], _ | _, [] -> None
+
 let sufficient ~vars ~onset ~offset =
   let tbl = Hashtbl.create (List.length onset) in
   List.iter (fun m -> Hashtbl.replace tbl (project ~vars m) ()) onset;

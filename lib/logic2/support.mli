@@ -10,6 +10,11 @@
     bit [i] of the result is bit [List.nth vars i] of [m]. *)
 val project : vars:int list -> int -> int
 
+(** [first_overlap ~onset ~offset] is the smallest minterm in both
+    sets, or [None] when they are disjoint.  Both lists must be sorted
+    and duplicate-free; one merge walk, linear in their lengths. *)
+val first_overlap : onset:int list -> offset:int list -> int option
+
 (** [sufficient ~vars ~onset ~offset] holds when the projections of the
     two sets onto [vars] are disjoint — i.e. [vars] suffices to implement
     the function. *)

@@ -74,7 +74,37 @@ let lower_bound sg =
   let rec bits m acc = if m >= k then acc else bits (m * 2) (acc + 1) in
   if k <= 1 then 0 else bits 1 0
 
-let csc_satisfied sg = conflict_pairs sg = []
+(* Equal-code states must agree on every excitation; comparing each
+   state with the first of its code class decides that without listing
+   pairs.  The key is the non-input rise and fall masks with the extras'
+   Up and Dn bits above the visible signals: exactly the information in
+   [Sg.excitation_signature]. *)
+let csc_satisfied sg =
+  let n = Sg.n_states sg and ns = Sg.n_signals sg in
+  let rise, fall = Sg.excitation_masks sg in
+  Array.iteri
+    (fun i (x : Sg.extra) ->
+      Array.iteri
+        (fun m v ->
+          match v with
+          | Fourval.Up -> rise.(m) <- rise.(m) lor (1 lsl (ns + i))
+          | Fourval.Dn -> fall.(m) <- fall.(m) lor (1 lsl (ns + i))
+          | Fourval.V0 | Fourval.V1 -> ())
+        x.Sg.values)
+    (Sg.extras sg);
+  let first = Hashtbl.create n in
+  let rec go m =
+    m >= n
+    ||
+    let c = Sg.full_code sg m in
+    match Hashtbl.find_opt first c with
+    | None ->
+      Hashtbl.add first c m;
+      go (m + 1)
+    | Some m0 -> rise.(m0) = rise.(m) && fall.(m0) = fall.(m) && go (m + 1)
+  in
+  go 0
+
 let usc_satisfied sg = code_classes sg = []
 
 let pp_summary ppf sg =

@@ -35,7 +35,27 @@ let violations sg =
   done;
   List.rev !out
 
-let is_semi_modular sg = violations sg = []
+(* The same condition as [violations], decided on per-state excitation
+   masks and stopped at the first violating edge. *)
+let is_semi_modular sg =
+  let rise, fall = Sg.excitation_masks sg in
+  let edges = Sg.edges sg in
+  let rec go i =
+    i >= Array.length edges
+    ||
+    let e = edges.(i) in
+    let fired_r, fired_f =
+      match e.Sg.label with
+      | Sg.Ev (s, Sg.R) -> (1 lsl s, 0)
+      | Sg.Ev (s, Sg.F) -> (0, 1 lsl s)
+      | Sg.Eps -> (0, 0)
+    in
+    let m = e.Sg.src and m' = e.Sg.dst in
+    rise.(m) land lnot fired_r land lnot rise.(m') = 0
+    && fall.(m) land lnot fired_f land lnot fall.(m') = 0
+    && go (i + 1)
+  in
+  go 0
 
 let choice_states sg =
   let acc = ref [] in

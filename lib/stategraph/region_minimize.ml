@@ -45,19 +45,23 @@ let minimize_extra sg ~index =
   in
   let code = Array.init n (Sg.full_code sg) in
   let sigs = Array.init n (fun m -> base_sig.(m) ^ own_part m) in
+  (* States by current full code: only states sharing the new code can
+     conflict with the flipped state after the flip. *)
+  let bucket = Hashtbl.create n in
+  let members c = Option.value (Hashtbl.find_opt bucket c) ~default:[] in
+  for m = n - 1 downto 0 do
+    Hashtbl.replace bucket code.(m) (m :: members code.(m))
+  done;
   (* A flip is admissible only when it creates no conflict pair that did
      not already exist — merely trading one conflict for another would
      leak unresolved pairs past the modules responsible for them. *)
   let no_new_conflicts m old_c old_s new_c new_s =
-    let ok = ref true in
-    for m' = 0 to n - 1 do
-      if m' <> m then begin
-        let before = code.(m') = old_c && sigs.(m') <> old_s in
-        let after = code.(m') = new_c && sigs.(m') <> new_s in
-        if after && not before then ok := false
-      end
-    done;
-    !ok
+    List.for_all
+      (fun m' ->
+        let before = new_c = old_c && sigs.(m') <> old_s in
+        let after = sigs.(m') <> new_s in
+        m' = m || before || not after)
+      (members new_c)
   in
   let edges_ok m v =
     List.for_all
@@ -80,6 +84,11 @@ let minimize_extra sg ~index =
             in
             let new_sig = base_sig.(m) (* stable: own part empty *) in
             if no_new_conflicts m code.(m) sigs.(m) new_code new_sig then begin
+              if new_code <> code.(m) then begin
+                Hashtbl.replace bucket code.(m)
+                  (List.filter (( <> ) m) (members code.(m)));
+                Hashtbl.replace bucket new_code (m :: members new_code)
+              end;
               values.(m) <- v;
               code.(m) <- new_code;
               sigs.(m) <- new_sig;

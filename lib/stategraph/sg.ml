@@ -182,6 +182,19 @@ let excitation_signature sg m =
     sg.extras;
   Buffer.contents buf
 
+let excitation_masks sg =
+  let n = n_states sg in
+  let rise = Array.make n 0 and fall = Array.make n 0 in
+  Array.iter
+    (fun e ->
+      match e.label with
+      | Ev (s, d) when sg.signals.(s).non_input ->
+        let mask = match d with R -> rise | F -> fall in
+        mask.(e.src) <- mask.(e.src) lor (1 lsl s)
+      | Ev _ | Eps -> ())
+    sg.edges;
+  (rise, fall)
+
 let implied_value sg m s =
   let excited dir =
     List.exists

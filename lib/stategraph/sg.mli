@@ -132,6 +132,13 @@ val states_excited : t -> signal:int -> dir:edge_dir -> int list
     states with different signatures are CSC conflicts. *)
 val excitation_signature : t -> int -> string
 
+(** [excitation_masks sg] is [(rise, fall)], two per-state bitmasks of
+    the excited non-input visible events: bit [s] of [rise.(m)] is set
+    when [(s, R)] is excited at [m], and [fall] likewise for [F].  Built
+    in one pass over the edges, for checks that compare excitation
+    without listing it. *)
+val excitation_masks : t -> int array * int array
+
 (** [implied_value sg m s] is the next value of signal [s] in state [m]:
     1 when [s] is excited to rise or is 1 and not excited to fall.  This
     is the value the logic function of [s] must produce in [m] (paper

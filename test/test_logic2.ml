@@ -156,6 +156,34 @@ let prop_minimize_beats_minterms =
       let f = Espresso.minimize ~width ~onset ~offset in
       Cover.n_literals f <= width * List.length onset)
 
+(* The minimizer must make every choice the reference copy makes: the
+   same primes, the same essential and greedy picks, the same backward
+   sweep.  Inputs come unsorted and with repeats, up to 8 variables, and
+   sometimes overlapping, where both must refuse with the same message. *)
+let gen_unsorted_function =
+  let open QCheck.Gen in
+  let* width = int_range 1 8 in
+  let minterm = int_bound ((1 lsl width) - 1) in
+  let* onset = list_size (int_bound 60) minterm in
+  let* offset = list_size (int_bound 60) minterm in
+  let* disjoint = bool in
+  let offset =
+    if disjoint then List.filter (fun m -> not (List.mem m onset)) offset
+    else offset
+  in
+  return (width, onset, offset)
+
+let prop_minimize_matches_reference =
+  let gen = QCheck.Gen.oneof [ gen_function; gen_unsorted_function ] in
+  QCheck.Test.make ~name:"minimize picks the reference cover" ~count:500
+    (QCheck.make gen) (fun (width, onset, offset) ->
+      let run f =
+        match f ~width ~onset ~offset with
+        | c -> Ok c.Cover.cubes
+        | exception Invalid_argument msg -> Error msg
+      in
+      run Espresso.minimize = run Espresso_ref.minimize)
+
 (* ---------------- Exact minimization ---------------- *)
 
 let test_exact_primes () =
@@ -463,5 +491,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_minimize_prime_irredundant;
           QCheck_alcotest.to_alcotest prop_minimize_beats_minterms;
           QCheck_alcotest.to_alcotest prop_exact_beats_heuristic;
+          Qseed.to_alcotest prop_minimize_matches_reference;
         ] );
     ]

@@ -406,6 +406,132 @@ let test_region_minimize_shrinks_expansion () =
    with Sg.Inconsistent _ -> ());
   check "rejected wide illegal region" true true
 
+(* ---------------- one-pass expansion and early-exit checks ---------------- *)
+
+(* [Sg_expand.expand] builds every extra in one pass; folding
+   [expand_one] is the step-by-step reference it must reproduce state
+   for state and edge for edge.  The graphs: each data/*.g complete
+   graph and 50 fuzzed ones, carrying the first k state signals inserted
+   by modular SAT (through [Mpart.synthesize]) and by [Csc_direct], for
+   every k, plus a cube of three concurrent pulses with four extras
+   excited together. *)
+
+let data_dir = Filename.concat ".." "data"
+
+let g_files () =
+  Sys.readdir data_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".g")
+  |> List.sort compare
+
+let rec iterated_expand sg =
+  if Sg.n_extras sg = 0 then sg else iterated_expand (Sg_expand.expand_one sg)
+
+let with_prefixes g (xs : Sg.extra array) =
+  List.init (Array.length xs) (fun k ->
+      Array.fold_left
+        (fun acc (x : Sg.extra) ->
+          Sg.add_extra acc ~name:x.Sg.xname ~values:x.Sg.values)
+        g (Array.sub xs 0 (k + 1)))
+
+let extra_carrying stg =
+  match Sg.of_stg stg with
+  | exception _ -> [] (* inconsistent or oversized random STG *)
+  | g ->
+    let modular =
+      match (Mpart.synthesize stg).Mpart.final with
+      | final -> Sg.extras final
+      | exception _ -> [||]
+    in
+    let direct =
+      match
+        (Csc_direct.solve ~backtrack_limit:2_000 ~time_limit:1.0 g)
+          .Csc_direct.outcome
+      with
+      | Csc_direct.Solved solved -> Sg.extras solved
+      | Csc_direct.Gave_up _ -> [||]
+    in
+    (g :: with_prefixes g modular) @ with_prefixes g direct
+
+let data_graphs =
+  lazy
+    (List.concat_map
+       (fun f -> extra_carrying (Gformat.parse_file (Filename.concat data_dir f)))
+       (g_files ()))
+
+let fuzz_graphs =
+  lazy
+    (let rand = Qseed.state () in
+     List.concat
+       (List.init 50 (fun _ -> extra_carrying (Bench_gen.random ~rand))))
+
+let concurrent_graph () =
+  let open Stg_builder in
+  let pulse x = seq [ plus x; minus x ] in
+  let stg =
+    compile ~name:"cube" ~inputs:[ "x"; "y" ] ~outputs:[ "z" ]
+      (par [ pulse "x"; pulse "y"; pulse "z" ])
+  in
+  let sg = Sg.of_stg stg in
+  List.fold_left
+    (fun acc (name, v) ->
+      Sg.add_extra acc ~name ~values:(Array.make (Sg.n_states sg) v))
+    sg
+    [ ("n0", Fourval.Up); ("n1", Fourval.V1); ("n2", Fourval.Dn); ("n3", Fourval.Up) ]
+
+let check_one_pass graphs =
+  let with_extras = List.filter (fun g -> Sg.n_extras g > 0) graphs in
+  check "some graphs carry extras" true (with_extras <> []);
+  List.iter
+    (fun g ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s with %d extras" (Sg.name g) (Sg.n_extras g))
+        (Sg.digest (iterated_expand g))
+        (Sg.digest (Sg_expand.expand g)))
+    with_extras
+
+let test_one_pass_data () = check_one_pass (Lazy.force data_graphs)
+let test_one_pass_fuzz () = check_one_pass (Lazy.force fuzz_graphs)
+
+let test_one_pass_concurrent () =
+  let g = concurrent_graph () in
+  let ex = Sg_expand.expand g in
+  (* three excited extras split each of the 8 states into 8 copies *)
+  check_int "states" (8 * Sg.n_states g) (Sg.n_states ex);
+  check_one_pass [ g ]
+
+(* [csc_satisfied] and [is_semi_modular] stop at the first violation;
+   they must agree with the full lists on every graph, before and after
+   expansion, and both answers must occur. *)
+let test_early_exit_agrees () =
+  let graphs =
+    concurrent_graph ()
+    :: (Lazy.force data_graphs @ Lazy.force fuzz_graphs)
+  in
+  let seen = Hashtbl.create 4 in
+  let agree what g fast slow =
+    Hashtbl.replace seen (what, fast) ();
+    if fast <> slow then
+      Alcotest.failf "%s on %s (%d extras): early exit says %b" what
+        (Sg.name g) (Sg.n_extras g) fast
+  in
+  List.iter
+    (fun g0 ->
+      List.iter
+        (fun g ->
+          agree "csc" g (Csc.csc_satisfied g) (Csc.conflict_pairs g = []);
+          agree "semi-modular" g
+            (Persistency.is_semi_modular g)
+            (Persistency.violations g = []))
+        [ g0; Sg_expand.expand g0 ])
+    graphs;
+  List.iter
+    (fun key ->
+      check
+        (Printf.sprintf "%s = %b occurs" (fst key) (snd key))
+        true (Hashtbl.mem seen key))
+    [ ("csc", true); ("csc", false); ("semi-modular", true);
+      ("semi-modular", false) ]
+
 let () =
   Alcotest.run "stategraph"
     [
@@ -460,5 +586,13 @@ let () =
             test_region_minimize_preserves_csc;
           Alcotest.test_case "illegal wide region" `Quick
             test_region_minimize_shrinks_expansion;
+        ] );
+      ( "one-pass expansion",
+        [
+          Alcotest.test_case "data with extras" `Quick test_one_pass_data;
+          Alcotest.test_case "50 random STGs" `Slow test_one_pass_fuzz;
+          Alcotest.test_case "concurrent extras" `Quick test_one_pass_concurrent;
+          Alcotest.test_case "early-exit checks agree" `Slow
+            test_early_exit_agrees;
         ] );
     ]

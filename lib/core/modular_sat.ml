@@ -8,14 +8,21 @@ type report = {
   solver_stats : Dpll.stats list;
 }
 
-(* Hybrid SAT strategy.  WalkSAT first (the authors' own SAT line of
-   work): started from the all-false corner it repairs its way to a model
-   that keeps state signals quiet wherever the constraints allow, which
-   empirically yields the tightest excitation regions and the smallest
-   covers.  DPLL is the unsatisfiability prover; an inconclusive capped
-   run escalates to one more state signal — always sound (extra signals
-   never hurt correctness, only optimality), and the signal bound keeps
-   the loop terminating. *)
+(* Hybrid SAT strategy.  CDCL decides: a quick capped [Dpll.solve] runs
+   first on every encoding, and a refuted one moves straight to the next
+   encoding.  The modular formulas are small, so refuting one costs a
+   fraction of a millisecond, where WalkSAT, which cannot prove
+   unsatisfiability, would spend its whole flip budget.  WalkSAT (the
+   authors' own SAT line of work) only chooses among the models of a
+   formula CDCL found satisfiable or could not decide: started from the
+   all-false corner it repairs its way to a model that keeps state
+   signals quiet wherever the constraints allow, which empirically yields
+   the tightest excitation regions and the smallest covers, so its model
+   is preferred.  An undecided formula WalkSAT cannot satisfy gets one
+   larger capped CDCL run; if that is inconclusive too, the search
+   escalates to one more state signal — always sound (extra signals never
+   hurt correctness, only optimality), and the signal bound keeps the
+   loop terminating. *)
 
 let quick_backtrack_cap = 50_000
 
@@ -76,8 +83,9 @@ let solve_pairs ?backtrack_limit ?deadline ?(max_new = 6) ?(backend = `Sat)
           | `Strict -> attempt n_new `Loose
           | `Loose -> attempt (n_new + 1) `Strict
         in
-        (* One model from the hybrid backend chain: BDD when selected,
-           else WalkSAT first, DPLL as the decision procedure. *)
+        (* One model from the backend chain: BDD when selected, else the
+           quick CDCL call decides and WalkSAT, where enabled, picks the
+           model of a formula not refuted. *)
         let propose () =
           let bdd_result =
             match backend with
@@ -88,17 +96,21 @@ let solve_pairs ?backtrack_limit ?deadline ?(max_new = 6) ?(backend = `Sat)
           | Bdd_solver.Sat model -> `Model model
           | Bdd_solver.Unsat -> `Unsat
           | Bdd_solver.Blowup -> (
-            match (if backend = `Dpll then None else walksat_model cnf) with
-            | Some model -> `Model model
-            | None -> (
-              let quick, st =
-                Dpll.solve ~backtrack_limit:quick_backtrack_cap ?deadline cnf
-              in
-              stats := st :: !stats;
-              match quick with
-              | Dpll.Sat model -> `Model model
-              | Dpll.Unsat -> `Unsat
-              | Dpll.Aborted Dpll.Backtrack_limit -> (
+            let quick, st =
+              Dpll.solve ~backtrack_limit:quick_backtrack_cap ?deadline cnf
+            in
+            stats := st :: !stats;
+            let walksat () =
+              if backend = `Dpll then None else walksat_model cnf
+            in
+            match quick with
+            | Dpll.Unsat -> `Unsat
+            | Dpll.Sat model ->
+              `Model (Option.value (walksat ()) ~default:model)
+            | Dpll.Aborted r -> (
+              match (walksat (), r) with
+              | Some model, _ -> `Model model
+              | None, Dpll.Backtrack_limit -> (
                 let cap =
                   max quick_backtrack_cap
                     (Option.value backtrack_limit ~default:500_000)
@@ -111,7 +123,7 @@ let solve_pairs ?backtrack_limit ?deadline ?(max_new = 6) ?(backend = `Sat)
                 | Dpll.Sat model -> `Model model
                 | Dpll.Unsat | Dpll.Aborted Dpll.Backtrack_limit -> `Unsat
                 | Dpll.Aborted r -> `Abort r)
-              | Dpll.Aborted r -> `Abort r))
+              | None, r -> `Abort r))
         in
         let rec models rejected =
           match propose () with

@@ -26,21 +26,26 @@ type report = {
     [module_sg].  New extras are named ["__m0"], ["__m1"], …; the caller
     renames them during propagation.
 
-    Solving is hybrid: WalkSAT first (instantaneous on the satisfiable
-    instances that dominate this flow), then DPLL under a backtrack cap
-    as the unsatisfiability prover; an inconclusive capped run escalates
-    to one more state signal, which is always sound.
+    Solving is hybrid: CDCL ({!Dpll.solve} under a backtrack cap)
+    decides each encoding first, and a refuted encoding moves on to the
+    next one without any local search.  WalkSAT then only chooses among
+    the models of a formula already known to be satisfiable (or not yet
+    decided): its model, which keeps state signals quiet, is preferred
+    over the CDCL one.  An undecided formula WalkSAT cannot satisfy gets
+    one larger capped CDCL run; an inconclusive one escalates to one
+    more state signal, which is always sound.
     @param deadline the caller's wall-clock {!Deadline}, passed to
            every DPLL call unchanged; when it passes the solve gives up
            with [Time_limit] (default: none).
     @param max_new maximum state signals to try (default 6); beyond it
            the solve gives up with [Signal_limit].
-    @param backend [`Sat] (default) decides with WalkSAT + DPLL;
-           [`Dpll] skips the WalkSAT front end and decides with DPLL
-           alone (the pure systematic baseline, used by the conformance
-           oracle's differential harness); [`Bdd] tries the symbolic
-           engine of {!Bdd_solver} first — the paper's follow-up [19] —
-           falling back to the SAT stack when the BDD blows up.
+    @param backend [`Sat] (default) decides with CDCL and picks models
+           with WalkSAT; [`Dpll] is the same chain without WalkSAT, so
+           every model is the CDCL one (the pure systematic baseline,
+           used by the conformance oracle's differential harness);
+           [`Bdd] tries the symbolic engine of {!Bdd_solver} first —
+           the paper's follow-up [19] — falling back to the SAT stack
+           when the BDD blows up.
     @param accept extra validation of a realized labeling (default
            accepts everything).  A model whose labeling is rejected is
            excluded with a blocking clause over the encoding's value

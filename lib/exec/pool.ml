@@ -116,8 +116,8 @@ type batch = {
   bcond : Condition.t; (* signalled when the batch fully drains *)
   mutable remaining : int;
   mutable failed : (int * exn * Printexc.raw_backtrace) option;
-      (* lowest-indexed failure; once set, still-pending tasks of the
-         batch are drained without running *)
+      (* lowest-indexed failure so far; once set, still-pending tasks
+         of the batch with a higher index are drained without running *)
 }
 
 let parallel_map ~jobs f arr =
@@ -132,10 +132,13 @@ let parallel_map ~jobs f arr =
       failed = None;
     }
   in
+  (* Only a failure at a lower index cancels task [i]: the lowest-indexed
+     failing task always runs, so its exception is the one surfaced
+     whatever order the domains take tasks in. *)
   let exec i =
     let cancelled =
       Mutex.lock b.bmutex;
-      let c = b.failed <> None in
+      let c = match b.failed with Some (j, _, _) -> j < i | None -> false in
       Mutex.unlock b.bmutex;
       c
     in

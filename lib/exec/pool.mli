@@ -13,11 +13,12 @@
 
     Determinism contract: results are returned in input order; a batch
     whose tasks raise surfaces the exception of the {e lowest-indexed}
-    failing task (remaining tasks are cancelled: they are drained without
-    running).  With [jobs = 1] no domain is involved at all — the map
-    runs in the caller, left to right, bit-identical to a plain
-    [List.map] — so [--jobs 1] reproduces the historical sequential
-    behaviour exactly.
+    failing task.  Pending tasks above a recorded failure are cancelled
+    (drained without running); lower-indexed ones still run, so the
+    lowest failing index is always reached.  With [jobs = 1] no domain
+    is involved at all — the map runs in the caller, left to right,
+    bit-identical to a plain [List.map] — so [--jobs 1] reproduces the
+    historical sequential behaviour exactly.
 
     Tasks must not share unsynchronized mutable state; everything this
     repository fans out operates on immutable state graphs and
@@ -40,7 +41,8 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
     [jobs] applications concurrently (default {!default_jobs}).
     Results keep input order.  If any application raises, the whole
     call raises the exception of the lowest-indexed failure after all
-    started tasks have settled and pending ones were cancelled. *)
+    started tasks have settled and pending tasks with a higher index
+    than a recorded failure were cancelled. *)
 
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** List version of {!map}; same ordering and failure contract. *)

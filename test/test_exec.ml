@@ -77,6 +77,23 @@ let test_pool_survives_failure () =
     "pool still works" (squares 100)
     (Pool.map ~jobs:4 (fun i -> i * i) (Array.init 100 Fun.id))
 
+(* The same contract under contention: every task raises at once, so a
+   task above index 0 routinely records its failure before task 0 is
+   taken off the queue.  Task 0 must still run and surface. *)
+let test_exception_lowest_index_stress () =
+  List.iter
+    (fun jobs ->
+      for round = 1 to 1000 do
+        match
+          Pool.map ~jobs (fun i -> raise (Boom i)) (Array.init 8 Fun.id)
+        with
+        | _ -> Alcotest.fail "expected Boom"
+        | exception Boom 0 -> ()
+        | exception Boom i ->
+          Alcotest.failf "jobs=%d round %d surfaced Boom %d" jobs round i
+      done)
+    [ 2; 4 ]
+
 let test_set_default_jobs_validation () =
   let msg = "Pool.set_default_jobs: jobs must be >= 1" in
   Alcotest.check_raises "zero" (Invalid_argument msg) (fun () ->
@@ -106,5 +123,7 @@ let () =
             test_pool_survives_failure;
           Alcotest.test_case "set_default_jobs validation" `Quick
             test_set_default_jobs_validation;
+          Alcotest.test_case "lowest-index exception under stress" `Quick
+            test_exception_lowest_index_stress;
         ] );
     ]

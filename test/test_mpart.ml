@@ -145,6 +145,41 @@ let test_modular_sat_signal_limit () =
     Alcotest.failf "wrong reason: %s" (Dpll.string_of_abort_reason r)
   | Modular_sat.Solved _ -> Alcotest.fail "cannot solve with zero signals"
 
+(* CDCL decides before WalkSAT searches: on fifo's modules the
+   one-signal encodings are unsatisfiable, and a refuted encoding must
+   not cost a WalkSAT run.  Every engine call bumps [Counter.solver] and
+   every CDCL call leaves one [solver_stats] entry, so the difference is
+   the number of WalkSAT runs; each must have produced the model that
+   [accept] then sees. *)
+let test_modular_sat_unsat_skips_walksat () =
+  let stg = Gformat.parse_file (Filename.concat ".." "data/fifo.g") in
+  let sg = Sg.of_stg stg in
+  let walksat_runs = ref 0 and proposed = ref 0 and formulas = ref 0 in
+  for o = 0 to Sg.n_signals sg - 1 do
+    if Sg.non_input sg o then begin
+      let inp = Input_derivation.determine sg ~output:o in
+      let msg = inp.Input_derivation.module_sg in
+      let output = Sg.find_signal msg (Sg.signal_name sg o) in
+      let models = ref 0 in
+      let before = Counter.get Counter.solver in
+      let r =
+        Modular_sat.solve
+          ~accept:(fun _ ->
+            incr models;
+            true)
+          ~output msg
+      in
+      let calls = Counter.get Counter.solver - before in
+      let cdcl_calls = List.length r.Modular_sat.solver_stats in
+      walksat_runs := !walksat_runs + calls - cdcl_calls;
+      proposed := !proposed + !models;
+      formulas := !formulas + List.length r.Modular_sat.formulas
+    end
+  done;
+  check_int "WalkSAT runs = models proposed" !proposed !walksat_runs;
+  (* every formula that yielded no model was refuted by CDCL *)
+  check "refuted encodings still listed" true (!formulas > !proposed)
+
 (* ---------------- Propagation ---------------- *)
 
 let test_propagate_lifts_cover () =
@@ -507,6 +542,8 @@ let () =
           Alcotest.test_case "pulse" `Quick test_modular_sat_pulse;
           Alcotest.test_case "no conflicts" `Quick test_modular_sat_no_conflicts;
           Alcotest.test_case "signal limit" `Quick test_modular_sat_signal_limit;
+          Alcotest.test_case "unsat encodings skip WalkSAT" `Quick
+            test_modular_sat_unsat_skips_walksat;
         ] );
       ( "propagation",
         [

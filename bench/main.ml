@@ -773,10 +773,9 @@ let prefix_table () =
           && p.Prefix_rules.s_conflicts = Some (Csc.n_conflicts sg)
         in
         let source =
-          match (Mpart.resolve Mpart.default_config stg).Mpart.certificate with
-          | `Lockrel -> "lockrel"
-          | `Prefix -> "prefix"
-          | `None -> "none"
+          if Lint.prescreen stg <> None then "lockrel"
+          else if p.Prefix_rules.s_csc = Some true then "prefix"
+          else "none"
         in
         let noncut = p.Prefix_rules.s_events - p.Prefix_rules.s_cutoffs in
         ( agree,

@@ -642,9 +642,8 @@ let gen_cmd =
   let family =
     let doc =
       "Family: pipeline, pulsers, mixed, lockring, or parrings \
-       (independent four-phase rings — CSC holds but the A6 lock \
-       relation abstains, so only the exact prefix prescreen certifies \
-       it)."
+       (independent four-phase rings — CSC holds on the state graph, so \
+       synthesis skips SAT, although the A6 lock relation abstains)."
     in
     Arg.(
       required

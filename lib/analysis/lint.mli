@@ -41,6 +41,8 @@ val partition :
 val run_netlist : Netlist.t -> Diagnostic.report
 
 (** [prescreen stg] is [(run stg).cert]: [Some _] means CSC holds
-    statically and SAT-based state-signal insertion can be skipped.
-    Sound but incomplete — [None] says nothing. *)
+    statically, so SAT-based state-signal insertion has nothing to do.
+    Sound but incomplete — [None] says nothing.  Synthesis does not call
+    it: it checks CSC exactly on the complete state graph, which A6
+    certifies a subset of. *)
 val prescreen : Stg.t -> Lockrel.cert option

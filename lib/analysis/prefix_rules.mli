@@ -18,12 +18,13 @@
     - {b U3} ([U3-coding]): USC/CSC conflict detection by replaying the
       state-graph encoding over the prefix-derived marking graph —
       byte-compatible with {!Sg.of_stg} + {!Csc} verdicts, without
-      {!Reach.explore}.  A conflict-free verdict is a CSC certificate
-      {!Mpart} accepts as a second prescreen besides A6.
+      {!Reach.explore}.  A conflict-free verdict is a static CSC
+      certificate for lint; synthesis reads the same verdict off the
+      complete state graph it builds anyway ({!Csc.csc_satisfied}).
     - {b U4} ([U4-statebound]): exact state-graph size (markings and
-      ε-classes) reported as a diagnostic and used by
-      [Mpart.resolve] to pick the constraint backend and the
-      reachability engine statically.
+      ε-classes) reported as a diagnostic.  Synthesis picks its engines
+      from the complete state graph instead (see
+      [Mpart.engine_threshold]).
 
     All verdicts are tri-state: when the prefix or the sweep hit their
     caps the analysis abstains ([None]s) rather than guessing, and the

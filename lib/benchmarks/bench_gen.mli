@@ -27,7 +27,8 @@ val mixed : stages:int -> branches:int -> Stg.t
 (** [lock_ring ~signals] builds a daisy-chain token ring over [signals]
     wires (all rise in order, then all fall): every signal pair strictly
     alternates, so the lock-relation prescreen (lint rule A6) certifies
-    CSC statically and synthesis needs no SAT at all.
+    CSC statically, and synthesis, which finds CSC on the complete
+    state graph, needs no SAT at all.
     [2 ≤ signals ≤ 26]. *)
 val lock_ring : signals:int -> Stg.t
 
@@ -35,8 +36,9 @@ val lock_ring : signals:int -> Stg.t
     handshake rings fully concurrently ([1 ≤ rings ≤ 8]).  CSC holds
     (each ring's two wires encode its own phase), but cross-ring signal
     pairs never alternate, so the A6 lock-relation prescreen abstains —
-    only the exact prefix rule U3 certifies this family, with a prefix
-    linear in [rings] against [4^rings] states. *)
+    only the exact prefix rule U3 certifies this family statically, with
+    a prefix linear in [rings] against [4^rings] states.  Synthesis
+    finds CSC on the complete state graph and skips SAT. *)
 val parallel_rings : rings:int -> Stg.t
 
 (** [random ~rand] draws a small well-formed STG: a random seq/par/choice

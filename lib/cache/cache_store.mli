@@ -1,11 +1,11 @@
-(** Content-addressed, on-disk memoization store (schema [mpsyn-cache/5]).
+(** Content-addressed, on-disk memoization store (schema [mpsyn-cache/6]).
 
-    One entry per file under [DIR/5/] (the subdirectory is the schema
+    One entry per file under [DIR/6/] (the subdirectory is the schema
     major version: bumping {!schema_version} orphans every old entry at
     once — explicit wholesale invalidation).  An entry is:
 
     {v
-    mpsyn-cache/5\n
+    mpsyn-cache/6\n
     <md5 hex of payload>\n
     <payload: Marshal bytes>
     v}
@@ -31,7 +31,7 @@
 type t
 
 val schema_version : string
-(** ["mpsyn-cache/5"].  v1 → v2: whole-synthesis entries now carry the
+(** ["mpsyn-cache/6"].  v1 → v2: whole-synthesis entries now carry the
     audited partition plan ({!Mpart.result} gained fields), changing
     their marshal layout — the bump orphans every v1 entry at once.
     v2 → v3: state graphs precompute their adjacency lists ([Sg.t]
@@ -46,7 +46,9 @@ val schema_version : string
     the option fingerprint and the ["prefix"] key parameters shrink
     with the configuration.  v4 → v5: prefix summaries no longer embed
     the rendered [mpsyn-prefix/1] certificate, changing the marshal
-    layout of every ["prefix"] entry. *)
+    layout of every ["prefix"] entry.  v5 → v6: synthesis reads its CSC
+    certificate off the complete graph, so results record it as one
+    bool and the ["synth-sg"] key drops its certificate parameter. *)
 
 val open_dir : ?max_bytes:int -> string -> t
 (** [open_dir dir] opens (creating directories as needed) the store

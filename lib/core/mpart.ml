@@ -38,8 +38,8 @@ let default_config =
 (* Everything a cached result depends on besides the content digest.
    [jobs] is deliberately absent: results are bit-identical for any
    pool width, so entries are shared across --jobs settings.  The
-   engine choices {!resolve} makes are absent because they are a
-   function of the specification and the options below. *)
+   engines are absent because they are chosen from the complete graph,
+   itself a function of the specification and the options below. *)
 let fingerprint config =
   [
     ( "backend",
@@ -118,7 +118,7 @@ type result = {
   functions : Derive.func list;
   modules : module_report list;
   fallback : module_report option;
-  certificate : [ `Lockrel | `Prefix | `None ];
+  certificate : bool;
   plan : Partition_check.summary;
   replayed : string list;
   stale_analyses : int;
@@ -232,7 +232,7 @@ let cone_of (inp : Input_derivation.t) conflicts =
     c_conflicts = conflicts;
   }
 
-let synthesize_sg_uncached ~config ~deadline ~certificate complete =
+let synthesize_sg_uncached ~config ~deadline complete =
   let counter = ref 0 in
   let fresh_name () =
     let n = Printf.sprintf "n%d" !counter in
@@ -242,6 +242,7 @@ let synthesize_sg_uncached ~config ~deadline ~certificate complete =
   let outputs =
     List.filter (Sg.non_input complete) (List.init (Sg.n_signals complete) Fun.id)
   in
+  let certificate = Csc.csc_satisfied complete in
   let current = ref complete in
   let reports = ref [] in
   (* Per-output support for logic derivation, in complete-graph signal
@@ -264,13 +265,12 @@ let synthesize_sg_uncached ~config ~deadline ~certificate complete =
     Log.debug (fun m ->
         m "deriving module for output %s" (Sg.signal_name complete o));
     let inp = Input_derivation.determine g ~output:o in
-    (* A static CSC certificate (lock relation A6 or prefix rule U3)
-       guarantees the complete graph is conflict-free, so the module
-       quotients need no state signals: skip conflict counting and the
-       SAT engine outright.  Artifact conflicts a quotient would show
-       are exactly the pairs the certificate proves spurious. *)
+    (* When the complete graph already has CSC, the module quotients
+       need no state signals: skip conflict counting and the SAT engine
+       outright.  Artifact conflicts a quotient would show are exactly
+       the pairs the complete graph proves spurious. *)
     let conflicts =
-      if certificate <> `None then 0
+      if certificate then 0
       else
         Csc.n_output_conflicts inp.Input_derivation.module_sg
           ~output:
@@ -629,103 +629,65 @@ let synthesize_sg_uncached ~config ~deadline ~certificate complete =
     stale_analyses = !stale_analyses;
   }
 
-let certificate_label = function
-  | `Lockrel -> "lockrel"
-  | `Prefix -> "prefix"
-  | `None -> "none"
-
 (* A whole synthesis run keyed by the complete state graph's content:
    the entry carries every downstream stage at once — per-output
    modular projections, CSC solutions, propagated expansions, and
    minimized covers. *)
-let synthesize_sg_by ~deadline ~config ~certificate complete =
-  memoize config ~stage:"synth-sg"
-    ~params:
-      (("certificate", certificate_label certificate) :: fingerprint config)
+let synthesize_sg_by ~deadline ~config complete =
+  memoize config ~stage:"synth-sg" ~params:(fingerprint config)
     (Sg.digest complete)
-    (fun () -> synthesize_sg_uncached ~config ~deadline ~certificate complete)
+    (fun () -> synthesize_sg_uncached ~config ~deadline complete)
 
 (* Each public entry turns [config.time_limit] into one wall-clock
    deadline that every module, cleanup, repair and global pass — and
    both portfolio candidates — share, so the limit bounds the whole run
    at any [jobs]. *)
-let synthesize_sg ?(config = default_config) ?(certificate = `None) complete =
+let synthesize_sg ?(config = default_config) complete =
   synthesize_sg_by ~deadline:(Deadline.of_limit config.time_limit) ~config
-    ~certificate complete
+    complete
 
-(* The partial-order prescreen: a complete finite prefix of the STG's
-   unfolding, with the exact U1-U4 verdicts computed on it.  The summary
-   is plain data (no timings, no machine state) and deterministic for
-   any pool width, so it is cached by the specification digest alone —
-   shared across --jobs settings and across lint/synth/verify, which all
-   consult the same entry. *)
+(* The partial-order analysis behind `mpsyn lint --prefix`: a complete
+   finite prefix of the STG's unfolding, with the exact U1-U4 verdicts
+   computed on it.  The summary is plain data (no timings, no machine
+   state) and deterministic for any pool width, so it is cached by the
+   specification digest alone — shared across --jobs settings. *)
 let prefix_summary ?(jobs = 1) config stg =
   memoize config ~stage:"prefix" ~params:[] (Cache_key.stg_digest stg)
     (fun () -> Prefix_rules.analyze ~jobs stg)
 
 let engine_threshold = 2048
 
-(* The U4 flip of the constraint engine: BDD-first for big state spaces,
-   the default WalkSAT+DPLL hybrid otherwise.  Only the default [`Sat]
-   is overridden; an explicit --backend always wins. *)
+(* The constraint engine: BDD-first for big state spaces, the default
+   WalkSAT+DPLL hybrid otherwise.  Only the default [`Sat] is
+   overridden; an explicit --backend always wins. *)
 let choose_backend (config : config) ~state_bound =
   match (config.backend, state_bound) with
   | `Sat, Some n when n >= engine_threshold -> `Bdd
   | b, _ -> b
 
-type resolved = {
-  certificate : [ `Lockrel | `Prefix | `None ];
-  backend : [ `Sat | `Dpll | `Bdd ];
-  reach : [ `Explicit | `Symbolic ];
-}
-
-(* Every engine decision, made once from measured properties of the net.
-   The certificate tries A6 (lock relations, purely structural) first;
-   when it abstains, the exact U3 verdict of the complete prefix
-   certifies conflict-freedom on nets A6's sufficient condition misses.
-   The dynamic [Csc.csc_satisfied] checks downstream stay in place, so
-   an over-eager certificate degrades to a normal run rather than a
-   wrong circuit.  The same prefix gives the exact U4 state count (or
-   its marking lower bound when the sweep stopped short), which flips
-   both engines at one threshold: the graphs they build are
-   byte-identical, so the choice only decides how fast. *)
-let resolve (config : config) stg =
-  let p = prefix_summary ~jobs:config.jobs config stg in
-  let certificate =
-    if Lint.prescreen stg <> None then `Lockrel
-    else if p.Prefix_rules.s_csc = Some true then `Prefix
-    else `None
-  in
-  let state_bound =
-    match p.Prefix_rules.s_sg_states with
-    | Some _ as b -> b
-    | None -> p.Prefix_rules.s_markings
-  in
-  let reach =
-    match state_bound with
-    | Some n when n >= engine_threshold -> `Symbolic
-    | _ -> `Explicit
-  in
-  let backend = choose_backend config ~state_bound in
-  Log.debug (fun m ->
-      m "engines: certificate %s, backend %s, reach %s (U4 bound %s, \
-         threshold %d)"
-        (certificate_label certificate)
-        (match backend with `Sat -> "sat" | `Dpll -> "dpll" | `Bdd -> "bdd")
-        (match reach with `Explicit -> "explicit" | `Symbolic -> "symbolic")
-        (match state_bound with Some n -> string_of_int n | None -> "unknown")
-        engine_threshold);
-  { certificate; backend; reach }
-
 (* Reachability exploration + consistent state assignment, keyed by the
-   canonical [.g] digest of the specification.  The engine is a function
-   of the specification, and both engines produce the same bytes, so one
-   "sg" stage serves either. *)
-let complete_of_stg config ~reach stg =
+   canonical [.g] digest of the specification.  The explicit sweep runs
+   first, capped at [engine_threshold]; a net that overflows it is
+   explored again by the symbolic engine under the user's cap.  Both
+   engines build the same graph byte for byte, so the choice only
+   decides how fast, and one "sg" stage serves either. *)
+let complete_of_stg config stg =
   memoize config ~stage:"sg"
     ~params:[ ("max_states", string_of_int config.max_states) ]
     (Cache_key.stg_digest stg)
-    (fun () -> Sg.of_stg ~max_states:config.max_states ~backend:reach stg)
+    (fun () ->
+      let cap = min engine_threshold config.max_states in
+      let engine, sg =
+        match Sg.of_stg ~max_states:cap ~backend:`Explicit stg with
+        | sg -> ("explicit", sg)
+        | exception Reach.Too_many_states _ when config.max_states > cap ->
+          ( "symbolic",
+            Sg.of_stg ~max_states:config.max_states ~backend:`Symbolic stg )
+      in
+      Log.debug (fun m ->
+          m "reachability: %s engine, %d states (threshold %d)" engine
+            (Sg.n_states sg) engine_threshold);
+      sg)
 
 (* The partition plan as a standalone artifact (`mpsyn lint
    --partition`): every output's cone derived against the complete
@@ -742,9 +704,7 @@ let partition_summary ?jobs config stg =
     ~params:[ ("max_states", string_of_int config.max_states) ]
     (Cache_key.stg_digest stg)
     (fun () ->
-      let complete =
-        complete_of_stg config ~reach:(resolve config stg).reach stg
-      in
+      let complete = complete_of_stg config stg in
       let outputs =
         List.filter (Sg.non_input complete)
           (List.init (Sg.n_signals complete) Fun.id)
@@ -766,26 +726,27 @@ let partition_summary ?jobs config stg =
 
 (* The one synthesis flow behind both entry points, which differ only in
    the module-normalization candidates they try.  The whole run is keyed
-   by the specification, so a warm run elides even the prescreen and the
-   reachability exploration.  Candidates are independent full runs over
-   the same immutable complete graph, so they fan out over the pool;
-   results come back in candidate order and the min-area fold keeps the
-   earlier candidate on ties, so the winner never depends on
-   scheduling. *)
+   by the specification, so a warm run elides even the reachability
+   exploration.  Candidates are independent full runs over the same
+   immutable complete graph, so they fan out over the pool; results come
+   back in candidate order and the min-area fold keeps the earlier
+   candidate on ties, so the winner never depends on scheduling. *)
 let synthesize_with ~stage candidates (config : config) stg =
   let deadline = Deadline.of_limit config.time_limit in
   memoize config ~stage ~params:(fingerprint config) (Cache_key.stg_digest stg)
     (fun () ->
-      let { certificate; backend; reach } = resolve config stg in
+      let complete = complete_of_stg config stg in
+      let backend =
+        choose_backend config ~state_bound:(Some (Sg.n_states complete))
+      in
       let config = { config with backend } in
-      let complete = complete_of_stg config ~reach stg in
       let outcomes =
         Pool.map_list ~jobs:config.jobs
           (fun normalize_modules ->
             match
               synthesize_sg_by ~deadline
                 ~config:{ config with normalize_modules }
-                ~certificate complete
+                complete
             with
             | r -> Either.Left r
             | exception Synthesis_failed msg -> Either.Right msg)
@@ -826,13 +787,8 @@ let pp_report ppf (r : result) =
     "@[<v>modular synthesis: %d -> %d states, %d -> %d signals, %d literals@,"
     (initial_states r) (final_states r) (initial_signals r) (final_signals r)
     (area_literals r);
-  (match r.certificate with
-  | `None -> ()
-  | (`Lockrel | `Prefix) as c ->
-    Format.fprintf ppf "  CSC certified statically (%s); SAT skipped@,"
-      (match c with
-      | `Lockrel -> "lock relation"
-      | `Prefix -> "finite prefix (U3)"));
+  if r.certificate then
+    Format.fprintf ppf "  CSC holds on the complete graph; SAT skipped@,";
   List.iter
     (fun m ->
       Format.fprintf ppf "  %s: |Is|=%d, %d module states, %d conflicts%s@,"

@@ -32,8 +32,8 @@ type config = {
   backend : [ `Sat | `Dpll | `Bdd ];
       (** constraint engine: WalkSAT+DPLL hybrid, DPLL alone, or
           BDD-first (paper [19]).  The default [`Sat] flips to [`Bdd]
-          on large state spaces ({!resolve}); an explicit choice is
-          never overridden *)
+          on large state spaces ({!choose_backend}); an explicit choice
+          is never overridden *)
   normalize_modules : bool;
       (** shrink excitation regions at the module level (default true);
           {!synthesize_best} tries both settings *)
@@ -101,12 +101,12 @@ type result = {
   modules : module_report list;
   fallback : module_report option;
       (** the final direct pass, when modules left conflicts behind *)
-  certificate : [ `Lockrel | `Prefix | `None ];
-      (** which static prescreen proved CSC — the A6 lock relation or
-          the prefix rule U3 — so that no module invoked a solver *)
+  certificate : bool;
+      (** the complete graph Σ already satisfied CSC
+          ({!Csc.csc_satisfied}), so no module invoked a solver *)
   plan : Partition_check.summary;
       (** the audited partition plan the run consumed (conflict counts
-          are zero under a certificate) *)
+          are zero under the certificate) *)
   replayed : string list;
       (** outputs whose module was a duplicate cone and reused an
           earlier CSC solution instead of solving (dedup_cones) *)
@@ -120,60 +120,32 @@ exception Synthesis_failed of string
     module's message names the bound that ran out: the backtrack limit,
     the time limit, or the state-signal limit. *)
 
-(** [synthesize ?config stg] runs the full modular flow with the
-    engines {!resolve} picks.
+(** [synthesize ?config stg] runs the full modular flow.  Engines are
+    chosen from the complete state graph Σ: the reachability engine by
+    the explicit sweep capped at {!engine_threshold} (a net that
+    overflows it is explored symbolically), the constraint backend by
+    {!choose_backend} on Σ's state count.
     @raise Synthesis_failed on exhausted budgets
     @raise Sg.Inconsistent if the STG has no consistent assignment *)
 val synthesize : ?config:config -> Stg.t -> result
 
-(** [synthesize_sg ?config ?certificate sg] is the same flow starting
-    from an already-derived complete state graph (used by baselines and
-    tests).  A [certificate] other than [`None] (the default) asserts
-    that a static prescreen proved CSC for [sg]; modules then skip
-    conflict analysis and SAT. *)
-val synthesize_sg :
-  ?config:config ->
-  ?certificate:[ `Lockrel | `Prefix | `None ] ->
-  Sg.t ->
-  result
+(** [synthesize_sg ?config sg] is the same flow starting from an
+    already-derived complete state graph (used by baselines and tests).
+    When [sg] already satisfies CSC ({!Csc.csc_satisfied}), modules skip
+    conflict analysis and SAT and [result.certificate] holds. *)
+val synthesize_sg : ?config:config -> Sg.t -> result
 
 (** [prefix_summary ?jobs config stg] is the memoized partial-order
     analysis of [stg] ({!Prefix_rules.analyze} with its default event
-    cap): the entry is keyed by the canonical [.g] digest only — the
-    summary is deterministic for any pool width and carries no timings,
-    so lint, synthesis and verification all share one cached prefix per
-    specification. *)
+    cap) behind [mpsyn lint --prefix]: the entry is keyed by the
+    canonical [.g] digest only — the summary is deterministic for any
+    pool width and carries no timings.  Synthesis does not consult it. *)
 val prefix_summary : ?jobs:int -> config -> Stg.t -> Prefix_rules.summary
 
-(** The engines one run uses. *)
-type resolved = {
-  certificate : [ `Lockrel | `Prefix | `None ];
-  backend : [ `Sat | `Dpll | `Bdd ];
-  reach : [ `Explicit | `Symbolic ];
-}
-
-(** [resolve config stg] makes every engine decision for [stg], reading
-    the complete prefix ({!prefix_summary}) once:
-    - [certificate]: [`Lockrel] when the structural lock relation (lint
-      rule A6, {!Lint.prescreen}) proves CSC; otherwise [`Prefix] when
-      the exact prefix rule U3 finds no conflict (nets whose USC fails
-      but CSC holds, which A6's sufficient condition cannot see);
-      otherwise [`None].  Certified runs skip module SAT.
-    - [backend]: {!choose_backend} on the exact U4 state bound — large
-      state spaces take the BDD engine.
-    - [reach]: [`Symbolic] (the partitioned-transition-relation BDD
-      fixpoint, {!Symbolic}) when the U4 bound reaches
-      {!engine_threshold}, else [`Explicit] (the marking sweep).  Both
-      build the same graph byte for byte, so this only decides how
-      fast; nets outside the symbolic encoding fall back to the sweep
-      internally.
-    The bound is the prefix's state count, or its marking lower bound
-    when the prefix stopped short.  {!synthesize}, {!synthesize_best}
-    and {!partition_summary} all take their engines from here. *)
-val resolve : config -> Stg.t -> resolved
-
-(** The U4 state bound (2048) at which both engines flip to their BDD
-    variants. *)
+(** The state count (2048) at which both engines flip to their BDD
+    variants: reachability explores explicitly up to this many markings
+    and symbolically beyond, and {!choose_backend} picks [`Bdd] from
+    this many states of Σ on. *)
 val engine_threshold : int
 
 (** [partition_summary ?jobs config stg] is the memoized partition plan
@@ -185,9 +157,10 @@ val engine_threshold : int
     cached plan per specification ([jobs] defaults to [config.jobs]). *)
 val partition_summary : ?jobs:int -> config -> Stg.t -> Partition_check.summary
 
-(** [choose_backend config ~state_bound] applies the U4 heuristic: the
-    default [`Sat] backend becomes [`Bdd] when the exact state bound
-    reaches {!engine_threshold}; explicit choices pass through. *)
+(** [choose_backend config ~state_bound] picks the constraint engine:
+    the default [`Sat] backend becomes [`Bdd] when the state bound
+    reaches {!engine_threshold}; explicit choices pass through.
+    Synthesis passes the state count of Σ. *)
 val choose_backend :
   config -> state_bound:int option -> [ `Sat | `Dpll | `Bdd ]
 

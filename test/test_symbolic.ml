@@ -147,10 +147,10 @@ let test_adjacency_no_allocation () =
 
 (* ---------------- Auto engine selection in Mpart ---------------- *)
 
-(* parallel_rings 5 has 3126 states: its exact U4 prefix bound crosses
-   [Mpart.engine_threshold], so a plain [synthesize] must take the BDD
-   path — counter-proven — while parallel_rings 3 (126 states) stays on
-   the explicit sweep. *)
+(* parallel_rings 5 has 3126 states: it overflows the explicit sweep
+   capped at [Mpart.engine_threshold], so a plain [synthesize] must take
+   the BDD path — counter-proven — while parallel_rings 3 (126 states)
+   stays on the explicit sweep. *)
 let test_auto_reach () =
   let before = Counter.get Counter.symbolic in
   let r = Mpart.synthesize (Bench_gen.parallel_rings ~rings:5) in
@@ -162,7 +162,7 @@ let test_auto_reach () =
   check_int "a small net keeps the explicit sweep" before
     (Counter.get Counter.symbolic)
 
-(* The partition plan takes its engine from the same decision. *)
+(* The partition plan takes its engine from the same exploration. *)
 let test_partition_reach () =
   let before = Counter.get Counter.symbolic in
   let _ =
@@ -171,6 +171,27 @@ let test_partition_reach () =
   in
   check "partition plan took the symbolic engine" true
     (Counter.get Counter.symbolic > before)
+
+(* The user's state cap holds across the engine switch: below the
+   threshold the capped sweep's overflow is final (no symbolic retry),
+   above it the symbolic engine reports the user's cap, not the
+   threshold. *)
+let test_auto_state_cap () =
+  let stg = Bench_gen.parallel_rings ~rings:6 in
+  let raised max_states =
+    match
+      Mpart.synthesize ~config:{ Mpart.default_config with max_states } stg
+    with
+    | _ -> None
+    | exception Reach.Too_many_states n -> Some n
+  in
+  let before = Counter.get Counter.symbolic in
+  Alcotest.(check (option int)) "cap 1000 raised as 1000" (Some 1000)
+    (raised 1000);
+  check_int "no symbolic retry below the threshold" before
+    (Counter.get Counter.symbolic);
+  Alcotest.(check (option int)) "cap 3000 raised as 3000" (Some 3000)
+    (raised 3000)
 
 (* ---------------- CLI: budget exit codes ---------------- *)
 
@@ -264,6 +285,8 @@ let () =
           Alcotest.test_case "U4 bound flips the engine" `Quick test_auto_reach;
           Alcotest.test_case "partition plan follows the flip" `Quick
             test_partition_reach;
+          Alcotest.test_case "state cap survives the engine switch" `Quick
+            test_auto_state_cap;
         ] );
       ( "cli",
         [

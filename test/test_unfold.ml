@@ -11,9 +11,11 @@
      the witness and its companion sequence from the initial marking
      reaches the same marking;
    - the counters prove the claimed elisions: the prefix rules never
-     call [Reach.explore], and the prefix CSC prescreen lets synthesis
-     of the parallel-rings family skip SAT entirely — a family the A6
-     lock-relation prescreen provably abstains on. *)
+     call [Reach.explore], and synthesis of the parallel-rings family —
+     which the A6 lock-relation prescreen provably abstains on and U3
+     certifies — skips SAT entirely;
+   - the engine decisions synthesis takes from the complete state graph
+     agree with the ones the A6, U3 and U4 verdicts used to make. *)
 
 let check b msg = Alcotest.(check bool) msg true b
 
@@ -166,23 +168,24 @@ let test_no_reach_calls () =
 
 (* Parallel rings: CSC holds but cross-ring pairs never alternate, so
    the A6 lock relation abstains — only the exact U3 verdict certifies
-   the family, and certified synthesis provably never calls a solver. *)
+   the family statically.  Synthesis reads the same verdict off the
+   complete graph and provably never calls a solver. *)
 let test_parallel_rings_prescreen rings () =
   let stg = Bench_gen.parallel_rings ~rings in
   check (Lint.prescreen stg = None) "A6 abstains on parallel rings";
-  let cfg = Mpart.default_config in
-  (match (Mpart.resolve cfg stg).Mpart.certificate with
-  | `Prefix -> ()
-  | `Lockrel -> Alcotest.fail "A6 certified a family it cannot see"
-  | `None -> Alcotest.fail "U3 failed to certify parallel rings");
+  check
+    ((Prefix_rules.analyze stg).Prefix_rules.s_csc = Some true)
+    "U3 certifies parallel rings";
   Counter.reset Counter.solver;
-  let r = Mpart.synthesize ~config:cfg stg in
-  check (r.Mpart.certificate = `Prefix) "synthesis saw the certificate";
+  let r = Mpart.synthesize stg in
+  check r.Mpart.certificate "synthesis saw the certificate";
   Alcotest.(check int) "zero solver calls" 0 (Counter.get Counter.solver);
   Alcotest.(check (option string)) "verified" None (Mpart.verify r);
   check
-    (mem_sub (Format.asprintf "%a" Mpart.pp_report r) "(finite prefix (U3))")
-    "report names the prefix";
+    (mem_sub
+       (Format.asprintf "%a" Mpart.pp_report r)
+       "CSC holds on the complete graph; SAT skipped")
+    "report names the certificate";
   (* the partial-order saving the family exists to demonstrate *)
   let u = Unfold.build (Stg.net stg) in
   let g = Reach.explore (Stg.net stg) in
@@ -199,7 +202,7 @@ let test_lockring_bound signals () =
     (Unfold.n_noncutoff u < Reach.n_states g)
     "prefix smaller than state graph"
 
-(* U4-driven backend selection is pure and only overrides the default *)
+(* Backend selection is pure and only overrides the default *)
 let test_choose_backend () =
   let cfg = Mpart.default_config in
   Alcotest.(check bool) "under threshold stays sat" true
@@ -222,30 +225,125 @@ let data_dir = Filename.concat ".." "data"
 
 let data_stg f = Gformat.parse_file (Filename.concat data_dir f)
 
-(* [Mpart.resolve] reads only the prefix, so the whole table is cheap.
-   Every Table-1 STG is small (U4 bound at most 382) and needs state
-   signals; the generated families pin the other decisions. *)
+(* The engine decisions synthesis made before it read them off the
+   complete graph, kept as the reference: the certificate from A6, then
+   the exact U3 verdict of the complete prefix; both engines from the U4
+   state bound (the marking lower bound when the prefix stopped short). *)
+let reference stg =
+  let p = Prefix_rules.analyze stg in
+  let certificate =
+    if Lint.prescreen stg <> None then `Lockrel
+    else if p.Prefix_rules.s_csc = Some true then `Prefix
+    else `None
+  in
+  let bound =
+    match p.Prefix_rules.s_sg_states with
+    | Some _ as b -> b
+    | None -> p.Prefix_rules.s_markings
+  in
+  let reach =
+    match bound with
+    | Some n when n >= Mpart.engine_threshold -> `Symbolic
+    | _ -> `Explicit
+  in
+  (p, certificate, bound, reach)
+
+(* One cold [Mpart.synthesize]: its certificate, its backend (chosen
+   from the state count of the complete graph), the reachability engine
+   it ran, read from the exploration counters, and its solver calls. *)
+let decisions ?(config = Mpart.default_config) stg =
+  let reach0 = Counter.get Counter.reach
+  and sym0 = Counter.get Counter.symbolic
+  and solver0 = Counter.get Counter.solver in
+  let r = Mpart.synthesize ~config stg in
+  let solver = Counter.get Counter.solver - solver0 in
+  let symbolic = Counter.get Counter.symbolic - sym0 in
+  let explicit = Counter.get Counter.reach - reach0 in
+  let reach =
+    match (symbolic, explicit) with
+    | 1, (0 | 1) -> `Symbolic
+    | 0, 1 -> `Explicit
+    | _ ->
+      Alcotest.failf "%d symbolic and %d explicit explorations" symbolic
+        explicit
+  in
+  let backend =
+    Mpart.choose_backend Mpart.default_config
+      ~state_bound:(Some (Sg.n_states r.Mpart.complete))
+  in
+  (r.Mpart.certificate, backend, reach, solver)
+
+(* The decisions taken from the complete graph against the reference,
+   on every Table-1 STG, the generated families and a seeded sweep of
+   random nets: A6 is sound for the graph certificate, a complete
+   prefix's U3 verdict equals it, and both engines flip as before.  A
+   run that takes the BDD backend makes the solver calls an explicit
+   [`Bdd] run makes.  The pinned rows fix the reference's certificate
+   source too.  Every
+   Table-1 STG is small (at most 382 states) and needs state signals. *)
 let test_resolve_table () =
-  let expect name stg (certificate, backend, reach) =
-    let r = Mpart.resolve Mpart.default_config stg in
-    check (r.Mpart.certificate = certificate) (name ^ ": certificate");
-    check (r.Mpart.backend = backend) (name ^ ": backend");
-    check (r.Mpart.reach = reach) (name ^ ": reach")
+  let expect ?pin name stg =
+    let p, source, bound, reach0 = reference stg in
+    let certificate, backend, reach, solver = decisions stg in
+    if source = `Lockrel then check certificate (name ^ ": A6 is sound");
+    if p.Prefix_rules.s_complete then
+      check
+        (p.Prefix_rules.s_csc = Some certificate)
+        (name ^ ": U3 equals the graph certificate");
+    check
+      (backend = Mpart.choose_backend Mpart.default_config ~state_bound:bound)
+      (name ^ ": backend");
+    check (reach = reach0) (name ^ ": reach");
+    if backend = `Bdd && not certificate then begin
+      let config = { Mpart.default_config with Mpart.backend = `Bdd } in
+      let _, _, _, bdd_solver = decisions ~config stg in
+      Alcotest.(check int) (name ^ ": synthesis ran the BDD backend")
+        bdd_solver solver
+    end;
+    Option.iter
+      (fun (source', backend', reach') ->
+        check (source = source') (name ^ ": pinned certificate source");
+        check (certificate = (source' <> `None)) (name ^ ": pinned certificate");
+        check (backend = backend') (name ^ ": pinned backend");
+        check (reach = reach') (name ^ ": pinned reach"))
+      pin
   in
   let files =
     Sys.readdir data_dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".g")
   in
   Alcotest.(check int) "Table-1 STGs" 23 (List.length files);
-  List.iter (fun f -> expect f (data_stg f) (`None, `Sat, `Explicit)) files;
-  expect "lock_ring 5" (Bench_gen.lock_ring ~signals:5)
-    (`Lockrel, `Sat, `Explicit);
-  expect "parallel_rings 3" (Bench_gen.parallel_rings ~rings:3)
-    (`Prefix, `Sat, `Explicit);
-  expect "parallel_rings 5" (Bench_gen.parallel_rings ~rings:5)
-    (`Prefix, `Bdd, `Symbolic);
-  expect "pulsers-5" (Bench_gen.concurrent_pulsers ~branches:5)
-    (`None, `Bdd, `Symbolic)
+  List.iter
+    (fun f -> expect ~pin:(`None, `Sat, `Explicit) f (data_stg f))
+    files;
+  for signals = 2 to 12 do
+    expect
+      (Printf.sprintf "lock_ring %d" signals)
+      (Bench_gen.lock_ring ~signals)
+  done;
+  for rings = 2 to 6 do
+    expect
+      (Printf.sprintf "parallel_rings %d" rings)
+      (Bench_gen.parallel_rings ~rings)
+  done;
+  for branches = 3 to 5 do
+    expect
+      (Printf.sprintf "pulsers-%d" branches)
+      (Bench_gen.concurrent_pulsers ~branches)
+  done;
+  expect "mixed-3x3" (Bench_gen.mixed ~stages:3 ~branches:3);
+  let rand = Qseed.state () in
+  for i = 1 to 40 do
+    expect (Printf.sprintf "random %d" i) (Bench_gen.random ~rand)
+  done;
+  expect ~pin:(`Lockrel, `Sat, `Explicit) "lock_ring 5"
+    (Bench_gen.lock_ring ~signals:5);
+  expect ~pin:(`Prefix, `Sat, `Explicit) "parallel_rings 3"
+    (Bench_gen.parallel_rings ~rings:3);
+  expect ~pin:(`Prefix, `Bdd, `Symbolic) "parallel_rings 5"
+    (Bench_gen.parallel_rings ~rings:5);
+  expect ~pin:(`None, `Bdd, `Symbolic) "pulsers-5"
+    (Bench_gen.concurrent_pulsers ~branches:5)
 
 (* Both entry points run one flow, so they record the same certificate. *)
 let test_entry_points_agree () =
@@ -258,10 +356,33 @@ let test_entry_points_agree () =
         ((Mpart.synthesize_best stg).Mpart.certificate = certificate)
         (name ^ ": synthesize_best"))
     [
-      ("lock_ring 3", Bench_gen.lock_ring ~signals:3, `Lockrel);
-      ("parallel_rings 3", Bench_gen.parallel_rings ~rings:3, `Prefix);
-      ("vbe-ex1", data_stg "vbe-ex1.g", `None);
+      ("lock_ring 3", Bench_gen.lock_ring ~signals:3, true);
+      ("parallel_rings 3", Bench_gen.parallel_rings ~rings:3, true);
+      ("vbe-ex1", data_stg "vbe-ex1.g", false);
     ]
+
+(* The state space is explored once per synthesis: a net past the
+   threshold costs one capped explicit sweep and one symbolic
+   exploration, a small one a single explicit sweep — at any pool
+   width, with both portfolio candidates sharing the graph. *)
+let test_one_exploration () =
+  List.iter
+    (fun jobs ->
+      let explorations stg =
+        let reach0 = Counter.get Counter.reach
+        and sym0 = Counter.get Counter.symbolic in
+        ignore
+          (Mpart.synthesize_best ~config:{ Mpart.default_config with jobs } stg);
+        (Counter.get Counter.reach - reach0, Counter.get Counter.symbolic - sym0)
+      in
+      let name what = Printf.sprintf "%s, jobs %d" what jobs in
+      let explicit, symbolic = explorations (Bench_gen.parallel_rings ~rings:6) in
+      Alcotest.(check int) (name "parallel_rings 6: symbolic") 1 symbolic;
+      check (explicit <= 1) (name "parallel_rings 6: at most one capped sweep");
+      let explicit, symbolic = explorations (data_stg "mr1.g") in
+      Alcotest.(check int) (name "mr1: explicit") 1 explicit;
+      Alcotest.(check int) (name "mr1: symbolic") 0 symbolic)
+    [ 1; 2 ]
 
 (* ---------------- U1/U2 refute with witnesses ---------------------- *)
 
@@ -401,6 +522,8 @@ let () =
           Alcotest.test_case "decision table" `Quick test_resolve_table;
           Alcotest.test_case "entry points agree on the certificate" `Quick
             test_entry_points_agree;
+          Alcotest.test_case "one exploration per synthesis" `Quick
+            test_one_exploration;
         ] );
       ( "refutations",
         [

@@ -859,6 +859,14 @@ let () =
     ~lock:(fun () -> Mutex.lock m)
     ~unlock:(fun () -> Mutex.unlock m);
   Logs.set_reporter (Logs_fmt.reporter ~app:Format.err_formatter ());
+  (* MPSYN_LOG raises the level so Mpart's debug lines can be seen *)
+  (match Sys.getenv_opt "MPSYN_LOG" with
+  | None | Some "" -> ()
+  | Some ("debug" | "info" | "warning" as s) ->
+    Logs.set_level (Result.get_ok (Logs.level_of_string s))
+  | Some s ->
+    Printf.eprintf "mpsyn: MPSYN_LOG must be debug, info or warning (got %s)\n" s;
+    exit exit_usage);
   let doc = "modular partitioning synthesis of asynchronous circuits" in
   let cmd =
     Cmd.group

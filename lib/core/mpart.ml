@@ -232,80 +232,81 @@ let cone_of (inp : Input_derivation.t) conflicts =
     c_conflicts = conflicts;
   }
 
-let synthesize_sg_uncached ~config ~deadline complete =
-  let counter = ref 0 in
-  let fresh_name () =
-    let n = Printf.sprintf "n%d" !counter in
-    incr counter;
-    n
+let fresh_names counter () =
+  let n = Printf.sprintf "n%d" !counter in
+  incr counter;
+  n
+
+(* One output's module analyzed against [g]: its input set, quotient and
+   modular conflict count.  When the complete graph already has CSC
+   ([certificate]), the module quotients need no state signals: conflict
+   counting and the SAT engine are skipped outright.  Artifact conflicts
+   a quotient would show are exactly the pairs the complete graph proves
+   spurious. *)
+let analyze ~certificate g o =
+  Log.debug (fun m -> m "deriving module for output %s" (Sg.signal_name g o));
+  let inp = Input_derivation.determine g ~output:o in
+  let conflicts =
+    if certificate then 0
+    else
+      Csc.n_output_conflicts inp.Input_derivation.module_sg
+        ~output:
+          (Sg.find_signal inp.Input_derivation.module_sg (Sg.signal_name g o))
   in
+  (o, inp, conflicts)
+
+(* Stage 1, the partition plan, shared by every candidate: each output
+   analyzed against the complete graph (the first solve batch), audited
+   by the static M rules, and put in M4 order — low-risk modules first,
+   so the re-analyses their insertions force concentrate where they
+   were inevitable. *)
+let plan ~config ~certificate complete =
   let outputs =
     List.filter (Sg.non_input complete) (List.init (Sg.n_signals complete) Fun.id)
   in
-  let certificate = Csc.csc_satisfied complete in
+  let analyses =
+    Pool.map_list ~jobs:config.jobs (analyze ~certificate complete) outputs
+  in
+  let summary =
+    Partition_check.summarize ~complete
+      (List.map (fun (_, inp, conflicts) -> cone_of inp conflicts) analyses)
+  in
+  if not config.order_by_risk then (analyses, summary)
+  else begin
+    let rank = Hashtbl.create 8 in
+    List.iteri
+      (fun i n -> Hashtbl.replace rank n i)
+      summary.Partition_check.p_order;
+    let rank_of (o, _, _) =
+      Option.value
+        (Hashtbl.find_opt rank (Sg.signal_name complete o))
+        ~default:max_int
+    in
+    let by_rank a b = compare (rank_of a) (rank_of b) in
+    (List.stable_sort by_rank analyses, summary)
+  end
+
+(* Stage 2, one candidate's insertion: module solves, propagation and
+   the global fallback pass.  Returns the result with [final] the
+   post-insertion graph and no logic yet, the fresh-name counter, and
+   each output's support in complete-graph names, sorted by output. *)
+let insert ~config ~deadline ~certificate ~plan:(plan_analyses, plan) complete =
+  let counter = ref 0 in
+  let fresh_name = fresh_names counter in
   let current = ref complete in
   let reports = ref [] in
-  (* Per-output support for logic derivation, in complete-graph signal
-     names (resolved to expanded ids later). *)
   let supports : (string, string list) Hashtbl.t = Hashtbl.create 8 in
-  (* The derivation stage — ε-projection of the complete graph onto each
-     output's input set plus modular CSC conflict detection — only reads
-     the graph, so all pending outputs are analyzed concurrently up
-     front ({!Pool}).  The solve/propagate stage mutates the shared
-     complete graph and keeps the original sequential order; whenever it
-     lands new state signals in the graph, the precomputed analyses of
-     the outputs not yet consumed are stale (a new signal can separate
-     their conflicts or join their module) and are recomputed against
-     the updated graph in a fresh parallel batch.  Every consumed
-     analysis was therefore computed against exactly the graph the
-     sequential loop would have used, so results are bit-identical for
-     any [jobs]; with [jobs = 1] outputs are analyzed one at a time,
-     reproducing the historical work pattern as well. *)
-  let analyze g o =
-    Log.debug (fun m ->
-        m "deriving module for output %s" (Sg.signal_name complete o));
-    let inp = Input_derivation.determine g ~output:o in
-    (* When the complete graph already has CSC, the module quotients
-       need no state signals: skip conflict counting and the SAT engine
-       outright.  Artifact conflicts a quotient would show are exactly
-       the pairs the complete graph proves spurious. *)
-    let conflicts =
-      if certificate then 0
-      else
-        Csc.n_output_conflicts inp.Input_derivation.module_sg
-          ~output:
-            (Sg.find_signal inp.Input_derivation.module_sg
-               (Sg.signal_name g o))
-    in
-    (o, inp, conflicts)
-  in
-  (* The partition plan: every output analyzed once against the initial
-     complete graph (these analyses double as the first solve batch),
-     audited by the static M rules, and consumed below for duplicate-cone
-     dedup and risk-ordered solving. *)
-  let plan_analyses = Pool.map_list ~jobs:config.jobs (analyze complete) outputs in
-  let plan =
-    Partition_check.summarize ~complete
-      (List.map (fun (_, inp, conflicts) -> cone_of inp conflicts) plan_analyses)
-  in
-  (* M4: solve low-risk modules first — their insertions are the least
-     likely to land in states shared with other conflicted cones, so the
-     expensive re-analyses concentrate where they were inevitable. *)
-  let plan_analyses =
-    if not config.order_by_risk then plan_analyses
-    else begin
-      let rank = Hashtbl.create 8 in
-      List.iteri
-        (fun i n -> Hashtbl.replace rank n i)
-        plan.Partition_check.p_order;
-      let rank_of (o, _, _) =
-        Option.value
-          (Hashtbl.find_opt rank (Sg.signal_name complete o))
-          ~default:max_int
-      in
-      List.stable_sort (fun a b -> compare (rank_of a) (rank_of b)) plan_analyses
-    end
-  in
+  (* The solve/propagate stage mutates the shared complete graph and
+     keeps the plan's sequential order; whenever it lands new state
+     signals in the graph, the precomputed analyses of the outputs not
+     yet consumed are stale (a new signal can separate their conflicts
+     or join their module) and are recomputed against the updated graph
+     in a fresh parallel batch.  Every consumed analysis was therefore
+     computed against exactly the graph the sequential loop would have
+     used, so results are bit-identical for any [jobs]; with [jobs = 1]
+     outputs are analyzed one at a time, reproducing the historical
+     work pattern as well. *)
+  let analyze = analyze ~certificate in
   (* M3 consumption: canonicalized CSC solutions keyed by the cone
      digest of the module they solved.  A later module with the same
      digest is the same graph up to state renaming, so the stored
@@ -476,6 +477,29 @@ let synthesize_sg_uncached ~config ~deadline complete =
             formulas = r.Modular_sat.formulas;
           }
   end;
+  ( {
+      complete;
+      final = !current;
+      expanded = !current;
+      functions = [];
+      modules = List.rev !reports;
+      fallback = !fallback;
+      certificate;
+      plan;
+      replayed = List.rev !replayed;
+      stale_analyses = !stale_analyses;
+    },
+    !counter,
+    List.sort compare (List.of_seq (Hashtbl.to_seq supports)) )
+
+(* Stage 3, the implementation tail of a post-insertion graph: the
+   minimized labeling, its expansion, the logic, and the global redo's
+   report if one ran.  It reads no [normalize_modules], so candidates
+   agreeing on ([Sg.digest current], [counter], [supports]) share it. *)
+let implement ~config ~deadline complete (current, counter, supports) =
+  Counter.bump Counter.implement;
+  let fresh_name = fresh_names (ref counter) in
+  let supports = ref supports in
   (* All conflicts are resolved; serialize the inserted transitions so
      that expansion splits as few states as possible.  Minimization and
      expansion both have known blind spots: a same-base-code pair can
@@ -506,7 +530,7 @@ let synthesize_sg_uncached ~config ~deadline complete =
     !acc
   in
   let final =
-    if implementable !current then minimize_safely !current else !current
+    if implementable current then minimize_safely current else current
   in
   let rec repair expanded round =
     Log.debug (fun m ->
@@ -541,6 +565,7 @@ let synthesize_sg_uncached ~config ~deadline complete =
     end
   in
   let expanded = repair (Sg_expand.expand final) 0 in
+  let redo = ref None in
   (* Safety net: if the composition of per-module insertions is still
      hazardous globally (modules validate against their quotient views,
      which can hide a diamond two signals share), redo the whole
@@ -565,7 +590,7 @@ let synthesize_sg_uncached ~config ~deadline complete =
           (Synthesis_failed
              "no semi-modular state-signal insertion within the SAT budget")
       | Modular_sat.Solved { new_extras; _ } ->
-        Hashtbl.reset supports;
+        supports := [];
         let acc = ref complete in
         let names = ref [] in
         Array.iter
@@ -574,7 +599,7 @@ let synthesize_sg_uncached ~config ~deadline complete =
             names := name :: !names;
             acc := Sg.add_extra !acc ~name ~values:x.Sg.values)
           new_extras;
-        fallback :=
+        redo :=
           Some
             {
               output_name = "<global redo>";
@@ -594,7 +619,7 @@ let synthesize_sg_uncached ~config ~deadline complete =
      signals over a greedily reduced support. *)
   let support_of s =
     let name = Sg.signal_name expanded s in
-    match Hashtbl.find_opt supports name with
+    match List.assoc_opt name !supports with
     | None -> None
     | Some names ->
       Some
@@ -616,35 +641,77 @@ let synthesize_sg_uncached ~config ~deadline complete =
       List.map (Hazard.hazard_free_enlargement expanded) functions
     else functions
   in
-  {
-    complete;
-    final;
-    expanded;
-    functions;
-    modules = List.rev !reports;
-    fallback = !fallback;
-    certificate;
-    plan;
-    replayed = List.rev !replayed;
-    stale_analyses = !stale_analyses;
-  }
+  (final, expanded, functions, !redo)
+
+(* The one flow behind every entry point, which differ only in the
+   module-normalization candidates they try.  Insertions and distinct
+   tails fan out over the pool; results come back in candidate order and
+   the min-area fold keeps the earlier candidate on ties, so the winner
+   never depends on scheduling and a shared tail yields the first
+   candidate's result. *)
+let synthesize_complete ~config ~deadline candidates complete =
+  let attempt f x =
+    match f x with v -> Ok v | exception Synthesis_failed msg -> Error msg
+  in
+  let certificate = Csc.csc_satisfied complete in
+  let plan = plan ~config ~certificate complete in
+  let inserted =
+    Pool.map_list ~jobs:config.jobs
+      (attempt (fun normalize_modules ->
+           let r, counter, supports =
+             insert ~config:{ config with normalize_modules } ~deadline
+               ~certificate ~plan complete
+           in
+           ((Sg.digest r.final, counter, supports), r)))
+      candidates
+  in
+  let distinct =
+    List.fold_left
+      (fun acc -> function
+        | Ok (key, r) when not (List.mem_assoc key acc) -> (key, r.final) :: acc
+        | _ -> acc)
+      [] inserted
+  in
+  Log.debug (fun m ->
+      m "portfolio: %d candidates, %d implementation tails"
+        (List.length candidates) (List.length distinct));
+  let tails =
+    Pool.map_list ~jobs:config.jobs
+      (fun (((_, counter, supports) as key), final) ->
+        let tail = (final, counter, supports) in
+        (key, attempt (implement ~config ~deadline complete) tail))
+      (List.rev distinct)
+  in
+  let area r = Derive.total_literals r.functions in
+  match
+    List.partition_map
+      (function
+        | Error msg -> Either.Right msg
+        | Ok (key, r) -> (
+          match List.assoc key tails with
+          | Ok (final, expanded, functions, redo) ->
+            let fallback = if redo = None then r.fallback else redo in
+            Either.Left { r with final; expanded; functions; fallback }
+          | Error msg -> Either.Right msg))
+      inserted
+  with
+  | first :: rest, _ ->
+    List.fold_left (fun best r -> if area r < area best then r else best) first rest
+  | [], failures -> raise (Synthesis_failed (String.concat "; " failures))
 
 (* A whole synthesis run keyed by the complete state graph's content:
    the entry carries every downstream stage at once — per-output
    modular projections, CSC solutions, propagated expansions, and
-   minimized covers. *)
-let synthesize_sg_by ~deadline ~config complete =
+   minimized covers.  Each public entry turns [config.time_limit] into
+   one wall-clock deadline that every module, cleanup, repair and global
+   pass — and both portfolio candidates — share, so the limit bounds the
+   whole run at any [jobs]. *)
+let synthesize_sg ?(config = default_config) complete =
+  let deadline = Deadline.of_limit config.time_limit in
   memoize config ~stage:"synth-sg" ~params:(fingerprint config)
     (Sg.digest complete)
-    (fun () -> synthesize_sg_uncached ~config ~deadline complete)
-
-(* Each public entry turns [config.time_limit] into one wall-clock
-   deadline that every module, cleanup, repair and global pass — and
-   both portfolio candidates — share, so the limit bounds the whole run
-   at any [jobs]. *)
-let synthesize_sg ?(config = default_config) complete =
-  synthesize_sg_by ~deadline:(Deadline.of_limit config.time_limit) ~config
-    complete
+    (fun () ->
+      synthesize_complete ~config ~deadline [ config.normalize_modules ] complete)
 
 (* The partial-order analysis behind `mpsyn lint --prefix`: a complete
    finite prefix of the STG's unfolding, with the exact U1-U4 verdicts
@@ -690,12 +757,11 @@ let complete_of_stg config stg =
       sg)
 
 (* The partition plan as a standalone artifact (`mpsyn lint
-   --partition`): every output's cone derived against the complete
-   graph, with real conflict counts (no certificate zeroing — the plan
-   describes the partition, not one synthesis run's shortcuts).  The
-   summary is plain data, deterministic for any pool width, and depends
-   only on the specification and the state cap, so it is memoized by
-   the STG digest alone. *)
+   --partition`): the plan stage with real conflict counts (no
+   certificate zeroing — the plan describes the partition, not one
+   synthesis run's shortcuts).  The summary is plain data, deterministic
+   for any pool width, and depends only on the specification and the
+   state cap, so it is memoized by the STG digest alone. *)
 let partition_summary ?jobs config stg =
   let config =
     match jobs with Some jobs -> { config with jobs } | None -> config
@@ -704,33 +770,10 @@ let partition_summary ?jobs config stg =
     ~params:[ ("max_states", string_of_int config.max_states) ]
     (Cache_key.stg_digest stg)
     (fun () ->
-      let complete = complete_of_stg config stg in
-      let outputs =
-        List.filter (Sg.non_input complete)
-          (List.init (Sg.n_signals complete) Fun.id)
-      in
-      let cones =
-        Pool.map_list ~jobs:config.jobs
-          (fun o ->
-            let inp = Input_derivation.determine complete ~output:o in
-            let conflicts =
-              Csc.n_output_conflicts inp.Input_derivation.module_sg
-                ~output:
-                  (Sg.find_signal inp.Input_derivation.module_sg
-                     (Sg.signal_name complete o))
-            in
-            cone_of inp conflicts)
-          outputs
-      in
-      Partition_check.summarize ~complete cones)
+      snd (plan ~config ~certificate:false (complete_of_stg config stg)))
 
-(* The one synthesis flow behind both entry points, which differ only in
-   the module-normalization candidates they try.  The whole run is keyed
-   by the specification, so a warm run elides even the reachability
-   exploration.  Candidates are independent full runs over the same
-   immutable complete graph, so they fan out over the pool; results come
-   back in candidate order and the min-area fold keeps the earlier
-   candidate on ties, so the winner never depends on scheduling. *)
+(* The whole run is keyed by the specification, so a warm run elides
+   even the reachability exploration. *)
 let synthesize_with ~stage candidates (config : config) stg =
   let deadline = Deadline.of_limit config.time_limit in
   memoize config ~stage ~params:(fingerprint config) (Cache_key.stg_digest stg)
@@ -739,26 +782,8 @@ let synthesize_with ~stage candidates (config : config) stg =
       let backend =
         choose_backend config ~state_bound:(Some (Sg.n_states complete))
       in
-      let config = { config with backend } in
-      let outcomes =
-        Pool.map_list ~jobs:config.jobs
-          (fun normalize_modules ->
-            match
-              synthesize_sg_by ~deadline
-                ~config:{ config with normalize_modules }
-                complete
-            with
-            | r -> Either.Left r
-            | exception Synthesis_failed msg -> Either.Right msg)
-          candidates
-      in
-      let area r = Derive.total_literals r.functions in
-      match List.partition_map Fun.id outcomes with
-      | first :: rest, _ ->
-        List.fold_left
-          (fun best r -> if area r < area best then r else best)
-          first rest
-      | [], failures -> raise (Synthesis_failed (String.concat "; " failures)))
+      synthesize_complete ~config:{ config with backend } ~deadline candidates
+        complete)
 
 let synthesize ?(config = default_config) stg =
   synthesize_with ~stage:"synth" [ config.normalize_modules ] config stg

@@ -24,9 +24,10 @@ type config = {
   time_limit : float option;
       (** wall-clock seconds for the whole run: each {!synthesize},
           {!synthesize_best} or {!synthesize_sg} call makes one
-          {!Deadline} that every module solve, the cleanup, repair and
-          global passes, and both portfolio candidates share, so the
-          limit means the same at any [jobs] *)
+          {!Deadline} that the plan, every candidate's module solves
+          and cleanup pass, and every implementation tail's repair and
+          global passes share, so the limit means the same at any
+          [jobs] *)
   max_states : int;  (** reachability cap *)
   hazard_free : bool;  (** enlarge covers to kill static-1 hazards *)
   backend : [ `Sat | `Dpll | `Bdd ];
@@ -52,9 +53,10 @@ type config = {
           insertions invalidate fewer pending analyses (default true) *)
   jobs : int;
       (** domain-pool width for the solver-independent stages: the
-          {!synthesize_best} portfolio and the per-output
-          derivation/projection/conflict-detection batches fan out over
-          {!Pool} with this width.  [1] forces the historical fully
+          per-output derivation/projection/conflict-detection batches,
+          the {!synthesize_best} candidates' insertion stages and their
+          distinct implementation tails fan out over {!Pool} with this
+          width.  [1] forces the historical fully
           sequential path; any width produces bit-identical results
           (the mutating solve/propagate stage stays ordered and stale
           analyses are recomputed).  Default: {!Pool.default_jobs} at
@@ -73,7 +75,11 @@ type config = {
           outside an output's input-set cone leave its entry valid, the
           incremental-re-synthesis property of partitioned
           representations), minimized covers, and whole synthesis
-          results.  Failures are never cached. *)
+          results: {!synthesize} and {!synthesize_best} by the
+          specification, {!synthesize_sg} by the graph.  The portfolio
+          does not look up per-candidate [synth-sg] entries; its
+          candidates share one plan and, where their insertions agree,
+          one implementation tail.  Failures are never cached. *)
 }
 
 val default_config : config
@@ -168,9 +174,14 @@ val choose_backend :
     (module normalization on and off — the greedy pipeline is chaotic
     enough that either can win) and returns the verified result with the
     smallest two-level area; ties break toward the earlier candidate, so
-    the choice is deterministic.  With [config.jobs > 1] the candidates
-    run concurrently on the domain pool, so the portfolio costs at most
-    one {!synthesize} of wall clock instead of two. *)
+    the choice is deterministic.  Only the candidates' insertion stage
+    (module SAT, propagation, fallback pass) reads [normalize_modules]:
+    the partition plan runs once, and the implementation tail once per
+    distinct post-insertion graph (its {!Sg.digest}, fresh-name counter
+    and supports), whose result or failure the candidates reaching it
+    share.  When every candidate fails, their messages are joined with
+    ["; "].  With [config.jobs > 1] the portfolio costs about one
+    {!synthesize} of wall clock. *)
 val synthesize_best : ?config:config -> Stg.t -> result
 
 (** {1 Result accessors (Table 1 columns)} *)

@@ -32,6 +32,10 @@ val cache_hit : t
 (** One failed {!Cache_store.get}: absent, corrupt or truncated entry. *)
 val cache_miss : t
 
+(** One run of Mpart's implementation tail (minimization, repair,
+    logic derivation) for one distinct post-insertion graph. *)
+val implement : t
+
 val bump : t -> unit
 
 (** [get c] is the count since start (or the last [reset c]). *)

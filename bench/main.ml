@@ -50,7 +50,7 @@ let run_modular ?jobs stg =
     | None -> Mpart.default_config
     | Some jobs -> { Mpart.default_config with jobs }
   in
-  let r, elapsed = wall (fun () -> Mpart.synthesize_best ~config stg) in
+  let r, elapsed = wall (fun () -> Mpart.synthesize ~config stg) in
   (match Mpart.verify r with
   | None -> ()
   | Some e -> failwith ("modular verification failed: " ^ e));
@@ -302,11 +302,11 @@ let measure_hazard (r : Mpart.result) =
 let measure ~par name stg =
   let r1, t1 =
     wall (fun () ->
-        Mpart.synthesize_best ~config:{ Mpart.default_config with jobs = 1 } stg)
+        Mpart.synthesize ~config:{ Mpart.default_config with jobs = 1 } stg)
   in
   let rp, tp =
     wall (fun () ->
-        Mpart.synthesize_best
+        Mpart.synthesize
           ~config:{ Mpart.default_config with jobs = par }
           stg)
   in
@@ -316,11 +316,11 @@ let measure ~par name stg =
     { Mpart.default_config with jobs = par; cache = Some (Cache_store.open_dir dir) }
   in
   let rc, t_cache_cold =
-    wall (fun () -> Mpart.synthesize_best ~config:cached_config stg)
+    wall (fun () -> Mpart.synthesize ~config:cached_config stg)
   in
   Counter.reset Counter.cache_hit;
   let rw, t_cache_warm =
-    wall (fun () -> Mpart.synthesize_best ~config:cached_config stg)
+    wall (fun () -> Mpart.synthesize ~config:cached_config stg)
   in
   let t_cache_hits = Counter.get Counter.cache_hit in
   remove_tree dir;
@@ -666,15 +666,15 @@ let cache_table () =
     (fun (e : Bench_suite.entry) ->
       let stg = e.Bench_suite.build () in
       let rc, cold =
-        wall (fun () -> Mpart.synthesize_best ~config:(config 1) stg)
+        wall (fun () -> Mpart.synthesize ~config:(config 1) stg)
       in
       Counter.reset Counter.cache_hit;
       let rw, warm =
-        wall (fun () -> Mpart.synthesize_best ~config:(config 1) stg)
+        wall (fun () -> Mpart.synthesize ~config:(config 1) stg)
       in
       let hits = Counter.get Counter.cache_hit in
       let rwp, warm_par =
-        wall (fun () -> Mpart.synthesize_best ~config:(config 4) stg)
+        wall (fun () -> Mpart.synthesize ~config:(config 4) stg)
       in
       let reference = netlist_verilog stg rc in
       let identical =
@@ -1348,7 +1348,7 @@ let micro () =
   let formula = (enc ()).Csc_encode.cnf in
   let espresso_width, onset, offset =
     (* a CSC-satisfying graph so the sets cannot collide *)
-    let ex = (Mpart.synthesize_best stg).Mpart.expanded in
+    let ex = (Mpart.synthesize stg).Mpart.expanded in
     let xx = Sg.find_signal ex "a0_0" in
     let on = ref [] and off = ref [] in
     for m = 0 to Sg.n_states ex - 1 do
@@ -1415,14 +1415,10 @@ let micro () =
 (* ------------------------------------------------------------------ *)
 
 let ablation () =
-  print_endline
-    "== ablations: module normalization, portfolio, BDD backend ==";
-  Printf.printf "%-16s | %19s | %19s | %19s | %19s | %19s\n" "STG"
-    "normalize=on" "normalize=off" "portfolio" "backend=bdd" "exact covers";
-  Printf.printf
-    "%-16s | %6s %5s %6s | %6s %5s %6s | %6s %5s %6s | %6s %5s %6s | %6s %5s %6s\n"
-    "" "area" "sig+" "time" "area" "sig+" "time" "area" "sig+" "time" "area"
-    "sig+" "time" "area" "sig+" "time";
+  print_endline "== ablations: BDD backend ==";
+  Printf.printf "%-16s | %19s | %19s\n" "STG" "default" "backend=bdd";
+  Printf.printf "%-16s | %6s %5s %6s | %6s %5s %6s\n" "" "area" "sig+" "time"
+    "area" "sig+" "time";
   let run config stg =
     match wall (fun () -> Mpart.synthesize ~config stg) with
     | r, t when Mpart.verify r = None ->
@@ -1431,20 +1427,12 @@ let ablation () =
     | _ -> Printf.sprintf "%18s" "invalid"
     | exception Mpart.Synthesis_failed _ -> Printf.sprintf "%18s" "failed"
   in
-  let run_best stg =
-    let r, t = wall (fun () -> Mpart.synthesize_best stg) in
-    Printf.sprintf "%6d %5d %5.2fs" (Mpart.area_literals r)
-      (Mpart.n_state_signals r) t
-  in
   List.iter
     (fun name ->
       let stg = (Bench_suite.find name).Bench_suite.build () in
-      Printf.printf "%-16s | %s | %s | %s | %s | %s\n%!" name
-        (run { Mpart.default_config with normalize_modules = true } stg)
-        (run { Mpart.default_config with normalize_modules = false } stg)
-        (run_best stg)
-        (run { Mpart.default_config with backend = `Bdd } stg)
-        (run { Mpart.default_config with exact_covers = true } stg))
+      Printf.printf "%-16s | %s | %s\n%!" name
+        (run Mpart.default_config stg)
+        (run { Mpart.default_config with backend = `Bdd } stg))
     [
       "mr1"; "mmu0"; "mmu1"; "vbe4a"; "nak-pa"; "pe-rcv-ifc-fc";
       "sbuf-ram-write"; "atod"; "fifo"; "alloc-outbound";

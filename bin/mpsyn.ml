@@ -114,7 +114,7 @@ let no_lint_arg =
 let jobs_arg =
   let doc =
     "Width of the domain pool for the solver-independent stages \
-     (portfolio candidates, per-output module derivation, fuzz cases).  \
+     (per-output module derivation, fuzz cases).  \
      $(b,1) forces the fully sequential path; results are bit-identical \
      for any width.  Defaults to $(b,MPSYN_JOBS) or the machine's \
      recommended domain count."
@@ -211,10 +211,6 @@ let backend_arg =
     value
     & opt (enum [ ("sat", `Sat); ("dpll", `Dpll); ("bdd", `Bdd) ]) `Sat
     & info [ "backend" ] ~docv:"ENGINE" ~doc)
-
-let portfolio_arg =
-  let doc = "Try both module-normalization settings and keep the smaller circuit." in
-  Arg.(value & flag & info [ "portfolio" ] ~doc)
 
 let celements_arg =
   let doc =
@@ -356,7 +352,7 @@ let lint_cmd =
           in
           let netrep =
             if netlist && Diagnostic.clean report then begin
-              match Mpart.synthesize_best ~config stg with
+              match Mpart.synthesize ~config stg with
               | r ->
                 let inputs =
                   List.map (Stg.signal_name stg) (Stg.inputs stg)
@@ -489,7 +485,7 @@ let timed what f =
 
 let synth_cmd =
   let run stg_name method_ backtrack_limit time_limit hazard_free backend
-      portfolio celements no_lint jobs_opt cache_opt =
+      celements no_lint jobs_opt cache_opt =
     guard_budget @@ fun () ->
     let jobs = resolve_jobs jobs_opt in
     let cache = resolve_cache cache_opt in
@@ -508,11 +504,7 @@ let synth_cmd =
           cache;
         }
       in
-      let r =
-        timed "synthesized" (fun () ->
-            if portfolio then Mpart.synthesize_best ~config stg
-            else Mpart.synthesize ~config stg)
-      in
+      let r = timed "synthesized" (fun () -> Mpart.synthesize ~config stg) in
       Format.printf "%a@." Mpart.pp_report r;
       print_functions r.Mpart.functions;
       Format.printf "speed independence: %s@."
@@ -579,7 +571,7 @@ let synth_cmd =
     (Cmd.info "synth" ~exits ~doc:"Synthesize a speed-independent circuit from an STG")
     Term.(
       const run $ stg_arg $ method_arg $ backtrack_arg $ time_arg $ hazard_arg
-      $ backend_arg $ portfolio_arg $ celements_arg $ no_lint_arg
+      $ backend_arg $ celements_arg $ no_lint_arg
       $ jobs_arg $ cache_arg)
 
 let bench_cmd =
@@ -688,7 +680,7 @@ let verilog_cmd =
     let cache = resolve_cache cache_opt in
     let stg = load_stg stg_name in
     let r =
-      Mpart.synthesize_best ~config:{ Mpart.default_config with cache } stg
+      Mpart.synthesize ~config:{ Mpart.default_config with cache } stg
     in
     (match Mpart.verify r with
     | None -> ()

@@ -30,7 +30,7 @@ let () =
     (Invariants.covered (Stg.net both) invs);
 
   (* synthesize the composite *)
-  let r = Mpart.synthesize_best both in
+  let r = Mpart.synthesize both in
   assert (Mpart.verify r = None);
   Format.printf "synthesis: %d -> %d states, %d -> %d signals, %d literals@."
     (Mpart.initial_states r) (Mpart.final_states r) (Mpart.initial_signals r)
@@ -42,7 +42,7 @@ let () =
   Format.printf "@.mirror (%s): now %d inputs / %d outputs@." (Stg.name env)
     (List.length (Stg.inputs env))
     (List.length (Stg.non_inputs env));
-  let re = Mpart.synthesize_best env in
+  let re = Mpart.synthesize env in
   assert (Mpart.verify re = None);
   Format.printf "environment synthesizes to %d literals@."
     (Mpart.area_literals re)

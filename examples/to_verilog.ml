@@ -2,16 +2,16 @@
 
    Run with:  dune exec examples/to_verilog.exe -- [benchmark]
 
-   Synthesizes a benchmark (portfolio mode), checks speed independence of
-   the expanded state graph, maps the minimized covers onto an AND/OR/NOT
-   network with feedback, cross-simulates the netlist against every
-   reachable state, and prints the structural Verilog. *)
+   Synthesizes a benchmark, checks speed independence of the expanded
+   state graph, maps the minimized covers onto an AND/OR/NOT network
+   with feedback, cross-simulates the netlist against every reachable
+   state, and prints the structural Verilog. *)
 
 let () =
   let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "fifo" in
   let entry = Bench_suite.find name in
   let stg = entry.Bench_suite.build () in
-  let r = Mpart.synthesize_best stg in
+  let r = Mpart.synthesize stg in
   (match Mpart.verify r with
   | None -> ()
   | Some e -> failwith e);

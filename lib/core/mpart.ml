@@ -8,8 +8,6 @@ type config = {
   max_states : int;
   hazard_free : bool;
   backend : [ `Sat | `Dpll | `Bdd ];
-  normalize_modules : bool;
-  exact_covers : bool;
   dedup_cones : bool;
   order_by_risk : bool;
   jobs : int;
@@ -23,8 +21,6 @@ let default_config =
     max_states = 200_000;
     hazard_free = false;
     backend = `Sat;
-    normalize_modules = true;
-    exact_covers = false;
     dedup_cones = true;
     order_by_risk = true;
     jobs = Pool.default_jobs ();
@@ -45,8 +41,6 @@ let fingerprint config =
     ( "backend",
       match config.backend with `Sat -> "sat" | `Dpll -> "dpll" | `Bdd -> "bdd"
     );
-    ("normalize", string_of_bool config.normalize_modules);
-    ("exact_covers", string_of_bool config.exact_covers);
     ("hazard_free", string_of_bool config.hazard_free);
     ("dedup_cones", string_of_bool config.dedup_cones);
     ("order_by_risk", string_of_bool config.order_by_risk);
@@ -78,9 +72,9 @@ let memoize config ~stage ~params digest compute =
       v)
 
 (* Cover minimization memo ({!Derive.cover_memo}): the minimized cover
-   depends on exactly (minimizer, width, onset, offset). *)
+   depends on exactly (width, onset, offset). *)
 let memo_cover_of config : Derive.cover_memo =
- fun ~minimizer ~width ~onset ~offset compute ->
+ fun ~width ~onset ~offset compute ->
   match config.cache with
   | None -> compute ()
   | Some _ ->
@@ -89,11 +83,7 @@ let memo_cover_of config : Derive.cover_memo =
     Buffer.add_char buf '/';
     List.iter (fun m -> Buffer.add_string buf (string_of_int m ^ ",")) offset;
     memoize config ~stage:"cover"
-      ~params:
-        [
-          ("minimizer", match minimizer with `Heuristic -> "h" | `Exact -> "e");
-          ("width", string_of_int width);
-        ]
+      ~params:[ ("width", string_of_int width) ]
       (Cache_key.string_digest (Buffer.contents buf))
       compute
 
@@ -157,7 +147,7 @@ let solve_module ~config ~deadline ~fresh_name complete
   let compute () =
     let report =
       Modular_sat.solve ?backtrack_limit:config.backtrack_limit ~deadline
-        ~backend:config.backend ~normalize:config.normalize_modules
+        ~backend:config.backend
         ~accept:(fun solved -> sm_violations solved <= baseline)
         ~output:module_output module_sg
     in
@@ -232,10 +222,12 @@ let cone_of (inp : Input_derivation.t) conflicts =
     c_conflicts = conflicts;
   }
 
-let fresh_names counter () =
-  let n = Printf.sprintf "n%d" !counter in
-  incr counter;
-  n
+let fresh_names () =
+  let counter = ref 0 in
+  fun () ->
+    let n = Printf.sprintf "n%d" !counter in
+    incr counter;
+    n
 
 (* One output's module analyzed against [g]: its input set, quotient and
    modular conflict count.  When the complete graph already has CSC
@@ -255,11 +247,11 @@ let analyze ~certificate g o =
   in
   (o, inp, conflicts)
 
-(* Stage 1, the partition plan, shared by every candidate: each output
-   analyzed against the complete graph (the first solve batch), audited
-   by the static M rules, and put in M4 order — low-risk modules first,
-   so the re-analyses their insertions force concentrate where they
-   were inevitable. *)
+(* Stage 1, the partition plan: each output analyzed against the
+   complete graph (the first solve batch), audited by the static M
+   rules, and put in M4 order — low-risk modules first, so the
+   re-analyses their insertions force concentrate where they were
+   inevitable. *)
 let plan ~config ~certificate complete =
   let outputs =
     List.filter (Sg.non_input complete) (List.init (Sg.n_signals complete) Fun.id)
@@ -286,13 +278,12 @@ let plan ~config ~certificate complete =
     (List.stable_sort by_rank analyses, summary)
   end
 
-(* Stage 2, one candidate's insertion: module solves, propagation and
-   the global fallback pass.  Returns the result with [final] the
-   post-insertion graph and no logic yet, the fresh-name counter, and
-   each output's support in complete-graph names, sorted by output. *)
+(* Stage 2, the insertion: module solves, propagation and the global
+   fallback pass.  Returns the result with [final] the post-insertion
+   graph and no logic yet, the fresh-name generator, and each output's
+   support in complete-graph names. *)
 let insert ~config ~deadline ~certificate ~plan:(plan_analyses, plan) complete =
-  let counter = ref 0 in
-  let fresh_name = fresh_names counter in
+  let fresh_name = fresh_names () in
   let current = ref complete in
   let reports = ref [] in
   let supports : (string, string list) Hashtbl.t = Hashtbl.create 8 in
@@ -489,16 +480,13 @@ let insert ~config ~deadline ~certificate ~plan:(plan_analyses, plan) complete =
       replayed = List.rev !replayed;
       stale_analyses = !stale_analyses;
     },
-    !counter,
-    List.sort compare (List.of_seq (Hashtbl.to_seq supports)) )
+    fresh_name,
+    List.of_seq (Hashtbl.to_seq supports) )
 
-(* Stage 3, the implementation tail of a post-insertion graph: the
+(* Stage 3, the implementation of the post-insertion graph: the
    minimized labeling, its expansion, the logic, and the global redo's
-   report if one ran.  It reads no [normalize_modules], so candidates
-   agreeing on ([Sg.digest current], [counter], [supports]) share it. *)
-let implement ~config ~deadline complete (current, counter, supports) =
-  Counter.bump Counter.implement;
-  let fresh_name = fresh_names (ref counter) in
+   report if one ran. *)
+let implement ~config ~deadline ~fresh_name ~supports complete current =
   let supports = ref supports in
   (* All conflicts are resolved; serialize the inserted transitions so
      that expansion splits as few states as possible.  Minimization and
@@ -631,10 +619,8 @@ let implement ~config ~deadline complete (current, counter, supports) =
                 | exception Not_found -> None)
               names))
   in
-  let minimizer = if config.exact_covers then `Exact else `Heuristic in
   let functions =
-    Derive.synthesize ~minimizer ~memo_cover:(memo_cover_of config) ~support_of
-      expanded
+    Derive.synthesize ~memo_cover:(memo_cover_of config) ~support_of expanded
   in
   let functions =
     if config.hazard_free then
@@ -643,75 +629,30 @@ let implement ~config ~deadline complete (current, counter, supports) =
   in
   (final, expanded, functions, !redo)
 
-(* The one flow behind every entry point, which differ only in the
-   module-normalization candidates they try.  Insertions and distinct
-   tails fan out over the pool; results come back in candidate order and
-   the min-area fold keeps the earlier candidate on ties, so the winner
-   never depends on scheduling and a shared tail yields the first
-   candidate's result. *)
-let synthesize_complete ~config ~deadline candidates complete =
-  let attempt f x =
-    match f x with v -> Ok v | exception Synthesis_failed msg -> Error msg
-  in
+(* The one flow behind every entry point: plan, insert, implement. *)
+let synthesize_complete ~config ~deadline complete =
   let certificate = Csc.csc_satisfied complete in
   let plan = plan ~config ~certificate complete in
-  let inserted =
-    Pool.map_list ~jobs:config.jobs
-      (attempt (fun normalize_modules ->
-           let r, counter, supports =
-             insert ~config:{ config with normalize_modules } ~deadline
-               ~certificate ~plan complete
-           in
-           ((Sg.digest r.final, counter, supports), r)))
-      candidates
+  let r, fresh_name, supports =
+    insert ~config ~deadline ~certificate ~plan complete
   in
-  let distinct =
-    List.fold_left
-      (fun acc -> function
-        | Ok (key, r) when not (List.mem_assoc key acc) -> (key, r.final) :: acc
-        | _ -> acc)
-      [] inserted
+  let final, expanded, functions, redo =
+    implement ~config ~deadline ~fresh_name ~supports complete r.final
   in
-  Log.debug (fun m ->
-      m "portfolio: %d candidates, %d implementation tails"
-        (List.length candidates) (List.length distinct));
-  let tails =
-    Pool.map_list ~jobs:config.jobs
-      (fun (((_, counter, supports) as key), final) ->
-        let tail = (final, counter, supports) in
-        (key, attempt (implement ~config ~deadline complete) tail))
-      (List.rev distinct)
-  in
-  let area r = Derive.total_literals r.functions in
-  match
-    List.partition_map
-      (function
-        | Error msg -> Either.Right msg
-        | Ok (key, r) -> (
-          match List.assoc key tails with
-          | Ok (final, expanded, functions, redo) ->
-            let fallback = if redo = None then r.fallback else redo in
-            Either.Left { r with final; expanded; functions; fallback }
-          | Error msg -> Either.Right msg))
-      inserted
-  with
-  | first :: rest, _ ->
-    List.fold_left (fun best r -> if area r < area best then r else best) first rest
-  | [], failures -> raise (Synthesis_failed (String.concat "; " failures))
+  let fallback = if redo = None then r.fallback else redo in
+  { r with final; expanded; functions; fallback }
 
 (* A whole synthesis run keyed by the complete state graph's content:
    the entry carries every downstream stage at once — per-output
    modular projections, CSC solutions, propagated expansions, and
    minimized covers.  Each public entry turns [config.time_limit] into
    one wall-clock deadline that every module, cleanup, repair and global
-   pass — and both portfolio candidates — share, so the limit bounds the
-   whole run at any [jobs]. *)
+   pass shares, so the limit bounds the whole run at any [jobs]. *)
 let synthesize_sg ?(config = default_config) complete =
   let deadline = Deadline.of_limit config.time_limit in
   memoize config ~stage:"synth-sg" ~params:(fingerprint config)
     (Sg.digest complete)
-    (fun () ->
-      synthesize_complete ~config ~deadline [ config.normalize_modules ] complete)
+    (fun () -> synthesize_complete ~config ~deadline complete)
 
 (* The partial-order analysis behind `mpsyn lint --prefix`: a complete
    finite prefix of the STG's unfolding, with the exact U1-U4 verdicts
@@ -774,22 +715,18 @@ let partition_summary ?jobs config stg =
 
 (* The whole run is keyed by the specification, so a warm run elides
    even the reachability exploration. *)
-let synthesize_with ~stage candidates (config : config) stg =
+let synthesize ?(config = default_config) stg =
   let deadline = Deadline.of_limit config.time_limit in
-  memoize config ~stage ~params:(fingerprint config) (Cache_key.stg_digest stg)
+  memoize config ~stage:"synth" ~params:(fingerprint config)
+    (Cache_key.stg_digest stg)
     (fun () ->
       let complete = complete_of_stg config stg in
       let backend =
         choose_backend config ~state_bound:(Some (Sg.n_states complete))
       in
-      synthesize_complete ~config:{ config with backend } ~deadline candidates
-        complete)
+      synthesize_complete ~config:{ config with backend } ~deadline complete)
 
-let synthesize ?(config = default_config) stg =
-  synthesize_with ~stage:"synth" [ config.normalize_modules ] config stg
-
-let synthesize_best ?(config = default_config) stg =
-  synthesize_with ~stage:"synth-best" [ true; false ] config stg
+let synthesize_best = synthesize
 
 let initial_states r = Sg.n_states r.complete
 let initial_signals r = Sg.n_signals r.complete

@@ -17,15 +17,19 @@
     all the modular state graphs … are derived"); the fallback keeps the
     implementation total.  The complete graph is then expanded
     ({!Sg_expand}) and each output's logic is minimized over its module's
-    support ({!Derive}). *)
+    support ({!Derive}).
+
+    Every entry point runs this one flow once: the partition plan
+    (every output's module analyzed and audited, in M4 order), then the
+    insertion (module SAT, propagation, fallback pass), then the
+    implementation (region minimization, expansion repair, covers). *)
 
 type config = {
   backtrack_limit : int option;  (** per SAT call *)
   time_limit : float option;
-      (** wall-clock seconds for the whole run: each {!synthesize},
-          {!synthesize_best} or {!synthesize_sg} call makes one
-          {!Deadline} that the plan, every candidate's module solves
-          and cleanup pass, and every implementation tail's repair and
+      (** wall-clock seconds for the whole run: each {!synthesize} or
+          {!synthesize_sg} call makes one {!Deadline} that the module
+          solves, the cleanup pass and the implementation's repair and
           global passes share, so the limit means the same at any
           [jobs] *)
   max_states : int;  (** reachability cap *)
@@ -35,12 +39,6 @@ type config = {
           BDD-first (paper [19]).  The default [`Sat] flips to [`Bdd]
           on large state spaces ({!choose_backend}); an explicit choice
           is never overridden *)
-  normalize_modules : bool;
-      (** shrink excitation regions at the module level (default true);
-          {!synthesize_best} tries both settings *)
-  exact_covers : bool;
-      (** minimize covers with {!Exact} instead of {!Espresso}
-          (default false; exact falls back to the heuristic on caps) *)
   dedup_cones : bool;
       (** solve each distinct module cone once: when two outputs'
           modules have the same canonical cone digest (rule M3 — the
@@ -53,13 +51,12 @@ type config = {
           insertions invalidate fewer pending analyses (default true) *)
   jobs : int;
       (** domain-pool width for the solver-independent stages: the
-          per-output derivation/projection/conflict-detection batches,
-          the {!synthesize_best} candidates' insertion stages and their
-          distinct implementation tails fan out over {!Pool} with this
-          width.  [1] forces the historical fully
-          sequential path; any width produces bit-identical results
-          (the mutating solve/propagate stage stays ordered and stale
-          analyses are recomputed).  Default: {!Pool.default_jobs} at
+          per-output derivation/projection/conflict-detection batches
+          fan out over {!Pool} with this width.  [1] forces the
+          historical fully sequential path; any width produces
+          bit-identical results (the mutating solve/propagate stage
+          stays ordered and stale analyses are recomputed).
+          Default: {!Pool.default_jobs} at
           module initialization ([MPSYN_JOBS] or the machine's
           recommended domain count). *)
   cache : Cache_store.t option;
@@ -75,11 +72,8 @@ type config = {
           outside an output's input-set cone leave its entry valid, the
           incremental-re-synthesis property of partitioned
           representations), minimized covers, and whole synthesis
-          results: {!synthesize} and {!synthesize_best} by the
-          specification, {!synthesize_sg} by the graph.  The portfolio
-          does not look up per-candidate [synth-sg] entries; its
-          candidates share one plan and, where their insertions agree,
-          one implementation tail.  Failures are never cached. *)
+          results: {!synthesize} by the specification,
+          {!synthesize_sg} by the graph.  Failures are never cached. *)
 }
 
 val default_config : config
@@ -170,18 +164,8 @@ val partition_summary : ?jobs:int -> config -> Stg.t -> Partition_check.summary
 val choose_backend :
   config -> state_bound:int option -> [ `Sat | `Dpll | `Bdd ]
 
-(** [synthesize_best ?config stg] runs a small configuration portfolio
-    (module normalization on and off — the greedy pipeline is chaotic
-    enough that either can win) and returns the verified result with the
-    smallest two-level area; ties break toward the earlier candidate, so
-    the choice is deterministic.  Only the candidates' insertion stage
-    (module SAT, propagation, fallback pass) reads [normalize_modules]:
-    the partition plan runs once, and the implementation tail once per
-    distinct post-insertion graph (its {!Sg.digest}, fresh-name counter
-    and supports), whose result or failure the candidates reaching it
-    share.  When every candidate fails, their messages are joined with
-    ["; "].  With [config.jobs > 1] the portfolio costs about one
-    {!synthesize} of wall clock. *)
+(** [synthesize_best] is {!synthesize}.  The alias stays because the
+    end-to-end benchmark harness ([bench/e2e]) calls it by this name. *)
 val synthesize_best : ?config:config -> Stg.t -> result
 
 (** {1 Result accessors (Table 1 columns)} *)

@@ -3,7 +3,7 @@
    [map] call forms a batch; the calling domain enqueues the batch's
    tasks and then *helps*: it keeps executing queued tasks (its own or
    any other batch's) until its batch has drained.  Helping is what
-   makes nested maps safe — a worker running a portfolio candidate that
+   makes nested maps safe — a worker running one file's synthesis that
    itself fans out module projections can always make progress on the
    nested batch with its own two hands, even when every other worker is
    busy, so there is no execution state in which all executors wait. *)

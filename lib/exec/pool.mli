@@ -1,13 +1,13 @@
 (** Fixed-size domain pool for the solver-independent stages of the flow.
 
     The paper's partitioning produces many small {e independent} problems
-    — portfolio candidates, per-output module projections, benchmark rows,
-    fuzz cases — and this module is the one place that fans them out over
+    — per-output module projections, benchmark rows, fuzz cases — and
+    this module is the one place that fans them out over
     OCaml 5 domains.  The pool is hand-rolled over [Domain], [Mutex] and
     [Condition]: a single global task queue served by lazily spawned
     worker domains, plus {e caller helping} — the domain that submits a
     batch also executes queued tasks while it waits, so nested
-    [map]-inside-[map] calls (the portfolio running the module pipeline)
+    [map]-inside-[map] calls (a lint run synthesizing each file)
     can never deadlock and total parallelism stays bounded by the pool
     size rather than multiplying.
 

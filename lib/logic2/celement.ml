@@ -25,7 +25,7 @@ let regions sg ~signal =
   let u = List.sort_uniq Int.compare in
   (u !rising, u !falling, u !stable0, u !stable1)
 
-let decompose ?(minimizer = `Heuristic) sg ~signal ~support =
+let decompose sg ~signal ~support =
   if Sg.n_extras sg > 0 then
     invalid_arg "Celement.decompose: expand the state graph first";
   let rising, falling, stable0, stable1 = regions sg ~signal in
@@ -46,13 +46,7 @@ let decompose ?(minimizer = `Heuristic) sg ~signal ~support =
   let proj = Support.project ~vars:support in
   let p l = List.sort_uniq Int.compare (List.map proj l) in
   let w = List.length support in
-  let minimize ~onset ~offset =
-    match minimizer with
-    | `Heuristic -> Espresso.minimize ~width:w ~onset ~offset
-    | `Exact -> (
-      try Exact.minimize ~width:w ~onset ~offset ()
-      with Exact.Too_large _ -> Espresso.minimize ~width:w ~onset ~offset)
-  in
+  let minimize ~onset ~offset = Espresso.minimize ~width:w ~onset ~offset in
   {
     signal;
     name = Sg.signal_name sg signal;
@@ -62,7 +56,7 @@ let decompose ?(minimizer = `Heuristic) sg ~signal ~support =
     reset_cover = minimize ~onset:(p reset_on) ~offset:(p reset_off);
   }
 
-let decompose_all ?minimizer sg =
+let decompose_all sg =
   List.filter_map
     (fun s ->
       if Sg.non_input sg s then begin
@@ -74,7 +68,7 @@ let decompose_all ?minimizer sg =
             ~offset:(stable0 @ stable1)
           (* a rough starting point; decompose grows it as needed *)
         in
-        Some (decompose ?minimizer sg ~signal:s ~support)
+        Some (decompose sg ~signal:s ~support)
       end
       else None)
     (List.init (Sg.n_signals sg) Fun.id)

@@ -25,20 +25,15 @@ type t = {
   reset_cover : Cover.t;
 }
 
-(** [decompose ?minimizer sg ~signal ~support] derives the set/reset
+(** [decompose sg ~signal ~support] derives the set/reset
     covers of [signal] over [support] (grown if insufficient, like
     {!Derive.synthesize_one}).  The graph must be expanded (no extras).
     @raise Derive.Not_csc when no support separates the regions. *)
-val decompose :
-  ?minimizer:[ `Heuristic | `Exact ] ->
-  Sg.t ->
-  signal:int ->
-  support:int list ->
-  t
+val decompose : Sg.t -> signal:int -> support:int list -> t
 
-(** [decompose_all ?minimizer sg] decomposes every non-input signal over
+(** [decompose_all sg] decomposes every non-input signal over
     a greedily reduced support. *)
-val decompose_all : ?minimizer:[ `Heuristic | `Exact ] -> Sg.t -> t list
+val decompose_all : Sg.t -> t list
 
 (** [literals c] counts literals of both networks — the C-element area
     metric, comparable to {!Derive.total_literals} minus the keeper. *)

@@ -20,7 +20,6 @@ let on_off_sets sg ~signal =
     List.sort_uniq Int.compare !off )
 
 type cover_memo =
-  minimizer:[ `Heuristic | `Exact ] ->
   width:int ->
   onset:int list ->
   offset:int list ->
@@ -29,11 +28,11 @@ type cover_memo =
 
 (* The default memo is the identity: compute.  A caller (the synthesis
    cache) can interpose persistent memoization of the minimized covers
-   — the espresso/exact step is the only expensive part of derivation
-   and depends on nothing but its literal arguments. *)
-let no_memo ~minimizer:_ ~width:_ ~onset:_ ~offset:_ compute = compute ()
+   — the espresso step is the only expensive part of derivation and
+   depends on nothing but its literal arguments. *)
+let no_memo ~width:_ ~onset:_ ~offset:_ compute = compute ()
 
-let derive_one ~minimizer ~memo_cover sg ~signal ~support (onset, offset) =
+let derive_one ~memo_cover sg ~signal ~support (onset, offset) =
   if Sg.n_extras sg > 0 then
     invalid_arg "Derive.synthesize_one: expand the state graph first";
   let width = Sg.n_signals sg in
@@ -57,13 +56,8 @@ let derive_one ~minimizer ~memo_cover sg ~signal ~support (onset, offset) =
   let offset_p = List.sort_uniq Int.compare (List.map proj offset) in
   let width = List.length support in
   let cover =
-    memo_cover ~minimizer ~width ~onset:onset_p ~offset:offset_p (fun () ->
-        match minimizer with
-        | `Heuristic -> Espresso.minimize ~width ~onset:onset_p ~offset:offset_p
-        | `Exact -> (
-          try Exact.minimize ~width ~onset:onset_p ~offset:offset_p ()
-          with Exact.Too_large _ ->
-            Espresso.minimize ~width ~onset:onset_p ~offset:offset_p))
+    memo_cover ~width ~onset:onset_p ~offset:offset_p (fun () ->
+        Espresso.minimize ~width ~onset:onset_p ~offset:offset_p)
   in
   {
     signal;
@@ -75,12 +69,10 @@ let derive_one ~minimizer ~memo_cover sg ~signal ~support (onset, offset) =
     cover;
   }
 
-let synthesize_one ?(minimizer = `Heuristic) ?(memo_cover = no_memo) sg ~signal
-    ~support =
-  derive_one ~minimizer ~memo_cover sg ~signal ~support (on_off_sets sg ~signal)
+let synthesize_one ?(memo_cover = no_memo) sg ~signal ~support =
+  derive_one ~memo_cover sg ~signal ~support (on_off_sets sg ~signal)
 
-let synthesize ?(minimizer = `Heuristic) ?(memo_cover = no_memo)
-    ?(support_of = fun _ -> None) sg =
+let synthesize ?(memo_cover = no_memo) ?(support_of = fun _ -> None) sg =
   let non_inputs =
     List.filter (Sg.non_input sg) (List.init (Sg.n_signals sg) Fun.id)
   in
@@ -94,7 +86,7 @@ let synthesize ?(minimizer = `Heuristic) ?(memo_cover = no_memo)
           let onset, offset = sets in
           Support.reduce ~width:(Sg.n_signals sg) ~onset ~offset
       in
-      derive_one ~minimizer ~memo_cover sg ~signal:s ~support sets)
+      derive_one ~memo_cover sg ~signal:s ~support sets)
     non_inputs
 
 let total_literals fs =

@@ -19,33 +19,28 @@ type func = {
 exception Not_csc of string
 (** Raised when a code implies both values — the graph violates CSC. *)
 
-(** A memoization hook around cover minimization.  [memo ~minimizer
-    ~width ~onset ~offset compute] must return [compute ()] or a value
-    previously returned by [compute] under the {e same} four arguments
+(** A memoization hook around cover minimization.  [memo ~width ~onset
+    ~offset compute] must return [compute ()] or a value previously
+    returned by [compute] under the {e same} three arguments
     — the minimized cover depends on nothing else, which is what makes
     it safe for the content-addressed synthesis cache to persist.  The
     default hook always computes. *)
 type cover_memo =
-  minimizer:[ `Heuristic | `Exact ] ->
   width:int ->
   onset:int list ->
   offset:int list ->
   (unit -> Cover.t) ->
   Cover.t
 
-(** [synthesize_one ?minimizer sg ~signal ~support] derives and minimizes
-    the function of [signal] over the given support (signal ids).  If the
-    support is insufficient it is grown minimally ({!Support.grow}); the
-    actual support used is in the result.
-    @param minimizer [`Heuristic] (default, {!Espresso}) or [`Exact]
-           ({!Exact}, silently falling back to the heuristic when the
-           instance defeats its caps).
+(** [synthesize_one sg ~signal ~support] derives and minimizes
+    ({!Espresso}) the function of [signal] over the given support (signal
+    ids).  If the support is insufficient it is grown minimally
+    ({!Support.grow}); the actual support used is in the result.
     @param memo_cover see {!cover_memo}.
     Raises [Invalid_argument] when the graph still carries extras.
     @raise Not_csc when even the full signal set cannot separate the
     on-set from the off-set. *)
 val synthesize_one :
-  ?minimizer:[ `Heuristic | `Exact ] ->
   ?memo_cover:cover_memo ->
   Sg.t ->
   signal:int ->
@@ -56,7 +51,6 @@ val synthesize_one :
     function.  [support_of s] may propose a support for signal [s];
     [None] means "greedily reduce from the full signal set". *)
 val synthesize :
-  ?minimizer:[ `Heuristic | `Exact ] ->
   ?memo_cover:cover_memo ->
   ?support_of:(int -> int list option) ->
   Sg.t ->

@@ -25,10 +25,10 @@ let make_impl ~spec ~expanded functions =
 let impl_of_result (r : Mpart.result) =
   make_impl ~spec:r.Mpart.complete ~expanded:r.Mpart.expanded r.Mpart.functions
 
-let impl_of_expanded ?minimizer ~spec expanded =
+let impl_of_expanded ~spec expanded =
   if Sg.n_extras expanded > 0 then
     invalid_arg "Oracle.impl_of_expanded: expand the state signals first";
-  make_impl ~spec ~expanded (Derive.synthesize ?minimizer expanded)
+  make_impl ~spec ~expanded (Derive.synthesize expanded)
 
 type report = {
   hazard : Hazard_check.result;

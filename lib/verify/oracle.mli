@@ -33,7 +33,7 @@ val impl_of_result : Mpart.result -> impl
 
 (** [impl_of_expanded ~spec expanded] packages a direct-method solution:
     [expanded] must carry no extras (run {!Sg_expand.expand} first). *)
-val impl_of_expanded : ?minimizer:[ `Heuristic | `Exact ] -> spec:Sg.t -> Sg.t -> impl
+val impl_of_expanded : spec:Sg.t -> Sg.t -> impl
 
 type report = {
   hazard : Hazard_check.result;

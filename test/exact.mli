@@ -7,8 +7,9 @@
     and bound with a lower bound from disjoint rows.
 
     Exponential in the worst case — intended for functions of the size
-    asynchronous controllers produce (a few dozen on-set minterms), and
-    for calibrating the heuristic in the ablation benches. *)
+    asynchronous controllers produce (a few dozen on-set minterms).  The
+    test suite's reference: [prop_exact_beats_heuristic] checks that no
+    heuristic cover is smaller than this minimum. *)
 
 exception Too_large of string
 (** Raised when the prime count or search space exceeds the safety caps. *)

@@ -346,7 +346,7 @@ let netlist stg (r : Mpart.result) =
   Netlist.of_functions ~name:(Stg.name stg) ~inputs r.Mpart.functions
 
 let synth ?cache ~jobs stg =
-  Mpart.synthesize_best ~config:{ Mpart.default_config with jobs; cache } stg
+  Mpart.synthesize ~config:{ Mpart.default_config with jobs; cache } stg
 
 (* The full lint + hazard evidence for a result, rendered; cold and
    warm runs must agree on every byte of it, not just the netlist. *)

@@ -1,6 +1,7 @@
 (* Unit tests for the domain pool (lib/exec): ordering, the sequential
-   jobs=1 path, nested maps (the portfolio runs the module pipeline
-   inside it), and the exception contract — lowest-indexed failure
+   jobs=1 path, nested maps (a lint run synthesizes each file, and
+   each synthesis fans out its module pipeline inside it), and the
+   exception contract — lowest-indexed failure
    surfaces, pending tasks are cancelled, and the pool stays usable. *)
 
 exception Boom of int

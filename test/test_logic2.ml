@@ -352,7 +352,7 @@ let test_celement_benchmarks () =
   List.iter
     (fun name ->
       let e = Bench_suite.find name in
-      let r = Mpart.synthesize_best (e.Bench_suite.build ()) in
+      let r = Mpart.synthesize (e.Bench_suite.build ()) in
       let cs = Celement.decompose_all r.Mpart.expanded in
       Alcotest.(check (list string))
         (name ^ " verified") []

@@ -441,85 +441,24 @@ let test_time_limit_any_jobs () =
 let data_stg f =
   Gformat.parse_file (Filename.concat ".." (Filename.concat "data" f))
 
-let data_stgs () =
-  Sys.readdir (Filename.concat ".." "data")
-  |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".g")
-  |> List.sort compare
-  |> List.map (fun f -> (f, data_stg f))
-
-let verilog stg (r : Mpart.result) =
-  let inputs = List.map (Stg.signal_name stg) (Stg.inputs stg) in
-  Netlist.to_verilog
-    (Netlist.of_functions ~name:(Stg.name stg) ~inputs r.Mpart.functions)
-
-(* The portfolio plans once and implements each distinct post-insertion
-   graph once; it must still answer exactly what two independent
-   single-candidate runs folded by min area (ties to normalization on)
-   answer, report for report. *)
-let test_portfolio_differential () =
-  let families =
-    [
-      ("lockring 5", Bench_gen.lock_ring ~signals:5);
-      ("parrings 5", Bench_gen.parallel_rings ~rings:5);
-      ("pulsers 3", Bench_gen.concurrent_pulsers ~branches:3);
-      ("mixed 2x2", Bench_gen.mixed ~stages:2 ~branches:2);
-    ]
-  in
-  List.iter
-    (fun jobs ->
-      List.iter
-        (fun (name, stg) ->
-          let config = { Mpart.default_config with jobs } in
-          let best = Mpart.synthesize_best ~config stg in
-          let single normalize_modules =
-            Mpart.synthesize ~config:{ config with normalize_modules } stg
-          in
-          let on = single true and off = single false in
-          let fold =
-            if Mpart.area_literals off < Mpart.area_literals on then off else on
-          in
-          let what field = Printf.sprintf "%s at jobs %d: %s" name jobs field in
-          Alcotest.(check string) (what "verilog") (verilog stg fold)
-            (verilog stg best);
-          check_int (what "area") (Mpart.area_literals fold)
-            (Mpart.area_literals best);
-          check_int (what "final signals") (Mpart.final_signals fold)
-            (Mpart.final_signals best);
-          check (what "modules and formulas") true
-            (fold.Mpart.modules = best.Mpart.modules);
-          check (what "fallback") true
-            (fold.Mpart.fallback = best.Mpart.fallback);
-          Alcotest.(check (list string)) (what "replayed") fold.Mpart.replayed
-            best.Mpart.replayed;
-          check_int (what "stale analyses") fold.Mpart.stale_analyses
-            best.Mpart.stale_analyses)
-        (data_stgs () @ families))
-    [ 1; 2 ]
-
-(* Counter proof of the sharing: both candidates reach the same
-   post-insertion graph on mr0, wrdata and parallel rings, so one tail
-   runs; fifo's candidates diverge, so two do.  A single-candidate run
-   always implements once. *)
-let test_portfolio_tail_count () =
-  let tails f =
-    Counter.reset Counter.implement;
+(* Counter proof of one insertion: [synthesize_best] is [synthesize],
+   so it calls the constraint engines exactly as often.  A second
+   insertion would call them again for every conflicted module. *)
+let test_one_insertion () =
+  let solves f =
+    let before = Counter.get Counter.solver in
     ignore (f ());
-    Counter.get Counter.implement
+    Counter.get Counter.solver - before
   in
   let config = { Mpart.default_config with jobs = 1 } in
   List.iter
-    (fun (name, stg, shared) ->
-      check_int (name ^ ": synthesize_best tails") shared
-        (tails (fun () -> Mpart.synthesize_best ~config stg));
-      check_int (name ^ ": synthesize tails") 1
-        (tails (fun () -> Mpart.synthesize ~config stg)))
-    [
-      ("mr0", data_stg "mr0.g", 1);
-      ("wrdata", data_stg "wrdata.g", 1);
-      ("parrings 3", Bench_gen.parallel_rings ~rings:3, 1);
-      ("fifo", data_stg "fifo.g", 2);
-    ]
+    (fun file ->
+      let stg = data_stg file in
+      let single = solves (fun () -> Mpart.synthesize ~config stg) in
+      check (file ^ ": synthesize solves") true (single > 0);
+      check_int (file ^ ": synthesize_best solves") single
+        (solves (fun () -> Mpart.synthesize_best ~config stg)))
+    [ "fifo.g"; "mr0.g" ]
 
 let mpsyn = Filename.concat ".." (Filename.concat "bin" "mpsyn.exe")
 
@@ -540,43 +479,42 @@ let run_cli ?(env = "") args =
   Sys.remove err;
   (code, stdout, stderr)
 
-(* Both candidates give up in their own insertion stage, so the joined
-   message names both, in candidate order, at any --jobs. *)
-let test_cli_portfolio_failure () =
+(* The first module to solve gives up, and its message is the whole
+   report at any --jobs. *)
+let test_cli_failure () =
   List.iter
     (fun jobs ->
       let code, _, stderr =
         run_cli
-          (Printf.sprintf
-             "synth --portfolio --time-limit 0.000001 --jobs %d ../data/fifo.g"
+          (Printf.sprintf "synth --time-limit 0.000001 --jobs %d ../data/fifo.g"
              jobs)
       in
       check_int "synthesis failure exits 1" 1 code;
       Alcotest.(check string)
-        "both candidates' failures, joined"
-        "mpsyn: synthesis gave up: module ro: SAT time limit exceeded; module \
-         ro: SAT time limit exceeded\n"
-        stderr)
+        "the module's failure"
+        "mpsyn: synthesis gave up: module ro: SAT time limit exceeded\n" stderr)
     [ 1; 2 ]
 
 (* MPSYN_LOG raises the Logs level: Mpart's debug lines reach stderr,
    stdout keeps every byte, and a malformed value is a usage error. *)
 let test_cli_log_level () =
   List.iter
-    (fun (file, tails) ->
+    (fun file ->
       let args = "verilog ../data/" ^ file in
       let _, quiet, _ = run_cli args in
       let code, loud, stderr = run_cli ~env:"MPSYN_LOG=debug" args in
       check_int (file ^ ": exit 0") 0 code;
       Alcotest.(check string) (file ^ ": stdout unchanged") quiet loud;
       let line =
-        Printf.sprintf "portfolio: 2 candidates, %d implementation tails" tails
+        Printf.sprintf "reachability: explicit engine, %d states (threshold %d)"
+          (Sg.n_states (Sg.of_stg (data_stg file)))
+          Mpart.engine_threshold
       in
       check (file ^ ": " ^ line) true
         (List.exists
            (String.ends_with ~suffix:line)
            (String.split_on_char '\n' stderr)))
-    [ ("fifo.g", 2); ("wrdata.g", 1) ];
+    [ "fifo.g"; "wrdata.g" ];
   let code, stdout, stderr =
     run_cli ~env:"MPSYN_LOG=loud" "verilog ../data/fifo.g"
   in
@@ -728,14 +666,10 @@ let () =
           Alcotest.test_case "time limit at any jobs" `Quick
             test_time_limit_any_jobs;
         ] );
-      ( "portfolio",
+      ( "one flow",
         [
-          Alcotest.test_case "best = fold of two single runs" `Quick
-            test_portfolio_differential;
-          Alcotest.test_case "one tail per distinct graph" `Quick
-            test_portfolio_tail_count;
-          Alcotest.test_case "joined failure message" `Quick
-            test_cli_portfolio_failure;
+          Alcotest.test_case "one insertion" `Quick test_one_insertion;
+          Alcotest.test_case "failure message" `Quick test_cli_failure;
           Alcotest.test_case "MPSYN_LOG level" `Quick test_cli_log_level;
         ] );
       ( "properties",

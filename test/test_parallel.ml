@@ -2,8 +2,7 @@
    answer.  For every shipped benchmark and for a batch of fuzzed STGs,
    the netlist synthesized at jobs=1 (the historical sequential path)
    must equal, gate for gate, the netlist synthesized at jobs=4 — the
-   invalidate-and-recompute pipeline and the deterministic portfolio
-   tie-break are exactly what make this hold. *)
+   invalidate-and-recompute pipeline is exactly what makes this hold. *)
 
 let data_dir = Filename.concat ".." "data"
 
@@ -18,7 +17,7 @@ let verilog stg (r : Mpart.result) =
     (Netlist.of_functions ~name:(Stg.name stg) ~inputs r.Mpart.functions)
 
 let synth ~jobs stg =
-  Mpart.synthesize_best ~config:{ Mpart.default_config with jobs } stg
+  Mpart.synthesize ~config:{ Mpart.default_config with jobs } stg
 
 (* Gate-for-gate comparison plus the cheap structural columns, so a
    mismatch names what diverged instead of dumping two netlists. *)

@@ -353,8 +353,8 @@ let test_entry_points_agree () =
         ((Mpart.synthesize stg).Mpart.certificate = certificate)
         (name ^ ": synthesize");
       check
-        ((Mpart.synthesize_best stg).Mpart.certificate = certificate)
-        (name ^ ": synthesize_best"))
+        ((Mpart.synthesize_sg (Sg.of_stg stg)).Mpart.certificate = certificate)
+        (name ^ ": synthesize_sg"))
     [
       ("lock_ring 3", Bench_gen.lock_ring ~signals:3, true);
       ("parallel_rings 3", Bench_gen.parallel_rings ~rings:3, true);
@@ -364,7 +364,7 @@ let test_entry_points_agree () =
 (* The state space is explored once per synthesis: a net past the
    threshold costs one capped explicit sweep and one symbolic
    exploration, a small one a single explicit sweep — at any pool
-   width, with both portfolio candidates sharing the graph. *)
+   width. *)
 let test_one_exploration () =
   List.iter
     (fun jobs ->
@@ -372,7 +372,7 @@ let test_one_exploration () =
         let reach0 = Counter.get Counter.reach
         and sym0 = Counter.get Counter.symbolic in
         ignore
-          (Mpart.synthesize_best ~config:{ Mpart.default_config with jobs } stg);
+          (Mpart.synthesize ~config:{ Mpart.default_config with jobs } stg);
         (Counter.get Counter.reach - reach0, Counter.get Counter.symbolic - sym0)
       in
       let name what = Printf.sprintf "%s, jobs %d" what jobs in

@@ -2,21 +2,12 @@
    evaluation section, plus Bechamel microbenchmarks of the library's
    core operations and the multicore trajectory.
 
-     dune exec bench/main.exe                  -- everything
-     dune exec bench/main.exe -- table1          Table 1 (E1) + area summary (E4)
-     dune exec bench/main.exe -- clauses         mmu0-style formula sizes (E2)
-     dune exec bench/main.exe -- scaling-methods runtime scaling figure (E3)
-     dune exec bench/main.exe -- scaling         multicore scaling (E8)
-     dune exec bench/main.exe -- modules         partition statistics (E5)
-     dune exec bench/main.exe -- hazard          static H1-H5 vs dynamic (E9)
-     dune exec bench/main.exe -- cache           cold vs warm cache (E10)
-     dune exec bench/main.exe -- prefix          prefix vs explicit graph (E11)
-     dune exec bench/main.exe -- solver          solver-core micro (E12)
-     dune exec bench/main.exe -- partition       plan audit + dedup (E13)
-     dune exec bench/main.exe -- symbolic        BDD vs explicit reachability (E14)
-     dune exec bench/main.exe -- micro           Bechamel component benches
-     dune exec bench/main.exe -- json [NAME..]   write BENCH_results.json
-     dune exec bench/main.exe -- check F B       compare fresh F vs baseline B
+     dune exec bench/main.exe                  -- every experiment
+     dune exec bench/main.exe -- NAME [ARG..]    one of them
+
+   The names, what each measures and the arguments of [json] and
+   [check] are the [experiments] registry at the end of this file; an
+   unknown name prints the list.
 
    The direct and sequential baselines run under a bounded SAT budget,
    exactly as the paper ran Vanbekbergen's program (its Table 1 prints
@@ -44,13 +35,8 @@ type method_result = {
   m_time : float;
 }
 
-let run_modular ?jobs stg =
-  let config =
-    match jobs with
-    | None -> Mpart.default_config
-    | Some jobs -> { Mpart.default_config with jobs }
-  in
-  let r, elapsed = wall (fun () -> Mpart.synthesize ~config stg) in
+let run_modular stg =
+  let r, elapsed = wall (fun () -> Mpart.synthesize stg) in
   (match Mpart.verify r with
   | None -> ()
   | Some e -> failwith ("modular verification failed: " ^ e));
@@ -62,51 +48,37 @@ let run_modular ?jobs stg =
     },
     r )
 
-(* A baseline run: [synth] returns the expanded graph and its covers,
-   or [None] when the method gave up; either way the wall time is
-   reported. *)
-let run_baseline synth =
-  match wall synth with
-  | Some (ex, fs), t ->
-    Ok
-      {
-        m_signals = Sg.n_signals ex;
-        m_states = Sg.n_states ex;
-        m_area = Derive.total_literals fs;
-        m_time = t;
-      }
-  | None, t -> Error t
-
-let run_direct sg =
-  run_baseline (fun () ->
-      let r =
-        Csc_direct.solve ~backtrack_limit:direct_backtrack_budget
-          ~time_limit:direct_time_budget sg
-      in
-      match r.Csc_direct.outcome with
-      | Csc_direct.Solved solved -> (
-        let final =
-          let m = Region_minimize.minimize solved in
-          if Csc.csc_satisfied (Sg_expand.expand m) then m else solved
-        in
-        let ex = Sg_expand.expand final in
-        if not (Csc.csc_satisfied ex) then None
-        else
-          match Derive.synthesize ex with
-          | fs -> Some (ex, fs)
-          | exception Derive.Not_csc _ -> None)
-      | Csc_direct.Gave_up _ -> None)
-
-let run_sequential sg =
-  run_baseline (fun () ->
-      match
-        Sequential_insertion.synthesize
-          ~backtrack_limit:direct_backtrack_budget
-          ~time_limit:direct_time_budget sg
-      with
-      | Either.Left (ex, fs, _) -> Some (ex, fs)
-      | Either.Right _ -> None
-      | exception Derive.Not_csc _ -> None)
+(* The two baselines through their drivers, direct first, each under
+   the bounded SAT budget: [Ok] a method's row, or [Error] the wall time
+   of an abort.  An expansion that lacks CSC counts as an abort. *)
+let baselines sg =
+  let backtrack_limit = direct_backtrack_budget
+  and time_limit = direct_time_budget in
+  let row synth =
+    match wall (fun () -> try synth () with Derive.Not_csc _ -> None) with
+    | Some (ex, fs), t ->
+      Ok
+        {
+          m_signals = Sg.n_signals ex;
+          m_states = Sg.n_states ex;
+          m_area = Derive.total_literals fs;
+          m_time = t;
+        }
+    | None, t -> Error t
+  in
+  let solved = function
+    | Either.Left (ex, fs, _) -> Some (ex, fs)
+    | Either.Right _ -> None
+  in
+  let direct =
+    row (fun () ->
+        solved (Direct_method.synthesize ~backtrack_limit ~time_limit sg))
+  in
+  let sequential =
+    row (fun () ->
+        solved (Sequential_insertion.synthesize ~backtrack_limit ~time_limit sg))
+  in
+  (direct, sequential)
 
 (* ------------------------------------------------------------------ *)
 (* E1 + E4: Table 1                                                    *)
@@ -129,7 +101,8 @@ let table1 () =
       let modular, _ = run_modular stg in
       Printf.printf " %4d %6d %5d %7.2fs |" modular.m_signals modular.m_states
         modular.m_area modular.m_time;
-      (match run_direct sg with
+      let direct, sequential = baselines sg in
+      (match direct with
       | Ok d ->
         Printf.printf " %4d %6d %5d %7.2fs |" d.m_signals d.m_states d.m_area
           d.m_time;
@@ -137,7 +110,7 @@ let table1 () =
           (float_of_int modular.m_area /. float_of_int d.m_area)
           :: !ratios_direct
       | Error t -> Printf.printf " %26s |" (Printf.sprintf "abort %6.1fs" t));
-      (match run_sequential sg with
+      (match sequential with
       | Ok s ->
         Printf.printf " %4d %6d %5d %7.2fs" s.m_signals s.m_states s.m_area
           s.m_time;
@@ -212,14 +185,14 @@ let scaling_methods () =
       let stg = Bench_gen.mixed ~stages ~branches in
       let sg = Sg.of_stg stg in
       let modular, _ = run_modular stg in
+      let direct, sequential = baselines sg in
       let cell = function
         | Ok r -> Printf.sprintf "%12.3f" r.m_time
         | Error _ -> Printf.sprintf "%12s" "> budget"
       in
       Printf.printf "%8dx%d %8d %10d %12.3f %s %s\n%!" stages branches
         (Sg.n_states sg) (Csc.n_conflicts sg) modular.m_time
-        (cell (run_direct sg))
-        (cell (run_sequential sg)))
+        (cell direct) (cell sequential))
     [ (1, 1); (2, 1); (4, 1); (1, 2); (2, 2); (4, 2); (2, 3); (3, 3) ]
 
 (* ------------------------------------------------------------------ *)
@@ -250,6 +223,115 @@ let rec remove_tree path =
   | false -> ( try Sys.remove path with Sys_error _ -> ())
   | exception Sys_error _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Layer probes, each shared by its table and the trajectory row       *)
+(* ------------------------------------------------------------------ *)
+
+(* E11's layer: the complete prefix's exact verdicts against the
+   explicit construction, on every field both can state. *)
+type prefix_probe = {
+  summary : Prefix_rules.summary;
+  prefix_s : float;
+  reach : Reach.t;
+  explicit_s : float;
+  agree : bool;
+}
+
+let probe_prefix stg =
+  let p, prefix_s = wall (fun () -> Prefix_rules.analyze stg) in
+  let (g, sg), explicit_s =
+    wall (fun () -> (Reach.explore (Stg.net stg), Sg.of_stg stg))
+  in
+  let agree =
+    p.Prefix_rules.s_complete
+    && p.Prefix_rules.s_unsafe = None
+    && p.Prefix_rules.s_autoconc = []
+    && p.Prefix_rules.s_markings = Some (Reach.n_states g)
+    && p.Prefix_rules.s_edges = Some (Reach.n_edges g)
+    && p.Prefix_rules.s_sg_states = Some (Sg.n_states sg)
+    && p.Prefix_rules.s_usc = Some (Csc.usc_satisfied sg)
+    && p.Prefix_rules.s_csc = Some (Csc.csc_satisfied sg)
+    && p.Prefix_rules.s_conflicts = Some (Csc.n_conflicts sg)
+  in
+  { summary = p; prefix_s; reach = g; explicit_s; agree }
+
+(* E14's layer: the symbolic engine must rebuild the explicit state
+   graph byte for byte.  Returns that verdict and the wall time of the
+   symbolic build. *)
+let probe_symbolic ?max_states stg =
+  let explicit = Sg.digest (Sg.of_stg ?max_states stg) in
+  let symbolic, t =
+    wall (fun () -> Sg.digest (Sg.of_stg ?max_states ~backend:`Symbolic stg))
+  in
+  (symbolic = explicit, t)
+
+(* E10's layer: a cold run at [jobs] populates [store]; a warm run at
+   [jobs] must then hit it and print the cold netlist byte for byte. *)
+type cache_probe = {
+  cold_s : float;
+  warm_s : float;
+  hits : int;  (** cache hits of the warm run *)
+  netlist : string;  (** the cold run's Verilog *)
+  warm_identical : bool;
+}
+
+let probe_cache store ~jobs stg =
+  let config = { Mpart.default_config with jobs; cache = Some store } in
+  let rc, cold_s = wall (fun () -> Mpart.synthesize ~config stg) in
+  Counter.reset Counter.cache_hit;
+  let rw, warm_s = wall (fun () -> Mpart.synthesize ~config stg) in
+  let hits = Counter.get Counter.cache_hit in
+  let netlist = netlist_verilog stg rc in
+  {
+    cold_s;
+    warm_s;
+    hits;
+    netlist;
+    warm_identical = netlist_verilog stg rw = netlist;
+  }
+
+(* E13's layer: the plan audit, and the solver calls the duplicate-cone
+   replay saves, counted through the process-wide counter over a
+   dedup-off and a dedup-on run (jobs = 1 keeps other domains quiet). *)
+type partition_probe = {
+  plan : Partition_check.summary;
+  plan_s : float;
+  dups : int;  (** twins: duplicate-group members beyond the first *)
+  fresh : Mpart.result * int;  (** dedup off, and its solver calls *)
+  dedup : Mpart.result * int;
+}
+
+let probe_partition stg =
+  let plan, plan_s =
+    wall (fun () -> Mpart.partition_summary Mpart.default_config stg)
+  in
+  let solve config =
+    let before = Counter.get Counter.solver in
+    let r = Mpart.synthesize ~config:{ config with Mpart.jobs = 1 } stg in
+    (r, Counter.get Counter.solver - before)
+  in
+  let fresh = solve { Mpart.default_config with dedup_cones = false } in
+  let dedup = solve Mpart.default_config in
+  let dups =
+    List.fold_left
+      (fun acc (g : Partition_check.dup_group) ->
+        acc + List.length g.Partition_check.dg_outputs - 1)
+      0 plan.Partition_check.p_duplicates
+  in
+  { plan; plan_s; dups; fresh; dedup }
+
+(* The verdict line of a gated table (E10-E14): the first failing
+   check prints its FAIL line, otherwise the ok line prints.  Returns
+   the exit code. *)
+let verdict name ~ok checks =
+  match List.find_opt fst checks with
+  | Some (_, msg) ->
+    Printf.printf "%s FAIL: %s\n" name msg;
+    1
+  | None ->
+    Printf.printf "%s ok: %s\n" name ok;
+    0
+
 exception Gate_error of string
 
 (* A column of a trajectory row.  The check gate requires every column
@@ -259,21 +341,6 @@ let column conv key row =
   try conv (Json.member key row)
   with Json.Type_error msg ->
     raise (Gate_error (Printf.sprintf "column %s: %s" key msg))
-
-(* Twins: cones the dedup replay can serve from an earlier solve — one
-   per duplicate-group member beyond the first. *)
-let plan_dup (plan : Partition_check.summary) =
-  List.fold_left
-    (fun acc (g : Partition_check.dup_group) ->
-      acc + List.length g.Partition_check.dg_outputs - 1)
-    0 plan.Partition_check.p_duplicates
-
-(* Solver invocations of one sequential synthesis run, measured through
-   the process-wide counter (jobs = 1 keeps other domains quiet). *)
-let solver_calls_of config stg =
-  let before = Counter.get Counter.solver in
-  let r = Mpart.synthesize ~config:{ config with Mpart.jobs = 1 } stg in
-  (r, Counter.get Counter.solver - before)
 
 (* The static H1-H5 pass and the dynamic product exploration it can
    replace, each wall-clocked on the synthesized netlist — the
@@ -312,30 +379,12 @@ let measure ~par name stg =
   in
   let hz, t_hazard, t_dynamic = measure_hazard rp in
   let dir = fresh_cache_dir () in
-  let cached_config =
-    { Mpart.default_config with jobs = par; cache = Some (Cache_store.open_dir dir) }
-  in
-  let rc, t_cache_cold =
-    wall (fun () -> Mpart.synthesize ~config:cached_config stg)
-  in
-  Counter.reset Counter.cache_hit;
-  let rw, t_cache_warm =
-    wall (fun () -> Mpart.synthesize ~config:cached_config stg)
-  in
-  let t_cache_hits = Counter.get Counter.cache_hit in
+  let cache = probe_cache (Cache_store.open_dir dir) ~jobs:par stg in
   remove_tree dir;
   let reference = netlist_verilog stg r1 in
   (* the partial-order columns: exact verdicts from the complete prefix
      must agree with the explicit construction on every trajectory run *)
-  let psum, t_prefix_time = wall (fun () -> Prefix_rules.analyze stg) in
-  let t_prefix_agree =
-    let g = Reach.explore (Stg.net stg) in
-    let sg = Sg.of_stg stg in
-    psum.Prefix_rules.s_markings = Some (Reach.n_states g)
-    && psum.Prefix_rules.s_sg_states = Some (Sg.n_states sg)
-    && psum.Prefix_rules.s_usc = Some (Csc.usc_satisfied sg)
-    && psum.Prefix_rules.s_csc = Some (Csc.csc_satisfied sg)
-  in
+  let prefix = probe_prefix stg in
   (* the solver columns: the CDCL and BDD backends each work the direct
      CSC encoding under deterministic budgets (backjumps and nodes, not
      seconds), so the propagation/conflict/operation counters are exactly
@@ -352,22 +401,13 @@ let measure ~par name stg =
   (* the partition columns: plan cost, how many twins the audit found,
      and the solver calls the dedup replay actually saved — measured by
      differencing the counter over a dedup-off and a dedup-on run *)
-  let plan, t_partition_time =
-    wall (fun () -> Mpart.partition_summary Mpart.default_config stg)
-  in
-  let _, calls_fresh =
-    solver_calls_of { Mpart.default_config with dedup_cones = false } stg
-  in
-  let _, calls_dedup = solver_calls_of Mpart.default_config stg in
+  let partition = probe_partition stg in
   (* the symbolic-engine columns: the BDD fixpoint must rebuild the
      byte-identical state graph (digest gated absolutely by check), and
      its wall time and node count travel with the trajectory so growth
      gates as a regression; peak heap words close the row so a memory
      blowup anywhere above also gates *)
-  let explicit_digest = Sg.digest (Sg.of_stg stg) in
-  let symbolic_digest, t_symbolic_time =
-    wall (fun () -> Sg.digest (Sg.of_stg ~backend:`Symbolic stg))
-  in
+  let symbolic_agree, t_symbolic_time = probe_symbolic stg in
   let _, sym_info = Symbolic.explore_edges_info (Stg.net stg) in
   let time t = Json.fixed 6 t in
   let ratio a b = Json.fixed 3 (if b > 0.0 then a /. b else 1.0) in
@@ -384,28 +424,29 @@ let measure ~par name stg =
       ("hazard_time", time t_hazard);
       ("dynamic_time", time t_dynamic);
       ("bdd_nodes", Json.int hz.Hazard_check.bdd_nodes);
-      ("cache_cold", time t_cache_cold);
-      ("cache_warm", time t_cache_warm);
-      ("cache_speedup", ratio t_cache_cold t_cache_warm);
-      ("cache_hits", Json.int t_cache_hits);
+      ("cache_cold", time cache.cold_s);
+      ("cache_warm", time cache.warm_s);
+      ("cache_speedup", ratio cache.cold_s cache.warm_s);
+      ("cache_hits", Json.int cache.hits);
       ( "cache_identical",
-        Bool
-          (netlist_verilog stg rc = reference
-          && netlist_verilog stg rw = reference) );
+        Bool (cache.warm_identical && cache.netlist = reference) );
       ( "prefix_events",
-        Json.int (psum.Prefix_rules.s_events - psum.Prefix_rules.s_cutoffs) );
-      ("prefix_time", time t_prefix_time);
-      ("prefix_agree", Bool t_prefix_agree);
+        Json.int
+          (prefix.summary.Prefix_rules.s_events
+          - prefix.summary.Prefix_rules.s_cutoffs) );
+      ("prefix_time", time prefix.prefix_s);
+      ("prefix_agree", Bool prefix.agree);
       ("solver_bdd_ops", Json.int solver_bdd_ops);
       ("solver_props", Json.int solver_props);
       ("solver_conflicts", Json.int solver_conflicts);
       ("solver_time", time t_solver_time);
-      ("partition_dup", Json.int (plan_dup plan));
-      ("partition_saved", Json.int (calls_fresh - calls_dedup));
-      ("partition_time", time t_partition_time);
+      ("partition_dup", Json.int partition.dups);
+      ( "partition_saved",
+        Json.int (snd partition.fresh - snd partition.dedup) );
+      ("partition_time", time partition.plan_s);
       ("symbolic_time", time t_symbolic_time);
       ("symbolic_nodes", Json.int sym_info.Symbolic.i_bdd_nodes);
-      ("symbolic_agree", Bool (symbolic_digest = explicit_digest));
+      ("symbolic_agree", Bool symbolic_agree);
       (* Gc top_heap_words after this row's measurements *)
       ("peak_live_words", Json.int (Gc.quick_stat ()).Gc.top_heap_words);
     ]
@@ -655,9 +696,6 @@ let cache_table () =
     "== E10: content-addressed synthesis cache — cold vs warm over the suite ==";
   let dir = fresh_cache_dir () in
   let store = Cache_store.open_dir dir in
-  let config jobs =
-    { Mpart.default_config with jobs; cache = Some store }
-  in
   Printf.printf "%-16s %10s %10s %10s %9s %6s %s\n" "STG" "cold(s)" "warm(s)"
     "warm -j4" "speedup" "hits" "netlists";
   let total_cold = ref 0.0 and total_warm = ref 0.0 in
@@ -665,30 +703,22 @@ let cache_table () =
   List.iter
     (fun (e : Bench_suite.entry) ->
       let stg = e.Bench_suite.build () in
-      let rc, cold =
-        wall (fun () -> Mpart.synthesize ~config:(config 1) stg)
-      in
-      Counter.reset Counter.cache_hit;
-      let rw, warm =
-        wall (fun () -> Mpart.synthesize ~config:(config 1) stg)
-      in
-      let hits = Counter.get Counter.cache_hit in
+      let c = probe_cache store ~jobs:1 stg in
       let rwp, warm_par =
-        wall (fun () -> Mpart.synthesize ~config:(config 4) stg)
+        wall (fun () ->
+            Mpart.synthesize
+              ~config:{ Mpart.default_config with jobs = 4; cache = Some store }
+              stg)
       in
-      let reference = netlist_verilog stg rc in
-      let identical =
-        netlist_verilog stg rw = reference
-        && netlist_verilog stg rwp = reference
-      in
+      let identical = c.warm_identical && netlist_verilog stg rwp = c.netlist in
       if not identical then incr divergent;
-      if hits = 0 then incr missed_warm;
-      total_cold := !total_cold +. cold;
-      total_warm := !total_warm +. warm;
+      if c.hits = 0 then incr missed_warm;
+      total_cold := !total_cold +. c.cold_s;
+      total_warm := !total_warm +. c.warm_s;
       Printf.printf "%-16s %10.4f %10.4f %10.4f %8.1fx %6d %s\n%!"
-        e.Bench_suite.name cold warm warm_par
-        (if warm > 0.0 then cold /. warm else 1.0)
-        hits
+        e.Bench_suite.name c.cold_s c.warm_s warm_par
+        (if c.warm_s > 0.0 then c.cold_s /. c.warm_s else 1.0)
+        c.hits
         (if identical then "identical" else "DIVERGE"))
     Bench_suite.all;
   let aggregate =
@@ -700,25 +730,16 @@ let cache_table () =
     (Cache_store.entries store)
     (Cache_store.total_bytes store / 1024);
   remove_tree dir;
-  if !divergent > 0 then begin
-    Printf.printf "E10 FAIL: %d benchmark(s) diverged under the cache\n"
-      !divergent;
-    1
-  end
-  else if !missed_warm > 0 then begin
-    Printf.printf "E10 FAIL: %d warm run(s) recorded no cache hit\n"
-      !missed_warm;
-    1
-  end
-  else if aggregate < 2.0 then begin
-    Printf.printf "E10 FAIL: aggregate warm speedup %.1fx below the 2x bar\n"
-      aggregate;
-    1
-  end
-  else begin
-    print_endline "E10 ok: byte-identical, every warm run hit, speedup >= 2x";
-    0
-  end
+  verdict "E10" ~ok:"byte-identical, every warm run hit, speedup >= 2x"
+    [
+      ( !divergent > 0,
+        Printf.sprintf "%d benchmark(s) diverged under the cache" !divergent );
+      ( !missed_warm > 0,
+        Printf.sprintf "%d warm run(s) recorded no cache hit" !missed_warm );
+      ( aggregate < 2.0,
+        Printf.sprintf "aggregate warm speedup %.1fx below the 2x bar"
+          aggregate );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E11: partial-order prefix vs explicit state-space construction      *)
@@ -736,7 +757,6 @@ let prefix_table () =
   Printf.printf "%-16s %8s %8s %7s %7s %10s %10s %7s %-6s %s\n" "STG" "states"
     "edges" "events" "noncut" "prefix(s)" "explicit(s)" "ratio" "agree"
     "prescreen";
-  let failures = ref 0 in
   let families =
     List.map
       (fun (e : Bench_suite.entry) ->
@@ -757,50 +777,30 @@ let prefix_table () =
   let rows =
     Pool.map_list
       (fun (name, stg) ->
-        let p, t_prefix = wall (fun () -> Prefix_rules.analyze stg) in
-        let (g, sg), t_explicit =
-          wall (fun () -> (Reach.explore (Stg.net stg), Sg.of_stg stg))
-        in
-        let agree =
-          p.Prefix_rules.s_complete
-          && p.Prefix_rules.s_unsafe = None
-          && p.Prefix_rules.s_autoconc = []
-          && p.Prefix_rules.s_markings = Some (Reach.n_states g)
-          && p.Prefix_rules.s_edges = Some (Reach.n_edges g)
-          && p.Prefix_rules.s_sg_states = Some (Sg.n_states sg)
-          && p.Prefix_rules.s_usc = Some (Csc.usc_satisfied sg)
-          && p.Prefix_rules.s_csc = Some (Csc.csc_satisfied sg)
-          && p.Prefix_rules.s_conflicts = Some (Csc.n_conflicts sg)
-        in
+        let pr = probe_prefix stg in
+        let p = pr.summary and g = pr.reach in
         let source =
           if Lint.prescreen stg <> None then "lockrel"
           else if p.Prefix_rules.s_csc = Some true then "prefix"
           else "none"
         in
         let noncut = p.Prefix_rules.s_events - p.Prefix_rules.s_cutoffs in
-        ( agree,
+        ( pr.agree,
           Printf.sprintf "%-16s %8d %8d %7d %7d %10.4f %10.4f %6.1fx %-6s %s\n"
             name (Reach.n_states g) (Reach.n_edges g) p.Prefix_rules.s_events
-            noncut t_prefix t_explicit
-            (if t_prefix > 0.0 then t_explicit /. t_prefix else nan)
-            (if agree then "yes" else "NO")
+            noncut pr.prefix_s pr.explicit_s
+            (if pr.prefix_s > 0.0 then pr.explicit_s /. pr.prefix_s else nan)
+            (if pr.agree then "yes" else "NO")
             source ))
       families
   in
-  List.iter
-    (fun (agree, line) ->
-      if not agree then incr failures;
-      print_string line)
-    rows;
-  if !failures = 0 then begin
-    print_endline "E11 ok: every prefix verdict matches the explicit graph";
-    0
-  end
-  else begin
-    Printf.printf "E11 FAIL: %d benchmark(s) disagree with ground truth\n"
-      !failures;
-    1
-  end
+  List.iter (fun (_, line) -> print_string line) rows;
+  let failures = List.length (List.filter (fun (agree, _) -> not agree) rows) in
+  verdict "E11" ~ok:"every prefix verdict matches the explicit graph"
+    [
+      ( failures > 0,
+        Printf.sprintf "%d benchmark(s) disagree with ground truth" failures );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E12: solver-core microbenchmarks — new engines vs the references    *)
@@ -1097,25 +1097,16 @@ let solver_table () =
   Printf.printf
     "\naggregate BDD rows (hazard kernels + backend products): ref %.3fs, new %.3fs — %.1fx (bar: 2x)\n"
     !agg_ref !agg_new aggregate;
-  if !mismatches > 0 then begin
-    Printf.printf "E12 FAIL: %d BDD workload checksum mismatch(es)\n"
-      !mismatches;
-    1
-  end
-  else if !cnf_mismatches > 0 then begin
-    Printf.printf "E12 FAIL: %d CDCL/DPLL verdict mismatch(es)\n"
-      !cnf_mismatches;
-    1
-  end
-  else if aggregate < 2.0 then begin
-    Printf.printf "E12 FAIL: aggregate BDD speedup %.1fx below the 2x bar\n"
-      aggregate;
-    1
-  end
-  else begin
-    print_endline "E12 ok: checksums agree, verdicts agree, speedup >= 2x";
-    0
-  end
+  verdict "E12" ~ok:"checksums agree, verdicts agree, speedup >= 2x"
+    [
+      ( !mismatches > 0,
+        Printf.sprintf "%d BDD workload checksum mismatch(es)" !mismatches );
+      ( !cnf_mismatches > 0,
+        Printf.sprintf "%d CDCL/DPLL verdict mismatch(es)" !cnf_mismatches );
+      ( aggregate < 2.0,
+        Printf.sprintf "aggregate BDD speedup %.1fx below the 2x bar" aggregate
+      );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E5: partition statistics                                            *)
@@ -1146,27 +1137,27 @@ let modules () =
        Bench_suite.all)
 
 (* ------------------------------------------------------------------ *)
-(* E13: partition plan audit — dedup savings and risk ordering         *)
+(* E13: partition plan audit — dedup savings                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Per benchmark: the plan audit's cost and findings, the solver calls
    the duplicate-cone replay saves (counter-differenced, not trusted
-   from a flag), and the stale-analysis count with and without the M4
+   from a flag), and the stale-analysis count under the M4
    ascending-risk solve order.  Gates on three hard facts: the audit
    finds no M1/M5 violation on the shipped suite, every benchmark with
    twins saves at least one solver call, and every run verifies. *)
 let partition_table () =
   print_endline
     "== E13: partition plan — M-rule audit, cone dedup, M4 solve order ==";
-  Printf.printf "%-16s %7s %5s %5s %8s | %6s %6s %6s | %7s %7s\n" "STG"
-    "outputs" "dups" "risk" "plan(s)" "fresh" "dedup" "saved" "stale+"
-    "stale-";
+  Printf.printf "%-16s %7s %5s %5s %8s | %6s %6s %6s | %7s\n" "STG"
+    "outputs" "dups" "risk" "plan(s)" "fresh" "dedup" "saved" "stale";
   let failures = ref 0 in
   List.iter
     (fun (e : Bench_suite.entry) ->
       let stg = e.Bench_suite.build () in
-      let plan, t_plan =
-        wall (fun () -> Mpart.partition_summary Mpart.default_config stg)
+      let { plan; plan_s; dups; fresh = r_fresh, calls_fresh;
+            dedup = r_dedup, calls_dedup } =
+        probe_partition stg
       in
       if plan.Partition_check.p_violations <> [] then begin
         incr failures;
@@ -1174,13 +1165,6 @@ let partition_table () =
           e.Bench_suite.name
           (List.length plan.Partition_check.p_violations)
       end;
-      let r_fresh, calls_fresh =
-        solver_calls_of { Mpart.default_config with dedup_cones = false } stg
-      in
-      let r_dedup, calls_dedup = solver_calls_of Mpart.default_config stg in
-      let r_unordered, _ =
-        solver_calls_of { Mpart.default_config with order_by_risk = false } stg
-      in
       List.iter
         (fun (what, r) ->
           match Mpart.verify r with
@@ -1189,31 +1173,22 @@ let partition_table () =
             incr failures;
             Printf.printf "%-16s FAIL: %s run does not verify: %s\n"
               e.Bench_suite.name what err)
-        [ ("fresh", r_fresh); ("dedup", r_dedup); ("unordered", r_unordered) ];
-      let dups = plan_dup plan in
+        [ ("fresh", r_fresh); ("dedup", r_dedup) ];
       let saved = calls_fresh - calls_dedup in
       if dups > 0 && saved <= 0 && calls_fresh > 0 then begin
         incr failures;
         Printf.printf "%-16s FAIL: %d twin(s) but no solver call saved\n"
           e.Bench_suite.name dups
       end;
-      Printf.printf "%-16s %7d %5d %5d %7.3fs | %6d %6d %6d | %7d %7d\n%!"
+      Printf.printf "%-16s %7d %5d %5d %7.3fs | %6d %6d %6d | %7d\n%!"
         e.Bench_suite.name
         (List.length plan.Partition_check.p_cones)
         dups
         (List.length plan.Partition_check.p_risky)
-        t_plan calls_fresh calls_dedup saved r_dedup.Mpart.stale_analyses
-        r_unordered.Mpart.stale_analyses)
+        plan_s calls_fresh calls_dedup saved r_dedup.Mpart.stale_analyses)
     Bench_suite.all;
-  if !failures = 0 then begin
-    print_endline
-      "E13 ok: plans audit clean, twins dedup, every configuration verifies";
-    0
-  end
-  else begin
-    Printf.printf "E13 FAIL: %d failure(s)\n" !failures;
-    1
-  end
+  verdict "E13" ~ok:"plans audit clean, twins dedup, every configuration verifies"
+    [ (!failures > 0, Printf.sprintf "%d failure(s)" !failures) ]
 
 (* ------------------------------------------------------------------ *)
 (* E14: symbolic reachability — BDD fixpoint vs explicit sweep         *)
@@ -1267,8 +1242,7 @@ let symbolic_table () =
        first-touch page faults for its working set, which would be
        charged to whichever engine happened to run first — measured
        2-3x inflation on the largest rows *)
-    let de = Sg.digest (Sg.of_stg ~max_states:cap stg) in
-    let ds = Sg.digest (Sg.of_stg ~max_states:cap ~backend:`Symbolic stg) in
+    let identical, _ = probe_symbolic ~max_states:cap stg in
     let (n_states, _, _), info =
       Symbolic.explore_edges_info ~max_states:cap net
     in
@@ -1283,7 +1257,7 @@ let symbolic_table () =
     let asym =
       alloc_mwords (fun () -> Symbolic.explore_edges ~max_states:cap net)
     in
-    if de <> ds then begin
+    if not identical then begin
       incr failures;
       Printf.printf "%-16s FAIL: symbolic digest diverges\n" name
     end;
@@ -1299,7 +1273,7 @@ let symbolic_table () =
        %s\n%!"
       name n_states te ts (te /. ts) tse tss (tse /. tss)
       info.Symbolic.i_bdd_nodes info.Symbolic.i_iterations (ae -. asym)
-      (if de = ds then "identical" else "DIVERGE")
+      (if identical then "identical" else "DIVERGE")
   in
   List.iter
     (fun rings ->
@@ -1322,16 +1296,9 @@ let symbolic_table () =
     Printf.printf "E14 FAIL: aggregate speedup %.2fx below the 5x target\n"
       aggregate
   end;
-  if !failures = 0 then begin
-    print_endline
-      "E14 ok: digest-identical on every row, no fallback, aggregate \
-       speedup over 5x";
-    0
-  end
-  else begin
-    Printf.printf "E14 FAIL: %d failure(s)\n" !failures;
-    1
-  end
+  verdict "E14"
+    ~ok:"digest-identical on every row, no fallback, aggregate speedup over 5x"
+    [ (!failures > 0, Printf.sprintf "%d failure(s)" !failures) ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks                                            *)
@@ -1438,6 +1405,44 @@ let ablation () =
       "sbuf-ram-write"; "atod"; "fifo"; "alloc-outbound";
     ]
 
+(* ------------------------------------------------------------------ *)
+(* The experiment registry: dispatch, [all] and the usage message      *)
+(* ------------------------------------------------------------------ *)
+
+(* A table takes no argument; [all] runs every table, in this order,
+   and ignores their exit codes.  A command takes the rest of the
+   command line and is run only by name. *)
+type experiment = Table of (unit -> int) | Command of (string list -> int)
+
+let table f = Table (fun () -> f (); 0)
+
+let experiments =
+  [
+    ("table1", table table1);  (* E1: Table 1, and E4: area summary *)
+    ("clauses", table clauses);  (* E2: mmu0-style formula sizes *)
+    ("scaling-methods", table scaling_methods);  (* E3: runtime scaling *)
+    ("scaling", table scaling);  (* E8: multicore scaling *)
+    ("modules", table modules);  (* E5: partition statistics *)
+    ("hazard", table hazard_table);  (* E9: static H1-H5 vs dynamic *)
+    ("cache", Table cache_table);  (* E10: cold vs warm cache *)
+    ("prefix", Table prefix_table);  (* E11: prefix vs explicit graph *)
+    ("solver", Table solver_table);  (* E12: solver-core micro *)
+    ("partition", Table partition_table);  (* E13: plan audit + dedup *)
+    ("symbolic", Table symbolic_table);  (* E14: BDD vs explicit reach *)
+    ("ablation", table ablation);  (* default vs BDD backend *)
+    ("micro", table micro);  (* Bechamel component benches *)
+    (* [json NAME..]: write BENCH_results.json *)
+    ("json", Command json);
+    (* [check FRESH BASELINE]: the regression gate over two trajectories *)
+    ( "check",
+      Command
+        (function
+        | [ fresh; base ] -> check fresh base
+        | _ ->
+          Printf.eprintf "usage: bench check FRESH.json BASELINE.json\n";
+          2) );
+  ]
+
 let () =
   let which = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   let rest =
@@ -1445,57 +1450,19 @@ let () =
       Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2))
     else []
   in
-  match which with
-  | "table1" -> table1 ()
-  | "clauses" -> clauses ()
-  | "scaling" -> scaling ()
-  | "scaling-methods" -> scaling_methods ()
-  | "modules" -> modules ()
-  | "hazard" -> hazard_table ()
-  | "cache" -> exit (cache_table ())
-  | "prefix" -> exit (prefix_table ())
-  | "solver" -> exit (solver_table ())
-  | "partition" -> exit (partition_table ())
-  | "symbolic" -> exit (symbolic_table ())
-  | "micro" -> micro ()
-  | "ablation" -> ablation ()
-  | "json" -> exit (json rest)
-  | "check" -> (
-    match rest with
-    | [ fresh; base ] -> exit (check fresh base)
-    | _ ->
-      Printf.eprintf "usage: bench check FRESH.json BASELINE.json\n";
-      exit 2)
-  | "all" ->
-    table1 ();
-    print_newline ();
-    clauses ();
-    print_newline ();
-    scaling_methods ();
-    print_newline ();
-    scaling ();
-    print_newline ();
-    modules ();
-    print_newline ();
-    hazard_table ();
-    print_newline ();
-    ignore (cache_table () : int);
-    print_newline ();
-    ignore (prefix_table () : int);
-    print_newline ();
-    ignore (solver_table () : int);
-    print_newline ();
-    ignore (partition_table () : int);
-    print_newline ();
-    ignore (symbolic_table () : int);
-    print_newline ();
-    ablation ();
-    print_newline ();
-    micro ()
-  | other ->
-    Printf.eprintf
-      "unknown bench %s (expected table1|clauses|scaling|scaling-methods|\
-       modules|hazard|cache|prefix|solver|partition|symbolic|ablation|micro|json|\
-       check|all)\n"
-      other;
+  match (which, List.assoc_opt which experiments) with
+  | _, Some (Table run) -> exit (run ())
+  | _, Some (Command run) -> exit (run rest)
+  | "all", None ->
+    List.iteri
+      (fun i (_, e) ->
+        match e with
+        | Table run ->
+          if i > 0 then print_newline ();
+          ignore (run () : int)
+        | Command _ -> ())
+      experiments
+  | other, None ->
+    Printf.eprintf "unknown bench %s (expected %s|all)\n" other
+      (String.concat "|" (List.map fst experiments));
     exit 2

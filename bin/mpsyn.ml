@@ -525,22 +525,23 @@ let synth_cmd =
       | Some e -> Format.printf "verification: %s@." e; exit_verification)
     | `Direct -> (
       let sg = Sg.of_stg stg in
-      let r =
-        timed "direct CSC solve finished" (fun () ->
-            Csc_direct.solve ?backtrack_limit ?time_limit sg)
+      let print_formulas r =
+        List.iter
+          (fun (f : Csc_direct.formula_size) ->
+            Format.printf "formula: %d vars, %d clauses@." f.vars f.clauses)
+          r.Csc_direct.formulas
       in
-      List.iter
-        (fun (f : Csc_direct.formula_size) ->
-          Format.printf "formula: %d vars, %d clauses@." f.vars f.clauses)
-        r.Csc_direct.formulas;
-      match r.Csc_direct.outcome with
-      | Csc_direct.Gave_up reason ->
+      match
+        timed "direct CSC solve finished" (fun () ->
+            Direct_method.synthesize ?backtrack_limit ?time_limit sg)
+      with
+      | Either.Right (reason, r) ->
+        print_formulas r;
         Format.printf "direct method aborted (%s)@."
           (Dpll.string_of_abort_reason reason);
         1
-      | Csc_direct.Solved solved ->
-        let expanded = Sg_expand.expand solved in
-        let fs = Derive.synthesize expanded in
+      | Either.Left (expanded, fs, r) ->
+        print_formulas r;
         Format.printf
           "direct: %d -> %d states, %d -> %d signals, %d literals@."
           (Sg.n_states sg) (Sg.n_states expanded) (Sg.n_signals sg)
@@ -580,36 +581,33 @@ let bench_cmd =
     let stg = load_stg stg_name in
     let sg = Sg.of_stg stg in
     Format.printf "%a@." Csc.pp_summary sg;
-    let t0 = Unix.gettimeofday () in
-    let r = Mpart.synthesize stg in
-    Format.printf "modular:    %3d signals, %4d states, area %4d, %6.3fs@."
-      (Mpart.final_signals r) (Mpart.final_states r) (Mpart.area_literals r)
-      (Unix.gettimeofday () -. t0);
-    let t0 = Unix.gettimeofday () in
-    (match
-       Csc_direct.solve ~backtrack_limit:2_000_000 ~time_limit:60.0 sg
-     with
-    | { Csc_direct.outcome = Csc_direct.Solved solved; _ } ->
-      let expanded = Sg_expand.expand solved in
-      let fs = Derive.synthesize expanded in
-      Format.printf "direct:     %3d signals, %4d states, area %4d, %6.3fs@."
-        (Sg.n_signals expanded) (Sg.n_states expanded)
-        (Derive.total_literals fs) (Unix.gettimeofday () -. t0)
-    | { Csc_direct.outcome = Csc_direct.Gave_up _; _ } ->
-      Format.printf "direct:     aborted after %6.3fs@."
-        (Unix.gettimeofday () -. t0));
-    let t0 = Unix.gettimeofday () in
-    (match
-       Sequential_insertion.synthesize ~backtrack_limit:2_000_000
-         ~time_limit:60.0 sg
-     with
-    | Either.Left (expanded, fs, _) ->
-      Format.printf "sequential: %3d signals, %4d states, area %4d, %6.3fs@."
-        (Sg.n_signals expanded) (Sg.n_states expanded)
-        (Derive.total_literals fs) (Unix.gettimeofday () -. t0)
-    | Either.Right _ ->
-      Format.printf "sequential: aborted after %6.3fs@."
-        (Unix.gettimeofday () -. t0));
+    let row name synth =
+      let t0 = Unix.gettimeofday () in
+      match synth () with
+      | Some (signals, states, area) ->
+        Format.printf "%-11s %3d signals, %4d states, area %4d, %6.3fs@."
+          (name ^ ":") signals states area (Unix.gettimeofday () -. t0)
+      | None ->
+        Format.printf "%-11s aborted after %6.3fs@." (name ^ ":")
+          (Unix.gettimeofday () -. t0)
+    in
+    let baseline = function
+      | Either.Left (expanded, fs, _) ->
+        Some
+          (Sg.n_signals expanded, Sg.n_states expanded, Derive.total_literals fs)
+      | Either.Right _ -> None
+    in
+    row "modular" (fun () ->
+        let r = Mpart.synthesize stg in
+        Some (Mpart.final_signals r, Mpart.final_states r, Mpart.area_literals r));
+    row "direct" (fun () ->
+        baseline
+          (Direct_method.synthesize ~backtrack_limit:2_000_000 ~time_limit:60.0
+             sg));
+    row "sequential" (fun () ->
+        baseline
+          (Sequential_insertion.synthesize ~backtrack_limit:2_000_000
+             ~time_limit:60.0 sg));
     0
   in
   Cmd.v

@@ -30,37 +30,29 @@ let () =
     (itoa (Mpart.area_literals r))
     (ftoa (Unix.gettimeofday () -. t0));
 
-  (* Vanbekbergen-style direct SAT, with the paper's abort behaviour *)
-  let t0 = Unix.gettimeofday () in
-  (match
-     (Csc_direct.solve ~backtrack_limit:2_000_000 ~time_limit:60.0 sg)
-       .Csc_direct.outcome
-   with
-  | Csc_direct.Solved solved ->
-    let ex = Sg_expand.expand (Region_minimize.minimize solved) in
-    let fs = Derive.synthesize ex in
-    row "direct"
-      (itoa (Sg.n_signals ex))
-      (itoa (Sg.n_states ex))
-      (itoa (Derive.total_literals fs))
-      (ftoa (Unix.gettimeofday () -. t0))
-  | Csc_direct.Gave_up reason ->
-    row "direct" "-" "-" "-"
-      (match reason with
-      | Dpll.Backtrack_limit -> "abort(bt)"
-      | Dpll.Time_limit -> "abort(t)"
-      | Dpll.Signal_limit -> "abort(sig)"));
-
-  (* Lavagno-style sequential insertion *)
-  let t0 = Unix.gettimeofday () in
-  match
-    Sequential_insertion.synthesize ~backtrack_limit:2_000_000
-      ~time_limit:60.0 sg
-  with
-  | Either.Left (ex, fs, _) ->
-    row "sequential"
-      (itoa (Sg.n_signals ex))
-      (itoa (Sg.n_states ex))
-      (itoa (Derive.total_literals fs))
-      (ftoa (Unix.gettimeofday () -. t0))
-  | Either.Right _ -> row "sequential" "-" "-" "-" "abort"
+  (* the two baselines, Vanbekbergen-style direct SAT and Lavagno-style
+     sequential insertion, with the paper's abort behaviour *)
+  let baseline name synth =
+    let t0 = Unix.gettimeofday () in
+    match synth () with
+    | Either.Left (ex, fs) ->
+      row name
+        (itoa (Sg.n_signals ex))
+        (itoa (Sg.n_states ex))
+        (itoa (Derive.total_literals fs))
+        (ftoa (Unix.gettimeofday () -. t0))
+    | Either.Right reason ->
+      row name "-" "-" "-"
+        (match reason with
+        | Dpll.Backtrack_limit -> "abort(bt)"
+        | Dpll.Time_limit -> "abort(t)"
+        | Dpll.Signal_limit -> "abort(sig)")
+  in
+  let implementation (ex, fs, _) = (ex, fs) in
+  baseline "direct" (fun () ->
+      Direct_method.synthesize ~backtrack_limit:2_000_000 ~time_limit:60.0 sg
+      |> Either.map ~left:implementation ~right:fst);
+  baseline "sequential" (fun () ->
+      Sequential_insertion.synthesize ~backtrack_limit:2_000_000
+        ~time_limit:60.0 sg
+      |> Either.map_left implementation)

@@ -1,0 +1,14 @@
+let synthesize ?backtrack_limit ?time_limit sg =
+  let r = Csc_direct.solve ?backtrack_limit ?time_limit sg in
+  match r.Csc_direct.outcome with
+  | Csc_direct.Gave_up reason -> Either.Right (reason, r)
+  | Csc_direct.Solved solved ->
+    let expanded =
+      let minimized = Sg_expand.expand (Region_minimize.minimize solved) in
+      if Csc.csc_satisfied minimized then minimized
+      else
+        let plain = Sg_expand.expand solved in
+        if Csc.csc_satisfied plain then plain
+        else raise (Derive.Not_csc "direct method: the expansion lacks CSC")
+    in
+    Either.Left (expanded, Derive.synthesize expanded, r)

@@ -38,7 +38,9 @@ val solve :
 
 (** [synthesize ?backtrack_limit ?time_limit stg_sg] runs insertion,
     expansion and full-support logic derivation, returning the expanded
-    graph and the functions, for area comparison against {!Mpart}. *)
+    graph and the functions, for area comparison against {!Mpart}.
+    {!Direct_method.synthesize} is the direct method's counterpart.
+    @raise Derive.Not_csc when the expansion lacks CSC. *)
 val synthesize :
   ?backtrack_limit:int ->
   ?time_limit:float ->

@@ -9,7 +9,6 @@ type config = {
   hazard_free : bool;
   backend : [ `Sat | `Dpll | `Bdd ];
   dedup_cones : bool;
-  order_by_risk : bool;
   jobs : int;
   cache : Cache_store.t option;
 }
@@ -22,7 +21,6 @@ let default_config =
     hazard_free = false;
     backend = `Sat;
     dedup_cones = true;
-    order_by_risk = true;
     jobs = Pool.default_jobs ();
     cache = None;
   }
@@ -43,7 +41,6 @@ let fingerprint config =
     );
     ("hazard_free", string_of_bool config.hazard_free);
     ("dedup_cones", string_of_bool config.dedup_cones);
-    ("order_by_risk", string_of_bool config.order_by_risk);
     ("max_states", string_of_int config.max_states);
     ( "backtrack_limit",
       match config.backtrack_limit with
@@ -263,20 +260,15 @@ let plan ~config ~certificate complete =
     Partition_check.summarize ~complete
       (List.map (fun (_, inp, conflicts) -> cone_of inp conflicts) analyses)
   in
-  if not config.order_by_risk then (analyses, summary)
-  else begin
-    let rank = Hashtbl.create 8 in
-    List.iteri
-      (fun i n -> Hashtbl.replace rank n i)
-      summary.Partition_check.p_order;
-    let rank_of (o, _, _) =
-      Option.value
-        (Hashtbl.find_opt rank (Sg.signal_name complete o))
-        ~default:max_int
-    in
-    let by_rank a b = compare (rank_of a) (rank_of b) in
-    (List.stable_sort by_rank analyses, summary)
-  end
+  let rank = Hashtbl.create 8 in
+  List.iteri (fun i n -> Hashtbl.replace rank n i) summary.Partition_check.p_order;
+  let rank_of (o, _, _) =
+    Option.value
+      (Hashtbl.find_opt rank (Sg.signal_name complete o))
+      ~default:max_int
+  in
+  let by_rank a b = compare (rank_of a) (rank_of b) in
+  (List.stable_sort by_rank analyses, summary)
 
 (* Stage 2, the insertion: module solves, propagation and the global
    fallback pass.  Returns the result with [final] the post-insertion

@@ -45,10 +45,6 @@ type config = {
           same graph up to state renaming), the second replays the
           first's CSC solution through the renumberings instead of
           calling the solver again (default true) *)
-  order_by_risk : bool;
-      (** consume the solve loop in ascending M4 risk order: modules
-          whose cones overlap other conflicted cones go last, so their
-          insertions invalidate fewer pending analyses (default true) *)
   jobs : int;
       (** domain-pool width for the solver-independent stages: the
           per-output derivation/projection/conflict-detection batches

@@ -211,7 +211,12 @@ let synthesize_with ?backtrack_limit ?time_limit ?cache backend stg =
   | Direct -> (
     let sg = Sg.of_stg stg in
     (* same implementability contract as the modular driver: a labeling
-       is only a solution if its expansion stays semi-modular *)
+       is only a solution if its expansion stays semi-modular.  This is
+       why conformance does not run [Direct_method.synthesize], Table
+       1's driver: that one takes any labeling and minimizes its
+       regions keeping CSC only, while the product exploration needs a
+       semi-modular expansion, so [accept] filters the labelings and the
+       accepted one is expanded unminimized *)
     let accept solved =
       let e = Sg_expand.expand solved in
       Csc.csc_satisfied e && Persistency.is_semi_modular e

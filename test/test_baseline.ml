@@ -1,4 +1,5 @@
-(* Tests for the sequential-insertion (Lavagno-style) baseline. *)
+(* Tests for the two Table-1 baselines: sequential insertion
+   (Lavagno-style) and the direct method (Vanbekbergen-style). *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -67,6 +68,79 @@ let test_synthesize_end_to_end () =
     check_int "implementation correct" 0 (List.length (Derive.check fs expanded));
     check "counted" true (report.Sequential_insertion.n_new >= 1)
 
+let test_direct_end_to_end () =
+  match Direct_method.synthesize (double_pulse_sg ()) with
+  | Either.Right _ -> Alcotest.fail "must synthesize"
+  | Either.Left (expanded, fs, report) ->
+    check "expanded csc" true (Csc.csc_satisfied expanded);
+    check_int "implementation correct" 0 (List.length (Derive.check fs expanded));
+    check "counted" true (report.Csc_direct.n_new >= 1)
+
+(* An abort still carries the report: the formula of the attempt that
+   ran out of budget is listed. *)
+let test_direct_abort_report () =
+  let sg = Sg.of_stg ((Bench_suite.find "vbe4a").Bench_suite.build ()) in
+  match Direct_method.synthesize ~backtrack_limit:1 sg with
+  | Either.Left _ -> Alcotest.fail "cannot solve with 1 backtrack"
+  | Either.Right (reason, report) ->
+    check "backtrack limit" true (reason = Dpll.Backtrack_limit);
+    check "formulas listed" true (report.Csc_direct.formulas <> [])
+
+(* [mpsyn bench] prints each method's row from the same drivers Table 1
+   runs: signals, states and area equal the in-process results. *)
+let mpsyn = Filename.concat ".." (Filename.concat "bin" "mpsyn.exe")
+
+let bench_rows name =
+  let ic = Unix.open_process_in (Printf.sprintf "%s bench %s" mpsyn name) in
+  let rows = ref [] in
+  (try
+     while true do
+       let line = input_line ic in
+       match
+         Scanf.sscanf line "%s@: %d signals, %d states, area %d"
+           (fun m sig_ st area -> (m, (sig_, st, area)))
+       with
+       | row -> rows := row :: !rows
+       | exception (Scanf.Scan_failure _ | End_of_file) -> ()
+     done
+   with End_of_file -> ());
+  check "mpsyn bench exits 0" true (Unix.close_process_in ic = Unix.WEXITED 0);
+  List.rev !rows
+
+let test_cli_bench_matches_drivers () =
+  List.iter
+    (fun name ->
+      let stg = (Bench_suite.find name).Bench_suite.build () in
+      let sg = Sg.of_stg stg in
+      let modular = Mpart.synthesize stg in
+      let row (ex, fs, _) =
+        (Sg.n_signals ex, Sg.n_states ex, Derive.total_literals fs)
+      in
+      let solved = function
+        | Either.Left r -> row r
+        | Either.Right _ -> Alcotest.failf "%s: baseline gave up" name
+      in
+      let backtrack_limit = 2_000_000 and time_limit = 60.0 in
+      let expected =
+        [
+          ( "modular",
+            ( Mpart.final_signals modular,
+              Mpart.final_states modular,
+              Mpart.area_literals modular ) );
+          ( "direct",
+            solved (Direct_method.synthesize ~backtrack_limit ~time_limit sg) );
+          ( "sequential",
+            solved
+              (Sequential_insertion.synthesize ~backtrack_limit ~time_limit sg)
+          );
+        ]
+      in
+      let counts = Alcotest.(triple int int int) in
+      Alcotest.(check (list (pair string counts)))
+        (name ^ ": signals, states, area")
+        expected (bench_rows name))
+    [ "vbe4a"; "nak-pa" ]
+
 (* The comparison the paper's Table 1 embodies: the sequential baseline
    never uses fewer signals than the direct (globally optimized) method. *)
 let prop_sequential_vs_direct =
@@ -93,6 +167,17 @@ let () =
           Alcotest.test_case "multiple rounds" `Quick test_solve_multiple_rounds;
           Alcotest.test_case "max rounds" `Quick test_max_rounds_abort;
           Alcotest.test_case "end to end" `Quick test_synthesize_end_to_end;
+        ] );
+      ( "direct method",
+        [
+          Alcotest.test_case "end to end" `Quick test_direct_end_to_end;
+          Alcotest.test_case "abort keeps the report" `Quick
+            test_direct_abort_report;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "mpsyn bench agrees with Table 1" `Quick
+            test_cli_bench_matches_drivers;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_sequential_vs_direct ]);
     ]

@@ -28,6 +28,15 @@ let test_cnf_duplicate_literals () =
   check_int "one clause" 1 (Cnf.n_clauses f);
   check_int "deduplicated" 1 (Array.length (Cnf.clauses f).(0))
 
+(* Whole-clause deduplication: a clause added twice, with its literals
+   in another order the second time, is stored once. *)
+let test_cnf_duplicate_clause () =
+  let f = Cnf.create () in
+  let a = Cnf.fresh_var f and b = Cnf.fresh_var f in
+  Cnf.add_clause f [ a; -b ];
+  Cnf.add_clause f [ -b; a ];
+  check_int "one clause" 1 (Cnf.n_clauses f)
+
 let test_cnf_empty_clause () =
   let f = Cnf.create () in
   Cnf.add_clause f [];
@@ -209,97 +218,6 @@ let prop_walksat_models_valid =
       | Some m, _ -> Cnf.eval f m
       | None, _ -> not (brute f))
 
-(* ---------------- Tseitin ---------------- *)
-
-let test_tseitin_simple () =
-  let f = Cnf.create () in
-  let a = Cnf.fresh_var f and b = Cnf.fresh_var f in
-  Tseitin.(assert_formula f (var a ==> var b));
-  Tseitin.(assert_formula f (var a));
-  (match Dpll.satisfiable f with
-  | Some m -> check "implication forced b" true m.(b)
-  | None -> Alcotest.fail "satisfiable");
-  Tseitin.(assert_formula f (not_ (var b)));
-  check "now unsat" true (Dpll.satisfiable f = None)
-
-let test_tseitin_xor_iff () =
-  let f = Cnf.create () in
-  let a = Cnf.fresh_var f and b = Cnf.fresh_var f in
-  Tseitin.(assert_formula f (Xor (var a, var b)));
-  Tseitin.(assert_formula f (var a <=> var b));
-  check "xor and iff conflict" true (Dpll.satisfiable f = None)
-
-(* Encode-time sharing: a subformula that occurs twice is clausified
-   once (its definitional literal is memoized) and the repeated unit
-   clause on that literal is dropped by whole-clause deduplication, so
-   the second occurrence is free — not double the clauses. *)
-let test_tseitin_shared_subformula () =
-  let clause_count phi =
-    let f = Cnf.create () in
-    ignore (Cnf.fresh_vars f 4);
-    Tseitin.assert_formula f phi;
-    Cnf.n_clauses f
-  in
-  let big = Tseitin.(Iff (Xor (var 1, var 2), Or [ var 3; var 4 ])) in
-  let once = clause_count (Tseitin.And [ big ]) in
-  let twice = clause_count (Tseitin.And [ big; big ]) in
-  check "sharing beats re-clausifying" true (twice < 2 * once);
-  check_int "second occurrence is free" once twice
-
-let test_tseitin_unallocated () =
-  let f = Cnf.create () in
-  check "raises" true
-    (try
-       Tseitin.(assert_formula f (var 5));
-       false
-     with Invalid_argument _ -> true)
-
-let gen_formula nv =
-  let open QCheck.Gen in
-  let leaf = map (fun v -> Tseitin.Var v) (int_range 1 nv) in
-  let rec go depth =
-    if depth = 0 then leaf
-    else
-      oneof
-        [
-          leaf;
-          map (fun g -> Tseitin.Not g) (go (depth - 1));
-          map (fun gs -> Tseitin.And gs) (list_size (int_range 1 3) (go (depth - 1)));
-          map (fun gs -> Tseitin.Or gs) (list_size (int_range 1 3) (go (depth - 1)));
-          map2 (fun a b -> Tseitin.Xor (a, b)) (go (depth - 1)) (go (depth - 1));
-          map2 (fun a b -> Tseitin.Imp (a, b)) (go (depth - 1)) (go (depth - 1));
-          map2 (fun a b -> Tseitin.Iff (a, b)) (go (depth - 1)) (go (depth - 1));
-        ]
-  in
-  go 3
-
-let prop_tseitin_equisatisfiable =
-  QCheck.Test.make ~name:"tseitin CNF is equisatisfiable" ~count:200
-    (QCheck.make (gen_formula 4)) (fun formula ->
-      let nv = 4 in
-      let cnf = Cnf.create () in
-      ignore (Cnf.fresh_vars cnf nv);
-      Tseitin.assert_formula cnf formula;
-      let brute_sat =
-        let a = Array.make (nv + 1) false in
-        let rec go v =
-          if v > nv then Tseitin.eval formula a
-          else begin
-            a.(v) <- false;
-            if go (v + 1) then true
-            else begin
-              a.(v) <- true;
-              go (v + 1)
-            end
-          end
-        in
-        go 1
-      in
-      match Dpll.solve cnf with
-      | Dpll.Sat m, _ -> brute_sat && Tseitin.eval formula m
-      | Dpll.Unsat, _ -> not brute_sat
-      | Dpll.Aborted _, _ -> false)
-
 let test_walksat_unsat_gives_up () =
   let f = pigeonhole ~pigeons:4 ~holes:3 in
   match Walksat.solve ~max_flips:500 ~max_tries:3 f with
@@ -320,6 +238,7 @@ let () =
           Alcotest.test_case "build" `Quick test_cnf_build;
           Alcotest.test_case "tautology" `Quick test_cnf_tautology_dropped;
           Alcotest.test_case "duplicates" `Quick test_cnf_duplicate_literals;
+          Alcotest.test_case "duplicate clause" `Quick test_cnf_duplicate_clause;
           Alcotest.test_case "empty clause" `Quick test_cnf_empty_clause;
           Alcotest.test_case "bad literal" `Quick test_cnf_bad_literal;
           Alcotest.test_case "eval" `Quick test_cnf_eval;
@@ -336,14 +255,6 @@ let () =
           Alcotest.test_case "backtrack limit" `Quick test_dpll_backtrack_limit;
           Alcotest.test_case "time limit" `Quick test_dpll_time_limit;
         ] );
-      ( "tseitin",
-        [
-          Alcotest.test_case "simple" `Quick test_tseitin_simple;
-          Alcotest.test_case "xor/iff" `Quick test_tseitin_xor_iff;
-          Alcotest.test_case "shared subformula" `Quick
-            test_tseitin_shared_subformula;
-          Alcotest.test_case "unallocated" `Quick test_tseitin_unallocated;
-        ] );
       ( "walksat",
         [
           Alcotest.test_case "unsat gives up" `Quick test_walksat_unsat_gives_up;
@@ -353,6 +264,5 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_dpll_matches_brute;
           QCheck_alcotest.to_alcotest prop_walksat_models_valid;
-          QCheck_alcotest.to_alcotest prop_tseitin_equisatisfiable;
         ] );
     ]

@@ -48,7 +48,11 @@ val schema_version : string
     the rendered [mpsyn-prefix/1] certificate, changing the marshal
     layout of every ["prefix"] entry.  v5 → v6: synthesis reads its CSC
     certificate off the complete graph, so results record it as one
-    bool and the ["synth-sg"] key drops its certificate parameter. *)
+    bool and the ["synth-sg"] key drops its certificate parameter.
+    Since then nothing writes ["synth-sg"]: synthesis from a state graph
+    is memoized per module and cover only, and a v6 store's old
+    ["synth-sg"] entries are never read again (no other value type
+    changed, so no bump). *)
 
 val open_dir : ?max_bytes:int -> string -> t
 (** [open_dir dir] opens (creating directories as needed) the store

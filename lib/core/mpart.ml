@@ -53,14 +53,15 @@ let fingerprint config =
   ]
 
 (* [memoize config ~stage ~params digest compute]: look the stage result
-   up in the configured store (if any); on a miss compute and publish.
-   Only successful computations are cached — a raise (SAT budget
-   exhausted, inconsistent graph) propagates without leaving an entry. *)
+   up in the configured store (if any) under [digest ()]; on a miss
+   compute and publish.  Only successful computations are cached — a
+   raise (SAT budget exhausted, inconsistent graph) propagates without
+   leaving an entry.  With no store, the digest is never computed. *)
 let memoize config ~stage ~params digest compute =
   match config.cache with
   | None -> compute ()
   | Some store -> (
-    let key = Cache_key.entry ~stage ~params digest in
+    let key = Cache_key.entry ~stage ~params (digest ()) in
     match Cache_store.get store key with
     | Some v -> v
     | None ->
@@ -72,17 +73,15 @@ let memoize config ~stage ~params digest compute =
    depends on exactly (width, onset, offset). *)
 let memo_cover_of config : Derive.cover_memo =
  fun ~width ~onset ~offset compute ->
-  match config.cache with
-  | None -> compute ()
-  | Some _ ->
-    let buf = Buffer.create 256 in
-    List.iter (fun m -> Buffer.add_string buf (string_of_int m ^ ",")) onset;
-    Buffer.add_char buf '/';
-    List.iter (fun m -> Buffer.add_string buf (string_of_int m ^ ",")) offset;
-    memoize config ~stage:"cover"
-      ~params:[ ("width", string_of_int width) ]
-      (Cache_key.string_digest (Buffer.contents buf))
-      compute
+  memoize config ~stage:"cover"
+    ~params:[ ("width", string_of_int width) ]
+    (fun () ->
+      let buf = Buffer.create 256 in
+      List.iter (fun m -> Buffer.add_string buf (string_of_int m ^ ",")) onset;
+      Buffer.add_char buf '/';
+      List.iter (fun m -> Buffer.add_string buf (string_of_int m ^ ",")) offset;
+      Cache_key.string_digest (Buffer.contents buf))
+    compute
 
 type formula_size = Csc_direct.formula_size = { vars : int; clauses : int }
 
@@ -113,13 +112,71 @@ type result = {
 
 exception Synthesis_failed of string
 
-(* Count of semi-modularity violations after expansion — the quantity a
-   candidate labeling must not increase.  Comparing against the graph's
-   own baseline (rather than demanding zero) keeps module-level checks
-   meaningful: a quotient can carry artifact violations the module is
-   not responsible for. *)
-let sm_violations sg0 =
-  List.length (Persistency.violations (Sg_expand.expand sg0))
+(* The acceptance test of every module, cleanup and repair labeling: its
+   expansion has no more semi-modularity violations than [g]'s own.
+   Comparing against the graph's baseline (rather than demanding zero)
+   keeps module-level checks meaningful: a quotient can carry artifact
+   violations the module is not responsible for. *)
+let no_new_violations g =
+  let violations g =
+    List.length (Persistency.violations (Sg_expand.expand g))
+  in
+  let baseline = violations g in
+  fun solved -> violations solved <= baseline
+
+let fresh_names () =
+  let counter = ref 0 in
+  fun () ->
+    let n = Printf.sprintf "n%d" !counter in
+    incr counter;
+    n
+
+let columns (extras : Sg.extra array) =
+  Array.to_list (Array.map (fun (x : Sg.extra) -> x.Sg.values) extras)
+
+(* Name each value column with a fresh state signal and add it to [g]
+   through [add] ({!Sg.add_extra}, or propagation through a module's
+   cover).  Returns the grown graph and the new names in order. *)
+let add_signals ~fresh_name add g columns =
+  let g, names =
+    List.fold_left
+      (fun (g, names) values ->
+        let name = fresh_name () in
+        (add g ~name ~values, name :: names))
+      (g, []) columns
+  in
+  (g, List.rev names)
+
+(* A whole-graph pass (the cleanup, a repair round, the global redo):
+   separate the [resolve] pairs of [g] with new state signals, keeping
+   only labelings [accept] allows.  Returns the grown graph, the new
+   names and the formulas tried.
+   @raise Synthesis_failed [what] when the solver gives up. *)
+let global_pass ~config ~deadline ~fresh_name ~accept ~what ~resolve g =
+  let r =
+    Modular_sat.solve_pairs ?backtrack_limit:config.backtrack_limit ~deadline
+      ~backend:config.backend ~accept ~resolve g
+  in
+  match r.Modular_sat.outcome with
+  | Modular_sat.Gave_up _ -> raise (Synthesis_failed what)
+  | Modular_sat.Solved { new_extras; _ } ->
+    let g, names =
+      add_signals ~fresh_name Sg.add_extra g (columns new_extras)
+    in
+    (g, names, r.Modular_sat.formulas)
+
+let global_report output_name ~conflicts (g, new_signals, formulas) =
+  {
+    output_name;
+    input_set = [];
+    immediate = [];
+    kept_extras = [];
+    module_states = Sg.n_states g;
+    module_edges = Sg.n_edges g;
+    module_conflicts = conflicts;
+    new_signals;
+    formulas;
+  }
 
 (* What a per-module CSC solution costs to recompute and what it is
    safe to replay: the accepted state-signal labelings plus the SAT
@@ -133,64 +190,30 @@ type module_solution = {
   sol_formulas : formula_size list;
 }
 
-(* Solve one modular graph and propagate the new signals back.  Returns
-   the updated complete graph, the new signal names, and SAT metrics. *)
-let solve_module ~config ~deadline ~fresh_name complete
-    (inp : Input_derivation.t) =
+(* Solve one modular graph (Figure 4).  A gave-up verdict depends on the
+   budget, so it raises and is never cached. *)
+let solve_module ~config ~deadline complete (inp : Input_derivation.t) =
   let module_sg = inp.Input_derivation.module_sg in
   let output_name = Sg.signal_name complete inp.Input_derivation.output in
-  let module_output = Sg.find_signal module_sg output_name in
-  let baseline = sm_violations module_sg in
-  let compute () =
-    let report =
-      Modular_sat.solve ?backtrack_limit:config.backtrack_limit ~deadline
-        ~backend:config.backend
-        ~accept:(fun solved -> sm_violations solved <= baseline)
-        ~output:module_output module_sg
-    in
-    match report.Modular_sat.outcome with
-    | Modular_sat.Gave_up reason -> Error reason
-    | Modular_sat.Solved { new_extras; _ } ->
-      Ok { sol_extras = new_extras; sol_formulas = report.Modular_sat.formulas }
-  in
-  (* Only solved modules are cached; a gave-up verdict depends on the
-     budget and must be retried, never replayed. *)
-  let solved =
-    match config.cache with
-    | None -> compute ()
-    | Some store -> (
-      let key =
-        Cache_key.entry ~stage:"module-csc"
-          ~params:(("output", output_name) :: fingerprint config)
-          (Sg.digest module_sg)
+  memoize config ~stage:"module-csc"
+    ~params:(("output", output_name) :: fingerprint config)
+    (fun () -> Sg.digest module_sg)
+    (fun () ->
+      let report =
+        Modular_sat.solve ?backtrack_limit:config.backtrack_limit ~deadline
+          ~backend:config.backend
+          ~accept:(no_new_violations module_sg)
+          ~output:(Sg.find_signal module_sg output_name)
+          module_sg
       in
-      match Cache_store.get store key with
-      | Some sol -> Ok sol
-      | None -> (
-        match compute () with
-        | Ok sol ->
-          Cache_store.put store key sol;
-          Ok sol
-        | Error _ as e -> e))
-  in
-  match solved with
-  | Error reason ->
-    raise
-      (Synthesis_failed
-         (Printf.sprintf "module %s: SAT %s exceeded" output_name
-            (Dpll.string_of_abort_reason reason)))
-  | Ok sol ->
-    let complete = ref complete in
-    let names = ref [] in
-    Array.iter
-      (fun (x : Sg.extra) ->
-        let name = fresh_name () in
-        names := name :: !names;
-        complete :=
-          Propagation.propagate !complete ~cover:inp.Input_derivation.cover
-            ~name ~values:x.Sg.values)
-      sol.sol_extras;
-    (!complete, List.rev !names, sol)
+      match report.Modular_sat.outcome with
+      | Modular_sat.Gave_up reason ->
+        raise
+          (Synthesis_failed
+             (Printf.sprintf "module %s: SAT %s exceeded" output_name
+                (Dpll.string_of_abort_reason reason)))
+      | Modular_sat.Solved { new_extras; _ } ->
+        { sol_extras = new_extras; sol_formulas = report.Modular_sat.formulas })
 
 let module_report complete (inp : Input_derivation.t)
     (sat : module_solution option) ~conflicts ~new_signals =
@@ -219,19 +242,12 @@ let cone_of (inp : Input_derivation.t) conflicts =
     c_conflicts = conflicts;
   }
 
-let fresh_names () =
-  let counter = ref 0 in
-  fun () ->
-    let n = Printf.sprintf "n%d" !counter in
-    incr counter;
-    n
-
-(* One output's module analyzed against [g]: its input set, quotient and
-   modular conflict count.  When the complete graph already has CSC
-   ([certificate]), the module quotients need no state signals: conflict
-   counting and the SAT engine are skipped outright.  Artifact conflicts
-   a quotient would show are exactly the pairs the complete graph proves
-   spurious. *)
+(* One output's module analyzed against [g] (Figure 2): its input set,
+   quotient and modular conflict count.  When the complete graph already
+   has CSC ([certificate]), the module quotients need no state signals:
+   conflict counting and the SAT engine are skipped outright.  Artifact
+   conflicts a quotient would show are exactly the pairs the complete
+   graph proves spurious. *)
 let analyze ~certificate g o =
   Log.debug (fun m -> m "deriving module for output %s" (Sg.signal_name g o));
   let inp = Input_derivation.determine g ~output:o in
@@ -245,10 +261,8 @@ let analyze ~certificate g o =
   (o, inp, conflicts)
 
 (* Stage 1, the partition plan: each output analyzed against the
-   complete graph (the first solve batch), audited by the static M
-   rules, and put in M4 order — low-risk modules first, so the
-   re-analyses their insertions force concentrate where they were
-   inevitable. *)
+   complete graph on the pool, audited by the static M rules, and put
+   in the audit's order — low-risk modules first. *)
 let plan ~config ~certificate complete =
   let outputs =
     List.filter (Sg.non_input complete) (List.init (Sg.n_signals complete) Fun.id)
@@ -270,26 +284,15 @@ let plan ~config ~certificate complete =
   let by_rank a b = compare (rank_of a) (rank_of b) in
   (List.stable_sort by_rank analyses, summary)
 
-(* Stage 2, the insertion: module solves, propagation and the global
-   fallback pass.  Returns the result with [final] the post-insertion
-   graph and no logic yet, the fresh-name generator, and each output's
-   support in complete-graph names. *)
-let insert ~config ~deadline ~certificate ~plan:(plan_analyses, plan) complete =
-  let fresh_name = fresh_names () in
-  let current = ref complete in
-  let reports = ref [] in
-  let supports : (string, string list) Hashtbl.t = Hashtbl.create 8 in
-  (* The solve/propagate stage mutates the shared complete graph and
-     keeps the plan's sequential order; whenever it lands new state
-     signals in the graph, the precomputed analyses of the outputs not
-     yet consumed are stale (a new signal can separate their conflicts
-     or join their module) and are recomputed against the updated graph
-     in a fresh parallel batch.  Every consumed analysis was therefore
-     computed against exactly the graph the sequential loop would have
-     used, so results are bit-identical for any [jobs]; with [jobs = 1]
-     outputs are analyzed one at a time, reproducing the historical
-     work pattern as well. *)
-  let analyze = analyze ~certificate in
+(* Stage 2, the insertion: Figure 6's loop over the planned outputs —
+   solve each module and propagate its new signals into the complete
+   graph (Figure 5), in plan order.  Once a solve has changed the graph,
+   the plan's analyses (made against Σ) are stale — a new signal can
+   separate an output's conflicts or join its module — so each later
+   output is analyzed again against the current graph just before it
+   is consumed.  Returns the post-insertion graph, the module reports,
+   the replayed outputs and the re-analysis count. *)
+let insert ~config ~deadline ~fresh_name ~certificate analyses complete =
   (* M3 consumption: canonicalized CSC solutions keyed by the cone
      digest of the module they solved.  A later module with the same
      digest is the same graph up to state renaming, so the stored
@@ -299,187 +302,103 @@ let insert ~config ~deadline ~certificate ~plan:(plan_analyses, plan) complete =
     Hashtbl.create 8
   in
   let replayed = ref [] in
-  let stale_analyses = ref 0 in
-  (* Solve one analyzed module; returns [true] when the complete graph
-     gained state signals (invalidating later analyses). *)
-  let consume (o, inp, conflicts) =
-    Log.debug (fun m ->
-        m "module %s: %d states, solving"
-          (Sg.signal_name complete o)
-          (Sg.n_states inp.Input_derivation.module_sg));
-    let solve_fresh ?digest_perm () =
-      let c, names, r =
-        solve_module ~config ~deadline ~fresh_name !current inp
-      in
-      (match digest_perm with
-      | Some (digest, perm) when config.dedup_cones ->
+  let solve_or_replay g name (inp : Input_derivation.t) =
+    let module_sg = inp.Input_derivation.module_sg in
+    let propagate = Propagation.propagate ~cover:inp.Input_derivation.cover in
+    let digest, perm =
+      Partition_check.canonical_form
+        ~output:(Sg.find_signal module_sg name)
+        module_sg
+    in
+    let solve () =
+      let sol = solve_module ~config ~deadline g inp in
+      (* the first solution of a digest stays, even when a later twin's
+         replay failed and it solved afresh *)
+      if config.dedup_cones && not (Hashtbl.mem solutions digest) then begin
         let inv = Array.make (Array.length perm) 0 in
         Array.iteri (fun t ci -> inv.(ci) <- t) perm;
-        let canon =
-          Array.to_list
-            (Array.map
-               (fun (x : Sg.extra) ->
-                 Array.init (Array.length perm) (fun ci ->
-                     x.Sg.values.(inv.(ci))))
-               r.sol_extras)
-        in
-        Hashtbl.replace solutions digest canon
-      | _ -> ());
-      (c, names, Some r)
-    in
-    let updated, new_signals, sat =
-      if conflicts = 0 then (!current, [], None)
-      else begin
-        let module_sg = inp.Input_derivation.module_sg in
-        let local_out =
-          Sg.find_signal module_sg (Sg.signal_name complete o)
-        in
-        let digest, perm =
-          Partition_check.canonical_form ~output:local_out module_sg
-        in
-        match
-          if config.dedup_cones then Hashtbl.find_opt solutions digest
-          else None
-        with
-        | None -> solve_fresh ~digest_perm:(digest, perm) ()
-        | Some canon -> (
-          match
-            let acc = ref !current in
-            let names = ref [] in
-            List.iter
-              (fun (vc : Fourval.t array) ->
-                let name = fresh_name () in
-                names := name :: !names;
-                let values =
-                  Array.init (Sg.n_states module_sg) (fun t -> vc.(perm.(t)))
-                in
-                acc :=
-                  Propagation.propagate !acc
-                    ~cover:inp.Input_derivation.cover ~name ~values)
-              canon;
-            (!acc, List.rev !names)
-          with
-          | updated, names ->
-            Log.debug (fun m ->
-                m "module %s: duplicate cone, replaying %d state signal(s)"
-                  (Sg.signal_name complete o)
-                  (List.length names));
-            replayed := Sg.signal_name complete o :: !replayed;
-            (updated, names, None)
-          | exception Sg.Inconsistent _ ->
-            (* Cannot happen for a true twin (the isomorphism transports
-               edge consistency), but a failed replay must degrade to a
-               normal solve, never to a wrong graph. *)
-            solve_fresh ())
-      end
-    in
-    let changed = updated != !current in
-    current := updated;
-    Hashtbl.replace supports
-      (Sg.signal_name complete o)
-      (List.map (Sg.signal_name complete) inp.Input_derivation.input_set
-      @ inp.Input_derivation.kept_extras @ new_signals);
-    reports := module_report !current inp sat ~conflicts ~new_signals :: !reports;
-    changed
-  in
-  (* Analysis batches are [jobs] wide: as wide as the pool can run
-     concurrently, so no parallelism is lost, while a graph mutation
-     wastes at most [jobs - 1] precomputed analyses instead of every
-     pending output's. *)
-  let rec split_batch k = function
-    | rest when k = 0 -> ([], rest)
-    | [] -> ([], [])
-    | o :: rest ->
-      let batch, deferred = split_batch (k - 1) rest in
-      (o :: batch, deferred)
-  in
-  let rec run_batches pending =
-    match pending with
-    | [] -> ()
-    | _ ->
-      let batch, deferred = split_batch (max 1 config.jobs) pending in
-      stale_analyses := !stale_analyses + List.length batch;
-      let analyzed = Pool.map_list ~jobs:config.jobs (analyze !current) batch in
-      (* consume in order; on graph change the rest of the batch is stale *)
-      let rec go = function
-        | [] -> []
-        | a :: rest ->
-          if consume a then List.map (fun (o, _, _) -> o) rest else go rest
+        Hashtbl.add solutions digest
+          (List.map
+             (fun values ->
+               Array.init (Array.length perm) (fun ci -> values.(inv.(ci))))
+             (columns sol.sol_extras))
+      end;
+      let g, names =
+        add_signals ~fresh_name propagate g (columns sol.sol_extras)
       in
-      let stale = go analyzed in
-      run_batches (stale @ deferred)
-  in
-  (* First pass over the plan analyses (all computed against [complete],
-     which is exactly [!current] until the first mutation); once a solve
-     lands state signals, the not-yet-consumed outputs fall back to the
-     jobs-wide re-analysis batches. *)
-  let rec consume_plan = function
-    | [] -> []
-    | a :: rest ->
-      if consume a then List.map (fun (o, _, _) -> o) rest
-      else consume_plan rest
-  in
-  run_batches (consume_plan plan_analyses);
-  (* Fallback: conflicts invisible to every module. *)
-  let fallback = ref None in
-  Log.debug (fun m ->
-      m "modules done: %d conflicts remain" (Csc.n_conflicts !current));
-  if not (Csc.csc_satisfied !current) then begin
-    let remaining = Csc.conflict_pairs !current in
-    let baseline = sm_violations !current in
-    let r =
-      Modular_sat.solve_pairs ?backtrack_limit:config.backtrack_limit
-        ~deadline ~backend:config.backend
-        ~accept:(fun solved -> sm_violations solved <= baseline)
-        ~resolve:remaining !current
+      (g, names, Some sol)
     in
-    match r.Modular_sat.outcome with
-    | Modular_sat.Gave_up _ ->
-      raise (Synthesis_failed "global cleanup pass exhausted its SAT budget")
-    | Modular_sat.Solved { new_extras; _ } ->
-      let acc = ref !current in
-      let names = ref [] in
-      Array.iter
-        (fun (x : Sg.extra) ->
-          let name = fresh_name () in
-          names := name :: !names;
-          acc := Sg.add_extra !acc ~name ~values:x.Sg.values)
-        new_extras;
-      current := !acc;
-      fallback :=
-        Some
-          {
-            output_name = "<global>";
-            input_set = [];
-            immediate = [];
-            kept_extras = [];
-            module_states = Sg.n_states !current;
-            module_edges = Sg.n_edges !current;
-            module_conflicts = List.length remaining;
-            new_signals = List.rev !names;
-            formulas = r.Modular_sat.formulas;
-          }
-  end;
-  ( {
-      complete;
-      final = !current;
-      expanded = !current;
-      functions = [];
-      modules = List.rev !reports;
-      fallback = !fallback;
-      certificate;
-      plan;
-      replayed = List.rev !replayed;
-      stale_analyses = !stale_analyses;
-    },
-    fresh_name,
-    List.of_seq (Hashtbl.to_seq supports) )
+    match Hashtbl.find_opt solutions digest with
+    | None -> solve ()
+    | Some canon -> (
+      let replay =
+        List.map
+          (fun (vc : Fourval.t array) ->
+            Array.init (Sg.n_states module_sg) (fun t -> vc.(perm.(t))))
+          canon
+      in
+      match add_signals ~fresh_name propagate g replay with
+      | g, names ->
+        Log.debug (fun m ->
+            m "module %s: duplicate cone, replaying %d state signal(s)" name
+              (List.length names));
+        replayed := name :: !replayed;
+        (g, names, None)
+      | exception Sg.Inconsistent _ ->
+        (* Cannot happen for a true twin (the isomorphism transports
+           edge consistency), but a failed replay must degrade to a
+           normal solve, never to a wrong graph. *)
+        solve ())
+  in
+  let current = ref complete in
+  let reports = ref [] and stale = ref 0 in
+  List.iter
+    (fun (o, inp, conflicts) ->
+      let name = Sg.signal_name complete o in
+      let inp, conflicts =
+        if !current == complete then (inp, conflicts)
+        else begin
+          incr stale;
+          let _, inp, conflicts = analyze ~certificate !current o in
+          (inp, conflicts)
+        end
+      in
+      Log.debug (fun m ->
+          m "module %s: %d states, solving" name
+            (Sg.n_states inp.Input_derivation.module_sg));
+      let updated, new_signals, sat =
+        if conflicts = 0 then (!current, [], None)
+        else solve_or_replay !current name inp
+      in
+      current := updated;
+      reports :=
+        module_report !current inp sat ~conflicts ~new_signals :: !reports)
+    analyses;
+  (!current, List.rev !reports, List.rev !replayed, !stale)
+
+(* The cleanup pass: conflicts invisible to every module. *)
+let cleanup ~config ~deadline ~fresh_name g =
+  Log.debug (fun m ->
+      m "modules done: %d conflicts remain" (Csc.n_conflicts g));
+  if Csc.csc_satisfied g then (g, None)
+  else
+    let remaining = Csc.conflict_pairs g in
+    let ((g, _, _) as pass) =
+      global_pass ~config ~deadline ~fresh_name ~accept:(no_new_violations g)
+        ~what:"global cleanup pass exhausted its SAT budget" ~resolve:remaining
+        g
+    in
+    (g, Some (global_report "<global>" ~conflicts:(List.length remaining) pass))
 
 (* Stage 3, the implementation of the post-insertion graph: the
    minimized labeling, its expansion, the logic, and the global redo's
    report if one ran. *)
-let implement ~config ~deadline ~fresh_name ~supports complete current =
-  let supports = ref supports in
+let implement ~config ~deadline ~fresh_name ~modules complete current =
+  let supports =
+    List.map
+      (fun m -> (m.output_name, m.input_set @ m.kept_extras @ m.new_signals))
+      modules
+  in
   (* All conflicts are resolved; serialize the inserted transitions so
      that expansion splits as few states as possible.  Minimization and
      expansion both have known blind spots: a same-base-code pair can
@@ -520,32 +439,20 @@ let implement ~config ~deadline ~fresh_name ~supports complete current =
     else if round > 4 then
       raise (Synthesis_failed "expansion repair did not converge")
     else begin
-      let baseline = sm_violations expanded in
-      let r =
-        Modular_sat.solve_pairs ?backtrack_limit:config.backtrack_limit
-          ~deadline ~backend:config.backend
-          ~accept:(fun solved -> sm_violations solved <= baseline)
+      let solved, _, _ =
+        global_pass ~config ~deadline ~fresh_name
+          ~accept:(no_new_violations expanded)
+          ~what:"expansion repair exhausted its SAT budget"
           ~resolve:(Csc.conflict_pairs expanded) expanded
       in
-      match r.Modular_sat.outcome with
-      | Modular_sat.Gave_up _ ->
-        raise (Synthesis_failed "expansion repair exhausted its SAT budget")
-      | Modular_sat.Solved { new_extras; _ } ->
-        let acc = ref expanded in
-        Array.iter
-          (fun (x : Sg.extra) ->
-            acc := Sg.add_extra !acc ~name:(fresh_name ()) ~values:x.Sg.values)
-          new_extras;
-        let solved = !acc in
-        let solved' =
-          let m = Region_minimize.minimize solved in
-          if Csc.csc_satisfied (Sg_expand.expand m) then m else solved
-        in
-        repair (Sg_expand.expand solved') (round + 1)
+      let solved' =
+        let m = Region_minimize.minimize solved in
+        if Csc.csc_satisfied (Sg_expand.expand m) then m else solved
+      in
+      repair (Sg_expand.expand solved') (round + 1)
     end
   in
   let expanded = repair (Sg_expand.expand final) 0 in
-  let redo = ref None in
   (* Safety net: if the composition of per-module insertions is still
      hazardous globally (modules validate against their quotient views,
      which can hide a diamond two signals share), redo the whole
@@ -553,53 +460,28 @@ let implement ~config ~deadline ~fresh_name ~supports complete current =
      validated against global expansion semi-modularity.  Module
      supports are dropped — the redone signals owe nothing to the
      per-module input sets. *)
-  let expanded =
-    if Persistency.is_semi_modular expanded then expanded
+  let expanded, supports, redo =
+    if Persistency.is_semi_modular expanded then (expanded, supports, None)
     else begin
       Log.debug (fun m ->
           m "modular composition lost semi-modularity; global re-insertion");
-      let r =
-        Modular_sat.solve_pairs ?backtrack_limit:config.backtrack_limit
-          ~deadline ~backend:config.backend
-          ~accept:implementable
-          ~resolve:(Csc.conflict_pairs complete) complete
+      let pairs = Csc.conflict_pairs complete in
+      let ((g, _, _) as pass) =
+        global_pass ~config ~deadline ~fresh_name ~accept:implementable
+          ~what:"no semi-modular state-signal insertion within the SAT budget"
+          ~resolve:pairs complete
       in
-      match r.Modular_sat.outcome with
-      | Modular_sat.Gave_up _ ->
-        raise
-          (Synthesis_failed
-             "no semi-modular state-signal insertion within the SAT budget")
-      | Modular_sat.Solved { new_extras; _ } ->
-        supports := [];
-        let acc = ref complete in
-        let names = ref [] in
-        Array.iter
-          (fun (x : Sg.extra) ->
-            let name = fresh_name () in
-            names := name :: !names;
-            acc := Sg.add_extra !acc ~name ~values:x.Sg.values)
-          new_extras;
-        redo :=
-          Some
-            {
-              output_name = "<global redo>";
-              input_set = [];
-              immediate = [];
-              kept_extras = [];
-              module_states = Sg.n_states !acc;
-              module_edges = Sg.n_edges !acc;
-              module_conflicts = List.length (Csc.conflict_pairs complete);
-              new_signals = List.rev !names;
-              formulas = r.Modular_sat.formulas;
-            };
-        Sg_expand.expand (minimize_safely !acc)
+      ( Sg_expand.expand (minimize_safely g),
+        [],
+        Some (global_report "<global redo>" ~conflicts:(List.length pairs) pass)
+      )
     end
   in
   (* Logic derivation: outputs over their module supports; inserted state
      signals over a greedily reduced support. *)
   let support_of s =
     let name = Sg.signal_name expanded s in
-    match List.assoc_opt name !supports with
+    match List.assoc_opt name supports with
     | None -> None
     | Some names ->
       Some
@@ -619,32 +501,42 @@ let implement ~config ~deadline ~fresh_name ~supports complete current =
       List.map (Hazard.hazard_free_enlargement expanded) functions
     else functions
   in
-  (final, expanded, functions, !redo)
+  (final, expanded, functions, redo)
 
-(* The one flow behind every entry point: plan, insert, implement. *)
+(* The one flow behind every entry point (Figure 6): plan, insert,
+   clean up, implement. *)
 let synthesize_complete ~config ~deadline complete =
   let certificate = Csc.csc_satisfied complete in
-  let plan = plan ~config ~certificate complete in
-  let r, fresh_name, supports =
-    insert ~config ~deadline ~certificate ~plan complete
+  let analyses, plan = plan ~config ~certificate complete in
+  let fresh_name = fresh_names () in
+  let inserted, modules, replayed, stale_analyses =
+    insert ~config ~deadline ~fresh_name ~certificate analyses complete
   in
+  let inserted, fallback = cleanup ~config ~deadline ~fresh_name inserted in
   let final, expanded, functions, redo =
-    implement ~config ~deadline ~fresh_name ~supports complete r.final
+    implement ~config ~deadline ~fresh_name ~modules complete inserted
   in
-  let fallback = if redo = None then r.fallback else redo in
-  { r with final; expanded; functions; fallback }
+  {
+    complete;
+    final;
+    expanded;
+    functions;
+    modules;
+    fallback = (match redo with None -> fallback | Some _ -> redo);
+    certificate;
+    plan;
+    replayed;
+    stale_analyses;
+  }
 
-(* A whole synthesis run keyed by the complete state graph's content:
-   the entry carries every downstream stage at once — per-output
-   modular projections, CSC solutions, propagated expansions, and
-   minimized covers.  Each public entry turns [config.time_limit] into
-   one wall-clock deadline that every module, cleanup, repair and global
-   pass shares, so the limit bounds the whole run at any [jobs]. *)
+(* The same flow from an already-derived complete state graph.  Its
+   [config.time_limit] becomes one wall-clock deadline that every
+   module, cleanup, repair and global pass shares, so the limit bounds
+   the whole run at any [jobs]. *)
 let synthesize_sg ?(config = default_config) complete =
-  let deadline = Deadline.of_limit config.time_limit in
-  memoize config ~stage:"synth-sg" ~params:(fingerprint config)
-    (Sg.digest complete)
-    (fun () -> synthesize_complete ~config ~deadline complete)
+  synthesize_complete ~config
+    ~deadline:(Deadline.of_limit config.time_limit)
+    complete
 
 (* The partial-order analysis behind `mpsyn lint --prefix`: a complete
    finite prefix of the STG's unfolding, with the exact U1-U4 verdicts
@@ -652,7 +544,8 @@ let synthesize_sg ?(config = default_config) complete =
    state) and deterministic for any pool width, so it is cached by the
    specification digest alone — shared across --jobs settings. *)
 let prefix_summary ?(jobs = 1) config stg =
-  memoize config ~stage:"prefix" ~params:[] (Cache_key.stg_digest stg)
+  memoize config ~stage:"prefix" ~params:[]
+    (fun () -> Cache_key.stg_digest stg)
     (fun () -> Prefix_rules.analyze ~jobs stg)
 
 let engine_threshold = 2048
@@ -674,7 +567,7 @@ let choose_backend (config : config) ~state_bound =
 let complete_of_stg config stg =
   memoize config ~stage:"sg"
     ~params:[ ("max_states", string_of_int config.max_states) ]
-    (Cache_key.stg_digest stg)
+    (fun () -> Cache_key.stg_digest stg)
     (fun () ->
       let cap = min engine_threshold config.max_states in
       let engine, sg =
@@ -701,7 +594,7 @@ let partition_summary ?jobs config stg =
   in
   memoize config ~stage:"plan"
     ~params:[ ("max_states", string_of_int config.max_states) ]
-    (Cache_key.stg_digest stg)
+    (fun () -> Cache_key.stg_digest stg)
     (fun () ->
       snd (plan ~config ~certificate:false (complete_of_stg config stg)))
 
@@ -710,7 +603,7 @@ let partition_summary ?jobs config stg =
 let synthesize ?(config = default_config) stg =
   let deadline = Deadline.of_limit config.time_limit in
   memoize config ~stage:"synth" ~params:(fingerprint config)
-    (Cache_key.stg_digest stg)
+    (fun () -> Cache_key.stg_digest stg)
     (fun () ->
       let complete = complete_of_stg config stg in
       let backend =

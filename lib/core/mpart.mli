@@ -20,9 +20,10 @@
     support ({!Derive}).
 
     Every entry point runs this one flow once: the partition plan
-    (every output's module analyzed and audited, in M4 order), then the
-    insertion (module SAT, propagation, fallback pass), then the
-    implementation (region minimization, expansion repair, covers). *)
+    (every output's module analyzed against Σ and audited, in M4
+    order), then the insertion (one sequential loop of module SAT and
+    propagation, then the fallback pass), then the implementation
+    (region minimization, expansion repair, covers). *)
 
 type config = {
   backtrack_limit : int option;  (** per SAT call *)
@@ -46,15 +47,13 @@ type config = {
           first's CSC solution through the renumberings instead of
           calling the solver again (default true) *)
   jobs : int;
-      (** domain-pool width for the solver-independent stages: the
-          per-output derivation/projection/conflict-detection batches
-          fan out over {!Pool} with this width.  [1] forces the
-          historical fully sequential path; any width produces
-          bit-identical results (the mutating solve/propagate stage
-          stays ordered and stale analyses are recomputed).
-          Default: {!Pool.default_jobs} at
-          module initialization ([MPSYN_JOBS] or the machine's
-          recommended domain count). *)
+      (** domain-pool width of the partition plan: every output's
+          derivation, projection and conflict detection against Σ fan
+          out over {!Pool} with this width.  The insertion after it is
+          sequential at any width, re-analyses included, so every width
+          does the same work and produces bit-identical results.
+          Default: {!Pool.default_jobs} at module initialization
+          ([MPSYN_JOBS] or the machine's recommended domain count). *)
   cache : Cache_store.t option;
       (** content-addressed memoization of the solver-independent
           stages (default [None]: no caching).  Keys combine the
@@ -67,9 +66,9 @@ type config = {
           CSC solutions (keyed by the module graph's digest — edits
           outside an output's input-set cone leave its entry valid, the
           incremental-re-synthesis property of partitioned
-          representations), minimized covers, and whole synthesis
-          results: {!synthesize} by the specification,
-          {!synthesize_sg} by the graph.  Failures are never cached. *)
+          representations), minimized covers, and whole {!synthesize}
+          results by the specification ({!synthesize_sg} memoizes only
+          its modules and covers).  Failures are never cached. *)
 }
 
 val default_config : config
@@ -108,7 +107,9 @@ type result = {
           earlier CSC solution instead of solving (dedup_cones) *)
   stale_analyses : int;
       (** module analyses recomputed because an earlier solve mutated
-          the complete graph — the M4 ordering tries to keep this low *)
+          the complete graph: every output consumed after the first
+          solve that inserted a state signal, at any [jobs].  The M4
+          order tries to keep this low *)
 }
 
 exception Synthesis_failed of string
@@ -126,7 +127,9 @@ exception Synthesis_failed of string
 val synthesize : ?config:config -> Stg.t -> result
 
 (** [synthesize_sg ?config sg] is the same flow starting from an
-    already-derived complete state graph (used by baselines and tests).
+    already-derived complete state graph Σ = [sg] (the graph-level entry
+    point the tests drive with hand-built graphs).  The whole run is not
+    memoized; with [config.cache] its module solutions and covers are.
     When [sg] already satisfies CSC ({!Csc.csc_satisfied}), modules skip
     conflict analysis and SAT and [result.certificate] holds. *)
 val synthesize_sg : ?config:config -> Sg.t -> result

@@ -87,12 +87,6 @@ let shutdown () =
 
 let () = at_exit shutdown
 
-let n_workers () =
-  Mutex.lock qmutex;
-  let n = !worker_count in
-  Mutex.unlock qmutex;
-  n
-
 (* Grow the pool to [n] workers (monotone; spawn failures are absorbed:
    the caller always helps, so fewer workers only means less overlap). *)
 let ensure_workers n =
@@ -206,4 +200,3 @@ let map ?jobs f arr =
   else parallel_map ~jobs f arr
 
 let map_list ?jobs f l = Array.to_list (map ?jobs f (Array.of_list l))
-let map_filter ?jobs f l = List.filter_map Fun.id (map_list ?jobs f l)

@@ -46,11 +46,3 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** List version of {!map}; same ordering and failure contract. *)
-
-val map_filter : ?jobs:int -> ('a -> 'b option) -> 'a list -> 'b list
-(** [map_filter ?jobs f l] is [List.filter_map f l] with the
-    applications fanned out like {!map_list}. *)
-
-val n_workers : unit -> int
-(** Worker domains currently alive (excludes callers helping); for
-    tests and diagnostics. *)

@@ -8,16 +8,11 @@
     diamonds for [Up→Up] / [Dn→Dn] edges (semi-modularity).  The final
     state counts reported in Table 1 come from this step. *)
 
-(** [expand_one sg] realises the {e first} extra of [sg] as a new visible
-    internal signal (appended after the existing signals) and returns the
-    rewritten graph, whose extras are the remaining ones.
-    @raise Invalid_argument if [sg] has no extras. *)
-val expand_one : Sg.t -> Sg.t
-
 (** [expand sg] realises all extras in one pass and builds the result
     with a single {!Sg.make}, which checks every edge's codes.  The
-    graph is the one folding {!expand_one} over [sg] gives, so the two
-    have the same {!Sg.digest}:
+    graph is the one realising the extras one at a time, first to last,
+    gives (each a new non-input signal appended after the existing
+    ones), so the two have the same {!Sg.digest}:
     - {b signals}: [sg]'s signals, then one non-input signal per extra,
       in extras order, named after it;
     - {b states}: state [m] with [j] excited extras becomes [2^j]

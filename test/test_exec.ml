@@ -32,15 +32,6 @@ let test_map_list () =
     (List.init 50 (fun i -> i + 1))
     (Pool.map_list ~jobs:3 succ (List.init 50 Fun.id))
 
-let test_map_filter () =
-  let l = List.init 30 Fun.id in
-  Alcotest.(check (list int))
-    "evens halved"
-    (List.filter_map (fun i -> if i mod 2 = 0 then Some (i / 2) else None) l)
-    (Pool.map_filter ~jobs:4
-       (fun i -> if i mod 2 = 0 then Some (i / 2) else None)
-       l)
-
 (* A map whose tasks themselves map on the pool: caller helping means
    this terminates regardless of pool width. *)
 let test_nested_maps () =
@@ -113,7 +104,6 @@ let () =
             test_map_matches_sequential;
           Alcotest.test_case "empty/singleton" `Quick test_map_small;
           Alcotest.test_case "map_list" `Quick test_map_list;
-          Alcotest.test_case "map_filter" `Quick test_map_filter;
           Alcotest.test_case "nested maps" `Quick test_nested_maps;
         ] );
       ( "failures",

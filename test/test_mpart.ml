@@ -523,12 +523,12 @@ let test_cli_log_level () =
   check "message names the variable" true
     (String.starts_with ~prefix:"mpsyn: MPSYN_LOG" stderr)
 
-let test_fallback_orphan_conflict () =
-  (* a conflict pair that no output module claims: both states imply
-     identical values for every output, so the per-output passes skip
-     it (zero output conflicts) and the global fallback must fire.
-     The cycle fires r,a twice with an extra x covering only the first
-     lap: the two 10-coded states disagree only on x's excitation. *)
+(* A conflict pair that no output module claims: both states imply
+   identical values for every output, so the per-output passes skip it
+   (zero output conflicts) and the global fallback must fire.  The cycle
+   fires r,a twice with an extra x covering only the first lap: the two
+   10-coded states disagree only on x's excitation. *)
+let orphan_sg () =
   let src =
     ".model orphan\n.inputs r\n.outputs a\n.graph\n\
      r~ a~\na~ r~/2\nr~/2 a~/2\na~/2 r~/3\nr~/3 a~/3\na~/3 r~/4\n\
@@ -553,13 +553,32 @@ let test_fallback_orphan_conflict () =
   in
   let values = Array.make 8 Fourval.V0 in
   Array.iteri (fun i s -> values.(s) <- fire_values.(i)) order;
-  let sg = Sg.add_extra sg ~name:"x" ~values in
+  Sg.add_extra sg ~name:"x" ~values
+
+let test_fallback_orphan_conflict () =
+  let sg = orphan_sg () in
   check_int "no output conflicts" 0
     (Csc.n_output_conflicts sg ~output:(Sg.find_signal sg "a"));
   check_int "one orphan pair" 1 (List.length (Csc.orphan_conflict_pairs sg));
   let r = Mpart.synthesize_sg sg in
   check "fallback fired" true (r.Mpart.fallback <> None);
   check "verifies" true (Mpart.verify r = None)
+
+(* The fallback's own give-up message: with no time at all, the DPLL
+   backend cannot separate the orphan pair. *)
+let test_fallback_gives_up () =
+  Alcotest.check_raises "budget message"
+    (Mpart.Synthesis_failed "global cleanup pass exhausted its SAT budget")
+    (fun () ->
+      ignore
+        (Mpart.synthesize_sg
+           ~config:
+             {
+               Mpart.default_config with
+               backend = `Dpll;
+               time_limit = Some 0.0;
+             }
+           (orphan_sg ())))
 
 let test_state_cap () =
   check "reachability cap surfaces" true
@@ -665,6 +684,7 @@ let () =
             test_headline_claim;
           Alcotest.test_case "time limit at any jobs" `Quick
             test_time_limit_any_jobs;
+          Alcotest.test_case "fallback gives up" `Quick test_fallback_gives_up;
         ] );
       ( "one flow",
         [

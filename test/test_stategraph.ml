@@ -294,7 +294,7 @@ let test_expand_no_extras () =
   check "identity" true (Sg_expand.expand sg == sg);
   check "expand_one raises" true
     (try
-       ignore (Sg_expand.expand_one sg);
+       ignore (Expand_ref.expand_one sg);
        false
      with Invalid_argument _ -> true)
 
@@ -409,8 +409,8 @@ let test_region_minimize_shrinks_expansion () =
 (* ---------------- one-pass expansion and early-exit checks ---------------- *)
 
 (* [Sg_expand.expand] builds every extra in one pass; folding
-   [expand_one] is the step-by-step reference it must reproduce state
-   for state and edge for edge.  The graphs: each data/*.g complete
+   [Expand_ref.expand_one] is the step-by-step reference it must
+   reproduce state for state and edge for edge.  The graphs: each data/*.g complete
    graph and 50 fuzzed ones, carrying the first k state signals inserted
    by modular SAT (through [Mpart.synthesize]) and by [Csc_direct], for
    every k, plus a cube of three concurrent pulses with four extras
@@ -424,7 +424,7 @@ let g_files () =
   |> List.sort compare
 
 let rec iterated_expand sg =
-  if Sg.n_extras sg = 0 then sg else iterated_expand (Sg_expand.expand_one sg)
+  if Sg.n_extras sg = 0 then sg else iterated_expand (Expand_ref.expand_one sg)
 
 let with_prefixes g (xs : Sg.extra array) =
   List.init (Array.length xs) (fun k ->

@@ -412,7 +412,7 @@ let diagnostics ~loc stg summary =
              eps-contraction (prefix: %d events)"
             m c summary.s_events)
          "exact state-space size computed from the prefix without \
-          explicit exploration; synthesize_best uses it to pick a \
-          constraint backend statically")
+          explicit exploration; synthesis picks its constraint backend \
+          from the same state count, taken from the complete graph")
   | _ -> ());
   List.rev !diags

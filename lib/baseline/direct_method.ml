@@ -4,11 +4,9 @@ let synthesize ?backtrack_limit ?time_limit sg =
   | Csc_direct.Gave_up reason -> Either.Right (reason, r)
   | Csc_direct.Solved solved ->
     let expanded =
-      let minimized = Sg_expand.expand (Region_minimize.minimize solved) in
-      if Csc.csc_satisfied minimized then minimized
-      else
-        let plain = Sg_expand.expand solved in
-        if Csc.csc_satisfied plain then plain
-        else raise (Derive.Not_csc "direct method: the expansion lacks CSC")
+      let minimized = Region_minimize.minimize solved in
+      if Sg_expand.csc_satisfied minimized then Sg_expand.expand minimized
+      else if Sg_expand.csc_satisfied solved then Sg_expand.expand solved
+      else raise (Derive.Not_csc "direct method: the expansion lacks CSC")
     in
     Either.Left (expanded, Derive.synthesize expanded, r)

@@ -118,11 +118,8 @@ exception Synthesis_failed of string
    keeps module-level checks meaningful: a quotient can carry artifact
    violations the module is not responsible for. *)
 let no_new_violations g =
-  let violations g =
-    List.length (Persistency.violations (Sg_expand.expand g))
-  in
-  let baseline = violations g in
-  fun solved -> violations solved <= baseline
+  let baseline = Sg_expand.n_violations g in
+  fun solved -> Sg_expand.n_violations solved <= baseline
 
 let fresh_names () =
   let counter = ref 0 in
@@ -412,24 +409,23 @@ let implement ~config ~deadline ~fresh_name ~modules complete current =
      gate-level hazard.  So a labeling is accepted only when its
      expansion both satisfies CSC and stays semi-modular; minimization
      steps that would break either are dropped, and remaining
-     expansion-born conflicts are repaired with bounded direct passes. *)
+     expansion-born conflicts are repaired with bounded direct passes.
+     Every such check is decided on the folded graph ({!Sg_expand}), so
+     a repair round materializes one expansion: the one [Derive] reads. *)
   Log.debug (fun m -> m "minimizing excitation regions");
-  let implementable sg0 =
-    let e = Sg_expand.expand sg0 in
-    Csc.csc_satisfied e && Persistency.is_semi_modular e
-  in
   let minimize_safely sg0 =
     (* one extra at a time, keeping a minimization only when the expanded
        graph still satisfies CSC and semi-modularity *)
     let acc = ref sg0 in
     for index = 0 to Sg.n_extras sg0 - 1 do
       let candidate = Region_minimize.minimize_extra !acc ~index in
-      if implementable candidate then acc := candidate
+      if Sg_expand.implementable candidate then acc := candidate
     done;
     !acc
   in
   let final =
-    if implementable current then minimize_safely current else current
+    if Sg_expand.implementable current then minimize_safely current
+    else current
   in
   let rec repair expanded round =
     Log.debug (fun m ->
@@ -447,7 +443,7 @@ let implement ~config ~deadline ~fresh_name ~modules complete current =
       in
       let solved' =
         let m = Region_minimize.minimize solved in
-        if Csc.csc_satisfied (Sg_expand.expand m) then m else solved
+        if Sg_expand.csc_satisfied m then m else solved
       in
       repair (Sg_expand.expand solved') (round + 1)
     end
@@ -467,7 +463,8 @@ let implement ~config ~deadline ~fresh_name ~modules complete current =
           m "modular composition lost semi-modularity; global re-insertion");
       let pairs = Csc.conflict_pairs complete in
       let ((g, _, _) as pass) =
-        global_pass ~config ~deadline ~fresh_name ~accept:implementable
+        global_pass ~config ~deadline ~fresh_name
+          ~accept:Sg_expand.implementable
           ~what:"no semi-modular state-signal insertion within the SAT budget"
           ~resolve:pairs complete
       in

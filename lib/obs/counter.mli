@@ -5,7 +5,8 @@
     claim: a static certificate makes synthesis skip constraint solving
     ([solver] stays put), the prefix rules never explore explicitly
     ([reach]), a hazard certificate skips dynamic simulation ([sim]),
-    and a warm cache serves lookups ([cache_hit]).
+    a warm cache serves lookups ([cache_hit]), and synthesis
+    materializes one expanded graph per repair round ([expansion]).
 
     Counters are atomic, so events issued from pool domains ({!Pool})
     are counted exactly under [--jobs N]. *)
@@ -25,6 +26,10 @@ val symbolic : t
 
 (** One dynamic conformance exploration, {!Conform.check}. *)
 val sim : t
+
+(** One materialized expansion, {!Sg_expand.expand} of a graph with
+    state signals. *)
+val expansion : t
 
 (** One served {!Cache_store.get}. *)
 val cache_hit : t

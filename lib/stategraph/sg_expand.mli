@@ -28,5 +28,49 @@
       ([Up → Up] or [Dn → Dn]) becomes [2^i] edges, ordered by those
       extras' bits with the first of them most significant;
     - {b initial}: the first copy of [sg]'s initial state.
-    Returns [sg] itself when it has no extras. *)
+    Returns [sg] itself when it has no extras; otherwise bumps
+    {!Counter.expansion}. *)
 val expand : Sg.t -> Sg.t
+
+(** {1 Folded decisions}
+
+    The checks implementability needs, answered about [expand sg]
+    without building it: no {!Sg.make}, no edge list.  An expanded state
+    is a pair ([m], [c]) of a state of [sg] and a copy index, numbered
+    as {!expand} numbers them.  Its code is [m]'s base code plus each
+    extra's stable value or copy bit ([Up] is its bit, [Dn] its
+    complement).  Its non-input excitation follows from [sg] and the
+    copy bits:
+    - extra [i] is excited in the copies where its bit is 0 (the A
+      copies) only;
+    - an original edge [e] out of [m] is excited in copy [c] iff [c]
+      holds [e]'s leaving bits, the extras valued [Up → V1] or
+      [Dn → V0] along [e]; the bits of extras concurrent along [e]
+      ([Up → Up], [Dn → Dn]) are free.
+
+    CSC is decided on the same-base-code classes of [sg] alone: two
+    copies of states with different base codes differ in those bits,
+    and two copies of one state differ in an excited extra's bit, so no
+    other pair of expanded states can share a code.  Semi-modularity is
+    checked per original edge and assignment of its free bits, on
+    per-copy rise and fall masks.  An inserted transition never disables
+    an event: its target copy holds every bit its source holds, plus its
+    own.
+
+    A graph with no extras is its own expansion and is checked directly
+    ({!Csc.csc_satisfied}, {!Persistency}).
+    @raise Sg.Inconsistent when the expansion would have more than 62
+    signals, as {!expand} does. *)
+
+(** [csc_satisfied sg] = [Csc.csc_satisfied (expand sg)]. *)
+val csc_satisfied : Sg.t -> bool
+
+(** [is_semi_modular sg] = [Persistency.is_semi_modular (expand sg)]. *)
+val is_semi_modular : Sg.t -> bool
+
+(** [n_violations sg] = [List.length (Persistency.violations (expand sg))]. *)
+val n_violations : Sg.t -> int
+
+(** [implementable sg] holds when [expand sg] satisfies CSC and is
+    semi-modular: both checks on one folded view. *)
+val implementable : Sg.t -> bool

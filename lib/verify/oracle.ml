@@ -217,11 +217,10 @@ let synthesize_with ?backtrack_limit ?time_limit ?cache backend stg =
        regions keeping CSC only, while the product exploration needs a
        semi-modular expansion, so [accept] filters the labelings and the
        accepted one is expanded unminimized *)
-    let accept solved =
-      let e = Sg_expand.expand solved in
-      Csc.csc_satisfied e && Persistency.is_semi_modular e
+    let r =
+      Csc_direct.solve ?backtrack_limit ?time_limit
+        ~accept:Sg_expand.implementable sg
     in
-    let r = Csc_direct.solve ?backtrack_limit ?time_limit ~accept sg in
     match r.Csc_direct.outcome with
     | Csc_direct.Solved solved ->
       Ok (impl_of_expanded ~spec:sg (Sg_expand.expand solved))

@@ -460,6 +460,26 @@ let test_one_insertion () =
         (solves (fun () -> Mpart.synthesize_best ~config stg)))
     [ "fifo.g"; "mr0.g" ]
 
+(* Counter proof of one materialization: every implementability check
+   is decided on the folded graph, so a synthesis that ends at repair
+   round 0 with no global redo expands exactly once, the graph [Derive]
+   reads. *)
+let test_expand_once () =
+  List.iter
+    (fun (what, stg) ->
+      let before = Counter.get Counter.expansion in
+      let r = Mpart.synthesize stg in
+      check (what ^ ": no global redo") true
+        (match r.Mpart.fallback with
+        | Some f -> f.Mpart.output_name <> "<global redo>"
+        | None -> true);
+      check_int (what ^ ": expansions") 1
+        (Counter.get Counter.expansion - before))
+    [
+      ("mixed 3x3", Bench_gen.mixed ~stages:3 ~branches:3);
+      ("pulsers 5", Bench_gen.concurrent_pulsers ~branches:5);
+    ]
+
 let mpsyn = Filename.concat ".." (Filename.concat "bin" "mpsyn.exe")
 
 let read_file f =
@@ -691,6 +711,7 @@ let () =
           Alcotest.test_case "one insertion" `Quick test_one_insertion;
           Alcotest.test_case "failure message" `Quick test_cli_failure;
           Alcotest.test_case "MPSYN_LOG level" `Quick test_cli_log_level;
+          Alcotest.test_case "one expansion" `Quick test_expand_once;
         ] );
       ( "properties",
         [

@@ -532,6 +532,66 @@ let test_early_exit_agrees () =
     [ ("csc", true); ("csc", false); ("semi-modular", true);
       ("semi-modular", false) ]
 
+(* The folded decisions answer CSC, semi-modularity and the violation
+   count of [Sg_expand.expand g] without building it; they must equal
+   the checks on the materialized graph on every graph above, on each
+   one's [minimize_extra] candidates, and on the final graphs of the
+   generated mixed 3x3 and pulsers 5 nets.  Both verdicts must occur,
+   and the graphs of mr0, mmu1 and mixed 3x3 must include a refusal. *)
+let expand_j2_finals =
+  lazy
+    (List.map
+       (fun stg -> (Mpart.synthesize stg).Mpart.final)
+       [
+         Bench_gen.mixed ~stages:3 ~branches:3;
+         Bench_gen.concurrent_pulsers ~branches:5;
+       ])
+
+let test_folded_agrees () =
+  let graphs =
+    concurrent_graph ()
+    :: (Lazy.force data_graphs @ Lazy.force fuzz_graphs
+       @ Lazy.force expand_j2_finals)
+  in
+  let with_candidates g =
+    g
+    :: List.init (Sg.n_extras g) (fun index ->
+           Region_minimize.minimize_extra g ~index)
+  in
+  let seen = Hashtbl.create 4 and refused = Hashtbl.create 8 in
+  let agree what g folded expanded =
+    if folded <> expanded then
+      Alcotest.failf "%s on %s (%d extras): folded %d, expanded %d" what
+        (Sg.name g) (Sg.n_extras g) folded expanded
+  in
+  List.iter
+    (fun g ->
+      let e = Sg_expand.expand g in
+      let csc = Sg_expand.csc_satisfied g
+      and sm = Sg_expand.is_semi_modular g in
+      agree "csc" g (Bool.to_int csc) (Bool.to_int (Csc.csc_satisfied e));
+      agree "semi-modular" g (Bool.to_int sm)
+        (Bool.to_int (Persistency.is_semi_modular e));
+      agree "violations" g (Sg_expand.n_violations g)
+        (List.length (Persistency.violations e));
+      agree "implementable" g
+        (Bool.to_int (Sg_expand.implementable g))
+        (Bool.to_int (csc && sm));
+      Hashtbl.replace seen ("csc", csc) ();
+      Hashtbl.replace seen ("semi-modular", sm) ();
+      if not (csc && sm) then Hashtbl.replace refused (Sg.name g) ())
+    (List.concat_map with_candidates graphs);
+  List.iter
+    (fun key ->
+      check
+        (Printf.sprintf "%s = %b occurs" (fst key) (snd key))
+        true (Hashtbl.mem seen key))
+    [ ("csc", true); ("csc", false); ("semi-modular", true);
+      ("semi-modular", false) ];
+  List.iter
+    (fun name -> check (name ^ " has a refusal") true (Hashtbl.mem refused name))
+    [ "mr0"; "mmu1"; "mixed3x3" ]
+
 let () =
   Alcotest.run "stategraph"
     [
@@ -594,5 +654,7 @@ let () =
           Alcotest.test_case "concurrent extras" `Quick test_one_pass_concurrent;
           Alcotest.test_case "early-exit checks agree" `Slow
             test_early_exit_agrees;
+          Alcotest.test_case "folded decisions agree" `Slow
+            test_folded_agrees;
         ] );
     ]

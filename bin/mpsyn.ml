@@ -673,12 +673,13 @@ let gen_cmd =
     Term.(const run $ family $ n_arg $ k_arg)
 
 let verilog_cmd =
-  let run stg_name cache_opt =
+  let run stg_name jobs_opt cache_opt =
     guard_budget @@ fun () ->
+    let jobs = resolve_jobs jobs_opt in
     let cache = resolve_cache cache_opt in
     let stg = load_stg stg_name in
     let r =
-      Mpart.synthesize ~config:{ Mpart.default_config with cache } stg
+      Mpart.synthesize ~config:{ Mpart.default_config with jobs; cache } stg
     in
     (match Mpart.verify r with
     | None -> ()
@@ -700,7 +701,7 @@ let verilog_cmd =
   Cmd.v
     (Cmd.info "verilog" ~exits
        ~doc:"Synthesize and emit a structural Verilog netlist")
-    Term.(const run $ stg_arg $ cache_arg)
+    Term.(const run $ stg_arg $ jobs_arg $ cache_arg)
 
 let verify_cmd =
   let stgs_arg =

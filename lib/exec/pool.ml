@@ -1,5 +1,7 @@
 (* A single global queue of ready tasks, served by worker domains that
-   are spawned on first parallel use and joined at process exit.  Every
+   are spawned when a batch needs them and joined as soon as no batch is
+   in flight, so no idle domain outlives the work it was spawned for (an
+   idle domain still joins every stop-the-world minor collection).  Every
    [map] call forms a batch; the calling domain enqueues the batch's
    tasks and then *helps*: it keeps executing queued tasks (its own or
    any other batch's) until its batch has drained.  Helping is what
@@ -69,9 +71,8 @@ let worker () =
   in
   loop ()
 
-(* Joining at exit keeps the runtime from tearing down while workers
-   sit in [Condition.wait].  Maps are synchronous, so the queue is
-   necessarily empty by the time the main domain reaches [at_exit]. *)
+(* Stop and join every worker.  Called when the outermost batch drains,
+   so the queue is empty and the workers are idle or about to be. *)
 let shutdown () =
   Mutex.lock qmutex;
   stopping := true;
@@ -84,8 +85,6 @@ let shutdown () =
   Mutex.lock qmutex;
   stopping := false;
   Mutex.unlock qmutex
-
-let () = at_exit shutdown
 
 (* Grow the pool to [n] workers (monotone; spawn failures are absorbed:
    the caller always helps, so fewer workers only means less overlap). *)
@@ -114,7 +113,19 @@ type batch = {
          of the batch with a higher index are drained without running *)
 }
 
-let parallel_map ~jobs f arr =
+(* Batches in flight, nested ones included.  The caller whose decrement
+   reaches zero ran the outermost batch, outside any task, so it can
+   join the workers; a batch that starts meanwhile still completes,
+   because its caller helps. *)
+let in_flight = Atomic.make 0
+
+let live_workers () =
+  Mutex.lock qmutex;
+  let n = !worker_count in
+  Mutex.unlock qmutex;
+  n
+
+let run_batch ~jobs f arr =
   let n = Array.length arr in
   ensure_workers (min jobs n - 1);
   let results = Array.make n None in
@@ -192,6 +203,13 @@ let parallel_map ~jobs f arr =
   | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
   | None ->
     Array.map (function Some r -> r | None -> assert false) results
+
+let parallel_map ~jobs f arr =
+  Atomic.incr in_flight;
+  Fun.protect
+    (fun () -> run_batch ~jobs f arr)
+    ~finally:(fun () ->
+      if Atomic.fetch_and_add in_flight (-1) = 1 then shutdown ())
 
 let map ?jobs f arr =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in

@@ -4,8 +4,11 @@
     — per-output module projections, benchmark rows, fuzz cases — and
     this module is the one place that fans them out over
     OCaml 5 domains.  The pool is hand-rolled over [Domain], [Mutex] and
-    [Condition]: a single global task queue served by lazily spawned
-    worker domains, plus {e caller helping} — the domain that submits a
+    [Condition]: a single global task queue served by worker domains
+    that a batch spawns and that are joined as soon as the outermost
+    batch drains (an idle domain would still take part in every
+    stop-the-world minor collection of the stages that follow), plus
+    {e caller helping} — the domain that submits a
     batch also executes queued tasks while it waits, so nested
     [map]-inside-[map] calls (a lint run synthesizing each file)
     can never deadlock and total parallelism stays bounded by the pool
@@ -46,3 +49,8 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** List version of {!map}; same ordering and failure contract. *)
+
+val live_workers : unit -> int
+(** The number of worker domains currently spawned: positive only while
+    a parallel batch is in flight, [0] once the outermost one has
+    returned. *)

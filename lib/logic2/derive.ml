@@ -10,14 +10,41 @@ type func = {
 
 exception Not_csc of string
 
-let on_off_sets sg ~signal =
-  let on = ref [] and off = ref [] in
-  for m = 0 to Sg.n_states sg - 1 do
-    let c = Sg.code sg m in
-    if Sg.implied_value sg m signal then on := c :: !on else off := c :: !off
-  done;
-  ( List.sort_uniq Int.compare !on,
-    List.sort_uniq Int.compare !off )
+(* Bit [s] of [implied.(m)] is the implied value of non-input signal
+   [s] at state [m] (paper §3.5): the code with excited falls cleared
+   and excited rises set.  Input signals' bits are not meaningful. *)
+let implied_codes sg =
+  let rise, fall = Sg.excitation_masks sg in
+  Array.init (Sg.n_states sg) (fun m ->
+      (Sg.code sg m land lnot fall.(m)) lor rise.(m))
+
+let check_non_input sg what s =
+  if not (Sg.non_input sg s) then
+    invalid_arg
+      (Printf.sprintf "Derive.%s: %s is an input" what (Sg.signal_name sg s))
+
+(* The on- and off-set of every signal in [signals], from one mask pass
+   and one sort of the states by code: walking the states by decreasing
+   code and consing each code once yields every set sorted and
+   duplicate-free. *)
+let on_off_sets sg ~signals =
+  let implied = implied_codes sg in
+  let codes = Array.init (Sg.n_states sg) (Sg.code sg) in
+  let order = Array.init (Sg.n_states sg) Fun.id in
+  Array.sort (fun a b -> Int.compare codes.(b) codes.(a)) order;
+  let on = Array.make (Sg.n_signals sg) [] in
+  let off = Array.make (Sg.n_signals sg) [] in
+  let add set s c =
+    match set.(s) with c' :: _ when c' = c -> () | l -> set.(s) <- c :: l
+  in
+  Array.iter
+    (fun m ->
+      let c = codes.(m) in
+      List.iter
+        (fun s -> add (if implied.(m) land (1 lsl s) <> 0 then on else off) s c)
+        signals)
+    order;
+  List.map (fun s -> (on.(s), off.(s))) signals
 
 type cover_memo =
   width:int ->
@@ -70,15 +97,16 @@ let derive_one ~memo_cover sg ~signal ~support (onset, offset) =
   }
 
 let synthesize_one ?(memo_cover = no_memo) sg ~signal ~support =
-  derive_one ~memo_cover sg ~signal ~support (on_off_sets sg ~signal)
+  check_non_input sg "synthesize_one" signal;
+  derive_one ~memo_cover sg ~signal ~support
+    (List.hd (on_off_sets sg ~signals:[ signal ]))
 
 let synthesize ?(memo_cover = no_memo) ?(support_of = fun _ -> None) sg =
   let non_inputs =
     List.filter (Sg.non_input sg) (List.init (Sg.n_signals sg) Fun.id)
   in
-  List.map
-    (fun s ->
-      let sets = on_off_sets sg ~signal:s in
+  List.map2
+    (fun s sets ->
       let support =
         match support_of s with
         | Some vars -> vars
@@ -88,16 +116,19 @@ let synthesize ?(memo_cover = no_memo) ?(support_of = fun _ -> None) sg =
       in
       derive_one ~memo_cover sg ~signal:s ~support sets)
     non_inputs
+    (on_off_sets sg ~signals:non_inputs)
 
 let total_literals fs =
   List.fold_left (fun acc f -> acc + Cover.n_literals f.cover) 0 fs
 
 let check fs sg =
+  List.iter (fun f -> check_non_input sg "check" f.signal) fs;
+  let implied = implied_codes sg in
   let bad = ref [] in
   List.iter
     (fun f ->
       for m = 0 to Sg.n_states sg - 1 do
-        let expected = Sg.implied_value sg m f.signal in
+        let expected = implied.(m) land (1 lsl f.signal) <> 0 in
         let projected = Support.project ~vars:f.support (Sg.code sg m) in
         if Cover.eval f.cover projected <> expected then
           bad := (f.name, m) :: !bad

@@ -19,6 +19,13 @@ type func = {
 exception Not_csc of string
 (** Raised when a code implies both values — the graph violates CSC. *)
 
+(** [on_off_sets sg ~signals] is, for each non-input signal of
+    [signals] in order, its [(onset, offset)] over the full code: the
+    sorted, duplicate-free codes of the states whose implied value is 1
+    and 0.  Computed for all of [signals] at once, from
+    {!Sg.excitation_masks} and one sort of the states by code. *)
+val on_off_sets : Sg.t -> signals:int list -> (int list * int list) list
+
 (** A memoization hook around cover minimization.  [memo ~width ~onset
     ~offset compute] must return [compute ()] or a value previously
     returned by [compute] under the {e same} three arguments
@@ -37,7 +44,8 @@ type cover_memo =
     ids).  If the support is insufficient it is grown minimally
     ({!Support.grow}); the actual support used is in the result.
     @param memo_cover see {!cover_memo}.
-    Raises [Invalid_argument] when the graph still carries extras.
+    Raises [Invalid_argument] when the graph still carries extras or
+    [signal] is an input.
     @raise Not_csc when even the full signal set cannot separate the
     on-set from the off-set. *)
 val synthesize_one :
@@ -61,7 +69,8 @@ val total_literals : func list -> int
 
 (** [check fs sg] verifies every function against every reachable state
     of [sg]; returns the list of (function name, state) mismatches
-    (empty = implementation correct). *)
+    (empty = implementation correct).  Raises [Invalid_argument] when a
+    function's signal is an input of [sg]. *)
 val check : func list -> Sg.t -> (string * int) list
 
 val pp_func : Format.formatter -> func -> unit

@@ -15,22 +15,35 @@ let code_classes sg =
   |> List.map (List.sort Int.compare)
   |> List.sort compare
 
-let conflict_pairs sg =
+(* Pairs of equal-code states whose [Sg.full_excitation_masks] differ;
+   [visible_only] keeps only the pairs whose non-input visible
+   excitation (the bits below the extras) agrees. *)
+let mask_conflicts ~visible_only sg =
+  let rise, fall = Sg.full_excitation_masks sg in
+  let vis = (1 lsl Sg.n_signals sg) - 1 in
+  let differ m m' = rise.(m) <> rise.(m') || fall.(m) <> fall.(m') in
+  let same_visible m m' =
+    (rise.(m) lxor rise.(m')) land vis = 0
+    && (fall.(m) lxor fall.(m')) land vis = 0
+  in
   let pairs = ref [] in
   List.iter
     (fun members ->
-      let sigs = List.map (fun m -> (m, Sg.excitation_signature sg m)) members in
       let rec all_pairs = function
         | [] -> ()
-        | (m, sm) :: rest ->
+        | m :: rest ->
           List.iter
-            (fun (m', sm') -> if sm <> sm' then pairs := (m, m') :: !pairs)
+            (fun m' ->
+              if differ m m' && ((not visible_only) || same_visible m m') then
+                pairs := (m, m') :: !pairs)
             rest;
           all_pairs rest
       in
-      all_pairs sigs)
+      all_pairs members)
     (code_classes sg);
   List.sort compare !pairs
+
+let conflict_pairs sg = mask_conflicts ~visible_only:false sg
 
 let n_conflicts sg = List.length (conflict_pairs sg)
 
@@ -51,20 +64,7 @@ let output_conflict_pairs sg ~output =
 
 let n_output_conflicts sg ~output = List.length (output_conflict_pairs sg ~output)
 
-let visible_signature sg m =
-  let buf = Buffer.create 16 in
-  List.iter
-    (fun (s, d) ->
-      if Sg.non_input sg s then
-        Buffer.add_string buf
-          (Printf.sprintf "%d%c;" s (match d with Sg.R -> '+' | Sg.F -> '-')))
-    (Sg.excited_events sg m);
-  Buffer.contents buf
-
-let orphan_conflict_pairs sg =
-  List.filter
-    (fun (m, m') -> visible_signature sg m = visible_signature sg m')
-    (conflict_pairs sg)
+let orphan_conflict_pairs sg = mask_conflicts ~visible_only:true sg
 
 let max_usc sg =
   List.fold_left (fun acc c -> max acc (List.length c)) 1 (code_classes sg)
@@ -76,22 +76,10 @@ let lower_bound sg =
 
 (* Equal-code states must agree on every excitation; comparing each
    state with the first of its code class decides that without listing
-   pairs.  The key is the non-input rise and fall masks with the extras'
-   Up and Dn bits above the visible signals: exactly the information in
-   [Sg.excitation_signature]. *)
+   pairs. *)
 let csc_satisfied sg =
-  let n = Sg.n_states sg and ns = Sg.n_signals sg in
-  let rise, fall = Sg.excitation_masks sg in
-  Array.iteri
-    (fun i (x : Sg.extra) ->
-      Array.iteri
-        (fun m v ->
-          match v with
-          | Fourval.Up -> rise.(m) <- rise.(m) lor (1 lsl (ns + i))
-          | Fourval.Dn -> fall.(m) <- fall.(m) lor (1 lsl (ns + i))
-          | Fourval.V0 | Fourval.V1 -> ())
-        x.Sg.values)
-    (Sg.extras sg);
+  let n = Sg.n_states sg in
+  let rise, fall = Sg.full_excitation_masks sg in
   let first = Hashtbl.create n in
   let rec go m =
     m >= n

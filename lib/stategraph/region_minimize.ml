@@ -13,38 +13,16 @@ let minimize_extra sg ~index =
   let n = Sg.n_states sg in
   let x = (Sg.extras sg).(index) in
   let values = Array.copy x.Sg.values in
-  let bitpos = Sg.n_signals sg + index in
-  (* Signature of a state: base non-input excitation is constant; the
-     extras part depends on [values] for our extra and is fixed for the
-     others.  We build "sig = base ^ other-extras ^ own-part" with the own
-     part recomputed on flips. *)
-  let base_sig = Array.make n "" in
-  for m = 0 to n - 1 do
-    let buf = Buffer.create 16 in
-    List.iter
-      (fun (s, d) ->
-        if Sg.non_input sg s then
-          Buffer.add_string buf
-            (Printf.sprintf "%d%c;" s (match d with Sg.R -> '+' | Sg.F -> '-')))
-      (Sg.excited_events sg m);
-    Array.iteri
-      (fun i (y : Sg.extra) ->
-        if i <> index then
-          match y.Sg.values.(m) with
-          | Fourval.Up -> Buffer.add_string buf (Printf.sprintf "x%d+;" i)
-          | Fourval.Dn -> Buffer.add_string buf (Printf.sprintf "x%d-;" i)
-          | Fourval.V0 | Fourval.V1 -> ())
-      (Sg.extras sg);
-    base_sig.(m) <- Buffer.contents buf
-  done;
-  let own_part m =
-    match values.(m) with
-    | Fourval.Up -> "own+"
-    | Fourval.Dn -> "own-"
-    | Fourval.V0 | Fourval.V1 -> ""
-  in
+  let own = 1 lsl (Sg.n_signals sg + index) in
+  (* Signature of a state: the pair of excitation masks, non-input
+     events and every extra's Up/Dn ([Sg.full_excitation_masks]).  Only
+     the own extra's bit changes on a flip, and a flip always lands on a
+     stable value, so the flipped state's new signature is its [base]:
+     the masks with the own bit cleared. *)
+  let rise, fall = Sg.full_excitation_masks sg in
+  let base_rise = Array.map (fun r -> r land lnot own) rise in
+  let base_fall = Array.map (fun f -> f land lnot own) fall in
   let code = Array.init n (Sg.full_code sg) in
-  let sigs = Array.init n (fun m -> base_sig.(m) ^ own_part m) in
   (* States by current full code: only states sharing the new code can
      conflict with the flipped state after the flip. *)
   let bucket = Hashtbl.create n in
@@ -55,11 +33,12 @@ let minimize_extra sg ~index =
   (* A flip is admissible only when it creates no conflict pair that did
      not already exist — merely trading one conflict for another would
      leak unresolved pairs past the modules responsible for them. *)
-  let no_new_conflicts m old_c old_s new_c new_s =
+  let no_new_conflicts m old_c new_c =
+    let differs m' r f = rise.(m') <> r || fall.(m') <> f in
     List.for_all
       (fun m' ->
-        let before = new_c = old_c && sigs.(m') <> old_s in
-        let after = sigs.(m') <> new_s in
+        let before = new_c = old_c && differs m' rise.(m) fall.(m) in
+        let after = differs m' base_rise.(m) base_fall.(m) in
         m' = m || before || not after)
       (members new_c)
   in
@@ -79,11 +58,10 @@ let minimize_extra sg ~index =
         (fun v ->
           if Fourval.excited values.(m) && edges_ok m v then begin
             let new_code =
-              if Fourval.binary v then code.(m) lor (1 lsl bitpos)
-              else code.(m) land lnot (1 lsl bitpos)
+              if Fourval.binary v then code.(m) lor own
+              else code.(m) land lnot own
             in
-            let new_sig = base_sig.(m) (* stable: own part empty *) in
-            if no_new_conflicts m code.(m) sigs.(m) new_code new_sig then begin
+            if no_new_conflicts m code.(m) new_code then begin
               if new_code <> code.(m) then begin
                 Hashtbl.replace bucket code.(m)
                   (List.filter (( <> ) m) (members code.(m)));
@@ -91,7 +69,8 @@ let minimize_extra sg ~index =
               end;
               values.(m) <- v;
               code.(m) <- new_code;
-              sigs.(m) <- new_sig;
+              rise.(m) <- base_rise.(m);
+              fall.(m) <- base_fall.(m);
               changed := true
             end
           end)

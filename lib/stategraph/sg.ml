@@ -165,23 +165,6 @@ let states_excited sg ~signal ~dir =
   done;
   !acc
 
-let excitation_signature sg m =
-  let buf = Buffer.create 32 in
-  List.iter
-    (fun (s, d) ->
-      if sg.signals.(s).non_input then
-        Buffer.add_string buf
-          (Printf.sprintf "%d%c;" s (match d with R -> '+' | F -> '-')))
-    (excited_events sg m);
-  Array.iteri
-    (fun i x ->
-      match x.values.(m) with
-      | Fourval.Up -> Buffer.add_string buf (Printf.sprintf "x%d+;" i)
-      | Fourval.Dn -> Buffer.add_string buf (Printf.sprintf "x%d-;" i)
-      | Fourval.V0 | Fourval.V1 -> ())
-    sg.extras;
-  Buffer.contents buf
-
 let excitation_masks sg =
   let n = n_states sg in
   let rise = Array.make n 0 and fall = Array.make n 0 in
@@ -193,6 +176,22 @@ let excitation_masks sg =
         mask.(e.src) <- mask.(e.src) lor (1 lsl s)
       | Ev _ | Eps -> ())
     sg.edges;
+  (rise, fall)
+
+let full_excitation_masks sg =
+  let rise, fall = excitation_masks sg in
+  let ns = n_signals sg in
+  Array.iteri
+    (fun i x ->
+      let bit = 1 lsl (ns + i) in
+      Array.iteri
+        (fun m v ->
+          match v with
+          | Fourval.Up -> rise.(m) <- rise.(m) lor bit
+          | Fourval.Dn -> fall.(m) <- fall.(m) lor bit
+          | Fourval.V0 | Fourval.V1 -> ())
+        x.values)
+    sg.extras;
   (rise, fall)
 
 let implied_value sg m s =

@@ -127,17 +127,19 @@ val excited : t -> int -> signal:int -> dir:edge_dir -> bool
     the symbolic hazard rules re-encode as BDDs. *)
 val states_excited : t -> signal:int -> dir:edge_dir -> int list
 
-(** [excitation_signature sg m] is a canonical key combining the excited
-    non-input visible events and the excited extras of [m]; equal-code
-    states with different signatures are CSC conflicts. *)
-val excitation_signature : t -> int -> string
-
 (** [excitation_masks sg] is [(rise, fall)], two per-state bitmasks of
     the excited non-input visible events: bit [s] of [rise.(m)] is set
     when [(s, R)] is excited at [m], and [fall] likewise for [F].  Built
     in one pass over the edges, for checks that compare excitation
     without listing it. *)
 val excitation_masks : t -> int array * int array
+
+(** [full_excitation_masks sg] is {!excitation_masks} with every
+    extra's excitation added above the visible signals: bit
+    [n_signals sg + i] of [rise.(m)] (of [fall.(m)]) is set when the
+    [i]-th extra is [Up] ([Dn]) at [m].  Equal-code states with
+    different mask pairs are exactly the CSC conflicts. *)
+val full_excitation_masks : t -> int array * int array
 
 (** [implied_value sg m s] is the next value of signal [s] in state [m]:
     1 when [s] is excited to rise or is 1 and not excited to fall.  This

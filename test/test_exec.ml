@@ -1,8 +1,9 @@
 (* Unit tests for the domain pool (lib/exec): ordering, the sequential
    jobs=1 path, nested maps (a lint run synthesizes each file, and
-   each synthesis fans out its module pipeline inside it), and the
-   exception contract — lowest-indexed failure
-   surfaces, pending tasks are cancelled, and the pool stays usable. *)
+   each synthesis fans out its module pipeline inside it), the worker
+   lifetime (no worker outlives the outermost batch), and the exception
+   contract — lowest-indexed failure surfaces, pending tasks are
+   cancelled, and the pool stays usable. *)
 
 exception Boom of int
 
@@ -44,6 +45,26 @@ let test_nested_maps () =
     "nested sums"
     (List.init 8 (fun i -> i * 190))
     out
+
+(* Workers exist while a batch runs and are joined when the outermost
+   batch returns, whether it was nested, failed or succeeded. *)
+let test_no_idle_workers () =
+  let idle what = Alcotest.(check int) what 0 (Pool.live_workers ()) in
+  let during =
+    Pool.map ~jobs:4 (fun _ -> Pool.live_workers ()) (Array.init 8 Fun.id)
+  in
+  Alcotest.(check bool)
+    "workers while the batch runs" true
+    (Array.for_all (fun w -> w >= 1) during);
+  idle "after a batch";
+  ignore
+    (Pool.map ~jobs:4
+       (fun i -> Pool.map ~jobs:4 (fun j -> i * j) (Array.init 8 Fun.id))
+       (Array.init 8 Fun.id));
+  idle "after nested batches";
+  (try ignore (Pool.map ~jobs:4 (fun i -> raise (Boom i)) (Array.init 8 Fun.id))
+   with Boom _ -> ());
+  idle "after a failed batch"
 
 (* Every task raises a distinct exception; the surfaced one must belong
    to the lowest index, deterministically, at any width. *)
@@ -105,6 +126,7 @@ let () =
           Alcotest.test_case "empty/singleton" `Quick test_map_small;
           Alcotest.test_case "map_list" `Quick test_map_list;
           Alcotest.test_case "nested maps" `Quick test_nested_maps;
+          Alcotest.test_case "no idle workers" `Quick test_no_idle_workers;
         ] );
       ( "failures",
         [

@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section, plus Bechamel microbenchmarks of the library's
-   core operations and the multicore trajectory.
+   evaluation section, plus the multicore trajectory and its
+   regression gate.
 
      dune exec bench/main.exe                  -- every experiment
      dune exec bench/main.exe -- NAME [ARG..]    one of them
@@ -447,7 +447,8 @@ let measure ~par name stg =
       ("symbolic_time", time t_symbolic_time);
       ("symbolic_nodes", Json.int sym_info.Symbolic.i_bdd_nodes);
       ("symbolic_agree", Bool symbolic_agree);
-      (* Gc top_heap_words after this row's measurements *)
+      (* Gc top_heap_words after this row's measurements; [json] runs
+         each row in a fresh process, so this is the row's own peak *)
       ("peak_live_words", Json.int (Gc.quick_stat ()).Gc.top_heap_words);
     ]
 
@@ -500,23 +501,57 @@ let write_trajectory path ~par rows =
   close_out oc
 
 let default_json_subset = [ "mr1"; "vbe4a"; "atod"; "fifo"; "nak-pa" ]
+let trajectory_jobs () = max 2 (Pool.default_jobs ())
+
+(* [row NAME]: measure one trajectory row in this process and print it
+   as the last line of stdout. *)
+let row = function
+  | [ name ] ->
+    let stg = (Bench_suite.find name).Bench_suite.build () in
+    print_endline
+      (Json.to_string (measure ~par:(trajectory_jobs ()) name stg));
+    0
+  | _ ->
+    Printf.eprintf "usage: bench row NAME\n";
+    2
+
+(* Each row runs in a child process of its own, so its
+   [peak_live_words] is that row's peak heap and not the peak of every
+   row measured before it in the same process. *)
+let row_in_child name =
+  let exe = Sys.executable_name in
+  let ic = Unix.open_process_args_in exe [| exe; "row"; name |] in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> (
+    let lines = String.split_on_char '\n' (String.trim out) in
+    let last = List.nth lines (List.length lines - 1) in
+    try Some (Json.of_string last) with Json.Parse_error _ -> None)
+  | _ -> None
 
 let json names =
   let names = if names = [] then default_json_subset else names in
-  let par = max 2 (Pool.default_jobs ()) in
+  let par = trajectory_jobs () in
   let rows =
-    List.map
+    List.filter_map
       (fun name ->
-        let stg = (Bench_suite.find name).Bench_suite.build () in
-        let row = measure ~par name stg in
-        pp_row row;
-        row)
+        match row_in_child name with
+        | Some row ->
+          pp_row row;
+          Some row
+        | None ->
+          Printf.printf "%-16s FAIL: its bench row did not complete\n%!" name;
+          None)
       names
   in
   write_trajectory "BENCH_results.json" ~par rows;
   Printf.printf "wrote BENCH_results.json (%d benchmarks, jobs=%d)\n"
     (List.length rows) par;
-  if List.for_all (column Json.to_bool "identical") rows then 0 else 1
+  if
+    List.length rows = List.length names
+    && List.for_all (column Json.to_bool "identical") rows
+  then 0
+  else 1
 
 (* ------------------------------------------------------------------ *)
 (* check: regression gate over two trajectory files                    *)
@@ -808,8 +843,8 @@ let prefix_table () =
 
 (* The BDD workloads are engine-generic, instantiated once with the
    struct-of-arrays [Bdd] and once with the boxed reference [Bdd_ref]
-   (the pre-rewrite implementation kept in-tree as the oracle), so the
-   "before" side is measured from the same binary.  Every workload
+   (the pre-rewrite implementation, kept in the test-support library as
+   the oracle), so the "before" side is measured from the same binary.  Every workload
    returns a structural checksum; the two instantiations must agree on
    it — identical canonical results, only the engine differs. *)
 module type Engine = sig
@@ -1057,7 +1092,7 @@ let solver_table () =
        budget abort is not a verdict disagreement *)
     let (r_basic, _), t_basic =
       time_runs (fun () ->
-          Dpll.solve_basic ~deadline:(Deadline.of_limit (Some 10.0)) cnf)
+          Dpll_ref.solve ~deadline:(Deadline.of_limit (Some 10.0)) cnf)
     in
     let (r_cdcl, st), t_cdcl = time_runs (fun () -> Dpll.solve cnf) in
     let verdict r =
@@ -1301,83 +1336,6 @@ let symbolic_table () =
     [ (!failures > 0, Printf.sprintf "%d failure(s)" !failures) ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks                                            *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  print_endline "== component microbenchmarks (Bechamel) ==";
-  let stg = Bench_gen.mixed ~stages:2 ~branches:2 in
-  let sg = Sg.of_stg stg in
-  let x = Sg.find_signal sg "a0_0" in
-  let enc () = Csc_encode.encode sg ~n_new:1 in
-  let formula = (enc ()).Csc_encode.cnf in
-  let espresso_width, onset, offset =
-    (* a CSC-satisfying graph so the sets cannot collide *)
-    let ex = (Mpart.synthesize stg).Mpart.expanded in
-    let xx = Sg.find_signal ex "a0_0" in
-    let on = ref [] and off = ref [] in
-    for m = 0 to Sg.n_states ex - 1 do
-      if Sg.implied_value ex m xx then on := Sg.code ex m :: !on
-      else off := Sg.code ex m :: !off
-    done;
-    ( Sg.n_signals ex,
-      List.sort_uniq Int.compare !on,
-      List.sort_uniq Int.compare !off )
-  in
-  let tests =
-    Test.make_grouped ~name:"mpsyn"
-      [
-        Test.make ~name:"reachability"
-          (Staged.stage (fun () -> ignore (Reach.explore (Stg.net stg))));
-        Test.make ~name:"state-graph"
-          (Staged.stage (fun () -> ignore (Sg.of_stg stg)));
-        Test.make ~name:"csc-conflicts"
-          (Staged.stage (fun () -> ignore (Csc.conflict_pairs sg)));
-        Test.make ~name:"projection"
-          (Staged.stage (fun () ->
-               ignore
-                 (Sg.quotient sg
-                    ~keep_signal:(fun s -> s = x)
-                    ~keep_extra:(fun _ -> true))));
-        Test.make ~name:"sat-encode" (Staged.stage (fun () -> ignore (enc ())));
-        Test.make ~name:"dpll-solve"
-          (Staged.stage (fun () -> ignore (Dpll.solve formula)));
-        Test.make ~name:"espresso"
-          (Staged.stage (fun () ->
-               ignore (Espresso.minimize ~width:espresso_width ~onset ~offset)));
-        Test.make ~name:"input-set"
-          (Staged.stage (fun () ->
-               ignore (Input_derivation.determine sg ~output:x)));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with Some (v :: _) -> v | _ -> nan
-        in
-        (name, ns) :: acc)
-      results []
-  in
-  List.iter
-    (fun (name, ns) ->
-      if ns < 1_000.0 then Printf.printf "  %-28s %10.1f ns/run\n" name ns
-      else if ns < 1_000_000.0 then
-        Printf.printf "  %-28s %10.2f us/run\n" name (ns /. 1e3)
-      else Printf.printf "  %-28s %10.2f ms/run\n" name (ns /. 1e6))
-    (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
 (* Ablations: the design choices DESIGN.md calls out                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1430,9 +1388,10 @@ let experiments =
     ("partition", Table partition_table);  (* E13: plan audit + dedup *)
     ("symbolic", Table symbolic_table);  (* E14: BDD vs explicit reach *)
     ("ablation", table ablation);  (* default vs BDD backend *)
-    ("micro", table micro);  (* Bechamel component benches *)
-    (* [json NAME..]: write BENCH_results.json *)
+    (* [json NAME..]: write BENCH_results.json, one [row] per child *)
     ("json", Command json);
+    (* [row NAME]: one trajectory row as JSON on stdout *)
+    ("row", Command row);
     (* [check FRESH BASELINE]: the regression gate over two trajectories *)
     ( "check",
       Command

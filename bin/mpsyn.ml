@@ -327,7 +327,7 @@ let lint_cmd =
              exact oracle and the H2 prune — and, through the cache, by
              any later synth/verify run on the same .g text *)
           let psum =
-            if prefix then Some (Mpart.prefix_summary ~jobs:1 config stg)
+            if prefix then Some (Mpart.prefix_summary config stg)
             else None
           in
           (* likewise one partition plan per specification, shared (via

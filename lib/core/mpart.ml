@@ -540,10 +540,10 @@ let synthesize_sg ?(config = default_config) complete =
    computed on it.  The summary is plain data (no timings, no machine
    state) and deterministic for any pool width, so it is cached by the
    specification digest alone — shared across --jobs settings. *)
-let prefix_summary ?(jobs = 1) config stg =
+let prefix_summary config stg =
   memoize config ~stage:"prefix" ~params:[]
     (fun () -> Cache_key.stg_digest stg)
-    (fun () -> Prefix_rules.analyze ~jobs stg)
+    (fun () -> Prefix_rules.analyze stg)
 
 let engine_threshold = 2048
 

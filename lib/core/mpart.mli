@@ -134,12 +134,12 @@ val synthesize : ?config:config -> Stg.t -> result
     conflict analysis and SAT and [result.certificate] holds. *)
 val synthesize_sg : ?config:config -> Sg.t -> result
 
-(** [prefix_summary ?jobs config stg] is the memoized partial-order
-    analysis of [stg] ({!Prefix_rules.analyze} with its default event
+(** [prefix_summary config stg] is the memoized partial-order analysis
+    of [stg] ({!Prefix_rules.analyze} at one job with its default event
     cap) behind [mpsyn lint --prefix]: the entry is keyed by the
     canonical [.g] digest only — the summary is deterministic for any
     pool width and carries no timings.  Synthesis does not consult it. *)
-val prefix_summary : ?jobs:int -> config -> Stg.t -> Prefix_rules.summary
+val prefix_summary : config -> Stg.t -> Prefix_rules.summary
 
 (** The state count (2048) at which both engines flip to their BDD
     variants: reachability explores explicitly up to this many markings

@@ -123,17 +123,3 @@ let pp net ppf inv =
       end)
     inv.weights;
   Format.fprintf ppf ") = %d" inv.token_sum
-
-let pp_t net ppf (ti : t_invariant) =
-  Format.fprintf ppf "[";
-  let first = ref true in
-  Array.iteri
-    (fun t k ->
-      if k > 0 then begin
-        if not !first then Format.fprintf ppf " ";
-        first := false;
-        if k = 1 then Format.fprintf ppf "%s" (Petri.transition_name net t)
-        else Format.fprintf ppf "%d·%s" k (Petri.transition_name net t)
-      end)
-    ti.counts;
-  Format.fprintf ppf "]"

@@ -52,4 +52,3 @@ val covered : Petri.t -> invariant list -> bool
 val check : Petri.t -> invariant -> Marking.t -> bool
 
 val pp : Petri.t -> Format.formatter -> invariant -> unit
-val pp_t : Petri.t -> Format.formatter -> t_invariant -> unit

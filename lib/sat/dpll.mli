@@ -1,4 +1,4 @@
-(** A CDCL satisfiability solver (with the original DPLL as oracle).
+(** A CDCL satisfiability solver.
 
     {!solve} is conflict-driven clause learning in the MiniSat lineage:
     two-watched-literal unit propagation (each assignment touches only
@@ -6,18 +6,14 @@
     first-UIP conflict analysis with learned clauses, VSIDS-style
     activity decay seeded with Jeroslow-Wang scores, phase saving, and
     Luby restarts.  It is fully deterministic — no randomization — so a
-    formula always yields the same model and statistics.
+    formula always yields the same model and statistics.  It
+    reproduces the paper's branch-and-bound budget semantics: Table 1's
+    "SAT Backtrack Limit" aborts come from [backtrack_limit], which
+    counts conflict-driven backjumps. *)
 
-    {!solve_basic} is the original counter-based DPLL with chronological
-    backtracking, kept as the differential-testing oracle and as the
-    "before" side of the E12 microbenchmarks.  Both reproduce the
-    paper's branch-and-bound budget semantics: Table 1's "SAT Backtrack
-    Limit" aborts come from [backtrack_limit] (counting conflict-driven
-    backjumps in CDCL, chronological flips in DPLL). *)
-
-(** Why a search gave up.  The solvers here return [Backtrack_limit]
-    and [Time_limit]; [Signal_limit] is reported by the CSC solvers
-    above them ({!Csc_direct}, {!Modular_sat}, {!Sequential_insertion})
+(** Why a search gave up.  {!solve} returns [Backtrack_limit] and
+    [Time_limit]; [Signal_limit] is reported by the CSC solvers
+    above it ({!Csc_direct}, {!Modular_sat}, {!Sequential_insertion})
     when their bound on new state signals or insertion rounds runs
     out, whatever the solver budget. *)
 type abort_reason = Backtrack_limit | Time_limit | Signal_limit
@@ -32,9 +28,9 @@ type stats = {
   decisions : int;
   propagations : int;
   conflicts : int;
-  backtracks : int;  (** conflict-driven backjumps (CDCL) / flips (DPLL) *)
-  restarts : int;  (** always 0 for {!solve_basic} *)
-  learned : int;  (** learned clauses; always 0 for {!solve_basic} *)
+  backtracks : int;  (** conflict-driven backjumps *)
+  restarts : int;
+  learned : int;  (** learned clauses *)
 }
 
 (** [solve ?backtrack_limit ?deadline f] decides [f] with CDCL.
@@ -43,11 +39,6 @@ type stats = {
            {!Deadline} has passed (default {!Deadline.none}).  It is
            checked before the first decision, then periodically. *)
 val solve :
-  ?backtrack_limit:int -> ?deadline:Deadline.t -> Cnf.t -> result * stats
-
-(** [solve_basic ?backtrack_limit ?deadline f] decides [f] with the
-    original chronological DPLL.  Same budget semantics as {!solve}. *)
-val solve_basic :
   ?backtrack_limit:int -> ?deadline:Deadline.t -> Cnf.t -> result * stats
 
 (** [satisfiable f] is a convenience wrapper around {!solve} returning

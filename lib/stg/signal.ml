@@ -4,18 +4,6 @@ type event = { signal : int; dir : dir }
 
 let non_input = function Input -> false | Output | Internal -> true
 let equal_kind (a : kind) b = a = b
-let equal_dir (a : dir) b = a = b
-let equal_event (a : event) b = a = b
-
-let pp_kind ppf = function
-  | Input -> Format.fprintf ppf "input"
-  | Output -> Format.fprintf ppf "output"
-  | Internal -> Format.fprintf ppf "internal"
 
 let dir_suffix = function Rise -> "+" | Fall -> "-" | Toggle -> "~"
-let pp_dir ppf d = Format.fprintf ppf "%s" (dir_suffix d)
-
-let pp_event names ppf e =
-  Format.fprintf ppf "%s%s" names.(e.signal) (dir_suffix e.dir)
-
 let event_to_string names e = names.(e.signal) ^ dir_suffix e.dir

@@ -22,18 +22,10 @@ type event = { signal : int; dir : dir }
 val non_input : kind -> bool
 
 val equal_kind : kind -> kind -> bool
-val equal_dir : dir -> dir -> bool
-val equal_event : event -> event -> bool
-
-val pp_kind : Format.formatter -> kind -> unit
-val pp_dir : Format.formatter -> dir -> unit
 
 (** [dir_suffix d] is ["+"], ["-"] or ["~"]. *)
 val dir_suffix : dir -> string
 
-(** [pp_event names ppf e] prints [e] as e.g. ["req+"], resolving the
-    signal id through [names]. *)
-val pp_event : string array -> Format.formatter -> event -> unit
-
-(** [event_to_string names e] is the printed form of {!pp_event}. *)
+(** [event_to_string names e] prints [e] as e.g. ["req+"], resolving
+    the signal id through [names]. *)
 val event_to_string : string array -> event -> string

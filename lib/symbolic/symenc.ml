@@ -81,14 +81,6 @@ let marking_bdd mgr enc mask =
   done;
   !f
 
-let enabled_mask enc t mask = mask land enc.pre_mask.(t) = enc.pre_mask.(t)
-
-(* Boolean firing over masks; agrees with [Petri.fire] exactly while
-   every marking involved is 1-safe (clear the fanins, set the fanouts;
-   a self-loop place is cleared then set, like decrement-increment). *)
-let fire_mask enc t mask =
-  mask land lnot enc.pre_mask.(t) lor enc.post_mask.(t)
-
 let marking_of_mask enc mask =
   Marking.of_array
     (Array.init enc.n_places (fun p ->

@@ -40,14 +40,5 @@ val make : Petri.t -> t
     marking [mask]. *)
 val marking_bdd : Bdd.manager -> t -> int -> Bdd.node
 
-(** [enabled_mask enc t mask] tests the fanin places of [t] under
-    [mask] (one subset test). *)
-val enabled_mask : t -> int -> int -> bool
-
-(** [fire_mask enc t mask] fires [t]: clear the fanins, set the
-    fanouts.  Agrees with [Petri.fire] exactly while every marking
-    involved is 1-safe. *)
-val fire_mask : t -> int -> int -> int
-
 (** [marking_of_mask enc mask] converts a bitmask back to a marking. *)
 val marking_of_mask : t -> int -> Marking.t

@@ -81,7 +81,6 @@ let n_events u = Iv.length u.e_trans
 let n_cutoffs u = u.cutoffs
 let n_noncutoff u = Iv.length u.e_trans - u.cutoffs
 let n_conditions u = Iv.length u.c_place
-let event_transition u e = Iv.get u.e_trans e
 let is_cutoff u e = Iv.get u.e_companion e <> -2
 
 (* ---- sorted-array set operations ------------------------------------ *)

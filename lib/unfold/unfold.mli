@@ -56,7 +56,6 @@ val n_noncutoff : t -> int
     this never exceeds the number of reachable markings). *)
 
 val n_conditions : t -> int
-val event_transition : t -> int -> int
 val is_cutoff : t -> int -> bool
 
 (** {1 Exact queries on the prefix} *)

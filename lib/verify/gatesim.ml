@@ -207,15 +207,6 @@ let set_input ?rand t w v =
     settle ?rand t
   end
 
-let output_events t =
-  List.filter_map
-    (fun o ->
-      let i = wire_index t o in
-      let g = t.gates.(t.driver.(i)) in
-      let next = eval_gate t.values g in
-      if next <> t.values.(i) then Some (o, next) else None)
-    t.nl.Netlist.outputs
-
 let fire_output ?rand t o =
   let i = wire_index t o in
   if i < t.n_inputs || i >= t.n_boundary then
@@ -272,18 +263,3 @@ let eval_mask t mask =
       else vals.(g.out) <- v)
     t.gates;
   !next
-
-let next_outputs t =
-  let mask =
-    let m = ref 0 in
-    for i = 0 to t.n_boundary - 1 do
-      if t.values.(i) then m := !m lor (1 lsl i)
-    done;
-    !m
-  in
-  let next = eval_mask t mask in
-  List.map
-    (fun o ->
-      let i = wire_index t o in
-      (o, next land (1 lsl i) <> 0))
-    t.nl.Netlist.outputs

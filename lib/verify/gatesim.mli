@@ -13,7 +13,7 @@
     - {e complex-gate}: the internal AND/OR/INV wires settle instantly
       (they are acyclic, so the settling order cannot matter), and only
       the boundary wires of the implemented signals switch as discrete
-      events ({!output_events} / {!fire_output}).  This is the delay
+      events ({!fire_output}).  This is the delay
       model under which the synthesis flow guarantees speed independence
       and the one the conformance oracle explores exhaustively.
     - {e per-gate}: {!set_input} and {!fire_output} fire the internal
@@ -52,20 +52,11 @@ val boundary : t -> (string * bool) list
     Returns the number of internal gate firings. *)
 val set_input : ?rand:Random.State.t -> t -> string -> bool -> int
 
-(** [output_events sim] lists the excited complex gates as
-    [(signal, target value)] pairs, in netlist output order. *)
-val output_events : t -> (string * bool) list
-
 (** [fire_output ?rand sim name] commits the excited new value of
     implemented signal [name] and settles the fanout.  Returns the
     number of internal gate firings.
     @raise Invalid_argument if [name] is not currently excited. *)
 val fire_output : ?rand:Random.State.t -> t -> string -> int
-
-(** [next_outputs sim] is the one-step lookahead of every implemented
-    signal under the current boundary valuation — semantically
-    [Netlist.eval], but via the compiled tables. *)
-val next_outputs : t -> (string * bool) list
 
 (** {1 Mask interface}
 

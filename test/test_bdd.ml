@@ -101,7 +101,7 @@ let prop_truth_table =
    after quantification and cofactoring. *)
 let prop_vs_reference =
   QCheck.Test.make ~name:"SoA engine agrees with reference engine"
-    ~count:300 arb_form (fun f ->
+    ~count:(300 * Qseed.soak) arb_form (fun f ->
       let mn = Bdd.manager () and mr = Bdd_ref.manager () in
       let bn = build_new mn f and br = build_ref mr f in
       let agree_counts bn br =
@@ -228,10 +228,10 @@ let random_cnf rand =
 
 let test_cdcl_vs_basic () =
   let rand = Qseed.state () in
-  for i = 1 to 200 do
+  for i = 1 to 200 * Qseed.soak do
     let f = random_cnf rand in
     let r_cdcl, _ = Dpll.solve f in
-    let r_basic, _ = Dpll.solve_basic f in
+    let r_basic, _ = Dpll_ref.solve f in
     match (r_cdcl, r_basic) with
     | Dpll.Sat m1, Dpll.Sat m2 ->
       check (Printf.sprintf "cnf %d: CDCL model satisfies" i) true

@@ -84,7 +84,8 @@ let build_cnf (nv, clauses) =
   f
 
 let prop_bdd_solver_correct =
-  QCheck.Test.make ~name:"bdd solver agrees with dpll" ~count:300
+  QCheck.Test.make ~name:"bdd solver agrees with dpll"
+    ~count:(300 * Qseed.soak)
     (QCheck.make gen_cnf) (fun input ->
       let f = build_cnf input in
       match (Bdd_solver.solve f, Dpll.solve f) with

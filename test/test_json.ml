@@ -28,7 +28,7 @@ let documents =
        let name = Filename.chop_suffix f ".g" in
        let stg, map = Gformat.parse_file_spans (Filename.concat data_dir f) in
        let config = Mpart.default_config in
-       let psum = Mpart.prefix_summary ~jobs:1 config stg in
+       let psum = Mpart.prefix_summary config stg in
        let plan = Mpart.partition_summary ~jobs:1 config stg in
        let { Lint.report; _ } = Lint.run ~map ~prefix:psum stg in
        let target = report.Diagnostic.target in

@@ -175,7 +175,8 @@ let gen_unsorted_function =
 
 let prop_minimize_matches_reference =
   let gen = QCheck.Gen.oneof [ gen_function; gen_unsorted_function ] in
-  QCheck.Test.make ~name:"minimize picks the reference cover" ~count:500
+  QCheck.Test.make ~name:"minimize picks the reference cover"
+    ~count:(500 * Qseed.soak)
     (QCheck.make gen) (fun (width, onset, offset) ->
       let run f =
         match f ~width ~onset ~offset with
@@ -220,7 +221,8 @@ let test_exact_caps () =
 
 let prop_exact_beats_heuristic =
   QCheck.Test.make ~name:"exact cover is never larger than heuristic"
-    ~count:120 (QCheck.make gen_function) (fun (width, onset, offset) ->
+    ~count:(120 * Qseed.soak) (QCheck.make gen_function)
+    (fun (width, onset, offset) ->
       QCheck.assume (width <= 5);
       let h = Espresso.minimize ~width ~onset ~offset in
       match Exact.minimize ~width ~onset ~offset () with

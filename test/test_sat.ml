@@ -202,7 +202,8 @@ let build_cnf (nv, clauses) =
   f
 
 let prop_dpll_matches_brute =
-  QCheck.Test.make ~name:"dpll agrees with brute force" ~count:300
+  QCheck.Test.make ~name:"dpll agrees with brute force"
+    ~count:(300 * Qseed.soak)
     (QCheck.make gen_cnf) (fun input ->
       let f = build_cnf input in
       match Dpll.solve f with

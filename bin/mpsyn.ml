@@ -16,7 +16,8 @@ open Cmdliner
 
 (* Exit-code discipline (documented in every subcommand's man page):
    0 success; 1 synthesis failure or abort; 2 usage / input errors;
-   3 lint rejected the specification; 4 verification failure;
+   3 lint rejected the specification, or it has no consistent state
+   assignment; 4 verification failure;
    5 static hazard analysis refuted speed independence (with a
    replayable counterexample — stronger than a mere lint rejection);
    6 the reachability state budget was exhausted (raise --max-states
@@ -41,7 +42,9 @@ let exits =
          sequence, and with $(b,--partition) also partition-plan \
          refutations (M1 non-closed input sets, M5 inconsistent quotients) \
          carrying the witnessing signal chain; with $(b,--strict), \
-         warnings too.";
+         warnings too.  Also when the STG admits no consistent state \
+         assignment, which every command that builds the state graph \
+         reports.";
     Cmd.Exit.info exit_verification
       ~doc:"when verification of a synthesized circuit fails.";
     Cmd.Exit.info exit_refuted
@@ -59,7 +62,8 @@ let exits =
    exceeding the cap is a budget exhaustion, not a crash, and exits
    with the documented code and the budget in the message — the same
    [Reach.Too_many_states] contract whichever engine explored.  A SAT
-   give-up exits 1, naming the bound that ran out. *)
+   give-up exits 1, naming the bound that ran out.  An STG without a
+   consistent state assignment is a rejected specification (exit 3). *)
 let guard_budget f =
   try f () with
   | Reach.Too_many_states budget ->
@@ -71,6 +75,9 @@ let guard_budget f =
   | Mpart.Synthesis_failed msg ->
     Printf.eprintf "mpsyn: synthesis gave up: %s\n" msg;
     exit 1
+  | Sg.Inconsistent msg ->
+    Printf.eprintf "mpsyn: no consistent state assignment: %s\n" msg;
+    exit exit_lint
 
 (* [load_stg_spans] keeps the source map when the STG comes from a .g
    file, so diagnostics can point into the text. *)

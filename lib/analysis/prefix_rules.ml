@@ -22,218 +22,49 @@ type summary = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* U3: replay the state-graph encoding over the prefix marking graph   *)
+(* U3/U4: Σ over the prefix marking graph                              *)
 (* ------------------------------------------------------------------ *)
 
-type edge_kind = Krise | Kfall | Ktoggle | Ksilent
+(* Σ built by synthesis' own builder from the prefix-derived marking
+   graph instead of [Reach.explore]; the sweep interns the initial
+   marking as state 0, as [Reach.explore] does, so the assignment
+   anchors and the ε-classes coincide with [Sg.of_stg]'s.  [None] when
+   the STG has no consistent state assignment: U3 and U4 abstain. *)
+let sigma stg (mg : Unfold.mgraph) =
+  match
+    Sg.of_transition_edges stg
+      ~n_states:(Array.length mg.Unfold.mg_markings)
+      mg.Unfold.mg_edges
+  with
+  | sg -> Some sg
+  | exception Sg.Inconsistent _ -> None
 
-exception Inconsistent_values
-
-(* Everything [Sg.of_stg] + [Csc] decide about coding, recomputed from
-   the prefix-derived marking graph instead of [Reach.explore].  The
-   replication is semantics-exact: values are pinned by rise/fall seeds
-   and flip-parity propagation over the (connected) graph, and the only
-   state-id-dependent step — anchoring a never-seeded signal at the
-   lowest unassigned state — lands on the initial marking under both
-   numberings, since both intern it as state 0.  Per-marking values,
-   ε-classes, class codes and excitation signatures therefore coincide
-   with the explicit construction. *)
-type coding = {
-  cd_n_classes : int;
-  cd_usc : bool;
-  cd_csc : bool;
-  cd_conflicts : int;
-  cd_coexcited : ((string * bool) * (string * bool)) list;
-}
-
-let exact_coding stg (mg : Unfold.mgraph) =
-  let n = Array.length mg.Unfold.mg_markings in
-  let ns = Stg.n_signals stg in
-  if ns > 62 then None
-  else
-    try
-      let kind_of t =
-        match Stg.label stg t with
-        | Stg.Dummy -> (-1, Ksilent)
-        | Stg.Event e -> (
-          ( e.Signal.signal,
-            match e.Signal.dir with
-            | Signal.Rise -> Krise
-            | Signal.Fall -> Kfall
-            | Signal.Toggle -> Ktoggle ))
-      in
-      let edge_info =
-        Array.map
-          (fun (src, t, dst) -> (src, dst, kind_of t))
-          mg.Unfold.mg_edges
-      in
-      let values = Array.make_matrix ns n (-1) in
-      let adj = Array.make n [] in
-      Array.iter
-        (fun (src, dst, k) ->
-          adj.(src) <- (dst, k) :: adj.(src);
-          adj.(dst) <- (src, k) :: adj.(dst))
-        edge_info;
-      for s = 0 to ns - 1 do
-        let v = values.(s) in
-        let queue = Queue.create () in
-        let assign m x =
-          if v.(m) < 0 then begin
-            v.(m) <- x;
-            Queue.add m queue
-          end
-          else if v.(m) <> x then raise Inconsistent_values
-        in
-        Array.iter
-          (fun (src, dst, (sig_, k)) ->
-            if sig_ = s then
-              match k with
-              | Krise ->
-                assign src 0;
-                assign dst 1
-              | Kfall ->
-                assign src 1;
-                assign dst 0
-              | Ktoggle | Ksilent -> ())
-          edge_info;
-        let propagate () =
-          while not (Queue.is_empty queue) do
-            let m = Queue.take queue in
-            List.iter
-              (fun (m', (sig_, k)) ->
-                let flips = sig_ = s && k <> Ksilent in
-                assign m' (if flips then 1 - v.(m) else v.(m)))
-              adj.(m)
-          done
-        in
-        propagate ();
-        for m = 0 to n - 1 do
-          if v.(m) < 0 then begin
-            assign m 0;
-            propagate ()
-          end
-        done;
-        Array.iter
-          (fun (src, dst, (sig_, k)) ->
-            let fine =
-              match (sig_ = s, k) with
-              | true, Krise -> v.(src) = 0 && v.(dst) = 1
-              | true, Kfall -> v.(src) = 1 && v.(dst) = 0
-              | true, Ktoggle -> v.(src) = 1 - v.(dst)
-              | true, Ksilent -> v.(src) = v.(dst)
-              | false, _ -> v.(src) = v.(dst)
-            in
-            if not fine then raise Inconsistent_values)
-          edge_info
-      done;
-      (* ε-quotient: undirected union over silent edges, like
-         [Sg.quotient] with every signal kept *)
-      let uf = Array.init n Fun.id in
-      let rec find i = if uf.(i) = i then i else (uf.(i) <- find uf.(i); uf.(i)) in
-      let union i j =
-        let ri = find i and rj = find j in
-        if ri <> rj then uf.(max ri rj) <- min ri rj
-      in
-      Array.iter
-        (fun (src, dst, (_, k)) -> if k = Ksilent then union src dst)
-        edge_info;
-      let class_id = Array.make n (-1) in
-      let n_classes = ref 0 in
-      for m = 0 to n - 1 do
-        let r = find m in
-        if class_id.(r) < 0 then begin
-          class_id.(r) <- !n_classes;
-          incr n_classes
-        end
-      done;
-      let cls m = class_id.(find m) in
-      let nc = !n_classes in
-      let codes = Array.make nc 0 in
-      for m = 0 to n - 1 do
-        let c = ref 0 in
-        for s = 0 to ns - 1 do
-          if values.(s).(m) = 1 then c := !c lor (1 lsl s)
-        done;
-        codes.(cls m) <- !c
-      done;
-      (* excitation per class: concrete signal edges of the projected
-         non-silent edges (toggles resolved by the source value) *)
-      let exc = Array.make nc [] in
-      Array.iter
-        (fun (src, _, (sig_, k)) ->
-          let record is_rise =
-            let c = cls src in
-            if not (List.mem (sig_, is_rise) exc.(c)) then
-              exc.(c) <- (sig_, is_rise) :: exc.(c)
-          in
-          match k with
-          | Ksilent -> ()
-          | Krise -> record true
-          | Kfall -> record false
-          | Ktoggle -> record (values.(sig_).(src) = 0))
-        edge_info;
-      let signature c =
-        let buf = Buffer.create 16 in
-        List.iter
-          (fun (s, is_rise) ->
-            if Signal.non_input (Stg.kind stg s) then
-              Buffer.add_string buf
-                (Printf.sprintf "%d%c;" s (if is_rise then '+' else '-')))
-          (List.sort compare exc.(c));
-        Buffer.contents buf
-      in
-      let by_code = Hashtbl.create nc in
-      for c = 0 to nc - 1 do
-        let cur =
-          Option.value (Hashtbl.find_opt by_code codes.(c)) ~default:[]
-        in
-        Hashtbl.replace by_code codes.(c) (c :: cur)
-      done;
-      let usc = ref true and conflicts = ref 0 in
-      Hashtbl.iter
-        (fun _ members ->
-          match members with
-          | [] | [ _ ] -> ()
-          | ms ->
-            usc := false;
-            let sigs = List.map signature ms in
-            let rec pairs = function
-              | [] -> ()
-              | sm :: rest ->
-                List.iter (fun sm' -> if sm <> sm' then incr conflicts) rest;
-                pairs rest
-            in
-            pairs sigs)
-        by_code;
-      let co = Hashtbl.create 64 in
-      Array.iter
-        (fun evs ->
-          let evs =
-            List.sort compare
-              (List.map
-                 (fun (s, is_rise) -> (Stg.signal_name stg s, is_rise))
-                 evs)
-          in
-          let rec pairs = function
-            | [] -> ()
-            | a :: rest ->
-              List.iter (fun b -> Hashtbl.replace co (a, b) ()) rest;
-              pairs rest
-          in
-          pairs evs)
-        exc;
-      let cd_coexcited =
-        List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) co [])
-      in
-      Some
-        {
-          cd_n_classes = nc;
-          cd_usc = !usc;
-          cd_csc = !conflicts = 0;
-          cd_conflicts = !conflicts;
-          cd_coexcited;
-        }
-    with Inconsistent_values -> None
+(* Canonically ordered pairs of signal edges excited at a common state,
+   collected on event ids (2s for s+, 2s+1 for s-) before naming. *)
+let coexcited sg =
+  let n_events = 2 * Sg.n_signals sg in
+  let co = Array.make_matrix n_events n_events false in
+  for m = 0 to Sg.n_states sg - 1 do
+    let evs =
+      List.map
+        (fun (s, d) -> (2 * s) + if d = Sg.R then 0 else 1)
+        (Sg.excited_events sg m)
+    in
+    List.iter
+      (fun a -> List.iter (fun b -> if a < b then co.(a).(b) <- true) evs)
+      evs
+  done;
+  let edge e = (Sg.signal_name sg (e / 2), e mod 2 = 0) in
+  let pairs = ref [] in
+  for a = 0 to n_events - 1 do
+    for b = a + 1 to n_events - 1 do
+      if co.(a).(b) then begin
+        let x = edge a and y = edge b in
+        pairs := (if x < y then (x, y) else (y, x)) :: !pairs
+      end
+    done
+  done;
+  List.sort compare !pairs
 
 (* ------------------------------------------------------------------ *)
 (* Analysis driver                                                     *)
@@ -270,7 +101,8 @@ let analyze ?(jobs = 1) ?(max_events = 2048) ?(max_cuts = 262144) stg =
   in
   let mg = Unfold.marking_graph ~max_cuts u in
   let swept = mg.Unfold.mg_complete in
-  let coding = if swept then exact_coding stg mg else None in
+  let sg = if swept then sigma stg mg else None in
+  let conflicts = Option.map Csc.n_conflicts sg in
   {
     s_events = Unfold.n_events u;
     s_conditions = Unfold.n_conditions u;
@@ -280,12 +112,12 @@ let analyze ?(jobs = 1) ?(max_events = 2048) ?(max_cuts = 262144) stg =
     s_autoconc;
     s_markings = (if swept then Some (Array.length mg.Unfold.mg_markings) else None);
     s_edges = (if swept then Some (Array.length mg.Unfold.mg_edges) else None);
-    s_sg_states = Option.map (fun c -> c.cd_n_classes) coding;
-    s_usc = Option.map (fun c -> c.cd_usc) coding;
-    s_csc = Option.map (fun c -> c.cd_csc) coding;
-    s_conflicts = Option.map (fun c -> c.cd_conflicts) coding;
+    s_sg_states = Option.map Sg.n_states sg;
+    s_usc = Option.map Csc.usc_satisfied sg;
+    s_csc = Option.map (fun k -> k = 0) conflicts;
+    s_conflicts = conflicts;
     s_signals = List.init (Stg.n_signals stg) (Stg.signal_name stg);
-    s_coexcited = Option.map (fun c -> c.cd_coexcited) coding;
+    s_coexcited = Option.map coexcited sg;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -15,12 +15,14 @@
       step-coenabledness.  Refutations are errors (A5 only warns —
       approximately); pairs proved exclusive silence A5's warnings via
       {!exact_mutex}.
-    - {b U3} ([U3-coding]): USC/CSC conflict detection by replaying the
-      state-graph encoding over the prefix-derived marking graph —
-      byte-compatible with {!Sg.of_stg} + {!Csc} verdicts, without
-      {!Reach.explore}.  A conflict-free verdict is a static CSC
-      certificate for lint; synthesis reads the same verdict off the
-      complete state graph it builds anyway ({!Csc.csc_satisfied}).
+    - {b U3} ([U3-coding]): USC/CSC conflict detection on the state
+      graph Σ, built by synthesis' own builder
+      ({!Sg.of_transition_edges}) over the prefix-derived marking graph
+      instead of {!Reach.explore}'s, and judged by {!Csc}.  A
+      conflict-free verdict is a static CSC certificate for lint;
+      synthesis reads the same verdict off the complete state graph it
+      builds anyway ({!Csc.csc_satisfied}).  An STG without a
+      consistent state assignment has no Σ: U3 and U4 abstain.
     - {b U4} ([U4-statebound]): exact state-graph size (markings and
       ε-classes) reported as a diagnostic.  Synthesis picks its engines
       from the complete state graph instead (see
@@ -45,11 +47,13 @@ type summary = {
   s_markings : int option;  (** exact reachable-marking count (U4) *)
   s_edges : int option;  (** exact reach-edge count *)
   s_sg_states : int option;
-      (** exact ε-quotient state-graph size, = [Sg.n_states (of_stg _)] *)
+      (** Σ's state count ([Sg.n_states]), dummy-connected states
+          merged *)
   s_usc : bool option;  (** unique state codes hold *)
   s_csc : bool option;  (** complete state codes hold (U3) *)
   s_conflicts : int option;
-      (** CSC conflict pairs, = [Csc.n_conflicts (Sg.of_stg _)] *)
+      (** CSC conflict pairs of Σ ([Csc.n_conflicts]); [s_csc] is
+          [s_conflicts = Some 0] *)
   s_signals : string list;
       (** the STG's signal names — the universe {!coexcited_pred} can
           prune over; edges of other signals (inserted state signals)

@@ -45,7 +45,22 @@ let mask_conflicts ~visible_only sg =
 
 let conflict_pairs sg = mask_conflicts ~visible_only:false sg
 
-let n_conflicts sg = List.length (conflict_pairs sg)
+(* [List.length (conflict_pairs sg)] without listing the pairs: all
+   pairs of each code class, less the pairs that also agree on both
+   excitation masks. *)
+let n_conflicts sg =
+  let rise, fall = Sg.full_excitation_masks sg in
+  let by_code = Hashtbl.create 64 and by_masks = Hashtbl.create 64 in
+  let bump tbl k =
+    Hashtbl.replace tbl k (1 + Option.value (Hashtbl.find_opt tbl k) ~default:0)
+  in
+  for m = 0 to Sg.n_states sg - 1 do
+    let c = Sg.full_code sg m in
+    bump by_code c;
+    bump by_masks (c, rise.(m), fall.(m))
+  done;
+  let pairs tbl = Hashtbl.fold (fun _ k acc -> acc + (k * (k - 1) / 2)) tbl 0 in
+  pairs by_code - pairs by_masks
 
 let output_conflict_pairs sg ~output =
   let pairs = ref [] in

@@ -9,10 +9,8 @@ type t = {
   signals : signal_info array;
   codes : int array;
   edges : edge array;
-  succ : int list array; (* outgoing edge indices per state *)
-  pred : int list array;
-  succ_edges : edge list array; (* the same adjacency, resolved once *)
-  pred_edges : edge list array;
+  succ : edge list array; (* outgoing edges per state, in edge order *)
+  pred : edge list array;
   extras : extra array;
   initial : int;
 }
@@ -21,21 +19,17 @@ exception Inconsistent of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Inconsistent s)) fmt
 
-(* Adjacency is indexed once at construction: the edge-index lists (the
-   stable, digested form) and the resolved edge lists the [succ]/[pred]
-   accessors serve.  The accessors used to rebuild their lists on every
-   call — a per-call allocation the CSC sweeps paid millions of times. *)
+(* Adjacency is resolved once at construction, so the [succ]/[pred]
+   accessors, which the CSC sweeps call millions of times, allocate
+   nothing. *)
 let index_edges n_states edges =
   let succ = Array.make n_states [] and pred = Array.make n_states [] in
-  Array.iteri
-    (fun i e ->
-      succ.(e.src) <- i :: succ.(e.src);
-      pred.(e.dst) <- i :: pred.(e.dst))
-    edges;
-  Array.iteri (fun i l -> succ.(i) <- List.rev l) succ;
-  Array.iteri (fun i l -> pred.(i) <- List.rev l) pred;
-  let resolve l = List.map (fun i -> edges.(i)) l in
-  (succ, pred, Array.map resolve succ, Array.map resolve pred)
+  for i = Array.length edges - 1 downto 0 do
+    let e = edges.(i) in
+    succ.(e.src) <- e :: succ.(e.src);
+    pred.(e.dst) <- e :: pred.(e.dst)
+  done;
+  (succ, pred)
 
 let check_edge_codes signals codes e =
   let bit c s = c land (1 lsl s) <> 0 in
@@ -66,19 +60,8 @@ let make ~name ~signals ~codes ~edges ~initial =
       check_edge_codes signals codes e)
     edges;
   let edges = Array.of_list edges in
-  let succ, pred, succ_edges, pred_edges = index_edges n edges in
-  {
-    name;
-    signals;
-    codes;
-    edges;
-    succ;
-    pred;
-    succ_edges;
-    pred_edges;
-    extras = [||];
-    initial;
-  }
+  let succ, pred = index_edges n edges in
+  { name; signals; codes; edges; succ; pred; extras = [||]; initial }
 
 let name sg = sg.name
 let n_states sg = Array.length sg.codes
@@ -99,8 +82,8 @@ let find_signal sg n =
 let code sg m = sg.codes.(m)
 let bit sg m s = sg.codes.(m) land (1 lsl s) <> 0
 let edges sg = sg.edges
-let succ sg m = sg.succ_edges.(m)
-let pred sg m = sg.pred_edges.(m)
+let succ sg m = sg.succ.(m)
+let pred sg m = sg.pred.(m)
 let extras sg = sg.extras
 let n_extras sg = Array.length sg.extras
 
@@ -223,16 +206,9 @@ module Uf = struct
     if ri <> rj then uf.(max ri rj) <- min ri rj
 end
 
-let quotient sg ~keep_signal ~keep_extra =
-  let n = n_states sg in
-  let uf = Uf.create n in
-  let hidden_edge e =
-    match e.label with
-    | Eps -> true
-    | Ev (s, _) -> not (keep_signal s)
-  in
-  Array.iter (fun e -> if hidden_edge e then Uf.union uf e.src e.dst) sg.edges;
-  (* Dense renumbering of classes, in order of first member. *)
+(* The class of every state, classes numbered densely in order of first
+   member, and the class count. *)
+let classes uf n =
   let class_id = Array.make n (-1) in
   let n_classes = ref 0 in
   for m = 0 to n - 1 do
@@ -242,8 +218,38 @@ let quotient sg ~keep_signal ~keep_extra =
       incr n_classes
     end
   done;
-  let cls m = class_id.(Uf.find uf m) in
-  let nc = !n_classes in
+  (Array.init n (fun m -> class_id.(Uf.find uf m)), !n_classes)
+
+(* [edges], between states below [n], with each edge kept at its first
+   occurrence only.  An edge is keyed by one int (at most 62 signals
+   leave 7 bits for the label), which hashes far cheaper than the
+   record. *)
+let first_occurrences ~n edges =
+  let seen = Hashtbl.create 4096 in
+  List.filter
+    (fun e ->
+      let label =
+        match e.label with Ev (s, R) -> 2 * s | Ev (s, F) -> (2 * s) + 1 | Eps -> 127
+      in
+      let key = (((e.src * 128) + label) * n) + e.dst in
+      (not (Hashtbl.mem seen key))
+      && begin
+           Hashtbl.add seen key ();
+           true
+         end)
+    edges
+
+let quotient sg ~keep_signal ~keep_extra =
+  let n = n_states sg in
+  let uf = Uf.create n in
+  let hidden_edge e =
+    match e.label with
+    | Eps -> true
+    | Ev (s, _) -> not (keep_signal s)
+  in
+  Array.iter (fun e -> if hidden_edge e then Uf.union uf e.src e.dst) sg.edges;
+  let cover, nc = classes uf n in
+  let cls m = cover.(m) in
   (* Signal renumbering. *)
   let kept_signals = ref [] in
   for s = n_signals sg - 1 downto 0 do
@@ -307,32 +313,21 @@ let quotient sg ~keep_signal ~keep_extra =
              end)
            (Array.to_list sg.extras))
     in
-    (* Deduplicated projected edges. *)
-    let edge_set = Hashtbl.create (Array.length sg.edges) in
-    let new_edges = ref [] in
-    Array.iter
-      (fun e ->
-        if not (hidden_edge e) then begin
-          let lbl =
-            match e.label with
-            | Ev (s, d) -> Ev (new_of_old.(s), d)
-            | Eps -> assert false
-          in
-          let key = (cls e.src, lbl, cls e.dst) in
-          if not (Hashtbl.mem edge_set key) then begin
-            Hashtbl.add edge_set key ();
-            new_edges := { src = cls e.src; label = lbl; dst = cls e.dst } :: !new_edges
-          end
-        end)
-      sg.edges;
+    let new_edges =
+      List.filter_map
+        (fun e ->
+          match e.label with
+          | Ev (s, d) when keep_signal s ->
+            Some { src = cls e.src; label = Ev (new_of_old.(s), d); dst = cls e.dst }
+          | Ev _ | Eps -> None)
+        (Array.to_list sg.edges)
+    in
     let signals = Array.map (fun old -> sg.signals.(old)) kept_signals in
     let base =
       make ~name:sg.name ~signals ~codes:new_codes
-        ~edges:(List.rev !new_edges) ~initial:(cls sg.initial)
+        ~edges:(first_occurrences ~n:nc new_edges) ~initial:(cls sg.initial)
     in
-    let merged = { base with extras = new_extras } in
-    let cover = Array.init n cls in
-    Some (merged, cover)
+    Some ({ base with extras = new_extras }, cover)
   with Bad_merge -> None
 
 (* ------------------------------------------------------------------ *)
@@ -341,16 +336,11 @@ let quotient sg ~keep_signal ~keep_extra =
 
 type edge_kind = Krise | Kfall | Ktoggle | Ksilent
 
-let of_stg ?max_states ?(backend = `Explicit) stg =
-  let net = Stg.net stg in
-  (* Both engines return field-for-field identical graphs (the symbolic
-     builder replays the explicit numbering from its fixpoint and falls
-     back outside the 1-safe encoding), so everything from here on is
-     backend-oblivious and the digests must agree — tests enforce it. *)
+let of_transition_edges stg ~n_states:n edges =
   let ns = Stg.n_signals stg in
   (* one kind per transition, shared by every edge that fires it *)
   let kinds =
-    Array.init (Petri.n_transitions net) (fun t ->
+    Array.init (Petri.n_transitions (Stg.net stg)) (fun t ->
         match Stg.label stg t with
         | Stg.Dummy -> (-1, Ksilent)
         | Stg.Event e ->
@@ -360,32 +350,15 @@ let of_stg ?max_states ?(backend = `Explicit) stg =
             | Signal.Fall -> Kfall
             | Signal.Toggle -> Ktoggle ))
   in
-  let kind_of t = kinds.(t) in
-  (* kind of each reach edge w.r.t. each signal *)
-  let n, edge_info =
-    match backend with
-    | `Explicit ->
-      let g = Reach.explore ?max_states net in
-      ( Reach.n_states g,
-        Array.map (fun (src, t, dst) -> (src, dst, kind_of t)) g.Reach.edges )
-    | `Symbolic ->
-      (* the derivation below reads nothing but the state count and the
-         edges, so the symbolic engine skips the rest of the [Reach.t]
-         materialization and hands over its flat edge buffer *)
-      let n, buf, n_edges = Symbolic.explore_edges ?max_states net in
-      ( n,
-        Array.init n_edges (fun e ->
-            (buf.(3 * e), buf.(3 * e + 2), kind_of buf.(3 * e + 1))) )
-  in
   (* Solve the consistent state assignment, one signal at a time, by
      propagating equality/flip constraints over the reachability graph. *)
   let values = Array.make_matrix ns n (-1) in
   let adj = Array.make n [] in
   Array.iter
-    (fun (src, dst, k) ->
-      adj.(src) <- (dst, k) :: adj.(src);
-      adj.(dst) <- (src, k) :: adj.(dst))
-    edge_info;
+    (fun (src, t, dst) ->
+      adj.(src) <- (dst, kinds.(t)) :: adj.(src);
+      adj.(dst) <- (src, kinds.(t)) :: adj.(dst))
+    edges;
   for s = 0 to ns - 1 do
     let v = values.(s) in
     let queue = Queue.create () in
@@ -400,7 +373,8 @@ let of_stg ?max_states ?(backend = `Explicit) stg =
     in
     (* Seed from rising/falling transitions of s. *)
     Array.iter
-      (fun (src, dst, (sig_, k)) ->
+      (fun (src, t, dst) ->
+        let sig_, k = kinds.(t) in
         if sig_ = s then
           match k with
           | Krise ->
@@ -410,7 +384,7 @@ let of_stg ?max_states ?(backend = `Explicit) stg =
             assign src 1;
             assign dst 0
           | Ktoggle | Ksilent -> ())
-      edge_info;
+      edges;
     let propagate () =
       while not (Queue.is_empty queue) do
         let m = Queue.take queue in
@@ -433,7 +407,8 @@ let of_stg ?max_states ?(backend = `Explicit) stg =
     done;
     (* Final verification of directed edges. *)
     Array.iter
-      (fun (src, dst, (sig_, k)) ->
+      (fun (src, t, dst) ->
+        let sig_, k = kinds.(t) in
         let fine =
           match (sig_ = s, k) with
           | true, Krise -> v.(src) = 0 && v.(dst) = 1
@@ -445,16 +420,25 @@ let of_stg ?max_states ?(backend = `Explicit) stg =
         if not fine then
           fail "signal %s: inconsistent assignment across an edge"
             (Stg.signal_name stg s))
-      edge_info
+      edges
   done;
-  let codes =
-    Array.init n (fun m ->
-        let c = ref 0 in
-        for s = 0 to ns - 1 do
-          if values.(s).(m) = 1 then c := !c lor (1 lsl s)
-        done;
-        !c)
-  in
+  (* Merge the ε-connected states before the graph is built, numbering
+     classes and keeping edges exactly as [quotient] would on the
+     unmerged graph.  The assignment gave each silent edge's ends one
+     code, so a class's code is any member's. *)
+  let uf = Uf.create n in
+  Array.iter
+    (fun (src, t, dst) -> if snd kinds.(t) = Ksilent then Uf.union uf src dst)
+    edges;
+  let cls, nc = classes uf n in
+  let codes = Array.make nc 0 in
+  for m = 0 to n - 1 do
+    let c = ref 0 in
+    for s = 0 to ns - 1 do
+      if values.(s).(m) = 1 then c := !c lor (1 lsl s)
+    done;
+    codes.(cls.(m)) <- !c
+  done;
   let signals =
     Array.init ns (fun s ->
         {
@@ -463,25 +447,41 @@ let of_stg ?max_states ?(backend = `Explicit) stg =
         })
   in
   let edges =
-    Array.to_list
-      (Array.map
-         (fun (src, dst, (sig_, k)) ->
-           let label =
-             match k with
-             | Ksilent -> Eps
-             | Krise -> Ev (sig_, R)
-             | Kfall -> Ev (sig_, F)
-             | Ktoggle -> if values.(sig_).(src) = 0 then Ev (sig_, R) else Ev (sig_, F)
-           in
-           { src; label; dst })
-         edge_info)
+    List.filter_map
+      (fun (src, t, dst) ->
+        let sig_, k = kinds.(t) in
+        let dir =
+          match k with
+          | Ksilent -> None
+          | Krise -> Some R
+          | Kfall -> Some F
+          | Ktoggle -> Some (if values.(sig_).(src) = 0 then R else F)
+        in
+        Option.map
+          (fun d -> { src = cls.(src); label = Ev (sig_, d); dst = cls.(dst) })
+          dir)
+      (Array.to_list edges)
   in
-  let raw =
-    make ~name:(Stg.name stg) ~signals ~codes ~edges ~initial:0
-  in
-  match quotient raw ~keep_signal:(fun _ -> true) ~keep_extra:(fun _ -> true) with
-  | Some (merged, _) -> merged
-  | None -> assert false (* no extras: merging cannot fail *)
+  make ~name:(Stg.name stg) ~signals ~codes
+    ~edges:(first_occurrences ~n:nc edges) ~initial:cls.(0)
+
+let of_stg ?max_states ?(backend = `Explicit) stg =
+  let net = Stg.net stg in
+  (* Both engines return field-for-field identical graphs (the symbolic
+     builder replays the explicit numbering from its fixpoint and falls
+     back outside the 1-safe encoding), so everything from here on is
+     backend-oblivious and the digests must agree — tests enforce it. *)
+  match backend with
+  | `Explicit ->
+    let g = Reach.explore ?max_states net in
+    of_transition_edges stg ~n_states:(Reach.n_states g) g.Reach.edges
+  | `Symbolic ->
+    (* the derivation reads nothing but the state count and the edges,
+       so the symbolic engine skips the rest of the [Reach.t]
+       materialization and hands over its flat edge buffer *)
+    let n, buf, n_edges = Symbolic.explore_edges ?max_states net in
+    of_transition_edges stg ~n_states:n
+      (Array.init n_edges (fun e -> (buf.(3 * e), buf.(3 * e + 1), buf.(3 * e + 2))))
 
 (* ------------------------------------------------------------------ *)
 (* Content digest                                                      *)

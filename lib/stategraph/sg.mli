@@ -47,10 +47,9 @@ val make :
   initial:int ->
   t
 
-(** [of_stg ?max_states ?backend stg] derives the state graph: explores
-    the reachability graph, computes the consistent state assignment
-    (solving toggle directions on the way), contracts dummy ε
-    transitions, and checks consistency.
+(** [of_stg ?max_states ?backend stg] derives the state graph Σ:
+    explores the reachability graph and hands its edges to
+    {!of_transition_edges}.
     @param backend which reachability engine explores the net:
       [`Explicit] (default) enumerates markings one at a time
       ({!Reach.explore}); [`Symbolic] runs partitioned-transition-
@@ -60,6 +59,20 @@ val make :
     @raise Inconsistent if no consistent assignment exists.
     @raise Reach.Too_many_states if exploration exceeds the cap. *)
 val of_stg : ?max_states:int -> ?backend:[ `Explicit | `Symbolic ] -> Stg.t -> t
+
+(** [of_transition_edges stg ~n_states edges] builds Σ from a reachability
+    graph of [stg] with [n_states] states, state 0 the initial one, and
+    [edges] its [(source, transition, target)] triples.  It solves the
+    consistent state assignment one signal at a time (resolving toggle
+    directions on the way), merges the states joined by dummy
+    transitions, and builds the merged graph once.  Classes are numbered
+    by first member and each edge is kept at its first occurrence, as
+    {!quotient} would number the unmerged graph.  The single Σ builder:
+    {!of_stg} passes either engine's edges, the prefix rules the marking
+    graph of a complete finite prefix.
+    @raise Inconsistent if no consistent assignment exists, or [stg] has
+      more than 62 signals. *)
+val of_transition_edges : Stg.t -> n_states:int -> (int * int * int) array -> t
 
 (** {1 Accessors} *)
 

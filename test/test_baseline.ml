@@ -179,5 +179,5 @@ let () =
           Alcotest.test_case "mpsyn bench agrees with Table 1" `Quick
             test_cli_bench_matches_drivers;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_sequential_vs_direct ]);
+      ("properties", [ Qseed.to_alcotest prop_sequential_vs_direct ]);
     ]

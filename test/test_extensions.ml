@@ -259,7 +259,7 @@ let () =
         ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest prop_bdd_solver_correct;
-          QCheck_alcotest.to_alcotest prop_bdd_semantics;
+          Qseed.to_alcotest prop_bdd_solver_correct;
+          Qseed.to_alcotest prop_bdd_semantics;
         ] );
     ]

@@ -489,10 +489,10 @@ let () =
         ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest prop_minimize_correct;
-          QCheck_alcotest.to_alcotest prop_minimize_prime_irredundant;
-          QCheck_alcotest.to_alcotest prop_minimize_beats_minterms;
-          QCheck_alcotest.to_alcotest prop_exact_beats_heuristic;
+          Qseed.to_alcotest prop_minimize_correct;
+          Qseed.to_alcotest prop_minimize_prime_irredundant;
+          Qseed.to_alcotest prop_minimize_beats_minterms;
+          Qseed.to_alcotest prop_exact_beats_heuristic;
           Qseed.to_alcotest prop_minimize_matches_reference;
         ] );
     ]

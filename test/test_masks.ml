@@ -10,7 +10,7 @@
      shuffled with duplicates;
    - every derived function (support, projected sets, cover) and the
      mismatches [Derive.check] reports;
-   - the CSC and orphan conflict pairs;
+   - the CSC and orphan conflict pairs, and the CSC pair count;
    - the labeling [Region_minimize.minimize_extra] leaves, for every
      extra index.
 
@@ -69,6 +69,7 @@ let with_orphans = ref 0
 let check_one net g =
   let pairs = Csc.conflict_pairs g and orphans = Csc.orphan_conflict_pairs g in
   if pairs <> Signature_ref.conflict_pairs g then fail_at net "conflict_pairs";
+  if Csc.n_conflicts g <> List.length pairs then fail_at net "n_conflicts";
   if orphans <> Signature_ref.orphan_conflict_pairs g then
     fail_at net "orphan_conflict_pairs";
   if Sg.n_extras g > 0 && pairs <> [] then incr with_conflicts;

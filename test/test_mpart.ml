@@ -515,6 +515,29 @@ let test_cli_failure () =
         "mpsyn: synthesis gave up: module ro: SAT time limit exceeded\n" stderr)
     [ 1; 2 ]
 
+(* An STG without a consistent state assignment (r rises twice in a
+   row) passes structural lint, but every command that builds Σ rejects
+   it with exit 3 and one line naming the signal. *)
+let test_cli_inconsistent () =
+  let file = Filename.temp_file "mpsyn_incons" ".g" in
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc
+        ".model incons\n.inputs r\n.outputs x\n.graph\nr+ x+\nx+ r+/2\n\
+         r+/2 x-\nx- r-\nr- r-/2\nr-/2 r+\n.marking { <r-/2,r+> }\n.end\n");
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      List.iter
+        (fun cmd ->
+          let code, stdout, stderr = run_cli (cmd ^ " " ^ Filename.quote file) in
+          check_int (cmd ^ ": exit 3") 3 code;
+          Alcotest.(check string) (cmd ^ ": nothing on stdout") "" stdout;
+          check (cmd ^ ": the message names the signal") true
+            (String.starts_with
+               ~prefix:"mpsyn: no consistent state assignment: signal r "
+               stderr))
+        [ "verilog"; "lint --partition" ])
+
 (* MPSYN_LOG raises the Logs level: Mpart's debug lines reach stderr,
    stdout keeps every byte, and a malformed value is a usage error. *)
 let test_cli_log_level () =
@@ -711,6 +734,8 @@ let () =
           Alcotest.test_case "one insertion" `Quick test_one_insertion;
           Alcotest.test_case "failure message" `Quick test_cli_failure;
           Alcotest.test_case "MPSYN_LOG level" `Quick test_cli_log_level;
+          Alcotest.test_case "inconsistent STG exits 3" `Quick
+            test_cli_inconsistent;
           Alcotest.test_case "one expansion" `Quick test_expand_once;
         ] );
       ( "properties",

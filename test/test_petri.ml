@@ -431,9 +431,9 @@ let () =
         ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest prop_fire_conserves_ring;
-          QCheck_alcotest.to_alcotest prop_reach_explores_ring;
-          QCheck_alcotest.to_alcotest prop_invariants_hold_on_benchmarks;
+          Qseed.to_alcotest prop_fire_conserves_ring;
+          Qseed.to_alcotest prop_reach_explores_ring;
+          Qseed.to_alcotest prop_invariants_hold_on_benchmarks;
           Qseed.to_alcotest prop_marking_hash_pack;
           Qseed.to_alcotest prop_pack_injective_wide;
           Alcotest.test_case "pack wide boundary regression" `Quick

@@ -263,7 +263,7 @@ let () =
         ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest prop_dpll_matches_brute;
-          QCheck_alcotest.to_alcotest prop_walksat_models_valid;
+          Qseed.to_alcotest prop_dpll_matches_brute;
+          Qseed.to_alcotest prop_walksat_models_valid;
         ] );
     ]

@@ -178,5 +178,5 @@ let () =
             test_direct_expansion_valid;
           Alcotest.test_case "time abort" `Quick test_direct_time_abort;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_direct_pipelines ]);
+      ("properties", [ Qseed.to_alcotest prop_direct_pipelines ]);
     ]

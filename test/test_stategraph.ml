@@ -128,6 +128,61 @@ let test_implied_value () =
   in
   check "implied 0" false (Sg.implied_value sg m3 a)
 
+(* ---------------- Σ golden ---------------- *)
+
+(* [Sg.digest] of the complete state graph under each reachability
+   engine, one "name explicit symbolic" line of sg_golden.txt per net:
+   every data/*.g net plus seven generated ones.  The digest covers
+   codes, the ε-merged state numbering and the edge order, so a rewrite
+   of the derivation must keep every line; the netlist golden only pins
+   what synthesis makes of Σ. *)
+let golden_nets () =
+  let data_dir = Filename.concat ".." "data" in
+  let files =
+    Sys.readdir data_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".g")
+    |> List.sort compare
+  in
+  List.map
+    (fun f ->
+      ( Filename.chop_suffix f ".g",
+        fun () -> Gformat.parse_file (Filename.concat data_dir f) ))
+    files
+  @ [
+      ("parallel_rings-5", fun () -> Bench_gen.parallel_rings ~rings:5);
+      ("parallel_rings-6", fun () -> Bench_gen.parallel_rings ~rings:6);
+      ("pulsers-4", fun () -> Bench_gen.concurrent_pulsers ~branches:4);
+      ("pulsers-5", fun () -> Bench_gen.concurrent_pulsers ~branches:5);
+      ("mixed-3x3", fun () -> Bench_gen.mixed ~stages:3 ~branches:3);
+      ("lock_ring-5", fun () -> Bench_gen.lock_ring ~signals:5);
+      ("pipeline-4", fun () -> Bench_gen.pipeline ~stages:4);
+    ]
+
+let test_sg_golden () =
+  let golden =
+    In_channel.with_open_bin "sg_golden.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+    |> List.map (fun l ->
+           match String.split_on_char ' ' l with
+           | [ n; e; s ] -> (n, (e, s))
+           | _ -> Alcotest.failf "malformed golden line %S" l)
+  in
+  let nets = golden_nets () in
+  Alcotest.(check (list string))
+    "one net per golden entry" (List.map fst golden) (List.map fst nets);
+  List.iter
+    (fun (n, build) ->
+      let stg = build () in
+      let want_e, want_s = List.assoc n golden in
+      Alcotest.(check string)
+        (n ^ ": explicit") want_e
+        (Sg.digest (Sg.of_stg ~backend:`Explicit stg));
+      Alcotest.(check string)
+        (n ^ ": symbolic") want_s
+        (Sg.digest (Sg.of_stg ~backend:`Symbolic stg)))
+    nets
+
 (* ---------------- CSC ---------------- *)
 
 let test_csc_conflict () =
@@ -610,6 +665,7 @@ let () =
             test_of_stg_dummy_contraction;
           Alcotest.test_case "toggles" `Quick test_of_stg_toggle_resolution;
           Alcotest.test_case "implied value" `Quick test_implied_value;
+          Alcotest.test_case "sigma golden" `Quick test_sg_golden;
         ] );
       ( "csc",
         [

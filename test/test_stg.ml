@@ -377,5 +377,5 @@ let () =
           Alcotest.test_case "parallel shared" `Quick
             test_compose_parallel_shared;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_builder_valid ]);
+      ("properties", [ Qseed.to_alcotest prop_builder_valid ]);
     ]

@@ -4,7 +4,8 @@
    tests against explicit ground truth:
    - on every shipped benchmark, the prefix-derived marking graph equals
      [Reach.explore]'s (as a *set* of markings and a set of edges, not
-     just counts), and the U3 coding verdicts equal [Sg.of_stg] + [Csc];
+     just counts), and the U3 coding verdicts equal [Sg.of_stg] + [Csc]
+     and the [Coding_ref] replica lint ran before it built Σ with [Sg];
    - the same property holds on a pinned-seed fuzz sweep of random
      well-formed STGs;
    - the [mpsyn-prefix/1] certificate's cutoff witnesses replay: firing
@@ -69,7 +70,30 @@ let check_agreement stg =
   Alcotest.(check (option bool))
     "U3 CSC" (Some (Csc.csc_satisfied sg)) p.Prefix_rules.s_csc;
   Alcotest.(check (option int))
-    "U3 conflict pairs" (Some (Csc.n_conflicts sg)) p.Prefix_rules.s_conflicts
+    "U3 conflict pairs" (Some (Csc.n_conflicts sg)) p.Prefix_rules.s_conflicts;
+  (* ... and against the replica lint ran before it read them off Σ *)
+  let r = Coding_ref.exact_coding stg mg in
+  let ref_field f = Option.map f r in
+  Alcotest.(check (option int))
+    "U4 eps-quotient size = reference"
+    (ref_field (fun c -> c.Coding_ref.cd_n_classes))
+    p.Prefix_rules.s_sg_states;
+  Alcotest.(check (option bool))
+    "U3 USC = reference"
+    (ref_field (fun c -> c.Coding_ref.cd_usc))
+    p.Prefix_rules.s_usc;
+  Alcotest.(check (option bool))
+    "U3 CSC = reference"
+    (ref_field (fun c -> c.Coding_ref.cd_csc))
+    p.Prefix_rules.s_csc;
+  Alcotest.(check (option int))
+    "U3 conflict pairs = reference"
+    (ref_field (fun c -> c.Coding_ref.cd_conflicts))
+    p.Prefix_rules.s_conflicts;
+  check
+    (ref_field (fun c -> c.Coding_ref.cd_coexcited)
+    = p.Prefix_rules.s_coexcited)
+    "co-excitation = reference"
 
 let test_benchmark name () =
   match List.assoc_opt name Bench_data.all with
@@ -85,6 +109,18 @@ let test_fuzz_agreement () =
   for _ = 1 to n_fuzz do
     check_agreement (Bench_gen.random ~rand)
   done
+
+(* The generated families, larger than any Table-1 STG and (for the
+   parallel rings) past the engine threshold. *)
+let test_generated_agreement () =
+  List.iter check_agreement
+    [
+      Bench_gen.parallel_rings ~rings:4;
+      Bench_gen.lock_ring ~signals:6;
+      Bench_gen.concurrent_pulsers ~branches:4;
+      Bench_gen.mixed ~stages:2 ~branches:3;
+      Bench_gen.pipeline ~stages:4;
+    ]
 
 (* One qcheck property over the same generator: the prefix marking
    count equals the explicit exploration's for arbitrary well-formed
@@ -154,8 +190,8 @@ let test_cert_replay name () =
 (* ---------------- counters prove the elisions ---------------------- *)
 
 (* The U-rules never explore explicitly: the whole analysis — prefix,
-   sweep, coding replay, diagnostics — leaves the Reach counter where
-   it was. *)
+   sweep, Σ over the marking graph, diagnostics — leaves the Reach
+   counter where it was. *)
 let test_no_reach_calls () =
   let stg = (List.assoc "vbe4a" Bench_data.all) () in
   Counter.reset Counter.reach;
@@ -425,6 +461,40 @@ let test_autoconc_refutation () =
        ds)
     "U2 reports an error"
 
+(* r+ x+ r+/2 x- r- r-/2: r rises twice in a row, so the STG has no
+   consistent state assignment, yet it is 1-safe and free of
+   autoconcurrency.  U3 and U4 read Σ, which does not exist, so they
+   abstain; U1 and U2 still decide from the prefix. *)
+let test_inconsistent_abstains () =
+  let src =
+    ".model incons\n.inputs r\n.outputs x\n.graph\nr+ x+\nx+ r+/2\nr+/2 \
+     x-\nx- r-\nr- r-/2\nr-/2 r+\n.marking { <r-/2,r+> }\n.end\n"
+  in
+  let stg = Gformat.parse_string src in
+  let p = Prefix_rules.analyze stg in
+  check p.Prefix_rules.s_complete "prefix complete";
+  check (p.Prefix_rules.s_unsafe = None) "U1: no unsafeness refutation";
+  check (p.Prefix_rules.s_autoconc = []) "U2: no autoconcurrency";
+  Alcotest.(check (option int))
+    "the marking graph is still counted" (Some 6) p.Prefix_rules.s_markings;
+  Alcotest.(check (option int)) "no Σ size" None p.Prefix_rules.s_sg_states;
+  Alcotest.(check (option bool)) "no USC verdict" None p.Prefix_rules.s_usc;
+  Alcotest.(check (option bool)) "no CSC verdict" None p.Prefix_rules.s_csc;
+  Alcotest.(check (option int)) "no conflict count" None
+    p.Prefix_rules.s_conflicts;
+  check (p.Prefix_rules.s_coexcited = None) "no co-excitation relation";
+  let rules =
+    List.map
+      (fun d -> d.Diagnostic.rule)
+      (Prefix_rules.diagnostics ~loc:Diagnostic.no_loc stg p)
+  in
+  check
+    (List.mem "U1-safeness" rules && List.mem "U2-autoconcurrency" rules)
+    "U1 and U2 report";
+  check
+    (not (List.mem "U3-coding" rules || List.mem "U4-statebound" rules))
+    "U3 and U4 stay silent"
+
 (* ---------------- determinism across pool widths ------------------- *)
 
 let test_jobs_deterministic () =
@@ -496,6 +566,8 @@ let () =
             (Printf.sprintf "%d random STGs agree with Reach" n_fuzz)
             `Slow test_fuzz_agreement;
           Qseed.to_alcotest prop_marking_count;
+          Alcotest.test_case "generated nets agree" `Quick
+            test_generated_agreement;
         ] );
       ( "certificate",
         [
@@ -531,6 +603,8 @@ let () =
             test_unsafe_witness;
           Alcotest.test_case "U2 exact autoconcurrency" `Quick
             test_autoconc_refutation;
+          Alcotest.test_case "inconsistent STG: U3 and U4 abstain" `Quick
+            test_inconsistent_abstains;
         ] );
       ( "determinism",
         [

@@ -19,6 +19,7 @@ type summary = {
   s_conflicts : int option;
   s_signals : string list;
   s_coexcited : ((string * bool) * (string * bool)) list option;
+  s_inconsistent : string option;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -28,16 +29,18 @@ type summary = {
 (* Σ built by synthesis' own builder from the prefix-derived marking
    graph instead of [Reach.explore]; the sweep interns the initial
    marking as state 0, as [Reach.explore] does, so the assignment
-   anchors and the ε-classes coincide with [Sg.of_stg]'s.  [None] when
-   the STG has no consistent state assignment: U3 and U4 abstain. *)
+   anchors and the ε-classes coincide with [Sg.of_stg]'s.  [Error msg]
+   when the STG has no consistent state assignment: U3 and U4 abstain
+   and U3 reports [msg]. *)
 let sigma stg (mg : Unfold.mgraph) =
   match
     Sg.of_transition_edges stg
       ~n_states:(Array.length mg.Unfold.mg_markings)
-      mg.Unfold.mg_edges
+      ~n_edges:(Array.length mg.Unfold.mg_edges)
+      (Reach.edge_buffer mg.Unfold.mg_edges)
   with
-  | sg -> Some sg
-  | exception Sg.Inconsistent _ -> None
+  | sg -> Ok sg
+  | exception Sg.Inconsistent msg -> Error msg
 
 (* Canonically ordered pairs of signal edges excited at a common state,
    collected on event ids (2s for s+, 2s+1 for s-) before naming. *)
@@ -101,7 +104,8 @@ let analyze ?(jobs = 1) ?(max_events = 2048) ?(max_cuts = 262144) stg =
   in
   let mg = Unfold.marking_graph ~max_cuts u in
   let swept = mg.Unfold.mg_complete in
-  let sg = if swept then sigma stg mg else None in
+  let sigma = if swept then Some (sigma stg mg) else None in
+  let sg = Option.bind sigma Result.to_option in
   let conflicts = Option.map Csc.n_conflicts sg in
   {
     s_events = Unfold.n_events u;
@@ -118,6 +122,8 @@ let analyze ?(jobs = 1) ?(max_events = 2048) ?(max_cuts = 262144) stg =
     s_conflicts = conflicts;
     s_signals = List.init (Stg.n_signals stg) (Stg.signal_name stg);
     s_coexcited = Option.map coexcited sg;
+    s_inconsistent =
+      (match sigma with Some (Error msg) -> Some msg | Some (Ok _) | None -> None);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -211,6 +217,18 @@ let diagnostics ~loc stg summary =
           step-coenabledness against the prefix co-sets; structural A5 \
           warnings on this net, if any, are false alarms and were \
           suppressed");
+  Option.iter
+    (fun msg ->
+      emit
+        (Diagnostic.v ~rule:rule_u3 ~severity:Error ~loc ~subject:target
+           ~hint:"every signal must alternate rising and falling along \
+                  every firing sequence"
+           ("no consistent state assignment: " ^ msg)
+           "the complete prefix's marking graph admits no binary code per \
+            state that every transition flips consistently, so there is no \
+            state graph to synthesize from - the refutation every command \
+            building it reports with exit 3"))
+    summary.s_inconsistent;
   (match (summary.s_csc, summary.s_conflicts, summary.s_usc) with
   | Some true, _, _ ->
     emit

@@ -22,7 +22,9 @@
       conflict-free verdict is a static CSC certificate for lint;
       synthesis reads the same verdict off the complete state graph it
       builds anyway ({!Csc.csc_satisfied}).  An STG without a
-      consistent state assignment has no Σ: U3 and U4 abstain.
+      consistent state assignment has no Σ: U3 and U4 abstain from
+      their verdicts, and U3 reports the {!Sg.Inconsistent} message as
+      an error.
     - {b U4} ([U4-statebound]): exact state-graph size (markings and
       ε-classes) reported as a diagnostic.  Synthesis picks its engines
       from the complete state graph instead (see
@@ -63,6 +65,10 @@ type summary = {
           ordered pairs of signal edges ([(name, is_rise)]) excited
           together at some quotient state.  Feeds the H2 persistency
           prune in {!Hazard_check}. *)
+  s_inconsistent : string option;
+      (** the {!Sg.Inconsistent} message when the swept marking graph
+          admits no consistent state assignment (every Σ verdict above
+          is then [None]) *)
 }
 
 (** [analyze ?jobs ?max_events ?max_cuts stg] builds the prefix and
@@ -72,8 +78,9 @@ type summary = {
 val analyze : ?jobs:int -> ?max_events:int -> ?max_cuts:int -> Stg.t -> summary
 
 (** [diagnostics ~loc stg summary] renders the verdicts as lint
-    diagnostics: U1/U2 refutations are errors, U1 proofs and all
-    U3/U4 findings are informational (shipped STGs legitimately carry
+    diagnostics: U1/U2 refutations and an inconsistent state
+    assignment (U3) are errors, U1 proofs and the other U3/U4 findings
+    are informational (shipped STGs legitimately carry
     CSC conflicts — that is what synthesis resolves — so U3 must not
     trip [--strict]). *)
 val diagnostics :

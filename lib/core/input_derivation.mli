@@ -27,21 +27,28 @@
     inserted state signals whose removal would increase [o]'s conflicts
     are kept in the module.
 
-    Candidates are decided on a partition, and the module is
-    materialized once.  A union-find over the complete graph's states
-    holds the classes of the accepted hidden set; hiding a signal
-    unions its edges, dropping a state signal flips one bit.  Each test
-    reads the partition exactly as it would read the quotient
-    {!Sg.quotient} builds:
+    Candidates are decided on a shrinking quotient.  The first view is
+    the complete graph with its ε-connected states merged: one node per
+    class, carrying the class's code with the hidden bits cleared, the
+    implied values and excitation of [o] among its members, and each
+    state signal's set of values.  Edges stay the complete graph's, read
+    through the cover (complete state → node), grouped once by signal.
+    A candidate hide unions the nodes its edges join, and the test reads
+    the union exactly as it would read the quotient {!Sg.quotient}
+    builds:
     - a kept state signal survives when the {!Fourval.merge} rules,
-      applied to the set of its values in each class, succeed and every
-      hidden and cross-class edge stays {!Fourval.edge_ok};
-    - homogeneity reads the implied values of [o] per class;
-    - the conflict count groups classes by projected full code.  [o] is
-      never hidden, so its edges always cross classes and a class's
-      implied value of [o] is read off its members' raw [o] edges.
-    The single {!Sg.quotient} over the final hidden and dropped sets is
-    the view the last accepted candidate stood for. *)
+      applied to the union of its value sets in each class, succeed and
+      every edge of a kept signal stays {!Fourval.edge_ok};
+    - homogeneity reads the union of the implied values per class;
+    - the conflict count groups classes by full code.  [o] is never
+      hidden, so its edges always cross classes and a class's implied
+      value of [o] is read off its members' excitation.
+    An accepted hide contracts the view in place to its classes, and
+    later candidates are tested on that smaller view.  Classes are
+    numbered by first member at every step, so the composed cover is the
+    one the quotient by every hidden signal has; the module is the last
+    view with its kept signals renumbered, each kept edge at its first
+    occurrence.  No quotient of the complete graph is built. *)
 
 type t = {
   output : int;  (** signal id in the complete graph *)

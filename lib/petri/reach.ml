@@ -82,6 +82,16 @@ let explore ?(max_states = 100_000) net =
 let n_states g = Array.length g.markings
 let n_edges g = Array.length g.edges
 
+let edge_buffer edges =
+  let buf = Array.make (3 * Array.length edges) 0 in
+  Array.iteri
+    (fun e (src, t, dst) ->
+      buf.(3 * e) <- src;
+      buf.((3 * e) + 1) <- t;
+      buf.((3 * e) + 2) <- dst)
+    edges;
+  buf
+
 let deadlocks g =
   let acc = ref [] in
   for i = n_states g - 1 downto 0 do

@@ -25,6 +25,11 @@ val explore : ?max_states:int -> Petri.t -> t
 val n_states : t -> int
 val n_edges : t -> int
 
+(** [edge_buffer edges] is [edges] flattened: edge [e]'s source,
+    transition and target at indices [3e], [3e + 1] and [3e + 2] — the
+    form {!Sg.of_transition_edges} reads. *)
+val edge_buffer : (int * int * int) array -> int array
+
 (** [deadlocks g] lists the nodes with no enabled transition. *)
 val deadlocks : t -> int list
 

@@ -14,6 +14,7 @@ type presence = int
 
 let absent = 0
 let present p v = p lor match v with V0 -> 1 | V1 -> 2 | Up -> 4 | Dn -> 8
+let union p q = p lor q
 
 let merge_presence p =
   if p land 12 = 12 then None

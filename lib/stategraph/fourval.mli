@@ -46,6 +46,10 @@ val absent : presence
 (** [present p v] adds [v] to [p]. *)
 val present : presence -> t -> presence
 
+(** [union p q] is the set of values in [p] or [q]: the presence of two
+    classes merged into one. *)
+val union : presence -> presence -> presence
+
 (** [merge_presence p] is [merge vs] for any [vs] whose values form
     exactly the set [p]; [None] on the empty set. *)
 val merge_presence : presence -> t option

@@ -48,6 +48,11 @@ let check_edge_codes signals codes e =
       fail "edge %d->%d changes signals other than %s" e.src e.dst
         signals.(s).sname
 
+(* The graph over parts already checked. *)
+let build ~name ~signals ~codes ~edges ~initial =
+  let succ, pred = index_edges (Array.length codes) edges in
+  { name; signals; codes; edges; succ; pred; extras = [||]; initial }
+
 let make ~name ~signals ~codes ~edges ~initial =
   let n = Array.length codes in
   if Array.length signals > 62 then fail "more than 62 visible signals";
@@ -59,9 +64,7 @@ let make ~name ~signals ~codes ~edges ~initial =
         fail "edge endpoint out of range";
       check_edge_codes signals codes e)
     edges;
-  let edges = Array.of_list edges in
-  let succ, pred = index_edges n edges in
-  { name; signals; codes; edges; succ; pred; extras = [||]; initial }
+  build ~name ~signals ~codes ~edges:(Array.of_list edges) ~initial
 
 let name sg = sg.name
 let n_states sg = Array.length sg.codes
@@ -220,24 +223,33 @@ let classes uf n =
   done;
   (Array.init n (fun m -> class_id.(Uf.find uf m)), !n_classes)
 
-(* [edges], between states below [n], with each edge kept at its first
-   occurrence only.  An edge is keyed by one int (at most 62 signals
-   leave 7 bits for the label), which hashes far cheaper than the
-   record. *)
-let first_occurrences ~n edges =
-  let seen = Hashtbl.create 4096 in
-  List.filter
-    (fun e ->
-      let label =
-        match e.label with Ev (s, R) -> 2 * s | Ev (s, F) -> (2 * s) + 1 | Eps -> 127
-      in
-      let key = (((e.src * 128) + label) * n) + e.dst in
-      (not (Hashtbl.mem seen key))
-      && begin
-           Hashtbl.add seen key ();
-           true
-         end)
-    edges
+(* An edge labelled [l] into [d] is among the kept edges chained from
+   [j] on. *)
+let rec chained lab dst prev l d j =
+  j >= 0 && ((lab.(j) = l && dst.(j) = d) || chained lab dst prev l d prev.(j))
+
+let distinct_edges ~n ~src ~lab ~dst len =
+  (* [last.(s)] is the latest edge kept out of [s] and [prev.(k)] the
+     one kept out of the same source before [k]: each source's chain
+     holds its distinct edges so far, a handful per state. *)
+  let last = Array.make n (-1) and prev = Array.make len (-1) in
+  let kept = ref 0 in
+  for i = 0 to len - 1 do
+    let s = src.(i) and l = lab.(i) and d = dst.(i) in
+    if not (chained lab dst prev l d last.(s)) then begin
+      let k = !kept in
+      src.(k) <- s;
+      lab.(k) <- l;
+      dst.(k) <- d;
+      prev.(k) <- last.(s);
+      last.(s) <- k;
+      incr kept
+    end
+  done;
+  !kept
+
+let label_code s d = (2 * s) + match d with R -> 0 | F -> 1
+let label_of_code l = Ev (l lsr 1, if l land 1 = 0 then R else F)
 
 let quotient sg ~keep_signal ~keep_extra =
   let n = n_states sg in
@@ -313,19 +325,30 @@ let quotient sg ~keep_signal ~keep_extra =
              end)
            (Array.to_list sg.extras))
     in
-    let new_edges =
-      List.filter_map
+    let projected =
+      Array.of_list
+        (List.filter
+           (fun e -> match e.label with Ev (s, _) -> keep_signal s | Eps -> false)
+           (Array.to_list sg.edges))
+    in
+    let src = Array.map (fun e -> cls e.src) projected in
+    let dst = Array.map (fun e -> cls e.dst) projected in
+    let lab =
+      Array.map
         (fun e ->
           match e.label with
-          | Ev (s, d) when keep_signal s ->
-            Some { src = cls e.src; label = Ev (new_of_old.(s), d); dst = cls e.dst }
-          | Ev _ | Eps -> None)
-        (Array.to_list sg.edges)
+          | Ev (s, d) -> label_code new_of_old.(s) d
+          | Eps -> assert false)
+        projected
     in
+    let len = distinct_edges ~n:nc ~src ~lab ~dst (Array.length projected) in
     let signals = Array.map (fun old -> sg.signals.(old)) kept_signals in
     let base =
       make ~name:sg.name ~signals ~codes:new_codes
-        ~edges:(first_occurrences ~n:nc new_edges) ~initial:(cls sg.initial)
+        ~edges:
+          (List.init len (fun k ->
+               { src = src.(k); label = label_of_code lab.(k); dst = dst.(k) }))
+        ~initial:(cls sg.initial)
     in
     Some ({ base with extras = new_extras }, cover)
   with Bad_merge -> None
@@ -336,7 +359,101 @@ let quotient sg ~keep_signal ~keep_extra =
 
 type edge_kind = Krise | Kfall | Ktoggle | Ksilent
 
-let of_transition_edges stg ~n_states:n edges =
+(* Edge [e] of a flat buffer is [(buf.(3e), buf.(3e+1), buf.(3e+2))]. *)
+let e_src buf e = buf.(3 * e)
+let e_trans buf e = buf.((3 * e) + 1)
+let e_dst buf e = buf.((3 * e) + 2)
+
+(* The edges at each state in CSR form: state [m]'s are [inc.(i)] for
+   [start.(m) <= i < start.(m + 1)], in edge order, each edge listed at
+   both of its ends. *)
+let incidence ~n ~n_edges buf =
+  let start = Array.make (n + 1) 0 in
+  let count m = start.(m + 1) <- start.(m + 1) + 1 in
+  for e = 0 to n_edges - 1 do
+    count (e_src buf e);
+    count (e_dst buf e)
+  done;
+  for m = 1 to n do
+    start.(m) <- start.(m) + start.(m - 1)
+  done;
+  let next = Array.sub start 0 n and inc = Array.make (2 * n_edges) 0 in
+  let add m e =
+    inc.(next.(m)) <- e;
+    next.(m) <- next.(m) + 1
+  in
+  for e = 0 to n_edges - 1 do
+    add (e_src buf e) e;
+    add (e_dst buf e) e
+  done;
+  (start, inc)
+
+(* The consistent assignment of signal [s] alone, solved as the
+   original one-signal-at-a-time solver did: seeds from [s]'s rises and
+   falls in edge order, FIFO propagation over each state's edges newest
+   first, then the lowest unassigned state anchored at 0.  It raises
+   the [Inconsistent] message that solver raised — naming the same
+   state — and returns normally when [s] is consistent. *)
+let solve_signal stg ~n ~n_edges buf (start, inc) kinds s =
+  let v = Array.make n (-1) and queue = Array.make n 0 in
+  let head = ref 0 and tail = ref 0 in
+  let assign m x =
+    if v.(m) < 0 then begin
+      v.(m) <- x;
+      queue.(!tail) <- m;
+      incr tail
+    end
+    else if v.(m) <> x then
+      fail "signal %s has no consistent value assignment (state %d)"
+        (Stg.signal_name stg s) m
+  in
+  for e = 0 to n_edges - 1 do
+    let sig_, k = kinds.(e_trans buf e) in
+    if sig_ = s then
+      match k with
+      | Krise ->
+        assign (e_src buf e) 0;
+        assign (e_dst buf e) 1
+      | Kfall ->
+        assign (e_src buf e) 1;
+        assign (e_dst buf e) 0
+      | Ktoggle | Ksilent -> ()
+  done;
+  let propagate () =
+    while !head < !tail do
+      let m = queue.(!head) in
+      incr head;
+      for i = start.(m + 1) - 1 downto start.(m) do
+        let e = inc.(i) in
+        let sig_, k = kinds.(e_trans buf e) in
+        let m' = if e_src buf e = m then e_dst buf e else e_src buf e in
+        assign m' (if sig_ = s && k <> Ksilent then 1 - v.(m) else v.(m))
+      done
+    done
+  in
+  propagate ();
+  for m = 0 to n - 1 do
+    if v.(m) < 0 then begin
+      assign m 0;
+      propagate ()
+    end
+  done;
+  for e = 0 to n_edges - 1 do
+    let sig_, k = kinds.(e_trans buf e) in
+    let a = v.(e_src buf e) and b = v.(e_dst buf e) in
+    let fine =
+      match (sig_ = s, k) with
+      | true, Krise -> a = 0 && b = 1
+      | true, Kfall -> a = 1 && b = 0
+      | true, Ktoggle -> a = 1 - b
+      | true, Ksilent | false, _ -> a = b
+    in
+    if not fine then
+      fail "signal %s: inconsistent assignment across an edge"
+        (Stg.signal_name stg s)
+  done
+
+let of_transition_edges stg ~n_states:n ~n_edges buf =
   let ns = Stg.n_signals stg in
   (* one kind per transition, shared by every edge that fires it *)
   let kinds =
@@ -350,95 +467,109 @@ let of_transition_edges stg ~n_states:n edges =
             | Signal.Fall -> Kfall
             | Signal.Toggle -> Ktoggle ))
   in
-  (* Solve the consistent state assignment, one signal at a time, by
-     propagating equality/flip constraints over the reachability graph. *)
-  let values = Array.make_matrix ns n (-1) in
-  let adj = Array.make n [] in
-  Array.iter
-    (fun (src, t, dst) ->
-      adj.(src) <- (dst, kinds.(t)) :: adj.(src);
-      adj.(dst) <- (src, kinds.(t)) :: adj.(dst))
-    edges;
-  for s = 0 to ns - 1 do
-    let v = values.(s) in
-    let queue = Queue.create () in
-    let assign m x =
-      if v.(m) < 0 then begin
-        v.(m) <- x;
-        Queue.add m queue
-      end
-      else if v.(m) <> x then
-        fail "signal %s has no consistent value assignment (state %d)"
-          (Stg.signal_name stg s) m
-    in
-    (* Seed from rising/falling transitions of s. *)
-    Array.iter
-      (fun (src, t, dst) ->
-        let sig_, k = kinds.(t) in
-        if sig_ = s then
-          match k with
-          | Krise ->
-            assign src 0;
-            assign dst 1
-          | Kfall ->
-            assign src 1;
-            assign dst 0
-          | Ktoggle | Ksilent -> ())
-      edges;
-    let propagate () =
-      while not (Queue.is_empty queue) do
-        let m = Queue.take queue in
-        List.iter
-          (fun (m', (sig_, k)) ->
-            let flips = sig_ = s && k <> Ksilent in
-            let expect = if flips then 1 - v.(m) else v.(m) in
-            assign m' expect)
-          adj.(m)
-      done
-    in
-    propagate ();
-    (* Components never pinned by a rise/fall (e.g. pure-toggle signals):
-       anchor the lowest unassigned state at 0. *)
-    for m = 0 to n - 1 do
-      if v.(m) < 0 then begin
-        assign m 0;
-        propagate ()
-      end
+  let ((start, inc) as incident) = incidence ~n ~n_edges buf in
+  let solve_signal = solve_signal stg ~n ~n_edges buf incident kinds in
+  if ns > 62 then begin
+    for s = 0 to ns - 1 do
+      solve_signal s
     done;
-    (* Final verification of directed edges. *)
-    Array.iter
-      (fun (src, t, dst) ->
-        let sig_, k = kinds.(t) in
-        let fine =
-          match (sig_ = s, k) with
-          | true, Krise -> v.(src) = 0 && v.(dst) = 1
-          | true, Kfall -> v.(src) = 1 && v.(dst) = 0
-          | true, Ktoggle -> v.(src) = 1 - v.(dst)
-          | true, Ksilent -> v.(src) = v.(dst)
-          | false, _ -> v.(src) = v.(dst)
-        in
-        if not fine then
-          fail "signal %s: inconsistent assignment across an edge"
-            (Stg.signal_name stg s))
-      edges
+    fail "more than 62 visible signals"
+  end;
+  (* the code bits a transition flips *)
+  let delta = Array.map (fun (s, k) -> if k = Ksilent then 0 else 1 lsl s) kinds in
+  (* One BFS per connected component, from its lowest state [root.(m)]:
+     [rel.(m)] is [m]'s code relative to the root's. *)
+  let rel = Array.make n 0 and root = Array.make n (-1) in
+  let queue = Array.make n 0 in
+  for r = 0 to n - 1 do
+    if root.(r) < 0 then begin
+      root.(r) <- r;
+      queue.(0) <- r;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let m = queue.(!head) in
+        incr head;
+        for i = start.(m) to start.(m + 1) - 1 do
+          let e = inc.(i) in
+          let m' = if e_src buf e = m then e_dst buf e else e_src buf e in
+          if root.(m') < 0 then begin
+            root.(m') <- r;
+            rel.(m') <- rel.(m) lxor delta.(e_trans buf e);
+            queue.(!tail) <- m';
+            incr tail
+          end
+        done
+      done
+    end
   done;
-  (* Merge the ε-connected states before the graph is built, numbering
-     classes and keeping edges exactly as [quotient] would on the
-     unmerged graph.  The assignment gave each silent edge's ends one
-     code, so a class's code is any member's. *)
+  (* One check of every edge.  [bad] collects the signals whose
+     flip-parity fails on some edge, or whose rises and falls disagree
+     on the root's value; [known.(r)] holds the root bits a rise or fall
+     has fixed and [base.(r)] their values.  A bit nothing fixes (a
+     pure-toggle signal) reads 0 at the root, its component's lowest
+     state. *)
+  let known = Array.make n 0 and base = Array.make n 0 and bad = ref 0 in
+  for e = 0 to n_edges - 1 do
+    let src = e_src buf e and t = e_trans buf e in
+    let d = delta.(t) in
+    bad := !bad lor (rel.(src) lxor rel.(e_dst buf e) lxor d);
+    match snd kinds.(t) with
+    | (Krise | Kfall) as k ->
+      (* the root bit that makes [src] read 0 before a rise, 1 before a fall *)
+      let want = (rel.(src) lxor if k = Kfall then d else 0) land d in
+      let r = root.(src) in
+      if known.(r) land d = 0 then begin
+        known.(r) <- known.(r) lor d;
+        base.(r) <- base.(r) lor want
+      end
+      else bad := !bad lor ((base.(r) land d) lxor want)
+    | Ktoggle | Ksilent -> ()
+  done;
+  if !bad <> 0 then begin
+    (* the lowest inconsistent signal is the one the per-signal solver
+       stopped at; replay it for its message *)
+    let rec lowest s = if !bad land (1 lsl s) <> 0 then s else lowest (s + 1) in
+    let s = lowest 0 in
+    solve_signal s;
+    fail "signal %s: inconsistent assignment across an edge" (Stg.signal_name stg s)
+  end;
+  (* Merge the ε-connected states, numbering classes and keeping edges
+     exactly as [quotient] would on the unmerged graph.  A silent edge
+     flips no bit, so a class's code is any member's. *)
   let uf = Uf.create n in
-  Array.iter
-    (fun (src, t, dst) -> if snd kinds.(t) = Ksilent then Uf.union uf src dst)
-    edges;
+  for e = 0 to n_edges - 1 do
+    if delta.(e_trans buf e) = 0 then Uf.union uf (e_src buf e) (e_dst buf e)
+  done;
   let cls, nc = classes uf n in
   let codes = Array.make nc 0 in
   for m = 0 to n - 1 do
-    let c = ref 0 in
-    for s = 0 to ns - 1 do
-      if values.(s).(m) = 1 then c := !c lor (1 lsl s)
-    done;
-    codes.(cls.(m)) <- !c
+    codes.(cls.(m)) <- rel.(m) lxor base.(root.(m))
   done;
+  (* the projected edges, labels coded as [label_code] does *)
+  let src = Array.make n_edges 0 and lab = Array.make n_edges 0 in
+  let dst = Array.make n_edges 0 and len = ref 0 in
+  for e = 0 to n_edges - 1 do
+    let s, k = kinds.(e_trans buf e) in
+    let c = cls.(e_src buf e) in
+    let label =
+      match k with
+      | Ksilent -> -1
+      | Krise -> 2 * s
+      | Kfall -> (2 * s) + 1
+      | Ktoggle -> (2 * s) + ((codes.(c) lsr s) land 1)
+    in
+    if label >= 0 then begin
+      src.(!len) <- c;
+      lab.(!len) <- label;
+      dst.(!len) <- cls.(e_dst buf e);
+      incr len
+    end
+  done;
+  let len = distinct_edges ~n:nc ~src ~lab ~dst !len in
+  let labels = Array.init (2 * ns) label_of_code in
+  let edges =
+    Array.init len (fun k -> { src = src.(k); label = labels.(lab.(k)); dst = dst.(k) })
+  in
   let signals =
     Array.init ns (fun s ->
         {
@@ -446,24 +577,7 @@ let of_transition_edges stg ~n_states:n edges =
           non_input = Signal.non_input (Stg.kind stg s);
         })
   in
-  let edges =
-    List.filter_map
-      (fun (src, t, dst) ->
-        let sig_, k = kinds.(t) in
-        let dir =
-          match k with
-          | Ksilent -> None
-          | Krise -> Some R
-          | Kfall -> Some F
-          | Ktoggle -> Some (if values.(sig_).(src) = 0 then R else F)
-        in
-        Option.map
-          (fun d -> { src = cls.(src); label = Ev (sig_, d); dst = cls.(dst) })
-          dir)
-      (Array.to_list edges)
-  in
-  make ~name:(Stg.name stg) ~signals ~codes
-    ~edges:(first_occurrences ~n:nc edges) ~initial:cls.(0)
+  build ~name:(Stg.name stg) ~signals ~codes ~edges ~initial:cls.(0)
 
 let of_stg ?max_states ?(backend = `Explicit) stg =
   let net = Stg.net stg in
@@ -471,17 +585,18 @@ let of_stg ?max_states ?(backend = `Explicit) stg =
      builder replays the explicit numbering from its fixpoint and falls
      back outside the 1-safe encoding), so everything from here on is
      backend-oblivious and the digests must agree — tests enforce it. *)
-  match backend with
-  | `Explicit ->
-    let g = Reach.explore ?max_states net in
-    of_transition_edges stg ~n_states:(Reach.n_states g) g.Reach.edges
-  | `Symbolic ->
-    (* the derivation reads nothing but the state count and the edges,
-       so the symbolic engine skips the rest of the [Reach.t]
-       materialization and hands over its flat edge buffer *)
-    let n, buf, n_edges = Symbolic.explore_edges ?max_states net in
-    of_transition_edges stg ~n_states:n
-      (Array.init n_edges (fun e -> (buf.(3 * e), buf.(3 * e + 1), buf.(3 * e + 2))))
+  let n, buf, n_edges =
+    match backend with
+    | `Explicit ->
+      let g = Reach.explore ?max_states net in
+      (Reach.n_states g, Reach.edge_buffer g.Reach.edges, Reach.n_edges g)
+    | `Symbolic ->
+      (* the derivation reads nothing but the state count and the edges,
+         so the symbolic engine skips the rest of the [Reach.t]
+         materialization and hands over its flat edge buffer *)
+      Symbolic.explore_edges ?max_states net
+  in
+  of_transition_edges stg ~n_states:n ~n_edges buf
 
 (* ------------------------------------------------------------------ *)
 (* Content digest                                                      *)

@@ -60,19 +60,29 @@ val make :
     @raise Reach.Too_many_states if exploration exceeds the cap. *)
 val of_stg : ?max_states:int -> ?backend:[ `Explicit | `Symbolic ] -> Stg.t -> t
 
-(** [of_transition_edges stg ~n_states edges] builds Σ from a reachability
-    graph of [stg] with [n_states] states, state 0 the initial one, and
-    [edges] its [(source, transition, target)] triples.  It solves the
-    consistent state assignment one signal at a time (resolving toggle
-    directions on the way), merges the states joined by dummy
-    transitions, and builds the merged graph once.  Classes are numbered
-    by first member and each edge is kept at its first occurrence, as
-    {!quotient} would number the unmerged graph.  The single Σ builder:
-    {!of_stg} passes either engine's edges, the prefix rules the marking
-    graph of a complete finite prefix.
-    @raise Inconsistent if no consistent assignment exists, or [stg] has
-      more than 62 signals. *)
-val of_transition_edges : Stg.t -> n_states:int -> (int * int * int) array -> t
+(** [of_transition_edges stg ~n_states ~n_edges buf] builds Σ from a
+    reachability graph of [stg] with [n_states] states, state 0 the
+    initial one, and [n_edges] edges, edge [e] being the
+    [(source, transition, target)] triple at [buf.(3e)], [buf.(3e + 1)]
+    and [buf.(3e + 2)] ({!Reach.edge_buffer}).  One breadth-first pass
+    over the edges gives every state its code relative to its
+    component's lowest state ([code(dst) = code(src) lxor delta(t)],
+    where [delta(t)] is the bit of [t]'s signal, 0 for a dummy); a
+    second pass checks every edge's parity and fixes each signal's
+    value at the root from any of its rises or falls.  A signal that
+    only toggles reads 0 at that lowest state.  The states joined by
+    dummy transitions are then merged and the graph built once:
+    classes are numbered by first member and each projected edge kept
+    at its first occurrence, as {!quotient} would number the unmerged
+    graph.  The single Σ builder: {!of_stg} passes either engine's
+    edges, the prefix rules the marking graph of a complete finite
+    prefix.
+    @raise Inconsistent if no consistent assignment exists — the message
+      names the lowest such signal and the state where assigning it one
+      signal at a time first fails — or [stg] has more than 62
+      signals. *)
+val of_transition_edges :
+  Stg.t -> n_states:int -> n_edges:int -> int array -> t
 
 (** {1 Accessors} *)
 
@@ -174,6 +184,23 @@ val implied_value : t -> int -> int -> bool
 val quotient :
   t -> keep_signal:(int -> bool) -> keep_extra:(string -> bool) ->
   (t * int array) option
+
+(** Event labels coded as ints, as {!distinct_edges} compares them:
+    [label_code s R] is [2s], [label_code s F] is [2s + 1], and
+    [label_of_code] inverts it. *)
+val label_code : int -> edge_dir -> int
+
+val label_of_code : int -> label
+
+(** [distinct_edges ~n ~src ~lab ~dst len] keeps the first occurrence
+    of each distinct edge [(src.(i), lab.(i), dst.(i))], [i < len], every
+    source below [n]: the kept edges move, in order, to the front of the
+    three arrays, and their count is returned.  This is the edge order
+    {!quotient} and {!of_transition_edges} keep.  An edge is looked up
+    among those already kept out of its source, so no hashing is needed
+    and a state with few distinct out-edges costs few comparisons. *)
+val distinct_edges :
+  n:int -> src:int array -> lab:int array -> dst:int array -> int -> int
 
 (** {1 Content digest} *)
 

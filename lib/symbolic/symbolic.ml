@@ -353,15 +353,8 @@ let explore_edges_info ?max_states ?cluster_max net =
       ((fx.fx_states, edata, n_edges), sym_info fx))
     ~fall:(fun ~reason ->
       let g = Reach.explore ?max_states net in
-      let n_edges = Reach.n_edges g in
-      let edata = Array.make (3 * max 1 n_edges) 0 in
-      Array.iteri
-        (fun e (src, t, dst) ->
-          edata.(3 * e) <- src;
-          edata.(3 * e + 1) <- t;
-          edata.(3 * e + 2) <- dst)
-        g.Reach.edges;
-      ((Reach.n_states g, edata, n_edges), explicit_info ~reason g))
+      ( (Reach.n_states g, Reach.edge_buffer g.Reach.edges, Reach.n_edges g),
+        explicit_info ~reason g ))
 
 let explore_edges ?max_states ?cluster_max net =
   fst (explore_edges_info ?max_states ?cluster_max net)

@@ -518,12 +518,13 @@ let test_cli_failure () =
 (* An STG without a consistent state assignment (r rises twice in a
    row) passes structural lint, but every command that builds Σ rejects
    it with exit 3 and one line naming the signal. *)
+let incons_g =
+  ".model incons\n.inputs r\n.outputs x\n.graph\nr+ x+\nx+ r+/2\n\
+   r+/2 x-\nx- r-\nr- r-/2\nr-/2 r+\n.marking { <r-/2,r+> }\n.end\n"
+
 let test_cli_inconsistent () =
   let file = Filename.temp_file "mpsyn_incons" ".g" in
-  Out_channel.with_open_bin file (fun oc ->
-      output_string oc
-        ".model incons\n.inputs r\n.outputs x\n.graph\nr+ x+\nx+ r+/2\n\
-         r+/2 x-\nx- r-\nr- r-/2\nr-/2 r+\n.marking { <r-/2,r+> }\n.end\n");
+  Out_channel.with_open_bin file (fun oc -> output_string oc incons_g);
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
@@ -537,6 +538,26 @@ let test_cli_inconsistent () =
                ~prefix:"mpsyn: no consistent state assignment: signal r "
                stderr))
         [ "verilog"; "lint --partition" ])
+
+(* The same net under `lint --prefix`: the prefix sweep finds no
+   consistent state assignment, and U3 reports the message the
+   Σ-building commands print as an error, so lint exits 3 too. *)
+let test_cli_lint_prefix_inconsistent () =
+  let file = Filename.temp_file "mpsyn_incons" ".g" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc incons_g);
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let message =
+        match Sg.of_stg (Gformat.parse_string incons_g) with
+        | _ -> Alcotest.fail "Sg.of_stg must reject the net"
+        | exception Sg.Inconsistent msg -> msg
+      in
+      let code, stdout, _ = run_cli ("lint --prefix " ^ Filename.quote file) in
+      check_int "lint --prefix: exit 3" 3 code;
+      let line = "error[U3-coding] incons: no consistent state assignment: " ^ message in
+      check ("lint --prefix prints " ^ line) true
+        (List.mem line (String.split_on_char '\n' stdout)))
 
 (* MPSYN_LOG raises the Logs level: Mpart's debug lines reach stderr,
    stdout keeps every byte, and a malformed value is a usage error. *)
@@ -673,6 +694,104 @@ let prop_pulser_family =
       let r = Mpart.synthesize (Bench_gen.concurrent_pulsers ~branches) in
       Mpart.verify r = None)
 
+(* ---------------- determine against its reference ---------------- *)
+
+(* [Input_derivation.determine], which contracts to each accepted hide's
+   classes, against [Determine_ref], which tests every hide on the
+   complete graph's states and builds the module by one [Sg.quotient]:
+   every field agrees for every output. *)
+let check_determine_ref name sg =
+  for o = 0 to Sg.n_signals sg - 1 do
+    if Sg.non_input sg o then begin
+      let a = Input_derivation.determine sg ~output:o in
+      let b = Determine_ref.determine sg ~output:o in
+      let tag field = Printf.sprintf "%s/%s: %s" name (Sg.signal_name sg o) field in
+      let open Input_derivation in
+      Alcotest.(check (list int)) (tag "input set") b.input_set a.input_set;
+      Alcotest.(check (list int)) (tag "immediate") b.immediate a.immediate;
+      Alcotest.(check (list string)) (tag "kept extras") b.kept_extras a.kept_extras;
+      Alcotest.(check string) (tag "module") (Sg.digest b.module_sg)
+        (Sg.digest a.module_sg);
+      Alcotest.(check (array int)) (tag "cover") b.cover a.cover
+    end
+  done
+
+(* The graphs the insertion re-analyzes carry state signals: Figure 6's
+   loop replayed in [Mpart]'s plan order (each module solved with the
+   driver's acceptance test and propagated into the complete graph),
+   each output's derivation checked against the reference on the graph
+   it meets.  Duplicate cones are solved again rather than replayed.
+   Returns how many of those graphs carried state signals. *)
+let check_determine_ref_insertion name stg =
+  let sg = Sg.of_stg stg in
+  let r = Mpart.synthesize stg in
+  let counter = ref 0 and with_extras = ref 0 in
+  ignore
+    (List.fold_left
+       (fun g (m : Mpart.module_report) ->
+         let o = Sg.find_signal g m.Mpart.output_name in
+         if Sg.n_extras g > 0 then incr with_extras;
+         check_determine_ref (Printf.sprintf "%s+%d" name (Sg.n_extras g)) g;
+         let inp = Input_derivation.determine g ~output:o in
+         let msg = inp.Input_derivation.module_sg in
+         let mo = Sg.find_signal msg m.Mpart.output_name in
+         if r.Mpart.certificate || Csc.n_output_conflicts msg ~output:mo = 0 then g
+         else
+           let baseline = Sg_expand.n_violations msg in
+           match
+             (Modular_sat.solve
+                ~accept:(fun solved -> Sg_expand.n_violations solved <= baseline)
+                ~output:mo msg)
+               .Modular_sat.outcome
+           with
+           | Modular_sat.Gave_up _ -> g
+           | Modular_sat.Solved { new_extras; _ } ->
+             Array.fold_left
+               (fun g (x : Sg.extra) ->
+                 incr counter;
+                 Propagation.propagate g ~cover:inp.Input_derivation.cover
+                   ~name:(Printf.sprintf "t%d" !counter) ~values:x.Sg.values)
+               g new_extras)
+       sg r.Mpart.modules);
+  !with_extras
+
+let test_determine_reference () =
+  let data_dir = Filename.concat ".." "data" in
+  let files =
+    Sys.readdir data_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".g")
+    |> List.sort compare
+  in
+  let generated =
+    [
+      ("parallel_rings-5", Bench_gen.parallel_rings ~rings:5);
+      ("parallel_rings-6", Bench_gen.parallel_rings ~rings:6);
+      ("pulsers-5", Bench_gen.concurrent_pulsers ~branches:5);
+      ("mixed-3x3", Bench_gen.mixed ~stages:3 ~branches:3);
+      ("lock_ring-5", Bench_gen.lock_ring ~signals:5);
+      ("pipeline-4", Bench_gen.pipeline ~stages:4);
+    ]
+  in
+  let nets = List.map (fun f -> (f, data_stg f)) files @ generated in
+  List.iter (fun (name, stg) -> check_determine_ref name (Sg.of_stg stg)) nets;
+  let rand = Qseed.state () in
+  for i = 1 to 50 * Qseed.soak do
+    match Sg.of_stg (Bench_gen.random ~rand) with
+    | sg -> check_determine_ref (Printf.sprintf "random %d" i) sg
+    | exception Sg.Inconsistent _ -> ()
+  done;
+  let with_extras =
+    List.fold_left
+      (fun k (name, stg) -> k + check_determine_ref_insertion name stg)
+      0
+      (List.filter
+         (fun (name, _) ->
+           name = "pulsers-5" || name = "mixed-3x3" || Filename.check_suffix name ".g")
+         nets)
+  in
+  check (Printf.sprintf "%d re-analyzed graphs carry state signals" with_extras)
+    true (with_extras > 0)
+
 let () =
   Alcotest.run "mpart"
     [
@@ -685,6 +804,8 @@ let () =
           Alcotest.test_case "conflicts preserved" `Quick
             test_determine_conflicts_preserved;
           Alcotest.test_case "allocation" `Quick test_determine_allocation;
+          Alcotest.test_case "determine = reference" `Slow
+            test_determine_reference;
         ] );
       ( "modular sat",
         [
@@ -736,6 +857,8 @@ let () =
           Alcotest.test_case "MPSYN_LOG level" `Quick test_cli_log_level;
           Alcotest.test_case "inconsistent STG exits 3" `Quick
             test_cli_inconsistent;
+          Alcotest.test_case "lint --prefix rejects an inconsistent STG" `Quick
+            test_cli_lint_prefix_inconsistent;
           Alcotest.test_case "one expansion" `Quick test_expand_once;
         ] );
       ( "properties",

@@ -183,6 +183,57 @@ let test_sg_golden () =
         (Sg.digest (Sg.of_stg ~backend:`Symbolic stg)))
     nets
 
+(* ---------------- Σ against the per-signal reference ---------------- *)
+
+(* [Sg.of_stg] against [Sg_ref], the builder that solved the assignment
+   one signal at a time: the same digest under both engines, or the same
+   [Inconsistent] message, byte for byte. *)
+let sigma_outcome build =
+  match build () with
+  | sg -> Ok (Sg.digest sg)
+  | exception Sg.Inconsistent msg -> Error msg
+
+let check_sigma_ref name stg =
+  List.iter
+    (fun (backend, tag) ->
+      Alcotest.(check (result string string))
+        (Printf.sprintf "%s: %s = reference" name tag)
+        (sigma_outcome (fun () -> Sg_ref.of_stg ~backend stg))
+        (sigma_outcome (fun () -> Sg.of_stg ~backend stg)))
+    [ (`Explicit, "explicit"); (`Symbolic, "symbolic") ]
+
+(* Nets with no consistent state assignment: a signal rising twice in
+   a row, the net `mpsyn` rejects with exit 3, and one signal pulsed on
+   two concurrent branches. *)
+let inconsistent_nets () =
+  let open Stg_builder in
+  [
+    ( "rise twice",
+      compile ~name:"bad" ~inputs:[ "r" ] ~outputs:[]
+        (seq [ plus "r"; plus "r"; minus "r"; minus "r" ]) );
+    ( "incons",
+      Gformat.parse_string
+        ".model incons\n.inputs r\n.outputs x\n.graph\nr+ x+\nx+ r+/2\n\
+         r+/2 x-\nx- r-\nr- r-/2\nr-/2 r+\n.marking { <r-/2,r+> }\n.end\n" );
+    ( "concurrent pulses",
+      compile ~name:"pulses" ~inputs:[ "a"; "b" ] ~outputs:[]
+        (seq [ plus "a"; par [ seq [ plus "b"; minus "b" ]; seq [ plus "b"; minus "b" ] ]; minus "a" ]) );
+  ]
+
+let test_sigma_reference () =
+  List.iter (fun (name, build) -> check_sigma_ref name (build ())) (golden_nets ());
+  check_sigma_ref "parallel_rings-7" (Bench_gen.parallel_rings ~rings:7);
+  List.iter
+    (fun (name, stg) ->
+      check (name ^ ": rejected") true
+        (Result.is_error (sigma_outcome (fun () -> Sg_ref.of_stg stg)));
+      check_sigma_ref name stg)
+    (inconsistent_nets ());
+  let rand = Qseed.state () in
+  for i = 1 to 50 * Qseed.soak do
+    check_sigma_ref (Printf.sprintf "random %d" i) (Bench_gen.random ~rand)
+  done
+
 (* ---------------- CSC ---------------- *)
 
 let test_csc_conflict () =
@@ -666,6 +717,8 @@ let () =
           Alcotest.test_case "toggles" `Quick test_of_stg_toggle_resolution;
           Alcotest.test_case "implied value" `Quick test_implied_value;
           Alcotest.test_case "sigma golden" `Quick test_sg_golden;
+          Alcotest.test_case "sigma = per-signal reference" `Slow
+            test_sigma_reference;
         ] );
       ( "csc",
         [

@@ -336,6 +336,28 @@ let prop_builder_valid =
         | _ :: _ -> true
       with Sg.Inconsistent _ -> true)
 
+(* The same processes through [Sg.of_stg] and [Sg_ref], the builder that
+   solved the assignment one signal at a time: equal digests, or the
+   same [Inconsistent] message byte for byte on every reject.  Nets
+   that fail validation (not 1-safe) are explored too, under a small
+   state cap; at the pinned seed about a quarter of the processes are
+   rejected. *)
+let prop_builder_reference =
+  QCheck.Test.make ~name:"derivation = per-signal reference"
+    ~count:(60 * Qseed.soak) (QCheck.make gen_proc) (fun p ->
+      let stg =
+        Stg_builder.compile ~name:"q" ~inputs:[ "s0"; "s1"; "s2"; "s3" ]
+          ~outputs:[] p
+      in
+      let outcome build =
+        match build ~max_states:4096 stg with
+        | sg -> Ok (Sg.digest sg)
+        | exception Sg.Inconsistent msg -> Error msg
+        | exception Reach.Too_many_states _ -> Error "state cap"
+      in
+      outcome (fun ~max_states stg -> Sg.of_stg ~max_states stg)
+      = outcome (fun ~max_states stg -> Sg_ref.of_stg ~max_states stg))
+
 let () =
   Alcotest.run "stg"
     [
@@ -377,5 +399,9 @@ let () =
           Alcotest.test_case "parallel shared" `Quick
             test_compose_parallel_shared;
         ] );
-      ("properties", [ Qseed.to_alcotest prop_builder_valid ]);
+      ( "properties",
+        [
+          Qseed.to_alcotest prop_builder_valid;
+          Qseed.to_alcotest prop_builder_reference;
+        ] );
     ]

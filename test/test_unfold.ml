@@ -464,7 +464,8 @@ let test_autoconc_refutation () =
 (* r+ x+ r+/2 x- r- r-/2: r rises twice in a row, so the STG has no
    consistent state assignment, yet it is 1-safe and free of
    autoconcurrency.  U3 and U4 read Σ, which does not exist, so they
-   abstain; U1 and U2 still decide from the prefix. *)
+   abstain from every verdict, and U3 reports the builder's message as
+   its one error; U1 and U2 still decide from the prefix. *)
 let test_inconsistent_abstains () =
   let src =
     ".model incons\n.inputs r\n.outputs x\n.graph\nr+ x+\nx+ r+/2\nr+/2 \
@@ -483,17 +484,26 @@ let test_inconsistent_abstains () =
   Alcotest.(check (option int)) "no conflict count" None
     p.Prefix_rules.s_conflicts;
   check (p.Prefix_rules.s_coexcited = None) "no co-excitation relation";
-  let rules =
-    List.map
-      (fun d -> d.Diagnostic.rule)
-      (Prefix_rules.diagnostics ~loc:Diagnostic.no_loc stg p)
+  let message =
+    match Sg.of_stg stg with
+    | _ -> Alcotest.fail "Sg.of_stg must reject the net"
+    | exception Sg.Inconsistent msg -> msg
   in
+  Alcotest.(check (option string))
+    "the builder's message" (Some message) p.Prefix_rules.s_inconsistent;
+  let ds = Prefix_rules.diagnostics ~loc:Diagnostic.no_loc stg p in
+  let rules = List.map (fun d -> d.Diagnostic.rule) ds in
   check
     (List.mem "U1-safeness" rules && List.mem "U2-autoconcurrency" rules)
     "U1 and U2 report";
-  check
-    (not (List.mem "U3-coding" rules || List.mem "U4-statebound" rules))
-    "U3 and U4 stay silent"
+  (match List.filter (fun d -> d.Diagnostic.rule = "U3-coding") ds with
+  | [ d ] ->
+    check (d.Diagnostic.severity = Diagnostic.Error) "U3's one finding is an error";
+    Alcotest.(check string)
+      "U3 carries the message" ("no consistent state assignment: " ^ message)
+      d.Diagnostic.message
+  | _ -> Alcotest.fail "U3 must report exactly one finding");
+  check (not (List.mem "U4-statebound" rules)) "U4 stays silent"
 
 (* ---------------- determinism across pool widths ------------------- *)
 

@@ -569,10 +569,9 @@ let analyze ?(node_budget = 2_000_000) ?(coexcited = fun _ _ -> true)
       Array.iter
         (fun (e : Sg.edge) ->
           let csrc = Sg.code expanded e.src and cdst = Sg.code expanded e.dst in
-          let fired_edge =
+          let fired_name, fired_dir =
             match e.label with
-            | Sg.Ev (s, d) -> Some (Sg.signal_name expanded s, d)
-            | Sg.Eps -> None
+            | Sg.Ev (s, d) -> (Sg.signal_name expanded s, d)
           in
           List.iter
             (fun r ->
@@ -581,18 +580,14 @@ let analyze ?(node_budget = 2_000_000) ?(coexcited = fun _ _ -> true)
                   let fired_this =
                     match e.label with
                     | Sg.Ev (s, d) -> s = r.sid && d = dir
-                    | Sg.Eps -> false
                   in
                   (* prefix-derived prune: if the fired source-signal
                      edge is provably never excited together with
                      (r, dir) at any state, the region test below cannot
                      fire — a steal requires both excitations at [csrc].
-                     Silent edges and inserted state signals are always
-                     evaluated. *)
+                     Inserted state signals are always evaluated. *)
                   let pruned =
-                    match fired_edge with
-                    | Some fe -> not (coexcited (r.sname, dir) fe)
-                    | None -> false
+                    not (coexcited (r.sname, dir) (fired_name, fired_dir))
                   in
                   if
                     (not pruned) && (not fired_this)
@@ -603,18 +598,12 @@ let analyze ?(node_budget = 2_000_000) ?(coexcited = fun _ _ -> true)
                     if not (Hashtbl.mem seen_h2 key) then begin
                       Hashtbl.replace seen_h2 key ();
                       h2_ok := false;
-                      let fired =
-                        match e.label with
-                        | Sg.Ev (s, d) ->
-                          Some (Sg.signal_name expanded s, d = Sg.R)
-                        | Sg.Eps -> None
-                      in
                       let cx =
                         {
                           cx_rule = rule_h2;
                           cx_signal = r.sname;
                           cx_state = state_of_code csrc;
-                          cx_fired = fired;
+                          cx_fired = Some (fired_name, fired_dir = Sg.R);
                           cx_expected = None;
                           cx_detail =
                             Printf.sprintf
@@ -629,9 +618,7 @@ let analyze ?(node_budget = 2_000_000) ?(coexcited = fun _ _ -> true)
                            "excited output %s%s is disabled by %s"
                            r.sname
                            (dir_str (dir = Sg.R))
-                           (match fired with
-                           | Some (f, ris) -> f ^ dir_str ris
-                           | None -> "a silent step"))
+                           (fired_name ^ dir_str (fired_dir = Sg.R)))
                         "an excited gate output that loses its excitation \
                          without firing glitches under some delay \
                          assignment: the transition was not acknowledged \

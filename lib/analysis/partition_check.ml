@@ -73,7 +73,6 @@ let state_key msg m =
 let edge_rank = function
   | Sg.Ev (s, Sg.R) -> (s, 0)
   | Sg.Ev (s, Sg.F) -> (s, 1)
-  | Sg.Eps -> (-1, 0)
 
 let canonical_form ~output msg =
   let n = Sg.n_states msg in
@@ -128,7 +127,6 @@ let canonical_form ~output msg =
              match e.Sg.label with
              | Sg.Ev (s, Sg.R) -> Printf.sprintf "+%d:" s
              | Sg.Ev (s, Sg.F) -> Printf.sprintf "-%d:" s
-             | Sg.Eps -> "e"
            in
            Printf.sprintf "%d%s%d;" perm.(e.Sg.src) lbl perm.(e.Sg.dst))
     |> List.sort String.compare

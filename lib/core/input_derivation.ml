@@ -16,7 +16,7 @@ let output_excitation sg ~output =
       | Sg.Ev (s, d) when s = output ->
         excitation.(e.Sg.src) <-
           excitation.(e.Sg.src) lor (match d with Sg.R -> 1 | Sg.F -> 2)
-      | Sg.Ev _ | Sg.Eps -> ())
+      | Sg.Ev _ -> ())
     (Sg.edges sg);
   excitation
 
@@ -32,7 +32,7 @@ let triggers_of sg ~output excitation =
       | Sg.Ev (s, _) when s <> output ->
         if excitation.(e.Sg.dst) <> 0 && excitation.(e.Sg.src) = 0 then
           trig.(s) <- true
-      | Sg.Ev _ | Sg.Eps -> ())
+      | Sg.Ev _ -> ())
     (Sg.edges sg);
   List.filter (fun s -> trig.(s)) (List.init (Sg.n_signals sg) Fun.id)
 
@@ -72,15 +72,15 @@ type view = {
           the signal is dropped *)
 }
 
-(* Contract [v] to its classes under [parent], clearing code bit [drop]
-   (none when [-1]), and move [cover] along.  A class is numbered no
-   later than its first node, so every slot is read before it is
-   overwritten.  Numbering classes by first node numbers them by first
-   complete-graph state, so the composed cover is exactly
-   {!Sg.quotient}'s. *)
+(* Contract [v] to its classes under [parent], clearing code bit [drop],
+   and move [cover] along.  A class is numbered no later than its first
+   node, so every slot is read before it is overwritten.  Numbering
+   classes by first node numbers them by first complete-graph state, so
+   the composed cover is exactly the one a quotient of the complete
+   graph by every hidden signal has. *)
 let contract v parent ~drop ~cls cover =
   let nc = ref 0 in
-  let mask = if drop < 0 then -1 else lnot (1 lsl drop) in
+  let mask = lnot (1 lsl drop) in
   for i = 0 to v.n - 1 do
     let r = find parent i in
     if r = i then begin
@@ -152,42 +152,43 @@ let determine sg ~output =
   let edges = Sg.edges sg and extras = Sg.extras sg in
   let excitation = output_excitation sg ~output in
   let immediate = triggers_of sg ~output excitation in
-  let slot e = match e.Sg.label with Sg.Ev (s, _) -> s | Sg.Eps -> ns in
-  (* The edges of each signal (slot [ns] for ε) are
-     [edges.(by_signal.(k))] for [start.(s) <= k < start.(s + 1)]. *)
-  let start = Array.make (ns + 2) 0 in
-  Array.iter (fun e -> start.(slot e + 2) <- start.(slot e + 2) + 1) edges;
-  for s = 2 to ns + 1 do
+  let signal e = match e.Sg.label with Sg.Ev (s, _) -> s in
+  (* The edges of each signal are [edges.(by_signal.(k))] for
+     [start.(s) <= k < start.(s + 1)], in edge order: each signal's
+     count, summed so that [start.(s)] ends its block, then filled from
+     the last edge down. *)
+  let start = Array.make (ns + 1) 0 in
+  Array.iter (fun e -> start.(signal e) <- start.(signal e) + 1) edges;
+  for s = 1 to ns do
     start.(s) <- start.(s) + start.(s - 1)
   done;
   let by_signal = Array.make (Array.length edges) 0 in
-  Array.iteri
-    (fun i e ->
-      let s = slot e in
-      by_signal.(start.(s + 1)) <- i;
-      start.(s + 1) <- start.(s + 1) + 1)
-    edges;
+  for i = Array.length edges - 1 downto 0 do
+    let s = signal edges.(i) in
+    start.(s) <- start.(s) - 1;
+    by_signal.(start.(s)) <- i
+  done;
   let iter_signal s f =
     for k = start.(s) to start.(s + 1) - 1 do
       f edges.(by_signal.(k))
     done
   in
-  (* [unmergeable.(x).(s)]: some edge of signal s (ε for s = ns) carries
-     a pair of extra x's values that fails [Fourval.edge_ok], so no view
-     hiding s can keep x. *)
+  (* [unmergeable.(x).(s)]: some edge of signal s carries a pair of
+     extra x's values that fails [Fourval.edge_ok], so no view hiding s
+     can keep x. *)
   let unmergeable =
     Array.map
       (fun (x : Sg.extra) ->
-        let bad = Array.make (ns + 1) false in
+        let bad = Array.make ns false in
         Array.iter
           (fun e ->
             if not (Fourval.edge_ok x.Sg.values.(e.Sg.src) x.Sg.values.(e.Sg.dst))
-            then bad.(slot e) <- true)
+            then bad.(signal e) <- true)
           edges;
         bad)
       extras
   in
-  (* The first view: the states, merged along the ε edges. *)
+  (* The first view: one node per state. *)
   let v =
     {
       n;
@@ -206,10 +207,6 @@ let determine sg ~output =
   in
   let parent = Array.init n Fun.id and cls = Array.make n 0 in
   let cover = Array.init n Fun.id in
-  if start.(ns + 1) > start.(ns) then begin
-    iter_signal ns (fun e -> union parent e.Sg.src e.Sg.dst);
-    contract v parent ~drop:(-1) ~cls cover
-  end;
   let hidden = Array.make ns false and dropped = Array.make (Array.length extras) false in
   (* Per-class scratch, indexed by class root. *)
   let root = Array.make v.n 0 and class_implied = Array.make v.n 0 in
@@ -220,7 +217,7 @@ let determine sg ~output =
   let width = ns + Array.length extras in
   let codes_seen = code_table (if width >= 30 then v.n else min v.n (1 lsl width)) in
   let out_bit = 1 lsl output in
-  (* The decision [Sg.quotient] + homogeneity + conflict count would make
+  (* The decision a quotient + homogeneity + conflict count would make
      on the view of [v]'s classes under [parent], with [hide] (or no
      signal, when [-1]) hidden as well, read off the classes without
      building it: [None] when the view does not exist or (with
@@ -247,13 +244,13 @@ let determine sg ~output =
       class_implied.(r) <- im;
       class_excitation.(r) <- class_excitation.(r) lor v.excitation.(i)
     done;
-    (* kept extras merged with the Figure-3 rules, as [Sg.quotient] does;
-       the signals hidden before [hide] passed the same test *)
+    (* kept extras merged with the Figure-3 rules; the signals hidden
+       before [hide] passed the same test *)
     Array.iteri
       (fun xi (p : Fourval.presence array) ->
         if not dropped.(xi) then begin
           let bad = unmergeable.(xi) in
-          if bad.(ns) || (hide >= 0 && bad.(hide)) then raise Reject;
+          if hide >= 0 && bad.(hide) then raise Reject;
           for i = 0 to v.n - 1 do
             let r = root.(i) in
             class_presence.(r) <-
@@ -370,7 +367,7 @@ let determine sg ~output =
         lab.(!len) <- Sg.label_code new_of_old.(s) d;
         dst.(!len) <- cover.(e.Sg.dst);
         incr len
-      | Sg.Ev _ | Sg.Eps -> ())
+      | Sg.Ev _ -> ())
     edges;
   let len = Sg.distinct_edges ~n:v.n ~src ~lab ~dst !len in
   let module_sg =
@@ -402,15 +399,3 @@ let determine sg ~output =
     module_sg = !module_sg;
     cover;
   }
-
-let pp sg ppf t =
-  let out_name = Sg.signal_name sg t.output in
-  Format.fprintf ppf "module for %s: inputs {%s}%s, %d states, %d conflicts"
-    out_name
-    (String.concat ", " (List.map (Sg.signal_name sg) t.input_set))
-    (match t.kept_extras with
-    | [] -> ""
-    | xs -> Printf.sprintf " + state signals {%s}" (String.concat ", " xs))
-    (Sg.n_states t.module_sg)
-    (Csc.n_output_conflicts t.module_sg
-       ~output:(Sg.find_signal t.module_sg out_name))

@@ -28,14 +28,16 @@
     are kept in the module.
 
     Candidates are decided on a shrinking quotient.  The first view is
-    the complete graph with its ε-connected states merged: one node per
-    class, carrying the class's code with the hidden bits cleared, the
-    implied values and excitation of [o] among its members, and each
-    state signal's set of values.  Edges stay the complete graph's, read
-    through the cover (complete state → node), grouped once by signal.
+    the complete graph: one node per state, carrying its code, the
+    implied value and excitation of [o] there, and each state signal's
+    value.  A node of a later view is a class of states, carrying the
+    class's code with the hidden bits cleared, the implied values and
+    excitation of [o] among its members, and each state signal's set of
+    values.  Edges stay the complete graph's, read through the cover
+    (complete state → node), grouped once by signal.
     A candidate hide unions the nodes its edges join, and the test reads
-    the union exactly as it would read the quotient {!Sg.quotient}
-    builds:
+    the union exactly as it would read the quotient of the complete
+    graph by every hidden signal:
     - a kept state signal survives when the {!Fourval.merge} rules,
       applied to the union of its value sets in each class, succeed and
       every edge of a kept signal stays {!Fourval.edge_ok};
@@ -67,5 +69,3 @@ val triggers : Sg.t -> output:int -> int list
 (** [determine sg ~output] runs the greedy derivation on the complete
     state graph [sg]. *)
 val determine : Sg.t -> output:int -> t
-
-val pp : Sg.t -> Format.formatter -> t -> unit

@@ -20,7 +20,7 @@ val solver : t
 (** One explicit exploration, {!Reach.explore}. *)
 val reach : t
 
-(** One exploration that completed symbolically ({!Symbolic.explore});
+(** One exploration that completed symbolically ({!Symbolic.explore_edges});
     a fallback to the explicit sweep counts under [reach] instead. *)
 val symbolic : t
 

@@ -3,7 +3,6 @@ type t = {
   markings : Marking.t array;
   edges : (int * int * int) array;
   succ : (int * int) list array;
-  pred : (int * int) list array;
 }
 
 exception Too_many_states of int
@@ -69,15 +68,11 @@ let explore ?(max_states = 100_000) net =
   let markings = Grow.to_array markings in
   let edges = Grow.to_array edges in
   let succ = Array.make (Array.length markings) [] in
-  let pred = Array.make (Array.length markings) [] in
-  Array.iter
-    (fun (s, t, d) ->
-      succ.(s) <- (t, d) :: succ.(s);
-      pred.(d) <- (t, s) :: pred.(d))
-    edges;
-  Array.iteri (fun i l -> succ.(i) <- List.rev l) succ;
-  Array.iteri (fun i l -> pred.(i) <- List.rev l) pred;
-  { net; markings; edges; succ; pred }
+  for i = Array.length edges - 1 downto 0 do
+    let s, t, d = edges.(i) in
+    succ.(s) <- (t, d) :: succ.(s)
+  done;
+  { net; markings; edges; succ }
 
 let n_states g = Array.length g.markings
 let n_edges g = Array.length g.edges

@@ -11,7 +11,6 @@ type t = {
   markings : Marking.t array; (* marking of each node; node 0 is initial *)
   edges : (int * int * int) array; (* (source node, transition, target node) *)
   succ : (int * int) list array; (* node -> (transition, target) *)
-  pred : (int * int) list array; (* node -> (transition, source) *)
 }
 
 exception Too_many_states of int

@@ -19,7 +19,6 @@ let violations sg =
               let this_fired =
                 match e.Sg.label with
                 | Sg.Ev (s', d') -> s' = s && d' = d
-                | Sg.Eps -> false
               in
               if (not this_fired) && not (List.mem (s, d) excited') then
                 out :=
@@ -48,7 +47,6 @@ let is_semi_modular sg =
       match e.Sg.label with
       | Sg.Ev (s, Sg.R) -> (1 lsl s, 0)
       | Sg.Ev (s, Sg.F) -> (0, 1 lsl s)
-      | Sg.Eps -> (0, 0)
     in
     let m = e.Sg.src and m' = e.Sg.dst in
     rise.(m) land lnot fired_r land lnot rise.(m') = 0

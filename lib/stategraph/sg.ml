@@ -1,5 +1,5 @@
 type edge_dir = R | F
-type label = Ev of int * edge_dir | Eps
+type label = Ev of int * edge_dir
 type edge = { src : int; label : label; dst : int }
 type signal_info = { sname : string; non_input : bool }
 type extra = { xname : string; values : Fourval.t array }
@@ -34,9 +34,6 @@ let index_edges n_states edges =
 let check_edge_codes signals codes e =
   let bit c s = c land (1 lsl s) <> 0 in
   match e.label with
-  | Eps ->
-    if codes.(e.src) <> codes.(e.dst) then
-      fail "ε edge %d->%d changes the state code" e.src e.dst
   | Ev (s, d) ->
     if s < 0 || s >= Array.length signals then
       fail "edge %d->%d fires unknown signal %d" e.src e.dst s;
@@ -132,16 +129,12 @@ let full_code sg m =
   !c
 
 let excited_events sg m =
-  let evs =
-    List.filter_map
-      (fun e -> match e.label with Ev (s, d) -> Some (s, d) | Eps -> None)
-      (succ sg m)
-  in
+  let evs = List.map (fun e -> match e.label with Ev (s, d) -> (s, d)) (succ sg m) in
   List.sort_uniq compare evs
 
 let excited sg m ~signal ~dir =
   List.exists
-    (fun e -> match e.label with Ev (s, d) -> s = signal && d = dir | Eps -> false)
+    (fun e -> match e.label with Ev (s, d) -> s = signal && d = dir)
     (succ sg m)
 
 let states_excited sg ~signal ~dir =
@@ -160,7 +153,7 @@ let excitation_masks sg =
       | Ev (s, d) when sg.signals.(s).non_input ->
         let mask = match d with R -> rise | F -> fall in
         mask.(e.src) <- mask.(e.src) lor (1 lsl s)
-      | Ev _ | Eps -> ())
+      | Ev _ -> ())
     sg.edges;
   (rise, fall)
 
@@ -184,13 +177,13 @@ let implied_value sg m s =
   let excited dir =
     List.exists
       (fun e ->
-        match e.label with Ev (s', d) -> s' = s && d = dir | Eps -> false)
+        match e.label with Ev (s', d) -> s' = s && d = dir)
       (succ sg m)
   in
   if bit sg m s then not (excited F) else excited R
 
 (* ------------------------------------------------------------------ *)
-(* Quotient                                                            *)
+(* ε-merging                                                           *)
 (* ------------------------------------------------------------------ *)
 
 module Uf = struct
@@ -250,108 +243,6 @@ let distinct_edges ~n ~src ~lab ~dst len =
 
 let label_code s d = (2 * s) + match d with R -> 0 | F -> 1
 let label_of_code l = Ev (l lsr 1, if l land 1 = 0 then R else F)
-
-let quotient sg ~keep_signal ~keep_extra =
-  let n = n_states sg in
-  let uf = Uf.create n in
-  let hidden_edge e =
-    match e.label with
-    | Eps -> true
-    | Ev (s, _) -> not (keep_signal s)
-  in
-  Array.iter (fun e -> if hidden_edge e then Uf.union uf e.src e.dst) sg.edges;
-  let cover, nc = classes uf n in
-  let cls m = cover.(m) in
-  (* Signal renumbering. *)
-  let kept_signals = ref [] in
-  for s = n_signals sg - 1 downto 0 do
-    if keep_signal s then kept_signals := s :: !kept_signals
-  done;
-  let kept_signals = Array.of_list !kept_signals in
-  let new_of_old = Array.make (n_signals sg) (-1) in
-  Array.iteri (fun nw old -> new_of_old.(old) <- nw) kept_signals;
-  let project_code c =
-    let out = ref 0 in
-    Array.iteri (fun nw old -> if c land (1 lsl old) <> 0 then out := !out lor (1 lsl nw)) kept_signals;
-    !out
-  in
-  let new_codes = Array.make nc 0 in
-  let seen = Array.make nc false in
-  for m = 0 to n - 1 do
-    let c = cls m in
-    let pc = project_code sg.codes.(m) in
-    if not seen.(c) then begin
-      new_codes.(c) <- pc;
-      seen.(c) <- true
-    end
-    else assert (new_codes.(c) = pc)
-  done;
-  (* Merge kept extras with the Figure-3 rules. *)
-  let exception Bad_merge in
-  try
-    let new_extras =
-      Array.of_list
-        (List.filter_map
-           (fun x ->
-             if not (keep_extra x.xname) then None
-             else begin
-               (* every ε'd edge must be a legal directed pair *)
-               Array.iter
-                 (fun e ->
-                   if hidden_edge e
-                      && not (Fourval.edge_ok x.values.(e.src) x.values.(e.dst))
-                   then raise Bad_merge)
-                 sg.edges;
-               let members = Array.make nc [] in
-               for m = n - 1 downto 0 do
-                 members.(cls m) <- x.values.(m) :: members.(cls m)
-               done;
-               let values =
-                 Array.map
-                   (fun vs ->
-                     match Fourval.merge vs with
-                     | Some v -> v
-                     | None -> raise Bad_merge)
-                   members
-               in
-               (* remaining cross-class edges must stay consistent *)
-               Array.iter
-                 (fun e ->
-                   if not (hidden_edge e)
-                      && not (Fourval.edge_ok values.(cls e.src) values.(cls e.dst))
-                   then raise Bad_merge)
-                 sg.edges;
-               Some { xname = x.xname; values }
-             end)
-           (Array.to_list sg.extras))
-    in
-    let projected =
-      Array.of_list
-        (List.filter
-           (fun e -> match e.label with Ev (s, _) -> keep_signal s | Eps -> false)
-           (Array.to_list sg.edges))
-    in
-    let src = Array.map (fun e -> cls e.src) projected in
-    let dst = Array.map (fun e -> cls e.dst) projected in
-    let lab =
-      Array.map
-        (fun e ->
-          match e.label with
-          | Ev (s, d) -> label_code new_of_old.(s) d
-          | Eps -> assert false)
-        projected
-    in
-    let len = distinct_edges ~n:nc ~src ~lab ~dst (Array.length projected) in
-    let signals = Array.map (fun old -> sg.signals.(old)) kept_signals in
-    let base =
-      make ~name:sg.name ~signals ~codes:new_codes
-        ~edges:
-          (List.init len (fun k ->
-               { src = src.(k); label = label_of_code lab.(k); dst = dst.(k) }))
-        ~initial:(cls sg.initial)
-    in
-    Some ({ base with extras = new_extras }, cover)
-  with Bad_merge -> None
 
 (* ------------------------------------------------------------------ *)
 (* Derivation from an STG                                              *)
@@ -533,9 +424,9 @@ let of_transition_edges stg ~n_states:n ~n_edges buf =
     solve_signal s;
     fail "signal %s: inconsistent assignment across an edge" (Stg.signal_name stg s)
   end;
-  (* Merge the ε-connected states, numbering classes and keeping edges
-     exactly as [quotient] would on the unmerged graph.  A silent edge
-     flips no bit, so a class's code is any member's. *)
+  (* Merge the states joined by dummy transitions, classes numbered by
+     first member and each projected edge kept at its first occurrence.
+     A silent edge flips no bit, so a class's code is any member's. *)
   let uf = Uf.create n in
   for e = 0 to n_edges - 1 do
     if delta.(e_trans buf e) = 0 then Uf.union uf (e_src buf e) (e_dst buf e)
@@ -626,7 +517,6 @@ let digest sg =
       Buffer.add_string buf
         (Printf.sprintf "%d%s%d;" e.src
            (match e.label with
-           | Eps -> "e"
            | Ev (s, R) -> Printf.sprintf "+%d:" s
            | Ev (s, F) -> Printf.sprintf "-%d:" s)
            e.dst))
@@ -656,7 +546,6 @@ let digest sg =
 (* ------------------------------------------------------------------ *)
 
 let pp_label sg ppf = function
-  | Eps -> Format.fprintf ppf "ε"
   | Ev (s, R) -> Format.fprintf ppf "%s+" sg.signals.(s).sname
   | Ev (s, F) -> Format.fprintf ppf "%s-" sg.signals.(s).sname
 
@@ -667,10 +556,6 @@ let pp_state sg ppf m =
   Array.iter
     (fun x -> Format.fprintf ppf "{%s}" (Fourval.to_string x.values.(m)))
     sg.extras
-
-let pp ppf sg =
-  Format.fprintf ppf "state graph %s: %d states, %d edges, %d signals, %d extras"
-    sg.name (n_states sg) (n_edges sg) (n_signals sg) (n_extras sg)
 
 let to_dot sg =
   let buf = Buffer.create 1024 in

@@ -8,6 +8,12 @@
     transitions and instead assign one of {!Fourval.t} to every state.
     {!Sg_expand} later turns extras into ordinary signals.
 
+    Every state graph is ε-free: a silent step (a dummy transition, or a
+    hidden signal of a module) never labels an edge, because each
+    builder merges the states it joins before the graph exists —
+    {!of_transition_edges} for Σ, the input-set derivation for a
+    module.
+
     The module is deliberately independent of {!Stg}: projections and
     expansions produce state graphs whose signal set no longer matches any
     STG. Codes are stored as [int] bitmasks, so at most 62 visible signals
@@ -15,10 +21,10 @@
 
 type edge_dir = R | F
 
-(** Edge labels: a rising/falling transition of a visible signal, or a
-    silent ε step (dummy transitions, hidden signals).  Graphs returned by
-    {!of_stg} and {!quotient} contain no ε edges — they are merged away. *)
-type label = Ev of int * edge_dir | Eps
+(** Edge labels: a rising or falling transition of a visible signal.
+    There is no ε label; silent steps are merged away before a graph is
+    built. *)
+type label = Ev of int * edge_dir
 
 type edge = { src : int; label : label; dst : int }
 type signal_info = { sname : string; non_input : bool }
@@ -37,7 +43,7 @@ exception Inconsistent of string
 (** [make ~name ~signals ~codes ~edges ~initial] builds a state graph with
     [Array.length codes] states.  Checks that edge endpoints are in range
     and that codes are consistent along every edge ([Ev (s, R)] flips bit
-    [s] from 0 to 1, [Eps] preserves the code).
+    [s] from 0 to 1 and no other bit).
     @raise Inconsistent on violation. *)
 val make :
   name:string ->
@@ -53,8 +59,8 @@ val make :
     @param backend which reachability engine explores the net:
       [`Explicit] (default) enumerates markings one at a time
       ({!Reach.explore}); [`Symbolic] runs partitioned-transition-
-      relation BDD image computation ({!Symbolic.explore}) and replays
-      the same numbering, so the two produce identical graphs and
+      relation BDD image computation ({!Symbolic.explore_edges}) and
+      replays the same numbering, so the two produce identical graphs and
       identical {!digest}s — only the time and memory profile differs.
     @raise Inconsistent if no consistent assignment exists.
     @raise Reach.Too_many_states if exploration exceeds the cap. *)
@@ -73,10 +79,9 @@ val of_stg : ?max_states:int -> ?backend:[ `Explicit | `Symbolic ] -> Stg.t -> t
     only toggles reads 0 at that lowest state.  The states joined by
     dummy transitions are then merged and the graph built once:
     classes are numbered by first member and each projected edge kept
-    at its first occurrence, as {!quotient} would number the unmerged
-    graph.  The single Σ builder: {!of_stg} passes either engine's
-    edges, the prefix rules the marking graph of a complete finite
-    prefix.
+    at its first occurrence ({!distinct_edges}).  The single Σ
+    builder: {!of_stg} passes either engine's edges, the prefix rules
+    the marking graph of a complete finite prefix.
     @raise Inconsistent if no consistent assignment exists — the message
       names the lowest such signal and the state where assigning it one
       signal at a time first fails — or [stg] has more than 62
@@ -172,18 +177,7 @@ val full_excitation_masks : t -> int array * int array
     signal's module. *)
 val implied_value : t -> int -> int -> bool
 
-(** {1 Quotient (ε-merging)} *)
-
-(** [quotient sg ~keep_signal ~keep_extra] hides every visible signal [s]
-    with [not (keep_signal s)] (its edges become ε) and drops every extra
-    [x] with [not (keep_extra x.xname)], then merges ε-connected states.
-    Kept extras are merged with the Figure-3 rules.  Returns the merged
-    graph and the cover map (old state → merged state), or [None] when
-    some kept extra cannot be merged consistently (the paper's condition
-    for a signal that cannot be removed). *)
-val quotient :
-  t -> keep_signal:(int -> bool) -> keep_extra:(string -> bool) ->
-  (t * int array) option
+(** {1 Edge deduplication} *)
 
 (** Event labels coded as ints, as {!distinct_edges} compares them:
     [label_code s R] is [2s], [label_code s F] is [2s + 1], and
@@ -196,9 +190,10 @@ val label_of_code : int -> label
     of each distinct edge [(src.(i), lab.(i), dst.(i))], [i < len], every
     source below [n]: the kept edges move, in order, to the front of the
     three arrays, and their count is returned.  This is the edge order
-    {!quotient} and {!of_transition_edges} keep.  An edge is looked up
-    among those already kept out of its source, so no hashing is needed
-    and a state with few distinct out-edges costs few comparisons. *)
+    {!of_transition_edges} and the input-set derivation's modules keep.
+    An edge is looked up among those already kept out of its source, so
+    no hashing is needed and a state with few distinct out-edges costs
+    few comparisons. *)
 val distinct_edges :
   n:int -> src:int array -> lab:int array -> dst:int array -> int -> int
 
@@ -215,7 +210,6 @@ val digest : t -> string
 
 val pp_state : t -> Format.formatter -> int -> unit
 val pp_label : t -> Format.formatter -> label -> unit
-val pp : Format.formatter -> t -> unit
 
 (** [to_dot sg] renders the graph in Graphviz dot syntax. *)
 val to_dot : t -> string

@@ -192,7 +192,7 @@ let fold sg =
       | Sg.Ev (s, dir) when Sg.non_input sg s ->
         let leave, _ = route extras l free e in
         excite dir ~m:e.Sg.src ~bit:(1 lsl s) (fun c -> c land leave = leave)
-      | Sg.Ev _ | Sg.Eps -> ())
+      | Sg.Ev _ -> ())
     (Sg.edges sg);
   { sg; extras; l; rise; fall }
 
@@ -261,7 +261,6 @@ let folded_violations ~stop f =
            match e.Sg.label with
            | Sg.Ev (s, Sg.R) -> (1 lsl s, 0)
            | Sg.Ev (s, Sg.F) -> (0, 1 lsl s)
-           | Sg.Eps -> (0, 0)
          in
          let src = f.l.first.(e.Sg.src) and dst = f.l.first.(e.Sg.dst) in
          let leave, nf = route f.extras f.l free e in

@@ -3,20 +3,18 @@
    the explicit sweep over the fixpoint that rebuilds the explicit
    graph field-for-field.
 
-   The contract is byte-identity with [Reach.explore]: state 0 is the
-   initial marking, states are numbered in breadth-first discovery
-   order, each state fires its enabled transitions in increasing id
-   order, and the successor/predecessor lists are assembled the same
-   way.  Everything downstream (state-graph derivation, CSC solving,
-   netlists, digests) is therefore oblivious to which engine ran.
+   The contract is byte-identity with [Reach.explore]'s edges: state 0
+   is the initial marking, states are numbered in breadth-first
+   discovery order, and each state fires its enabled transitions in
+   increasing id order.  Everything downstream (state-graph derivation,
+   CSC solving, netlists, digests) is therefore oblivious to which
+   engine ran.
 
-   Two grades of result are offered.  [explore] rebuilds the full
-   [Reach.t] — markings, adjacency lists and all.  [explore_edges]
-   stops at the state count and the edge array, which is everything the
-   state-graph derivation actually reads; skipping the marking and
-   adjacency materialization is where most of the end-to-end speedup
-   over the explicit sweep comes from, since the fixpoint itself is
-   orders of magnitude faster than enumeration.
+   The one result is the state count and a flat edge buffer, which is
+   everything the state-graph derivation reads; no marking, adjacency
+   list or edge tuple is materialized, which is where most of the
+   end-to-end speedup over the explicit sweep comes from, since the
+   fixpoint itself is orders of magnitude faster than enumeration.
 
    Boolean semantics equals token-counting semantics only while the net
    stays 1-safe, so every firing replayed is audited (one mask test)
@@ -33,8 +31,6 @@ type info = {
   i_iterations : int;
   i_bdd_nodes : int;
 }
-
-let default_max_states = 100_000
 
 let explicit_info ~reason g =
   {
@@ -139,8 +135,8 @@ exception Unsafe_fire of int
    reached through 1-safe markings only, where boolean and counting
    semantics coincide.
 
-   Returns the masks in state order and the edges as one flat buffer of
-   [(src, t, dst)] int triples. *)
+   Returns the edges as one flat buffer of [(src, t, dst)] int triples
+   and their count. *)
 let replay enc n_states =
   let open Symenc in
   let nt = enc.n_transitions in
@@ -236,33 +232,11 @@ let replay enc n_states =
     incr i
   done;
   assert (!assigned = n_states);
-  (masks, !edata, !elen / 3)
+  (!edata, !elen / 3)
 
-let edges_of_buffer edata n_edges =
-  Array.init n_edges (fun e ->
-      (edata.(3 * e), edata.(3 * e + 1), edata.(3 * e + 2)))
-
-(* Full [Reach.t] materialization on top of the replay, for callers of
-   [explore]: markings from the masks, adjacency lists assembled
-   exactly as [Reach.explore] does (cons in edge order, then reverse). *)
-let reconstruct enc n_states =
-  let masks, edata, n_edges = replay enc n_states in
-  let edges = edges_of_buffer edata n_edges in
-  let markings = Array.map (fun m -> Symenc.marking_of_mask enc m) masks in
-  let succ = Array.make n_states [] in
-  let pred = Array.make n_states [] in
-  Array.iter
-    (fun (s, t, d) ->
-      succ.(s) <- (t, d) :: succ.(s);
-      pred.(d) <- (t, s) :: pred.(d))
-    edges;
-  Array.iteri (fun s l -> succ.(s) <- List.rev l) succ;
-  Array.iteri (fun s l -> pred.(s) <- List.rev l) pred;
-  { Reach.net = enc.Symenc.net; markings; edges; succ; pred }
-
-(* The fixpoint itself, shared by both result grades.  Returns the
-   manager, encoding, relation, reached set, iteration count and exact
-   state count, or [Error reason] when the net is outside the encoding. *)
+(* The fixpoint itself.  Returns the manager, encoding, relation,
+   reached set, iteration count and exact state count, or [Error reason]
+   when the net is outside the encoding. *)
 type fixpoint = {
   fx_enc : Symenc.t;
   fx_mgr : Bdd.manager;
@@ -314,7 +288,7 @@ let sym_info fx =
 (* [run] drives one exploration to either a symbolic result (via
    [finish], which may still discover an unsafe firing during the
    replay) or an explicit fallback (via [fall], handed the reason). *)
-let run ?(max_states = default_max_states) ?cluster_max net ~finish ~fall =
+let run ?(max_states = 100_000) ?cluster_max net ~finish ~fall =
   match fixpoint ?cluster_max net with
   | Error reason -> fall ~reason
   | Ok fx ->
@@ -332,23 +306,10 @@ let run ?(max_states = default_max_states) ?cluster_max net ~finish ~fall =
       | r -> r
       | exception Unsafe_fire t -> fall ~reason:(unsafe_reason net t))
 
-let explore_info ?max_states ?cluster_max net =
-  run ?max_states ?cluster_max net
-    ~finish:(fun fx ->
-      let g = reconstruct fx.fx_enc fx.fx_states in
-      Counter.bump Counter.symbolic;
-      (g, sym_info fx))
-    ~fall:(fun ~reason ->
-      let g = Reach.explore ?max_states net in
-      (g, explicit_info ~reason g))
-
-let explore ?max_states ?cluster_max net =
-  fst (explore_info ?max_states ?cluster_max net)
-
 let explore_edges_info ?max_states ?cluster_max net =
   run ?max_states ?cluster_max net
     ~finish:(fun fx ->
-      let _, edata, n_edges = replay fx.fx_enc fx.fx_states in
+      let edata, n_edges = replay fx.fx_enc fx.fx_states in
       Counter.bump Counter.symbolic;
       ((fx.fx_states, edata, n_edges), sym_info fx))
     ~fall:(fun ~reason ->

@@ -5,15 +5,15 @@
     partitioned transition relation clustered by support overlap
     ({!Symrel}), runs breadth-first image computation with the fused
     relational product {!Bdd.and_exists} to the reachable-set fixpoint,
-    and then rebuilds the explicit graph by canonical enumeration of
-    the onset.
+    and then lists the explicit graph's edges by canonical enumeration
+    of the onset.
 
-    The result is {e field-for-field identical} to what
-    [Reach.explore] returns — same state numbering (breadth-first
-    discovery order from the initial marking, transitions fired in
-    increasing id order), same edge order, same successor and
-    predecessor lists — so every downstream consumer, including
-    [Sg.digest], is oblivious to which engine ran.
+    The result is one flat edge buffer, {e identical} to
+    [Reach.edge_buffer] of what [Reach.explore] returns — same state
+    numbering (breadth-first discovery order from the initial marking,
+    transitions fired in increasing id order) and same edge order — so
+    every downstream consumer, including [Sg.digest], is oblivious to
+    which engine ran.
 
     Nets outside the encoding (more than {!Symenc.max_places} places,
     a non-1-safe initial marking) and nets where a reachable transition
@@ -31,10 +31,15 @@ type info = {
   i_bdd_nodes : int;  (** manager nodes live after the fixpoint *)
 }
 
-val default_max_states : int
-
-(** [explore ?max_states ?cluster_max net] builds the reachability
-    graph symbolically.
+(** [explore_edges ?max_states ?cluster_max net] builds the
+    reachability graph symbolically: [(n_states, buf, n_edges)] where
+    edge [e] is the triple [(buf.(3e), buf.(3e+1), buf.(3e+2))] =
+    (source state, transition, destination state) of the graph
+    {!Reach.explore} would return — identical numbering, identical edge
+    order — without materializing the markings, the adjacency lists, or
+    even boxed edge tuples.  The state-graph derivation reads nothing
+    else; skipping the rest of the [Reach.t] materialization is where
+    much of the end-to-end win over the explicit sweep comes from.
     @param max_states exploration cap, default [100_000] — the same
       contract as [Reach.explore]
     @param cluster_max support-size cap per transition-relation
@@ -42,23 +47,6 @@ val default_max_states : int
     @raise Reach.Too_many_states if more markings than the cap are
       reachable (detected by exact onset counting before any
       enumeration). *)
-val explore : ?max_states:int -> ?cluster_max:int -> Petri.t -> Reach.t
-
-(** [explore_info] additionally reports how the exploration went. *)
-val explore_info :
-  ?max_states:int -> ?cluster_max:int -> Petri.t -> Reach.t * info
-
-(** [explore_edges ?max_states ?cluster_max net] is the fast grade of
-    result: [(n_states, buf, n_edges)] where edge [e] is the triple
-    [(buf.(3e), buf.(3e+1), buf.(3e+2))] = (source state, transition,
-    destination state) of the graph [explore] would return — identical
-    numbering, identical edge order — without materializing the
-    markings, the adjacency lists, or even boxed edge tuples.  The
-    state-graph derivation reads nothing else, so this is the entry
-    point [Sg.of_stg] uses; skipping the rest of the [Reach.t]
-    materialization is where much of the end-to-end win over the
-    explicit sweep comes from.  Same cap contract and explicit fallback
-    as {!explore}. *)
 val explore_edges :
   ?max_states:int -> ?cluster_max:int -> Petri.t -> int * int array * int
 

@@ -80,8 +80,3 @@ let marking_bdd mgr enc mask =
     f := Bdd.band mgr v !f
   done;
   !f
-
-let marking_of_mask enc mask =
-  Marking.of_array
-    (Array.init enc.n_places (fun p ->
-         if mask land (1 lsl p) <> 0 then 1 else 0))

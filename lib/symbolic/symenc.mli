@@ -39,6 +39,3 @@ val make : Petri.t -> t
 (** [marking_bdd mgr enc mask] is the full current-state minterm of the
     marking [mask]. *)
 val marking_bdd : Bdd.manager -> t -> int -> Bdd.node
-
-(** [marking_of_mask enc mask] converts a bitmask back to a marking. *)
-val marking_of_mask : t -> int -> Marking.t

@@ -109,11 +109,6 @@ let check ?(max_states = 1_000_000) ?(max_violations = 32) ~spec ~initial nl =
     done;
     (* indexed spec edges, grouped by source, for firing + coverage *)
     let spec_edges = Sg.edges spec in
-    Array.iter
-      (fun (e : Sg.edge) ->
-        if e.Sg.label = Sg.Eps then
-          raise (Interface "spec state graph contains epsilon edges"))
-      spec_edges;
     let succ_idx = Array.make (Sg.n_states spec) [] in
     Array.iteri
       (fun i (e : Sg.edge) -> succ_idx.(e.Sg.src) <- (i, e) :: succ_idx.(e.Sg.src))
@@ -276,8 +271,7 @@ let check ?(max_states = 1_000_000) ?(max_violations = 32) ~spec ~initial nl =
                      signal = Sg.signal_name spec s;
                      rising = (d = Sg.R);
                      src = e.Sg.src;
-                   })
-            | Sg.Eps -> ())
+                   }))
         covered
     end;
     let n_covered =
@@ -396,7 +390,6 @@ let refines ?(max_states = 1_000_000) ?(max_violations = 32) ~spec impl =
             (fun (ie : Sg.edge) ->
               incr edges;
               match ie.Sg.label with
-              | Sg.Eps -> visit ie.Sg.dst m
               | Sg.Ev (si, d) -> (
                 match spec_of_impl.(si) with
                 | None -> visit ie.Sg.dst m (* inserted state signal: hidden *)
@@ -437,8 +430,7 @@ let refines ?(max_states = 1_000_000) ?(max_violations = 32) ~spec impl =
                      signal = Sg.signal_name spec s;
                      rising = (d = Sg.R);
                      src = e.Sg.src;
-                   })
-            | Sg.Eps -> ())
+                   }))
         covered;
     let n_covered =
       Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 covered

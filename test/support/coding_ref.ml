@@ -107,7 +107,7 @@ let exact_coding stg (mg : Unfold.mgraph) =
           edge_info
       done;
       (* ε-quotient: undirected union over silent edges, like
-         [Sg.quotient] with every signal kept *)
+         [Sg_ref.quotient] with every signal kept *)
       let uf = Array.init n Fun.id in
       let rec find i = if uf.(i) = i then i else (uf.(i) <- find uf.(i); uf.(i)) in
       let union i j =

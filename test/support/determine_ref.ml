@@ -1,7 +1,7 @@
 (* [Input_derivation.determine] as it decided candidates before the
    shrinking quotient: every hide is tested on a union-find over all of
-   the complete graph's states, and the module is one [Sg.quotient] of
-   the complete graph at the end.  The reference the test-suite
+   the complete graph's states, and the module is one [Sg_ref.quotient]
+   of the complete graph at the end.  The reference the test-suite
    compares the input set, immediate set, kept extras, module digest
    and cover against. *)
 
@@ -26,8 +26,8 @@ let determine sg ~output =
   let n = Sg.n_states sg and ns = Sg.n_signals sg in
   let edges = Sg.edges sg and extras = Sg.extras sg in
   let immediate = Input_derivation.triggers sg ~output in
-  (* Edge indices of each signal; slot [ns] holds the ε edges. *)
-  let by_signal = Array.make (ns + 1) [] in
+  (* Edge indices of each signal. *)
+  let by_signal = Array.make ns [] in
   (* [excitation.(m)]: bit 0 when m has an [output]+ edge, bit 1 for -. *)
   let excitation = Array.make n 0 in
   Array.iteri
@@ -37,14 +37,13 @@ let determine sg ~output =
         by_signal.(s) <- i :: by_signal.(s);
         if s = output then
           excitation.(e.Sg.src) <-
-            excitation.(e.Sg.src) lor (match d with Sg.R -> 1 | Sg.F -> 2)
-      | Sg.Eps -> by_signal.(ns) <- i :: by_signal.(ns))
+            excitation.(e.Sg.src) lor (match d with Sg.R -> 1 | Sg.F -> 2))
     edges;
   let implied m x = if Sg.bit sg m output then x land 2 = 0 else x land 1 <> 0 in
   let state_implied = Array.init n (fun m -> implied m excitation.(m)) in
-  (* [unmergeable.(x).(s)]: some edge of signal s (ε for s = ns) carries
-     a pair of extra x's values that fails [Fourval.edge_ok], so no view
-     hiding s can keep x. *)
+  (* [unmergeable.(x).(s)]: some edge of signal s carries a pair of
+     extra x's values that fails [Fourval.edge_ok], so no view hiding s
+     can keep x. *)
   let unmergeable =
     Array.map
       (fun (x : Sg.extra) ->
@@ -62,7 +61,7 @@ let determine sg ~output =
   let code = Array.make n 0 in
   let presence = Array.make n Fourval.absent and merged = Array.make n Fourval.V0 in
   let codes_seen : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  (* The decision [Sg.quotient] + homogeneity + conflict count of the
+  (* The decision [Sg_ref.quotient] + homogeneity + conflict count of the
      view would make, read off the partition without building it:
      [None] when the view does not exist or (with [~homogeneity]) a class
      mixes both implied values of [output], else the number of full codes
@@ -98,13 +97,13 @@ let determine sg ~output =
         code.(r) <- !out
       end
     done;
-    (* kept extras merged with the Figure-3 rules, as [Sg.quotient] does *)
+    (* kept extras merged with the Figure-3 rules, as [Sg_ref.quotient]
+       does *)
     let kept = ref 0 in
     Array.iteri
       (fun xi (x : Sg.extra) ->
         if not dropped.(xi) then begin
           let bad = unmergeable.(xi) in
-          if bad.(ns) then raise Reject;
           for s = 0 to ns - 1 do
             if hidden.(s) && bad.(s) then raise Reject
           done;
@@ -127,7 +126,7 @@ let determine sg ~output =
                   not
                     (Fourval.edge_ok merged.(root.(e.Sg.src)) merged.(root.(e.Sg.dst)))
                 then raise Reject
-              | Sg.Ev _ | Sg.Eps -> ())
+              | Sg.Ev _ -> ())
             edges;
           let b = 1 lsl (!n_kept + !kept) in
           for r = 0 to n - 1 do
@@ -160,7 +159,6 @@ let determine sg ~output =
     try Some (evaluate ~homogeneity parent) with Reject -> None
   in
   let parent = ref (Array.init n Fun.id) in
-  List.iter (fun i -> union !parent edges.(i).Sg.src edges.(i).Sg.dst) by_signal.(ns);
   let n_csc = ref (Option.get (evaluate ~homogeneity:false !parent)) in
   (* State signals first: an inserted signal that is irrelevant to this
      output would otherwise block the ε-merging of the region it toggles
@@ -199,7 +197,7 @@ let determine sg ~output =
   (* One materialization: the view the last accepted candidate decided. *)
   let module_sg, cover =
     Option.get
-      (Sg.quotient sg
+      (Sg_ref.quotient sg
          ~keep_signal:(fun s -> not hidden.(s))
          ~keep_extra:(fun name -> List.mem name !kept_extras))
   in

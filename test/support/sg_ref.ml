@@ -3,7 +3,8 @@
    BFS over boxed adjacency lists, the ε-merge by union-find, and the
    projected edges deduplicated through a hash table.  The reference
    the test-suite compares [Sg.of_stg]'s digests and [Sg.Inconsistent]
-   messages against, under both reachability engines. *)
+   messages against, under both reachability engines.  [quotient] is
+   the ε-quotient [Determine_ref] builds its module with. *)
 
 open Sg
 
@@ -39,6 +40,114 @@ let classes uf n =
   done;
   (Array.init n (fun m -> class_id.(Uf.find uf m)), !n_classes)
 
+(* [quotient sg ~keep_signal ~keep_extra] hides every visible signal [s]
+   with [not (keep_signal s)] (its edges become ε) and drops every extra
+   [x] with [not (keep_extra x.xname)], then merges ε-connected states.
+   Kept extras are merged with the Figure-3 rules.  Returns the merged
+   graph and the cover map (old state -> merged state), or [None] when
+   some kept extra cannot be merged consistently (the paper's condition
+   for a signal that cannot be removed). *)
+let quotient sg ~keep_signal ~keep_extra =
+  let n = n_states sg in
+  let uf = Uf.create n in
+  let hidden_edge e = match e.label with Ev (s, _) -> not (keep_signal s) in
+  Array.iter (fun e -> if hidden_edge e then Uf.union uf e.src e.dst) (edges sg);
+  let cover, nc = classes uf n in
+  let cls m = cover.(m) in
+  (* Signal renumbering. *)
+  let kept_signals = ref [] in
+  for s = n_signals sg - 1 downto 0 do
+    if keep_signal s then kept_signals := s :: !kept_signals
+  done;
+  let kept_signals = Array.of_list !kept_signals in
+  let new_of_old = Array.make (n_signals sg) (-1) in
+  Array.iteri (fun nw old -> new_of_old.(old) <- nw) kept_signals;
+  let project_code c =
+    let out = ref 0 in
+    Array.iteri (fun nw old -> if c land (1 lsl old) <> 0 then out := !out lor (1 lsl nw)) kept_signals;
+    !out
+  in
+  let new_codes = Array.make nc 0 in
+  let seen = Array.make nc false in
+  for m = 0 to n - 1 do
+    let c = cls m in
+    let pc = project_code (code sg m) in
+    if not seen.(c) then begin
+      new_codes.(c) <- pc;
+      seen.(c) <- true
+    end
+    else assert (new_codes.(c) = pc)
+  done;
+  (* Merge kept extras with the Figure-3 rules. *)
+  let exception Bad_merge in
+  try
+    let new_extras =
+      Array.of_list
+        (List.filter_map
+           (fun x ->
+             if not (keep_extra x.xname) then None
+             else begin
+               (* every ε'd edge must be a legal directed pair *)
+               Array.iter
+                 (fun e ->
+                   if hidden_edge e
+                      && not (Fourval.edge_ok x.values.(e.src) x.values.(e.dst))
+                   then raise Bad_merge)
+                 (edges sg);
+               let members = Array.make nc [] in
+               for m = n - 1 downto 0 do
+                 members.(cls m) <- x.values.(m) :: members.(cls m)
+               done;
+               let values =
+                 Array.map
+                   (fun vs ->
+                     match Fourval.merge vs with
+                     | Some v -> v
+                     | None -> raise Bad_merge)
+                   members
+               in
+               (* remaining cross-class edges must stay consistent *)
+               Array.iter
+                 (fun e ->
+                   if not (hidden_edge e)
+                      && not (Fourval.edge_ok values.(cls e.src) values.(cls e.dst))
+                   then raise Bad_merge)
+                 (edges sg);
+               Some { xname = x.xname; values }
+             end)
+           (Array.to_list (extras sg)))
+    in
+    let projected =
+      Array.of_list
+        (List.filter
+           (fun e -> match e.label with Ev (s, _) -> keep_signal s)
+           (Array.to_list (edges sg)))
+    in
+    let src = Array.map (fun e -> cls e.src) projected in
+    let dst = Array.map (fun e -> cls e.dst) projected in
+    let lab =
+      Array.map
+        (fun e -> match e.label with Ev (s, d) -> label_code new_of_old.(s) d)
+        projected
+    in
+    let len = distinct_edges ~n:nc ~src ~lab ~dst (Array.length projected) in
+    let signals =
+      Array.map
+        (fun old -> { sname = signal_name sg old; non_input = non_input sg old })
+        kept_signals
+    in
+    let base =
+      make ~name:(name sg) ~signals ~codes:new_codes
+        ~edges:
+          (List.init len (fun k ->
+               { src = src.(k); label = label_of_code lab.(k); dst = dst.(k) }))
+        ~initial:(cls (initial sg))
+    in
+    (* each kept edge passed [Fourval.edge_ok] above *)
+    let add g x = add_extra g ~name:x.xname ~values:x.values in
+    Some (Array.fold_left add base new_extras, cover)
+  with Bad_merge -> None
+
 (* [edges], between states below [n], with each edge kept at its first
    occurrence only.  An edge is keyed by one int (at most 62 signals
    leave 7 bits for the label), which hashes far cheaper than the
@@ -48,7 +157,7 @@ let first_occurrences ~n edges =
   List.filter
     (fun e ->
       let label =
-        match e.label with Ev (s, R) -> 2 * s | Ev (s, F) -> (2 * s) + 1 | Eps -> 127
+        match e.label with Ev (s, R) -> 2 * s | Ev (s, F) -> (2 * s) + 1
       in
       let key = (((e.src * 128) + label) * n) + e.dst in
       (not (Hashtbl.mem seen key))
@@ -147,8 +256,8 @@ let of_transition_edges stg ~n_states:n edges =
       edges
   done;
   (* Merge the ε-connected states before the graph is built, numbering
-     classes and keeping edges exactly as [quotient] would on the
-     unmerged graph.  The assignment gave each silent edge's ends one
+     classes by first member and keeping each edge at its first
+     occurrence.  The assignment gave each silent edge's ends one
      code, so a class's code is any member's. *)
   let uf = Uf.create n in
   Array.iter

@@ -89,7 +89,7 @@ let test_determine_allocation () =
   in
   let quotient =
     allocated (fun () ->
-        Sg.quotient sg ~keep_signal:(fun _ -> true) ~keep_extra:(fun _ -> true))
+        Sg_ref.quotient sg ~keep_signal:(fun _ -> true) ~keep_extra:(fun _ -> true))
   in
   for o = 0 to Sg.n_signals sg - 1 do
     if Sg.non_input sg o then begin
@@ -559,6 +559,49 @@ let test_cli_lint_prefix_inconsistent () =
       check ("lint --prefix prints " ^ line) true
         (List.mem line (String.split_on_char '\n' stdout)))
 
+(* A state code is one native int, so Σ holds at most 62 visible
+   signals.  A sequential ring of 63 (each rises in turn, then each
+   falls) is consistent but one signal too wide: both engines refuse it
+   with the cap as the message, and so do the Σ-building commands (exit
+   3) and lint's U3 rule. *)
+let ring63_g =
+  let sigs = List.init 63 (Printf.sprintf "s%d") in
+  let events = List.map (fun s -> s ^ "+") sigs @ List.map (fun s -> s ^ "-") sigs in
+  let next = List.tl events @ [ List.hd events ] in
+  String.concat "\n"
+    ([ ".model ring63"; ".inputs s0"; ".outputs " ^ String.concat " " (List.tl sigs);
+       ".graph" ]
+    @ List.map2 (fun a b -> a ^ " " ^ b) events next
+    @ [ ".marking { <s62-,s0+> }"; ".end"; "" ])
+
+let test_signal_cap () =
+  let cap = "more than 62 visible signals" in
+  let stg = Gformat.parse_string ring63_g in
+  List.iter
+    (fun (name, backend) ->
+      match Sg.of_stg ~backend stg with
+      | _ -> Alcotest.failf "%s: Sg.of_stg must refuse 63 signals" name
+      | exception Sg.Inconsistent msg ->
+        Alcotest.(check string) (name ^ ": the cap is the message") cap msg)
+    [ ("explicit", `Explicit); ("symbolic", `Symbolic) ];
+  let file = Filename.temp_file "mpsyn_ring63" ".g" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc ring63_g);
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let code, stdout, stderr = run_cli ("verilog " ^ Filename.quote file) in
+      check_int "verilog: exit 3" 3 code;
+      Alcotest.(check string) "verilog: nothing on stdout" "" stdout;
+      Alcotest.(check string)
+        "verilog: the cap on stderr"
+        ("mpsyn: no consistent state assignment: " ^ cap ^ "\n")
+        stderr;
+      let code, stdout, _ = run_cli ("lint --prefix " ^ Filename.quote file) in
+      check_int "lint --prefix: exit 3" 3 code;
+      let line = "error[U3-coding] ring63: no consistent state assignment: " ^ cap in
+      check ("lint --prefix prints " ^ line) true
+        (List.mem line (String.split_on_char '\n' stdout)))
+
 (* MPSYN_LOG raises the Logs level: Mpart's debug lines reach stderr,
    stdout keeps every byte, and a malformed value is a usage error. *)
 let test_cli_log_level () =
@@ -698,7 +741,7 @@ let prop_pulser_family =
 
 (* [Input_derivation.determine], which contracts to each accepted hide's
    classes, against [Determine_ref], which tests every hide on the
-   complete graph's states and builds the module by one [Sg.quotient]:
+   complete graph's states and builds the module by one [Sg_ref.quotient]:
    every field agrees for every output. *)
 let check_determine_ref name sg =
   for o = 0 to Sg.n_signals sg - 1 do
@@ -860,6 +903,7 @@ let () =
           Alcotest.test_case "lint --prefix rejects an inconsistent STG" `Quick
             test_cli_lint_prefix_inconsistent;
           Alcotest.test_case "one expansion" `Quick test_expand_once;
+          Alcotest.test_case "63 signals exceed the cap" `Quick test_signal_cap;
         ] );
       ( "properties",
         [

@@ -4,7 +4,7 @@
    - differential: a naive, from-scratch re-implementation of the
      Fig. 2 greedy derivation (list-based sets, its own trigger scan,
      its own conflict counting over independently recomputed full
-     codes, one Sg.quotient per candidate) must agree with
+     codes, one Sg_ref.quotient per candidate) must agree with
      Input_derivation, down to the module digest, on every shipped
      benchmark and on fuzzed STGs, with and without inserted state
      signals;
@@ -80,7 +80,7 @@ let ntriggers g ~output =
   let excited m =
     List.exists
       (fun (e : Sg.edge) ->
-        match e.Sg.label with Sg.Ev (s, _) -> s = output | Sg.Eps -> false)
+        match e.Sg.label with Sg.Ev (s, _) -> s = output)
       (Sg.succ g m)
   in
   let trig = ref [] in
@@ -91,8 +91,7 @@ let ntriggers g ~output =
            (fun (e : Sg.edge) ->
              match e.Sg.label with
              | Sg.Ev (s', _) ->
-               s' = s && excited e.Sg.dst && not (excited e.Sg.src)
-             | Sg.Eps -> false)
+               s' = s && excited e.Sg.dst && not (excited e.Sg.src))
            (Sg.edges g)
     then trig := s :: !trig
   done;
@@ -104,7 +103,7 @@ let ndetermine g ~output =
   let oname = Sg.signal_name g output in
   let immediate = ntriggers g ~output in
   let view ~hidden ~dropped =
-    Sg.quotient g
+    Sg_ref.quotient g
       ~keep_signal:(fun s -> not (List.mem s hidden))
       ~keep_extra:(fun x -> not (List.mem x dropped))
   in

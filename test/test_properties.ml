@@ -26,7 +26,7 @@ let prop_quotient_cover_law =
         not (String.length (Sg.signal_name sg s) > 0
             && (Sg.signal_name sg s).[0] = 'a')
       in
-      match Sg.quotient sg ~keep_signal:keep ~keep_extra:(fun _ -> true) with
+      match Sg_ref.quotient sg ~keep_signal:keep ~keep_extra:(fun _ -> true) with
       | None -> false
       | Some (q, cover) ->
         let kept =
@@ -54,7 +54,7 @@ let prop_quotient_identity =
     (QCheck.make gen_mixed) (fun p ->
       let sg = mixed_sg p in
       match
-        Sg.quotient sg ~keep_signal:(fun _ -> true) ~keep_extra:(fun _ -> true)
+        Sg_ref.quotient sg ~keep_signal:(fun _ -> true) ~keep_extra:(fun _ -> true)
       with
       | None -> false
       | Some (q, cover) ->

@@ -58,7 +58,6 @@ let isomorphic a b =
       List.iter
         (fun (e : Sg.edge) ->
           match e.Sg.label with
-          | Sg.Eps -> ok := false (* ε never survives Sg.of_stg *)
           | Sg.Ev (s, d) -> (
             let lbl = Sg.Ev (map_sig.(s), d) in
             let target = remap_code (Sg.code a e.Sg.dst) in

@@ -101,13 +101,7 @@ let test_of_stg_toggle_resolution () =
   in
   let sg = Sg.of_stg (Gformat.parse_string src) in
   (* toggles resolve to concrete rise/fall labels *)
-  check_int "four states" 4 (Sg.n_states sg);
-  Array.iter
-    (fun e ->
-      match e.Sg.label with
-      | Sg.Ev (_, _) -> ()
-      | Sg.Eps -> Alcotest.fail "ε edge survived")
-    (Sg.edges sg)
+  check_int "four states" 4 (Sg.n_states sg)
 
 let test_implied_value () =
   let sg = pulse_sg () in
@@ -315,7 +309,7 @@ let test_set_extra_values () =
 let test_quotient_hide_all_outputs () =
   let sg = pulse_sg () in
   let a = Sg.find_signal sg "a" in
-  match Sg.quotient sg ~keep_signal:(fun s -> s <> a) ~keep_extra:(fun _ -> true) with
+  match Sg_ref.quotient sg ~keep_signal:(fun s -> s <> a) ~keep_extra:(fun _ -> true) with
   | None -> Alcotest.fail "merge should succeed"
   | Some (q, cover) ->
     check_int "two states" 2 (Sg.n_states q);
@@ -331,7 +325,7 @@ let test_quotient_preserves_extra () =
   in
   let r = Sg.find_signal sg "r" in
   (match
-     Sg.quotient sg ~keep_signal:(fun s -> s <> r) ~keep_extra:(fun _ -> true)
+     Sg_ref.quotient sg ~keep_signal:(fun s -> s <> r) ~keep_extra:(fun _ -> true)
    with
   | None -> Alcotest.fail "constant extra must merge"
   | Some (q, _) -> check_int "extra survives" 1 (Sg.n_extras q));
@@ -340,7 +334,7 @@ let test_quotient_preserves_extra () =
   let sg', _ = resolved_pulse () in
   let r' = Sg.find_signal sg' "r" in
   check "toggling extra rejected" true
-    (Sg.quotient sg'
+    (Sg_ref.quotient sg'
        ~keep_signal:(fun s -> s <> r')
        ~keep_extra:(fun _ -> true)
     = None)
@@ -368,12 +362,12 @@ let test_quotient_rejects_updn_merge () =
   let a = Sg.find_signal sg "a" in
   (* hiding a merges m1(Up) m2(V1) m3(Dn): Up and Dn in one class *)
   check "rejected" true
-    (Sg.quotient sg ~keep_signal:(fun s -> s <> a) ~keep_extra:(fun _ -> true)
+    (Sg_ref.quotient sg ~keep_signal:(fun s -> s <> a) ~keep_extra:(fun _ -> true)
     = None)
 
 let test_quotient_keep_extra_filter () =
   let sg, _ = resolved_pulse () in
-  match Sg.quotient sg ~keep_signal:(fun _ -> true) ~keep_extra:(fun _ -> false) with
+  match Sg_ref.quotient sg ~keep_signal:(fun _ -> true) ~keep_extra:(fun _ -> false) with
   | None -> Alcotest.fail "dropping extras cannot fail"
   | Some (q, _) -> check_int "extra dropped" 0 (Sg.n_extras q)
 
@@ -391,7 +385,7 @@ let test_expand_pulse () =
   let n_edges =
     Array.to_list (Sg.edges ex)
     |> List.filter (fun e ->
-           match e.Sg.label with Sg.Ev (s, _) -> s = n | Sg.Eps -> false)
+           match e.Sg.label with Sg.Ev (s, _) -> s = n)
   in
   check_int "one rise one fall" 2 (List.length n_edges)
 

@@ -1,6 +1,6 @@
 (* The symbolic engine's whole contract is byte-identity: the
    partitioned-transition-relation fixpoint plus canonical onset
-   enumeration must rebuild exactly the graph the explicit sweep
+   enumeration must list exactly the edges the explicit sweep
    enumerates, on every shipped benchmark and on fuzzed STGs, so the
    digests downstream can never tell which engine ran.  The remaining
    tests pin the safety-fallback and cap-parity edges of that contract,
@@ -41,18 +41,27 @@ let test_fuzz_digest () =
         n_fuzz Qseed.seed (Gformat.to_string stg)
   done
 
-(* The raw reachability graphs agree field-for-field, not just after
-   state-graph derivation: numbering, edge order, adjacency lists. *)
+(* [(n_states, edge buffer, n_edges)] of an exploration, the buffer cut
+   to its [3 * n_edges] used cells. *)
+let used (n, buf, n_edges) = (n, Array.sub buf 0 (3 * n_edges), n_edges)
+
+let explicit_edges ?max_states net =
+  let g = Reach.explore ?max_states net in
+  (Reach.n_states g, Reach.edge_buffer g.Reach.edges, Reach.n_edges g)
+
+let check_same_edges what a b =
+  let n, buf, n_edges = used a and n', buf', n_edges' = used b in
+  check_int (what ^ ": states") n n';
+  check_int (what ^ ": edges") n_edges n_edges';
+  check (what ^ ": edge buffer") true (buf = buf')
+
+(* The raw reachability graphs agree, not just after state-graph
+   derivation: numbering and edge order. *)
 let test_reach_identity () =
-  let stg = Stg.net (Bench_gen.parallel_rings ~rings:3) in
-  let a = Reach.explore stg in
-  let b = Symbolic.explore stg in
-  check_int "states" (Reach.n_states a) (Reach.n_states b);
-  check "markings" true
-    (Array.for_all2 Marking.equal a.Reach.markings b.Reach.markings);
-  check "edges" true (a.Reach.edges = b.Reach.edges);
-  check "succ" true (a.Reach.succ = b.Reach.succ);
-  check "pred" true (a.Reach.pred = b.Reach.pred)
+  let net = Stg.net (Bench_gen.parallel_rings ~rings:3) in
+  let sym, info = Symbolic.explore_edges_info net in
+  check "took the symbolic path" true info.Symbolic.i_symbolic;
+  check_same_edges "parallel_rings-3" (explicit_edges net) sym
 
 (* ---------------- fallback edges of the contract ---------------- *)
 
@@ -70,20 +79,17 @@ let unsafe_net () =
 
 let test_unsafe_fallback () =
   let net = unsafe_net () in
-  let g, info = Symbolic.explore_info net in
+  let g, info = Symbolic.explore_edges_info net in
   check "fell back" false info.Symbolic.i_symbolic;
   check "reason recorded" true (info.Symbolic.i_fallback <> None);
-  let e = Reach.explore net in
-  check_int "states agree with explicit" (Reach.n_states e) (Reach.n_states g);
-  check "markings agree" true
-    (Array.for_all2 Marking.equal e.Reach.markings g.Reach.markings)
+  check_same_edges "explicit" (explicit_edges net) g
 
 let test_unsafe_initial_fallback () =
   let b = Petri.Builder.create () in
   let _p = Petri.Builder.add_place b ~name:"p" ~tokens:2 in
   let _t = Petri.Builder.add_transition b ~name:"t" in
   let net = Petri.Builder.build b in
-  let _, info = Symbolic.explore_info net in
+  let _, info = Symbolic.explore_edges_info net in
   check "fell back" false info.Symbolic.i_symbolic
 
 (* Exceeding the cap must raise the same typed exception with the same
@@ -98,11 +104,12 @@ let test_cap_parity () =
   in
   check_int "explicit cap" 100 (expect (fun () -> Reach.explore ~max_states:100 net));
   check_int "symbolic cap" 100
-    (expect (fun () -> Symbolic.explore ~max_states:100 net));
+    (expect (fun () -> Symbolic.explore_edges ~max_states:100 net));
   (* at the exact count, neither raises *)
   let n = Reach.n_states (Reach.explore net) in
-  check_int "exact budget ok" n
-    (Reach.n_states (Symbolic.explore ~max_states:n net))
+  check_same_edges "exact budget ok"
+    (explicit_edges ~max_states:n net)
+    (Symbolic.explore_edges ~max_states:n net)
 
 (* ---------------- clustering sanity ---------------- *)
 
@@ -252,6 +259,23 @@ let test_cli_time_limit_exit () =
         (mem_sub stderr "SAT time limit exceeded"))
     [ 1; 2 ]
 
+(* `verify` reports a synthesis give-up as a failed case, not as a
+   synthesis failure: the case line names the module and the bound, and
+   the run exits 4, the verification-failure code. *)
+let test_cli_verify_time_limit_exit () =
+  List.iter
+    (fun jobs ->
+      let code, stdout, _ =
+        run_cli
+          (Printf.sprintf "verify --time-limit 0.000001 --jobs %d ../data/fifo.g"
+             jobs)
+      in
+      check_int "failed case exits 4" 4 code;
+      check "the case line names the give-up" true
+        (mem_sub stdout "fifo" &&
+         mem_sub stdout "FAIL (synthesis: module ro: SAT time limit exceeded)"))
+    [ 1; 2 ]
+
 let () =
   let benchmark_cases =
     List.map
@@ -294,5 +318,7 @@ let () =
             test_cli_budget_exit;
           Alcotest.test_case "time limit exits 1" `Quick
             test_cli_time_limit_exit;
+          Alcotest.test_case "verify time limit exits 4" `Quick
+            test_cli_verify_time_limit_exit;
         ] );
     ]

@@ -240,7 +240,8 @@ type prefix_probe = {
 let probe_prefix stg =
   let p, prefix_s = wall (fun () -> Prefix_rules.analyze stg) in
   let (g, sg), explicit_s =
-    wall (fun () -> (Reach.explore (Stg.net stg), Sg.of_stg stg))
+    wall (fun () ->
+        (Reach.explore (Stg.net stg), Sg.of_stg ~backend:`Explicit stg))
   in
   let agree =
     p.Prefix_rules.s_complete
@@ -259,7 +260,7 @@ let probe_prefix stg =
    graph byte for byte.  Returns that verdict and the wall time of the
    symbolic build. *)
 let probe_symbolic ?max_states stg =
-  let explicit = Sg.digest (Sg.of_stg ?max_states stg) in
+  let explicit = Sg.digest (Sg.of_stg ?max_states ~backend:`Explicit stg) in
   let symbolic, t =
     wall (fun () -> Sg.digest (Sg.of_stg ?max_states ~backend:`Symbolic stg))
   in
@@ -1283,7 +1284,10 @@ let symbolic_table () =
     in
     let te = best 3 (fun () -> Reach.explore ~max_states:cap net) in
     let ts = best 3 (fun () -> Symbolic.explore_edges ~max_states:cap net) in
-    let tse = best 2 (fun () -> Sg.digest (Sg.of_stg ~max_states:cap stg)) in
+    let tse =
+      best 2 (fun () ->
+          Sg.digest (Sg.of_stg ~max_states:cap ~backend:`Explicit stg))
+    in
     let tss =
       best 2 (fun () ->
           Sg.digest (Sg.of_stg ~max_states:cap ~backend:`Symbolic stg))

@@ -16,23 +16,25 @@
       approximately); pairs proved exclusive silence A5's warnings via
       {!exact_mutex}.
     - {b U3} ([U3-coding]): USC/CSC conflict detection on the state
-      graph Σ, built by synthesis' own builder
-      ({!Sg.of_transition_edges}) over the prefix-derived marking graph
-      instead of {!Reach.explore}'s, and judged by {!Csc}.  A
-      conflict-free verdict is a static CSC certificate for lint;
-      synthesis reads the same verdict off the complete state graph it
-      builds anyway ({!Csc.csc_satisfied}).  An STG without a
-      consistent state assignment has no Σ: U3 and U4 abstain from
-      their verdicts, and U3 reports the {!Sg.Inconsistent} message as
-      an error.
+      graph Σ, read from the reachability every Σ shares
+      ({!Sg.reachable}, so the engine {!Sg.of_stg} would pick) and
+      built by synthesis' own builder ({!Sg.of_transition_edges}), then
+      judged by {!Csc}.  A conflict-free verdict is a static CSC
+      certificate for lint; synthesis reads the same verdict off the
+      complete state graph it builds anyway ({!Csc.csc_satisfied}).  An
+      STG without a consistent state assignment has no Σ: U3 and U4
+      abstain from their verdicts, and U3 reports the {!Sg.Inconsistent}
+      message — the one every Σ-building command reports — as an error.
     - {b U4} ([U4-statebound]): exact state-graph size (markings and
       ε-classes) reported as a diagnostic.  Synthesis picks its engines
       from the complete state graph instead (see
-      [Mpart.engine_threshold]).
+      {!Sg.engine_threshold}).
 
-    All verdicts are tri-state: when the prefix or the sweep hit their
-    caps the analysis abstains ([None]s) rather than guessing, and the
-    [U0-prefix] info diagnostic records the abstention. *)
+    U1 and U2 are decided on the prefix alone; U3 and U4 explore only
+    when the prefix is complete, up to 262,144 markings.  All verdicts
+    are tri-state: when the prefix or the exploration hit their caps
+    the analysis abstains ([None]s) rather than guessing, and the
+    [U0-prefix] info diagnostic records a truncated prefix. *)
 
 type summary = {
   s_events : int;  (** prefix events, cutoffs included *)
@@ -66,16 +68,20 @@ type summary = {
           together at some quotient state.  Feeds the H2 persistency
           prune in {!Hazard_check}. *)
   s_inconsistent : string option;
-      (** the {!Sg.Inconsistent} message when the swept marking graph
+      (** the {!Sg.Inconsistent} message when the reachability graph
           admits no consistent state assignment (every Σ verdict above
           is then [None]) *)
 }
 
-(** [analyze ?jobs ?max_events ?max_cuts stg] builds the prefix and
-    evaluates every rule.  Deterministic for any [jobs]; the result
-    contains no timings or machine state, so it is cache-safe
-    ({!Mpart.prefix_summary} memoizes it by STG digest). *)
-val analyze : ?jobs:int -> ?max_events:int -> ?max_cuts:int -> Stg.t -> summary
+(** [analyze ?jobs ?max_events stg] builds the prefix (at most
+    [max_events] events, default 2048, candidates over a pool of width
+    [jobs]) and evaluates every rule.  On a complete prefix U3 and U4
+    make one {!Sg.reachable} call capped at 262,144 markings, and
+    abstain past it; on a truncated one they make none.  Deterministic
+    for any [jobs]; the result contains no timings or machine state, so
+    it is cache-safe ({!Mpart.prefix_summary} memoizes it by STG
+    digest). *)
+val analyze : ?jobs:int -> ?max_events:int -> Stg.t -> summary
 
 (** [diagnostics ~loc stg summary] renders the verdicts as lint
     diagnostics: U1/U2 refutations and an inconsistent state

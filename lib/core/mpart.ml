@@ -545,39 +545,23 @@ let prefix_summary config stg =
     (fun () -> Cache_key.stg_digest stg)
     (fun () -> Prefix_rules.analyze stg)
 
-let engine_threshold = 2048
-
 (* The constraint engine: BDD-first for big state spaces, the default
    WalkSAT+DPLL hybrid otherwise.  Only the default [`Sat] is
    overridden; an explicit --backend always wins. *)
 let choose_backend (config : config) ~state_bound =
   match (config.backend, state_bound) with
-  | `Sat, Some n when n >= engine_threshold -> `Bdd
+  | `Sat, Some n when n >= Sg.engine_threshold -> `Bdd
   | b, _ -> b
 
-(* Reachability exploration + consistent state assignment, keyed by the
-   canonical [.g] digest of the specification.  The explicit sweep runs
-   first, capped at [engine_threshold]; a net that overflows it is
-   explored again by the symbolic engine under the user's cap.  Both
-   engines build the same graph byte for byte, so the choice only
-   decides how fast, and one "sg" stage serves either. *)
+(* Reachability exploration + consistent state assignment under the
+   user's cap, keyed by the canonical [.g] digest of the specification.
+   [Sg.of_stg] picks the engine (and logs it); both build the same graph
+   byte for byte, so one "sg" stage serves either. *)
 let complete_of_stg config stg =
   memoize config ~stage:"sg"
     ~params:[ ("max_states", string_of_int config.max_states) ]
     (fun () -> Cache_key.stg_digest stg)
-    (fun () ->
-      let cap = min engine_threshold config.max_states in
-      let engine, sg =
-        match Sg.of_stg ~max_states:cap ~backend:`Explicit stg with
-        | sg -> ("explicit", sg)
-        | exception Reach.Too_many_states _ when config.max_states > cap ->
-          ( "symbolic",
-            Sg.of_stg ~max_states:config.max_states ~backend:`Symbolic stg )
-      in
-      Log.debug (fun m ->
-          m "reachability: %s engine, %d states (threshold %d)" engine
-            (Sg.n_states sg) engine_threshold);
-      sg)
+    (fun () -> Sg.of_stg ~max_states:config.max_states stg)
 
 (* The partition plan as a standalone artifact (`mpsyn lint
    --partition`): the plan stage with real conflict counts (no

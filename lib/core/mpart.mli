@@ -117,11 +117,10 @@ exception Synthesis_failed of string
     module's message names the bound that ran out: the backtrack limit,
     the time limit, or the state-signal limit. *)
 
-(** [synthesize ?config stg] runs the full modular flow.  Engines are
-    chosen from the complete state graph Σ: the reachability engine by
-    the explicit sweep capped at {!engine_threshold} (a net that
-    overflows it is explored symbolically), the constraint backend by
-    {!choose_backend} on Σ's state count.
+(** [synthesize ?config stg] runs the full modular flow.  Σ is built by
+    {!Sg.of_stg} under [config.max_states], which picks the
+    reachability engine ({!Sg.reachable}); the constraint backend is
+    picked by {!choose_backend} on Σ's state count.
     @raise Synthesis_failed on exhausted budgets
     @raise Sg.Inconsistent if the STG has no consistent assignment *)
 val synthesize : ?config:config -> Stg.t -> result
@@ -141,12 +140,6 @@ val synthesize_sg : ?config:config -> Sg.t -> result
     pool width and carries no timings.  Synthesis does not consult it. *)
 val prefix_summary : config -> Stg.t -> Prefix_rules.summary
 
-(** The state count (2048) at which both engines flip to their BDD
-    variants: reachability explores explicitly up to this many markings
-    and symbolically beyond, and {!choose_backend} picks [`Bdd] from
-    this many states of Σ on. *)
-val engine_threshold : int
-
 (** [partition_summary ?jobs config stg] is the memoized partition plan
     of [stg] ({!Partition_check.summarize} over every output's derived
     cone, with real modular conflict counts — no certificate zeroing):
@@ -158,7 +151,7 @@ val partition_summary : ?jobs:int -> config -> Stg.t -> Partition_check.summary
 
 (** [choose_backend config ~state_bound] picks the constraint engine:
     the default [`Sat] backend becomes [`Bdd] when the state bound
-    reaches {!engine_threshold}; explicit choices pass through.
+    reaches {!Sg.engine_threshold}; explicit choices pass through.
     Synthesis passes the state count of Σ. *)
 val choose_backend :
   config -> state_bound:int option -> [ `Sat | `Dpll | `Bdd ]

@@ -470,22 +470,45 @@ let of_transition_edges stg ~n_states:n ~n_edges buf =
   in
   build ~name:(Stg.name stg) ~signals ~codes ~edges ~initial:cls.(0)
 
-let of_stg ?max_states ?(backend = `Explicit) stg =
+let log_src = Logs.Src.create "mpsyn.sg" ~doc:"state-graph construction"
+
+module Log = (val Logs.src_log log_src : Logs.LOG)
+
+let engine_threshold = 2048
+
+(* Both engines return identical edge buffers (the symbolic builder
+   replays the explicit numbering from its fixpoint and falls back
+   outside the 1-safe encoding), so everything downstream is
+   engine-oblivious and the digests agree — tests enforce it. *)
+let explore ?max_states engine stg =
   let net = Stg.net stg in
-  (* Both engines return field-for-field identical graphs (the symbolic
-     builder replays the explicit numbering from its fixpoint and falls
-     back outside the 1-safe encoding), so everything from here on is
-     backend-oblivious and the digests must agree — tests enforce it. *)
+  match engine with
+  | `Explicit ->
+    let g = Reach.explore ?max_states net in
+    (Reach.n_states g, Reach.edge_buffer g.Reach.edges, Reach.n_edges g)
+  | `Symbolic -> Symbolic.explore_edges ?max_states net
+
+(* The explicit sweep first, capped at [engine_threshold]; a net that
+   overflows it is explored again symbolically under the caller's cap,
+   the default one of both engines when absent. *)
+let reachable ?(max_states = 100_000) stg =
+  let cap = min engine_threshold max_states in
+  let engine, ((n, _, _) as g) =
+    match explore ~max_states:cap `Explicit stg with
+    | g -> ("explicit", g)
+    | exception Reach.Too_many_states _ when max_states > cap ->
+      ("symbolic", explore ~max_states `Symbolic stg)
+  in
+  Log.debug (fun m ->
+      m "reachability: %s engine, %d states (threshold %d)" engine n
+        engine_threshold);
+  g
+
+let of_stg ?max_states ?backend stg =
   let n, buf, n_edges =
     match backend with
-    | `Explicit ->
-      let g = Reach.explore ?max_states net in
-      (Reach.n_states g, Reach.edge_buffer g.Reach.edges, Reach.n_edges g)
-    | `Symbolic ->
-      (* the derivation reads nothing but the state count and the edges,
-         so the symbolic engine skips the rest of the [Reach.t]
-         materialization and hands over its flat edge buffer *)
-      Symbolic.explore_edges ?max_states net
+    | None -> reachable ?max_states stg
+    | Some engine -> explore ?max_states engine stg
   in
   of_transition_edges stg ~n_states:n ~n_edges buf
 

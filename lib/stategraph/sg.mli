@@ -53,15 +53,34 @@ val make :
   initial:int ->
   t
 
-(** [of_stg ?max_states ?backend stg] derives the state graph Σ:
-    explores the reachability graph and hands its edges to
-    {!of_transition_edges}.
-    @param backend which reachability engine explores the net:
-      [`Explicit] (default) enumerates markings one at a time
-      ({!Reach.explore}); [`Symbolic] runs partitioned-transition-
-      relation BDD image computation ({!Symbolic.explore_edges}) and
-      replays the same numbering, so the two produce identical graphs and
-      identical {!digest}s — only the time and memory profile differs.
+(** The marking count (2048) up to which {!reachable} explores
+    explicitly; a net with more markings is explored symbolically.
+    Synthesis' constraint backend flips to BDDs from this many states
+    of Σ on ([Mpart.choose_backend]). *)
+val engine_threshold : int
+
+(** [reachable ?max_states stg] is the reachability graph of [stg] as
+    [(n_states, edge buffer, n_edges)], the form
+    {!of_transition_edges} reads, explored by the one engine choice
+    every Σ shares: the explicit sweep ({!Reach.explore}) capped at
+    [min engine_threshold max_states], and on overflow, when
+    [max_states] is larger, the symbolic engine
+    ({!Symbolic.explore_edges}) capped at [max_states] (default
+    [100_000], both engines' default).  Both engines number states and
+    order edges identically, so the choice decides only time and
+    memory.  The chosen engine is logged at debug level.
+    @raise Reach.Too_many_states if more than [max_states] markings are
+      reachable. *)
+val reachable : ?max_states:int -> Stg.t -> int * int array * int
+
+(** [of_stg ?max_states ?backend stg] derives the state graph Σ: hands
+    the reachability graph's edges to {!of_transition_edges}.
+    @param backend overrides the engine choice of {!reachable}:
+      [`Explicit] enumerates markings one at a time ({!Reach.explore});
+      [`Symbolic] runs partitioned-transition-relation BDD image
+      computation ({!Symbolic.explore_edges}) and replays the same
+      numbering.  All three produce identical graphs and identical
+      {!digest}s — only the time and memory profile differs.
     @raise Inconsistent if no consistent assignment exists.
     @raise Reach.Too_many_states if exploration exceeds the cap. *)
 val of_stg : ?max_states:int -> ?backend:[ `Explicit | `Symbolic ] -> Stg.t -> t
@@ -80,8 +99,8 @@ val of_stg : ?max_states:int -> ?backend:[ `Explicit | `Symbolic ] -> Stg.t -> t
     dummy transitions are then merged and the graph built once:
     classes are numbered by first member and each projected edge kept
     at its first occurrence ({!distinct_edges}).  The single Σ
-    builder: {!of_stg} passes either engine's edges, the prefix rules
-    the marking graph of a complete finite prefix.
+    builder: {!of_stg} passes the edges of {!reachable} or of the
+    engine its caller names, the prefix rules those of {!reachable}.
     @raise Inconsistent if no consistent assignment exists — the message
       names the lowest such signal and the state where assigning it one
       signal at a time first fails — or [stg] has more than 62

@@ -100,14 +100,6 @@ let merge_union a b =
   while !j < lb do out.(!k) <- b.(!j); incr j; incr k done;
   if !k = la + lb then out else Array.sub out 0 !k
 
-let mem_sorted_arr a x =
-  let lo = ref 0 and hi = ref (Array.length a) in
-  while !hi > !lo do
-    let mid = (!lo + !hi) / 2 in
-    if a.(mid) < x then lo := mid + 1 else hi := mid
-  done;
-  !lo < Array.length a && a.(!lo) = x
-
 (* Intersection of the co-lists of a preset: the conditions concurrent
    with every precondition of the new event. *)
 let co_intersection u preset =
@@ -504,111 +496,6 @@ let coset_exists u places =
 
 let step_coenabled u t1 t2 =
   coset_exists u (Petri.pre u.u_net t1 @ Petri.pre u.u_net t2)
-
-(* ---- marking graph from the prefix ----------------------------------- *)
-
-type mgraph = {
-  mg_markings : Marking.t array;
-  mg_edges : (int * int * int) array;
-  mg_complete : bool;
-}
-
-let cut_key cut =
-  let b = Buffer.create (4 * Array.length cut) in
-  Array.iter
-    (fun c ->
-      Buffer.add_char b (Char.chr (c land 0xff));
-      Buffer.add_char b (Char.chr ((c lsr 8) land 0xff));
-      Buffer.add_char b (Char.chr ((c lsr 16) land 0xff));
-      Buffer.add_char b (Char.chr ((c lsr 24) land 0xff)))
-    cut;
-  Buffer.contents b
-
-let marking_graph_run ~max_cuts u m0 =
-  let nev = Iv.length u.e_trans in
-  let nconds = Iv.length u.c_place in
-  let consumers = Array.make (max 1 nconds) [] in
-  for e = nev - 1 downto 0 do
-    Array.iter (fun c -> consumers.(c) <- e :: consumers.(c)) (Ga.get u.e_pre e)
-  done;
-  let midtab = Hashtbl.create 1024 in
-  let markings = ref [] and n_markings = ref 0 in
-  let intern m =
-    let key = Marking.pack m in
-    match Hashtbl.find_opt midtab key with
-    | Some id -> id
-    | None ->
-        let id = !n_markings in
-        Hashtbl.replace midtab key id;
-        markings := m :: !markings;
-        incr n_markings;
-        id
-  in
-  let edge_seen = Hashtbl.create 1024 in
-  let edges = ref [] and n_edges = ref 0 in
-  let cut_seen = Hashtbl.create 1024 in
-  let queue = Queue.create () in
-  let capped = ref false in
-  let visited = ref 0 in
-  (* initial conditions are ids 0 .. n0-1 by construction *)
-  let n0 = Marking.total m0 in
-  let cut0 = Array.init n0 (fun i -> i) in
-  Hashtbl.replace cut_seen (cut_key cut0) ();
-  incr visited;
-  Queue.add (cut0, m0) queue;
-  while not (Queue.is_empty queue) do
-    let cut, m = Queue.pop queue in
-    let mid = intern m in
-    let cands =
-      List.sort_uniq compare
-        (Array.to_list cut |> List.concat_map (fun c -> consumers.(c)))
-    in
-    List.iter
-      (fun e ->
-        let pre = Ga.get u.e_pre e in
-        if Array.for_all (fun c -> mem_sorted_arr cut c) pre then begin
-          let t = Iv.get u.e_trans e in
-          let counts = Marking.to_array m in
-          Array.iter (fun p -> counts.(p) <- counts.(p) - 1) u.tr_pre.(t);
-          Array.iter (fun p -> counts.(p) <- counts.(p) + 1) u.tr_post.(t);
-          let dst = Marking.of_array counts in
-          let dmid = intern dst in
-          if not (Hashtbl.mem edge_seen (mid, t)) then begin
-            Hashtbl.replace edge_seen (mid, t) ();
-            edges := (mid, t, dmid) :: !edges;
-            incr n_edges
-          end;
-          if Iv.get u.e_companion e = -2 then begin
-            let keep =
-              Array.of_list
-                (List.filter
-                   (fun c -> not (mem_sorted_arr pre c))
-                   (Array.to_list cut))
-            in
-            let dst_cut = merge_union keep (Ga.get u.e_post e) in
-            let key = cut_key dst_cut in
-            if not (Hashtbl.mem cut_seen key) then begin
-              if !visited >= max_cuts then capped := true
-              else begin
-                Hashtbl.replace cut_seen key ();
-                incr visited;
-                Queue.add (dst_cut, dst) queue
-              end
-            end
-          end
-        end)
-      cands
-  done;
-  let mg_markings = Array.of_list (List.rev !markings) in
-  let mg_edges = Array.of_list (List.rev !edges) in
-  { mg_markings; mg_edges; mg_complete = u.is_complete && not !capped }
-
-let marking_graph ?(max_cuts = 262144) u =
-  let m0 = Petri.initial_marking u.u_net in
-  if Marking.total m0 > 0 && Iv.length u.c_place = 0 then
-    (* degenerate build: no prefix was grown at all *)
-    { mg_markings = [| m0 |]; mg_edges = [||]; mg_complete = false }
-  else marking_graph_run ~max_cuts u m0
 
 (* ---- certificate ------------------------------------------------------ *)
 

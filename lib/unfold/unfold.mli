@@ -19,9 +19,8 @@
     width, and the prefix is digestible for the content-addressed cache.
 
     On concurrency-heavy nets the prefix is exponentially smaller than
-    the state graph, which is what makes the exact prefix-based analyses
-    (lint rules U1–U4) cheaper than an explicit [Reach.explore] — the
-    engine never calls into {!Reach} at all. *)
+    the state graph; lint rules U1 and U2 decide safeness and
+    autoconcurrency on it exactly. *)
 
 type t
 
@@ -77,27 +76,6 @@ val coset_exists : t -> int list -> bool
 
 (** [step_coenabled t t1 t2] = [coset_exists t (pre t1 @ pre t2)]. *)
 val step_coenabled : t -> int -> int -> bool
-
-(** {1 Exact marking enumeration (rules U3/U4)} *)
-
-(** The reachability graph reconstructed from the prefix by a breadth-
-    first sweep over cutoff-free configurations (configurations of an
-    occurrence net biject with their cuts, so the sweep memoizes cuts).
-    Marking ids are dense, id [0] is the initial marking, and the edge
-    set is exactly [Reach.explore]'s — same markings, same transitions —
-    without ever exploring the interleaved graph directly. *)
-type mgraph = {
-  mg_markings : Marking.t array;
-  mg_edges : (int * int * int) array;  (** (source, transition, target) *)
-  mg_complete : bool;
-      (** [false] when the cut cap truncated the sweep; the marking and
-          edge sets are then under-approximations and U3/U4 abstain *)
-}
-
-(** [marking_graph ?max_cuts t] sweeps the prefix (default cap: 262144
-    visited cuts).  Only meaningful for exact analysis when
-    [complete t]; the sweep itself never calls {!Reach}. *)
-val marking_graph : ?max_cuts:int -> t -> mgraph
 
 (** {1 Certificate} *)
 

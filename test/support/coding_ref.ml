@@ -1,6 +1,6 @@
 (* U3 and U4's coding verdicts as lint computed them before it read
    them off [Sg]: a second consistent state assignment, ε union-find and
-   signature-keyed conflict count over the prefix's marking graph.  The
+   signature-keyed conflict count over [Reach.explore]'s graph.  The
    reference the test-suite compares [Prefix_rules.analyze]'s
    [s_sg_states], [s_usc], [s_csc], [s_conflicts] and [s_coexcited]
    against, verdict for verdict. *)
@@ -10,14 +10,12 @@ type edge_kind = Krise | Kfall | Ktoggle | Ksilent
 exception Inconsistent_values
 
 (* Everything [Sg.of_stg] + [Csc] decide about coding, recomputed from
-   the prefix-derived marking graph instead of [Reach.explore].  The
-   replication is semantics-exact: values are pinned by rise/fall seeds
-   and flip-parity propagation over the (connected) graph, and the only
-   state-id-dependent step — anchoring a never-seeded signal at the
-   lowest unassigned state — lands on the initial marking under both
-   numberings, since both intern it as state 0.  Per-marking values,
-   ε-classes, class codes and excitation signatures therefore coincide
-   with the explicit construction. *)
+   the explicit reachability graph with per-signal lists and queues
+   instead of [Sg]'s one XOR pass.  Values are pinned by rise/fall seeds
+   and flip-parity propagation over the (connected) graph, and a
+   never-seeded signal is anchored at the lowest unassigned state, the
+   initial marking.  Per-marking values, ε-classes, class codes and
+   excitation signatures therefore coincide with [Sg]'s. *)
 type coding = {
   cd_n_classes : int;
   cd_usc : bool;
@@ -26,8 +24,8 @@ type coding = {
   cd_coexcited : ((string * bool) * (string * bool)) list;
 }
 
-let exact_coding stg (mg : Unfold.mgraph) =
-  let n = Array.length mg.Unfold.mg_markings in
+let exact_coding stg (g : Reach.t) =
+  let n = Reach.n_states g in
   let ns = Stg.n_signals stg in
   if ns > 62 then None
   else
@@ -45,7 +43,7 @@ let exact_coding stg (mg : Unfold.mgraph) =
       let edge_info =
         Array.map
           (fun (src, t, dst) -> (src, dst, kind_of t))
-          mg.Unfold.mg_edges
+          g.Reach.edges
       in
       let values = Array.make_matrix ns n (-1) in
       let adj = Array.make n [] in

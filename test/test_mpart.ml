@@ -602,7 +602,7 @@ let test_signal_cap () =
       check ("lint --prefix prints " ^ line) true
         (List.mem line (String.split_on_char '\n' stdout)))
 
-(* MPSYN_LOG raises the Logs level: Mpart's debug lines reach stderr,
+(* MPSYN_LOG raises the Logs level: the library's debug lines reach stderr,
    stdout keeps every byte, and a malformed value is a usage error. *)
 let test_cli_log_level () =
   List.iter
@@ -613,9 +613,9 @@ let test_cli_log_level () =
       check_int (file ^ ": exit 0") 0 code;
       Alcotest.(check string) (file ^ ": stdout unchanged") quiet loud;
       let line =
+        let n, _, _ = Sg.reachable (data_stg file) in
         Printf.sprintf "reachability: explicit engine, %d states (threshold %d)"
-          (Sg.n_states (Sg.of_stg (data_stg file)))
-          Mpart.engine_threshold
+          n Sg.engine_threshold
       in
       check (file ^ ": " ^ line) true
         (List.exists

@@ -126,7 +126,8 @@ let test_implied_value () =
 
 (* [Sg.digest] of the complete state graph under each reachability
    engine, one "name explicit symbolic" line of sg_golden.txt per net:
-   every data/*.g net plus seven generated ones.  The digest covers
+   every data/*.g net plus seven generated ones.  [Sg.of_stg]'s own
+   engine choice must match the explicit column too.  The digest covers
    codes, the ε-merged state numbering and the edge order, so a rewrite
    of the derivation must keep every line; the netlist golden only pins
    what synthesis makes of Σ. *)
@@ -172,6 +173,8 @@ let test_sg_golden () =
       Alcotest.(check string)
         (n ^ ": explicit") want_e
         (Sg.digest (Sg.of_stg ~backend:`Explicit stg));
+      Alcotest.(check string)
+        (n ^ ": engine choice") want_e (Sg.digest (Sg.of_stg stg));
       Alcotest.(check string)
         (n ^ ": symbolic") want_s
         (Sg.digest (Sg.of_stg ~backend:`Symbolic stg)))

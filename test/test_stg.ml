@@ -355,7 +355,7 @@ let prop_builder_reference =
         | exception Sg.Inconsistent msg -> Error msg
         | exception Reach.Too_many_states _ -> Error "state cap"
       in
-      outcome (fun ~max_states stg -> Sg.of_stg ~max_states stg)
+      outcome (fun ~max_states stg -> Sg.of_stg ~max_states ~backend:`Explicit stg)
       = outcome (fun ~max_states stg -> Sg_ref.of_stg ~max_states stg))
 
 let () =

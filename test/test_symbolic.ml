@@ -19,7 +19,7 @@ let g_files () =
 
 let test_benchmark_digest file () =
   let stg = Gformat.parse_file (Filename.concat data_dir file) in
-  let explicit = Sg.of_stg stg in
+  let explicit = Sg.of_stg ~backend:`Explicit stg in
   let before = Counter.get Counter.symbolic in
   let symbolic = Sg.of_stg ~backend:`Symbolic stg in
   Alcotest.(check string)
@@ -34,7 +34,7 @@ let test_fuzz_digest () =
   let rand = Random.State.make [| Qseed.seed |] in
   for i = 1 to n_fuzz do
     let stg = Bench_gen.random ~rand in
-    let explicit = Sg.of_stg stg in
+    let explicit = Sg.of_stg ~backend:`Explicit stg in
     let symbolic = Sg.of_stg ~backend:`Symbolic stg in
     if Sg.digest explicit <> Sg.digest symbolic then
       Alcotest.failf "fuzz case %d/%d (QCHECK_SEED=%d): digests diverge@\n%s" i
@@ -155,7 +155,7 @@ let test_adjacency_no_allocation () =
 (* ---------------- Auto engine selection in Mpart ---------------- *)
 
 (* parallel_rings 5 has 3126 states: it overflows the explicit sweep
-   capped at [Mpart.engine_threshold], so a plain [synthesize] must take
+   capped at [Sg.engine_threshold], so a plain [synthesize] must take
    the BDD path — counter-proven — while parallel_rings 3 (126 states)
    stays on the explicit sweep. *)
 let test_auto_reach () =
@@ -211,11 +211,11 @@ let read_file f =
   close_in ic;
   s
 
-let run_cli args =
+let run_cli ?(env = "") args =
   let out = Filename.temp_file "mpsyn_symbolic" ".out" in
   let err = Filename.temp_file "mpsyn_symbolic" ".err" in
   let code =
-    Sys.command (Printf.sprintf "%s %s > %s 2> %s" mpsyn args out err)
+    Sys.command (Printf.sprintf "%s %s %s > %s 2> %s" env mpsyn args out err)
   in
   let stdout = read_file out and stderr = read_file err in
   Sys.remove out;
@@ -276,6 +276,41 @@ let test_cli_verify_time_limit_exit () =
          mem_sub stdout "FAIL (synthesis: module ro: SAT time limit exceeded)"))
     [ 1; 2 ]
 
+(* parallel_rings 6 is past [Sg.engine_threshold], so `info` and `dot`
+   build Σ symbolically; what they print must be what the explicit
+   build prints, byte for byte. *)
+let test_cli_engine_choice () =
+  let g = Filename.temp_file "mpsyn_rings6" ".g" in
+  Out_channel.with_open_bin g (fun oc ->
+      output_string oc (Gformat.to_string (Bench_gen.parallel_rings ~rings:6)));
+  Fun.protect
+    ~finally:(fun () -> Sys.remove g)
+    (fun () ->
+      let sg = Sg.of_stg ~backend:`Explicit (Gformat.parse_file g) in
+      let code, dot, stderr = run_cli ~env:"MPSYN_LOG=debug" ("dot " ^ g) in
+      check_int "dot: exit 0" 0 code;
+      check "dot: the symbolic engine ran" true
+        (mem_sub stderr "reachability: symbolic engine");
+      Alcotest.(check string) "dot = the explicit build's" (Sg.to_dot sg) dot;
+      let code, info, _ = run_cli ("info " ^ g) in
+      check_int "info: exit 0" 0 code;
+      let triggers o =
+        Printf.sprintf "triggers(%s) = {%s}\n" (Sg.signal_name sg o)
+          (String.concat ", "
+             (List.map (Sg.signal_name sg)
+                (Input_derivation.triggers sg ~output:o)))
+      in
+      let sigma_lines =
+        Format.asprintf "%a@.state-signal lower bound: %d@.%s" Csc.pp_summary
+          sg (Csc.lower_bound sg)
+          (String.concat ""
+             (List.map triggers
+                (List.filter (Sg.non_input sg)
+                   (List.init (Sg.n_signals sg) Fun.id))))
+      in
+      check "info: the Σ lines are the explicit build's" true
+        (String.ends_with ~suffix:sigma_lines info))
+
 let () =
   let benchmark_cases =
     List.map
@@ -320,5 +355,7 @@ let () =
             test_cli_time_limit_exit;
           Alcotest.test_case "verify time limit exits 4" `Quick
             test_cli_verify_time_limit_exit;
+          Alcotest.test_case "info and dot = the explicit build" `Quick
+            test_cli_engine_choice;
         ] );
     ]

@@ -2,19 +2,22 @@
 
    The engine's whole value is exactness, so the tests are agreement
    tests against explicit ground truth:
-   - on every shipped benchmark, the prefix-derived marking graph equals
-     [Reach.explore]'s (as a *set* of markings and a set of edges, not
-     just counts), and the U3 coding verdicts equal [Sg.of_stg] + [Csc]
-     and the [Coding_ref] replica lint ran before it built Σ with [Sg];
+   - on every shipped benchmark, the prefix's U1 and U2 verdicts equal
+     what [Reach.explore]'s markings say (a refutation iff some marking
+     is unsafe; the autoconcurrent pairs are exactly the same-signal
+     pairs whose presets some marking covers), and the U3/U4 verdicts
+     equal [Sg.of_stg] + [Csc] and the [Coding_ref] replica over the
+     same explicit graph;
    - the same property holds on a pinned-seed fuzz sweep of random
      well-formed STGs;
    - the [mpsyn-prefix/1] certificate's cutoff witnesses replay: firing
      the witness and its companion sequence from the initial marking
      reaches the same marking;
-   - the counters prove the claimed elisions: the prefix rules never
-     call [Reach.explore], and synthesis of the parallel-rings family —
-     which the A6 lock-relation prescreen provably abstains on and U3
-     certifies — skips SAT entirely;
+   - the counters prove the claimed work: U3/U4 explore once per
+     analysis of a complete prefix, by the engine [Sg.of_stg] picks,
+     and never on a truncated one; synthesis of the parallel-rings
+     family — which the A6 lock-relation prescreen provably abstains on
+     and U3 certifies — skips SAT entirely;
    - the engine decisions synthesis takes from the complete state graph
      agree with the ones the A6, U3 and U4 verdicts used to make. *)
 
@@ -27,37 +30,47 @@ let mem_sub hay sub =
 
 (* ---------------- exact agreement with the explicit graph ----------- *)
 
-let sorted_marking_set ms = List.sort compare (List.map Marking.pack ms)
+(* U1's ground truth: a refutation exactly when some reachable marking
+   doubles a place. *)
+let u1_agrees g p = (p.Prefix_rules.s_unsafe = None) = Reach.is_safe g
 
-(* Reach edge identity is (marking, transition, marking) — the state
-   numberings of the two explorations differ, so compare edges by
-   packed-endpoint triples. *)
-let sorted_edge_set markings edges =
-  List.sort compare
-    (List.map
-       (fun (s, t, d) ->
-         (Marking.pack markings.(s), t, Marking.pack markings.(d)))
-       (Array.to_list edges))
+(* U2's ground truth: the same-signal pairs [(t1, t2)], [t1 < t2], whose
+   preset multiset some reachable marking covers. *)
+let reach_autoconc stg (g : Reach.t) =
+  let net = Stg.net stg in
+  let covered places =
+    Array.exists
+      (fun m ->
+        List.for_all
+          (fun p ->
+            List.length (List.filter (( = ) p) places) <= Marking.tokens m p)
+          places)
+      g.Reach.markings
+  in
+  List.init (Stg.n_signals stg) (Stg.transitions_of stg)
+  |> List.concat_map (fun ts ->
+         List.concat_map
+           (fun t1 ->
+             List.filter_map
+               (fun t2 ->
+                 if t1 < t2 && covered (Petri.pre net t1 @ Petri.pre net t2)
+                 then Some (t1, t2)
+                 else None)
+               ts)
+           ts)
+  |> List.sort_uniq compare
+
+let u2_agrees stg g p = p.Prefix_rules.s_autoconc = reach_autoconc stg g
 
 let check_agreement stg =
   let g = Reach.explore (Stg.net stg) in
-  let sg = Sg.of_stg stg in
+  let sg = Sg.of_stg ~backend:`Explicit stg in
   let p = Prefix_rules.analyze stg in
   check p.Prefix_rules.s_complete "prefix complete";
   check (p.Prefix_rules.s_unsafe = None) "U1: no unsafeness refutation";
   check (p.Prefix_rules.s_autoconc = []) "U2: no autoconcurrency";
-  (* marking sets, not counts *)
-  let u = Unfold.build (Stg.net stg) in
-  let mg = Unfold.marking_graph u in
-  check mg.Unfold.mg_complete "sweep complete";
-  Alcotest.(check (list string))
-    "marking set equals Reach's"
-    (sorted_marking_set (Array.to_list g.Reach.markings))
-    (sorted_marking_set (Array.to_list mg.Unfold.mg_markings));
-  check
-    (sorted_edge_set g.Reach.markings g.Reach.edges
-    = sorted_edge_set mg.Unfold.mg_markings mg.Unfold.mg_edges)
-    "edge set equals Reach's";
+  check (u1_agrees g p) "U1 = Reach's safeness";
+  check (u2_agrees stg g p) "U2 = Reach's covered presets";
   (* U3/U4 verdicts against Sg/Csc ground truth *)
   Alcotest.(check (option int))
     "U4 marking count" (Some (Reach.n_states g)) p.Prefix_rules.s_markings;
@@ -72,7 +85,7 @@ let check_agreement stg =
   Alcotest.(check (option int))
     "U3 conflict pairs" (Some (Csc.n_conflicts sg)) p.Prefix_rules.s_conflicts;
   (* ... and against the replica lint ran before it read them off Σ *)
-  let r = Coding_ref.exact_coding stg mg in
+  let r = Coding_ref.exact_coding stg g in
   let ref_field f = Option.map f r in
   Alcotest.(check (option int))
     "U4 eps-quotient size = reference"
@@ -122,18 +135,17 @@ let test_generated_agreement () =
       Bench_gen.pipeline ~stages:4;
     ]
 
-(* One qcheck property over the same generator: the prefix marking
-   count equals the explicit exploration's for arbitrary well-formed
+(* One qcheck property over the same generator: the prefix's U1 and U2
+   verdicts equal the explicit exploration's for arbitrary well-formed
    STGs.  Kept alongside the exhaustive sweep so a failure shrinks and
    reports the seed through the standard qcheck machinery. *)
-let prop_marking_count =
-  QCheck.Test.make ~count:n_fuzz ~name:"prefix marking count = Reach count"
+let prop_u1_u2 =
+  QCheck.Test.make ~count:n_fuzz ~name:"prefix U1/U2 = Reach's"
     (QCheck.make (fun rand -> Bench_gen.random ~rand))
     (fun stg ->
       let g = Reach.explore (Stg.net stg) in
-      let mg = Unfold.marking_graph (Unfold.build (Stg.net stg)) in
-      mg.Unfold.mg_complete
-      && Array.length mg.Unfold.mg_markings = Reach.n_states g)
+      let p = Prefix_rules.analyze stg in
+      p.Prefix_rules.s_complete && u1_agrees g p && u2_agrees stg g p)
 
 (* ---------------- certificate replay ------------------------------- *)
 
@@ -189,18 +201,45 @@ let test_cert_replay name () =
 
 (* ---------------- counters prove the elisions ---------------------- *)
 
-(* The U-rules never explore explicitly: the whole analysis — prefix,
-   sweep, Σ over the marking graph, diagnostics — leaves the Reach
-   counter where it was. *)
-let test_no_reach_calls () =
-  let stg = (List.assoc "vbe4a" Bench_data.all) () in
-  Counter.reset Counter.reach;
+(* U3/U4 explore once per analysis of a complete prefix, by the engine
+   [Sg.of_stg] picks: the explicit sweep up to [Sg.engine_threshold]
+   markings, the symbolic engine above (after the capped sweep that
+   overflowed).  A truncated prefix explores nothing. *)
+let explorations f =
+  let reach0 = Counter.get Counter.reach
+  and sym0 = Counter.get Counter.symbolic in
+  let p = f () in
+  (p, (Counter.get Counter.reach - reach0, Counter.get Counter.symbolic - sym0))
+
+let test_one_engine_call () =
+  let vbe4a = (List.assoc "vbe4a" Bench_data.all) () in
+  let p, calls = explorations (fun () -> Prefix_rules.analyze vbe4a) in
+  check p.Prefix_rules.s_complete "vbe4a: complete prefix";
+  Alcotest.(check (pair int int)) "vbe4a: one explicit sweep" (1, 0) calls;
+  let rings = Bench_gen.parallel_rings ~rings:5 in
+  let p, calls = explorations (fun () -> Prefix_rules.analyze rings) in
+  check
+    (Option.get p.Prefix_rules.s_markings > Sg.engine_threshold)
+    "parallel_rings 5: past the threshold";
+  Alcotest.(check (pair int int))
+    "parallel_rings 5: one capped sweep, one symbolic exploration" (1, 1)
+    calls;
+  let p, calls =
+    explorations (fun () -> Prefix_rules.analyze ~max_events:4 vbe4a)
+  in
+  check (not p.Prefix_rules.s_complete) "vbe4a at 4 events: truncated";
+  Alcotest.(check (pair int int)) "truncated: no exploration" (0, 0) calls;
+  check (p.Prefix_rules.s_markings = None) "truncated: U4 abstains"
+
+(* Past 262,144 markings U3 and U4 abstain, like a truncated prefix,
+   though the prefix itself is complete. *)
+let test_marking_cap_abstains () =
+  let stg = Bench_gen.parallel_rings ~rings:8 in
   let p = Prefix_rules.analyze stg in
-  let _ = Prefix_rules.diagnostics ~loc:Diagnostic.no_loc stg p in
-  Alcotest.(check int) "zero Reach.explore calls" 0 (Counter.get Counter.reach);
-  (* sanity: the counter does move when exploration happens *)
-  let _ = Reach.explore (Stg.net stg) in
-  Alcotest.(check int) "counter counts" 1 (Counter.get Counter.reach)
+  check p.Prefix_rules.s_complete "parallel_rings 8: complete prefix";
+  check (p.Prefix_rules.s_markings = None) "U4 abstains";
+  check (p.Prefix_rules.s_csc = None) "U3 abstains";
+  check (p.Prefix_rules.s_unsafe = None) "U1 still proves safeness"
 
 (* Parallel rings: CSC holds but cross-ring pairs never alternate, so
    the A6 lock relation abstains — only the exact U3 verdict certifies
@@ -242,10 +281,10 @@ let test_lockring_bound signals () =
 let test_choose_backend () =
   let cfg = Mpart.default_config in
   Alcotest.(check bool) "under threshold stays sat" true
-    (Mpart.choose_backend cfg ~state_bound:(Some (Mpart.engine_threshold - 1))
+    (Mpart.choose_backend cfg ~state_bound:(Some (Sg.engine_threshold - 1))
     = `Sat);
   Alcotest.(check bool) "over threshold goes bdd" true
-    (Mpart.choose_backend cfg ~state_bound:(Some Mpart.engine_threshold)
+    (Mpart.choose_backend cfg ~state_bound:(Some Sg.engine_threshold)
     = `Bdd);
   Alcotest.(check bool) "no bound stays sat" true
     (Mpart.choose_backend cfg ~state_bound:None = `Sat);
@@ -279,7 +318,7 @@ let reference stg =
   in
   let reach =
     match bound with
-    | Some n when n >= Mpart.engine_threshold -> `Symbolic
+    | Some n when n >= Sg.engine_threshold -> `Symbolic
     | _ -> `Explicit
   in
   (p, certificate, bound, reach)
@@ -452,6 +491,8 @@ let test_autoconc_refutation () =
   let stg = Gformat.parse_string src in
   let p = Prefix_rules.analyze stg in
   check (p.Prefix_rules.s_autoconc <> []) "U2 detects the concurrent pair";
+  check (u2_agrees stg (Reach.explore (Stg.net stg)) p)
+    "U2 = Reach's covered presets";
   let ds = Prefix_rules.diagnostics ~loc:Diagnostic.no_loc stg p in
   check
     (List.exists
@@ -466,12 +507,12 @@ let test_autoconc_refutation () =
    autoconcurrency.  U3 and U4 read Σ, which does not exist, so they
    abstain from every verdict, and U3 reports the builder's message as
    its one error; U1 and U2 still decide from the prefix. *)
+let incons_g =
+  ".model incons\n.inputs r\n.outputs x\n.graph\nr+ x+\nx+ r+/2\nr+/2 \
+   x-\nx- r-\nr- r-/2\nr-/2 r+\n.marking { <r-/2,r+> }\n.end\n"
+
 let test_inconsistent_abstains () =
-  let src =
-    ".model incons\n.inputs r\n.outputs x\n.graph\nr+ x+\nx+ r+/2\nr+/2 \
-     x-\nx- r-\nr- r-/2\nr-/2 r+\n.marking { <r-/2,r+> }\n.end\n"
-  in
-  let stg = Gformat.parse_string src in
+  let stg = Gformat.parse_string incons_g in
   let p = Prefix_rules.analyze stg in
   check p.Prefix_rules.s_complete "prefix complete";
   check (p.Prefix_rules.s_unsafe = None) "U1: no unsafeness refutation";
@@ -505,6 +546,46 @@ let test_inconsistent_abstains () =
   | _ -> Alcotest.fail "U3 must report exactly one finding");
   check (not (List.mem "U4-statebound" rules)) "U4 stays silent"
 
+let mpsyn = Filename.concat ".." (Filename.concat "bin" "mpsyn.exe")
+
+let run_cli args =
+  let out = Filename.temp_file "mpsyn_unfold" ".out" in
+  let err = Filename.temp_file "mpsyn_unfold" ".err" in
+  let code =
+    Sys.command (Printf.sprintf "%s %s > %s 2> %s" mpsyn args out err)
+  in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let stdout = read out and stderr = read err in
+  Sys.remove out;
+  Sys.remove err;
+  (code, stdout, stderr)
+
+(* `lint --prefix` and `synth` read one reachability graph, so U3's
+   error carries exactly the message synthesis exits 3 with. *)
+let test_cli_inconsistent_message () =
+  let file = Filename.temp_file "mpsyn_incons" ".g" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc incons_g);
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let code, _, stderr = run_cli ("synth " ^ Filename.quote file) in
+      Alcotest.(check int) "synth: exit 3" 3 code;
+      let prefix = "mpsyn: no consistent state assignment: " in
+      check (String.starts_with ~prefix stderr) "synth names the assignment";
+      let message =
+        String.trim
+          (String.sub stderr (String.length prefix)
+             (String.length stderr - String.length prefix))
+      in
+      let code, stdout, _ = run_cli ("lint --prefix " ^ Filename.quote file) in
+      Alcotest.(check int) "lint --prefix: exit 3" 3 code;
+      let line =
+        "error[U3-coding] incons: no consistent state assignment: " ^ message
+      in
+      check
+        (List.mem line (String.split_on_char '\n' stdout))
+        ("lint --prefix prints " ^ line))
+
 (* ---------------- determinism across pool widths ------------------- *)
 
 let test_jobs_deterministic () =
@@ -516,12 +597,9 @@ let test_jobs_deterministic () =
         "certificates byte-identical"
         (Json.to_string (Unfold.cert_json u1))
         (Json.to_string (Unfold.cert_json u4));
-      let m1 = Unfold.marking_graph u1 and m4 = Unfold.marking_graph u4 in
       check
-        (Array.map Marking.pack m1.Unfold.mg_markings
-        = Array.map Marking.pack m4.Unfold.mg_markings)
-        "marking arrays identical";
-      check (m1.Unfold.mg_edges = m4.Unfold.mg_edges) "edge arrays identical")
+        (Prefix_rules.analyze ~jobs:1 stg = Prefix_rules.analyze ~jobs:4 stg)
+        "summaries identical")
     [
       (List.assoc "mr0" Bench_data.all) ();
       Bench_gen.parallel_rings ~rings:4;
@@ -575,7 +653,7 @@ let () =
           Alcotest.test_case
             (Printf.sprintf "%d random STGs agree with Reach" n_fuzz)
             `Slow test_fuzz_agreement;
-          Qseed.to_alcotest prop_marking_count;
+          Qseed.to_alcotest prop_u1_u2;
           Alcotest.test_case "generated nets agree" `Quick
             test_generated_agreement;
         ] );
@@ -588,7 +666,10 @@ let () =
         ] );
       ( "counters",
         [
-          Alcotest.test_case "U-rules never explore" `Quick test_no_reach_calls;
+          Alcotest.test_case "one engine call per analysis" `Quick
+            test_one_engine_call;
+          Alcotest.test_case "U3/U4 abstain past the marking cap" `Quick
+            test_marking_cap_abstains;
           Alcotest.test_case "parallel-rings3: U3 certifies, SAT skipped"
             `Quick
             (test_parallel_rings_prescreen 3);
@@ -615,6 +696,8 @@ let () =
             test_autoconc_refutation;
           Alcotest.test_case "inconsistent STG: U3 and U4 abstain" `Quick
             test_inconsistent_abstains;
+          Alcotest.test_case "cli: U3 error = synth's message" `Quick
+            test_cli_inconsistent_message;
         ] );
       ( "determinism",
         [

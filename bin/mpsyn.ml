@@ -258,13 +258,14 @@ let lint_cmd =
   in
   let prefix_arg =
     let doc =
-      "Additionally run the exact partial-order rules U1-U4 on a \
-       complete finite prefix of the STG's unfolding: exact 1-safeness \
-       (proof or replayable refutation), exact autoconcurrency (retiring \
-       A5's false alarms), exact USC/CSC conflict detection, and the \
-       exact state-graph size — all without explicit state exploration.  \
-       Findings merge into the same mpsyn-lint/1 report; U1/U2 \
-       refutations exit $(b,3)."
+      "Additionally run the exact rules U1-U4: exact 1-safeness (proof or \
+       replayable refutation) and exact autoconcurrency (retiring A5's \
+       false alarms) from a complete finite prefix of the STG's \
+       unfolding, then, once the prefix is complete, exact USC/CSC \
+       conflict detection and the exact state-graph size from the state \
+       graph every command builds (up to 262,144 markings).  Findings \
+       merge into the same mpsyn-lint/1 report; U1/U2 refutations and an \
+       inconsistent state assignment (U3) exit $(b,3)."
     in
     Arg.(value & flag & info [ "prefix" ] ~doc)
   in
@@ -435,8 +436,8 @@ let lint_cmd =
        ~doc:
          "Statically analyze an STG (and optionally its synthesized \
           netlist) without explicit state exploration; $(b,--prefix) adds \
-          the exact partial-order rules U1-U4, $(b,--partition) the \
-          partition-plan rules M1-M5")
+          the exact rules U1-U4 of the unfolding prefix and the state \
+          graph, $(b,--partition) the partition-plan rules M1-M5")
     Term.(
       const run $ stgs_arg $ json_arg $ strict_arg $ netlist_arg $ hazard_arg
       $ prefix_arg $ partition_arg $ degenerate_arg $ plan_arg $ jobs_arg
@@ -857,7 +858,8 @@ let () =
     ~lock:(fun () -> Mutex.lock m)
     ~unlock:(fun () -> Mutex.unlock m);
   Logs.set_reporter (Logs_fmt.reporter ~app:Format.err_formatter ());
-  (* MPSYN_LOG raises the level so Mpart's debug lines can be seen *)
+  (* MPSYN_LOG raises the level so the library's debug lines (Sg's
+     engine choice, Mpart's stages) can be seen *)
   (match Sys.getenv_opt "MPSYN_LOG" with
   | None | Some "" -> ()
   | Some ("debug" | "info" | "warning" as s) ->

@@ -3,8 +3,8 @@
     Tests and the bench read the delta of a counter around a run to
     {e prove} that a stage ran or was skipped, rather than trusting the
     claim: a static certificate makes synthesis skip constraint solving
-    ([solver] stays put), the prefix rules never explore explicitly
-    ([reach]), a hazard certificate skips dynamic simulation ([sim]),
+    ([solver] stays put), the prefix rules explore once per complete
+    prefix ([reach], [symbolic]), a hazard certificate skips dynamic simulation ([sim]),
     a warm cache serves lookups ([cache_hit]), and synthesis
     materializes one expanded graph per repair round ([expansion]).
 

@@ -38,6 +38,27 @@ let test_differential_fuzz () =
         Qseed.seed Oracle.pp_differential d (Gformat.to_string stg)
   done
 
+(* ---------------- netlist compilation checks ---------------- *)
+
+(* [Gatesim.of_netlist] refuses a netlist it could not evaluate: a gate
+   reading a wire nothing drives, an output without a driving gate, and
+   more boundary wires than a mask holds. *)
+let test_of_netlist_rejects () =
+  let rejects what (nl : Netlist.t) =
+    match Gatesim.of_netlist nl with
+    | _ -> Alcotest.failf "%s: of_netlist must refuse the netlist" what
+    | exception Invalid_argument _ -> ()
+  in
+  let nl ?(inputs = [ "a" ]) outputs gates =
+    { Netlist.name = "t"; inputs; outputs; gates }
+  in
+  let gate out input = Netlist.Wire { out; input } in
+  ignore (Gatesim.of_netlist (nl [ "b" ] [ gate "b" "a" ]) : Gatesim.t);
+  rejects "undriven wire" (nl [ "b" ] [ gate "b" "x" ]);
+  rejects "undriven output" (nl [ "b"; "c" ] [ gate "b" "a" ]);
+  let inputs = List.init 62 (Printf.sprintf "i%d") in
+  rejects "63 boundary wires" (nl ~inputs [ "b" ] [ gate "b" "i0" ])
+
 let () =
   Qseed.announce ();
   let files = g_files () in
@@ -53,5 +74,10 @@ let () =
           Alcotest.test_case
             (Printf.sprintf "%d random STGs x 4 backends" n_fuzz)
             `Slow test_differential_fuzz;
+        ] );
+      ( "gatesim",
+        [
+          Alcotest.test_case "of_netlist rejects" `Quick
+            test_of_netlist_rejects;
         ] );
     ]

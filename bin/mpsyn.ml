@@ -331,15 +331,14 @@ let lint_cmd =
       Pool.map_list ~jobs
         (fun (name, (stg, map)) ->
           let config = { Mpart.default_config with jobs; cache } in
-          (* one prefix per specification, shared by the U-rules, the A5
-             exact oracle and the H2 prune — and, through the cache, by
-             any later synth/verify run on the same .g text *)
+          (* one prefix per specification, shared by the U-rules and the
+             A5 exact oracle, and cached by the .g text *)
           let psum =
             if prefix then Some (Mpart.prefix_summary config stg)
             else None
           in
-          (* likewise one partition plan per specification, shared (via
-             the cache) with any later synthesis of the same .g text *)
+          (* likewise one partition audit per specification, cached by
+             the .g text *)
           let plan_summary =
             if partition then Some (Mpart.partition_summary ~jobs:1 config stg)
             else None
@@ -371,13 +370,8 @@ let lint_cmd =
                 in
                 let a7 = Lint.run_netlist nl in
                 if hazard then begin
-                  let coexcited =
-                    match psum with
-                    | None -> fun _ _ -> true
-                    | Some p -> Prefix_rules.coexcited_pred p
-                  in
                   let hz =
-                    Hazard_check.analyze ~coexcited ~expanded:r.Mpart.expanded
+                    Hazard_check.analyze ~expanded:r.Mpart.expanded
                       ~functions:r.Mpart.functions nl
                   in
                   let merged =

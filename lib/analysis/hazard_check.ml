@@ -395,8 +395,7 @@ let to_json r =
 
 (* ---------------- the analysis ---------------- *)
 
-let analyze ?(node_budget = 2_000_000) ?(coexcited = fun _ _ -> true)
-    ~expanded ~functions (nl : Netlist.t) =
+let analyze ?(node_budget = 2_000_000) ~expanded ~functions (nl : Netlist.t) =
   let diags = ref [] in
   let cexs = ref [] in
   let total_nodes = ref 0 in
@@ -581,16 +580,8 @@ let analyze ?(node_budget = 2_000_000) ?(coexcited = fun _ _ -> true)
                     match e.label with
                     | Sg.Ev (s, d) -> s = r.sid && d = dir
                   in
-                  (* prefix-derived prune: if the fired source-signal
-                     edge is provably never excited together with
-                     (r, dir) at any state, the region test below cannot
-                     fire — a steal requires both excitations at [csrc].
-                     Inserted state signals are always evaluated. *)
-                  let pruned =
-                    not (coexcited (r.sname, dir) (fired_name, fired_dir))
-                  in
                   if
-                    (not pruned) && (not fired_this)
+                    (not fired_this)
                     && Bdd.eval_bits r.mgr region csrc
                     && not (Bdd.eval_bits r.mgr region cdst)
                   then begin

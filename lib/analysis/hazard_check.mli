@@ -88,16 +88,14 @@ type result = {
     derived covers the netlist was generated from.  [node_budget] caps
     the total BDD size before the checker abstains (default 2e6).
 
-    [?coexcited] is the H2 prune predicate (see
-    [Prefix_rules.coexcited_pred]): when it returns [false] for a pair
-    of signal edges, the pair is provably never excited at a common
-    state and the corresponding steal test is skipped — sound because a
-    steal requires both excitations at the edge's source state and
-    state-signal insertion only restricts source-signal excitation.
-    Defaults to checking everything. *)
+    H2 tests only the edges that leave a state where the output is
+    excited, so the output and the fired event are co-excited there.
+    No co-excitation relation of the specification could skip a test:
+    expansion only restricts the excitation of source signals, so a
+    pair co-excited in [expanded] is co-excited in the specification's
+    state graph too. *)
 val analyze :
   ?node_budget:int ->
-  ?coexcited:(string * Sg.edge_dir -> string * Sg.edge_dir -> bool) ->
   expanded:Sg.t ->
   functions:Derive.func list ->
   Netlist.t ->

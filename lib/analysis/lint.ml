@@ -54,7 +54,7 @@ let run ?map ?prefix stg =
   in
   { report; cert }
 
-let partition ?map ?degenerate_threshold ?min_signals stg summary =
+let partition ?map ?degenerate_threshold stg summary =
   let loc =
     match map with
     | Some m -> Diagnostic.of_source_map m
@@ -74,8 +74,7 @@ let partition ?map ?degenerate_threshold ?min_signals stg summary =
           | sa, sb -> Lockrel.locked stg ~pinvs sa sb
           | exception Not_found -> false)
   in
-  Partition_check.diagnostics ?degenerate_threshold ?min_signals ?locked ~loc
-    summary
+  Partition_check.diagnostics ?degenerate_threshold ?locked ~loc summary
 
 let run_netlist nl =
   Diagnostic.report ~target:nl.Netlist.name

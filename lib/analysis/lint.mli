@@ -23,16 +23,16 @@ type result = {
 val run :
   ?map:Gformat.source_map -> ?prefix:Prefix_rules.summary -> Stg.t -> result
 
-(** [partition ?map ?degenerate_threshold ?min_signals stg summary]
-    renders a partition-plan summary (from [Mpart.partition_summary])
-    as M-rule diagnostics for the merged report: source spans come from
-    [map], and M4 risk pairs proven non-interfering by the lock
-    relation over [stg]'s P-invariants are discounted.  Thresholds are
-    passed through to {!Partition_check.diagnostics}. *)
+(** [partition ?map ?degenerate_threshold stg summary] renders a
+    partition-plan summary (from [Mpart.partition_summary]) as M-rule
+    diagnostics for the merged report: source spans come from [map],
+    and M4 risk pairs proven non-interfering by the lock relation over
+    [stg]'s P-invariants are discounted.  The threshold is passed
+    through to {!Partition_check.diagnostics}, whose default
+    [min_signals] applies. *)
 val partition :
   ?map:Gformat.source_map ->
   ?degenerate_threshold:float ->
-  ?min_signals:int ->
   Stg.t ->
   Partition_check.summary ->
   Diagnostic.t list

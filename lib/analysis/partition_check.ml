@@ -400,33 +400,48 @@ let m5_violations complete (c : cone) =
 (* ------------------------------------------------------------------ *)
 (* Summary                                                             *)
 
+(* A cone's signal set (output and inputs), sorted without repeats. *)
+let cone_signals (output, inputs, _) =
+  List.sort_uniq Int.compare (output :: inputs)
+
+(* The number of signals two sorted sets share. *)
+let rec shared a b =
+  match (a, b) with
+  | x :: a', y :: b' ->
+    if x = y then 1 + shared a' b'
+    else if x < y then shared a' b
+    else shared a b'
+  | _ -> 0
+
+(* M4 risk of each cone: the cone signals a conflicted cone shares with
+   every other conflicted cone (0 for a conflict-free cone). *)
+let risks cones =
+  let sets = List.map (fun ((_, _, k) as c) -> (cone_signals c, k)) cones in
+  List.mapi
+    (fun i (sa, k) ->
+      if k = 0 then 0
+      else
+        List.fold_left ( + ) 0
+          (List.mapi
+             (fun j (sb, k') -> if j <> i && k' > 0 then shared sa sb else 0)
+             sets))
+    sets
+
+let solve_order cones =
+  List.map2 (fun (o, _, _) r -> (r, o)) cones (risks cones)
+  |> List.sort compare |> List.map snd
+
 let summarize ~complete cones =
   let n_sig = Sg.n_signals complete in
   let n_states = Sg.n_states complete in
   let name = Sg.signal_name complete in
-  let cone_set (c : cone) =
-    let a = Array.make n_sig false in
-    a.(c.c_output) <- true;
-    List.iter (fun s -> a.(s) <- true) c.c_inputs;
-    a
+  let triples =
+    List.map (fun (c : cone) -> (c.c_output, c.c_inputs, c.c_conflicts)) cones
   in
-  let sets = List.map (fun c -> (c, cone_set c)) cones in
-  let shared sa sb =
-    let k = ref 0 in
-    Array.iteri (fun i v -> if v && sb.(i) then incr k) sa;
-    !k
-  in
-  let risk (c : cone) sa =
-    if c.c_conflicts = 0 then 0
-    else
-      List.fold_left
-        (fun acc ((c' : cone), sb) ->
-          if c' != c && c'.c_conflicts > 0 then acc + shared sa sb else acc)
-        0 sets
-  in
+  let sets = List.combine cones (List.map cone_signals triples) in
   let stats =
     List.map
-      (fun ((c : cone), sa) ->
+      (fun ((c : cone), risk) ->
         let local_out = Sg.find_signal c.c_module (name c.c_output) in
         let n_cone = 1 + List.length c.c_inputs in
         {
@@ -442,9 +457,9 @@ let summarize ~complete cones =
             float_of_int (Sg.n_states c.c_module)
             /. float_of_int (max n_states 1);
           cs_digest = cone_digest ~output:local_out c.c_module;
-          cs_risk = risk c sa;
+          cs_risk = risk;
         })
-      sets
+      (List.combine cones (risks triples))
   in
   let duplicates =
     let order = ref [] in
@@ -486,15 +501,10 @@ let summarize ~complete cones =
     in
     pairs sets
   in
-  let order =
-    List.map2 (fun ((c : cone), _) cs -> (cs.cs_risk, c.c_output)) sets stats
-    |> List.sort compare
-    |> List.map (fun (_, o) -> name o)
-  in
   let violations =
     List.concat_map
-      (fun (c, _) -> m1_violations complete c @ m5_violations complete c)
-      sets
+      (fun c -> m1_violations complete c @ m5_violations complete c)
+      cones
   in
   {
     p_target = Sg.name complete;
@@ -503,7 +513,7 @@ let summarize ~complete cones =
     p_cones = stats;
     p_duplicates = duplicates;
     p_risky = risky;
-    p_order = order;
+    p_order = List.map name (solve_order triples);
     p_violations = violations;
   }
 

@@ -78,7 +78,7 @@ type summary = {
   p_cones : cone_stats list;  (** in output-signal order *)
   p_duplicates : dup_group list;  (** groups of ≥ 2 identical cones *)
   p_risky : risk_pair list;  (** conflicted pairs sharing cone signals *)
-  p_order : string list;  (** all outputs, ascending M4 risk *)
+  p_order : string list;  (** all outputs in {!solve_order} *)
   p_violations : violation list;
 }
 
@@ -97,11 +97,19 @@ val canonical_form : output:int -> Sg.t -> string * int array
     {!canonical_form}. *)
 val cone_digest : output:int -> Sg.t -> string
 
+(** [solve_order cones] is the M4 solve order: the outputs of [cones],
+    given as [(output, input set, conflict count)] triples, by
+    ascending risk, ties broken by output id.  A conflicted cone's risk
+    is the number of cone signals (output and inputs) it shares with
+    every other conflicted cone; a conflict-free cone's is 0.  Synthesis
+    consumes its modules in this order, and {!summarize} reports it as
+    [p_order]. *)
+val solve_order : (int * int list * int) list -> int list
+
 (** [summarize ~complete cones] builds the plan summary: per-cone stats
     and digests, duplicate groups, the overlap/risk relation, the
-    ascending-risk solve order, and all M1/M5 violations (each with its
-    witness).  [complete] must be the graph the cones were derived
-    from. *)
+    {!solve_order}, and all M1/M5 violations (each with its witness).
+    [complete] must be the graph the cones were derived from. *)
 val summarize : complete:Sg.t -> cone list -> summary
 
 (** [diagnostics ?degenerate_threshold ?min_signals ?locked ~loc summary]

@@ -6,7 +6,6 @@ let rule_u4 = "U4-statebound"
 
 type summary = {
   s_events : int;
-  s_conditions : int;
   s_cutoffs : int;
   s_complete : bool;
   s_unsafe : (int * int list) option;
@@ -17,8 +16,6 @@ type summary = {
   s_usc : bool option;
   s_csc : bool option;
   s_conflicts : int option;
-  s_signals : string list;
-  s_coexcited : ((string * bool) * (string * bool)) list option;
   s_inconsistent : string option;
 }
 
@@ -38,33 +35,6 @@ let sigma stg (n, buf, n_edges) =
   match Sg.of_transition_edges stg ~n_states:n ~n_edges buf with
   | sg -> Ok sg
   | exception Sg.Inconsistent msg -> Error msg
-
-(* Canonically ordered pairs of signal edges excited at a common state,
-   collected on event ids (2s for s+, 2s+1 for s-) before naming. *)
-let coexcited sg =
-  let n_events = 2 * Sg.n_signals sg in
-  let co = Array.make_matrix n_events n_events false in
-  for m = 0 to Sg.n_states sg - 1 do
-    let evs =
-      List.map
-        (fun (s, d) -> (2 * s) + if d = Sg.R then 0 else 1)
-        (Sg.excited_events sg m)
-    in
-    List.iter
-      (fun a -> List.iter (fun b -> if a < b then co.(a).(b) <- true) evs)
-      evs
-  done;
-  let edge e = (Sg.signal_name sg (e / 2), e mod 2 = 0) in
-  let pairs = ref [] in
-  for a = 0 to n_events - 1 do
-    for b = a + 1 to n_events - 1 do
-      if co.(a).(b) then begin
-        let x = edge a and y = edge b in
-        pairs := (if x < y then (x, y) else (y, x)) :: !pairs
-      end
-    done
-  done;
-  List.sort compare !pairs
 
 (* ------------------------------------------------------------------ *)
 (* Analysis driver                                                     *)
@@ -111,7 +81,6 @@ let analyze ?(jobs = 1) ?(max_events = 2048) stg =
   let conflicts = Option.map Csc.n_conflicts sg in
   {
     s_events = Unfold.n_events u;
-    s_conditions = Unfold.n_conditions u;
     s_cutoffs = Unfold.n_cutoffs u;
     s_complete = complete;
     s_unsafe;
@@ -122,35 +91,17 @@ let analyze ?(jobs = 1) ?(max_events = 2048) stg =
     s_usc = Option.map Csc.usc_satisfied sg;
     s_csc = Option.map (fun k -> k = 0) conflicts;
     s_conflicts = conflicts;
-    s_signals = List.init (Stg.n_signals stg) (Stg.signal_name stg);
-    s_coexcited = Option.map coexcited sg;
     s_inconsistent =
       (match sigma with Some (Error msg) -> Some msg | Some (Ok _) | None -> None);
   }
 
 (* ------------------------------------------------------------------ *)
-(* Oracles for other analyses                                          *)
+(* The A5 oracle                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let exact_mutex summary t1 t2 =
   if not summary.s_complete then None
   else Some (List.mem (min t1 t2, max t1 t2) summary.s_autoconc)
-
-let coexcited_pred summary =
-  match summary.s_coexcited with
-  | None -> fun _ _ -> true
-  | Some pairs ->
-    let tbl = Hashtbl.create (List.length pairs * 2) in
-    List.iter (fun p -> Hashtbl.replace tbl p ()) pairs;
-    let known = Hashtbl.create 16 in
-    List.iter (fun s -> Hashtbl.replace known s ()) summary.s_signals;
-    fun (n1, d1) (n2, d2) ->
-      if not (Hashtbl.mem known n1 && Hashtbl.mem known n2) then true
-      else begin
-        let a = (n1, d1 = Sg.R) and b = (n2, d2 = Sg.R) in
-        let key = if a <= b then (a, b) else (b, a) in
-        Hashtbl.mem tbl key
-      end
 
 (* ------------------------------------------------------------------ *)
 (* Diagnostics                                                         *)
@@ -267,5 +218,17 @@ let diagnostics ~loc stg summary =
           the reachability engine every command shares; synthesis picks \
           its constraint backend from the same state count, taken from \
           the complete graph")
+  | None, _ when summary.s_complete ->
+    (* a complete prefix whose exploration stopped at the cap (an
+       inconsistent net is always counted, so it never lands here) *)
+    emit
+      (Diagnostic.v ~rule:rule_u4 ~severity:Info ~loc ~subject:target
+         (Printf.sprintf
+            "state graph not explored: more than %d reachable markings"
+            max_markings)
+         "U3 and U4 explore the reachable markings only up to this cap \
+          and abstained past it, so neither the CSC verdict nor the \
+          state count is reported; synthesis explores under its own \
+          state cap")
   | _ -> ());
   List.rev !diags

@@ -26,19 +26,20 @@
       abstain from their verdicts, and U3 reports the {!Sg.Inconsistent}
       message — the one every Σ-building command reports — as an error.
     - {b U4} ([U4-statebound]): exact state-graph size (markings and
-      ε-classes) reported as a diagnostic.  Synthesis picks its engines
-      from the complete state graph instead (see
-      {!Sg.engine_threshold}).
+      ε-classes) reported as a diagnostic, or, on a complete prefix
+      past the marking cap, an info naming the cap at which U3 and U4
+      abstained.  Synthesis picks its engines from the complete state
+      graph instead (see {!Sg.engine_threshold}).
 
     U1 and U2 are decided on the prefix alone; U3 and U4 explore only
     when the prefix is complete, up to 262,144 markings.  All verdicts
     are tri-state: when the prefix or the exploration hit their caps
-    the analysis abstains ([None]s) rather than guessing, and the
-    [U0-prefix] info diagnostic records a truncated prefix. *)
+    the analysis abstains ([None]s) rather than guessing.  No cap is
+    hit silently: the [U0-prefix] info diagnostic records a truncated
+    prefix, and a [U4-statebound] info the marking cap. *)
 
 type summary = {
   s_events : int;  (** prefix events, cutoffs included *)
-  s_conditions : int;
   s_cutoffs : int;
   s_complete : bool;  (** the prefix is a complete finite prefix *)
   s_unsafe : (int * int list) option;
@@ -58,15 +59,6 @@ type summary = {
   s_conflicts : int option;
       (** CSC conflict pairs of Σ ([Csc.n_conflicts]); [s_csc] is
           [s_conflicts = Some 0] *)
-  s_signals : string list;
-      (** the STG's signal names — the universe {!coexcited_pred} can
-          prune over; edges of other signals (inserted state signals)
-          are never pruned *)
-  s_coexcited : ((string * bool) * (string * bool)) list option;
-      (** the exact class-level co-excitation relation: canonically
-          ordered pairs of signal edges ([(name, is_rise)]) excited
-          together at some quotient state.  Feeds the H2 persistency
-          prune in {!Hazard_check}. *)
   s_inconsistent : string option;
       (** the {!Sg.Inconsistent} message when the reachability graph
           admits no consistent state assignment (every Σ verdict above
@@ -97,12 +89,3 @@ val diagnostics :
     an error), [Some false] when the prefix proves it impossible (the
     A5 warning is dropped), [None] when the prefix abstained. *)
 val exact_mutex : summary -> int -> int -> bool option
-
-(** [coexcited_pred summary] is the H2 prune predicate for
-    {!Hazard_check.analyze}: [pred a b] is [false] only when both
-    signal edges are known to the summary and provably never excited at
-    a common state — a sound skip because state-signal insertion only
-    restricts behaviour.  Unknown edges (inserted state signals)
-    default to [true]. *)
-val coexcited_pred :
-  summary -> string * Sg.edge_dir -> string * Sg.edge_dir -> bool

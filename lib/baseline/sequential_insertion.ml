@@ -33,7 +33,7 @@ let pick_target sg =
     in
     best
 
-let solve ?backtrack_limit ?time_limit ?max_rounds ?(name_prefix = "seq") sg =
+let solve ?backtrack_limit ?time_limit ?max_rounds sg =
   let deadline = Deadline.of_limit time_limit in
   let max_rounds =
     match max_rounds with
@@ -66,8 +66,7 @@ let solve ?backtrack_limit ?time_limit ?max_rounds ?(name_prefix = "seq") sg =
           match Dpll.solve ?backtrack_limit ~deadline enc.Csc_encode.cnf with
           | Dpll.Sat model, _ ->
             let names =
-              Array.init n_new (fun k ->
-                  Printf.sprintf "%s%d" name_prefix (rounds + k))
+              Array.init n_new (fun k -> Printf.sprintf "seq%d" (rounds + k))
             in
             Some (Ok (Csc_encode.apply sg enc model ~names, n_new))
           | Dpll.Unsat, _ -> attempt (n_new + 1)

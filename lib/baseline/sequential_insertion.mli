@@ -20,8 +20,9 @@ type report = {
   formulas : Csc_direct.formula_size list;
 }
 
-(** [solve ?backtrack_limit ?time_limit ?max_rounds ?name_prefix sg]
-    resolves CSC by sequential insertion.
+(** [solve ?backtrack_limit ?time_limit ?max_rounds sg] resolves CSC by
+    sequential insertion, naming the signal a round inserts
+    ["seq" ^ string_of_int round].
     @param time_limit wall-clock seconds for the whole call, shared by
            every round; running out gives up with [Time_limit]
            (default: none)
@@ -32,7 +33,6 @@ val solve :
   ?backtrack_limit:int ->
   ?time_limit:float ->
   ?max_rounds:int ->
-  ?name_prefix:string ->
   Sg.t ->
   report
 

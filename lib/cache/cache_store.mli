@@ -1,11 +1,11 @@
-(** Content-addressed, on-disk memoization store (schema [mpsyn-cache/8]).
+(** Content-addressed, on-disk memoization store (schema [mpsyn-cache/9]).
 
-    One entry per file under [DIR/8/] (the subdirectory is the schema
+    One entry per file under [DIR/9/] (the subdirectory is the schema
     major version: bumping {!schema_version} orphans every old entry at
     once — explicit wholesale invalidation).  An entry is:
 
     {v
-    mpsyn-cache/8\n
+    mpsyn-cache/9\n
     <md5 hex of payload>\n
     <payload: Marshal bytes>
     v}
@@ -31,7 +31,7 @@
 type t
 
 val schema_version : string
-(** ["mpsyn-cache/8"].  v1 → v2: whole-synthesis entries now carry the
+(** ["mpsyn-cache/9"].  v1 → v2: whole-synthesis entries now carry the
     audited partition plan ({!Mpart.result} gained fields), changing
     their marshal layout — the bump orphans every v1 entry at once.
     v2 → v3: state graphs precompute their adjacency lists ([Sg.t]
@@ -57,7 +57,11 @@ val schema_version : string
     marshal layout of every entry embedding a graph).  v7 → v8: prefix
     summaries carry the inconsistent-assignment message
     ([Prefix_rules.s_inconsistent]), changing the marshal layout of
-    every ["prefix"] entry. *)
+    every ["prefix"] entry.  v8 → v9: whole-synthesis results drop the
+    audited plan ([Mpart.result] lost its [plan] field) and prefix
+    summaries drop the co-excitation relation, the signal names and
+    the condition count, changing the marshal layout of every
+    ["synth"] and ["prefix"] entry. *)
 
 val open_dir : ?max_bytes:int -> string -> t
 (** [open_dir dir] opens (creating directories as needed) the store

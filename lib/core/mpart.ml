@@ -105,7 +105,6 @@ type result = {
   modules : module_report list;
   fallback : module_report option;
   certificate : bool;
-  plan : Partition_check.summary;
   replayed : string list;
   stale_analyses : int;
 }
@@ -226,19 +225,6 @@ let module_report complete (inp : Input_derivation.t)
     formulas = (match sat with None -> [] | Some s -> s.sol_formulas);
   }
 
-(* A derived module, described for the partition auditor against the
-   complete graph it was cut from. *)
-let cone_of (inp : Input_derivation.t) conflicts =
-  {
-    Partition_check.c_output = inp.Input_derivation.output;
-    c_inputs = inp.Input_derivation.input_set;
-    c_immediate = inp.Input_derivation.immediate;
-    c_kept_extras = inp.Input_derivation.kept_extras;
-    c_module = inp.Input_derivation.module_sg;
-    c_cover = inp.Input_derivation.cover;
-    c_conflicts = conflicts;
-  }
-
 (* One output's module analyzed against [g] (Figure 2): its input set,
    quotient and modular conflict count.  When the complete graph already
    has CSC ([certificate]), the module quotients need no state signals:
@@ -257,29 +243,24 @@ let analyze ~certificate g o =
   in
   (o, inp, conflicts)
 
-(* Stage 1, the partition plan: each output analyzed against the
-   complete graph on the pool, audited by the static M rules, and put
-   in the audit's order — low-risk modules first. *)
-let plan ~config ~certificate complete =
+(* Every output's module analyzed against the complete graph on the
+   pool, in output order. *)
+let analyze_outputs ~config ~certificate complete =
   let outputs =
     List.filter (Sg.non_input complete) (List.init (Sg.n_signals complete) Fun.id)
   in
-  let analyses =
-    Pool.map_list ~jobs:config.jobs (analyze ~certificate complete) outputs
-  in
-  let summary =
-    Partition_check.summarize ~complete
-      (List.map (fun (_, inp, conflicts) -> cone_of inp conflicts) analyses)
-  in
-  let rank = Hashtbl.create 8 in
-  List.iteri (fun i n -> Hashtbl.replace rank n i) summary.Partition_check.p_order;
-  let rank_of (o, _, _) =
-    Option.value
-      (Hashtbl.find_opt rank (Sg.signal_name complete o))
-      ~default:max_int
-  in
-  let by_rank a b = compare (rank_of a) (rank_of b) in
-  (List.stable_sort by_rank analyses, summary)
+  Pool.map_list ~jobs:config.jobs (analyze ~certificate complete) outputs
+
+(* Stage 1, the partition plan: every output's analysis in the M4 solve
+   order, low-risk modules first. *)
+let plan ~config ~certificate complete =
+  let analyses = analyze_outputs ~config ~certificate complete in
+  Partition_check.solve_order
+    (List.map
+       (fun (o, (inp : Input_derivation.t), conflicts) ->
+         (o, inp.input_set, conflicts))
+       analyses)
+  |> List.map (fun o -> List.find (fun (o', _, _) -> o' = o) analyses)
 
 (* Stage 2, the insertion: Figure 6's loop over the planned outputs —
    solve each module and propagate its new signals into the complete
@@ -504,7 +485,7 @@ let implement ~config ~deadline ~fresh_name ~modules complete current =
    clean up, implement. *)
 let synthesize_complete ~config ~deadline complete =
   let certificate = Csc.csc_satisfied complete in
-  let analyses, plan = plan ~config ~certificate complete in
+  let analyses = plan ~config ~certificate complete in
   let fresh_name = fresh_names () in
   let inserted, modules, replayed, stale_analyses =
     insert ~config ~deadline ~fresh_name ~certificate analyses complete
@@ -521,7 +502,6 @@ let synthesize_complete ~config ~deadline complete =
     modules;
     fallback = (match redo with None -> fallback | Some _ -> redo);
     certificate;
-    plan;
     replayed;
     stale_analyses;
   }
@@ -563,12 +543,13 @@ let complete_of_stg config stg =
     (fun () -> Cache_key.stg_digest stg)
     (fun () -> Sg.of_stg ~max_states:config.max_states stg)
 
-(* The partition plan as a standalone artifact (`mpsyn lint
-   --partition`): the plan stage with real conflict counts (no
-   certificate zeroing — the plan describes the partition, not one
-   synthesis run's shortcuts).  The summary is plain data, deterministic
-   for any pool width, and depends only on the specification and the
-   state cap, so it is memoized by the STG digest alone. *)
+(* The audited partition plan (`mpsyn lint --partition`): every
+   output's analysis with real conflict counts (no certificate zeroing
+   — the plan describes the partition, not one synthesis run's
+   shortcuts), checked by the M rules.  Synthesis never runs this
+   audit.  The summary is plain data, deterministic for any pool width,
+   and depends only on the specification and the state cap, so it is
+   memoized by the STG digest alone. *)
 let partition_summary ?jobs config stg =
   let config =
     match jobs with Some jobs -> { config with jobs } | None -> config
@@ -577,7 +558,23 @@ let partition_summary ?jobs config stg =
     ~params:[ ("max_states", string_of_int config.max_states) ]
     (fun () -> Cache_key.stg_digest stg)
     (fun () ->
-      snd (plan ~config ~certificate:false (complete_of_stg config stg)))
+      let complete = complete_of_stg config stg in
+      (* each derived module, described against the graph it was cut
+         from *)
+      let cone_of (_, (inp : Input_derivation.t), conflicts) =
+        {
+          Partition_check.c_output = inp.output;
+          c_inputs = inp.input_set;
+          c_immediate = inp.immediate;
+          c_kept_extras = inp.kept_extras;
+          c_module = inp.module_sg;
+          c_cover = inp.cover;
+          c_conflicts = conflicts;
+        }
+      in
+      analyze_outputs ~config ~certificate:false complete
+      |> List.map cone_of
+      |> Partition_check.summarize ~complete)
 
 (* The whole run is keyed by the specification, so a warm run elides
    even the reachability exploration. *)

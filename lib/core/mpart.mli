@@ -20,10 +20,11 @@
     support ({!Derive}).
 
     Every entry point runs this one flow once: the partition plan
-    (every output's module analyzed against Σ and audited, in M4
-    order), then the insertion (one sequential loop of module SAT and
-    propagation, then the fallback pass), then the implementation
-    (region minimization, expansion repair, covers). *)
+    (every output's module analyzed against Σ, in the M4 order of
+    {!Partition_check.solve_order}), then the insertion (one
+    sequential loop of module SAT and propagation, then the fallback
+    pass), then the implementation (region minimization, expansion
+    repair, covers). *)
 
 type config = {
   backtrack_limit : int option;  (** per SAT call *)
@@ -99,9 +100,6 @@ type result = {
   certificate : bool;
       (** the complete graph Σ already satisfied CSC
           ({!Csc.csc_satisfied}), so no module invoked a solver *)
-  plan : Partition_check.summary;
-      (** the audited partition plan the run consumed (conflict counts
-          are zero under the certificate) *)
   replayed : string list;
       (** outputs whose module was a duplicate cone and reused an
           earlier CSC solution instead of solving (dedup_cones) *)
@@ -140,13 +138,17 @@ val synthesize_sg : ?config:config -> Sg.t -> result
     pool width and carries no timings.  Synthesis does not consult it. *)
 val prefix_summary : config -> Stg.t -> Prefix_rules.summary
 
-(** [partition_summary ?jobs config stg] is the memoized partition plan
-    of [stg] ({!Partition_check.summarize} over every output's derived
-    cone, with real modular conflict counts — no certificate zeroing):
-    the audit behind [mpsyn lint --partition].  The summary is plain
+(** [partition_summary ?jobs config stg] is the memoized audit of the
+    partition plan of [stg] ({!Partition_check.summarize} over every
+    output's derived cone, with real modular conflict counts — no
+    certificate zeroing): the M rules behind [mpsyn lint --partition]
+    and its [--plan] document.  Synthesis does not run the audit; it
+    takes only the solve order, from the same
+    {!Partition_check.solve_order}, so its modules come in the
+    summary's [p_order] whenever Σ lacks CSC.  The summary is plain
     deterministic data keyed by the canonical [.g] digest and the state
-    cap only, so any pool width and any lint/synth caller share one
-    cached plan per specification ([jobs] defaults to [config.jobs]). *)
+    cap only, so any pool width shares one cached audit per
+    specification ([jobs] defaults to [config.jobs]). *)
 val partition_summary : ?jobs:int -> config -> Stg.t -> Partition_check.summary
 
 (** [choose_backend config ~state_bound] picks the constraint engine:

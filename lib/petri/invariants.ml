@@ -26,7 +26,9 @@ let normalize r =
    eliminated one at a time by combining rows of opposite sign.
    P-invariants run this on the incidence matrix (places × transitions),
    T-invariants on its transpose. *)
-let farkas ~max_rows m =
+let max_rows = 4096
+
+let farkas m =
   let dim = Array.length m in
   let ncons = if dim = 0 then 0 else Array.length m.(0) in
   let rows =
@@ -81,8 +83,8 @@ let farkas ~max_rows m =
               ys))
     ys
 
-let p_invariants ?(max_rows = 4096) net =
-  let minimal = farkas ~max_rows (incidence net) in
+let p_invariants net =
+  let minimal = farkas (incidence net) in
   let initial = Petri.initial_marking net in
   List.map
     (fun y ->
@@ -91,11 +93,11 @@ let p_invariants ?(max_rows = 4096) net =
       { weights = y; token_sum = !sum })
     minimal
 
-let t_invariants ?(max_rows = 4096) net =
+let t_invariants net =
   let c = incidence net in
   let np = Petri.n_places net and nt = Petri.n_transitions net in
   let ct = Array.init nt (fun t -> Array.init np (fun p -> c.(p).(t))) in
-  List.map (fun x -> { counts = x }) (farkas ~max_rows ct)
+  List.map (fun x -> { counts = x }) (farkas ct)
 
 let covered net invs =
   let np = Petri.n_places net in

@@ -26,22 +26,23 @@ type t_invariant = {
     generating T-invariant fails on a candidate cyclic execution. *)
 
 exception Too_many of int
-(** Raised when intermediate rows exceed the cap; carries the cap. *)
+(** Raised when the elimination's intermediate rows exceed its growth
+    cap of 4096; carries the cap. *)
 
 (** [incidence net] is the place × transition incidence matrix
     [C.(p).(t) = post − pre]. *)
 val incidence : Petri.t -> int array array
 
-(** [p_invariants ?max_rows net] computes a generating set of minimal
+(** [p_invariants net] computes a generating set of minimal
     non-negative P-invariants (integer, gcd-reduced).
-    @param max_rows growth cap for the elimination (default 4096). *)
-val p_invariants : ?max_rows:int -> Petri.t -> invariant list
+    @raise Too_many past the growth cap. *)
+val p_invariants : Petri.t -> invariant list
 
-(** [t_invariants ?max_rows net] computes a generating set of minimal
+(** [t_invariants net] computes a generating set of minimal
     non-negative T-invariants by running the same elimination on the
     transposed incidence matrix.
-    @param max_rows growth cap for the elimination (default 4096). *)
-val t_invariants : ?max_rows:int -> Petri.t -> t_invariant list
+    @raise Too_many past the growth cap. *)
+val t_invariants : Petri.t -> t_invariant list
 
 (** [covered net invs] holds when every place has positive weight in some
     invariant — a structural boundedness certificate. *)

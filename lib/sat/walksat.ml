@@ -10,8 +10,10 @@ type stats = { flips : int; tries : int }
    seed yields the same flip trajectory, the same model and the same
    statistics as the historical implementation — only faster. *)
 
-let solve ?(seed = 0) ?(noise = 0.5) ?(init = `Random) ?max_flips
-    ?(max_tries = 10) f =
+(* Probability of a random-walk flip. *)
+let noise = 0.5
+
+let solve ?(seed = 0) ?(init = `Random) ?max_flips ?(max_tries = 10) f =
   Counter.bump Counter.solver;
   let rng = Random.State.make [| seed |] in
   let nv = Cnf.n_vars f in

@@ -4,9 +4,10 @@
     references [2]-[9]); this solver is the library's homage and an
     alternative backend for satisfiable CSC instances: start from a random
     assignment and repeatedly repair a random unsatisfied clause, flipping
-    either a random variable in it (noise) or the variable that breaks the
-    fewest currently-satisfied clauses.  Incomplete: it can only prove
-    satisfiability, never unsatisfiability.
+    either a random variable in it (noise: probability 1/2) or the
+    variable that breaks the fewest currently-satisfied clauses.
+    Incomplete: it can only prove satisfiability, never
+    unsatisfiability.
 
     Break counts are maintained incrementally (through a per-clause
     critical-variable index) rather than recomputed per flip; the
@@ -16,10 +17,9 @@
 
 type stats = { flips : int; tries : int }
 
-(** [solve ?seed ?noise ?init ?max_flips ?max_tries f] searches for a
-    model.
+(** [solve ?seed ?init ?max_flips ?max_tries f] searches for a model,
+    making a random-walk flip with probability 0.5.
     @param seed   PRNG seed (default 0; runs are deterministic)
-    @param noise  probability of a random-walk flip (default 0.5)
     @param init   starting assignment of the {e first} try: [`Random]
                   (default) or [`False] — all variables false, so the
                   search only raises what the constraints force.  Retries
@@ -30,7 +30,6 @@ type stats = { flips : int; tries : int }
             [None] if no model was found within the budget. *)
 val solve :
   ?seed:int ->
-  ?noise:float ->
   ?init:[ `Random | `False ] ->
   ?max_flips:int ->
   ?max_tries:int ->

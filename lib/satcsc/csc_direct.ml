@@ -10,8 +10,10 @@ type report = {
 
 let max_model_rejects = 32
 
-let solve ?backtrack_limit ?time_limit ?(name_prefix = "csc") ?(max_extra = 6)
-    ?(accept = fun _ -> true) sg =
+(* Signals tried beyond the lower bound before giving up. *)
+let max_extra = 6
+
+let solve ?backtrack_limit ?time_limit ?(accept = fun _ -> true) sg =
   let deadline = Deadline.of_limit time_limit in
   let formulas = ref [] and stats = ref [] in
   let finish outcome n_new =
@@ -41,7 +43,7 @@ let solve ?backtrack_limit ?time_limit ?(name_prefix = "csc") ?(max_extra = 6)
           match result with
           | Dpll.Sat model -> (
             let names =
-              Array.init n_new (fun k -> name_prefix ^ string_of_int k)
+              Array.init n_new (fun k -> "csc" ^ string_of_int k)
             in
             let solved = Csc_encode.apply sg enc model ~names in
             assert (Csc.csc_satisfied solved);

@@ -21,15 +21,13 @@ type report = {
   solver_stats : Dpll.stats list;
 }
 
-(** [solve ?backtrack_limit ?time_limit ?name_prefix ?max_extra sg]
-    resolves all CSC conflicts of [sg].
+(** [solve ?backtrack_limit ?time_limit ?accept sg] resolves all CSC
+    conflicts of [sg].  New signals are named ["csc" ^ string_of_int k];
+    the solver gives up (with [Signal_limit]) beyond the lower bound
+    plus 6 additional signals.
     @param time_limit wall-clock seconds for the whole call, shared by
            every SAT attempt; running out gives up with [Time_limit]
            (default: none)
-    @param name_prefix new signals are named [prefix ^ string_of_int k]
-           (default ["csc"])
-    @param max_extra give up (with [Signal_limit]) beyond lower bound +
-           this many additional signals (default 6)
     @param accept extra validation of a solved labeling (default accepts
            everything); a rejected labeling is excluded with a blocking
            clause and the solver produces the next model, escalating to
@@ -39,8 +37,6 @@ type report = {
 val solve :
   ?backtrack_limit:int ->
   ?time_limit:float ->
-  ?name_prefix:string ->
-  ?max_extra:int ->
   ?accept:(Sg.t -> bool) ->
   Sg.t ->
   report

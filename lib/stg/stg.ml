@@ -110,12 +110,12 @@ let pp_issue stg ppf = function
          (Array.init (Petri.n_places stg.net) (Petri.place_name stg.net)))
       m
 
-let validate ?max_states stg =
+let validate stg =
   let issues = ref [] in
   for s = 0 to n_signals stg - 1 do
     if stg.by_signal.(s) = [] then issues := Unused_signal s :: !issues
   done;
-  let g = Reach.explore ?max_states stg.net in
+  let g = Reach.explore stg.net in
   if not (Reach.is_safe g) then issues := Unsafe :: !issues;
   let fireable = Reach.fireable_transitions g in
   for t = 0 to Petri.n_transitions stg.net - 1 do

@@ -64,9 +64,11 @@ type issue =
 
 val pp_issue : t -> Format.formatter -> issue -> unit
 
-(** [validate ?max_states stg] runs the structural and behavioural sanity
-    checks used before synthesis and returns all issues found (empty list
-    when the STG is live, safe and fully used). *)
-val validate : ?max_states:int -> t -> issue list
+(** [validate stg] runs the structural and behavioural sanity checks
+    used before synthesis and returns all issues found (empty list when
+    the STG is live, safe and fully used).  It explores the reachability
+    graph under {!Reach.explore}'s default cap.
+    @raise Reach.Too_many_states past that cap. *)
+val validate : t -> issue list
 
 val pp : Format.formatter -> t -> unit

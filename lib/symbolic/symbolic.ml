@@ -246,13 +246,13 @@ type fixpoint = {
   fx_states : int;
 }
 
-let fixpoint ?cluster_max net =
+let fixpoint net =
   match Symenc.unsupported net with
   | Some reason -> Error reason
   | None ->
     let enc = Symenc.make net in
     let mgr = Bdd.manager ~cache_bits:15 () in
-    let rel = Symrel.build ?cluster_max mgr enc in
+    let rel = Symrel.build mgr enc in
     let init = Symenc.marking_bdd mgr enc enc.Symenc.init_mask in
     let reached = ref init and frontier = ref init and iters = ref 0 in
     while not (Bdd.is_false !frontier) do
@@ -288,8 +288,8 @@ let sym_info fx =
 (* [run] drives one exploration to either a symbolic result (via
    [finish], which may still discover an unsafe firing during the
    replay) or an explicit fallback (via [fall], handed the reason). *)
-let run ?(max_states = 100_000) ?cluster_max net ~finish ~fall =
-  match fixpoint ?cluster_max net with
+let run ?(max_states = 100_000) net ~finish ~fall =
+  match fixpoint net with
   | Error reason -> fall ~reason
   | Ok fx ->
     if fx.fx_states > max_states then (
@@ -306,8 +306,8 @@ let run ?(max_states = 100_000) ?cluster_max net ~finish ~fall =
       | r -> r
       | exception Unsafe_fire t -> fall ~reason:(unsafe_reason net t))
 
-let explore_edges_info ?max_states ?cluster_max net =
-  run ?max_states ?cluster_max net
+let explore_edges_info ?max_states net =
+  run ?max_states net
     ~finish:(fun fx ->
       let edata, n_edges = replay fx.fx_enc fx.fx_states in
       Counter.bump Counter.symbolic;
@@ -317,5 +317,4 @@ let explore_edges_info ?max_states ?cluster_max net =
       ( (Reach.n_states g, Reach.edge_buffer g.Reach.edges, Reach.n_edges g),
         explicit_info ~reason g ))
 
-let explore_edges ?max_states ?cluster_max net =
-  fst (explore_edges_info ?max_states ?cluster_max net)
+let explore_edges ?max_states net = fst (explore_edges_info ?max_states net)

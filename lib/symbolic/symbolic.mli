@@ -31,7 +31,7 @@ type info = {
   i_bdd_nodes : int;  (** manager nodes live after the fixpoint *)
 }
 
-(** [explore_edges ?max_states ?cluster_max net] builds the
+(** [explore_edges ?max_states net] builds the
     reachability graph symbolically: [(n_states, buf, n_edges)] where
     edge [e] is the triple [(buf.(3e), buf.(3e+1), buf.(3e+2))] =
     (source state, transition, destination state) of the graph
@@ -40,19 +40,15 @@ type info = {
     even boxed edge tuples.  The state-graph derivation reads nothing
     else; skipping the rest of the [Reach.t] materialization is where
     much of the end-to-end win over the explicit sweep comes from.
+    Transition-relation clusters are capped at
+    {!Symrel.default_cluster_max} places of support.
     @param max_states exploration cap, default [100_000] — the same
       contract as [Reach.explore]
-    @param cluster_max support-size cap per transition-relation
-      cluster, default {!Symrel.default_cluster_max}
     @raise Reach.Too_many_states if more markings than the cap are
       reachable (detected by exact onset counting before any
       enumeration). *)
-val explore_edges :
-  ?max_states:int -> ?cluster_max:int -> Petri.t -> int * int array * int
+val explore_edges : ?max_states:int -> Petri.t -> int * int array * int
 
 (** [explore_edges_info] additionally reports how it went. *)
 val explore_edges_info :
-  ?max_states:int ->
-  ?cluster_max:int ->
-  Petri.t ->
-  (int * int array * int) * info
+  ?max_states:int -> Petri.t -> (int * int array * int) * info

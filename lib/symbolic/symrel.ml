@@ -96,8 +96,8 @@ let transition_rel mgr enc t support =
   in
   Bdd.conj mgr factors
 
-let build ?(cluster_max = default_cluster_max) mgr enc =
-  let groups = plan enc ~cluster_max in
+let build mgr enc =
+  let groups = plan enc ~cluster_max:default_cluster_max in
   let clusters =
     List.map
       (fun (members, support) ->

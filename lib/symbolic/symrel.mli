@@ -25,8 +25,9 @@ val default_cluster_max : int
     support.  Exposed for tests and diagnostics. *)
 val plan : Symenc.t -> cluster_max:int -> (int list * int list) list
 
-(** [build ?cluster_max mgr enc] builds the clustered relation. *)
-val build : ?cluster_max:int -> Bdd.manager -> Symenc.t -> t
+(** [build mgr enc] builds the clustered relation, grouped by
+    [plan enc ~cluster_max:default_cluster_max]. *)
+val build : Bdd.manager -> Symenc.t -> t
 
 val n_clusters : t -> int
 

@@ -38,7 +38,10 @@ let dedup_key = function
 let event_name sg (s, d) =
   Sg.signal_name sg s ^ (match d with Sg.R -> "+" | Sg.F -> "-")
 
-let check ?(max_states = 1_000_000) ?(max_violations = 32) ~spec ~initial nl =
+(* Distinct violations after which an exploration stops. *)
+let max_violations = 32
+
+let check ?(max_states = 1_000_000) ~spec ~initial nl =
   Counter.bump Counter.sim;
   let violations = ref [] and vkeys = Hashtbl.create 16 in
   let n_violations = ref 0 in
@@ -295,7 +298,7 @@ let check ?(max_states = 1_000_000) ?(max_violations = 32) ~spec ~initial nl =
    spec state, hidden labels leave the spec state unchanged.  Codes of
    shared signals must agree in every reachable pair, and every spec
    edge must be matched somewhere. *)
-let refines ?(max_states = 1_000_000) ?(max_violations = 32) ~spec impl =
+let refines ?(max_states = 1_000_000) ~spec impl =
   let violations = ref [] and vkeys = Hashtbl.create 16 in
   let n_violations = ref 0 in
   let add_violation v =

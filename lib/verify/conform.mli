@@ -72,21 +72,20 @@ type report = { violations : violation list; stats : stats }
 (** [conforms r] holds when no violation was recorded. *)
 val conforms : report -> bool
 
-(** [check ?max_states ?max_violations ~spec ~initial nl] explores the
-    product of [nl] and [spec] from [initial] (a full boundary valuation
-    of [nl]; it must agree with [spec]'s initial code on the spec's
-    signals).  Exploration stops early once [max_violations] distinct
-    violations are found (default 32) or [max_states] product states are
-    expanded (default 1_000_000, reported as {!Capped}). *)
+(** [check ?max_states ~spec ~initial nl] explores the product of [nl]
+    and [spec] from [initial] (a full boundary valuation of [nl]; it
+    must agree with [spec]'s initial code on the spec's signals).
+    Exploration stops early once 32 distinct violations are found or
+    [max_states] product states are expanded (default 1_000_000,
+    reported as {!Capped}). *)
 val check :
   ?max_states:int ->
-  ?max_violations:int ->
   spec:Sg.t ->
   initial:(string * bool) list ->
   Netlist.t ->
   report
 
-(** [refines ?max_states ?max_violations ~spec impl] checks that the
+(** [refines ?max_states ~spec impl] checks that the
     state graph [impl] (typically the expanded graph, whose inserted
     state signals became ordinary signals) realises the abstract graph
     [spec] once the signals [spec] does not know are hidden: walking
@@ -95,8 +94,9 @@ val check :
     codes must agree on the shared signals in every reachable product
     pair, [impl] must not halt while [spec] can move
     ({!Refinement_stuck}), and every [spec] edge must be matched
-    somewhere ({!Unrealized_edge}). *)
-val refines : ?max_states:int -> ?max_violations:int -> spec:Sg.t -> Sg.t -> report
+    somewhere ({!Unrealized_edge}).  It stops at the same bounds as
+    {!check}. *)
+val refines : ?max_states:int -> spec:Sg.t -> Sg.t -> report
 
 val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit

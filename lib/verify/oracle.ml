@@ -240,8 +240,7 @@ type differential = {
    backends — same algorithm, same escalation ladder, different
    decision engines — and tolerates the whole-graph [Direct] baseline
    timing out on instances that are exactly the paper's motivation. *)
-let differential_one ?(backends = all_backends) ?backtrack_limit ?time_limit
-    ?max_states ?cache stg =
+let differential_one ?backtrack_limit ?time_limit ?max_states ?cache stg =
   let verdicts =
     List.map
       (fun b ->
@@ -251,7 +250,7 @@ let differential_one ?(backends = all_backends) ?backtrack_limit ?time_limit
           | Error msg -> Error msg
         in
         (b, v))
-      backends
+      all_backends
   in
   let solved = List.filter (fun (_, v) -> Result.is_ok v) verdicts in
   let modular =

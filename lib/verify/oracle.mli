@@ -119,12 +119,11 @@ type differential = {
           implementation passed its certificate *)
 }
 
-(** [differential_one ?backends ?max_states ?cache stg] cross-checks one
-    specification over the given backends (default {!all_backends}).
+(** [differential_one ?backtrack_limit ?time_limit ?max_states ?cache
+    stg] cross-checks one specification over {!all_backends}.
     [cache] threads the synthesis cache through every backend run and
     certificate, so seeded fuzz re-runs are warm. *)
 val differential_one :
-  ?backends:backend list ->
   ?backtrack_limit:int ->
   ?time_limit:float ->
   ?max_states:int ->

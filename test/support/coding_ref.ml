@@ -2,8 +2,8 @@
    them off [Sg]: a second consistent state assignment, ε union-find and
    signature-keyed conflict count over [Reach.explore]'s graph.  The
    reference the test-suite compares [Prefix_rules.analyze]'s
-   [s_sg_states], [s_usc], [s_csc], [s_conflicts] and [s_coexcited]
-   against, verdict for verdict. *)
+   [s_sg_states], [s_usc], [s_csc] and [s_conflicts] against, verdict
+   for verdict. *)
 
 type edge_kind = Krise | Kfall | Ktoggle | Ksilent
 
@@ -21,7 +21,6 @@ type coding = {
   cd_usc : bool;
   cd_csc : bool;
   cd_conflicts : int;
-  cd_coexcited : ((string * bool) * (string * bool)) list;
 }
 
 let exact_coding stg (g : Reach.t) =
@@ -183,32 +182,11 @@ let exact_coding stg (g : Reach.t) =
             in
             pairs sigs)
         by_code;
-      let co = Hashtbl.create 64 in
-      Array.iter
-        (fun evs ->
-          let evs =
-            List.sort compare
-              (List.map
-                 (fun (s, is_rise) -> (Stg.signal_name stg s, is_rise))
-                 evs)
-          in
-          let rec pairs = function
-            | [] -> ()
-            | a :: rest ->
-              List.iter (fun b -> Hashtbl.replace co (a, b) ()) rest;
-              pairs rest
-          in
-          pairs evs)
-        exc;
-      let cd_coexcited =
-        List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) co [])
-      in
       Some
         {
           cd_n_classes = nc;
           cd_usc = !usc;
           cd_csc = !conflicts = 0;
           cd_conflicts = !conflicts;
-          cd_coexcited;
         }
     with Inconsistent_values -> None

@@ -237,6 +237,42 @@ let test_cli_jobs_deterministic () =
        the byte-identity guarantee must survive that too *)
     [ ""; "--json"; "--prefix"; "--prefix --json" ]
 
+(* The prefix never changes a hazard verdict: H2 tests only pairs that
+   are co-excited in the expanded graph, hence in the specification, so
+   no prefix-derived relation could skip one.  The netlist report (A7
+   and the H rules, the second JSON document) must be the same bytes
+   with and without --prefix. *)
+let test_cli_prefix_keeps_netlist_report () =
+  let generated args =
+    let code, text = run_cli ("gen " ^ args) in
+    Alcotest.(check int) ("gen " ^ args) 0 code;
+    let path = Filename.temp_file "mpsyn_gen" ".g" in
+    let oc = open_out_bin path in
+    output_string oc text;
+    close_out oc;
+    path
+  in
+  let gens = [ generated "pulsers -k 4"; generated "mixed -n 2 -k 3" ] in
+  let netlist_report args file =
+    let code, text =
+      run_cli (Printf.sprintf "lint --netlist --hazard --json %s %s" args file)
+    in
+    match Json.of_string text with
+    | Json.List [ _; netlist ] -> (code, Json.to_string netlist)
+    | _ -> Alcotest.failf "%s: expected the STG and netlist reports" file
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove gens)
+    (fun () ->
+      List.iter
+        (fun file ->
+          let c0, r0 = netlist_report "" file in
+          let c1, r1 = netlist_report "--prefix" file in
+          Alcotest.(check int) (file ^ ": exit codes agree") c0 c1;
+          Alcotest.(check string) (file ^ ": netlist report identical") r0 r1)
+        (List.map (Filename.concat data_dir) [ "fifo.g"; "mr0.g"; "vbe4a.g" ]
+        @ gens))
+
 let () =
   Qseed.announce ();
   let files = g_files () in
@@ -266,5 +302,7 @@ let () =
           Alcotest.test_case "exit codes (5/0/2)" `Quick test_cli_exit_codes;
           Alcotest.test_case "--jobs 1 = --jobs 4 output" `Quick
             test_cli_jobs_deterministic;
+          Alcotest.test_case "--prefix keeps the netlist report" `Quick
+            test_cli_prefix_keeps_netlist_report;
         ] );
     ]

@@ -474,6 +474,22 @@ let test_no_false_positives () =
         (List.length plan.Partition_check.p_order))
     (g_files ())
 
+(* Synthesis and lint share one solve order: on every data/*.g net
+   (none has CSC on its complete graph, so synthesis counts real
+   conflicts too) the modules come in the audited plan's order. *)
+let test_synthesis_follows_plan_order () =
+  List.iter
+    (fun f ->
+      let stg = Gformat.parse_file (Filename.concat data_dir f) in
+      let config = { Mpart.default_config with jobs = 1 } in
+      let r = Mpart.synthesize ~config stg in
+      check (not r.Mpart.certificate) (f ^ ": Σ lacks CSC");
+      Alcotest.(check (list string))
+        (f ^ ": modules in p_order")
+        (Mpart.partition_summary config stg).Partition_check.p_order
+        (List.map (fun m -> m.Mpart.output_name) r.Mpart.modules))
+    (g_files ())
+
 (* ================================================================== *)
 (* Dedup: solver calls provably drop, results stay verified            *)
 
@@ -503,10 +519,13 @@ let test_dedup_saves_solver_calls () =
   check
     (dedup_calls < fresh_calls)
     (Printf.sprintf "solver calls drop (%d < %d)" dedup_calls fresh_calls);
-  (* the plan records the duplicate group the replay consumed *)
+  (* the audited plan records the duplicate group the replay consumed *)
+  let plan =
+    Mpart.partition_summary ~jobs:1 Mpart.default_config (two_outputs_stg ())
+  in
   check
-    (dedup.Mpart.plan.Partition_check.p_duplicates <> [])
-    "result plan records the duplicate group"
+    (plan.Partition_check.p_duplicates <> [])
+    "partition summary records the duplicate group"
 
 (* --jobs invariance with dedup and risk ordering active: the final
    graph is bit-identical however the analyses were scheduled. *)
@@ -647,6 +666,8 @@ let () =
         [
           Alcotest.test_case "data/*.g plans audit clean" `Quick
             test_no_false_positives;
+          Alcotest.test_case "synthesis follows the plan order" `Quick
+            test_synthesis_follows_plan_order;
         ] );
       ( "dedup",
         [

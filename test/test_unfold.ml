@@ -102,11 +102,7 @@ let check_agreement stg =
   Alcotest.(check (option int))
     "U3 conflict pairs = reference"
     (ref_field (fun c -> c.Coding_ref.cd_conflicts))
-    p.Prefix_rules.s_conflicts;
-  check
-    (ref_field (fun c -> c.Coding_ref.cd_coexcited)
-    = p.Prefix_rules.s_coexcited)
-    "co-excitation = reference"
+    p.Prefix_rules.s_conflicts
 
 let test_benchmark name () =
   match List.assoc_opt name Bench_data.all with
@@ -239,7 +235,19 @@ let test_marking_cap_abstains () =
   check p.Prefix_rules.s_complete "parallel_rings 8: complete prefix";
   check (p.Prefix_rules.s_markings = None) "U4 abstains";
   check (p.Prefix_rules.s_csc = None) "U3 abstains";
-  check (p.Prefix_rules.s_unsafe = None) "U1 still proves safeness"
+  check (p.Prefix_rules.s_unsafe = None) "U1 still proves safeness";
+  let u4 =
+    List.filter
+      (fun d -> d.Diagnostic.rule = "U4-statebound")
+      (Prefix_rules.diagnostics ~loc:Diagnostic.no_loc stg p)
+  in
+  Alcotest.(check (list string))
+    "U4 names the cap"
+    [ "state graph not explored: more than 262144 reachable markings" ]
+    (List.map (fun d -> d.Diagnostic.message) u4);
+  check
+    (List.for_all (fun d -> d.Diagnostic.severity = Diagnostic.Info) u4)
+    "the U4 line is an Info"
 
 (* Parallel rings: CSC holds but cross-ring pairs never alternate, so
    the A6 lock relation abstains — only the exact U3 verdict certifies
@@ -524,7 +532,6 @@ let test_inconsistent_abstains () =
   Alcotest.(check (option bool)) "no CSC verdict" None p.Prefix_rules.s_csc;
   Alcotest.(check (option int)) "no conflict count" None
     p.Prefix_rules.s_conflicts;
-  check (p.Prefix_rules.s_coexcited = None) "no co-excitation relation";
   let message =
     match Sg.of_stg stg with
     | _ -> Alcotest.fail "Sg.of_stg must reject the net"

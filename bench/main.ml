@@ -196,7 +196,7 @@ let scaling_methods () =
     [ (1, 1); (2, 1); (4, 1); (1, 2); (2, 2); (4, 2); (2, 3); (3, 3) ]
 
 (* ------------------------------------------------------------------ *)
-(* E8: multicore scaling and the machine-readable bench trajectory     *)
+(* The machine-readable bench trajectory                              *)
 (* ------------------------------------------------------------------ *)
 
 let netlist_verilog stg (r : Mpart.result) =
@@ -361,11 +361,12 @@ let measure_hazard (r : Mpart.result) =
   in
   (hz, t_hazard, t_dynamic)
 
-(* One benchmark, measured at --jobs 1 and at [par] domains; the two
-   synthesized netlists must match gate for gate.  A third and fourth
-   run measure the cache: cold (populating a fresh store) then warm,
-   both at [par] domains, and both netlists must again match the
-   uncached sequential bytes.  The result is the benchmark's
+(* One benchmark, synthesized twice, with [Mpart.config.jobs] at 1 and
+   at [par] (synthesis ignores the width and runs on one domain, so the
+   two time columns time the same path); the two synthesized netlists
+   must match gate for gate.  A third and fourth run measure the cache:
+   cold (populating a fresh store) then warm, and both netlists must
+   again match the uncached bytes.  The result is the benchmark's
    [mpsyn-bench/1] trajectory row. *)
 let measure ~par name stg =
   let r1, t1 =
@@ -465,26 +466,6 @@ let pp_row row =
     (col Json.to_float "hazard_time")
     (col Json.to_float "cache_speedup")
     (if col Json.to_bool "cache_identical" then "identical" else "CACHE DIVERGES")
-
-let scaling () =
-  let par = 4 in
-  Printf.printf
-    "== E8: multicore scaling — wall clock at --jobs 1 vs --jobs %d ==\n" par;
-  Printf.printf "   (%d recommended domains on this machine)\n"
-    (Domain.recommended_domain_count ());
-  Printf.printf "%-16s %8s %6s %10s %10s %10s\n" "instance" "states" "area"
-    "jobs=1(s)" (Printf.sprintf "jobs=%d(s)" par) "speedup";
-  List.iter
-    (fun (name, stg) -> pp_row (measure ~par name stg))
-    ([
-       ("lock_ring-12", Bench_gen.lock_ring ~signals:12);
-       ("lock_ring-20", Bench_gen.lock_ring ~signals:20);
-     ]
-    @ List.map
-        (fun (stages, branches) ->
-          ( Printf.sprintf "mixed-%dx%d" stages branches,
-            Bench_gen.mixed ~stages ~branches ))
-        [ (1, 1); (2, 2); (4, 2); (2, 3); (3, 3) ])
 
 (* The trajectory file: per-benchmark states, area, wall times and
    speedup, one benchmark object per line. *)
@@ -1383,7 +1364,6 @@ let experiments =
     ("table1", table table1);  (* E1: Table 1, and E4: area summary *)
     ("clauses", table clauses);  (* E2: mmu0-style formula sizes *)
     ("scaling-methods", table scaling_methods);  (* E3: runtime scaling *)
-    ("scaling", table scaling);  (* E8: multicore scaling *)
     ("modules", table modules);  (* E5: partition statistics *)
     ("hazard", table hazard_table);  (* E9: static H1-H5 vs dynamic *)
     ("cache", Table cache_table);  (* E10: cold vs warm cache *)

@@ -120,11 +120,11 @@ let no_lint_arg =
 
 let jobs_arg =
   let doc =
-    "Width of the domain pool for the solver-independent stages \
-     (per-output module derivation, fuzz cases).  \
-     $(b,1) forces the fully sequential path; results are bit-identical \
-     for any width.  Defaults to $(b,MPSYN_JOBS) or the machine's \
-     recommended domain count."
+    "Width of the domain pool over the input files (lint) or the fuzz \
+     cases (verify); each synthesis runs on one domain.  $(b,1) forces \
+     the fully sequential path; results are bit-identical for any \
+     width.  Defaults to $(b,MPSYN_JOBS) or the machine's recommended \
+     domain count."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -141,11 +141,11 @@ let resolve_jobs = function
     match Sys.getenv_opt "MPSYN_JOBS" with
     | None | Some "" -> Pool.default_jobs ()
     | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 ->
+      match Pool.jobs_of_string s with
+      | Some n ->
         Pool.set_default_jobs n;
         n
-      | Some _ | None ->
+      | None ->
         Printf.eprintf
           "mpsyn: MPSYN_JOBS must be a positive integer (got %s)\n" s;
         exit exit_usage))
@@ -156,7 +156,7 @@ let cache_arg =
      Solver-independent stages — reachability, modular CSC solutions, \
      minimized covers, conformance explorations — are memoized on disk \
      under keys derived from the canonical .g text and the \
-     jobs-invariant options, so a warm re-run replays the cold results \
+     synthesis options, so a warm re-run replays the cold results \
      bit for bit.  Defaults to $(b,MPSYN_CACHE) when set; hit/miss \
      counts are reported on stderr."
   in
@@ -330,7 +330,7 @@ let lint_cmd =
     let results =
       Pool.map_list ~jobs
         (fun (name, (stg, map)) ->
-          let config = { Mpart.default_config with jobs; cache } in
+          let config = { Mpart.default_config with cache } in
           (* one prefix per specification, shared by the U-rules and the
              A5 exact oracle, and cached by the .g text *)
           let psum =
@@ -340,7 +340,7 @@ let lint_cmd =
           (* likewise one partition audit per specification, cached by
              the .g text *)
           let plan_summary =
-            if partition then Some (Mpart.partition_summary ~jobs:1 config stg)
+            if partition then Some (Mpart.partition_summary config stg)
             else None
           in
           let { Lint.report; _ } = Lint.run ?map ?prefix:psum stg in
@@ -477,8 +477,8 @@ let info_cmd =
 let print_functions fs =
   List.iter (fun f -> Format.printf "  %a@." Derive.pp_func f) fs
 
-(* Wall time goes to stderr, so stdout stays byte-stable across runs,
-   pool widths and warm or cold caches. *)
+(* Wall time goes to stderr, so stdout stays byte-stable across runs
+   and warm or cold caches. *)
 let timed what f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
@@ -487,9 +487,8 @@ let timed what f =
 
 let synth_cmd =
   let run stg_name method_ backtrack_limit time_limit hazard_free backend
-      celements no_lint jobs_opt cache_opt =
+      celements no_lint cache_opt =
     guard_budget @@ fun () ->
-    let jobs = resolve_jobs jobs_opt in
     let cache = resolve_cache cache_opt in
     lint_gate ~skip:no_lint stg_name;
     let stg = load_stg stg_name in
@@ -502,7 +501,6 @@ let synth_cmd =
           time_limit;
           hazard_free;
           backend;
-          jobs;
           cache;
         }
       in
@@ -574,8 +572,7 @@ let synth_cmd =
     (Cmd.info "synth" ~exits ~doc:"Synthesize a speed-independent circuit from an STG")
     Term.(
       const run $ stg_arg $ method_arg $ backtrack_arg $ time_arg $ hazard_arg
-      $ backend_arg $ celements_arg $ no_lint_arg
-      $ jobs_arg $ cache_arg)
+      $ backend_arg $ celements_arg $ no_lint_arg $ cache_arg)
 
 let bench_cmd =
   let run stg_name =
@@ -675,14 +672,11 @@ let gen_cmd =
     Term.(const run $ family $ n_arg $ k_arg)
 
 let verilog_cmd =
-  let run stg_name jobs_opt cache_opt =
+  let run stg_name cache_opt =
     guard_budget @@ fun () ->
-    let jobs = resolve_jobs jobs_opt in
     let cache = resolve_cache cache_opt in
     let stg = load_stg stg_name in
-    let r =
-      Mpart.synthesize ~config:{ Mpart.default_config with jobs; cache } stg
-    in
+    let r = Mpart.synthesize ~config:{ Mpart.default_config with cache } stg in
     (match Mpart.verify r with
     | None -> ()
     | Some e ->
@@ -703,7 +697,7 @@ let verilog_cmd =
   Cmd.v
     (Cmd.info "verilog" ~exits
        ~doc:"Synthesize and emit a structural Verilog netlist")
-    Term.(const run $ stg_arg $ jobs_arg $ cache_arg)
+    Term.(const run $ stg_arg $ cache_arg)
 
 let verify_cmd =
   let stgs_arg =
@@ -750,7 +744,6 @@ let verify_cmd =
           backtrack_limit;
           time_limit;
           backend;
-          jobs;
           cache;
         }
       in

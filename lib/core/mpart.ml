@@ -21,7 +21,7 @@ let default_config =
     hazard_free = false;
     backend = `Sat;
     dedup_cones = true;
-    jobs = Pool.default_jobs ();
+    jobs = 1;
     cache = None;
   }
 
@@ -30,10 +30,9 @@ let default_config =
 (* ------------------------------------------------------------------ *)
 
 (* Everything a cached result depends on besides the content digest.
-   [jobs] is deliberately absent: results are bit-identical for any
-   pool width, so entries are shared across --jobs settings.  The
-   engines are absent because they are chosen from the complete graph,
-   itself a function of the specification and the options below. *)
+   [jobs] is absent: synthesis ignores it.  The engines are absent
+   because they are chosen from the complete graph, itself a function
+   of the specification and the options below. *)
 let fingerprint config =
   [
     ( "backend",
@@ -243,18 +242,16 @@ let analyze ~certificate g o =
   in
   (o, inp, conflicts)
 
-(* Every output's module analyzed against the complete graph on the
-   pool, in output order. *)
-let analyze_outputs ~config ~certificate complete =
-  let outputs =
-    List.filter (Sg.non_input complete) (List.init (Sg.n_signals complete) Fun.id)
-  in
-  Pool.map_list ~jobs:config.jobs (analyze ~certificate complete) outputs
+(* Every output's module analyzed against the complete graph, in
+   output order. *)
+let analyze_outputs ~certificate complete =
+  List.filter (Sg.non_input complete) (List.init (Sg.n_signals complete) Fun.id)
+  |> List.map (analyze ~certificate complete)
 
 (* Stage 1, the partition plan: every output's analysis in the M4 solve
    order, low-risk modules first. *)
-let plan ~config ~certificate complete =
-  let analyses = analyze_outputs ~config ~certificate complete in
+let plan ~certificate complete =
+  let analyses = analyze_outputs ~certificate complete in
   Partition_check.solve_order
     (List.map
        (fun (o, (inp : Input_derivation.t), conflicts) ->
@@ -485,7 +482,7 @@ let implement ~config ~deadline ~fresh_name ~modules complete current =
    clean up, implement. *)
 let synthesize_complete ~config ~deadline complete =
   let certificate = Csc.csc_satisfied complete in
-  let analyses = plan ~config ~certificate complete in
+  let analyses = plan ~certificate complete in
   let fresh_name = fresh_names () in
   let inserted, modules, replayed, stale_analyses =
     insert ~config ~deadline ~fresh_name ~certificate analyses complete
@@ -509,7 +506,7 @@ let synthesize_complete ~config ~deadline complete =
 (* The same flow from an already-derived complete state graph.  Its
    [config.time_limit] becomes one wall-clock deadline that every
    module, cleanup, repair and global pass shares, so the limit bounds
-   the whole run at any [jobs]. *)
+   the whole run. *)
 let synthesize_sg ?(config = default_config) complete =
   synthesize_complete ~config
     ~deadline:(Deadline.of_limit config.time_limit)
@@ -518,8 +515,7 @@ let synthesize_sg ?(config = default_config) complete =
 (* The partial-order analysis behind `mpsyn lint --prefix`: a complete
    finite prefix of the STG's unfolding, with the exact U1-U4 verdicts
    computed on it.  The summary is plain data (no timings, no machine
-   state) and deterministic for any pool width, so it is cached by the
-   specification digest alone — shared across --jobs settings. *)
+   state), so it is cached by the specification digest alone. *)
 let prefix_summary config stg =
   memoize config ~stage:"prefix" ~params:[]
     (fun () -> Cache_key.stg_digest stg)
@@ -547,13 +543,10 @@ let complete_of_stg config stg =
    output's analysis with real conflict counts (no certificate zeroing
    — the plan describes the partition, not one synthesis run's
    shortcuts), checked by the M rules.  Synthesis never runs this
-   audit.  The summary is plain data, deterministic for any pool width,
-   and depends only on the specification and the state cap, so it is
-   memoized by the STG digest alone. *)
-let partition_summary ?jobs config stg =
-  let config =
-    match jobs with Some jobs -> { config with jobs } | None -> config
-  in
+   audit.  The summary is plain data and depends only on the
+   specification and the state cap, so it is memoized by the STG digest
+   alone. *)
+let partition_summary config stg =
   memoize config ~stage:"plan"
     ~params:[ ("max_states", string_of_int config.max_states) ]
     (fun () -> Cache_key.stg_digest stg)
@@ -572,7 +565,7 @@ let partition_summary ?jobs config stg =
           c_conflicts = conflicts;
         }
       in
-      analyze_outputs ~config ~certificate:false complete
+      analyze_outputs ~certificate:false complete
       |> List.map cone_of
       |> Partition_check.summarize ~complete)
 

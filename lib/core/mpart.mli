@@ -32,8 +32,7 @@ type config = {
       (** wall-clock seconds for the whole run: each {!synthesize} or
           {!synthesize_sg} call makes one {!Deadline} that the module
           solves, the cleanup pass and the implementation's repair and
-          global passes share, so the limit means the same at any
-          [jobs] *)
+          global passes share *)
   max_states : int;  (** reachability cap *)
   hazard_free : bool;  (** enlarge covers to kill static-1 hazards *)
   backend : [ `Sat | `Dpll | `Bdd ];
@@ -48,19 +47,15 @@ type config = {
           first's CSC solution through the renumberings instead of
           calling the solver again (default true) *)
   jobs : int;
-      (** domain-pool width of the partition plan: every output's
-          derivation, projection and conflict detection against Σ fan
-          out over {!Pool} with this width.  The insertion after it is
-          sequential at any width, re-analyses included, so every width
-          does the same work and produces bit-identical results.
-          Default: {!Pool.default_jobs} at module initialization
-          ([MPSYN_JOBS] or the machine's recommended domain count). *)
+      (** ignored: synthesis runs on one domain (default [1]).  The
+          field remains only because the end-to-end benchmark still
+          sets it; ROADMAP item 4b removes it *)
   cache : Cache_store.t option;
       (** content-addressed memoization of the solver-independent
           stages (default [None]: no caching).  Keys combine the
           canonical [.g] digest of the specification (or the content
           digest of the derived graph) with a fingerprint of every
-          jobs-invariant option above, so a cached entry is only ever
+          option above but [jobs], so a cached entry is only ever
           replayed for a run that would have recomputed it bit for bit.
           Cached stages: the complete prefix, the complete state graph
           (reachability + consistent assignment), per-output modular
@@ -106,8 +101,8 @@ type result = {
   stale_analyses : int;
       (** module analyses recomputed because an earlier solve mutated
           the complete graph: every output consumed after the first
-          solve that inserted a state signal, at any [jobs].  The M4
-          order tries to keep this low *)
+          solve that inserted a state signal.  The M4 order tries to
+          keep this low *)
 }
 
 exception Synthesis_failed of string
@@ -134,11 +129,11 @@ val synthesize_sg : ?config:config -> Sg.t -> result
 (** [prefix_summary config stg] is the memoized partial-order analysis
     of [stg] ({!Prefix_rules.analyze} at one job with its default event
     cap) behind [mpsyn lint --prefix]: the entry is keyed by the
-    canonical [.g] digest only — the summary is deterministic for any
-    pool width and carries no timings.  Synthesis does not consult it. *)
+    canonical [.g] digest only — the summary carries no timings.
+    Synthesis does not consult it. *)
 val prefix_summary : config -> Stg.t -> Prefix_rules.summary
 
-(** [partition_summary ?jobs config stg] is the memoized audit of the
+(** [partition_summary config stg] is the memoized audit of the
     partition plan of [stg] ({!Partition_check.summarize} over every
     output's derived cone, with real modular conflict counts — no
     certificate zeroing): the M rules behind [mpsyn lint --partition]
@@ -147,9 +142,8 @@ val prefix_summary : config -> Stg.t -> Prefix_rules.summary
     {!Partition_check.solve_order}, so its modules come in the
     summary's [p_order] whenever Σ lacks CSC.  The summary is plain
     deterministic data keyed by the canonical [.g] digest and the state
-    cap only, so any pool width shares one cached audit per
-    specification ([jobs] defaults to [config.jobs]). *)
-val partition_summary : ?jobs:int -> config -> Stg.t -> Partition_check.summary
+    cap only. *)
+val partition_summary : config -> Stg.t -> Partition_check.summary
 
 (** [choose_backend config ~state_bound] picks the constraint engine:
     the default [`Sat] backend becomes [`Bdd] when the state bound

@@ -1,37 +1,37 @@
-(** Fixed-size domain pool for the solver-independent stages of the flow.
+(** Domain pool for the coarse, independent fan-outs of the tool:
+    files of a lint run, fuzz cases, benchmark rows.  Synthesis itself
+    runs on one domain.
 
-    The paper's partitioning produces many small {e independent} problems
-    — per-output module projections, benchmark rows, fuzz cases — and
-    this module is the one place that fans them out over
-    OCaml 5 domains.  The pool is hand-rolled over [Domain], [Mutex] and
-    [Condition]: a single global task queue served by worker domains
-    that a batch spawns and that are joined as soon as the outermost
-    batch drains (an idle domain would still take part in every
-    stop-the-world minor collection of the stages that follow), plus
-    {e caller helping} — the domain that submits a
-    batch also executes queued tasks while it waits, so nested
-    [map]-inside-[map] calls (a lint run synthesizing each file)
-    can never deadlock and total parallelism stays bounded by the pool
-    size rather than multiplying.
+    Each {!map} call is one flat batch: the caller spawns
+    [min jobs n - 1] worker domains, it and they claim task indices
+    from one atomic counter, and the caller joins every worker before
+    it returns, so no domain outlives its batch (an idle domain would
+    still take part in every stop-the-world minor collection that
+    follows).  A {!map} called from inside a task runs inline, left to
+    right, on that task's domain, so nesting never multiplies domains.
 
     Determinism contract: results are returned in input order; a batch
     whose tasks raise surfaces the exception of the {e lowest-indexed}
     failing task.  Pending tasks above a recorded failure are cancelled
-    (drained without running); lower-indexed ones still run, so the
-    lowest failing index is always reached.  With [jobs = 1] no domain
-    is involved at all — the map runs in the caller, left to right,
-    bit-identical to a plain [List.map] — so [--jobs 1] reproduces the
-    historical sequential behaviour exactly.
+    (never run); lower-indexed ones still run, so the lowest failing
+    index is always reached.  With [jobs = 1] no domain is involved at
+    all — the map runs in the caller, left to right, bit-identical to a
+    plain [List.map].
 
     Tasks must not share unsynchronized mutable state; everything this
-    repository fans out operates on immutable state graphs and
-    per-call solver instances (the only process-wide mutable is the
-    {!Counter.solver} counter, which is atomic). *)
+    repository fans out operates on immutable inputs and per-call
+    solver instances (the process-wide {!Counter} counters are
+    atomic). *)
+
+val jobs_of_string : string -> int option
+(** [jobs_of_string s] is the positive integer that [s] spells, blanks
+    around it allowed, else [None]: the one parser of [MPSYN_JOBS]. *)
 
 val default_jobs : unit -> int
 (** The pool width used when [?jobs] is omitted: the last
     {!set_default_jobs} value if any, else a positive integer parsed
-    from [MPSYN_JOBS], else [Domain.recommended_domain_count ()].
+    from [MPSYN_JOBS] by {!jobs_of_string}, else
+    [Domain.recommended_domain_count ()].
     A malformed [MPSYN_JOBS] is ignored here; the CLI validates it and
     exits with the usage code instead. *)
 
@@ -52,5 +52,4 @@ val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
 val live_workers : unit -> int
 (** The number of worker domains currently spawned: positive only while
-    a parallel batch is in flight, [0] once the outermost one has
-    returned. *)
+    a parallel batch is in flight, [0] once every batch has returned. *)

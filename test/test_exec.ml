@@ -1,9 +1,8 @@
 (* Unit tests for the domain pool (lib/exec): ordering, the sequential
-   jobs=1 path, nested maps (a lint run synthesizes each file, and
-   each synthesis fans out its module pipeline inside it), the worker
-   lifetime (no worker outlives the outermost batch), and the exception
-   contract — lowest-indexed failure surfaces, pending tasks are
-   cancelled, and the pool stays usable. *)
+   jobs=1 path, nested maps (a map inside a task runs inline on that
+   task's domain), the worker lifetime (no worker outlives its batch),
+   and the exception contract — lowest-indexed failure surfaces,
+   pending tasks are cancelled, and the pool stays usable. *)
 
 exception Boom of int
 
@@ -33,8 +32,8 @@ let test_map_list () =
     (List.init 50 (fun i -> i + 1))
     (Pool.map_list ~jobs:3 succ (List.init 50 Fun.id))
 
-(* A map whose tasks themselves map on the pool: caller helping means
-   this terminates regardless of pool width. *)
+(* A map whose tasks themselves map on the pool: the inner maps run
+   inline, so this terminates regardless of pool width. *)
 let test_nested_maps () =
   let inner i =
     Pool.map ~jobs:4 (fun j -> i * j) (Array.init 20 Fun.id)
@@ -46,8 +45,8 @@ let test_nested_maps () =
     (List.init 8 (fun i -> i * 190))
     out
 
-(* Workers exist while a batch runs and are joined when the outermost
-   batch returns, whether it was nested, failed or succeeded. *)
+(* Workers exist while a batch runs and are joined when it returns,
+   whether it was nested, failed or succeeded. *)
 let test_no_idle_workers () =
   let idle what = Alcotest.(check int) what 0 (Pool.live_workers ()) in
   let during =
@@ -65,6 +64,18 @@ let test_no_idle_workers () =
   (try ignore (Pool.map ~jobs:4 (fun i -> raise (Boom i)) (Array.init 8 Fun.id))
    with Boom _ -> ());
   idle "after a failed batch"
+
+(* A map inside a task spawns no domain: every nested task runs on the
+   domain of the task that called it. *)
+let test_nested_inline () =
+  let inner _ =
+    let self = Domain.self () in
+    Pool.map ~jobs:4 (fun _ -> Domain.self () = self) (Array.init 16 Fun.id)
+    |> Array.for_all Fun.id
+  in
+  Alcotest.(check (array bool))
+    "nested tasks on the caller's domain" (Array.make 8 true)
+    (Pool.map ~jobs:4 inner (Array.init 8 Fun.id))
 
 (* Every task raises a distinct exception; the surfaced one must belong
    to the lowest index, deterministically, at any width. *)
@@ -107,6 +118,23 @@ let test_exception_lowest_index_stress () =
       done)
     [ 2; 4 ]
 
+(* The lowest-indexed failure wins even when it is recorded first:
+   task 0 raises after 5 ms, while the tasks claimed beside it raise
+   later and must not replace it. *)
+let test_exception_lowest_recorded_first () =
+  for round = 1 to 5 do
+    match
+      Pool.map ~jobs:4
+        (fun i ->
+          Unix.sleepf (if i = 0 then 0.005 else 0.03);
+          raise (Boom i))
+        (Array.init 8 Fun.id)
+    with
+    | _ -> Alcotest.fail "expected Boom"
+    | exception Boom 0 -> ()
+    | exception Boom i -> Alcotest.failf "round %d surfaced Boom %d" round i
+  done
+
 let test_set_default_jobs_validation () =
   let msg = "Pool.set_default_jobs: jobs must be >= 1" in
   Alcotest.check_raises "zero" (Invalid_argument msg) (fun () ->
@@ -127,6 +155,8 @@ let () =
           Alcotest.test_case "map_list" `Quick test_map_list;
           Alcotest.test_case "nested maps" `Quick test_nested_maps;
           Alcotest.test_case "no idle workers" `Quick test_no_idle_workers;
+          Alcotest.test_case "nested map runs inline" `Quick
+            test_nested_inline;
         ] );
       ( "failures",
         [
@@ -138,5 +168,7 @@ let () =
             test_set_default_jobs_validation;
           Alcotest.test_case "lowest-index exception under stress" `Quick
             test_exception_lowest_index_stress;
+          Alcotest.test_case "lowest-index failure recorded first" `Quick
+            test_exception_lowest_recorded_first;
         ] );
     ]

@@ -29,7 +29,7 @@ let documents =
        let stg, map = Gformat.parse_file_spans (Filename.concat data_dir f) in
        let config = Mpart.default_config in
        let psum = Mpart.prefix_summary config stg in
-       let plan = Mpart.partition_summary ~jobs:1 config stg in
+       let plan = Mpart.partition_summary config stg in
        let { Lint.report; _ } = Lint.run ~map ~prefix:psum stg in
        let target = report.Diagnostic.target in
        let lint =

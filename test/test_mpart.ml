@@ -500,14 +500,14 @@ let run_cli ?(env = "") args =
   (code, stdout, stderr)
 
 (* The first module to solve gives up, and its message is the whole
-   report at any --jobs. *)
+   report at any MPSYN_JOBS. *)
 let test_cli_failure () =
   List.iter
     (fun jobs ->
       let code, _, stderr =
         run_cli
-          (Printf.sprintf "synth --time-limit 0.000001 --jobs %d ../data/fifo.g"
-             jobs)
+          ~env:(Printf.sprintf "MPSYN_JOBS=%d" jobs)
+          "synth --time-limit 0.000001 ../data/fifo.g"
       in
       check_int "synthesis failure exits 1" 1 code;
       Alcotest.(check string)

@@ -521,7 +521,7 @@ let test_dedup_saves_solver_calls () =
     (Printf.sprintf "solver calls drop (%d < %d)" dedup_calls fresh_calls);
   (* the audited plan records the duplicate group the replay consumed *)
   let plan =
-    Mpart.partition_summary ~jobs:1 Mpart.default_config (two_outputs_stg ())
+    Mpart.partition_summary Mpart.default_config (two_outputs_stg ())
   in
   check
     (plan.Partition_check.p_duplicates <> [])

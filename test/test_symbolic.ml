@@ -244,15 +244,14 @@ let test_cli_budget_exit () =
 (* A SAT give-up exits 1, the documented synthesis-failure code, with
    the bound that ran out in the message — not an uncaught exception
    (125).  A zero wall-clock limit stops the first module's DPLL search
-   at any --jobs. *)
+   at any MPSYN_JOBS. *)
 let test_cli_time_limit_exit () =
   List.iter
     (fun jobs ->
       let code, _, stderr =
         run_cli
-          (Printf.sprintf
-             "synth ../data/vbe4a.g --time-limit 0 --backend dpll --jobs %d"
-             jobs)
+          ~env:(Printf.sprintf "MPSYN_JOBS=%d" jobs)
+          "synth ../data/vbe4a.g --time-limit 0 --backend dpll"
       in
       check_int "SAT give-up exits 1" 1 code;
       check "message names the time limit" true

@@ -68,7 +68,9 @@ val engine_threshold : int
     ({!Symbolic.explore_edges}) capped at [max_states] (default
     [100_000], both engines' default).  Both engines number states and
     order edges identically, so the choice decides only time and
-    memory.  The chosen engine is logged at debug level.
+    memory.  The chosen engine is logged at debug level, a symbolic run
+    with its transition-relation cluster count and BDD node count, a
+    symbolic fallback to the explicit sweep with its reason.
     @raise Reach.Too_many_states if more than [max_states] markings are
       reachable. *)
 val reachable : ?max_states:int -> Stg.t -> int * int array * int

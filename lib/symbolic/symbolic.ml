@@ -108,9 +108,9 @@ let unsafe_transition mgr enc reached =
         let en = ref reached and clash = ref Bdd.bdd_false in
         for p = 0 to enc.n_places - 1 do
           if enc.pre_mask.(t) land (1 lsl p) <> 0 then
-            en := Bdd.band mgr !en (Bdd.var mgr (cur_var p));
+            en := Bdd.band mgr !en (Bdd.var mgr (cur_var enc p));
           if strict land (1 lsl p) <> 0 then
-            clash := Bdd.bor mgr !clash (Bdd.var mgr (cur_var p))
+            clash := Bdd.bor mgr !clash (Bdd.var mgr (cur_var enc p))
         done;
         if not (Bdd.is_false (Bdd.band mgr !en !clash)) then raise (Found t)
       end

@@ -43,13 +43,28 @@ let rec union a b =
     else if x < y then x :: union a' b
     else y :: union a b'
 
-(* Greedy, deterministic: transitions in id order; each joins the
-   earliest existing cluster of maximal positive support overlap whose
-   merged support stays within [cluster_max], else opens a new one. *)
+(* The lowest level in a transition's support: where it sits in the
+   variable order.  A transition with no places sorts last. *)
+let top_level enc t =
+  List.fold_left
+    (fun acc p -> min acc enc.Symenc.level.(p))
+    max_int enc.Symenc.support.(t)
+
+(* Greedy, deterministic: transitions by the lowest level of their
+   support (a stable sort, so ties keep id order), which makes clusters
+   follow the variable order's locality rather than the id order; each
+   joins the earliest existing cluster of maximal positive support
+   overlap whose merged support stays within [cluster_max], else opens
+   a new one. *)
 let plan enc ~cluster_max =
   let open Symenc in
-  let clusters = ref [] (* (rev members, support), creation order *) in
-  for t = 0 to enc.n_transitions - 1 do
+  let schedule = Array.init enc.n_transitions Fun.id in
+  Array.stable_sort
+    (fun a b -> Int.compare (top_level enc a) (top_level enc b))
+    schedule;
+  let clusters = ref [] (* (members, support), creation order *) in
+  for k = 0 to enc.n_transitions - 1 do
+    let t = schedule.(k) in
     let sup_t = enc.support.(t) in
     let size_t = List.length sup_t in
     let best = ref (-1) and best_ov = ref 0 in
@@ -69,7 +84,7 @@ let plan enc ~cluster_max =
             if i = !best then (t :: ms, union sup_t sup) else (ms, sup))
           !clusters
   done;
-  List.map (fun (ms, sup) -> (List.rev ms, sup)) !clusters
+  List.map (fun (ms, sup) -> (List.sort Int.compare ms, sup)) !clusters
 
 let iff mgr a b = Bdd.bnot mgr (Bdd.bxor mgr a b)
 
@@ -86,12 +101,14 @@ let transition_rel mgr enc t support =
         let in_pre = pre_m land bit <> 0 and in_post = post_m land bit <> 0 in
         if in_pre || in_post then begin
           let nxt =
-            if in_post then Bdd.var mgr (nxt_var p)
-            else Bdd.nvar mgr (nxt_var p)
+            if in_post then Bdd.var mgr (nxt_var enc p)
+            else Bdd.nvar mgr (nxt_var enc p)
           in
-          if in_pre then Bdd.band mgr (Bdd.var mgr (cur_var p)) nxt else nxt
+          if in_pre then Bdd.band mgr (Bdd.var mgr (cur_var enc p)) nxt
+          else nxt
         end
-        else iff mgr (Bdd.var mgr (cur_var p)) (Bdd.var mgr (nxt_var p)))
+        else
+          iff mgr (Bdd.var mgr (cur_var enc p)) (Bdd.var mgr (nxt_var enc p)))
       support
   in
   Bdd.conj mgr factors
@@ -105,7 +122,12 @@ let build mgr enc =
           Bdd.disj mgr
             (List.map (fun t -> transition_rel mgr enc t support) members)
         in
-        { members; support; cur_vars = List.map Symenc.cur_var support; rel })
+        {
+          members;
+          support;
+          cur_vars = List.map (Symenc.cur_var enc) support;
+          rel;
+        })
       groups
   in
   { mgr; clusters = Array.of_list clusters }

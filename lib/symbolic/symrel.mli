@@ -21,8 +21,11 @@ type t = { mgr : Bdd.manager; clusters : cluster array }
 val default_cluster_max : int
 
 (** [plan enc ~cluster_max] is the deterministic greedy clustering:
-    transition-id groups in creation order, with each group's merged
-    support.  Exposed for tests and diagnostics. *)
+    transitions are visited by the lowest {!Symenc.t.level} in their
+    support (ties in id order), so clusters follow the variable order.
+    Returns transition-id groups (each increasing) in creation order,
+    with each group's merged support.  Exposed for tests and
+    diagnostics. *)
 val plan : Symenc.t -> cluster_max:int -> (int list * int list) list
 
 (** [build mgr enc] builds the clustered relation, grouped by

@@ -2,7 +2,10 @@
    partitioned-transition-relation fixpoint plus canonical onset
    enumeration must list exactly the edges the explicit sweep
    enumerates, on every shipped benchmark and on fuzzed STGs, so the
-   digests downstream can never tell which engine ran.  The remaining
+   digests downstream can never tell which engine ran.  The BDD variable
+   order comes from the net's structure, not its place ids, so the same
+   holds under any renumbering of the places, and a net parsed from
+   text costs about what the generator's form costs.  The remaining
    tests pin the safety-fallback and cap-parity edges of that contract,
    and the allocation profile of the precomputed Sg adjacency. *)
 
@@ -113,21 +116,132 @@ let test_cap_parity () =
 
 (* ---------------- clustering sanity ---------------- *)
 
+let parsed stg = Gformat.parse_string (Gformat.to_string stg)
+
 let test_clustering_partitions () =
-  let net = Stg.net (Bench_gen.parallel_rings ~rings:4) in
-  let enc = Symenc.make net in
-  let groups = Symrel.plan enc ~cluster_max:Symrel.default_cluster_max in
-  let members = List.concat_map fst groups in
-  check_int "every transition in exactly one cluster"
-    (Petri.n_transitions net) (List.length members);
-  check "transition ids partitioned" true
-    (List.sort_uniq Int.compare members = List.init (Petri.n_transitions net) Fun.id);
   List.iter
-    (fun (_, support) ->
-      check "support within cap" true
-        (List.length support <= Symrel.default_cluster_max
-        || List.length support <= Symenc.max_places))
-    groups
+    (fun stg ->
+      let net = Stg.net stg in
+      let enc = Symenc.make net in
+      let groups = Symrel.plan enc ~cluster_max:Symrel.default_cluster_max in
+      let members = List.concat_map fst groups in
+      check_int "every transition in exactly one cluster"
+        (Petri.n_transitions net) (List.length members);
+      check "transition ids partitioned" true
+        (List.sort_uniq Int.compare members
+        = List.init (Petri.n_transitions net) Fun.id);
+      List.iter
+        (fun (ms, support) ->
+          check "members increasing" true (List.sort_uniq Int.compare ms = ms);
+          check "support within cap" true
+            (List.length support <= Symrel.default_cluster_max
+            || List.length support <= Symenc.max_places))
+        groups)
+    (let stg = Bench_gen.parallel_rings ~rings:4 in
+     [ stg; parsed stg ])
+
+(* ---------------- variable order: place-order invariance ---------------- *)
+
+(* [stg] with place [order.(q)] renumbered [q]: names, tokens, arcs,
+   transitions and labels unchanged. *)
+let renumber_places stg order =
+  let net = Stg.net stg in
+  let m0 = Petri.initial_marking net in
+  let b = Petri.Builder.create () in
+  let id = Array.make (Array.length order) 0 in
+  Array.iter
+    (fun p ->
+      id.(p) <-
+        Petri.Builder.add_place b ~name:(Petri.place_name net p)
+          ~tokens:(Marking.tokens m0 p))
+    order;
+  let nt = Petri.n_transitions net in
+  for t = 0 to nt - 1 do
+    ignore (Petri.Builder.add_transition b ~name:(Petri.transition_name net t))
+  done;
+  for t = 0 to nt - 1 do
+    List.iter (fun p -> Petri.Builder.arc_pt b id.(p) t) (Petri.pre net t);
+    List.iter (fun p -> Petri.Builder.arc_tp b t id.(p)) (Petri.post net t)
+  done;
+  Stg.make ~net:(Petri.Builder.build b)
+    ~labels:(Array.init nt (Stg.label stg))
+    ~signal_names:(Stg.signal_names stg)
+    ~kinds:(Array.init (Stg.n_signals stg) (Stg.kind stg))
+    ~name:(Stg.name stg)
+
+let gen_order stg =
+  QCheck.Gen.shuffle_l (List.init (Petri.n_places (Stg.net stg)) Fun.id)
+
+let print_order order = String.concat " " (List.map string_of_int order)
+
+(* Renumbering the places changes the BDD variable order the encoding
+   derives from the structure, and nothing else: both engines return
+   the original net's explicit edge buffer, and Σ's digest is the
+   original's.  (Transition ids do fix the state numbering, so they
+   stay.) *)
+let order_invariant stg order =
+  let reference = used (explicit_edges (Stg.net stg)) in
+  let digest = Sg.digest (Sg.of_stg ~backend:`Explicit stg) in
+  let stg' = renumber_places stg (Array.of_list order) in
+  let net' = Stg.net stg' in
+  used (explicit_edges net') = reference
+  && used (Symbolic.explore_edges net') = reference
+  && Sg.digest (Sg.of_stg ~backend:`Explicit stg') = digest
+  && Sg.digest (Sg.of_stg ~backend:`Symbolic stg') = digest
+
+let test_order_invariance (name, stg) =
+  Qseed.to_alcotest
+    (QCheck.Test.make ~name:("place renumbering: " ^ name)
+       ~count:(3 * Qseed.soak)
+       (QCheck.make ~print:print_order (gen_order stg))
+       (order_invariant stg))
+
+let test_order_invariance_fuzz =
+  Qseed.to_alcotest
+    (QCheck.Test.make ~name:"place renumbering: random STGs"
+       ~count:(20 * Qseed.soak)
+       (QCheck.make
+          ~print:(fun (stg, order) ->
+            Gformat.to_string stg ^ "order: " ^ print_order order)
+          (fun rand ->
+            let stg = Bench_gen.random ~rand in
+            (stg, gen_order stg rand)))
+       (fun (stg, order) -> order_invariant stg order))
+
+let rings ks =
+  List.map
+    (fun k -> (Printf.sprintf "parrings-%d" k, Bench_gen.parallel_rings ~rings:k))
+    ks
+
+let pulsers ks =
+  List.map
+    (fun k ->
+      (Printf.sprintf "pulsers-%d" k, Bench_gen.concurrent_pulsers ~branches:k))
+    ks
+
+let order_nets () =
+  List.map
+    (fun f -> (f, Gformat.parse_file (Filename.concat data_dir f)))
+    (g_files ())
+  @ rings [ 4; 5; 6 ]
+  @ pulsers [ 4; 5 ]
+
+(* The parsed form (the canonical printer sorts lines, so place ids no
+   longer follow the structure) costs at most twice the generator
+   form's BDD nodes. *)
+let test_parsed_nodes () =
+  List.iter
+    (fun (name, stg) ->
+      let nodes stg =
+        let _, info = Symbolic.explore_edges_info (Stg.net stg) in
+        check (name ^ ": symbolic") true info.Symbolic.i_symbolic;
+        info.Symbolic.i_bdd_nodes
+      in
+      let gen = nodes stg and text = nodes (parsed stg) in
+      if text > 2 * gen then
+        Alcotest.failf "%s: parsed form %d BDD nodes, generator form %d" name
+          text gen)
+    (rings [ 5; 6; 7 ] @ pulsers [ 4; 5 ])
 
 (* ---------------- Sg adjacency allocation profile ---------------- *)
 
@@ -277,7 +391,8 @@ let test_cli_verify_time_limit_exit () =
 
 (* parallel_rings 6 is past [Sg.engine_threshold], so `info` and `dot`
    build Σ symbolically; what they print must be what the explicit
-   build prints, byte for byte. *)
+   build prints, byte for byte.  The debug line reports the symbolic
+   run's cluster and BDD node counts. *)
 let test_cli_engine_choice () =
   let g = Filename.temp_file "mpsyn_rings6" ".g" in
   Out_channel.with_open_bin g (fun oc ->
@@ -285,11 +400,22 @@ let test_cli_engine_choice () =
   Fun.protect
     ~finally:(fun () -> Sys.remove g)
     (fun () ->
-      let sg = Sg.of_stg ~backend:`Explicit (Gformat.parse_file g) in
+      let stg = Gformat.parse_file g in
+      let sg = Sg.of_stg ~backend:`Explicit stg in
       let code, dot, stderr = run_cli ~env:"MPSYN_LOG=debug" ("dot " ^ g) in
       check_int "dot: exit 0" 0 code;
-      check "dot: the symbolic engine ran" true
-        (mem_sub stderr "reachability: symbolic engine");
+      let line =
+        let (n, _, _), info = Symbolic.explore_edges_info (Stg.net stg) in
+        Printf.sprintf
+          "reachability: symbolic engine, %d states (threshold %d), %d \
+           clusters, %d BDD nodes"
+          n Sg.engine_threshold info.Symbolic.i_clusters
+          info.Symbolic.i_bdd_nodes
+      in
+      check ("dot: " ^ line) true
+        (List.exists
+           (String.ends_with ~suffix:line)
+           (String.split_on_char '\n' stderr));
       Alcotest.(check string) "dot = the explicit build's" (Sg.to_dot sg) dot;
       let code, info, _ = run_cli ("info " ^ g) in
       check_int "info: exit 0" 0 code;
@@ -335,6 +461,13 @@ let () =
       ( "clustering",
         [ Alcotest.test_case "partition of transitions" `Quick
             test_clustering_partitions ] );
+      ( "variable-order",
+        List.map test_order_invariance (order_nets ())
+        @ [
+            test_order_invariance_fuzz;
+            Alcotest.test_case "parsed form within 2x nodes" `Quick
+              test_parsed_nodes;
+          ] );
       ( "adjacency",
         [ Alcotest.test_case "no per-call allocation" `Quick
             test_adjacency_no_allocation ] );

@@ -1,5 +1,5 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section, plus the multicore trajectory and its
+   evaluation section, plus the per-benchmark trajectory and its
    regression gate.
 
      dune exec bench/main.exe                  -- every experiment
@@ -266,8 +266,8 @@ let probe_symbolic ?max_states stg =
   in
   (symbolic = explicit, t)
 
-(* E10's layer: a cold run at [jobs] populates [store]; a warm run at
-   [jobs] must then hit it and print the cold netlist byte for byte. *)
+(* E10's layer: a cold run populates [store]; a warm run must then hit
+   it and print the cold netlist byte for byte. *)
 type cache_probe = {
   cold_s : float;
   warm_s : float;
@@ -276,8 +276,8 @@ type cache_probe = {
   warm_identical : bool;
 }
 
-let probe_cache store ~jobs stg =
-  let config = { Mpart.default_config with jobs; cache = Some store } in
+let probe_cache store stg =
+  let config = { Mpart.default_config with cache = Some store } in
   let rc, cold_s = wall (fun () -> Mpart.synthesize ~config stg) in
   Counter.reset Counter.cache_hit;
   let rw, warm_s = wall (fun () -> Mpart.synthesize ~config stg) in
@@ -291,35 +291,19 @@ let probe_cache store ~jobs stg =
     warm_identical = netlist_verilog stg rw = netlist;
   }
 
-(* E13's layer: the plan audit, and the solver calls the duplicate-cone
-   replay saves, counted through the process-wide counter over a
-   dedup-off and a dedup-on run (jobs = 1 keeps other domains quiet). *)
-type partition_probe = {
-  plan : Partition_check.summary;
-  plan_s : float;
-  dups : int;  (** twins: duplicate-group members beyond the first *)
-  fresh : Mpart.result * int;  (** dedup off, and its solver calls *)
-  dedup : Mpart.result * int;
-}
-
+(* E13's layer: the plan audit, its wall time, and the twins it finds
+   (duplicate-group members beyond the first). *)
 let probe_partition stg =
   let plan, plan_s =
     wall (fun () -> Mpart.partition_summary Mpart.default_config stg)
   in
-  let solve config =
-    let before = Counter.get Counter.solver in
-    let r = Mpart.synthesize ~config:{ config with Mpart.jobs = 1 } stg in
-    (r, Counter.get Counter.solver - before)
-  in
-  let fresh = solve { Mpart.default_config with dedup_cones = false } in
-  let dedup = solve Mpart.default_config in
   let dups =
     List.fold_left
       (fun acc (g : Partition_check.dup_group) ->
         acc + List.length g.Partition_check.dg_outputs - 1)
       0 plan.Partition_check.p_duplicates
   in
-  { plan; plan_s; dups; fresh; dedup }
+  (plan, plan_s, dups)
 
 (* The verdict line of a gated table (E10-E14): the first failing
    check prints its FAIL line, otherwise the ok line prints.  Returns
@@ -361,29 +345,17 @@ let measure_hazard (r : Mpart.result) =
   in
   (hz, t_hazard, t_dynamic)
 
-(* One benchmark, synthesized twice, with [Mpart.config.jobs] at 1 and
-   at [par] (synthesis ignores the width and runs on one domain, so the
-   two time columns time the same path); the two synthesized netlists
-   must match gate for gate.  A third and fourth run measure the cache:
-   cold (populating a fresh store) then warm, and both netlists must
-   again match the uncached bytes.  The result is the benchmark's
-   [mpsyn-bench/1] trajectory row. *)
-let measure ~par name stg =
-  let r1, t1 =
-    wall (fun () ->
-        Mpart.synthesize ~config:{ Mpart.default_config with jobs = 1 } stg)
-  in
-  let rp, tp =
-    wall (fun () ->
-        Mpart.synthesize
-          ~config:{ Mpart.default_config with jobs = par }
-          stg)
-  in
-  let hz, t_hazard, t_dynamic = measure_hazard rp in
+(* One benchmark, synthesized three times: uncached, then cold
+   (populating a fresh store) and warm.  The cold run's netlist must
+   match the uncached one gate for gate, and the warm run's the cold
+   one.  The result is the benchmark's [mpsyn-bench/1] trajectory
+   row. *)
+let measure name stg =
+  let r, t = wall (fun () -> Mpart.synthesize stg) in
+  let hz, t_hazard, t_dynamic = measure_hazard r in
   let dir = fresh_cache_dir () in
-  let cache = probe_cache (Cache_store.open_dir dir) ~jobs:par stg in
+  let cache = probe_cache (Cache_store.open_dir dir) stg in
   remove_tree dir;
-  let reference = netlist_verilog stg r1 in
   (* the partial-order columns: exact verdicts from the complete prefix
      must agree with the explicit construction on every trajectory run *)
   let prefix = probe_prefix stg in
@@ -401,9 +373,8 @@ let measure ~par name stg =
         (st.Dpll.propagations, st.Dpll.conflicts, bst.Bdd.cache_lookups))
   in
   (* the partition columns: plan cost, how many twins the audit found,
-     and the solver calls the dedup replay actually saved — measured by
-     differencing the counter over a dedup-off and a dedup-on run *)
-  let partition = probe_partition stg in
+     and how many modules the uncached run replayed from a twin *)
+  let _, plan_s, dups = probe_partition stg in
   (* the symbolic-engine columns: the BDD fixpoint must rebuild the
      byte-identical state graph (digest gated absolutely by check), and
      its wall time and node count travel with the trajectory so growth
@@ -416,12 +387,10 @@ let measure ~par name stg =
   Json.Obj
     [
       ("name", Str name);
-      ("states", Json.int (Mpart.final_states rp));
-      ("area", Json.int (Mpart.area_literals rp));
-      ("time_jobs1", time t1);
-      ("time_parallel", time tp);
-      ("speedup", ratio t1 tp);
-      ("identical", Bool (netlist_verilog stg rp = reference));
+      ("states", Json.int (Mpart.final_states r));
+      ("area", Json.int (Mpart.area_literals r));
+      ("time", time t);
+      ("identical", Bool (netlist_verilog stg r = cache.netlist));
       ("hazard", Str (Hazard_check.verdict_name hz));
       ("hazard_time", time t_hazard);
       ("dynamic_time", time t_dynamic);
@@ -430,8 +399,7 @@ let measure ~par name stg =
       ("cache_warm", time cache.warm_s);
       ("cache_speedup", ratio cache.cold_s cache.warm_s);
       ("cache_hits", Json.int cache.hits);
-      ( "cache_identical",
-        Bool (cache.warm_identical && cache.netlist = reference) );
+      ("cache_identical", Bool cache.warm_identical);
       ( "prefix_events",
         Json.int
           (prefix.summary.Prefix_rules.s_events
@@ -442,10 +410,9 @@ let measure ~par name stg =
       ("solver_props", Json.int solver_props);
       ("solver_conflicts", Json.int solver_conflicts);
       ("solver_time", time t_solver_time);
-      ("partition_dup", Json.int partition.dups);
-      ( "partition_saved",
-        Json.int (snd partition.fresh - snd partition.dedup) );
-      ("partition_time", time partition.plan_s);
+      ("partition_dup", Json.int dups);
+      ("partition_replayed", Json.int (List.length r.Mpart.replayed));
+      ("partition_time", time plan_s);
       ("symbolic_time", time t_symbolic_time);
       ("symbolic_nodes", Json.int sym_info.Symbolic.i_bdd_nodes);
       ("symbolic_agree", Bool symbolic_agree);
@@ -456,22 +423,20 @@ let measure ~par name stg =
 
 let pp_row row =
   let col conv key = column conv key row in
-  Printf.printf "%-16s %8d %6d %10.3f %10.3f %9.2fx %s %s %.3fs cache %.2fx %s\n%!"
+  Printf.printf "%-16s %8d %6d %10.3f %s %s %.3fs cache %.2fx %s\n%!"
     (col Json.to_str "name") (col Json.to_int "states") (col Json.to_int "area")
-    (col Json.to_float "time_jobs1")
-    (col Json.to_float "time_parallel")
-    (col Json.to_float "speedup")
+    (col Json.to_float "time")
     (if col Json.to_bool "identical" then "identical" else "NETLISTS DIFFER")
     (col Json.to_str "hazard")
     (col Json.to_float "hazard_time")
     (col Json.to_float "cache_speedup")
     (if col Json.to_bool "cache_identical" then "identical" else "CACHE DIVERGES")
 
-(* The trajectory file: per-benchmark states, area, wall times and
-   speedup, one benchmark object per line. *)
-let write_trajectory path ~par rows =
+(* The trajectory file: per-benchmark states, area and wall times, one
+   benchmark object per line. *)
+let write_trajectory path rows =
   let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"mpsyn-bench/1\",\n  \"jobs\": %d,\n" par;
+  Printf.fprintf oc "{\n  \"schema\": \"mpsyn-bench/1\",\n";
   Printf.fprintf oc "  \"benchmarks\": [\n";
   let n = List.length rows in
   List.iteri
@@ -483,15 +448,13 @@ let write_trajectory path ~par rows =
   close_out oc
 
 let default_json_subset = [ "mr1"; "vbe4a"; "atod"; "fifo"; "nak-pa" ]
-let trajectory_jobs () = max 2 (Pool.default_jobs ())
 
 (* [row NAME]: measure one trajectory row in this process and print it
    as the last line of stdout. *)
 let row = function
   | [ name ] ->
     let stg = (Bench_suite.find name).Bench_suite.build () in
-    print_endline
-      (Json.to_string (measure ~par:(trajectory_jobs ()) name stg));
+    print_endline (Json.to_string (measure name stg));
     0
   | _ ->
     Printf.eprintf "usage: bench row NAME\n";
@@ -513,7 +476,6 @@ let row_in_child name =
 
 let json names =
   let names = if names = [] then default_json_subset else names in
-  let par = trajectory_jobs () in
   let rows =
     List.filter_map
       (fun name ->
@@ -526,9 +488,8 @@ let json names =
           None)
       names
   in
-  write_trajectory "BENCH_results.json" ~par rows;
-  Printf.printf "wrote BENCH_results.json (%d benchmarks, jobs=%d)\n"
-    (List.length rows) par;
+  write_trajectory "BENCH_results.json" rows;
+  Printf.printf "wrote BENCH_results.json (%d benchmarks)\n" (List.length rows);
   if
     List.length rows = List.length names
     && List.for_all (column Json.to_bool "identical") rows
@@ -550,7 +511,7 @@ let read_trajectory path =
   | exception (Json.Parse_error msg | Json.Type_error msg) ->
     raise (Gate_error (Printf.sprintf "%s: %s" path msg))
 
-(* A benchmark regresses when its parallel wall time exceeds twice the
+(* A benchmark regresses when its synthesis wall time exceeds twice the
    baseline's; an absolute floor keeps sub-50ms noise from tripping the
    gate on shared CI machines. *)
 let regression_factor = 2.0
@@ -587,7 +548,7 @@ let gates =
     else None
   in
   [
-    holds "identical" "parallel netlist differs";
+    holds "identical" "cold-cache netlist differs from the uncached one";
     (* losing a baseline certificate silently re-enables the dynamic
        exploration: a correctness smell, not noise *)
     (fun b f ->
@@ -605,13 +566,12 @@ let gates =
        alone; the counters above catch algorithmic regressions *)
     slower "solver_time" "solver backends" 0.5;
     (* the plan and the replay are pure functions of the specification,
-       so saving fewer solver calls than the baseline gates exactly *)
+       so replaying fewer cones than the baseline gates exactly *)
     (fun b f ->
-      let bn = column Json.to_int "partition_saved" b
-      and fn = column Json.to_int "partition_saved" f in
+      let bn = column Json.to_int "partition_replayed" b
+      and fn = column Json.to_int "partition_replayed" f in
       if fn < bn then
-        Some
-          (Printf.sprintf "dedup saves %d solver call(s) vs baseline %d" fn bn)
+        Some (Printf.sprintf "dedup replays %d cone(s) vs baseline %d" fn bn)
       else None);
     holds "symbolic_agree" "symbolic state graph diverges from explicit";
     slower "symbolic_time" "symbolic engine" regression_floor;
@@ -644,8 +604,8 @@ let check fresh_path base_path =
               run name (fun () -> Option.iter (fail name) (gate b f)))
             gates;
           run name (fun () ->
-              let bt = column Json.to_float "time_parallel" b
-              and ft = column Json.to_float "time_parallel" f in
+              let bt = column Json.to_float "time" b
+              and ft = column Json.to_float "time" f in
               if ft > regression_factor *. bt && ft > regression_floor then
                 fail name
                   (Printf.sprintf "%.3fs vs baseline %.3fs (> %.1fx)" ft bt
@@ -702,41 +662,32 @@ let hazard_table () =
 
 (* One store shared by the whole suite (the deployment shape: a single
    MPSYN_CACHE directory accumulating entries across runs).  Every
-   benchmark runs cold at --jobs 1, warm at --jobs 1, and warm again at
-   --jobs 4 — the last leg exercises jobs-invariant keys: a sequential
-   cold run must warm a parallel one.  All three netlists must match
-   byte for byte, every warm run must actually hit, and the aggregate
-   warm/cold speedup must clear 2x (the acceptance bar; in practice it
-   is one or two orders of magnitude). *)
+   benchmark runs cold, then warm.  Both netlists must match byte for
+   byte, every warm run must actually hit, and the aggregate warm/cold
+   speedup must clear 2x (the acceptance bar; in practice it is one or
+   two orders of magnitude). *)
 let cache_table () =
   print_endline
     "== E10: content-addressed synthesis cache — cold vs warm over the suite ==";
   let dir = fresh_cache_dir () in
   let store = Cache_store.open_dir dir in
-  Printf.printf "%-16s %10s %10s %10s %9s %6s %s\n" "STG" "cold(s)" "warm(s)"
-    "warm -j4" "speedup" "hits" "netlists";
+  Printf.printf "%-16s %10s %10s %9s %6s %s\n" "STG" "cold(s)" "warm(s)"
+    "speedup" "hits" "netlists";
   let total_cold = ref 0.0 and total_warm = ref 0.0 in
   let divergent = ref 0 and missed_warm = ref 0 in
   List.iter
     (fun (e : Bench_suite.entry) ->
       let stg = e.Bench_suite.build () in
-      let c = probe_cache store ~jobs:1 stg in
-      let rwp, warm_par =
-        wall (fun () ->
-            Mpart.synthesize
-              ~config:{ Mpart.default_config with jobs = 4; cache = Some store }
-              stg)
-      in
-      let identical = c.warm_identical && netlist_verilog stg rwp = c.netlist in
-      if not identical then incr divergent;
+      let c = probe_cache store stg in
+      if not c.warm_identical then incr divergent;
       if c.hits = 0 then incr missed_warm;
       total_cold := !total_cold +. c.cold_s;
       total_warm := !total_warm +. c.warm_s;
-      Printf.printf "%-16s %10.4f %10.4f %10.4f %8.1fx %6d %s\n%!"
-        e.Bench_suite.name c.cold_s c.warm_s warm_par
+      Printf.printf "%-16s %10.4f %10.4f %8.1fx %6d %s\n%!"
+        e.Bench_suite.name c.cold_s c.warm_s
         (if c.warm_s > 0.0 then c.cold_s /. c.warm_s else 1.0)
         c.hits
-        (if identical then "identical" else "DIVERGE"))
+        (if c.warm_identical then "identical" else "DIVERGE"))
     Bench_suite.all;
   let aggregate =
     if !total_warm > 0.0 then !total_cold /. !total_warm else 1.0
@@ -1158,53 +1109,51 @@ let modules () =
 (* ------------------------------------------------------------------ *)
 
 (* Per benchmark: the plan audit's cost and findings, the solver calls
-   the duplicate-cone replay saves (counter-differenced, not trusted
-   from a flag), and the stale-analysis count under the M4
-   ascending-risk solve order.  Gates on three hard facts: the audit
-   finds no M1/M5 violation on the shipped suite, every benchmark with
-   twins saves at least one solver call, and every run verifies. *)
+   of one synthesis (counter-differenced, not trusted from a flag), the
+   modules it replayed from a twin, and the stale-analysis count under
+   the M4 ascending-risk solve order.  Gates on three hard facts: the
+   audit finds no M1/M5 violation on the shipped suite, every benchmark
+   whose plan has twins and whose run calls the solver replays at least
+   one cone, and every run verifies. *)
 let partition_table () =
   print_endline
     "== E13: partition plan — M-rule audit, cone dedup, M4 solve order ==";
-  Printf.printf "%-16s %7s %5s %5s %8s | %6s %6s %6s | %7s\n" "STG"
-    "outputs" "dups" "risk" "plan(s)" "fresh" "dedup" "saved" "stale";
+  Printf.printf "%-16s %7s %5s %5s %8s | %6s %8s | %7s\n" "STG" "outputs"
+    "dups" "risk" "plan(s)" "calls" "replayed" "stale";
   let failures = ref 0 in
   List.iter
     (fun (e : Bench_suite.entry) ->
       let stg = e.Bench_suite.build () in
-      let { plan; plan_s; dups; fresh = r_fresh, calls_fresh;
-            dedup = r_dedup, calls_dedup } =
-        probe_partition stg
-      in
+      let plan, plan_s, dups = probe_partition stg in
+      let before = Counter.get Counter.solver in
+      let r = Mpart.synthesize stg in
+      let calls = Counter.get Counter.solver - before in
+      let replayed = List.length r.Mpart.replayed in
       if plan.Partition_check.p_violations <> [] then begin
         incr failures;
         Printf.printf "%-16s FAIL: %d M1/M5 violation(s) in the plan\n"
           e.Bench_suite.name
           (List.length plan.Partition_check.p_violations)
       end;
-      List.iter
-        (fun (what, r) ->
-          match Mpart.verify r with
-          | None -> ()
-          | Some err ->
-            incr failures;
-            Printf.printf "%-16s FAIL: %s run does not verify: %s\n"
-              e.Bench_suite.name what err)
-        [ ("fresh", r_fresh); ("dedup", r_dedup) ];
-      let saved = calls_fresh - calls_dedup in
-      if dups > 0 && saved <= 0 && calls_fresh > 0 then begin
+      (match Mpart.verify r with
+      | None -> ()
+      | Some err ->
         incr failures;
-        Printf.printf "%-16s FAIL: %d twin(s) but no solver call saved\n"
+        Printf.printf "%-16s FAIL: the run does not verify: %s\n"
+          e.Bench_suite.name err);
+      if dups > 0 && calls > 0 && replayed = 0 then begin
+        incr failures;
+        Printf.printf "%-16s FAIL: %d twin(s) but no cone replayed\n"
           e.Bench_suite.name dups
       end;
-      Printf.printf "%-16s %7d %5d %5d %7.3fs | %6d %6d %6d | %7d\n%!"
+      Printf.printf "%-16s %7d %5d %5d %7.3fs | %6d %8d | %7d\n%!"
         e.Bench_suite.name
         (List.length plan.Partition_check.p_cones)
         dups
         (List.length plan.Partition_check.p_risky)
-        plan_s calls_fresh calls_dedup saved r_dedup.Mpart.stale_analyses)
+        plan_s calls replayed r.Mpart.stale_analyses)
     Bench_suite.all;
-  verdict "E13" ~ok:"plans audit clean, twins dedup, every configuration verifies"
+  verdict "E13" ~ok:"plans audit clean, twins replay, every run verifies"
     [ (!failures > 0, Printf.sprintf "%d failure(s)" !failures) ]
 
 (* ------------------------------------------------------------------ *)
@@ -1402,7 +1351,7 @@ let experiments =
     ("cache", Table cache_table);  (* E10: cold vs warm cache *)
     ("prefix", Table prefix_table);  (* E11: prefix vs explicit graph *)
     ("solver", Table solver_table);  (* E12: solver-core micro *)
-    ("partition", Table partition_table);  (* E13: plan audit + dedup *)
+    ("partition", Table partition_table);  (* E13: plan audit + replay *)
     ("symbolic", Table symbolic_table);  (* E14: BDD vs explicit reach *)
     ("ablation", table ablation);  (* default vs BDD backend *)
     (* [json NAME..]: write BENCH_results.json, one [row] per child *)

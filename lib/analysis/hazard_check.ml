@@ -206,11 +206,11 @@ let cover_bdd mgr (func : Derive.func) =
       Array.iteri
         (fun i s ->
           if c.Cube.pos land (1 lsl i) <> 0 then
-            cube := Bdd.and_ mgr !cube (Bdd.var mgr s)
+            cube := Bdd.band mgr !cube (Bdd.var mgr s)
           else if c.Cube.neg land (1 lsl i) <> 0 then
-            cube := Bdd.and_ mgr !cube (Bdd.nvar mgr s))
+            cube := Bdd.band mgr !cube (Bdd.nvar mgr s))
         support;
-      Bdd.or_ mgr acc !cube)
+      Bdd.bor mgr acc !cube)
     Bdd.bdd_false func.Derive.cover.Cover.cubes
 
 (* Project a global state code onto a cover's support minterm. *)
@@ -249,7 +249,7 @@ let symbolic_next mgr (nl : Netlist.t) ~var_of_wire sname =
         Hashtbl.replace cache w b;
         b)
   and gate = function
-    | Netlist.Inv { input; _ } -> Bdd.not_ mgr (wire input)
+    | Netlist.Inv { input; _ } -> Bdd.bnot mgr (wire input)
     | Netlist.Wire { input; _ } -> wire input
     | Netlist.And { inputs; _ } -> Bdd.conj mgr (List.map wire inputs)
     | Netlist.Or { inputs; _ } -> Bdd.disj mgr (List.map wire inputs)
@@ -478,9 +478,9 @@ let analyze ?(node_budget = 2_000_000) ~expanded ~functions (nl : Netlist.t) =
       List.iter
         (fun r ->
           let c = cover_bdd r.mgr r.func in
-          let implied1 = Bdd.or_ r.mgr r.er_rise r.qr_high in
-          let implied0 = Bdd.or_ r.mgr r.er_fall r.qr_low in
-          let uncovered = Bdd.and_ r.mgr implied1 (Bdd.not_ r.mgr c) in
+          let implied1 = Bdd.bor r.mgr r.er_rise r.qr_high in
+          let implied0 = Bdd.bor r.mgr r.er_fall r.qr_low in
+          let uncovered = Bdd.band r.mgr implied1 (Bdd.bnot r.mgr c) in
           (match witness r.mgr uncovered with
           | Some m ->
             h1_ok := false;
@@ -502,7 +502,7 @@ let analyze ?(node_budget = 2_000_000) ~expanded ~functions (nl : Netlist.t) =
                excitation or stable-1 region: a premature de-assertion \
                glitch under any delay assignment"
           | None -> ());
-          let overdriven = Bdd.and_ r.mgr c implied0 in
+          let overdriven = Bdd.band r.mgr c implied0 in
           match witness r.mgr overdriven with
           | Some m ->
             h1_ok := false;
@@ -684,13 +684,13 @@ let analyze ?(node_budget = 2_000_000) ~expanded ~functions (nl : Netlist.t) =
         (fun r ->
           let next = symbolic_next r.mgr nl ~var_of_wire r.sname in
           let netlist_exc = Bdd.xor r.mgr next (Bdd.var r.mgr r.sid) in
-          let graph_exc = Bdd.or_ r.mgr r.er_rise r.er_fall in
+          let graph_exc = Bdd.bor r.mgr r.er_rise r.er_fall in
           let reach =
-            Bdd.or_ r.mgr
-              (Bdd.or_ r.mgr r.er_rise r.er_fall)
-              (Bdd.or_ r.mgr r.qr_high r.qr_low)
+            Bdd.bor r.mgr
+              (Bdd.bor r.mgr r.er_rise r.er_fall)
+              (Bdd.bor r.mgr r.qr_high r.qr_low)
           in
-          let bad = Bdd.and_ r.mgr reach (Bdd.xor r.mgr netlist_exc graph_exc) in
+          let bad = Bdd.band r.mgr reach (Bdd.xor r.mgr netlist_exc graph_exc) in
           (match witness r.mgr bad with
           | Some m ->
             h5_ok := false;

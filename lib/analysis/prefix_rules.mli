@@ -66,12 +66,13 @@ type summary = {
 }
 
 (** [analyze ?jobs ?max_events stg] builds the prefix (at most
-    [max_events] events, default 2048, candidates over a pool of width
-    [jobs]) and evaluates every rule.  On a complete prefix U3 and U4
-    make one {!Sg.reachable} call capped at 262,144 markings, and
-    abstain past it; on a truncated one they make none.  Deterministic
-    for any [jobs]; the result contains no timings or machine state, so
-    it is cache-safe ({!Mpart.prefix_summary} memoizes it by STG
+    [max_events] events, default 2048) and evaluates every rule.  On a
+    complete prefix U3 and U4 make one {!Sg.reachable} call capped at
+    262,144 markings, and abstain past it; on a truncated one they make
+    none.  [jobs] is ignored: the prefix is built on one domain, and the
+    parameter remains only because the end-to-end benchmark still
+    passes it.  The result contains no timings or machine state, so it
+    is cache-safe ({!Mpart.prefix_summary} memoizes it by STG
     digest). *)
 val analyze : ?jobs:int -> ?max_events:int -> Stg.t -> summary
 

@@ -295,14 +295,9 @@ let rec ite m f g h =
   end
 
 let imp m f g = bor m (bnot m f) g
-let not_ = bnot
-let and_ = band
-let or_ = bor
 
-(* The legacy alias keeps the historical allocation profile (¬g is
-   materialized, as the old ite-detour did): hazard certificates embed
-   the manager's node count, and those reports must stay byte-stable
-   across the engine swap.  New code wants [bxor]. *)
+(* ¬g is materialized, as [ite] needs it: the hazard check's node count,
+   printed in its certificate text, depends on that allocation. *)
 let xor m f g = ite m f (bnot m g) g
 let conj m ns = List.fold_left (band m) 1 ns
 let disj m ns = List.fold_left (bor m) 0 ns

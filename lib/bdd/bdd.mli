@@ -48,15 +48,11 @@ val bxor : manager -> node -> node -> node
     operands; the binary connectives above are faster. *)
 val ite : manager -> node -> node -> node -> node
 
-(** Legacy aliases for {!band}, {!bor}, {!bnot}.  [xor] is equivalent to
-    {!bxor} but keeps the historical allocation profile (the complement
-    of [g] is materialized), so node counts embedded in hazard
-    certificates are byte-stable across the engine swap; new code should
-    prefer {!bxor}. *)
-val and_ : manager -> node -> node -> node
-
-val or_ : manager -> node -> node -> node
-val not_ : manager -> node -> node
+(** [xor mgr f g] is {!bxor} computed as [ite f (bnot g) g], so the
+    complement of [g] is materialized in the manager.  Its one caller,
+    the H5 check of [Hazard_check], relies on that allocation: the
+    manager's node count is printed in the [H0-certified] text of
+    [mpsyn lint --hazard], and {!bxor} would print a different count. *)
 val xor : manager -> node -> node -> node
 val imp : manager -> node -> node -> node
 

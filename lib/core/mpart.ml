@@ -5,10 +5,8 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type config = {
   backtrack_limit : int option;
   time_limit : float option;
-  max_states : int;
   hazard_free : bool;
   backend : [ `Sat | `Dpll | `Bdd ];
-  dedup_cones : bool;
   jobs : int;
   cache : Cache_store.t option;
 }
@@ -17,13 +15,13 @@ let default_config =
   {
     backtrack_limit = None;
     time_limit = None;
-    max_states = 200_000;
     hazard_free = false;
     backend = `Sat;
-    dedup_cones = true;
     jobs = 1;
     cache = None;
   }
+
+let state_cap = 200_000
 
 (* ------------------------------------------------------------------ *)
 (* Content-addressed memoization of the solver-independent stages      *)
@@ -39,8 +37,6 @@ let fingerprint config =
       match config.backend with `Sat -> "sat" | `Dpll -> "dpll" | `Bdd -> "bdd"
     );
     ("hazard_free", string_of_bool config.hazard_free);
-    ("dedup_cones", string_of_bool config.dedup_cones);
-    ("max_states", string_of_int config.max_states);
     ( "backtrack_limit",
       match config.backtrack_limit with
       | None -> "none"
@@ -289,7 +285,7 @@ let insert ~config ~deadline ~fresh_name ~certificate analyses complete =
       let sol = solve_module ~config ~deadline g inp in
       (* the first solution of a digest stays, even when a later twin's
          replay failed and it solved afresh *)
-      if config.dedup_cones && not (Hashtbl.mem solutions digest) then begin
+      if not (Hashtbl.mem solutions digest) then begin
         let inv = Array.make (Array.length perm) 0 in
         Array.iteri (fun t ci -> inv.(ci) <- t) perm;
         Hashtbl.add solutions digest
@@ -529,26 +525,24 @@ let choose_backend (config : config) ~state_bound =
   | `Sat, Some n when n >= Sg.engine_threshold -> `Bdd
   | b, _ -> b
 
-(* Reachability exploration + consistent state assignment under the
-   user's cap, keyed by the canonical [.g] digest of the specification.
+(* Reachability exploration + consistent state assignment under
+   [state_cap], keyed by the canonical [.g] digest of the specification.
    [Sg.of_stg] picks the engine (and logs it); both build the same graph
-   byte for byte, so one "sg" stage serves either. *)
+   byte for byte, so one "sg" stage serves either.  Only a successful Σ
+   is cached, and a successful Σ does not depend on the cap. *)
 let complete_of_stg config stg =
-  memoize config ~stage:"sg"
-    ~params:[ ("max_states", string_of_int config.max_states) ]
+  memoize config ~stage:"sg" ~params:[]
     (fun () -> Cache_key.stg_digest stg)
-    (fun () -> Sg.of_stg ~max_states:config.max_states stg)
+    (fun () -> Sg.of_stg ~max_states:state_cap stg)
 
 (* The audited partition plan (`mpsyn lint --partition`): every
    output's analysis with real conflict counts (no certificate zeroing
    — the plan describes the partition, not one synthesis run's
    shortcuts), checked by the M rules.  Synthesis never runs this
    audit.  The summary is plain data and depends only on the
-   specification and the state cap, so it is memoized by the STG digest
-   alone. *)
+   specification, so it is memoized by the STG digest alone. *)
 let partition_summary config stg =
-  memoize config ~stage:"plan"
-    ~params:[ ("max_states", string_of_int config.max_states) ]
+  memoize config ~stage:"plan" ~params:[]
     (fun () -> Cache_key.stg_digest stg)
     (fun () ->
       let complete = complete_of_stg config stg in

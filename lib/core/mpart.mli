@@ -33,19 +33,12 @@ type config = {
           {!synthesize_sg} call makes one {!Deadline} that the module
           solves, the cleanup pass and the implementation's repair and
           global passes share *)
-  max_states : int;  (** reachability cap *)
   hazard_free : bool;  (** enlarge covers to kill static-1 hazards *)
   backend : [ `Sat | `Dpll | `Bdd ];
       (** constraint engine: WalkSAT+DPLL hybrid, DPLL alone, or
           BDD-first (paper [19]).  The default [`Sat] flips to [`Bdd]
           on large state spaces ({!choose_backend}); an explicit choice
           is never overridden *)
-  dedup_cones : bool;
-      (** solve each distinct module cone once: when two outputs'
-          modules have the same canonical cone digest (rule M3 — the
-          same graph up to state renaming), the second replays the
-          first's CSC solution through the renumberings instead of
-          calling the solver again (default true) *)
   jobs : int;
       (** ignored: synthesis runs on one domain (default [1]).  The
           field remains only because the end-to-end benchmark still
@@ -68,6 +61,10 @@ type config = {
 }
 
 val default_config : config
+
+(** The reachability cap (200,000 markings) under which {!synthesize}
+    and {!partition_summary} build Σ. *)
+val state_cap : int
 
 type formula_size = Csc_direct.formula_size = { vars : int; clauses : int }
 
@@ -97,7 +94,11 @@ type result = {
           ({!Csc.csc_satisfied}), so no module invoked a solver *)
   replayed : string list;
       (** outputs whose module was a duplicate cone and reused an
-          earlier CSC solution instead of solving (dedup_cones) *)
+          earlier CSC solution instead of solving: when two outputs'
+          modules have the same canonical cone digest (rule M3 — the
+          same graph up to state renaming), the second replays the
+          first's solution through the renumberings instead of calling
+          the solver again *)
   stale_analyses : int;
       (** module analyses recomputed because an earlier solve mutated
           the complete graph: every output consumed after the first
@@ -111,7 +112,7 @@ exception Synthesis_failed of string
     the time limit, or the state-signal limit. *)
 
 (** [synthesize ?config stg] runs the full modular flow.  Σ is built by
-    {!Sg.of_stg} under [config.max_states], which picks the
+    {!Sg.of_stg} under {!state_cap}, which picks the
     reachability engine ({!Sg.reachable}); the constraint backend is
     picked by {!choose_backend} on Σ's state count.
     @raise Synthesis_failed on exhausted budgets
@@ -141,8 +142,7 @@ val prefix_summary : config -> Stg.t -> Prefix_rules.summary
     takes only the solve order, from the same
     {!Partition_check.solve_order}, so its modules come in the
     summary's [p_order] whenever Σ lacks CSC.  The summary is plain
-    deterministic data keyed by the canonical [.g] digest and the state
-    cap only. *)
+    deterministic data keyed by the canonical [.g] digest only. *)
 val partition_summary : config -> Stg.t -> Partition_check.summary
 
 (** [choose_backend config ~state_bound] picks the constraint engine:

@@ -19,6 +19,3 @@ let to_sop names f =
   match f.cubes with
   | [] -> "0"
   | cs -> String.concat " + " (List.map (Cube.to_product names) cs)
-
-let pp ppf f =
-  Format.fprintf ppf "%d cubes, %d literals" (n_cubes f) (n_literals f)

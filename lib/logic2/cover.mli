@@ -28,4 +28,3 @@ val eval : t -> int -> bool
 val to_pattern : t -> string
 
 val to_sop : string array -> t -> string
-val pp : Format.formatter -> t -> unit

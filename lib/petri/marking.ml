@@ -89,20 +89,6 @@ let pack m =
     Bytes.unsafe_to_string b
   end
 
-let pp ppf m =
-  Format.fprintf ppf "{";
-  let first = ref true in
-  Array.iteri
-    (fun p c ->
-      if c > 0 then begin
-        if not !first then Format.fprintf ppf " ";
-        first := false;
-        if c = 1 then Format.fprintf ppf "p%d" p
-        else Format.fprintf ppf "p%d:%d" p c
-      end)
-    m;
-  Format.fprintf ppf "}"
-
 let pp_named names ppf m =
   Format.fprintf ppf "{";
   let first = ref true in

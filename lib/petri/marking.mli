@@ -54,8 +54,5 @@ val hash : t -> int
     marking itself; non-safe markings use a wider fallback encoding. *)
 val pack : t -> string
 
-(** [pp] prints a marking as [{p0:1 p3:2}] using raw place ids. *)
-val pp : Format.formatter -> t -> unit
-
 (** [pp_named names] prints a marking using [names.(p)] for place [p]. *)
 val pp_named : string array -> Format.formatter -> t -> unit

@@ -118,6 +118,3 @@ let of_dimacs s =
     lines;
   if !pending <> [] then add_clause f (List.rev !pending);
   f
-
-let pp_stats ppf f =
-  Format.fprintf ppf "%d variables, %d clauses" f.n_vars f.n_clauses

@@ -50,4 +50,3 @@ val eval : t -> bool array -> bool
 val to_dimacs : t -> string
 
 val of_dimacs : string -> t
-val pp_stats : Format.formatter -> t -> unit

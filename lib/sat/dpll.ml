@@ -474,13 +474,6 @@ let satisfiable f =
   | Unsat, _ -> None
   | Aborted _, _ -> failwith "Dpll.satisfiable: aborted"
 
-let pp_stats ppf st =
-  Format.fprintf ppf
-    "%d decisions, %d propagations, %d conflicts, %d backtracks, %d restarts, \
-     %d learned"
-    st.decisions st.propagations st.conflicts st.backtracks st.restarts
-    st.learned
-
 let string_of_abort_reason = function
   | Backtrack_limit -> "backtrack limit"
   | Time_limit -> "time limit"

@@ -45,8 +45,6 @@ val solve :
     [Some model] / [None]; aborts raise [Failure]. *)
 val satisfiable : Cnf.t -> bool array option
 
-val pp_stats : Format.formatter -> stats -> unit
-
 (** ["backtrack limit"], ["time limit"] or ["state-signal limit"]. *)
 val string_of_abort_reason : abort_reason -> string
 

@@ -38,4 +38,3 @@ let to_bits = function
   | Dn -> (true, true)
 
 let to_string = function V0 -> "0" | V1 -> "1" | Up -> "Up" | Dn -> "Dn"
-let pp ppf v = Format.fprintf ppf "%s" (to_string v)

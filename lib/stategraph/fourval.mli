@@ -60,4 +60,3 @@ val of_bits : a:bool -> b:bool -> t
 
 val to_bits : t -> bool * bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

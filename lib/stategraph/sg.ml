@@ -490,27 +490,36 @@ let explore ?max_states engine stg =
 
 (* The explicit sweep first, capped at [engine_threshold]; a net that
    overflows it is explored again symbolically under the caller's cap,
-   the default one of both engines when absent.  The debug line names
-   the engine that ran: for a symbolic run, its clusters and BDD nodes;
-   for one that fell back to the explicit sweep, why. *)
+   the default one of both engines when absent.  A net the symbolic
+   engine cannot encode is swept explicitly once, under the caller's
+   cap.  The debug line names the engine that ran: for a symbolic run,
+   its clusters and BDD nodes; for an explicit run the encoding
+   refused, or a symbolic one that fell back to the explicit sweep,
+   why. *)
 let reachable ?(max_states = 100_000) stg =
   let cap = min engine_threshold max_states in
   let engine, detail, ((n, _, _) as g) =
-    match explore ~max_states:cap `Explicit stg with
-    | g -> ("explicit engine", "", g)
-    | exception Reach.Too_many_states _ when max_states > cap -> (
-      let g, info = Symbolic.explore_edges_info ~max_states (Stg.net stg) in
-      match info.Symbolic.i_fallback with
-      | None ->
-        ( "symbolic engine",
-          Printf.sprintf ", %d clusters, %d BDD nodes" info.Symbolic.i_clusters
-            info.Symbolic.i_bdd_nodes,
-          g )
-      | Some reason ->
-        ( Printf.sprintf
-            "symbolic engine fell back to the explicit sweep (%s)" reason,
-          "",
-          g ))
+    match Symenc.unsupported (Stg.net stg) with
+    | Some reason ->
+      ( Printf.sprintf "explicit engine (%s)" reason,
+        "",
+        explore ~max_states `Explicit stg )
+    | None -> (
+      match explore ~max_states:cap `Explicit stg with
+      | g -> ("explicit engine", "", g)
+      | exception Reach.Too_many_states _ when max_states > cap -> (
+        let g, info = Symbolic.explore_edges_info ~max_states (Stg.net stg) in
+        match info.Symbolic.i_fallback with
+        | None ->
+          ( "symbolic engine",
+            Printf.sprintf ", %d clusters, %d BDD nodes"
+              info.Symbolic.i_clusters info.Symbolic.i_bdd_nodes,
+            g )
+        | Some reason ->
+          ( Printf.sprintf
+              "symbolic engine fell back to the explicit sweep (%s)" reason,
+            "",
+            g )))
   in
   Log.debug (fun m ->
       m "reachability: %s, %d states (threshold %d)%s" engine n

@@ -66,11 +66,14 @@ val engine_threshold : int
     [min engine_threshold max_states], and on overflow, when
     [max_states] is larger, the symbolic engine
     ({!Symbolic.explore_edges}) capped at [max_states] (default
-    [100_000], both engines' default).  Both engines number states and
-    order edges identically, so the choice decides only time and
-    memory.  The chosen engine is logged at debug level, a symbolic run
-    with its transition-relation cluster count and BDD node count, a
-    symbolic fallback to the explicit sweep with its reason.
+    [100_000], both engines' default).  A net the symbolic engine cannot
+    encode ({!Symenc.unsupported}) is swept explicitly once, capped at
+    [max_states].  Both engines number states and order edges
+    identically, so the choice decides only time and memory.  The
+    chosen engine is logged at debug level, a symbolic run with its
+    transition-relation cluster count and BDD node count, an explicit
+    run the encoding refused or a symbolic fallback to the explicit
+    sweep with its reason.
     @raise Reach.Too_many_states if more than [max_states] markings are
       reachable. *)
 val reachable : ?max_states:int -> Stg.t -> int * int array * int

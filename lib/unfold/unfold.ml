@@ -283,26 +283,21 @@ let config_marking u m0_counts trans config =
   apply trans;
   Marking.of_array counts
 
-(* Fan the per-(condition, transition) candidate searches out over the
-   pool.  Enumeration only reads the frozen prefix, so the batch is
-   race-free, and [Pool.map_list] keeps input order, so the resulting
-   extension list — and hence the prefix — is identical at any width. *)
-let gen_extensions u nt jobs new_conds =
-  let pairs =
-    List.concat_map
-      (fun b ->
-        List.map (fun t -> (b, t)) (Petri.place_post u.u_net (Iv.get u.c_place b)))
-      new_conds
-  in
-  if jobs > 1 && List.length pairs >= 4 then
-    List.concat (Pool.map_list ~jobs (fun (b, t) -> candidates_at u nt b t) pairs)
-  else List.concat_map (fun (b, t) -> candidates_at u nt b t) pairs
+(* The candidate extensions at every (new condition, consuming
+   transition) pair, in condition then transition order. *)
+let gen_extensions u nt new_conds =
+  List.concat_map
+    (fun b ->
+      List.concat_map
+        (fun t -> candidates_at u nt b t)
+        (Petri.place_post u.u_net (Iv.get u.c_place b)))
+    new_conds
 
 (* Append the popped extension as an event.  If its local-configuration
    marking was already represented the event is a cutoff: its
    postconditions exist (for the certificate) but stay out of every
    co-list, so no extension is ever built on top of them. *)
-let add_event u nt jobs mtab m0_counts pe =
+let add_event u nt mtab m0_counts pe =
   let id = Iv.length u.e_trans in
   let config = Array.append pe.p_config [| id |] in
   let m = config_marking u m0_counts pe.p_trans pe.p_config in
@@ -344,9 +339,9 @@ let add_event u nt jobs mtab m0_counts pe =
           let cod = Ga.get u.c_co d in
           Array.iter (fun b -> Iv.push cod b) posts)
         inter;
-      gen_extensions u nt jobs (Array.to_list posts))
+      gen_extensions u nt (Array.to_list posts))
 
-let build ?(jobs = 1) ?(max_events = 2048) pnet =
+let build ?(max_events = 2048) pnet =
   let np = Petri.n_places pnet and nt = Petri.n_transitions pnet in
   let u =
     {
@@ -398,9 +393,7 @@ let build ?(jobs = 1) ?(max_events = 2048) pnet =
         if d <> b then Iv.push cob d
       done
     done;
-    let init =
-      gen_extensions u nt jobs (List.init n0 (fun b -> b))
-    in
+    let init = gen_extensions u nt (List.init n0 (fun b -> b)) in
     let pq = ref (List.fold_left (fun s pe -> Pq.add pe s) Pq.empty init) in
     let truncated = ref false in
     while (not !truncated) && not (Pq.is_empty !pq) do
@@ -408,7 +401,7 @@ let build ?(jobs = 1) ?(max_events = 2048) pnet =
       pq := Pq.remove pe !pq;
       if Iv.length u.e_trans >= max_events then truncated := true
       else
-        let fresh = add_event u nt jobs mtab m0_counts pe in
+        let fresh = add_event u nt mtab m0_counts pe in
         List.iter (fun p -> pq := Pq.add p !pq) fresh
     done;
     u.is_complete <- not !truncated;

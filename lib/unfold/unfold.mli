@@ -15,8 +15,8 @@
     priority queue ordered by the Esparza–Römer–Vogler total order —
     local-configuration size, then Parikh vector, then the Foata normal
     form, with a final (transition, preset) tiebreak — so the prefix is
-    {e canonical}: the same net yields the same prefix at any [?jobs]
-    width, and the prefix is digestible for the content-addressed cache.
+    {e canonical}: the same net always yields the same prefix, and the
+    prefix is digestible for the content-addressed cache.
 
     On concurrency-heavy nets the prefix is exponentially smaller than
     the state graph; lint rules U1 and U2 decide safeness and
@@ -24,14 +24,12 @@
 
 type t
 
-(** [build ?jobs ?max_events net] constructs the canonical ERV prefix.
-    Possible-extension candidates fan out over the domain pool at width
-    [jobs] (default 1); the result is bit-identical for any width.
+(** [build ?max_events net] constructs the canonical ERV prefix.
     Construction stops — with {!complete} [= false] — once the prefix
     holds [max_events] events (default 2048), or immediately when the
     net has a source transition (empty preset: structurally unbounded,
     so no finite prefix is complete). *)
-val build : ?jobs:int -> ?max_events:int -> Petri.t -> t
+val build : ?max_events:int -> Petri.t -> t
 
 val net : t -> Petri.t
 

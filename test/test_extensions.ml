@@ -15,26 +15,26 @@ let test_bdd_constants () =
 let test_bdd_var_ops () =
   let m = Bdd.manager () in
   let x = Bdd.var m 0 and y = Bdd.var m 1 in
-  check "x and not x" true (Bdd.is_false (Bdd.and_ m x (Bdd.not_ m x)));
-  check "x or not x" true (Bdd.is_true (Bdd.or_ m x (Bdd.not_ m x)));
-  check "idempotent and" true (Bdd.equal (Bdd.and_ m x x) x);
+  check "x and not x" true (Bdd.is_false (Bdd.band m x (Bdd.bnot m x)));
+  check "x or not x" true (Bdd.is_true (Bdd.bor m x (Bdd.bnot m x)));
+  check "idempotent and" true (Bdd.equal (Bdd.band m x x) x);
   check "commutative" true
-    (Bdd.equal (Bdd.and_ m x y) (Bdd.and_ m y x));
+    (Bdd.equal (Bdd.band m x y) (Bdd.band m y x));
   check "xor self" true (Bdd.is_false (Bdd.xor m x x));
   check "imp refl" true (Bdd.is_true (Bdd.imp m x x));
-  check "nvar" true (Bdd.equal (Bdd.nvar m 0) (Bdd.not_ m x))
+  check "nvar" true (Bdd.equal (Bdd.nvar m 0) (Bdd.bnot m x))
 
 let test_bdd_hash_consing () =
   let m = Bdd.manager () in
   let x = Bdd.var m 0 and y = Bdd.var m 1 in
-  let a = Bdd.or_ m (Bdd.and_ m x y) (Bdd.and_ m x y) in
-  let b = Bdd.and_ m x y in
+  let a = Bdd.bor m (Bdd.band m x y) (Bdd.band m x y) in
+  let b = Bdd.band m x y in
   check "structural sharing" true (Bdd.equal a b)
 
 let test_bdd_restrict_exists () =
   let m = Bdd.manager () in
   let x = Bdd.var m 0 and y = Bdd.var m 1 in
-  let f = Bdd.and_ m x y in
+  let f = Bdd.band m x y in
   check "f|x=1 = y" true (Bdd.equal (Bdd.restrict m f ~var:0 ~value:true) y);
   check "f|x=0 = 0" true
     (Bdd.is_false (Bdd.restrict m f ~var:0 ~value:false));
@@ -44,14 +44,14 @@ let test_bdd_restrict_exists () =
 let test_bdd_any_sat () =
   let m = Bdd.manager () in
   let x = Bdd.var m 0 and y = Bdd.var m 1 in
-  (match Bdd.any_sat m (Bdd.and_ m (Bdd.not_ m x) y) with
+  (match Bdd.any_sat m (Bdd.band m (Bdd.bnot m x) y) with
   | Some path ->
     check "x false" true (List.assoc 0 path = false);
     check "y true" true (List.assoc 1 path = true)
   | None -> Alcotest.fail "satisfiable");
   check "unsat none" true (Bdd.any_sat m Bdd.bdd_false = None);
   (* prefers the all-false corner *)
-  match Bdd.any_sat m (Bdd.or_ m x (Bdd.not_ m y)) with
+  match Bdd.any_sat m (Bdd.bor m x (Bdd.bnot m y)) with
   | Some path -> check "quiet model" true (List.for_all (fun (_, b) -> not b) path)
   | None -> Alcotest.fail "satisfiable"
 

@@ -293,16 +293,14 @@ let test_partition_reach () =
   check "partition plan took the symbolic engine" true
     (Counter.get Counter.symbolic > before)
 
-(* The user's state cap holds across the engine switch: below the
+(* The caller's state cap holds across the engine switch: below the
    threshold the capped sweep's overflow is final (no symbolic retry),
-   above it the symbolic engine reports the user's cap, not the
+   above it the symbolic engine reports the caller's cap, not the
    threshold. *)
 let test_auto_state_cap () =
   let stg = Bench_gen.parallel_rings ~rings:6 in
   let raised max_states =
-    match
-      Mpart.synthesize ~config:{ Mpart.default_config with max_states } stg
-    with
+    match Sg.of_stg ~max_states stg with
     | _ -> None
     | exception Reach.Too_many_states n -> Some n
   in
@@ -313,6 +311,18 @@ let test_auto_state_cap () =
     (Counter.get Counter.symbolic);
   Alcotest.(check (option int)) "cap 3000 raised as 3000" (Some 3000)
     (raised 3000)
+
+(* A net the symbolic engine cannot encode is swept once: mixed-4x4
+   (84 places, 2,504 markings) overflows the threshold, but only one
+   explicit exploration runs, not a capped one thrown away first. *)
+let test_unsupported_single_sweep () =
+  let stg = Bench_gen.mixed ~stages:4 ~branches:4 in
+  check "outside the encoding" true
+    (Symenc.unsupported (Stg.net stg) <> None);
+  let before = Counter.get Counter.reach in
+  let sg = Sg.of_stg stg in
+  check_int "one explicit sweep" (before + 1) (Counter.get Counter.reach);
+  check "past the threshold" true (Sg.n_states sg > Sg.engine_threshold)
 
 (* ---------------- CLI: budget exit codes ---------------- *)
 
@@ -478,6 +488,8 @@ let () =
             test_partition_reach;
           Alcotest.test_case "state cap survives the engine switch" `Quick
             test_auto_state_cap;
+          Alcotest.test_case "an unencodable net is swept once" `Quick
+            test_unsupported_single_sweep;
         ] );
       ( "cli",
         [

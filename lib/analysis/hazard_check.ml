@@ -149,18 +149,23 @@ let of_codes mgr ~n_signals codes =
   in
   build 0 codes
 
-(* Classify every state code for signal [sid].  Two states sharing a
-   code must agree on the excitation of a non-input signal (that is
-   CSC); a disagreement makes the per-code regions meaningless, so the
-   checker abstains rather than guess. *)
-let build_regions expanded ~n_signals func sid sname =
+(* Classify every state code for non-input signal [sid], its
+   excitation read off the graph's [Sg.excitation_masks].  Two states
+   sharing a code must agree on the excitation of a non-input signal
+   (that is CSC); a disagreement makes the per-code regions
+   meaningless, so the checker abstains rather than guess. *)
+let build_regions expanded ~masks:(rise_mask, fall_mask) ~n_signals func sid
+    sname =
   let mgr = Bdd.manager () in
   let cat = Hashtbl.create 256 in
   let order = ref [] in
+  let bit = 1 lsl sid in
+  let rise_states = ref [] and fall_states = ref [] in
   for m = 0 to Sg.n_states expanded - 1 do
     let c = Sg.code expanded m in
-    let r = Sg.excited expanded m ~signal:sid ~dir:Sg.R in
-    let f = Sg.excited expanded m ~signal:sid ~dir:Sg.F in
+    let r = rise_mask.(m) land bit <> 0 and f = fall_mask.(m) land bit <> 0 in
+    if r then rise_states := m :: !rise_states;
+    if f then fall_states := m :: !fall_states;
     match Hashtbl.find_opt cat c with
     | Some (r', f') ->
       if r' <> r || f' <> f then
@@ -190,8 +195,8 @@ let build_regions expanded ~n_signals func sid sname =
     er_fall = of_codes mgr ~n_signals fall;
     qr_high = of_codes mgr ~n_signals qh;
     qr_low = of_codes mgr ~n_signals ql;
-    rise_states = Sg.states_excited expanded ~signal:sid ~dir:Sg.R;
-    fall_states = Sg.states_excited expanded ~signal:sid ~dir:Sg.F;
+    rise_states = List.rev !rise_states;
+    fall_states = List.rev !fall_states;
     n_rise_codes = List.length rise;
     n_fall_codes = List.length fall;
   }
@@ -277,17 +282,14 @@ let components sg states =
         while not (Queue.is_empty q) do
           let x = Queue.pop q in
           comp := x :: !comp;
-          let nbrs =
-            List.map (fun e -> e.Sg.dst) (Sg.succ sg x)
-            @ List.map (fun e -> e.Sg.src) (Sg.pred sg x)
+          let reach y =
+            if Hashtbl.mem set y && not (Hashtbl.mem seen y) then begin
+              Hashtbl.replace seen y ();
+              Queue.add y q
+            end
           in
-          List.iter
-            (fun y ->
-              if Hashtbl.mem set y && not (Hashtbl.mem seen y) then begin
-                Hashtbl.replace seen y ();
-                Queue.add y q
-              end)
-            nbrs
+          Sg.iter_succ sg x (fun e -> reach (Sg.edge_dst sg e));
+          Sg.iter_pred sg x (fun e -> reach (Sg.edge_src sg e))
         done;
         Some (List.sort compare !comp)
       end)
@@ -299,7 +301,7 @@ let entry_states sg comp =
   List.filter
     (fun m ->
       m = Sg.initial sg
-      || List.exists (fun e -> not (Hashtbl.mem set e.Sg.src)) (Sg.pred sg m))
+      || Sg.exists_pred sg m (fun e -> not (Hashtbl.mem set (Sg.edge_src sg e))))
     comp
 
 (* ---------------- pretty-printing and JSON ---------------- *)
@@ -439,13 +441,14 @@ let analyze ?(node_budget = 2_000_000) ~expanded ~functions (nl : Netlist.t) =
         | None -> raise (Abstain ("no derived function for output " ^ name))
       in
       (* -------- per-signal partitioned regions -------- *)
+      let masks = Sg.excitation_masks expanded in
       let regions =
         List.map
           (fun name ->
-            let r =
-              build_regions expanded ~n_signals (func_of name) (sig_id name)
-                name
-            in
+            let sid = sig_id name in
+            if not (Sg.non_input expanded sid) then
+              raise (Abstain ("netlist output is an input of the graph: " ^ name));
+            let r = build_regions expanded ~masks ~n_signals (func_of name) sid name in
             total_nodes := !total_nodes + Bdd.n_nodes r.mgr;
             if !total_nodes > node_budget then
               raise
@@ -563,29 +566,24 @@ let analyze ?(node_budget = 2_000_000) ~expanded ~functions (nl : Netlist.t) =
             (components expanded r.rise_states))
         regions;
       (* -------- H2: output persistency / acknowledgement -------- *)
-      let edges = Sg.edges expanded in
       let seen_h2 = Hashtbl.create 16 in
-      Array.iter
-        (fun (e : Sg.edge) ->
-          let csrc = Sg.code expanded e.src and cdst = Sg.code expanded e.dst in
-          let fired_name, fired_dir =
-            match e.label with
-            | Sg.Ev (s, d) -> (Sg.signal_name expanded s, d)
-          in
+      for e = 0 to Sg.n_edges expanded - 1 do
+          let csrc = Sg.code expanded (Sg.edge_src expanded e)
+          and cdst = Sg.code expanded (Sg.edge_dst expanded e) in
+          let label = Sg.edge_label expanded e in
+          let fired_name = Sg.signal_name expanded (Sg.edge_signal expanded e)
+          and fired_dir = Sg.edge_dir expanded e in
           List.iter
             (fun r ->
               List.iter
                 (fun (dir, region) ->
-                  let fired_this =
-                    match e.label with
-                    | Sg.Ev (s, d) -> s = r.sid && d = dir
-                  in
+                  let fired_this = label = Sg.label_code r.sid dir in
                   if
                     (not fired_this)
                     && Bdd.eval_bits r.mgr region csrc
                     && not (Bdd.eval_bits r.mgr region cdst)
                   then begin
-                    let key = (r.sid, dir, csrc, e.label) in
+                    let key = (r.sid, dir, csrc, label) in
                     if not (Hashtbl.mem seen_h2 key) then begin
                       Hashtbl.replace seen_h2 key ();
                       h2_ok := false;
@@ -617,8 +615,8 @@ let analyze ?(node_budget = 2_000_000) ~expanded ~functions (nl : Netlist.t) =
                     end
                   end)
                 [ (Sg.R, r.er_rise); (Sg.F, r.er_fall) ])
-            regions)
-        edges;
+            regions
+      done;
       (* -------- H3: unique entry (informational) -------- *)
       List.iter
         (fun r ->

@@ -70,9 +70,7 @@ let state_key msg m =
     (Sg.extras msg);
   Buffer.contents buf
 
-let edge_rank = function
-  | Sg.Ev (s, Sg.R) -> (s, 0)
-  | Sg.Ev (s, Sg.F) -> (s, 1)
+let dir_char = function Sg.R -> '+' | Sg.F -> '-'
 
 let canonical_form ~output msg =
   let n = Sg.n_states msg in
@@ -89,12 +87,11 @@ let canonical_form ~output msg =
   if n > 0 then assign (Sg.initial msg);
   while not (Queue.is_empty q) do
     let m = Queue.pop q in
-    Sg.succ msg m
-    |> List.map (fun (e : Sg.edge) ->
-           let s, d = edge_rank e.Sg.label in
-           (s, d, state_key msg e.Sg.dst, e.Sg.dst))
-    |> List.sort compare
-    |> List.iter (fun (_, _, _, dst) -> assign dst)
+    let out = ref [] in
+    Sg.iter_succ msg m (fun e ->
+        let dst = Sg.edge_dst msg e in
+        out := (Sg.edge_label msg e, state_key msg dst, dst) :: !out);
+    List.sort compare !out |> List.iter (fun (_, _, dst) -> assign dst)
   done;
   (* Quotients of a reachable graph are reachable, so this never fires;
      kept so the renumbering is total regardless. *)
@@ -121,14 +118,12 @@ let canonical_form ~output msg =
   done;
   Buffer.add_char buf '\x00';
   let lines =
-    Array.to_list (Sg.edges msg)
-    |> List.map (fun (e : Sg.edge) ->
-           let lbl =
-             match e.Sg.label with
-             | Sg.Ev (s, Sg.R) -> Printf.sprintf "+%d:" s
-             | Sg.Ev (s, Sg.F) -> Printf.sprintf "-%d:" s
-           in
-           Printf.sprintf "%d%s%d;" perm.(e.Sg.src) lbl perm.(e.Sg.dst))
+    List.init (Sg.n_edges msg) (fun e ->
+        Printf.sprintf "%d%c%d:%d;"
+          perm.(Sg.edge_src msg e)
+          (dir_char (Sg.edge_dir msg e))
+          (Sg.edge_signal msg e)
+          perm.(Sg.edge_dst msg e))
     |> List.sort String.compare
   in
   List.iter (Buffer.add_string buf) lines;
@@ -151,8 +146,6 @@ let cone_digest ~output msg = fst (canonical_form ~output msg)
 (* ------------------------------------------------------------------ *)
 (* M1: input-set closure + implied-value homogeneity                   *)
 
-let dir_char = function Sg.R -> '+' | Sg.F -> '-'
-
 (* Independent re-derivation of the Fig. 2 trigger set: [s] triggers the
    output when some s-edge enters a state where the output is excited
    from one where it is not.  One witnessing edge per trigger. *)
@@ -160,21 +153,20 @@ let derive_triggers complete ~output =
   let n_states = Sg.n_states complete in
   let n_sig = Sg.n_signals complete in
   let excited = Array.make n_states false in
-  Array.iter
-    (fun (e : Sg.edge) ->
-      match e.Sg.label with
-      | Sg.Ev (s, _) when s = output -> excited.(e.Sg.src) <- true
-      | _ -> ())
-    (Sg.edges complete);
+  for e = 0 to Sg.n_edges complete - 1 do
+    if Sg.edge_signal complete e = output then
+      excited.(Sg.edge_src complete e) <- true
+  done;
   let witness = Array.make n_sig None in
-  Array.iter
-    (fun (e : Sg.edge) ->
-      match e.Sg.label with
-      | Sg.Ev (s, d) when s <> output ->
-        if excited.(e.Sg.dst) && (not excited.(e.Sg.src)) && witness.(s) = None
-        then witness.(s) <- Some (e, d)
-      | _ -> ())
-    (Sg.edges complete);
+  for e = 0 to Sg.n_edges complete - 1 do
+    let s = Sg.edge_signal complete e in
+    if
+      s <> output
+      && excited.(Sg.edge_dst complete e)
+      && (not excited.(Sg.edge_src complete e))
+      && witness.(s) = None
+    then witness.(s) <- Some e
+  done;
   witness
 
 let m1_violations complete (c : cone) =
@@ -191,13 +183,15 @@ let m1_violations complete (c : cone) =
   Array.iteri
     (fun s w ->
       match w with
-      | Some ((e : Sg.edge), d) ->
+      | Some e ->
         triggers := s :: !triggers;
         if not in_inputs.(s) then
           push
             (Printf.sprintf
                "%s%c fired at state %d enters state %d where %s is excited"
-               (name s) (dir_char d) e.Sg.src e.Sg.dst oname)
+               (name s)
+               (dir_char (Sg.edge_dir complete e))
+               (Sg.edge_src complete e) (Sg.edge_dst complete e) oname)
             (Printf.sprintf
                "trigger %s of output %s is missing from the derived input \
                 set {%s}"
@@ -314,40 +308,37 @@ let m5_violations complete (c : cone) =
       let keptp = Array.make (Sg.n_signals complete) (-1) in
       Array.iteri (fun ls cid -> keptp.(cid) <- ls) kept;
       (try
-         Array.iter
-           (fun (e : Sg.edge) ->
-             let cs = c.c_cover.(e.Sg.src) and cd = c.c_cover.(e.Sg.dst) in
-             match e.Sg.label with
-             | Sg.Ev (s, d) when keptp.(s) >= 0 ->
-               let ls = keptp.(s) in
-               let present =
-                 List.exists
-                   (fun (me : Sg.edge) ->
-                     me.Sg.label = Sg.Ev (ls, d) && me.Sg.dst = cd)
-                   (Sg.succ msg cs)
-               in
-               if not present then begin
-                 push
-                   (Printf.sprintf
-                      "edge %d -%s%c-> %d has no module edge %d -> %d"
-                      e.Sg.src (name s) (dir_char d) e.Sg.dst cs cd)
-                   (Printf.sprintf
-                      "a kept transition of %s's module was lost by the \
-                       quotient" oname);
-                 raise Exit
-               end
-             | _ ->
-               if cs <> cd then begin
-                 push
-                   (Printf.sprintf
-                      "hidden edge %d -> %d crosses module states %d and %d"
-                      e.Sg.src e.Sg.dst cs cd)
-                   (Printf.sprintf
-                      "an ε-edge of %s's module connects states the cover \
-                       failed to merge" oname);
-                 raise Exit
-               end)
-           (Sg.edges complete)
+         for e = 0 to Sg.n_edges complete - 1 do
+           let src = Sg.edge_src complete e and dst = Sg.edge_dst complete e in
+           let cs = c.c_cover.(src) and cd = c.c_cover.(dst) in
+           let s = Sg.edge_signal complete e and d = Sg.edge_dir complete e in
+           if keptp.(s) >= 0 then begin
+             let l = Sg.label_code keptp.(s) d in
+             let present =
+               Sg.exists_succ msg cs (fun me ->
+                   Sg.edge_label msg me = l && Sg.edge_dst msg me = cd)
+             in
+             if not present then begin
+               push
+                 (Printf.sprintf "edge %d -%s%c-> %d has no module edge %d -> %d"
+                    src (name s) (dir_char d) dst cs cd)
+                 (Printf.sprintf
+                    "a kept transition of %s's module was lost by the \
+                     quotient" oname);
+               raise Exit
+             end
+           end
+           else if cs <> cd then begin
+             push
+               (Printf.sprintf
+                  "hidden edge %d -> %d crosses module states %d and %d" src dst
+                  cs cd)
+               (Printf.sprintf
+                  "an ε-edge of %s's module connects states the cover \
+                   failed to merge" oname);
+             raise Exit
+           end
+         done
        with Exit -> ());
       (* Kept extras must re-merge, class by class, to the module's
          values (Figure 3). *)

@@ -2,7 +2,7 @@ let src = Logs.Src.create "mpsyn.cache" ~doc:"content-addressed synthesis cache"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let schema_version = "mpsyn-cache/9"
+let schema_version = "mpsyn-cache/10"
 
 (* The schema major version doubles as the entry subdirectory, so a
    version bump orphans (and [clear] ignores) every old entry. *)

@@ -1,11 +1,11 @@
-(** Content-addressed, on-disk memoization store (schema [mpsyn-cache/9]).
+(** Content-addressed, on-disk memoization store (schema [mpsyn-cache/10]).
 
-    One entry per file under [DIR/9/] (the subdirectory is the schema
+    One entry per file under [DIR/10/] (the subdirectory is the schema
     major version: bumping {!schema_version} orphans every old entry at
     once — explicit wholesale invalidation).  An entry is:
 
     {v
-    mpsyn-cache/9\n
+    mpsyn-cache/10\n
     <md5 hex of payload>\n
     <payload: Marshal bytes>
     v}
@@ -31,7 +31,7 @@
 type t
 
 val schema_version : string
-(** ["mpsyn-cache/9"].  v1 → v2: whole-synthesis entries now carry the
+(** ["mpsyn-cache/10"].  v1 → v2: whole-synthesis entries now carry the
     audited partition plan ({!Mpart.result} gained fields), changing
     their marshal layout — the bump orphans every v1 entry at once.
     v2 → v3: state graphs precompute their adjacency lists ([Sg.t]
@@ -61,7 +61,11 @@ val schema_version : string
     audited plan ([Mpart.result] lost its [plan] field) and prefix
     summaries drop the co-excitation relation, the signal names and
     the condition count, changing the marshal layout of every
-    ["synth"] and ["prefix"] entry. *)
+    ["synth"] and ["prefix"] entry.  v9 → v10: state graphs keep their
+    edges as three flat int arrays with CSR successor and predecessor
+    indexes instead of an edge-record array and per-state edge lists
+    ([Sg.t] changed fields, changing the marshal layout of every entry
+    embedding a graph). *)
 
 val open_dir : ?max_bytes:int -> string -> t
 (** [open_dir dir] opens (creating directories as needed) the store

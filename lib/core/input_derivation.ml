@@ -10,14 +10,13 @@ type t = {
 (* [excitation.(m)]: bit 0 when [m] has an [output]+ edge, bit 1 for -. *)
 let output_excitation sg ~output =
   let excitation = Array.make (Sg.n_states sg) 0 in
-  Array.iter
-    (fun e ->
-      match e.Sg.label with
-      | Sg.Ev (s, d) when s = output ->
-        excitation.(e.Sg.src) <-
-          excitation.(e.Sg.src) lor (match d with Sg.R -> 1 | Sg.F -> 2)
-      | Sg.Ev _ -> ())
-    (Sg.edges sg);
+  for e = 0 to Sg.n_edges sg - 1 do
+    if Sg.edge_signal sg e = output then begin
+      let m = Sg.edge_src sg e in
+      excitation.(m) <-
+        excitation.(m) lor match Sg.edge_dir sg e with Sg.R -> 1 | Sg.F -> 2
+    end
+  done;
   excitation
 
 let triggers_of sg ~output excitation =
@@ -26,14 +25,14 @@ let triggers_of sg ~output excitation =
      merely interleaves with o's excitation do not qualify — this is the
      state-graph image of a direct causal STG arc. *)
   let trig = Array.make (Sg.n_signals sg) false in
-  Array.iter
-    (fun e ->
-      match e.Sg.label with
-      | Sg.Ev (s, _) when s <> output ->
-        if excitation.(e.Sg.dst) <> 0 && excitation.(e.Sg.src) = 0 then
-          trig.(s) <- true
-      | Sg.Ev _ -> ())
-    (Sg.edges sg);
+  for e = 0 to Sg.n_edges sg - 1 do
+    let s = Sg.edge_signal sg e in
+    if
+      s <> output
+      && excitation.(Sg.edge_dst sg e) <> 0
+      && excitation.(Sg.edge_src sg e) = 0
+    then trig.(s) <- true
+  done;
   List.filter (fun s -> trig.(s)) (List.init (Sg.n_signals sg) Fun.id)
 
 let triggers sg ~output = triggers_of sg ~output (output_excitation sg ~output)
@@ -149,28 +148,31 @@ let record t code value =
 
 let determine sg ~output =
   let n = Sg.n_states sg and ns = Sg.n_signals sg in
-  let edges = Sg.edges sg and extras = Sg.extras sg in
+  let n_edges = Sg.n_edges sg and extras = Sg.extras sg in
   let excitation = output_excitation sg ~output in
   let immediate = triggers_of sg ~output excitation in
-  let signal e = match e.Sg.label with Sg.Ev (s, _) -> s in
-  (* The edges of each signal are [edges.(by_signal.(k))] for
+  let src e = Sg.edge_src sg e and dst e = Sg.edge_dst sg e in
+  let signal e = Sg.edge_signal sg e in
+  (* The edges of each signal are [by_signal.(k)] for
      [start.(s) <= k < start.(s + 1)], in edge order: each signal's
      count, summed so that [start.(s)] ends its block, then filled from
      the last edge down. *)
   let start = Array.make (ns + 1) 0 in
-  Array.iter (fun e -> start.(signal e) <- start.(signal e) + 1) edges;
+  for e = 0 to n_edges - 1 do
+    start.(signal e) <- start.(signal e) + 1
+  done;
   for s = 1 to ns do
     start.(s) <- start.(s) + start.(s - 1)
   done;
-  let by_signal = Array.make (Array.length edges) 0 in
-  for i = Array.length edges - 1 downto 0 do
-    let s = signal edges.(i) in
+  let by_signal = Array.make n_edges 0 in
+  for e = n_edges - 1 downto 0 do
+    let s = signal e in
     start.(s) <- start.(s) - 1;
-    by_signal.(start.(s)) <- i
+    by_signal.(start.(s)) <- e
   done;
   let iter_signal s f =
     for k = start.(s) to start.(s + 1) - 1 do
-      f edges.(by_signal.(k))
+      f by_signal.(k)
     done
   in
   (* [unmergeable.(x).(s)]: some edge of signal s carries a pair of
@@ -180,11 +182,10 @@ let determine sg ~output =
     Array.map
       (fun (x : Sg.extra) ->
         let bad = Array.make ns false in
-        Array.iter
-          (fun e ->
-            if not (Fourval.edge_ok x.Sg.values.(e.Sg.src) x.Sg.values.(e.Sg.dst))
-            then bad.(signal e) <- true)
-          edges;
+        for e = 0 to n_edges - 1 do
+          if not (Fourval.edge_ok x.Sg.values.(src e) x.Sg.values.(dst e)) then
+            bad.(signal e) <- true
+        done;
         bad)
       extras
   in
@@ -266,7 +267,7 @@ let determine sg ~output =
           for s = 0 to ns - 1 do
             if s <> hide && not hidden.(s) then
               iter_signal s (fun e ->
-                  if not (Fourval.edge_ok (value e.Sg.src) (value e.Sg.dst)) then
+                  if not (Fourval.edge_ok (value (src e)) (value (dst e))) then
                     raise Reject)
           done;
           let b = 1 lsl (ns + xi) in
@@ -330,8 +331,8 @@ let determine sg ~output =
       else begin
         identity ();
         for k = start.(s) to start.(s + 1) - 1 do
-          let e = edges.(by_signal.(k)) in
-          union parent cover.(e.Sg.src) cover.(e.Sg.dst)
+          let e = by_signal.(k) in
+          union parent cover.(src e) cover.(dst e)
         done;
         (* [None]: a state signal would lose its representation, or a
            class would mix both implied values of [output] *)
@@ -357,30 +358,25 @@ let determine sg ~output =
         !out)
   in
   let n_kept = Array.fold_left (fun k s -> k + start.(s + 1) - start.(s)) 0 kept in
-  let src = Array.make n_kept 0 and lab = Array.make n_kept 0 in
-  let dst = Array.make n_kept 0 and len = ref 0 in
-  Array.iter
-    (fun e ->
-      match e.Sg.label with
-      | Sg.Ev (s, d) when not hidden.(s) ->
-        src.(!len) <- cover.(e.Sg.src);
-        lab.(!len) <- Sg.label_code new_of_old.(s) d;
-        dst.(!len) <- cover.(e.Sg.dst);
-        incr len
-      | Sg.Ev _ -> ())
-    edges;
-  let len = Sg.distinct_edges ~n:v.n ~src ~lab ~dst !len in
+  let msrc = Array.make n_kept 0 and mlab = Array.make n_kept 0 in
+  let mdst = Array.make n_kept 0 and len = ref 0 in
+  for e = 0 to n_edges - 1 do
+    let s = signal e in
+    if not hidden.(s) then begin
+      msrc.(!len) <- cover.(src e);
+      mlab.(!len) <- Sg.label_code new_of_old.(s) (Sg.edge_dir sg e);
+      mdst.(!len) <- cover.(dst e);
+      incr len
+    end
+  done;
+  let src, lab, dst = Sg.distinct_edges ~n:v.n ~src:msrc ~lab:mlab ~dst:mdst !len in
   let module_sg =
     ref @@ Sg.make ~name:(Sg.name sg)
       ~signals:
         (Array.map
            (fun s -> { Sg.sname = Sg.signal_name sg s; non_input = Sg.non_input sg s })
            kept)
-      ~codes
-      ~edges:
-        (List.init len (fun j ->
-             { Sg.src = src.(j); label = Sg.label_of_code lab.(j); dst = dst.(j) }))
-      ~initial:cover.(Sg.initial sg)
+      ~codes ~src ~lab ~dst ~initial:cover.(Sg.initial sg)
   in
   Array.iteri
     (fun xi (x : Sg.extra) ->

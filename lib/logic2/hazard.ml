@@ -2,12 +2,11 @@ type hazard = { func_name : string; edge_src : int; edge_dst : int }
 
 let edge_codes sg (f : Derive.func) e =
   let proj m = Support.project ~vars:f.Derive.support (Sg.code sg m) in
-  (proj e.Sg.src, proj e.Sg.dst)
+  (proj (Sg.edge_src sg e), proj (Sg.edge_dst sg e))
 
 let static_one_hazards sg (f : Derive.func) =
   let hazards = ref [] in
-  Array.iter
-    (fun e ->
+  for e = 0 to Sg.n_edges sg - 1 do
       let c1, c2 = edge_codes sg f e in
       if c1 <> c2 && Cover.eval f.Derive.cover c1 && Cover.eval f.Derive.cover c2
       then begin
@@ -18,10 +17,14 @@ let static_one_hazards sg (f : Derive.func) =
         in
         if not spanned then
           hazards :=
-            { func_name = f.Derive.name; edge_src = e.Sg.src; edge_dst = e.Sg.dst }
+            {
+              func_name = f.Derive.name;
+              edge_src = Sg.edge_src sg e;
+              edge_dst = Sg.edge_dst sg e;
+            }
             :: !hazards
-      end)
-    (Sg.edges sg);
+      end
+  done;
   List.rev !hazards
 
 let hazard_free_enlargement sg (f : Derive.func) =
@@ -32,8 +35,7 @@ let hazard_free_enlargement sg (f : Derive.func) =
       (fun c -> Cube.covers_minterm c c1 && Cube.covers_minterm c c2)
       !cubes
   in
-  Array.iter
-    (fun e ->
+  for e = 0 to Sg.n_edges sg - 1 do
       let c1, c2 = edge_codes sg f e in
       if
         c1 <> c2
@@ -62,8 +64,8 @@ let hazard_free_enlargement sg (f : Derive.func) =
         in
         if not (List.exists (Cube.covers_minterm span) f.Derive.offset) then
           cubes := span :: !cubes
-      end)
-    (Sg.edges sg);
+      end
+  done;
   { f with Derive.cover = Cover.make ~width (List.rev !cubes) }
 
 let pp_hazard ppf h =

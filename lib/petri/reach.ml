@@ -1,9 +1,4 @@
-type t = {
-  net : Petri.t;
-  markings : Marking.t array;
-  edges : (int * int * int) array;
-  succ : (int * int) list array;
-}
+type t = { net : Petri.t; markings : Marking.t array; edges : int array }
 
 exception Too_many_states of int
 
@@ -39,7 +34,7 @@ let explore ?(max_states = 100_000) net =
   in
   let cap = max 64 (min max_states 4_096) in
   let markings = Grow.create ~capacity:cap (Petri.initial_marking net) in
-  let edges = Grow.create ~capacity:cap (-1, -1, -1) in
+  let edges = Grow.create ~capacity:(3 * cap) 0 in
   let queue = Queue.create () in
   let intern m =
     let key = Marking.pack m in
@@ -62,35 +57,35 @@ let explore ?(max_states = 100_000) net =
       (fun t ->
         let m' = Petri.fire net m t in
         let dst = intern m' in
-        Grow.push edges (src, t, dst))
+        Grow.push edges src;
+        Grow.push edges t;
+        Grow.push edges dst)
       ts
   done;
-  let markings = Grow.to_array markings in
-  let edges = Grow.to_array edges in
-  let succ = Array.make (Array.length markings) [] in
-  for i = Array.length edges - 1 downto 0 do
-    let s, t, d = edges.(i) in
-    succ.(s) <- (t, d) :: succ.(s)
-  done;
-  { net; markings; edges; succ }
+  { net; markings = Grow.to_array markings; edges = Grow.to_array edges }
 
 let n_states g = Array.length g.markings
-let n_edges g = Array.length g.edges
+let n_edges g = Array.length g.edges / 3
 
-let edge_buffer edges =
-  let buf = Array.make (3 * Array.length edges) 0 in
-  Array.iteri
-    (fun e (src, t, dst) ->
-      buf.(3 * e) <- src;
-      buf.((3 * e) + 1) <- t;
-      buf.((3 * e) + 2) <- dst)
-    edges;
-  buf
+(* The sweep expands states in id order, so each state's edges are one
+   run of the buffer: the targets out of [m] are [g.edges.(3i + 2)] for
+   [start.(m) <= i < start.(m + 1)], in edge order. *)
+let out_start g =
+  let start = Array.make (n_states g + 1) 0 in
+  for e = 0 to n_edges g - 1 do
+    let m = g.edges.(3 * e) in
+    start.(m + 1) <- start.(m + 1) + 1
+  done;
+  for m = 1 to n_states g do
+    start.(m) <- start.(m) + start.(m - 1)
+  done;
+  start
 
 let deadlocks g =
+  let start = out_start g in
   let acc = ref [] in
   for i = n_states g - 1 downto 0 do
-    if g.succ.(i) = [] then acc := i :: !acc
+    if start.(i) = start.(i + 1) then acc := i :: !acc
   done;
   !acc
 
@@ -101,6 +96,7 @@ let is_safe g = Array.for_all Marking.is_safe g.markings
    enough for the default stack. *)
 let sccs g =
   let n = n_states g in
+  let start = out_start g in
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
   let on_stack = Array.make n false in
@@ -113,15 +109,15 @@ let sccs g =
     incr counter;
     stack := v :: !stack;
     on_stack.(v) <- true;
-    List.iter
-      (fun (_, w) ->
-        if index.(w) < 0 then begin
-          strongconnect w;
-          if lowlink.(w) < lowlink.(v) then lowlink.(v) <- lowlink.(w)
-        end
-        else if on_stack.(w) && index.(w) < lowlink.(v) then
-          lowlink.(v) <- index.(w))
-      g.succ.(v);
+    for i = start.(v) to start.(v + 1) - 1 do
+      let w = g.edges.((3 * i) + 2) in
+      if index.(w) < 0 then begin
+        strongconnect w;
+        if lowlink.(w) < lowlink.(v) then lowlink.(v) <- lowlink.(w)
+      end
+      else if on_stack.(w) && index.(w) < lowlink.(v) then
+        lowlink.(v) <- index.(w)
+    done;
     if lowlink.(v) = index.(v) then begin
       let comp = ref [] in
       let continue = ref true in
@@ -147,7 +143,9 @@ let strongly_connected g =
 
 let fireable_transitions g =
   let seen = Hashtbl.create 64 in
-  Array.iter (fun (_, t, _) -> Hashtbl.replace seen t ()) g.edges;
+  for e = 0 to n_edges g - 1 do
+    Hashtbl.replace seen g.edges.((3 * e) + 1) ()
+  done;
   List.sort Int.compare (Hashtbl.fold (fun t () acc -> t :: acc) seen [])
 
 let quasi_live g =

@@ -6,11 +6,16 @@
     state.  Exploration is breadth-first with an explicit cap so that
     unbounded nets fail loudly instead of diverging. *)
 
+(** The graph keeps its edges in one flat buffer: edge [e]'s source,
+    transition and target at [edges.(3e)], [edges.(3e + 1)] and
+    [edges.(3e + 2)] — the form {!Sg.of_transition_edges} reads, three
+    words per edge.  The sweep expands the nodes in id order, so the
+    edges are grouped by source in increasing source order, each node's
+    in the order its transitions are enabled. *)
 type t = {
   net : Petri.t;
   markings : Marking.t array; (* marking of each node; node 0 is initial *)
-  edges : (int * int * int) array; (* (source node, transition, target node) *)
-  succ : (int * int) list array; (* node -> (transition, target) *)
+  edges : int array; (* [src; transition; dst] per edge *)
 }
 
 exception Too_many_states of int
@@ -23,11 +28,6 @@ val explore : ?max_states:int -> Petri.t -> t
 
 val n_states : t -> int
 val n_edges : t -> int
-
-(** [edge_buffer edges] is [edges] flattened: edge [e]'s source,
-    transition and target at indices [3e], [3e + 1] and [3e + 2] — the
-    form {!Sg.of_transition_edges} reads. *)
-val edge_buffer : (int * int * int) array -> int array
 
 (** [deadlocks g] lists the nodes with no enabled transition. *)
 val deadlocks : t -> int list

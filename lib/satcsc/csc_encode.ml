@@ -18,9 +18,8 @@ let encode ?resolve ?(mode = `Strict) sg ~n_new =
   let enc = { cnf; n_states = n; n_new; base_vars = 2 * n * n_new } in
   if n_new > 0 then ignore (Cnf.fresh_vars cnf enc.base_vars);
   (* 1. Edge consistency: forbid the illegal value pairs. *)
-  Array.iter
-    (fun e ->
-      for k = 0 to n_new - 1 do
+  for e = 0 to Sg.n_edges sg - 1 do
+    for k = 0 to n_new - 1 do
         List.iter
           (fun v ->
             List.iter
@@ -28,12 +27,12 @@ let encode ?resolve ?(mode = `Strict) sg ~n_new =
                 if not (Fourval.edge_ok v v') then
                   Cnf.add_clause cnf
                     (List.map Int.neg
-                       (value_lits enc ~state:e.Sg.src ~k v
-                       @ value_lits enc ~state:e.Sg.dst ~k v')))
+                       (value_lits enc ~state:(Sg.edge_src sg e) ~k v
+                       @ value_lits enc ~state:(Sg.edge_dst sg e) ~k v')))
               all_values)
           all_values
-      done)
-    (Sg.edges sg);
+    done
+  done;
   (* Strict distinguishers for conflict pairs: d => (state=V0 /\
      state'=V1) — stable values only, which survive expansion (paper
      §2.1 / Vanbekbergen's strict 0-1 rule). *)

@@ -1,6 +1,6 @@
 type violation = {
   state : int;
-  fired : Sg.label;
+  fired : int * Sg.edge_dir;
   disabled : int * Sg.edge_dir;
   successor : int;
 }
@@ -9,28 +9,23 @@ let violations sg =
   let out = ref [] in
   for m = 0 to Sg.n_states sg - 1 do
     let excited = Sg.excited_events sg m in
-    List.iter
-      (fun e ->
-        let m' = e.Sg.dst in
+    Sg.iter_succ sg m (fun e ->
+        let m' = Sg.edge_dst sg e in
         let excited' = Sg.excited_events sg m' in
         List.iter
           (fun (s, d) ->
             if Sg.non_input sg s then
-              let this_fired =
-                match e.Sg.label with
-                | Sg.Ev (s', d') -> s' = s && d' = d
-              in
+              let this_fired = Sg.edge_label sg e = Sg.label_code s d in
               if (not this_fired) && not (List.mem (s, d) excited') then
                 out :=
                   {
                     state = m;
-                    fired = e.Sg.label;
+                    fired = (Sg.edge_signal sg e, Sg.edge_dir sg e);
                     disabled = (s, d);
                     successor = m';
                   }
                   :: !out)
           excited)
-      (Sg.succ sg m)
   done;
   List.rev !out
 
@@ -38,20 +33,15 @@ let violations sg =
    masks and stopped at the first violating edge. *)
 let is_semi_modular sg =
   let rise, fall = Sg.excitation_masks sg in
-  let edges = Sg.edges sg in
-  let rec go i =
-    i >= Array.length edges
+  let rec go e =
+    e >= Sg.n_edges sg
     ||
-    let e = edges.(i) in
-    let fired_r, fired_f =
-      match e.Sg.label with
-      | Sg.Ev (s, Sg.R) -> (1 lsl s, 0)
-      | Sg.Ev (s, Sg.F) -> (0, 1 lsl s)
-    in
-    let m = e.Sg.src and m' = e.Sg.dst in
+    let fired = 1 lsl Sg.edge_signal sg e in
+    let fired_r, fired_f = if Sg.edge_dir sg e = Sg.R then (fired, 0) else (0, fired) in
+    let m = Sg.edge_src sg e and m' = Sg.edge_dst sg e in
     rise.(m) land lnot fired_r land lnot rise.(m') = 0
     && fall.(m) land lnot fired_f land lnot fall.(m') = 0
-    && go (i + 1)
+    && go (e + 1)
   in
   go 0
 
@@ -68,6 +58,6 @@ let choice_states sg =
 let pp_violation sg ppf v =
   let s, d = v.disabled in
   Format.fprintf ppf "state %d: firing %a disables %s%s (state %d)" v.state
-    (Sg.pp_label sg) v.fired (Sg.signal_name sg s)
+    (Sg.pp_event sg) v.fired (Sg.signal_name sg s)
     (match d with Sg.R -> "+" | Sg.F -> "-")
     v.successor

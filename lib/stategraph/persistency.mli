@@ -12,7 +12,7 @@
 
 type violation = {
   state : int;  (** where both events were enabled *)
-  fired : Sg.label;  (** the transition that fired *)
+  fired : int * Sg.edge_dir;  (** the event that fired *)
   disabled : int * Sg.edge_dir;  (** the non-input event that vanished *)
   successor : int;
 }

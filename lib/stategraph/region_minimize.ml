@@ -43,12 +43,12 @@ let minimize_extra sg ~index =
       (members new_c)
   in
   let edges_ok m v =
-    List.for_all
-      (fun e -> Fourval.edge_ok v values.(e.Sg.dst))
-      (Sg.succ sg m)
-    && List.for_all
-         (fun e -> Fourval.edge_ok values.(e.Sg.src) v)
-         (Sg.pred sg m)
+    (not
+       (Sg.exists_succ sg m (fun e ->
+            not (Fourval.edge_ok v values.(Sg.edge_dst sg e)))))
+    && not
+         (Sg.exists_pred sg m (fun e ->
+              not (Fourval.edge_ok values.(Sg.edge_src sg e) v)))
   in
   let changed = ref true in
   while !changed do

@@ -1,6 +1,4 @@
 type edge_dir = R | F
-type label = Ev of int * edge_dir
-type edge = { src : int; label : label; dst : int }
 type signal_info = { sname : string; non_input : bool }
 type extra = { xname : string; values : Fourval.t array }
 
@@ -8,9 +6,17 @@ type t = {
   name : string;
   signals : signal_info array;
   codes : int array;
-  edges : edge array;
-  succ : edge list array; (* outgoing edges per state, in edge order *)
-  pred : edge list array;
+  (* edge [e] runs from [src.(e)] to [dst.(e)] under label code [lab.(e)] *)
+  src : int array;
+  lab : int array;
+  dst : int array;
+  (* the edges out of [m] are [out_edges.(i)] for [out_start.(m) <= i <
+     out_start.(m + 1)], in edge order; [in_start]/[in_edges] likewise
+     for the edges into [m] *)
+  out_start : int array;
+  out_edges : int array;
+  in_start : int array;
+  in_edges : int array;
   extras : extra array;
   initial : int;
 }
@@ -18,55 +24,61 @@ type t = {
 exception Inconsistent of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Inconsistent s)) fmt
+let label_code s d = (2 * s) + match d with R -> 0 | F -> 1
 
-(* Adjacency is resolved once at construction, so the [succ]/[pred]
-   accessors, which the CSC sweeps call millions of times, allocate
-   nothing. *)
-let index_edges n_states edges =
-  let succ = Array.make n_states [] and pred = Array.make n_states [] in
-  for i = Array.length edges - 1 downto 0 do
-    let e = edges.(i) in
-    succ.(e.src) <- e :: succ.(e.src);
-    pred.(e.dst) <- e :: pred.(e.dst)
+(* The edge ids grouped by [ends.(e)] in CSR form, each group in edge
+   order: every end's count, summed so that [start.(m)] ends its block,
+   then filled from the last edge down. *)
+let csr n ends =
+  let len = Array.length ends in
+  let start = Array.make (n + 1) 0 in
+  Array.iter (fun m -> start.(m) <- start.(m) + 1) ends;
+  for m = 1 to n do
+    start.(m) <- start.(m) + start.(m - 1)
   done;
-  (succ, pred)
+  let ids = Array.make len 0 in
+  for e = len - 1 downto 0 do
+    let m = ends.(e) in
+    start.(m) <- start.(m) - 1;
+    ids.(start.(m)) <- e
+  done;
+  (start, ids)
 
-let check_edge_codes signals codes e =
-  let bit c s = c land (1 lsl s) <> 0 in
-  match e.label with
-  | Ev (s, d) ->
-    if s < 0 || s >= Array.length signals then
-      fail "edge %d->%d fires unknown signal %d" e.src e.dst s;
-    let want_src, want_dst = match d with R -> (false, true) | F -> (true, false) in
-    if bit codes.(e.src) s <> want_src || bit codes.(e.dst) s <> want_dst then
-      fail "edge %d->%d violates consistency on signal %s" e.src e.dst
-        signals.(s).sname;
-    if codes.(e.src) lxor codes.(e.dst) <> 1 lsl s then
-      fail "edge %d->%d changes signals other than %s" e.src e.dst
-        signals.(s).sname
+(* The graph over parts already checked.  The adjacency is resolved once
+   here, so the per-state iterators, which the CSC sweeps call millions
+   of times, allocate nothing. *)
+let build ~name ~signals ~codes ~src ~lab ~dst ~initial =
+  let n = Array.length codes in
+  let out_start, out_edges = csr n src and in_start, in_edges = csr n dst in
+  let extras = [||] in
+  { name; signals; codes; src; lab; dst; out_start; out_edges; in_start; in_edges; extras; initial }
 
-(* The graph over parts already checked. *)
-let build ~name ~signals ~codes ~edges ~initial =
-  let succ, pred = index_edges (Array.length codes) edges in
-  { name; signals; codes; edges; succ; pred; extras = [||]; initial }
-
-let make ~name ~signals ~codes ~edges ~initial =
+let make ~name ~signals ~codes ~src ~lab ~dst ~initial =
   let n = Array.length codes in
   if Array.length signals > 62 then fail "more than 62 visible signals";
   if n = 0 then fail "state graph with no states";
   if initial < 0 || initial >= n then fail "initial state out of range";
-  List.iter
-    (fun e ->
-      if e.src < 0 || e.src >= n || e.dst < 0 || e.dst >= n then
-        fail "edge endpoint out of range";
-      check_edge_codes signals codes e)
-    edges;
-  build ~name ~signals ~codes ~edges:(Array.of_list edges) ~initial
+  let len = Array.length src in
+  if Array.length lab <> len || Array.length dst <> len then
+    fail "edge arrays of different lengths";
+  let bit c s = c land (1 lsl s) <> 0 in
+  for e = 0 to len - 1 do
+    let a = src.(e) and b = dst.(e) and s = lab.(e) asr 1 in
+    if a < 0 || a >= n || b < 0 || b >= n then fail "edge endpoint out of range";
+    if s < 0 || s >= Array.length signals then
+      fail "edge %d->%d fires unknown signal %d" a b s;
+    let rising = lab.(e) land 1 = 0 in
+    if bit codes.(a) s = rising || bit codes.(b) s <> rising then
+      fail "edge %d->%d violates consistency on signal %s" a b signals.(s).sname;
+    if codes.(a) lxor codes.(b) <> 1 lsl s then
+      fail "edge %d->%d changes signals other than %s" a b signals.(s).sname
+  done;
+  build ~name ~signals ~codes ~src ~lab ~dst ~initial
 
 let name sg = sg.name
 let n_states sg = Array.length sg.codes
 let n_signals sg = Array.length sg.signals
-let n_edges sg = Array.length sg.edges
+let n_edges sg = Array.length sg.src
 let initial sg = sg.initial
 let signal_name sg s = sg.signals.(s).sname
 let non_input sg s = sg.signals.(s).non_input
@@ -81,24 +93,51 @@ let find_signal sg n =
 
 let code sg m = sg.codes.(m)
 let bit sg m s = sg.codes.(m) land (1 lsl s) <> 0
-let edges sg = sg.edges
-let succ sg m = sg.succ.(m)
-let pred sg m = sg.pred.(m)
+let edge_src sg e = sg.src.(e)
+let edge_dst sg e = sg.dst.(e)
+let edge_label sg e = sg.lab.(e)
+let edge_signal sg e = sg.lab.(e) lsr 1
+let edge_dir sg e = if sg.lab.(e) land 1 = 0 then R else F
+
+let iter_succ sg m f =
+  for i = sg.out_start.(m) to sg.out_start.(m + 1) - 1 do
+    f sg.out_edges.(i)
+  done
+
+let iter_pred sg m f =
+  for i = sg.in_start.(m) to sg.in_start.(m + 1) - 1 do
+    f sg.in_edges.(i)
+  done
+
+let exists_in ids p i stop =
+  let rec go i = i < stop && (p ids.(i) || go (i + 1)) in
+  go i
+
+let exists_succ sg m p =
+  exists_in sg.out_edges p sg.out_start.(m) sg.out_start.(m + 1)
+
+let exists_pred sg m p = exists_in sg.in_edges p sg.in_start.(m) sg.in_start.(m + 1)
+let out_degree sg m = sg.out_start.(m + 1) - sg.out_start.(m)
 let extras sg = sg.extras
 let n_extras sg = Array.length sg.extras
+
+(* [Fourval.edge_ok] along every edge, or [fail] with the first edge
+   that breaks it. *)
+let check_values sg values fail_edge =
+  for e = 0 to n_edges sg - 1 do
+    let a = sg.src.(e) and b = sg.dst.(e) in
+    if not (Fourval.edge_ok values.(a) values.(b)) then fail_edge a b
+  done
 
 let add_extra sg ~name ~values =
   if Array.length values <> n_states sg then
     fail "extra %s: %d values for %d states" name (Array.length values)
       (n_states sg);
-  Array.iter
-    (fun e ->
-      if not (Fourval.edge_ok values.(e.src) values.(e.dst)) then
-        fail "extra %s: illegal value pair %s -> %s on edge %d->%d" name
-          (Fourval.to_string values.(e.src))
-          (Fourval.to_string values.(e.dst))
-          e.src e.dst)
-    sg.edges;
+  check_values sg values (fun a b ->
+      fail "extra %s: illegal value pair %s -> %s on edge %d->%d" name
+        (Fourval.to_string values.(a))
+        (Fourval.to_string values.(b))
+        a b);
   if Array.exists (fun x -> x.xname = name) sg.extras then
     fail "extra %s already present" name;
   { sg with extras = Array.append sg.extras [| { xname = name; values } |] }
@@ -109,11 +148,8 @@ let set_extra_values sg ~index ~values =
   let x = sg.extras.(index) in
   if Array.length values <> n_states sg then
     fail "extra %s: wrong number of values" x.xname;
-  Array.iter
-    (fun e ->
-      if not (Fourval.edge_ok values.(e.src) values.(e.dst)) then
-        fail "extra %s: illegal value pair on edge %d->%d" x.xname e.src e.dst)
-    sg.edges;
+  check_values sg values (fun a b ->
+      fail "extra %s: illegal value pair on edge %d->%d" x.xname a b);
   let extras = Array.copy sg.extras in
   extras.(index) <- { x with values };
   { sg with extras }
@@ -129,32 +165,20 @@ let full_code sg m =
   !c
 
 let excited_events sg m =
-  let evs = List.map (fun e -> match e.label with Ev (s, d) -> (s, d)) (succ sg m) in
-  List.sort_uniq compare evs
-
-let excited sg m ~signal ~dir =
-  List.exists
-    (fun e -> match e.label with Ev (s, d) -> s = signal && d = dir)
-    (succ sg m)
-
-let states_excited sg ~signal ~dir =
-  let acc = ref [] in
-  for m = n_states sg - 1 downto 0 do
-    if excited sg m ~signal ~dir then acc := m :: !acc
-  done;
-  !acc
+  let evs = ref [] in
+  iter_succ sg m (fun e -> evs := (edge_signal sg e, edge_dir sg e) :: !evs);
+  List.sort_uniq compare !evs
 
 let excitation_masks sg =
   let n = n_states sg in
   let rise = Array.make n 0 and fall = Array.make n 0 in
-  Array.iter
-    (fun e ->
-      match e.label with
-      | Ev (s, d) when sg.signals.(s).non_input ->
-        let mask = match d with R -> rise | F -> fall in
-        mask.(e.src) <- mask.(e.src) lor (1 lsl s)
-      | Ev _ -> ())
-    sg.edges;
+  for e = 0 to n_edges sg - 1 do
+    let s = edge_signal sg e in
+    if sg.signals.(s).non_input then begin
+      let mask = if sg.lab.(e) land 1 = 0 then rise else fall in
+      mask.(sg.src.(e)) <- mask.(sg.src.(e)) lor (1 lsl s)
+    end
+  done;
   (rise, fall)
 
 let full_excitation_masks sg =
@@ -175,10 +199,8 @@ let full_excitation_masks sg =
 
 let implied_value sg m s =
   let excited dir =
-    List.exists
-      (fun e ->
-        match e.label with Ev (s', d) -> s' = s && d = dir)
-      (succ sg m)
+    let l = label_code s dir in
+    exists_succ sg m (fun e -> sg.lab.(e) = l)
   in
   if bit sg m s then not (excited F) else excited R
 
@@ -239,10 +261,8 @@ let distinct_edges ~n ~src ~lab ~dst len =
       incr kept
     end
   done;
-  !kept
-
-let label_code s d = (2 * s) + match d with R -> 0 | F -> 1
-let label_of_code l = Ev (l lsr 1, if l land 1 = 0 then R else F)
+  let cut a = if !kept = Array.length a then a else Array.sub a 0 !kept in
+  (cut src, cut lab, cut dst)
 
 (* ------------------------------------------------------------------ *)
 (* Derivation from an STG                                              *)
@@ -456,11 +476,7 @@ let of_transition_edges stg ~n_states:n ~n_edges buf =
       incr len
     end
   done;
-  let len = distinct_edges ~n:nc ~src ~lab ~dst !len in
-  let labels = Array.init (2 * ns) label_of_code in
-  let edges =
-    Array.init len (fun k -> { src = src.(k); label = labels.(lab.(k)); dst = dst.(k) })
-  in
+  let src, lab, dst = distinct_edges ~n:nc ~src ~lab ~dst !len in
   let signals =
     Array.init ns (fun s ->
         {
@@ -468,7 +484,7 @@ let of_transition_edges stg ~n_states:n ~n_edges buf =
           non_input = Signal.non_input (Stg.kind stg s);
         })
   in
-  build ~name:(Stg.name stg) ~signals ~codes ~edges ~initial:cls.(0)
+  build ~name:(Stg.name stg) ~signals ~codes ~src ~lab ~dst ~initial:cls.(0)
 
 let log_src = Logs.Src.create "mpsyn.sg" ~doc:"state-graph construction"
 
@@ -485,7 +501,7 @@ let explore ?max_states engine stg =
   match engine with
   | `Explicit ->
     let g = Reach.explore ?max_states net in
-    (Reach.n_states g, Reach.edge_buffer g.Reach.edges, Reach.n_edges g)
+    (Reach.n_states g, g.Reach.edges, Reach.n_edges g)
   | `Symbolic -> Symbolic.explore_edges ?max_states net
 
 (* The explicit sweep first, capped at [engine_threshold]; a net that
@@ -557,15 +573,12 @@ let digest sg =
   add "\x00";
   Array.iter (fun c -> Buffer.add_string buf (string_of_int c ^ ",")) sg.codes;
   add "\x00";
-  Array.iter
-    (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d%s%d;" e.src
-           (match e.label with
-           | Ev (s, R) -> Printf.sprintf "+%d:" s
-           | Ev (s, F) -> Printf.sprintf "-%d:" s)
-           e.dst))
-    sg.edges;
+  for e = 0 to n_edges sg - 1 do
+    Buffer.add_string buf
+      (Printf.sprintf "%d%c%d:%d;" sg.src.(e)
+         (if sg.lab.(e) land 1 = 0 then '+' else '-')
+         (edge_signal sg e) sg.dst.(e))
+  done;
   add "\x00";
   Array.iter
     (fun x ->
@@ -590,9 +603,8 @@ let digest sg =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let pp_label sg ppf = function
-  | Ev (s, R) -> Format.fprintf ppf "%s+" sg.signals.(s).sname
-  | Ev (s, F) -> Format.fprintf ppf "%s-" sg.signals.(s).sname
+let pp_event sg ppf (s, d) =
+  Format.fprintf ppf "%s%c" sg.signals.(s).sname (match d with R -> '+' | F -> '-')
 
 let pp_state sg ppf m =
   for s = 0 to n_signals sg - 1 do
@@ -610,11 +622,10 @@ let to_dot sg =
       (Format.asprintf "  s%d [label=\"%a\"%s];\n" m (pp_state sg) m
          (if m = sg.initial then ",shape=doublecircle" else ""))
   done;
-  Array.iter
-    (fun e ->
-      Buffer.add_string buf
-        (Format.asprintf "  s%d -> s%d [label=\"%a\"];\n" e.src e.dst
-           (pp_label sg) e.label))
-    sg.edges;
+  for e = 0 to n_edges sg - 1 do
+    Buffer.add_string buf
+      (Format.asprintf "  s%d -> s%d [label=\"%a\"];\n" sg.src.(e) sg.dst.(e)
+         (pp_event sg) (edge_signal sg e, edge_dir sg e))
+  done;
   Buffer.add_string buf "}\n";
   Buffer.contents buf

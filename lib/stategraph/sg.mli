@@ -17,16 +17,20 @@
     The module is deliberately independent of {!Stg}: projections and
     expansions produce state graphs whose signal set no longer matches any
     STG. Codes are stored as [int] bitmasks, so at most 62 visible signals
-    are supported (far beyond any published STG benchmark). *)
+    are supported (far beyond any published STG benchmark).
+
+    {b Edge storage.}  Edges are numbered [0 .. n_edges - 1] and kept in
+    three flat int arrays: source, {!label_code} and target.  The edge
+    order is the builder's: Σ and a module keep each distinct edge at its
+    first occurrence ({!distinct_edges}), {!Sg_expand.expand} documents
+    its own.  [build] then indexes the edge ids once by source and once
+    by target in CSR form (per-state offsets into one array of edge ids,
+    each state's block in edge order), so {!iter_succ} and {!iter_pred}
+    walk a slice of an int array.  A graph holds no boxed per-edge value:
+    five words per edge (three for the edges, one per index) plus three
+    per state (its code and the two offsets). *)
 
 type edge_dir = R | F
-
-(** Edge labels: a rising or falling transition of a visible signal.
-    There is no ε label; silent steps are merged away before a graph is
-    built. *)
-type label = Ev of int * edge_dir
-
-type edge = { src : int; label : label; dst : int }
 type signal_info = { sname : string; non_input : bool }
 
 (** An inserted state signal: a 4-valued assignment to every state. *)
@@ -40,16 +44,21 @@ exception Inconsistent of string
 
 (** {1 Construction} *)
 
-(** [make ~name ~signals ~codes ~edges ~initial] builds a state graph with
-    [Array.length codes] states.  Checks that edge endpoints are in range
-    and that codes are consistent along every edge ([Ev (s, R)] flips bit
-    [s] from 0 to 1 and no other bit).
+(** [make ~name ~signals ~codes ~src ~lab ~dst ~initial] builds a state
+    graph with [Array.length codes] states whose edge [e] runs from
+    [src.(e)] to [dst.(e)] under the label [lab.(e)] ({!label_code}); the
+    graph keeps the three arrays, so the caller must not change them
+    afterwards.  Checks that the arrays have one length, that edge
+    endpoints are in range and that codes are consistent along every edge
+    ([label_code s R] flips bit [s] from 0 to 1 and no other bit).
     @raise Inconsistent on violation. *)
 val make :
   name:string ->
   signals:signal_info array ->
   codes:int array ->
-  edges:edge list ->
+  src:int array ->
+  lab:int array ->
+  dst:int array ->
   initial:int ->
   t
 
@@ -94,7 +103,7 @@ val of_stg : ?max_states:int -> ?backend:[ `Explicit | `Symbolic ] -> Stg.t -> t
     reachability graph of [stg] with [n_states] states, state 0 the
     initial one, and [n_edges] edges, edge [e] being the
     [(source, transition, target)] triple at [buf.(3e)], [buf.(3e + 1)]
-    and [buf.(3e + 2)] ({!Reach.edge_buffer}).  One breadth-first pass
+    and [buf.(3e + 2)] (the buffer of {!Reach.t}).  One breadth-first pass
     over the edges gives every state its code relative to its
     component's lowest state ([code(dst) = code(src) lxor delta(t)],
     where [delta(t)] is the bit of [t]'s signal, 0 for a dummy); a
@@ -134,9 +143,25 @@ val code : t -> int -> int
 (** [bit sg m s] is the value of signal [s] in state [m]. *)
 val bit : t -> int -> int -> bool
 
-val edges : t -> edge array
-val succ : t -> int -> edge list
-val pred : t -> int -> edge list
+(** {1 Edges}
+
+    Edge [e] ([0 <= e < n_edges sg]) fires signal [edge_signal sg e] in
+    direction [edge_dir sg e] from [edge_src sg e] to [edge_dst sg e];
+    [edge_label sg e] is its {!label_code}.  [iter_succ sg m f] applies
+    [f] to every edge out of [m] in edge order, [iter_pred] to every edge
+    into [m]; [exists_succ] and [exists_pred] try them in that order.
+    None of these allocates. *)
+
+val edge_src : t -> int -> int
+val edge_dst : t -> int -> int
+val edge_label : t -> int -> int
+val edge_signal : t -> int -> int
+val edge_dir : t -> int -> edge_dir
+val iter_succ : t -> int -> (int -> unit) -> unit
+val iter_pred : t -> int -> (int -> unit) -> unit
+val exists_succ : t -> int -> (int -> bool) -> bool
+val exists_pred : t -> int -> (int -> bool) -> bool
+val out_degree : t -> int -> int
 
 (** {1 State signals (extras)} *)
 
@@ -170,15 +195,6 @@ val full_width : t -> int
     outgoing transition at [m], sorted, deduplicated. *)
 val excited_events : t -> int -> (int * edge_dir) list
 
-(** [excited sg m ~signal ~dir] holds when the event [(signal, dir)] has
-    an outgoing edge at [m]. *)
-val excited : t -> int -> signal:int -> dir:edge_dir -> bool
-
-(** [states_excited sg ~signal ~dir] lists the states where the event is
-    excited, in increasing state order — the explicit excitation region
-    the symbolic hazard rules re-encode as BDDs. *)
-val states_excited : t -> signal:int -> dir:edge_dir -> int list
-
 (** [excitation_masks sg] is [(rise, fall)], two per-state bitmasks of
     the excited non-input visible events: bit [s] of [rise.(m)] is set
     when [(s, R)] is excited at [m], and [fall] likewise for [F].  Built
@@ -203,23 +219,25 @@ val implied_value : t -> int -> int -> bool
 
 (** {1 Edge deduplication} *)
 
-(** Event labels coded as ints, as {!distinct_edges} compares them:
-    [label_code s R] is [2s], [label_code s F] is [2s + 1], and
-    [label_of_code] inverts it. *)
+(** [label_code s d] is the label of an edge firing signal [s] in
+    direction [d]: [2s] for [R], [2s + 1] for [F]. *)
 val label_code : int -> edge_dir -> int
-
-val label_of_code : int -> label
 
 (** [distinct_edges ~n ~src ~lab ~dst len] keeps the first occurrence
     of each distinct edge [(src.(i), lab.(i), dst.(i))], [i < len], every
     source below [n]: the kept edges move, in order, to the front of the
-    three arrays, and their count is returned.  This is the edge order
-    {!of_transition_edges} and the input-set derivation's modules keep.
-    An edge is looked up among those already kept out of its source, so
-    no hashing is needed and a state with few distinct out-edges costs
-    few comparisons. *)
+    three arrays, which are returned cut to the kept count (uncopied when
+    every slot is kept).  This is the edge order {!of_transition_edges}
+    and the input-set derivation's modules keep.  An edge is looked up
+    among those already kept out of its source, so no hashing is needed
+    and a state with few distinct out-edges costs few comparisons. *)
 val distinct_edges :
-  n:int -> src:int array -> lab:int array -> dst:int array -> int -> int
+  n:int ->
+  src:int array ->
+  lab:int array ->
+  dst:int array ->
+  int ->
+  int array * int array * int array
 
 (** {1 Content digest} *)
 
@@ -233,7 +251,9 @@ val digest : t -> string
 (** {1 Output} *)
 
 val pp_state : t -> Format.formatter -> int -> unit
-val pp_label : t -> Format.formatter -> label -> unit
+
+(** [pp_event sg] prints [(s, d)] as [s]'s name followed by [+] or [-]. *)
+val pp_event : t -> Format.formatter -> int * edge_dir -> unit
 
 (** [to_dot sg] renders the graph in Graphviz dot syntax. *)
 val to_dot : t -> string

@@ -41,8 +41,8 @@ let extra_bit extras l i m c =
    ([Up → Up], [Dn → Dn]) adds one free bit shared by both ends.
    Returns the leaving bits of the source copy and the number of free
    bits, whose (source bit, destination bit) pairs fill [free]. *)
-let route extras l free e =
-  let s = e.Sg.src and d = e.Sg.dst in
+let route extras l free sg e =
+  let s = Sg.edge_src sg e and d = Sg.edge_dst sg e in
   let leave = ref 0 and n_free = ref 0 in
   Array.iteri
     (fun i (x : Sg.extra) ->
@@ -108,35 +108,46 @@ let expand sg =
         codes.(first.(m) + c) <- !code
       done
     done;
-    let edges = ref [] in
-    let add src label dst = edges := { Sg.src; label; dst } :: !edges in
-    (* The inserted transitions, from every A copy to its B copy. *)
-    for i = k - 1 downto 0 do
-      for m = 0 to n - 1 do
-        Option.iter
-          (fun d ->
-            let b = 1 lsl l.pos.(i).(m) in
-            for c = 0 to (1 lsl l.width.(m)) - 1 do
-              if c land b = 0 then
-                add (first.(m) + c) (Sg.Ev (ns + i, d)) (first.(m) + c + b)
-            done)
-          (dir_of extras.(i).Sg.values.(m))
-      done
-    done;
     let free = Array.make k (0, 0) in
-    Array.iter
-      (fun e ->
-        let leave, nf = route extras l free e in
-        iter_free ~leave free nf (fun sc dc ->
-            add (first.(e.Sg.src) + sc) e.Sg.label (first.(e.Sg.dst) + dc)))
-      (Sg.edges sg);
+    (* [edges add] calls [add src label dst] for every expanded edge, in
+       order: first the inserted transitions, from every A copy to its B
+       copy, then the re-routed original edges. *)
+    let edges add =
+      for i = k - 1 downto 0 do
+        for m = 0 to n - 1 do
+          Option.iter
+            (fun d ->
+              let b = 1 lsl l.pos.(i).(m) in
+              for c = 0 to (1 lsl l.width.(m)) - 1 do
+                if c land b = 0 then
+                  add (first.(m) + c) (Sg.label_code (ns + i) d) (first.(m) + c + b)
+              done)
+            (dir_of extras.(i).Sg.values.(m))
+        done
+      done;
+      for e = 0 to Sg.n_edges sg - 1 do
+        let leave, nf = route extras l free sg e in
+        let a = first.(Sg.edge_src sg e) and b = first.(Sg.edge_dst sg e) in
+        iter_free ~leave free nf (fun sc dc -> add (a + sc) (Sg.edge_label sg e) (b + dc))
+      done
+    in
+    (* counted first, so that they fill three arrays of their exact length *)
+    let len = ref 0 in
+    edges (fun _ _ _ -> incr len);
+    let src = Array.make !len 0 and lab = Array.make !len 0 in
+    let dst = Array.make !len 0 and next = ref 0 in
+    edges (fun a label b ->
+        src.(!next) <- a;
+        lab.(!next) <- label;
+        dst.(!next) <- b;
+        incr next);
     let signals =
       Array.init (ns + k) (fun s ->
           if s < ns then
             { Sg.sname = Sg.signal_name sg s; non_input = Sg.non_input sg s }
           else { Sg.sname = extras.(s - ns).Sg.xname; non_input = true })
     in
-    Sg.make ~name:(Sg.name sg) ~signals ~codes ~edges:(List.rev !edges)
+    Sg.make ~name:(Sg.name sg) ~signals ~codes ~src ~lab ~dst
       ~initial:first.(Sg.initial sg)
   end
 
@@ -186,14 +197,14 @@ let fold sg =
   (* an original edge is excited in the copies that hold its leaving
      bits, whatever its free bits are *)
   let free = Array.make (Array.length extras) (0, 0) in
-  Array.iter
-    (fun e ->
-      match e.Sg.label with
-      | Sg.Ev (s, dir) when Sg.non_input sg s ->
-        let leave, _ = route extras l free e in
-        excite dir ~m:e.Sg.src ~bit:(1 lsl s) (fun c -> c land leave = leave)
-      | Sg.Ev _ -> ())
-    (Sg.edges sg);
+  for e = 0 to Sg.n_edges sg - 1 do
+    let s = Sg.edge_signal sg e in
+    if Sg.non_input sg s then begin
+      let leave, _ = route extras l free sg e in
+      excite (Sg.edge_dir sg e) ~m:(Sg.edge_src sg e) ~bit:(1 lsl s) (fun c ->
+          c land leave = leave)
+    end
+  done;
   { sg; extras; l; rise; fall }
 
 module Int_tbl = Hashtbl.Make (Int)
@@ -255,27 +266,24 @@ let folded_violations ~stop f =
   let count = ref 0 in
   let free = Array.make (Array.length f.extras) (0, 0) in
   (try
-     Array.iter
-       (fun e ->
-         let fired_r, fired_f =
-           match e.Sg.label with
-           | Sg.Ev (s, Sg.R) -> (1 lsl s, 0)
-           | Sg.Ev (s, Sg.F) -> (0, 1 lsl s)
-         in
-         let src = f.l.first.(e.Sg.src) and dst = f.l.first.(e.Sg.dst) in
-         let leave, nf = route f.extras f.l free e in
-         iter_free ~leave free nf (fun sc dc ->
-             let v =
-               popcount
-                 (f.rise.(src + sc) land lnot fired_r
-                 land lnot f.rise.(dst + dc))
-               + popcount
-                   (f.fall.(src + sc) land lnot fired_f
-                   land lnot f.fall.(dst + dc))
-             in
-             count := !count + v;
-             if stop && v > 0 then raise Exit))
-       (Sg.edges f.sg)
+     for e = 0 to Sg.n_edges f.sg - 1 do
+       let fired = 1 lsl Sg.edge_signal f.sg e in
+       let fired_r, fired_f =
+         if Sg.edge_dir f.sg e = Sg.R then (fired, 0) else (0, fired)
+       in
+       let src = f.l.first.(Sg.edge_src f.sg e)
+       and dst = f.l.first.(Sg.edge_dst f.sg e) in
+       let leave, nf = route f.extras f.l free f.sg e in
+       iter_free ~leave free nf (fun sc dc ->
+           let v =
+             popcount
+               (f.rise.(src + sc) land lnot fired_r land lnot f.rise.(dst + dc))
+             + popcount
+                 (f.fall.(src + sc) land lnot fired_f land lnot f.fall.(dst + dc))
+           in
+           count := !count + v;
+           if stop && v > 0 then raise Exit)
+     done
    with Exit -> ());
   !count
 

@@ -8,8 +8,10 @@
     diamonds for [Up→Up] / [Dn→Dn] edges (semi-modularity).  The final
     state counts reported in Table 1 come from this step. *)
 
-(** [expand sg] realises all extras in one pass and builds the result
-    with a single {!Sg.make}, which checks every edge's codes.  The
+(** [expand sg] realises all extras in one pass: it counts the expanded
+    edges, fills the three edge arrays at their exact length and builds
+    the result with a single {!Sg.make}, which checks every edge's
+    codes.  The
     graph is the one realising the extras one at a time, first to last,
     gives (each a new non-input signal appended after the existing
     ones), so the two have the same {!Sg.digest}:
@@ -35,7 +37,7 @@ val expand : Sg.t -> Sg.t
 (** {1 Folded decisions}
 
     The checks implementability needs, answered about [expand sg]
-    without building it: no {!Sg.make}, no edge list.  An expanded state
+    without building it: no {!Sg.make}, no expanded edge array.  An expanded state
     is a pair ([m], [c]) of a state of [sg] and a copy index, numbered
     as {!expand} numbers them.  Its code is [m]'s base code plus each
     extra's stable value or copy bit ([Up] is its bit, [Dn] its

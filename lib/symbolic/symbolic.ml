@@ -314,7 +314,7 @@ let explore_edges_info ?max_states net =
       ((fx.fx_states, edata, n_edges), sym_info fx))
     ~fall:(fun ~reason ->
       let g = Reach.explore ?max_states net in
-      ( (Reach.n_states g, Reach.edge_buffer g.Reach.edges, Reach.n_edges g),
+      ( (Reach.n_states g, g.Reach.edges, Reach.n_edges g),
         explicit_info ~reason g ))
 
 let explore_edges ?max_states net = fst (explore_edges_info ?max_states net)

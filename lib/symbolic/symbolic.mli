@@ -8,8 +8,8 @@
     and then lists the explicit graph's edges by canonical enumeration
     of the onset.
 
-    The result is one flat edge buffer, {e identical} to
-    [Reach.edge_buffer] of what [Reach.explore] returns — same state
+    The result is one flat edge buffer, {e identical} to the
+    [edges] buffer of what [Reach.explore] returns — same state
     numbering (breadth-first discovery order from the initial marking,
     transitions fired in increasing id order) and same edge order — so
     every downstream consumer, including [Sg.digest], is oblivious to
@@ -36,10 +36,10 @@ type info = {
     edge [e] is the triple [(buf.(3e), buf.(3e+1), buf.(3e+2))] =
     (source state, transition, destination state) of the graph
     {!Reach.explore} would return — identical numbering, identical edge
-    order — without materializing the markings, the adjacency lists, or
-    even boxed edge tuples.  The state-graph derivation reads nothing
-    else; skipping the rest of the [Reach.t] materialization is where
-    much of the end-to-end win over the explicit sweep comes from.
+    order, the same buffer as its [edges] — without materializing the
+    markings.  The state-graph derivation reads nothing else; skipping
+    the markings is where much of the end-to-end win over the explicit
+    sweep comes from.
     Transition-relation clusters are capped at
     {!Symrel.default_cluster_max} places of support.
     @param max_states exploration cap, default [100_000] — the same

@@ -41,27 +41,73 @@ let event_name sg (s, d) =
 (* Distinct violations after which an exploration stops. *)
 let max_violations = 32
 
+(* What an exploration has found so far: its distinct violations, one
+   per [dedup_key], newest first; the product edges it walked; and the
+   spec edges it exercised. *)
+type log = {
+  spec : Sg.t;
+  mutable found : violation list;
+  keys : (string, unit) Hashtbl.t;
+  mutable walked : int;
+  covered : bool array;
+}
+
+let new_log spec =
+  {
+    spec;
+    found = [];
+    keys = Hashtbl.create 16;
+    walked = 0;
+    covered = Array.make (Sg.n_edges spec) false;
+  }
+
+let add_violation log v =
+  let k = dedup_key v in
+  if not (Hashtbl.mem log.keys k) then begin
+    Hashtbl.add log.keys k ();
+    log.found <- v :: log.found
+  end
+
+let full log = Hashtbl.length log.keys >= max_violations
+
+(* The report of an exploration that expanded [states] product states.
+   One that was not capped must have exercised every spec edge. *)
+let report log ~capped ~states =
+  let spec = log.spec in
+  if not capped then
+    Array.iteri
+      (fun e c ->
+        if not c then
+          add_violation log
+            (Unrealized_edge
+               {
+                 signal = Sg.signal_name spec (Sg.edge_signal spec e);
+                 rising = Sg.edge_dir spec e = Sg.R;
+                 src = Sg.edge_src spec e;
+               }))
+      log.covered;
+  {
+    violations = List.rev log.found;
+    stats =
+      {
+        product_states = states;
+        product_edges = log.walked;
+        spec_edges_covered =
+          Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 log.covered;
+        spec_edges_total = Array.length log.covered;
+      };
+  }
+
+let interface_mismatch msg =
+  {
+    violations = [ Interface_mismatch msg ];
+    stats =
+      { product_states = 0; product_edges = 0; spec_edges_covered = 0; spec_edges_total = 0 };
+  }
+
 let check ?(max_states = 1_000_000) ~spec ~initial nl =
   Counter.bump Counter.sim;
-  let violations = ref [] and vkeys = Hashtbl.create 16 in
-  let n_violations = ref 0 in
-  let add_violation v =
-    let k = dedup_key v in
-    if not (Hashtbl.mem vkeys k) then begin
-      Hashtbl.add vkeys k ();
-      violations := v :: !violations;
-      incr n_violations
-    end
-  in
-  let edges = ref 0 in
-  let stats_of states covered total =
-    {
-      product_states = states;
-      product_edges = !edges;
-      spec_edges_covered = covered;
-      spec_edges_total = total;
-    }
-  in
+  let log = new_log spec in
   try
     let sim = Gatesim.of_netlist nl in
     let width = Gatesim.mask_width sim in
@@ -110,14 +156,6 @@ let check ?(max_states = 1_000_000) ~spec ~initial nl =
       done;
       spec_mask.(m) <- !v
     done;
-    (* indexed spec edges, grouped by source, for firing + coverage *)
-    let spec_edges = Sg.edges spec in
-    let succ_idx = Array.make (Sg.n_states spec) [] in
-    Array.iteri
-      (fun i (e : Sg.edge) -> succ_idx.(e.Sg.src) <- (i, e) :: succ_idx.(e.Sg.src))
-      spec_edges;
-    Array.iteri (fun m l -> succ_idx.(m) <- List.rev l) succ_idx;
-    let covered = Array.make (Array.length spec_edges) false in
     (* initial product state *)
     let mask0 = Gatesim.mask_of sim initial in
     let m0 = Sg.initial spec in
@@ -155,12 +193,12 @@ let check ?(max_states = 1_000_000) ~spec ~initial nl =
     let capped = ref false in
     ignore (visit m0 mask0);
     while (not (Queue.is_empty queue)) && not !capped do
-      if !n_violations >= max_violations then Queue.clear queue
+      if full log then Queue.clear queue
       else begin
         let id, m, mask = Queue.pop queue in
         if id >= max_states then begin
           capped := true;
-          add_violation (Capped max_states)
+          add_violation log (Capped max_states)
         end
         else begin
           let next = eval mask in
@@ -175,7 +213,7 @@ let check ?(max_states = 1_000_000) ~spec ~initial nl =
                   && mask' land (1 lsl b) = mask land (1 lsl b)
                   && next' land (1 lsl b) <> next land (1 lsl b)
                 then
-                  add_violation
+                  add_violation log
                     (Output_hazard
                        { disabled = Gatesim.wire_of_bit sim b; by; spec_state = m }))
               outputs_bits
@@ -183,7 +221,7 @@ let check ?(max_states = 1_000_000) ~spec ~initial nl =
           let fire ~by ~silent_move bit m' =
             let mask' = mask lxor (1 lsl bit) in
             hazard_check ~by mask';
-            incr edges;
+            log.walked <- log.walked + 1;
             let id' = visit m' mask' in
             if silent_move then silent := (id, id') :: !silent
           in
@@ -198,32 +236,27 @@ let check ?(max_states = 1_000_000) ~spec ~initial nl =
                   (* hidden state signal: silent move *)
                   fire ~by:name ~silent_move:true b m
                 | Some s ->
-                  let dir = if rising then Sg.R else Sg.F in
-                  let matching =
-                    List.filter
-                      (fun (_, (e : Sg.edge)) -> e.Sg.label = Sg.Ev (s, dir))
-                      succ_idx.(m)
-                  in
-                  if matching = [] then
-                    add_violation (Illegal_output { signal = name; rising; spec_state = m })
-                  else
-                    List.iter
-                      (fun (i, (e : Sg.edge)) ->
-                        covered.(i) <- true;
-                        fire ~by:name ~silent_move:false b e.Sg.dst)
-                      matching
+                  let l = Sg.label_code s (if rising then Sg.R else Sg.F) in
+                  let matched = ref false in
+                  Sg.iter_succ spec m (fun e ->
+                      if Sg.edge_label spec e = l then begin
+                        matched := true;
+                        log.covered.(e) <- true;
+                        fire ~by:name ~silent_move:false b (Sg.edge_dst spec e)
+                      end);
+                  if not !matched then
+                    add_violation log
+                      (Illegal_output { signal = name; rising; spec_state = m })
               end)
             outputs_bits;
           (* environment moves: any input transition the spec allows *)
-          List.iter
-            (fun (i, (e : Sg.edge)) ->
-              match e.Sg.label with
-              | Sg.Ev (s, _) when not (Sg.non_input spec s) ->
-                covered.(i) <- true;
+          Sg.iter_succ spec m (fun e ->
+              let s = Sg.edge_signal spec e in
+              if not (Sg.non_input spec s) then begin
+                log.covered.(e) <- true;
                 fire ~by:(Sg.signal_name spec s) ~silent_move:false
-                  spec_bit.(s) e.Sg.dst
-              | _ -> ())
-            succ_idx.(m);
+                  spec_bit.(s) (Sg.edge_dst spec e)
+              end);
           (* progress: a quiescent circuit must not owe the spec an output *)
           if excited = 0 then begin
             let pending =
@@ -232,7 +265,7 @@ let check ?(max_states = 1_000_000) ~spec ~initial nl =
                 (Sg.excited_events spec m)
             in
             if pending <> [] then
-              add_violation
+              add_violation log
                 (Missing_output
                    { pending = List.map (event_name spec) pending; spec_state = m })
           end
@@ -259,36 +292,11 @@ let check ?(max_states = 1_000_000) ~spec ~initial nl =
       in
       Array.iteri (fun v _ -> if color.(v) = 0 then dfs v) nodes;
       (match !found with
-      | Some v -> add_violation (Divergence { spec_state = fst nodes.(v) })
-      | None -> ());
-      (* completeness: every spec edge must have fired somewhere *)
-      Array.iteri
-        (fun i c ->
-          if not c then
-            let e = spec_edges.(i) in
-            match e.Sg.label with
-            | Sg.Ev (s, d) ->
-              add_violation
-                (Unrealized_edge
-                   {
-                     signal = Sg.signal_name spec s;
-                     rising = (d = Sg.R);
-                     src = e.Sg.src;
-                   }))
-        covered
+      | Some v -> add_violation log (Divergence { spec_state = fst nodes.(v) })
+      | None -> ())
     end;
-    let n_covered =
-      Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 covered
-    in
-    {
-      violations = List.rev !violations;
-      stats = stats_of !n_nodes n_covered (Array.length spec_edges);
-    }
-  with Interface msg ->
-    {
-      violations = [ Interface_mismatch msg ];
-      stats = stats_of 0 0 0;
-    }
+    report log ~capped:!capped ~states:!n_nodes
+  with Interface msg -> interface_mismatch msg
 
 (* SG-level refinement: the implementation graph (typically the expanded
    graph, whose inserted state signals became real signals) must realise
@@ -299,25 +307,7 @@ let check ?(max_states = 1_000_000) ~spec ~initial nl =
    shared signals must agree in every reachable pair, and every spec
    edge must be matched somewhere. *)
 let refines ?(max_states = 1_000_000) ~spec impl =
-  let violations = ref [] and vkeys = Hashtbl.create 16 in
-  let n_violations = ref 0 in
-  let add_violation v =
-    let k = dedup_key v in
-    if not (Hashtbl.mem vkeys k) then begin
-      Hashtbl.add vkeys k ();
-      violations := v :: !violations;
-      incr n_violations
-    end
-  in
-  let edges = ref 0 in
-  let stats_of states covered total =
-    {
-      product_states = states;
-      product_edges = !edges;
-      spec_edges_covered = covered;
-      spec_edges_total = total;
-    }
-  in
+  let log = new_log spec in
   try
     (* spec signal id -> impl signal id, by name; every spec signal must
        survive into the implementation graph *)
@@ -349,13 +339,6 @@ let refines ?(max_states = 1_000_000) ~spec impl =
       done;
       !ok
     in
-    let spec_edges = Sg.edges spec in
-    let succ_idx = Array.make (Sg.n_states spec) [] in
-    Array.iteri
-      (fun i (e : Sg.edge) ->
-        succ_idx.(e.Sg.src) <- (i, e) :: succ_idx.(e.Sg.src))
-      spec_edges;
-    let covered = Array.make (Array.length spec_edges) false in
     let e0 = Sg.initial impl and m0 = Sg.initial spec in
     if not (codes_agree e0 m0) then
       raise (Interface "initial codes disagree on the shared signals");
@@ -372,78 +355,55 @@ let refines ?(max_states = 1_000_000) ~spec impl =
     let capped = ref false in
     visit e0 m0;
     while (not (Queue.is_empty queue)) && not !capped do
-      if !n_violations >= max_violations then Queue.clear queue
+      if full log then Queue.clear queue
       else begin
         let e, m = Queue.pop queue in
         if !n_nodes > max_states then begin
           capped := true;
-          add_violation (Capped max_states)
+          add_violation log (Capped max_states)
         end
         else begin
           if not (codes_agree e m) then
-            add_violation
+            add_violation log
               (Interface_mismatch
                  (Printf.sprintf
                     "codes diverge on shared signals (impl state %d, spec state %d)"
                     e m));
-          let out = Sg.succ impl e in
-          if out = [] && succ_idx.(m) <> [] then
-            add_violation (Refinement_stuck { impl_state = e; spec_state = m });
-          List.iter
-            (fun (ie : Sg.edge) ->
-              incr edges;
-              match ie.Sg.label with
-              | Sg.Ev (si, d) -> (
-                match spec_of_impl.(si) with
-                | None -> visit ie.Sg.dst m (* inserted state signal: hidden *)
-                | Some s ->
-                  let matching =
-                    List.filter
-                      (fun (_, (se : Sg.edge)) -> se.Sg.label = Sg.Ev (s, d))
-                      succ_idx.(m)
-                  in
-                  if matching = [] then
-                    add_violation
-                      (Illegal_output
-                         {
-                           signal = Sg.signal_name spec s;
-                           rising = (d = Sg.R);
-                           spec_state = m;
-                         })
-                  else
-                    List.iter
-                      (fun (i, (se : Sg.edge)) ->
-                        covered.(i) <- true;
-                        visit ie.Sg.dst se.Sg.dst)
-                      matching))
-            out
+          if Sg.out_degree impl e = 0 && Sg.out_degree spec m > 0 then
+            add_violation log (Refinement_stuck { impl_state = e; spec_state = m });
+          Sg.iter_succ impl e (fun ie ->
+              log.walked <- log.walked + 1;
+              let d = Sg.edge_dir impl ie in
+              match spec_of_impl.(Sg.edge_signal impl ie) with
+              | None ->
+                (* inserted state signal: hidden *)
+                visit (Sg.edge_dst impl ie) m
+              | Some s ->
+                (* the matching spec edges, newest first: the order
+                   decides which product pair each violation names *)
+                let l = Sg.label_code s d in
+                let matching = ref [] in
+                Sg.iter_succ spec m (fun se ->
+                    if Sg.edge_label spec se = l then matching := se :: !matching);
+                if !matching = [] then
+                  add_violation log
+                    (Illegal_output
+                       {
+                         signal = Sg.signal_name spec s;
+                         rising = d = Sg.R;
+                         spec_state = m;
+                       })
+                else
+                  List.iter
+                    (fun se ->
+                      log.covered.(se) <- true;
+                      visit (Sg.edge_dst impl ie) (Sg.edge_dst spec se))
+                    !matching)
         end
       end
     done;
-    if not !capped then
-      Array.iteri
-        (fun i c ->
-          if not c then
-            let e = spec_edges.(i) in
-            match e.Sg.label with
-            | Sg.Ev (s, d) ->
-              add_violation
-                (Unrealized_edge
-                   {
-                     signal = Sg.signal_name spec s;
-                     rising = (d = Sg.R);
-                     src = e.Sg.src;
-                   }))
-        covered;
-    let n_covered =
-      Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 covered
-    in
-    {
-      violations = List.rev !violations;
-      stats = stats_of !n_nodes n_covered (Array.length spec_edges);
-    }
-  with Interface msg ->
-    { violations = [ Interface_mismatch msg ]; stats = stats_of 0 0 0 }
+    report log ~capped:!capped ~states:!n_nodes
+  with Interface msg -> interface_mismatch msg
 
 let pp_violation ppf = function
   | Interface_mismatch s -> Format.fprintf ppf "interface mismatch: %s" s

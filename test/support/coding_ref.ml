@@ -42,7 +42,7 @@ let exact_coding stg (g : Reach.t) =
       let edge_info =
         Array.map
           (fun (src, t, dst) -> (src, dst, kind_of t))
-          g.Reach.edges
+          (Sg_records.reach_edges g)
       in
       let values = Array.make_matrix ns n (-1) in
       let adj = Array.make n [] in

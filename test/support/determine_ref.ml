@@ -24,7 +24,7 @@ exception Reject
 
 let determine sg ~output =
   let n = Sg.n_states sg and ns = Sg.n_signals sg in
-  let edges = Sg.edges sg and extras = Sg.extras sg in
+  let edges = Sg_records.edges sg and extras = Sg.extras sg in
   let immediate = Input_derivation.triggers sg ~output in
   (* Edge indices of each signal. *)
   let by_signal = Array.make ns [] in
@@ -32,12 +32,12 @@ let determine sg ~output =
   let excitation = Array.make n 0 in
   Array.iteri
     (fun i e ->
-      match e.Sg.label with
-      | Sg.Ev (s, d) ->
+      match e.Sg_records.label with
+      | Sg_records.Ev (s, d) ->
         by_signal.(s) <- i :: by_signal.(s);
         if s = output then
-          excitation.(e.Sg.src) <-
-            excitation.(e.Sg.src) lor (match d with Sg.R -> 1 | Sg.F -> 2))
+          excitation.(e.Sg_records.src) <-
+            excitation.(e.Sg_records.src) lor (match d with Sg.R -> 1 | Sg.F -> 2))
     edges;
   let implied m x = if Sg.bit sg m output then x land 2 = 0 else x land 1 <> 0 in
   let state_implied = Array.init n (fun m -> implied m excitation.(m)) in
@@ -50,7 +50,7 @@ let determine sg ~output =
         Array.map
           (List.exists (fun i ->
                let e = edges.(i) in
-               not (Fourval.edge_ok x.Sg.values.(e.Sg.src) x.Sg.values.(e.Sg.dst))))
+               not (Fourval.edge_ok x.Sg.values.(e.Sg_records.src) x.Sg.values.(e.Sg_records.dst))))
           by_signal)
       extras
   in
@@ -120,13 +120,13 @@ let determine sg ~output =
           done;
           Array.iter
             (fun e ->
-              match e.Sg.label with
-              | Sg.Ev (s, _) when not hidden.(s) ->
+              match e.Sg_records.label with
+              | Sg_records.Ev (s, _) when not hidden.(s) ->
                 if
                   not
-                    (Fourval.edge_ok merged.(root.(e.Sg.src)) merged.(root.(e.Sg.dst)))
+                    (Fourval.edge_ok merged.(root.(e.Sg_records.src)) merged.(root.(e.Sg_records.dst)))
                 then raise Reject
-              | Sg.Ev _ -> ())
+              | Sg_records.Ev _ -> ())
             edges;
           let b = 1 lsl (!n_kept + !kept) in
           for r = 0 to n - 1 do
@@ -182,7 +182,7 @@ let determine sg ~output =
       else begin
         hidden.(s) <- true;
         let candidate = Array.copy !parent in
-        List.iter (fun i -> union candidate edges.(i).Sg.src edges.(i).Sg.dst) by_signal.(s);
+        List.iter (fun i -> union candidate edges.(i).Sg_records.src edges.(i).Sg_records.dst) by_signal.(s);
         (* [None]: a state signal would lose its representation, or a
            class would mix both implied values of [output] *)
         match evaluate ~homogeneity:true candidate with

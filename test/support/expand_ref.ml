@@ -47,33 +47,33 @@ let expand_one sg =
         (if bit_of m `B then base lor (1 lsl new_sig) else base)
   done;
   let edges = ref [] in
-  let add src label dst = edges := { Sg.src; label; dst } :: !edges in
+  let add src label dst = edges := { Sg_records.src; label; dst } :: !edges in
   (* The inserted transitions themselves. *)
   for m = 0 to n - 1 do
     match x.Sg.values.(m) with
-    | Fourval.Up -> add fst_id.(m) (Sg.Ev (new_sig, Sg.R)) snd_id.(m)
-    | Fourval.Dn -> add fst_id.(m) (Sg.Ev (new_sig, Sg.F)) snd_id.(m)
+    | Fourval.Up -> add fst_id.(m) (Sg_records.Ev (new_sig, Sg.R)) snd_id.(m)
+    | Fourval.Dn -> add fst_id.(m) (Sg_records.Ev (new_sig, Sg.F)) snd_id.(m)
     | Fourval.V0 | Fourval.V1 -> ()
   done;
   (* Re-routed original edges. *)
   Array.iter
     (fun e ->
-      let v = x.Sg.values.(e.Sg.src) and v' = x.Sg.values.(e.Sg.dst) in
-      let s = e.Sg.src and d = e.Sg.dst in
+      let v = x.Sg.values.(e.Sg_records.src) and v' = x.Sg.values.(e.Sg_records.dst) in
+      let s = e.Sg_records.src and d = e.Sg_records.dst in
       match (v, v') with
       | Fourval.V0, Fourval.V0 | Fourval.V1, Fourval.V1 ->
-        add fst_id.(s) e.Sg.label fst_id.(d)
+        add fst_id.(s) e.Sg_records.label fst_id.(d)
       | Fourval.V0, Fourval.Up | Fourval.V1, Fourval.Dn ->
-        add fst_id.(s) e.Sg.label fst_id.(d)
+        add fst_id.(s) e.Sg_records.label fst_id.(d)
       | Fourval.Up, Fourval.V1 | Fourval.Dn, Fourval.V0 ->
-        add snd_id.(s) e.Sg.label fst_id.(d)
+        add snd_id.(s) e.Sg_records.label fst_id.(d)
       | Fourval.Up, Fourval.Up | Fourval.Dn, Fourval.Dn ->
-        add fst_id.(s) e.Sg.label fst_id.(d);
-        add snd_id.(s) e.Sg.label snd_id.(d)
+        add fst_id.(s) e.Sg_records.label fst_id.(d);
+        add snd_id.(s) e.Sg_records.label snd_id.(d)
       | _ ->
         (* add_extra validated the assignment, so this cannot happen *)
         assert false)
-    (Sg.edges sg);
+    (Sg_records.edges sg);
   let signals =
     Array.append
       (Array.init ns (fun s ->
@@ -82,7 +82,7 @@ let expand_one sg =
   in
   let initial = fst_id.(Sg.initial sg) in
   let base =
-    Sg.make ~name:(Sg.name sg) ~signals ~codes ~edges:(List.rev !edges)
+    Sg_records.make ~name:(Sg.name sg) ~signals ~codes ~edges:(List.rev !edges)
       ~initial
   in
   (* Remaining extras: both halves inherit the old state's value. *)

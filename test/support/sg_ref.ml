@@ -7,6 +7,7 @@
    the ε-quotient [Determine_ref] builds its module with. *)
 
 open Sg
+open Sg_records
 
 let fail fmt = Format.kasprintf (fun s -> raise (Inconsistent s)) fmt
 
@@ -130,17 +131,14 @@ let quotient sg ~keep_signal ~keep_extra =
         (fun e -> match e.label with Ev (s, d) -> label_code new_of_old.(s) d)
         projected
     in
-    let len = distinct_edges ~n:nc ~src ~lab ~dst (Array.length projected) in
+    let src, lab, dst = distinct_edges ~n:nc ~src ~lab ~dst (Array.length projected) in
     let signals =
       Array.map
         (fun old -> { sname = signal_name sg old; non_input = non_input sg old })
         kept_signals
     in
     let base =
-      make ~name:(name sg) ~signals ~codes:new_codes
-        ~edges:
-          (List.init len (fun k ->
-               { src = src.(k); label = label_of_code lab.(k); dst = dst.(k) }))
+      Sg.make ~name:(name sg) ~signals ~codes:new_codes ~src ~lab ~dst
         ~initial:(cls (initial sg))
     in
     (* each kept edge passed [Fourval.edge_ok] above *)
@@ -295,7 +293,7 @@ let of_transition_edges stg ~n_states:n edges =
           dir)
       (Array.to_list edges)
   in
-  Sg.make ~name:(Stg.name stg) ~signals ~codes
+  Sg_records.make ~name:(Stg.name stg) ~signals ~codes
     ~edges:(first_occurrences ~n:nc edges) ~initial:cls.(0)
 
 let of_stg ?max_states ?(backend = `Explicit) stg =
@@ -307,7 +305,7 @@ let of_stg ?max_states ?(backend = `Explicit) stg =
   match backend with
   | `Explicit ->
     let g = Reach.explore ?max_states net in
-    of_transition_edges stg ~n_states:(Reach.n_states g) g.Reach.edges
+    of_transition_edges stg ~n_states:(Reach.n_states g) (reach_edges g)
   | `Symbolic ->
     (* the derivation reads nothing but the state count and the edges,
        so the symbolic engine skips the rest of the [Reach.t]

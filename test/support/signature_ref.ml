@@ -116,11 +116,11 @@ let minimize_extra sg ~index =
   in
   let edges_ok m v =
     List.for_all
-      (fun e -> Fourval.edge_ok v values.(e.Sg.dst))
-      (Sg.succ sg m)
+      (fun e -> Fourval.edge_ok v values.(e.Sg_records.dst))
+      (Sg_records.succ sg m)
     && List.for_all
-         (fun e -> Fourval.edge_ok values.(e.Sg.src) v)
-         (Sg.pred sg m)
+         (fun e -> Fourval.edge_ok values.(e.Sg_records.src) v)
+         (Sg_records.pred sg m)
   in
   let changed = ref true in
   while !changed do

@@ -51,8 +51,8 @@ let with_store ?max_bytes f =
     ~finally:(fun () -> remove_tree dir)
     (fun () -> f dir (Cache_store.open_dir ?max_bytes dir))
 
-(* The entry subdirectory is the schema major version ("9" for
-   mpsyn-cache/9) — derived here the same way the store derives it, so
+(* The entry subdirectory is the schema major version ("10" for
+   mpsyn-cache/10, since state graphs keep flat edge arrays) — derived here the same way the store derives it, so
    the corruption tests can reach the files without new API surface. *)
 let entry_dir root =
   let v = Cache_store.schema_version in

@@ -408,13 +408,15 @@ let test_hazard_artificial () =
           { Sg.sname = "f"; non_input = true };
         |]
       ~codes:[| 0b01; 0b11; 0b10; 0b00 |]
-      ~edges:
-        [
-          { Sg.src = 0; label = Sg.Ev (1, Sg.R); dst = 1 };
-          { Sg.src = 1; label = Sg.Ev (0, Sg.F); dst = 2 };
-          { Sg.src = 2; label = Sg.Ev (1, Sg.F); dst = 3 };
-          { Sg.src = 3; label = Sg.Ev (0, Sg.R); dst = 0 };
-        ]
+      ~src:[| 0; 1; 2; 3 |]
+      ~lab:
+        [|
+          Sg.label_code 1 Sg.R;
+          Sg.label_code 0 Sg.F;
+          Sg.label_code 1 Sg.F;
+          Sg.label_code 0 Sg.R;
+        |]
+      ~dst:[| 1; 2; 3; 0 |]
       ~initial:0
   in
   let f = Derive.synthesize_one sg ~signal:1 ~support:[ 0 ] in

@@ -212,7 +212,10 @@ let test_propagate_identity_cover () =
   let sg = Sg.of_stg (pulse_stg ()) in
   let cover = Array.init (Sg.n_states sg) Fun.id in
   let step m =
-    match Sg.succ sg m with [ e ] -> e.Sg.dst | _ -> Alcotest.fail "det"
+    if Sg.out_degree sg m <> 1 then Alcotest.fail "det";
+    let d = ref (-1) in
+    Sg.iter_succ sg m (fun e -> d := Sg.edge_dst sg e);
+    !d
   in
   let m0 = Sg.initial sg in
   let m1 = step m0 in
@@ -255,12 +258,9 @@ let test_propagate_merged_cover () =
           { Sg.sname = "x"; non_input = true };
         |]
       ~codes:[| 0b00; 0b01; 0b11; 0b10 |]
-      ~edges:
-        [
-          { Sg.src = 0; label = Sg.Ev (0, Sg.R); dst = 1 };
-          { Sg.src = 1; label = Sg.Ev (1, Sg.R); dst = 2 };
-          { Sg.src = 2; label = Sg.Ev (0, Sg.F); dst = 3 };
-        ]
+      ~src:[| 0; 1; 2 |]
+      ~lab:[| Sg.label_code 0 Sg.R; Sg.label_code 1 Sg.R; Sg.label_code 0 Sg.F |]
+      ~dst:[| 1; 2; 3 |]
       ~initial:0
   in
   let cover = [| 0; 0; 1; 2 |] in
@@ -644,7 +644,10 @@ let orphan_sg () =
   let sg = Sg.of_stg (Gformat.parse_string src) in
   check_int "eight states" 8 (Sg.n_states sg);
   let step m =
-    match Sg.succ sg m with [ e ] -> e.Sg.dst | _ -> Alcotest.fail "det"
+    if Sg.out_degree sg m <> 1 then Alcotest.fail "det";
+    let d = ref (-1) in
+    Sg.iter_succ sg m (fun e -> d := Sg.edge_dst sg e);
+    !d
   in
   let order = Array.make 8 0 in
   let m = ref (Sg.initial sg) in

@@ -41,7 +41,7 @@ let mem_sub m sub =
    outgoing edges instead of calling Sg.implied_value. *)
 let nimplied g m s =
   let has d =
-    List.exists (fun (e : Sg.edge) -> e.Sg.label = Sg.Ev (s, d)) (Sg.succ g m)
+    Sg.exists_succ g m (fun e -> Sg.edge_signal g e = s && Sg.edge_dir g e = d)
   in
   if has Sg.R then true else Sg.bit g m s && not (has Sg.F)
 
@@ -78,22 +78,17 @@ let nconflict_classes g ~output =
 (* Trigger set of [output]: signals with an edge entering an excited
    state from a non-excited one. *)
 let ntriggers g ~output =
-  let excited m =
-    List.exists
-      (fun (e : Sg.edge) ->
-        match e.Sg.label with Sg.Ev (s, _) -> s = output)
-      (Sg.succ g m)
-  in
+  let excited m = Sg.exists_succ g m (fun e -> Sg.edge_signal g e = output) in
   let trig = ref [] in
   for s = Sg.n_signals g - 1 downto 0 do
     if
       s <> output
-      && Array.exists
-           (fun (e : Sg.edge) ->
-             match e.Sg.label with
-             | Sg.Ev (s', _) ->
-               s' = s && excited e.Sg.dst && not (excited e.Sg.src))
-           (Sg.edges g)
+      && List.exists
+           (fun e ->
+             Sg.edge_signal g e = s
+             && excited (Sg.edge_dst g e)
+             && not (excited (Sg.edge_src g e)))
+           (List.init (Sg.n_edges g) Fun.id)
     then trig := s :: !trig
   done;
   !trig

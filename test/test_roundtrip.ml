@@ -52,33 +52,32 @@ let isomorphic a b =
   while !ok && not (Queue.is_empty q) do
     let ma = Queue.pop q in
     let mb = partner.(ma) in
-    let ea = Sg.succ a ma and eb = Sg.succ b mb in
+    let succ g m =
+      let l = ref [] in
+      Sg.iter_succ g m (fun e -> l := e :: !l);
+      List.rev !l
+    in
+    let ea = succ a ma and eb = succ b mb in
     if List.length ea <> List.length eb then ok := false
     else
       List.iter
-        (fun (e : Sg.edge) ->
-          match e.Sg.label with
-          | Sg.Ev (s, d) -> (
-            let lbl = Sg.Ev (map_sig.(s), d) in
-            let target = remap_code (Sg.code a e.Sg.dst) in
-            match
-              List.filter
-                (fun (e' : Sg.edge) ->
-                  e'.Sg.label = lbl && Sg.code b e'.Sg.dst = target)
-                eb
-            with
-            | [] -> ok := false
-            | [ e' ] -> pair e.Sg.dst e'.Sg.dst
-            | cands -> (
-              (* same label and code: keep an already-established pairing
-                 if one exists, otherwise any candidate is as good *)
-              match
-                List.find_opt
-                  (fun (e' : Sg.edge) -> partner.(e.Sg.dst) = e'.Sg.dst)
-                  cands
-              with
-              | Some e' -> pair e.Sg.dst e'.Sg.dst
-              | None -> pair e.Sg.dst (List.hd cands).Sg.dst)))
+        (fun e ->
+          let lbl = Sg.label_code map_sig.(Sg.edge_signal a e) (Sg.edge_dir a e) in
+          let da = Sg.edge_dst a e in
+          let target = remap_code (Sg.code a da) in
+          match
+            List.filter
+              (fun e' -> Sg.edge_label b e' = lbl && Sg.code b (Sg.edge_dst b e') = target)
+              eb
+          with
+          | [] -> ok := false
+          | [ e' ] -> pair da (Sg.edge_dst b e')
+          | cands -> (
+            (* same label and code: keep an already-established pairing
+               if one exists, otherwise any candidate is as good *)
+            match List.find_opt (fun e' -> partner.(da) = Sg.edge_dst b e') cands with
+            | Some e' -> pair da (Sg.edge_dst b e')
+            | None -> pair da (Sg.edge_dst b (List.hd cands))))
         ea
   done;
   (* bijectivity: every state visited, no two mapped to one place *)

@@ -180,6 +180,82 @@ let test_sg_golden () =
         (Sg.digest (Sg.of_stg ~backend:`Symbolic stg)))
     nets
 
+(* ---------------- Edge storage ---------------- *)
+
+let parsed stg = Gformat.parse_string (Gformat.to_string stg)
+
+(* A graph keeps its edges as three int arrays plus a CSR index per
+   direction: about five words per edge and three per state, with no
+   record, label or list cell per edge. *)
+let test_edges_flat () =
+  let words_per_edge name sg =
+    let w = float (Obj.reachable_words (Obj.repr sg)) in
+    let per_edge = w /. float (Sg.n_edges sg) in
+    Printf.printf "%s: %.2f words per edge\n" name per_edge;
+    if per_edge > 6.0 then
+      Alcotest.failf "%s: %.2f words per edge (%d states, %d edges)" name per_edge
+        (Sg.n_states sg) (Sg.n_edges sg)
+  in
+  words_per_edge "parsed parallel_rings-6 sigma"
+    (Sg.of_stg (parsed (Bench_gen.parallel_rings ~rings:6)));
+  let pulsers = parsed (Bench_gen.concurrent_pulsers ~branches:5) in
+  words_per_edge "parsed pulsers-5 sigma" (Sg.of_stg pulsers);
+  words_per_edge "pulsers-5 expanded" (Mpart.synthesize pulsers).Mpart.expanded
+
+(* Successor and predecessor iteration against the edge arrays: the
+   edges out of (into) each state are exactly the edges whose source
+   (target) it is, in edge order, and [out_degree] and the [exists_]
+   forms agree with them. *)
+let check_adjacency name sg =
+  let n = Sg.n_states sg in
+  let want_succ = Array.make n [] and want_pred = Array.make n [] in
+  for e = Sg.n_edges sg - 1 downto 0 do
+    let a = Sg.edge_src sg e and b = Sg.edge_dst sg e in
+    want_succ.(a) <- e :: want_succ.(a);
+    want_pred.(b) <- e :: want_pred.(b)
+  done;
+  let collect iter m =
+    let l = ref [] in
+    iter sg m (fun e -> l := e :: !l);
+    List.rev !l
+  in
+  for m = 0 to n - 1 do
+    let fail what = Alcotest.failf "%s: %s of state %d" name what m in
+    if collect Sg.iter_succ m <> want_succ.(m) then fail "successors";
+    if collect Sg.iter_pred m <> want_pred.(m) then fail "predecessors";
+    if Sg.out_degree sg m <> List.length want_succ.(m) then fail "out-degree";
+    let last l = match List.rev l with [] -> -1 | e :: _ -> e in
+    if Sg.exists_succ sg m (fun e -> e = last want_succ.(m)) <> (want_succ.(m) <> [])
+    then fail "exists_succ";
+    if Sg.exists_pred sg m (fun e -> e = last want_pred.(m)) <> (want_pred.(m) <> [])
+    then fail "exists_pred"
+  done
+
+let test_adjacency () =
+  List.iter (fun (n, build) -> check_adjacency n (Sg.of_stg (build ()))) (golden_nets ());
+  let data_dir = Filename.concat ".." "data" in
+  let nets =
+    (Sys.readdir data_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".g")
+    |> List.sort compare
+    |> List.map (fun f -> Gformat.parse_file (Filename.concat data_dir f)))
+    @ [ Bench_gen.concurrent_pulsers ~branches:5; Bench_gen.mixed ~stages:3 ~branches:3 ]
+  in
+  List.iter
+    (fun stg ->
+      let name = Stg.name stg in
+      let r = Mpart.synthesize stg in
+      check_adjacency (name ^ " final") r.Mpart.final;
+      check_adjacency (name ^ " expanded") r.Mpart.expanded;
+      let sigma = r.Mpart.complete in
+      for o = 0 to Sg.n_signals sigma - 1 do
+        if Sg.non_input sigma o then
+          check_adjacency
+            (Printf.sprintf "%s module %s" name (Sg.signal_name sigma o))
+            (Input_derivation.determine sigma ~output:o).Input_derivation.module_sg
+      done)
+    nets
+
 (* ---------------- Σ against the per-signal reference ---------------- *)
 
 (* [Sg.of_stg] against [Sg_ref], the builder that solved the assignment
@@ -267,7 +343,10 @@ let resolved_pulse () =
   (* states in firing order: 0:00 --r+-> 1:01(r) --a+-> 2:11 --a-> 3:01 --r-> 0 *)
   (* identify states by walking edges from initial *)
   let step m =
-    match Sg.succ sg m with [ e ] -> e.Sg.dst | _ -> Alcotest.fail "det"
+    if Sg.out_degree sg m <> 1 then Alcotest.fail "det";
+    let d = ref (-1) in
+    Sg.iter_succ sg m (fun e -> d := Sg.edge_dst sg e);
+    !d
   in
   let m0 = Sg.initial sg in
   let m1 = step m0 in
@@ -351,7 +430,10 @@ let test_quotient_rejects_updn_merge () =
   in
   let sg = Sg.of_stg stg in
   let step m =
-    match Sg.succ sg m with [ e ] -> e.Sg.dst | _ -> Alcotest.fail "det"
+    if Sg.out_degree sg m <> 1 then Alcotest.fail "det";
+    let d = ref (-1) in
+    Sg.iter_succ sg m (fun e -> d := Sg.edge_dst sg e);
+    !d
   in
   let m0 = Sg.initial sg in
   let m1 = step m0 in
@@ -386,9 +468,7 @@ let test_expand_pulse () =
   (* the new signal's transitions appear exactly twice (n+ and n-) *)
   let n = Sg.find_signal ex "n" in
   let n_edges =
-    Array.to_list (Sg.edges ex)
-    |> List.filter (fun e ->
-           match e.Sg.label with Sg.Ev (s, _) -> s = n)
+    List.init (Sg.n_edges ex) Fun.id |> List.filter (fun e -> Sg.edge_signal ex e = n)
   in
   check_int "one rise one fall" 2 (List.length n_edges)
 
@@ -448,15 +528,13 @@ let test_expand_serializes_half_edges () =
   check "semi-modular" true (Persistency.is_semi_modular ex);
   let n = Sg.find_signal ex "n" in
   let n_rise_srcs =
-    Array.to_list (Sg.edges ex)
+    List.init (Sg.n_edges ex) Fun.id
     |> List.filter_map (fun e ->
-           match e.Sg.label with
-           | Sg.Ev (s, Sg.R) when s = n -> Some e.Sg.src
-           | _ -> None)
+           if Sg.edge_label ex e = Sg.label_code n Sg.R then Some (Sg.edge_src ex e)
+           else None)
   in
   check_int "single rise" 1 (List.length n_rise_srcs);
-  check_int "rise is serialized" 1
-    (List.length (Sg.succ ex (List.hd n_rise_srcs)))
+  check_int "rise is serialized" 1 (Sg.out_degree ex (List.hd n_rise_srcs))
 
 (* ---------------- Region minimization ---------------- *)
 
@@ -714,6 +792,8 @@ let () =
           Alcotest.test_case "toggles" `Quick test_of_stg_toggle_resolution;
           Alcotest.test_case "implied value" `Quick test_implied_value;
           Alcotest.test_case "sigma golden" `Quick test_sg_golden;
+          Alcotest.test_case "edges are flat" `Quick test_edges_flat;
+          Alcotest.test_case "adjacency = edge arrays" `Quick test_adjacency;
           Alcotest.test_case "sigma = per-signal reference" `Slow
             test_sigma_reference;
         ] );

@@ -50,7 +50,7 @@ let used (n, buf, n_edges) = (n, Array.sub buf 0 (3 * n_edges), n_edges)
 
 let explicit_edges ?max_states net =
   let g = Reach.explore ?max_states net in
-  (Reach.n_states g, Reach.edge_buffer g.Reach.edges, Reach.n_edges g)
+  (Reach.n_states g, g.Reach.edges, Reach.n_edges g)
 
 let check_same_edges what a b =
   let n, buf, n_edges = used a and n', buf', n_edges' = used b in
@@ -245,20 +245,25 @@ let test_parsed_nodes () =
 
 (* ---------------- Sg adjacency allocation profile ---------------- *)
 
-(* [Sg.succ]/[Sg.pred] used to rebuild their edge lists on every call;
-   they now serve lists resolved once at construction, so a sweep over
-   every state allocates nothing. *)
+(* The successor and predecessor iterators walk the CSR indexes
+   resolved once at construction, so a sweep over every state allocates
+   nothing. *)
 let test_adjacency_no_allocation () =
   let stg = Gformat.parse_file (Filename.concat data_dir "mr0.g") in
   let sg = Sg.of_stg stg in
   let n = Sg.n_states sg in
+  let visits = ref 0 in
+  let visit e = visits := !visits + e + 1 in
   let sweep () =
     for m = 0 to n - 1 do
-      ignore (Sg.succ sg m : Sg.edge list);
-      ignore (Sg.pred sg m : Sg.edge list)
+      Sg.iter_succ sg m visit;
+      Sg.iter_pred sg m visit
     done
   in
   sweep ();
+  (* every edge id met once from each end *)
+  let ne = Sg.n_edges sg in
+  check "every edge at both ends" true (!visits = ne * (ne + 1));
   let before = Gc.allocated_bytes () in
   for _ = 1 to 100 do
     sweep ()

@@ -153,8 +153,8 @@ let resolve_jobs = function
 let cache_arg =
   let doc =
     "Content-addressed synthesis cache directory (created if missing).  \
-     Solver-independent stages — reachability, modular CSC solutions, \
-     minimized covers, conformance explorations — are memoized on disk \
+     Whole results — synthesis, the state graph, the prefix summary, the \
+     partition audit, conformance explorations — are memoized on disk \
      under keys derived from the canonical .g text and the \
      synthesis options, so a warm re-run replays the cold results \
      bit for bit.  Defaults to $(b,MPSYN_CACHE) when set; hit/miss \
@@ -162,16 +162,24 @@ let cache_arg =
   in
   Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
 
-(* [--cache DIR] wins over the environment; either way the store is
-   opened eagerly so a hopeless directory fails fast with exit 2. *)
-let resolve_cache = function
-  | Some dir -> (
-    match Cache_store.open_dir dir with
-    | store -> Some store
-    | exception Sys_error msg ->
-      Printf.eprintf "mpsyn: --cache %s: %s\n" dir msg;
-      exit exit_usage)
-  | None -> Cache_store.of_env ()
+(* [--cache DIR] wins over a non-empty [MPSYN_CACHE]; either way the
+   store is opened eagerly, so a directory that cannot be created fails
+   fast with exit 2 and a message naming where it came from. *)
+let resolve_cache flag =
+  let source =
+    match (flag, Sys.getenv_opt "MPSYN_CACHE") with
+    | Some dir, _ -> Some ("--cache " ^ dir, dir)
+    | None, (None | Some "") -> None
+    | None, Some dir -> Some ("MPSYN_CACHE=" ^ dir, dir)
+  in
+  Option.map
+    (fun (what, dir) ->
+      match Cache_store.open_dir dir with
+      | store -> store
+      | exception Sys_error msg ->
+        Printf.eprintf "mpsyn: %s: %s\n" what msg;
+        exit exit_usage)
+    source
 
 let report_cache = function
   | None -> ()

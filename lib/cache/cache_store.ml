@@ -33,11 +33,6 @@ let open_dir ?(max_bytes = default_max_bytes) root =
   mkdir_p entry_dir;
   { root; entry_dir; max_bytes; evict_lock = Mutex.create () }
 
-let of_env () =
-  match Sys.getenv_opt "MPSYN_CACHE" with
-  | None | Some "" -> None
-  | Some d -> Some (open_dir d)
-
 let dir t = t.root
 let path_of t key = Filename.concat t.entry_dir key
 let is_temp name = String.length name > 0 && name.[0] = '.'
@@ -188,3 +183,15 @@ let clear t =
     (match Sys.readdir t.entry_dir with
     | names -> names
     | exception Sys_error _ -> [||])
+
+let memoize store ~stage ~params digest compute =
+  match store with
+  | None -> compute ()
+  | Some t -> (
+    let key = Cache_key.entry ~stage ~params (digest ()) in
+    match get t key with
+    | Some v -> v
+    | None ->
+      let v = compute () in
+      put t key v;
+      v)

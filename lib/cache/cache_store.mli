@@ -23,10 +23,18 @@
       least-recently-used entries (reads touch mtimes) until the total
       size is back under [max_bytes].
 
-    Typing discipline: [get] trusts the caller to read an entry with
-    the type it was written at.  Keys come from {!Cache_key.entry},
-    whose [stage] name pins the value type, so distinct types can never
-    share a key. *)
+    Callers reach the store through {!memoize}, the one
+    lookup-or-compute path; [get] and [put] are its two halves, exposed
+    for the store's own tests.  Typing discipline: a lookup trusts the
+    caller to read an entry with the type it was written at.  Keys come
+    from {!Cache_key.entry}, whose [stage] name pins the value type, so
+    distinct types can never share a key.
+
+    Six stages are written, each one entry per specification or per
+    implementation: ["synth"] (a whole [Mpart.synthesize] result),
+    ["sg"] (the complete state graph), ["plan"] (the audited partition
+    plan), ["prefix"] (the partial-order summary), and ["conform"] and
+    ["refines"] (the oracle's two explorations). *)
 
 type t
 
@@ -49,8 +57,7 @@ val schema_version : string
     layout of every ["prefix"] entry.  v5 → v6: synthesis reads its CSC
     certificate off the complete graph, so results record it as one
     bool and the ["synth-sg"] key drops its certificate parameter.
-    Since then nothing writes ["synth-sg"]: synthesis from a state graph
-    is memoized per module and cover only, and a v6 store's old
+    Since then nothing writes ["synth-sg"], and a v6 store's old
     ["synth-sg"] entries are never read again (no other value type
     changed, so no bump).  v6 → v7: state graphs drop their unread
     edge-index adjacency lists ([Sg.t] lost two fields, changing the
@@ -65,17 +72,16 @@ val schema_version : string
     edges as three flat int arrays with CSR successor and predecessor
     indexes instead of an edge-record array and per-state edge lists
     ([Sg.t] changed fields, changing the marshal layout of every entry
-    embedding a graph). *)
+    embedding a graph).  Within v10 the per-module ["module-csc"] and
+    per-cover ["cover"] stages were dropped: nothing reads or writes
+    them any more, no other entry changed, and old ones age out under
+    the size bound. *)
 
 val open_dir : ?max_bytes:int -> string -> t
 (** [open_dir dir] opens (creating directories as needed) the store
     rooted at [dir].  [max_bytes] bounds the total entry size (default
     512 MiB; [0] evicts everything, which degrades every lookup to a
     miss but stays correct). *)
-
-val of_env : unit -> t option
-(** The store named by the [MPSYN_CACHE] environment variable, if set
-    and non-empty. *)
 
 val dir : t -> string
 (** The root directory the store was opened at. *)
@@ -99,3 +105,16 @@ val entries : t -> int
 
 val total_bytes : t -> int
 (** Total size of live entries in bytes. *)
+
+val memoize :
+  t option ->
+  stage:string ->
+  params:(string * string) list ->
+  (unit -> string) ->
+  (unit -> 'a) ->
+  'a
+(** [memoize store ~stage ~params digest compute] is [compute ()],
+    looked up first under [Cache_key.entry ~stage ~params (digest ())]
+    and published there on a miss.  With no store, neither [digest] nor
+    the store is touched.  Only values are cached: a raise from
+    [compute] propagates and leaves no entry. *)

@@ -24,7 +24,7 @@ let default_config =
 let state_cap = 200_000
 
 (* ------------------------------------------------------------------ *)
-(* Content-addressed memoization of the solver-independent stages      *)
+(* Content-addressed memoization of whole per-specification results   *)
 (* ------------------------------------------------------------------ *)
 
 (* Everything a cached result depends on besides the content digest.
@@ -46,37 +46,6 @@ let fingerprint config =
       | None -> "none"
       | Some t -> Printf.sprintf "%.6f" t );
   ]
-
-(* [memoize config ~stage ~params digest compute]: look the stage result
-   up in the configured store (if any) under [digest ()]; on a miss
-   compute and publish.  Only successful computations are cached — a
-   raise (SAT budget exhausted, inconsistent graph) propagates without
-   leaving an entry.  With no store, the digest is never computed. *)
-let memoize config ~stage ~params digest compute =
-  match config.cache with
-  | None -> compute ()
-  | Some store -> (
-    let key = Cache_key.entry ~stage ~params (digest ()) in
-    match Cache_store.get store key with
-    | Some v -> v
-    | None ->
-      let v = compute () in
-      Cache_store.put store key v;
-      v)
-
-(* Cover minimization memo ({!Derive.cover_memo}): the minimized cover
-   depends on exactly (width, onset, offset). *)
-let memo_cover_of config : Derive.cover_memo =
- fun ~width ~onset ~offset compute ->
-  memoize config ~stage:"cover"
-    ~params:[ ("width", string_of_int width) ]
-    (fun () ->
-      let buf = Buffer.create 256 in
-      List.iter (fun m -> Buffer.add_string buf (string_of_int m ^ ",")) onset;
-      Buffer.add_char buf '/';
-      List.iter (fun m -> Buffer.add_string buf (string_of_int m ^ ",")) offset;
-      Cache_key.string_digest (Buffer.contents buf))
-    compute
 
 type formula_size = Csc_direct.formula_size = { vars : int; clauses : int }
 
@@ -169,45 +138,30 @@ let global_report output_name ~conflicts (g, new_signals, formulas) =
     formulas;
   }
 
-(* What a per-module CSC solution costs to recompute and what it is
-   safe to replay: the accepted state-signal labelings plus the SAT
-   metrics.  The cache key is the module graph's content digest — the
-   partitioned representation is exactly what keeps this key local:
-   editing one output's cone leaves every other module's digest (and
-   cached solution) intact, which is the incremental-re-synthesis
-   story. *)
-type module_solution = {
-  sol_extras : Sg.extra array;
-  sol_formulas : formula_size list;
-}
-
-(* Solve one modular graph (Figure 4).  A gave-up verdict depends on the
-   budget, so it raises and is never cached. *)
+(* Solve one modular graph (Figure 4): the value columns of the accepted
+   state signals and the formulas tried.
+   @raise Synthesis_failed naming the bound that ran out. *)
 let solve_module ~config ~deadline complete (inp : Input_derivation.t) =
   let module_sg = inp.Input_derivation.module_sg in
   let output_name = Sg.signal_name complete inp.Input_derivation.output in
-  memoize config ~stage:"module-csc"
-    ~params:(("output", output_name) :: fingerprint config)
-    (fun () -> Sg.digest module_sg)
-    (fun () ->
-      let report =
-        Modular_sat.solve ?backtrack_limit:config.backtrack_limit ~deadline
-          ~backend:config.backend
-          ~accept:(no_new_violations module_sg)
-          ~output:(Sg.find_signal module_sg output_name)
-          module_sg
-      in
-      match report.Modular_sat.outcome with
-      | Modular_sat.Gave_up reason ->
-        raise
-          (Synthesis_failed
-             (Printf.sprintf "module %s: SAT %s exceeded" output_name
-                (Dpll.string_of_abort_reason reason)))
-      | Modular_sat.Solved { new_extras; _ } ->
-        { sol_extras = new_extras; sol_formulas = report.Modular_sat.formulas })
+  let report =
+    Modular_sat.solve ?backtrack_limit:config.backtrack_limit ~deadline
+      ~backend:config.backend
+      ~accept:(no_new_violations module_sg)
+      ~output:(Sg.find_signal module_sg output_name)
+      module_sg
+  in
+  match report.Modular_sat.outcome with
+  | Modular_sat.Gave_up reason ->
+    raise
+      (Synthesis_failed
+         (Printf.sprintf "module %s: SAT %s exceeded" output_name
+            (Dpll.string_of_abort_reason reason)))
+  | Modular_sat.Solved { new_extras; _ } ->
+    (columns new_extras, report.Modular_sat.formulas)
 
-let module_report complete (inp : Input_derivation.t)
-    (sat : module_solution option) ~conflicts ~new_signals =
+let module_report complete (inp : Input_derivation.t) ~formulas ~conflicts
+    ~new_signals =
   {
     output_name = Sg.signal_name complete inp.Input_derivation.output;
     input_set = List.map (Sg.signal_name complete) inp.Input_derivation.input_set;
@@ -217,7 +171,7 @@ let module_report complete (inp : Input_derivation.t)
     module_edges = Sg.n_edges inp.Input_derivation.module_sg;
     module_conflicts = conflicts;
     new_signals;
-    formulas = (match sat with None -> [] | Some s -> s.sol_formulas);
+    formulas;
   }
 
 (* One output's module analyzed against [g] (Figure 2): its input set,
@@ -282,7 +236,7 @@ let insert ~config ~deadline ~fresh_name ~certificate analyses complete =
         module_sg
     in
     let solve () =
-      let sol = solve_module ~config ~deadline g inp in
+      let labelings, formulas = solve_module ~config ~deadline g inp in
       (* the first solution of a digest stays, even when a later twin's
          replay failed and it solved afresh *)
       if not (Hashtbl.mem solutions digest) then begin
@@ -292,12 +246,10 @@ let insert ~config ~deadline ~fresh_name ~certificate analyses complete =
           (List.map
              (fun values ->
                Array.init (Array.length perm) (fun ci -> values.(inv.(ci))))
-             (columns sol.sol_extras))
+             labelings)
       end;
-      let g, names =
-        add_signals ~fresh_name propagate g (columns sol.sol_extras)
-      in
-      (g, names, Some sol)
+      let g, names = add_signals ~fresh_name propagate g labelings in
+      (g, names, formulas)
     in
     match Hashtbl.find_opt solutions digest with
     | None -> solve ()
@@ -314,7 +266,7 @@ let insert ~config ~deadline ~fresh_name ~certificate analyses complete =
             m "module %s: duplicate cone, replaying %d state signal(s)" name
               (List.length names));
         replayed := name :: !replayed;
-        (g, names, None)
+        (g, names, [])
       | exception Sg.Inconsistent _ ->
         (* Cannot happen for a true twin (the isomorphism transports
            edge consistency), but a failed replay must degrade to a
@@ -337,13 +289,14 @@ let insert ~config ~deadline ~fresh_name ~certificate analyses complete =
       Log.debug (fun m ->
           m "module %s: %d states, solving" name
             (Sg.n_states inp.Input_derivation.module_sg));
-      let updated, new_signals, sat =
-        if conflicts = 0 then (!current, [], None)
+      let updated, new_signals, formulas =
+        if conflicts = 0 then (!current, [], [])
         else solve_or_replay !current name inp
       in
       current := updated;
       reports :=
-        module_report !current inp sat ~conflicts ~new_signals :: !reports)
+        module_report !current inp ~formulas ~conflicts ~new_signals
+        :: !reports)
     analyses;
   (!current, List.rev !reports, List.rev !replayed, !stale)
 
@@ -464,9 +417,7 @@ let implement ~config ~deadline ~fresh_name ~modules complete current =
                 | exception Not_found -> None)
               names))
   in
-  let functions =
-    Derive.synthesize ~memo_cover:(memo_cover_of config) ~support_of expanded
-  in
+  let functions = Derive.synthesize ~support_of expanded in
   let functions =
     if config.hazard_free then
       List.map (Hazard.hazard_free_enlargement expanded) functions
@@ -513,7 +464,7 @@ let synthesize_sg ?(config = default_config) complete =
    computed on it.  The summary is plain data (no timings, no machine
    state), so it is cached by the specification digest alone. *)
 let prefix_summary config stg =
-  memoize config ~stage:"prefix" ~params:[]
+  Cache_store.memoize config.cache ~stage:"prefix" ~params:[]
     (fun () -> Cache_key.stg_digest stg)
     (fun () -> Prefix_rules.analyze stg)
 
@@ -531,7 +482,7 @@ let choose_backend (config : config) ~state_bound =
    byte for byte, so one "sg" stage serves either.  Only a successful Σ
    is cached, and a successful Σ does not depend on the cap. *)
 let complete_of_stg config stg =
-  memoize config ~stage:"sg" ~params:[]
+  Cache_store.memoize config.cache ~stage:"sg" ~params:[]
     (fun () -> Cache_key.stg_digest stg)
     (fun () -> Sg.of_stg ~max_states:state_cap stg)
 
@@ -542,7 +493,7 @@ let complete_of_stg config stg =
    audit.  The summary is plain data and depends only on the
    specification, so it is memoized by the STG digest alone. *)
 let partition_summary config stg =
-  memoize config ~stage:"plan" ~params:[]
+  Cache_store.memoize config.cache ~stage:"plan" ~params:[]
     (fun () -> Cache_key.stg_digest stg)
     (fun () ->
       let complete = complete_of_stg config stg in
@@ -567,7 +518,7 @@ let partition_summary config stg =
    even the reachability exploration. *)
 let synthesize ?(config = default_config) stg =
   let deadline = Deadline.of_limit config.time_limit in
-  memoize config ~stage:"synth" ~params:(fingerprint config)
+  Cache_store.memoize config.cache ~stage:"synth" ~params:(fingerprint config)
     (fun () -> Cache_key.stg_digest stg)
     (fun () ->
       let complete = complete_of_stg config stg in

@@ -44,20 +44,17 @@ type config = {
           field remains only because the end-to-end benchmark still
           sets it; ROADMAP item 4b removes it *)
   cache : Cache_store.t option;
-      (** content-addressed memoization of the solver-independent
-          stages (default [None]: no caching).  Keys combine the
-          canonical [.g] digest of the specification (or the content
-          digest of the derived graph) with a fingerprint of every
-          option above but [jobs], so a cached entry is only ever
-          replayed for a run that would have recomputed it bit for bit.
-          Cached stages: the complete prefix, the complete state graph
-          (reachability + consistent assignment), per-output modular
-          CSC solutions (keyed by the module graph's digest — edits
-          outside an output's input-set cone leave its entry valid, the
-          incremental-re-synthesis property of partitioned
-          representations), minimized covers, and whole {!synthesize}
-          results by the specification ({!synthesize_sg} memoizes only
-          its modules and covers).  Failures are never cached. *)
+      (** content-addressed memoization of whole results, one entry
+          per specification (default [None]: no caching).  Keys are
+          the canonical [.g] digest of the specification, and for
+          {!synthesize} a fingerprint of every option above but
+          [jobs], so a cached entry is only ever replayed for a run
+          that would have recomputed it bit for bit.  Cached stages: whole
+          {!synthesize} results, the complete state graph
+          (reachability + consistent assignment), {!prefix_summary} and
+          {!partition_summary}.  Nothing finer is cached: module
+          solutions and covers are recomputed on every miss.  Failures
+          are never cached. *)
 }
 
 val default_config : config
@@ -121,9 +118,8 @@ val synthesize : ?config:config -> Stg.t -> result
 
 (** [synthesize_sg ?config sg] is the same flow starting from an
     already-derived complete state graph Σ = [sg] (the graph-level entry
-    point the tests drive with hand-built graphs).  The whole run is not
-    memoized; with [config.cache] its module solutions and covers are.
-    When [sg] already satisfies CSC ({!Csc.csc_satisfied}), modules skip
+    point the tests drive with hand-built graphs).  It consults no
+    cache, whatever [config.cache] holds.  When [sg] already satisfies CSC ({!Csc.csc_satisfied}), modules skip
     conflict analysis and SAT and [result.certificate] holds. *)
 val synthesize_sg : ?config:config -> Sg.t -> result
 

@@ -46,20 +46,7 @@ let on_off_sets sg ~signals =
     order;
   List.map (fun s -> (on.(s), off.(s))) signals
 
-type cover_memo =
-  width:int ->
-  onset:int list ->
-  offset:int list ->
-  (unit -> Cover.t) ->
-  Cover.t
-
-(* The default memo is the identity: compute.  A caller (the synthesis
-   cache) can interpose persistent memoization of the minimized covers
-   — the espresso step is the only expensive part of derivation and
-   depends on nothing but its literal arguments. *)
-let no_memo ~width:_ ~onset:_ ~offset:_ compute = compute ()
-
-let derive_one ~memo_cover sg ~signal ~support (onset, offset) =
+let derive_one sg ~signal ~support (onset, offset) =
   if Sg.n_extras sg > 0 then
     invalid_arg "Derive.synthesize_one: expand the state graph first";
   let width = Sg.n_signals sg in
@@ -82,10 +69,7 @@ let derive_one ~memo_cover sg ~signal ~support (onset, offset) =
   let onset_p = List.sort_uniq Int.compare (List.map proj onset) in
   let offset_p = List.sort_uniq Int.compare (List.map proj offset) in
   let width = List.length support in
-  let cover =
-    memo_cover ~width ~onset:onset_p ~offset:offset_p (fun () ->
-        Espresso.minimize ~width ~onset:onset_p ~offset:offset_p)
-  in
+  let cover = Espresso.minimize ~width ~onset:onset_p ~offset:offset_p in
   {
     signal;
     name = Sg.signal_name sg signal;
@@ -96,12 +80,12 @@ let derive_one ~memo_cover sg ~signal ~support (onset, offset) =
     cover;
   }
 
-let synthesize_one ?(memo_cover = no_memo) sg ~signal ~support =
+let synthesize_one sg ~signal ~support =
   check_non_input sg "synthesize_one" signal;
-  derive_one ~memo_cover sg ~signal ~support
+  derive_one sg ~signal ~support
     (List.hd (on_off_sets sg ~signals:[ signal ]))
 
-let synthesize ?(memo_cover = no_memo) ?(support_of = fun _ -> None) sg =
+let synthesize ?(support_of = fun _ -> None) sg =
   let non_inputs =
     List.filter (Sg.non_input sg) (List.init (Sg.n_signals sg) Fun.id)
   in
@@ -114,7 +98,7 @@ let synthesize ?(memo_cover = no_memo) ?(support_of = fun _ -> None) sg =
           let onset, offset = sets in
           Support.reduce ~width:(Sg.n_signals sg) ~onset ~offset
       in
-      derive_one ~memo_cover sg ~signal:s ~support sets)
+      derive_one sg ~signal:s ~support sets)
     non_inputs
     (on_off_sets sg ~signals:non_inputs)
 

@@ -26,43 +26,20 @@ exception Not_csc of string
     {!Sg.excitation_masks} and one sort of the states by code. *)
 val on_off_sets : Sg.t -> signals:int list -> (int list * int list) list
 
-(** A memoization hook around cover minimization.  [memo ~width ~onset
-    ~offset compute] must return [compute ()] or a value previously
-    returned by [compute] under the {e same} three arguments
-    — the minimized cover depends on nothing else, which is what makes
-    it safe for the content-addressed synthesis cache to persist.  The
-    default hook always computes. *)
-type cover_memo =
-  width:int ->
-  onset:int list ->
-  offset:int list ->
-  (unit -> Cover.t) ->
-  Cover.t
-
 (** [synthesize_one sg ~signal ~support] derives and minimizes
     ({!Espresso}) the function of [signal] over the given support (signal
     ids).  If the support is insufficient it is grown minimally
     ({!Support.grow}); the actual support used is in the result.
-    @param memo_cover see {!cover_memo}.
     Raises [Invalid_argument] when the graph still carries extras or
     [signal] is an input.
     @raise Not_csc when even the full signal set cannot separate the
     on-set from the off-set. *)
-val synthesize_one :
-  ?memo_cover:cover_memo ->
-  Sg.t ->
-  signal:int ->
-  support:int list ->
-  func
+val synthesize_one : Sg.t -> signal:int -> support:int list -> func
 
 (** [synthesize ?support_of sg] derives every non-input signal's
     function.  [support_of s] may propose a support for signal [s];
     [None] means "greedily reduce from the full signal set". *)
-val synthesize :
-  ?memo_cover:cover_memo ->
-  ?support_of:(int -> int list option) ->
-  Sg.t ->
-  func list
+val synthesize : ?support_of:(int -> int list option) -> Sg.t -> func list
 
 (** [total_literals fs] sums cover literals — Table 1's area column. *)
 val total_literals : func list -> int

@@ -35,45 +35,50 @@ let extra_bit extras l i m c =
   | Fourval.Up -> b_half
   | Fourval.Dn -> not b_half
 
+(* The free bits of one re-routed edge, reused from edge to edge:
+   [src.(r)] and [dst.(r)] are the source and destination copy bits of
+   its [r]-th concurrent extra, [nf] how many there are. *)
+type free = { src : int array; dst : int array; mutable nf : int }
+
+let free_bits extras =
+  let k = Array.length extras in
+  { src = Array.make k 0; dst = Array.make k 0; nf = 0 }
+
 (* The re-routing of an original edge: a source leaving an excited
    extra's region ([Up → V1], [Dn → V0]) is its B copy, a destination
    entering one its A copy, and each extra concurrent along the edge
    ([Up → Up], [Dn → Dn]) adds one free bit shared by both ends.
-   Returns the leaving bits of the source copy and the number of free
-   bits, whose (source bit, destination bit) pairs fill [free]. *)
+   Returns the leaving bits of the source copy and fills [free]. *)
 let route extras l free sg e =
   let s = Sg.edge_src sg e and d = Sg.edge_dst sg e in
-  let leave = ref 0 and n_free = ref 0 in
-  Array.iteri
-    (fun i (x : Sg.extra) ->
-      match (x.Sg.values.(s), x.Sg.values.(d)) with
-      | Fourval.V0, Fourval.V0 | Fourval.V1, Fourval.V1 -> ()
-      | Fourval.V0, Fourval.Up | Fourval.V1, Fourval.Dn -> ()
-      | Fourval.Up, Fourval.V1 | Fourval.Dn, Fourval.V0 ->
-        leave := !leave lor (1 lsl l.pos.(i).(s))
-      | Fourval.Up, Fourval.Up | Fourval.Dn, Fourval.Dn ->
-        free.(!n_free) <- (1 lsl l.pos.(i).(s), 1 lsl l.pos.(i).(d));
-        incr n_free
-      | _ ->
-        (* add_extra validated the assignment, so this cannot happen *)
-        assert false)
-    extras;
-  (!leave, !n_free)
+  let leave = ref 0 in
+  free.nf <- 0;
+  for i = 0 to Array.length extras - 1 do
+    let values = extras.(i).Sg.values in
+    match (values.(s), values.(d)) with
+    | Fourval.V0, Fourval.V0 | Fourval.V1, Fourval.V1 -> ()
+    | Fourval.V0, Fourval.Up | Fourval.V1, Fourval.Dn -> ()
+    | Fourval.Up, Fourval.V1 | Fourval.Dn, Fourval.V0 ->
+      leave := !leave lor (1 lsl l.pos.(i).(s))
+    | Fourval.Up, Fourval.Up | Fourval.Dn, Fourval.Dn ->
+      free.src.(free.nf) <- 1 lsl l.pos.(i).(s);
+      free.dst.(free.nf) <- 1 lsl l.pos.(i).(d);
+      free.nf <- free.nf + 1
+    | _ ->
+      (* add_extra validated the assignment, so this cannot happen *)
+      assert false
+  done;
+  !leave
 
-(* [f src_copy dst_copy] for each of the [2^nf] assignments of the free
-   bits, the first free bit most significant. *)
-let iter_free ~leave free nf f =
-  for t = 0 to (1 lsl nf) - 1 do
-    let sc = ref leave and dc = ref 0 in
-    for r = 0 to nf - 1 do
-      if t land (1 lsl (nf - 1 - r)) <> 0 then begin
-        let sb, db = free.(r) in
-        sc := !sc lor sb;
-        dc := !dc lor db
-      end
-    done;
-    f !sc !dc
-  done
+(* [base] with the [bits] that assignment [t] of the [nf] free bits
+   sets, the first free bit most significant: the copy offset of one
+   end of a re-routed edge, for [t] from 0 to [2^nf - 1]. *)
+let copy bits nf t base =
+  let c = ref base in
+  for r = 0 to nf - 1 do
+    if t land (1 lsl (nf - 1 - r)) <> 0 then c := !c lor bits.(r)
+  done;
+  !c
 
 (* [dir_of v] is the direction of the transition an extra valued [v]
    still has to make. *)
@@ -108,27 +113,32 @@ let expand sg =
         codes.(first.(m) + c) <- !code
       done
     done;
-    let free = Array.make k (0, 0) in
+    let free = free_bits extras in
     (* [edges add] calls [add src label dst] for every expanded edge, in
        order: first the inserted transitions, from every A copy to its B
        copy, then the re-routed original edges. *)
     let edges add =
       for i = k - 1 downto 0 do
         for m = 0 to n - 1 do
-          Option.iter
-            (fun d ->
-              let b = 1 lsl l.pos.(i).(m) in
-              for c = 0 to (1 lsl l.width.(m)) - 1 do
-                if c land b = 0 then
-                  add (first.(m) + c) (Sg.label_code (ns + i) d) (first.(m) + c + b)
-              done)
-            (dir_of extras.(i).Sg.values.(m))
+          match dir_of extras.(i).Sg.values.(m) with
+          | None -> ()
+          | Some d ->
+            let b = 1 lsl l.pos.(i).(m) in
+            for c = 0 to (1 lsl l.width.(m)) - 1 do
+              if c land b = 0 then
+                add (first.(m) + c) (Sg.label_code (ns + i) d) (first.(m) + c + b)
+            done
         done
       done;
       for e = 0 to Sg.n_edges sg - 1 do
-        let leave, nf = route extras l free sg e in
+        let leave = route extras l free sg e in
         let a = first.(Sg.edge_src sg e) and b = first.(Sg.edge_dst sg e) in
-        iter_free ~leave free nf (fun sc dc -> add (a + sc) (Sg.edge_label sg e) (b + dc))
+        for t = 0 to (1 lsl free.nf) - 1 do
+          add
+            (a + copy free.src free.nf t leave)
+            (Sg.edge_label sg e)
+            (b + copy free.dst free.nf t 0)
+        done
       done
     in
     (* counted first, so that they fill three arrays of their exact length *)
@@ -175,34 +185,33 @@ let fold sg =
   let l = layout sg extras in
   let n = Sg.n_states sg in
   let rise = Array.make l.first.(n) 0 and fall = Array.make l.first.(n) 0 in
-  let excite dir ~m ~bit keep =
-    let mask = match dir with Sg.R -> rise | Sg.F -> fall in
+  (* [bit] excited in the copies [c] of [m] with [c land mask = want] *)
+  let excite dir ~m ~bit ~mask ~want =
+    let masks = match dir with Sg.R -> rise | Sg.F -> fall in
     for c = 0 to (1 lsl l.width.(m)) - 1 do
-      if keep c then
-        mask.(l.first.(m) + c) <- mask.(l.first.(m) + c) lor bit
+      if c land mask = want then
+        masks.(l.first.(m) + c) <- masks.(l.first.(m) + c) lor bit
     done
   in
   (* an extra's transition is excited in the A copies only *)
   Array.iteri
     (fun i (x : Sg.extra) ->
-      Array.iteri
-        (fun m v ->
-          Option.iter
-            (fun dir ->
-              let b = 1 lsl l.pos.(i).(m) in
-              excite dir ~m ~bit:(1 lsl (ns + i)) (fun c -> c land b = 0))
-            (dir_of v))
-        x.Sg.values)
+      for m = 0 to n - 1 do
+        match dir_of x.Sg.values.(m) with
+        | None -> ()
+        | Some dir ->
+          excite dir ~m ~bit:(1 lsl (ns + i)) ~mask:(1 lsl l.pos.(i).(m)) ~want:0
+      done)
     extras;
   (* an original edge is excited in the copies that hold its leaving
      bits, whatever its free bits are *)
-  let free = Array.make (Array.length extras) (0, 0) in
+  let free = free_bits extras in
   for e = 0 to Sg.n_edges sg - 1 do
     let s = Sg.edge_signal sg e in
     if Sg.non_input sg s then begin
-      let leave, _ = route extras l free sg e in
-      excite (Sg.edge_dir sg e) ~m:(Sg.edge_src sg e) ~bit:(1 lsl s) (fun c ->
-          c land leave = leave)
+      let leave = route extras l free sg e in
+      excite (Sg.edge_dir sg e) ~m:(Sg.edge_src sg e) ~bit:(1 lsl s) ~mask:leave
+        ~want:leave
     end
   done;
   { sg; extras; l; rise; fall }
@@ -264,7 +273,7 @@ let popcount x =
    excited before it, except itself, is excited after it. *)
 let folded_violations ~stop f =
   let count = ref 0 in
-  let free = Array.make (Array.length f.extras) (0, 0) in
+  let free = free_bits f.extras in
   (try
      for e = 0 to Sg.n_edges f.sg - 1 do
        let fired = 1 lsl Sg.edge_signal f.sg e in
@@ -273,16 +282,17 @@ let folded_violations ~stop f =
        in
        let src = f.l.first.(Sg.edge_src f.sg e)
        and dst = f.l.first.(Sg.edge_dst f.sg e) in
-       let leave, nf = route f.extras f.l free f.sg e in
-       iter_free ~leave free nf (fun sc dc ->
-           let v =
-             popcount
-               (f.rise.(src + sc) land lnot fired_r land lnot f.rise.(dst + dc))
-             + popcount
-                 (f.fall.(src + sc) land lnot fired_f land lnot f.fall.(dst + dc))
-           in
-           count := !count + v;
-           if stop && v > 0 then raise Exit)
+       let leave = route f.extras f.l free f.sg e in
+       for t = 0 to (1 lsl free.nf) - 1 do
+         let sc = src + copy free.src free.nf t leave
+         and dc = dst + copy free.dst free.nf t 0 in
+         let v =
+           popcount (f.rise.(sc) land lnot fired_r land lnot f.rise.(dc))
+           + popcount (f.fall.(sc) land lnot fired_f land lnot f.fall.(dc))
+         in
+         count := !count + v;
+         if stop && v > 0 then raise Exit
+       done
      done
    with Exit -> ());
   !count

@@ -88,52 +88,36 @@ let certify ?max_states ?(skip_when_certified = false) ?cache impl =
      digests, the netlist's rendered form, the reset valuation, and the
      exploration cap.  A warm hit elides {!Conform.check} — visible as
      a frozen {!Counter.sim} counter, exactly like a static certificate. *)
-  let memo_conform ~stage ~spec_digest ~content compute =
-    match (cache : Cache_store.t option) with
-    | None -> compute ()
-    | Some store -> (
-      let key =
-        Cache_key.entry ~stage
-          ~params:
-            [
-              ( "max_states",
-                match max_states with
-                | None -> "default"
-                | Some n -> string_of_int n );
-            ]
-          (Cache_key.string_digest (spec_digest ^ "\n" ^ content))
-      in
-      match Cache_store.get store key with
-      | Some (r : Conform.report) -> r
-      | None ->
-        let r = compute () in
-        Cache_store.put store key r;
-        r)
+  let params =
+    [
+      ( "max_states",
+        match max_states with None -> "default" | Some n -> string_of_int n );
+    ]
+  in
+  let digest spec content () =
+    Cache_key.string_digest (Sg.digest spec ^ "\n" ^ content ())
   in
   let hazard =
     Hazard_check.analyze ~expanded:impl.expanded ~functions:impl.functions
       impl.netlist
   in
-  let netlist_content =
-    lazy
-      (Netlist.to_verilog impl.netlist
-      ^ String.concat ";"
-          (List.map
-             (fun (n, v) -> Printf.sprintf "%s=%b" n v)
-             impl.initial))
+  let netlist_content () =
+    Netlist.to_verilog impl.netlist
+    ^ String.concat ";"
+        (List.map (fun (n, v) -> Printf.sprintf "%s=%b" n v) impl.initial)
   in
   let conform =
     if skip_when_certified && Hazard_check.certified hazard then None
     else
       Some
-        (memo_conform ~stage:"conform" ~spec_digest:(Sg.digest impl.expanded)
-           ~content:(Lazy.force netlist_content) (fun () ->
+        (Cache_store.memoize cache ~stage:"conform" ~params
+           (digest impl.expanded netlist_content) (fun () ->
              Conform.check ?max_states ~spec:impl.expanded ~initial:impl.initial
                impl.netlist))
   in
   let refinement =
-    memo_conform ~stage:"refines" ~spec_digest:(Sg.digest impl.spec)
-      ~content:(Sg.digest impl.expanded) (fun () ->
+    Cache_store.memoize cache ~stage:"refines" ~params
+      (digest impl.spec (fun () -> Sg.digest impl.expanded)) (fun () ->
         Conform.refines ?max_states ~spec:impl.spec impl.expanded)
   in
   {

@@ -359,7 +359,7 @@ let reports stg (r : Mpart.result) =
     (Fmt.list Diagnostic.pp_diag) hz.Hazard_check.diags
 
 let test_cold_warm_suite () =
-  with_store (fun _dir store ->
+  with_store (fun dir store ->
       List.iter
         (fun file ->
           let stg = Gformat.parse_file (Filename.concat data_dir file) in
@@ -379,7 +379,16 @@ let test_cold_warm_suite () =
           Alcotest.(check string)
             (file ^ ": lint/hazard reports identical cold vs warm")
             (reports stg rc) (reports stg rw))
-        (g_files ()))
+        (g_files ());
+      (* one whole result and one state graph per specification, and
+         nothing per module or per cover *)
+      let stage path = List.hd (String.split_on_char '-' (Filename.basename path)) in
+      let stages = List.map stage (entry_files dir) in
+      Alcotest.(check (list string)) "only sg and synth entries" [ "sg"; "synth" ]
+        (List.sort_uniq compare stages);
+      Alcotest.(check int) "two entries per specification"
+        (2 * List.length (g_files ()))
+        (List.length stages))
 
 (* A cache evicted down to nothing is pure overhead, never wrong. *)
 let test_evicting_cache_correct () =
@@ -425,18 +434,29 @@ let test_corrupted_cache_correct () =
    still carries the cold bytes. *)
 let mpsyn = Filename.concat ".." (Filename.concat "bin" "mpsyn.exe")
 
-let run_verilog dir file =
+(* [run ?env args] runs the CLI under the [env] assignments (shell
+   words, e.g. ["MPSYN_CACHE=..."]) with [MPSYN_CACHE] cleared
+   otherwise; it returns the exit code, stdout and stderr. *)
+let run ?(env = "MPSYN_CACHE=") args =
   let out = Filename.temp_file "mpsyn_cache" ".out"
   and err = Filename.temp_file "mpsyn_cache" ".err" in
   let code =
-    Sys.command
-      (Printf.sprintf "%s verilog --cache %s %s > %s 2> %s" mpsyn
-         (Filename.quote dir) (Filename.quote file) out err)
+    Sys.command (Printf.sprintf "%s %s %s > %s 2> %s" env mpsyn args out err)
   in
   let o = read_file out and e = read_file err in
   Sys.remove out;
   Sys.remove err;
   (code, o, e)
+
+let run_verilog dir file =
+  run
+    (Printf.sprintf "verilog --cache %s %s" (Filename.quote dir)
+       (Filename.quote file))
+
+let contains s pat =
+  let n = String.length pat in
+  let rec go i = i + n <= String.length s && (String.sub s i n = pat || go (i + 1)) in
+  go 0
 
 let test_cli_warns_on_corruption () =
   let dir = fresh_dir () in
@@ -451,19 +471,66 @@ let test_cli_warns_on_corruption () =
       let code, warm, err = run_verilog dir file in
       Alcotest.(check int) "run over corrupt entries exits 0" 0 code;
       Alcotest.(check string) "stdout unchanged" cold warm;
-      let warned =
-        List.exists
-          (fun line ->
-            let pat = "dropped, treated as a miss" in
-            let n = String.length pat in
-            let rec go i =
-              i + n <= String.length line
-              && (String.sub line i n = pat || go (i + 1))
-            in
-            go 0)
-          (String.split_on_char '\n' err)
-      in
-      if not warned then Alcotest.failf "no drop warning on stderr:\n%s" err)
+      if not (contains err "dropped, treated as a miss") then
+        Alcotest.failf "no drop warning on stderr:\n%s" err)
+
+(* A cache directory that cannot be created is a usage error from
+   either source: exit 2 with a message naming the source, no output
+   and no uncaught exception. *)
+let test_cli_uncreatable_cache () =
+  let dir = "/dev/null/mpsyn-cache" and file = Filename.concat data_dir "mr1.g" in
+  List.iter
+    (fun cmd ->
+      List.iter
+        (fun (env, flag, source) ->
+          let code, out, err = run ~env (Printf.sprintf "%s %s %s" cmd flag file) in
+          let what = Printf.sprintf "%s via %s" cmd source in
+          Alcotest.(check int) (what ^ ": exit 2") 2 code;
+          Alcotest.(check string) (what ^ ": no stdout") "" out;
+          if not (contains err ("mpsyn: " ^ source)) then
+            Alcotest.failf "%s: stderr does not name %s:\n%s" what source err)
+        [
+          ("MPSYN_CACHE=", "--cache " ^ dir, "--cache " ^ dir);
+          ("MPSYN_CACHE=" ^ dir, "", "MPSYN_CACHE=" ^ dir);
+        ])
+    [ "lint"; "verilog" ]
+
+(* A store whose writes all fail degrades every lookup to a miss: with
+   the version subdirectory replaced by a regular file (permissions do
+   not stop a root user, a file in the way does), each command prints
+   its uncached stdout, exits 0 and logs every failed write.  Synthesis
+   writes only whole results, one [sg] and one [synth] entry. *)
+let test_cli_failed_writes () =
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> remove_tree dir)
+    (fun () ->
+      Unix.mkdir dir 0o755;
+      write_file (entry_dir dir) "";
+      let file = Filename.concat data_dir "mr1.g" in
+      List.iter
+        (fun (cmd, stages) ->
+          let _, reference, _ = run (Printf.sprintf "%s %s" cmd file) in
+          let code, out, err =
+            run (Printf.sprintf "%s --cache %s %s" cmd (Filename.quote dir) file)
+          in
+          Alcotest.(check int) (cmd ^ ": exit 0") 0 code;
+          Alcotest.(check string) (cmd ^ ": uncached stdout") reference out;
+          let failed =
+            String.split_on_char '\n' err
+            |> List.filter_map (fun line ->
+                   match String.split_on_char ' ' line with
+                   | _ :: _ :: "cache" :: "write" :: "for" :: key :: "failed" :: _ ->
+                     Some (List.hd (String.split_on_char '-' key))
+                   | _ -> None)
+          in
+          Alcotest.(check (list string)) (cmd ^ ": failed writes logged") stages
+            (List.sort compare failed))
+        [
+          ("verilog", [ "sg"; "synth" ]);
+          ("synth", [ "sg"; "synth" ]);
+          ("lint --prefix --partition --json", [ "plan"; "prefix"; "sg" ]);
+        ])
 
 (* The verification oracle's cached explorations: a warm certificate
    must replay the cold one and stop simulating. *)
@@ -581,6 +648,10 @@ let () =
             test_oracle_warm;
           Alcotest.test_case "CLI warns on stderr about a corrupt entry"
             `Quick test_cli_warns_on_corruption;
+          Alcotest.test_case "CLI rejects an uncreatable cache directory"
+            `Quick test_cli_uncreatable_cache;
+          Alcotest.test_case "CLI failed writes degrade to a miss" `Quick
+            test_cli_failed_writes;
         ] );
       ( "concurrency",
         [

@@ -202,6 +202,25 @@ let test_edges_flat () =
   words_per_edge "parsed pulsers-5 sigma" (Sg.of_stg pulsers);
   words_per_edge "pulsers-5 expanded" (Mpart.synthesize pulsers).Mpart.expanded
 
+(* The expansion allocates little beyond the graph it returns: no
+   tuple, pair or closure per re-routed edge.  Words are
+   [Gc.allocated_bytes] around the call, after a minor collection, per
+   expanded edge of parsed pulsers-5 (6.06 when this bound was set; the
+   graph itself keeps about 5.7). *)
+let test_expand_allocation () =
+  let r = Mpart.synthesize (parsed (Bench_gen.concurrent_pulsers ~branches:5)) in
+  let words () =
+    Gc.minor ();
+    Gc.allocated_bytes () /. float (Sys.word_size / 8)
+  in
+  let before = words () in
+  let expanded = Sg_expand.expand r.Mpart.final in
+  let per_edge = (words () -. before) /. float (Sg.n_edges expanded) in
+  Printf.printf "pulsers-5 expansion: %.2f words allocated per edge\n" per_edge;
+  if per_edge > 6.5 then
+    Alcotest.failf "expansion allocated %.2f words per edge (%d edges)" per_edge
+      (Sg.n_edges expanded)
+
 (* Successor and predecessor iteration against the edge arrays: the
    edges out of (into) each state are exactly the edges whose source
    (target) it is, in edge order, and [out_degree] and the [exists_]
@@ -793,6 +812,8 @@ let () =
           Alcotest.test_case "implied value" `Quick test_implied_value;
           Alcotest.test_case "sigma golden" `Quick test_sg_golden;
           Alcotest.test_case "edges are flat" `Quick test_edges_flat;
+          Alcotest.test_case "expansion allocation" `Quick
+            test_expand_allocation;
           Alcotest.test_case "adjacency = edge arrays" `Quick test_adjacency;
           Alcotest.test_case "sigma = per-signal reference" `Slow
             test_sigma_reference;

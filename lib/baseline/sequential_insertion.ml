@@ -49,34 +49,27 @@ let solve ?backtrack_limit ?time_limit ?max_rounds sg =
     | None -> finish (Solved sg) rounds rounds
     | Some _ when rounds >= max_rounds ->
       finish (Gave_up Dpll.Signal_limit) 0 rounds
-    | Some pair ->
+    | Some pair -> (
       (* one new signal per round; forcing just this pair keeps the
          instance satisfiable with a single signal in practice, but fall
          back to more signals when the structure demands it *)
-      let rec attempt n_new =
-        if n_new > 3 then None
-        else begin
-          let enc = Csc_encode.encode ~resolve:[ pair ] sg ~n_new in
-          formulas :=
-            {
-              Csc_direct.vars = Cnf.n_vars enc.Csc_encode.cnf;
-              clauses = Cnf.n_clauses enc.Csc_encode.cnf;
-            }
-            :: !formulas;
-          match Dpll.solve ?backtrack_limit ~deadline enc.Csc_encode.cnf with
-          | Dpll.Sat model, _ ->
-            let names =
-              Array.init n_new (fun k -> Printf.sprintf "seq%d" (rounds + k))
-            in
-            Some (Ok (Csc_encode.apply sg enc model ~names, n_new))
-          | Dpll.Unsat, _ -> attempt (n_new + 1)
-          | Dpll.Aborted r, _ -> Some (Error r)
-        end
+      let realize enc model =
+        let names =
+          Array.init enc.Csc_encode.n_new (fun k ->
+              Printf.sprintf "seq%d" (rounds + k))
+        in
+        Csc_encode.apply sg enc model ~names
       in
-      (match attempt 1 with
-      | None -> finish (Gave_up Dpll.Signal_limit) 0 rounds
-      | Some (Error r) -> finish (Gave_up r) 0 rounds
-      | Some (Ok (sg', added)) -> round sg' (rounds + added))
+      let r =
+        Csc_search.search ~resolve:[ pair ]
+          ~ladder:[ (1, `Strict); (2, `Strict); (3, `Strict) ]
+          ~propose:(Csc_search.dpll ?backtrack_limit ~deadline)
+          ~realize sg
+      in
+      formulas := List.rev_append r.Csc_search.formulas !formulas;
+      match r.Csc_search.outcome with
+      | Csc_search.Gave_up reason -> finish (Gave_up reason) 0 rounds
+      | Csc_search.Found (sg', added) -> round sg' (rounds + added))
   in
   round sg 0
 

@@ -6,7 +6,9 @@
     behaviour: each round picks the currently largest conflicting code
     class, requires the SAT encoding to distinguish one of its conflict
     pairs (everything else may stay put), inserts the resulting signal,
-    and repeats until CSC holds.  Compared to the paper's modular method
+    and repeats until CSC holds.  Each round is one
+    {!Csc_search.search} over one to three strict signals with plain
+    {!Dpll.solve} as its model source.  Compared to the paper's modular method
     it works on the full graph every round — many large SAT instances —
     and tends to insert more signals, which is the Table-1 comparison
     shape. *)

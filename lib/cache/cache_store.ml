@@ -2,7 +2,7 @@ let src = Logs.Src.create "mpsyn.cache" ~doc:"content-addressed synthesis cache"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let schema_version = "mpsyn-cache/10"
+let schema_version = "mpsyn-cache/11"
 
 (* The schema major version doubles as the entry subdirectory, so a
    version bump orphans (and [clear] ignores) every old entry. *)
@@ -17,6 +17,9 @@ type t = {
   entry_dir : string; (* root/<version> *)
   max_bytes : int;
   evict_lock : Mutex.t; (* one evictor at a time within this process *)
+  estimate : int Atomic.t;
+      (* bytes of live entries: the last scan's total plus every byte
+         this process wrote since *)
 }
 
 let default_max_bytes = 512 * 1024 * 1024
@@ -28,31 +31,38 @@ let rec mkdir_p path =
     with Sys_error _ when Sys.file_exists path -> () (* lost a race: fine *)
   end
 
-let open_dir ?(max_bytes = default_max_bytes) root =
-  let entry_dir = Filename.concat root version_dir in
-  mkdir_p entry_dir;
-  { root; entry_dir; max_bytes; evict_lock = Mutex.create () }
-
-let dir t = t.root
-let path_of t key = Filename.concat t.entry_dir key
 let is_temp name = String.length name > 0 && name.[0] = '.'
 
-let live_entries t =
-  match Sys.readdir t.entry_dir with
+let live_entries entry_dir =
+  match Sys.readdir entry_dir with
   | exception Sys_error _ -> [||]
   | names -> Array.of_list (List.filter (fun n -> not (is_temp n)) (Array.to_list names))
 
-let entries t = Array.length (live_entries t)
+(* Every live entry's path, size and mtime: one listing and one stat
+   per entry, counted as one {!Counter.cache_scan}.  Concurrent
+   processes may delete entries under us; a vanished one is skipped. *)
+let scan entry_dir =
+  Counter.bump Counter.cache_scan;
+  Array.to_list (live_entries entry_dir)
+  |> List.filter_map (fun name ->
+         let p = Filename.concat entry_dir name in
+         match Unix.stat p with
+         | { Unix.st_size; st_mtime; _ } -> Some (p, st_size, st_mtime)
+         | exception Unix.Unix_error _ -> None)
 
-let stat_size path =
-  match Unix.stat path with
-  | { Unix.st_size; _ } -> st_size
-  | exception Unix.Unix_error _ -> 0
+let sum_sizes = List.fold_left (fun a (_, s, _) -> a + s) 0
 
-let total_bytes t =
-  Array.fold_left
-    (fun acc name -> acc + stat_size (Filename.concat t.entry_dir name))
-    0 (live_entries t)
+let open_dir ?(max_bytes = default_max_bytes) root =
+  let entry_dir = Filename.concat root version_dir in
+  mkdir_p entry_dir;
+  let estimate = Atomic.make (sum_sizes (scan entry_dir)) in
+  { root; entry_dir; max_bytes; evict_lock = Mutex.create (); estimate }
+
+let dir t = t.root
+let path_of t key = Filename.concat t.entry_dir key
+let entries t = Array.length (live_entries t.entry_dir)
+
+let total_bytes t = sum_sizes (scan t.entry_dir)
 
 (* ------------------------------------------------------------------ *)
 (* Reading                                                             *)
@@ -124,40 +134,37 @@ let temp_path t =
        (Domain.self () :> int)
        (Atomic.fetch_and_add temp_counter 1))
 
-(* Least-recently-used eviction down to the size bound.  mtime is the
-   recency clock ([get] touches on every hit).  Concurrent processes
-   may race us deleting; ENOENT is fine. *)
+(* Least-recently-used eviction, run when the estimate passes the size
+   bound: one scan, then the oldest entries go until the total is three
+   quarters of the bound, so a full store scans once per quarter of the
+   bound written, not once per write.  mtime is the recency clock ([get]
+   touches on every hit).  Concurrent processes may race us deleting;
+   ENOENT is fine. *)
 let evict t =
   Mutex.lock t.evict_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.evict_lock)
     (fun () ->
-      let entries =
-        Array.to_list (live_entries t)
-        |> List.filter_map (fun name ->
-               let p = Filename.concat t.entry_dir name in
-               match Unix.stat p with
-               | { Unix.st_size; st_mtime; _ } -> Some (p, st_size, st_mtime)
-               | exception Unix.Unix_error _ -> None)
-      in
-      let total = List.fold_left (fun a (_, s, _) -> a + s) 0 entries in
-      if total > t.max_bytes then begin
-        let oldest_first =
+      (* another domain may have scanned while we waited for the lock *)
+      if Atomic.get t.estimate > t.max_bytes then begin
+        let entries = scan t.entry_dir in
+        let total = ref (sum_sizes entries) in
+        if !total > t.max_bytes then begin
+          let low_water = t.max_bytes - (t.max_bytes / 4) in
           List.sort (fun (_, _, a) (_, _, b) -> compare a b) entries
-        in
-        let excess = ref (total - t.max_bytes) in
-        List.iter
-          (fun (p, size, _) ->
-            if !excess > 0 then begin
-              (try Sys.remove p with Sys_error _ -> ());
-              excess := !excess - size
-            end)
-          oldest_first
+          |> List.iter (fun (p, size, _) ->
+                 if !total > low_water then begin
+                   (try Sys.remove p with Sys_error _ -> ());
+                   total := !total - size
+                 end)
+        end;
+        Atomic.set t.estimate !total
       end)
 
 let put t key v =
   match
     let payload = Marshal.to_string v [] in
+    let sum = Digest.to_hex (Digest.string payload) in
     let tmp = temp_path t in
     let oc = open_out_bin tmp in
     Fun.protect
@@ -165,12 +172,16 @@ let put t key v =
       (fun () ->
         output_string oc schema_version;
         output_char oc '\n';
-        output_string oc (Digest.to_hex (Digest.string payload));
+        output_string oc sum;
         output_char oc '\n';
         output_string oc payload);
-    Sys.rename tmp (path_of t key)
+    Sys.rename tmp (path_of t key);
+    String.length schema_version + String.length sum + String.length payload + 2
   with
-  | () -> evict t
+  | size ->
+    (* an overwritten key counts twice until the next scan: the
+       estimate errs high, which only brings that scan forward *)
+    if Atomic.fetch_and_add t.estimate size + size > t.max_bytes then evict t
   | exception (Sys_error _ | Unix.Unix_error _ as e) ->
     (* Disk full, read-only mount, racing delete of the entry dir: a
        cache that cannot persist silently stops accelerating. *)
@@ -182,7 +193,8 @@ let clear t =
       try Sys.remove (Filename.concat t.entry_dir name) with Sys_error _ -> ())
     (match Sys.readdir t.entry_dir with
     | names -> names
-    | exception Sys_error _ -> [||])
+    | exception Sys_error _ -> [||]);
+  Atomic.set t.estimate 0
 
 let memoize store ~stage ~params digest compute =
   match store with

@@ -1,11 +1,11 @@
-(** Content-addressed, on-disk memoization store (schema [mpsyn-cache/10]).
+(** Content-addressed, on-disk memoization store (schema [mpsyn-cache/11]).
 
-    One entry per file under [DIR/10/] (the subdirectory is the schema
+    One entry per file under [DIR/11/] (the subdirectory is the schema
     major version: bumping {!schema_version} orphans every old entry at
     once — explicit wholesale invalidation).  An entry is:
 
     {v
-    mpsyn-cache/10\n
+    mpsyn-cache/11\n
     <md5 hex of payload>\n
     <payload: Marshal bytes>
     v}
@@ -19,9 +19,12 @@
       concurrent writers racing on one key — the [--jobs N] case, or
       several processes sharing [MPSYN_CACHE]) only ever observe
       complete entries;
-    - {b bounded}: after each write the store evicts
-      least-recently-used entries (reads touch mtimes) until the total
-      size is back under [max_bytes].
+    - {b bounded}: a running size estimate, seeded by one scan at
+      {!open_dir} and grown by this process's writes; a write that
+      takes it past [max_bytes] rescans and evicts least-recently-used
+      entries (reads touch mtimes) down to three quarters of
+      [max_bytes].  Other processes' writes are seen only at this
+      process's next scan.
 
     Callers reach the store through {!memoize}, the one
     lookup-or-compute path; [get] and [put] are its two halves, exposed
@@ -39,7 +42,7 @@
 type t
 
 val schema_version : string
-(** ["mpsyn-cache/10"].  v1 → v2: whole-synthesis entries now carry the
+(** ["mpsyn-cache/11"].  v1 → v2: whole-synthesis entries now carry the
     audited partition plan ({!Mpart.result} gained fields), changing
     their marshal layout — the bump orphans every v1 entry at once.
     v2 → v3: state graphs precompute their adjacency lists ([Sg.t]
@@ -75,7 +78,10 @@ val schema_version : string
     embedding a graph).  Within v10 the per-module ["module-csc"] and
     per-cover ["cover"] stages were dropped: nothing reads or writes
     them any more, no other entry changed, and old ones age out under
-    the size bound. *)
+    the size bound.  v10 → v11: synthesis judges implementability once,
+    after minimization; the ["synth"] fingerprint does not cover that
+    policy, so a v10 entry could replay a result the new flow would
+    not compute. *)
 
 val open_dir : ?max_bytes:int -> string -> t
 (** [open_dir dir] opens (creating directories as needed) the store
@@ -104,7 +110,7 @@ val entries : t -> int
 (** Number of live entries. *)
 
 val total_bytes : t -> int
-(** Total size of live entries in bytes. *)
+(** Total size of live entries in bytes, by one scan. *)
 
 val memoize :
   t option ->

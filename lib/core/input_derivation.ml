@@ -37,21 +37,6 @@ let triggers_of sg ~output excitation =
 
 let triggers sg ~output = triggers_of sg ~output (output_excitation sg ~output)
 
-(* Union-find over the nodes of a view: the root of a class is its
-   lowest node. *)
-let rec find parent i =
-  let p = parent.(i) in
-  if p = i then i
-  else begin
-    let r = find parent p in
-    parent.(i) <- r;
-    r
-  end
-
-let union parent i j =
-  let ri = find parent i and rj = find parent j in
-  if ri <> rj then parent.(max ri rj) <- min ri rj
-
 exception Reject
 
 (* The quotient of the complete graph by the signals hidden so far: its
@@ -81,7 +66,7 @@ let contract v parent ~drop ~cls cover =
   let nc = ref 0 in
   let mask = lnot (1 lsl drop) in
   for i = 0 to v.n - 1 do
-    let r = find parent i in
+    let r = Sg.Uf.find parent i in
     if r = i then begin
       let c = !nc in
       incr nc;
@@ -206,7 +191,7 @@ let determine sg ~output =
           extras;
     }
   in
-  let parent = Array.init n Fun.id and cls = Array.make n 0 in
+  let parent = Sg.Uf.create n and cls = Array.make n 0 in
   let cover = Array.init n Fun.id in
   let hidden = Array.make ns false and dropped = Array.make (Array.length extras) false in
   (* Per-class scratch, indexed by class root. *)
@@ -230,7 +215,7 @@ let determine sg ~output =
     let hbit = if hide < 0 then 0 else 1 lsl hide in
     for i = 0 to v.n - 1 do
       (* a root is its class's lowest node, so it is met first *)
-      let r = find parent i in
+      let r = Sg.Uf.find parent i in
       root.(i) <- r;
       if r = i then begin
         class_implied.(i) <- 0;
@@ -332,7 +317,7 @@ let determine sg ~output =
         identity ();
         for k = start.(s) to start.(s + 1) - 1 do
           let e = by_signal.(k) in
-          union parent cover.(src e) cover.(dst e)
+          Sg.Uf.union parent cover.(src e) cover.(dst e)
         done;
         (* [None]: a state signal would lose its representation, or a
            class would mix both implied values of [output] *)

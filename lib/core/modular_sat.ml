@@ -4,7 +4,7 @@ type outcome =
 
 type report = {
   outcome : outcome;
-  formulas : Csc_direct.formula_size list;
+  formulas : Csc_search.formula_size list;
   solver_stats : Dpll.stats list;
 }
 
@@ -22,7 +22,9 @@ type report = {
    larger capped CDCL run; if that is inconclusive too, the search
    escalates to one more state signal — always sound (extra signals never
    hurt correctness, only optimality), and the signal bound keeps the
-   loop terminating. *)
+   loop terminating.  The loop itself (encode, propose, block a rejected
+   labeling, climb) is [Csc_search.search]; this module supplies its
+   ladder, this model source and the module-level normalization. *)
 
 let quick_backtrack_cap = 50_000
 
@@ -32,31 +34,19 @@ let walksat_model cnf =
        ~max_flips:(20_000 + (200 * Cnf.n_vars cnf))
        ~max_tries:3 cnf)
 
-(* A model can satisfy the CNF yet realize an unimplementable labeling —
-   most prominently when the expansion of the labeled graph loses
-   semi-modularity (an excited region completed across both closing
-   edges of a concurrency diamond serializes the inserted transition
-   before each of the diamond's events).  The caller supplies [accept];
-   a rejected labeling is excluded with a blocking clause over the value
-   bits and the solver is asked for the next model — a small
-   counterexample-guided refinement loop.  The bound keeps pathological
-   instances from looping; exhaustion falls through to the next
-   encoding (looser mode, then one more signal). *)
-let max_model_rejects = 32
-
 let solve_pairs ?backtrack_limit ?deadline ?(max_new = 6) ?(backend = `Sat)
-    ?(normalize = true) ?(accept = fun _ -> true) ~resolve sg =
-  let formulas = ref [] and stats = ref [] in
-  let finish outcome =
-    { outcome; formulas = List.rev !formulas; solver_stats = List.rev !stats }
+    ?(normalize = true) ?accept ~resolve sg =
+  let stats = ref [] in
+  let finish outcome formulas =
+    { outcome; formulas; solver_stats = List.rev !stats }
   in
-  if resolve = [] then finish (Solved { module_sg = sg; new_extras = [||] })
+  if resolve = [] then finish (Solved { module_sg = sg; new_extras = [||] }) []
   else begin
     let n_before = Sg.n_extras sg in
     (* Apply a model, then normalize: shrink each new signal's excitation
        region while the module is still small — solver models are correct
        but arbitrarily shaped, and this is where shape is cheapest to
-       repair. *)
+       fix. *)
     let realize enc model =
       let names = Array.init enc.Csc_encode.n_new (Printf.sprintf "__m%d") in
       let solved = ref (Csc_encode.apply sg enc model ~names) in
@@ -66,92 +56,62 @@ let solve_pairs ?backtrack_limit ?deadline ?(max_new = 6) ?(backend = `Sat)
         done;
       !solved
     in
+    (* One model from the backend chain: BDD when selected, else the
+       quick CDCL call decides and WalkSAT, where enabled, picks the
+       model of a formula not refuted. *)
+    let propose cnf =
+      let bdd_result =
+        match backend with
+        | `Sat | `Dpll -> Bdd_solver.Blowup (* skip: decide with SAT *)
+        | `Bdd -> Bdd_solver.solve cnf
+      in
+      match bdd_result with
+      | Bdd_solver.Sat model -> Csc_search.Model model
+      | Bdd_solver.Unsat -> Csc_search.Unsat
+      | Bdd_solver.Blowup -> (
+        let quick, st =
+          Dpll.solve ~backtrack_limit:quick_backtrack_cap ?deadline cnf
+        in
+        stats := st :: !stats;
+        let walksat () = if backend = `Dpll then None else walksat_model cnf in
+        match quick with
+        | Dpll.Unsat -> Csc_search.Unsat
+        | Dpll.Sat model ->
+          Csc_search.Model (Option.value (walksat ()) ~default:model)
+        | Dpll.Aborted r -> (
+          match (walksat (), r) with
+          | Some model, _ -> Csc_search.Model model
+          | None, Dpll.Backtrack_limit -> (
+            let cap =
+              max quick_backtrack_cap
+                (Option.value backtrack_limit ~default:500_000)
+            in
+            let result, st = Dpll.solve ~backtrack_limit:cap ?deadline cnf in
+            stats := st :: !stats;
+            match result with
+            | Dpll.Sat model -> Csc_search.Model model
+            | Dpll.Unsat | Dpll.Aborted Dpll.Backtrack_limit -> Csc_search.Unsat
+            | Dpll.Aborted r -> Csc_search.Abort r)
+          | None, r -> Csc_search.Abort r))
+    in
     (* Per signal count, the strict encoding is tried before the loose
        one: strict models keep state signals stable wherever possible
        (clean regions, small covers), while the loose relaxation saves
        signals on modules where strict separation is infeasible. *)
-    let rec attempt n_new mode =
-      if n_new > max_new then finish (Gave_up Dpll.Signal_limit)
-      else begin
-        let enc = Csc_encode.encode ~resolve ~mode sg ~n_new in
-        let cnf = enc.Csc_encode.cnf in
-        formulas :=
-          { Csc_direct.vars = Cnf.n_vars cnf; clauses = Cnf.n_clauses cnf }
-          :: !formulas;
-        let next () =
-          match mode with
-          | `Strict -> attempt n_new `Loose
-          | `Loose -> attempt (n_new + 1) `Strict
-        in
-        (* One model from the backend chain: BDD when selected, else the
-           quick CDCL call decides and WalkSAT, where enabled, picks the
-           model of a formula not refuted. *)
-        let propose () =
-          let bdd_result =
-            match backend with
-            | `Sat | `Dpll -> Bdd_solver.Blowup (* skip: decide with SAT *)
-            | `Bdd -> Bdd_solver.solve cnf
-          in
-          match bdd_result with
-          | Bdd_solver.Sat model -> `Model model
-          | Bdd_solver.Unsat -> `Unsat
-          | Bdd_solver.Blowup -> (
-            let quick, st =
-              Dpll.solve ~backtrack_limit:quick_backtrack_cap ?deadline cnf
-            in
-            stats := st :: !stats;
-            let walksat () =
-              if backend = `Dpll then None else walksat_model cnf
-            in
-            match quick with
-            | Dpll.Unsat -> `Unsat
-            | Dpll.Sat model ->
-              `Model (Option.value (walksat ()) ~default:model)
-            | Dpll.Aborted r -> (
-              match (walksat (), r) with
-              | Some model, _ -> `Model model
-              | None, Dpll.Backtrack_limit -> (
-                let cap =
-                  max quick_backtrack_cap
-                    (Option.value backtrack_limit ~default:500_000)
-                in
-                let result, st =
-                  Dpll.solve ~backtrack_limit:cap ?deadline cnf
-                in
-                stats := st :: !stats;
-                match result with
-                | Dpll.Sat model -> `Model model
-                | Dpll.Unsat | Dpll.Aborted Dpll.Backtrack_limit -> `Unsat
-                | Dpll.Aborted r -> `Abort r)
-              | None, r -> `Abort r))
-        in
-        let rec models rejected =
-          match propose () with
-          | `Unsat -> next ()
-          | `Abort r -> finish (Gave_up r)
-          | `Model model ->
-            let solved = realize enc model in
-            if accept solved then begin
-              let new_extras =
-                Array.sub (Sg.extras solved) n_before
-                  (Sg.n_extras solved - n_before)
-              in
-              finish (Solved { module_sg = solved; new_extras })
-            end
-            else if rejected + 1 >= max_model_rejects then next ()
-            else begin
-              let block = ref [] in
-              for v = 1 to enc.Csc_encode.base_vars do
-                block := (if model.(v) then -v else v) :: !block
-              done;
-              Cnf.add_clause cnf !block;
-              models (rejected + 1)
-            end
-        in
-        models 0
-      end
+    let ladder =
+      List.concat
+        (List.init max_new (fun i -> [ (i + 1, `Strict); (i + 1, `Loose) ]))
     in
-    attempt 1 `Strict
+    let r =
+      Csc_search.search ~resolve ?accept ~ladder ~propose ~realize sg
+    in
+    match r.Csc_search.outcome with
+    | Csc_search.Found (solved, _) ->
+      let new_extras =
+        Array.sub (Sg.extras solved) n_before (Sg.n_extras solved - n_before)
+      in
+      finish (Solved { module_sg = solved; new_extras }) r.Csc_search.formulas
+    | Csc_search.Gave_up reason -> finish (Gave_up reason) r.Csc_search.formulas
   end
 
 let solve ?backtrack_limit ?deadline ?max_new ?backend ?normalize ?accept

@@ -16,7 +16,7 @@ type outcome =
 
 type report = {
   outcome : outcome;
-  formulas : Csc_direct.formula_size list;
+  formulas : Csc_search.formula_size list;
   solver_stats : Dpll.stats list;
 }
 
@@ -47,13 +47,11 @@ type report = {
            the paper's follow-up [19] — falling back to the SAT stack
            when the BDD blows up.
     @param accept extra validation of a realized labeling (default
-           accepts everything).  A model whose labeling is rejected is
-           excluded with a blocking clause over the encoding's value
-           bits and the solver produces the next model
-           (counterexample-guided); after a bounded number of
-           rejections the search escalates to the next encoding.  The
-           driver uses this to discard labelings whose expansion loses
-           semi-modularity. *)
+           accepts everything).  The search is {!Csc_search.search}
+           over strict 1, loose 1, strict 2, … up to [max_new] signals:
+           a rejected labeling is blocked and the next model tried.
+           {!Mpart} uses this to discard labelings whose expansion
+           loses semi-modularity. *)
 val solve :
   ?backtrack_limit:int ->
   ?deadline:Deadline.t ->
@@ -68,7 +66,8 @@ val solve :
 (** [solve_pairs ?backtrack_limit ?deadline ?max_new ~resolve sg]
     is the underlying engine: distinguish exactly the pairs in [resolve]
     (other equal-code pairs may stay together with identical values).
-    Used by the driver's global cleanup pass.
+    Used by {!Mpart}'s whole-graph passes: the cleanup and the global
+    redo.
 
     [normalize] (default true) shrinks each new signal's excitation
     region at the module level before returning; disabling it leaves the

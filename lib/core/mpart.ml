@@ -75,7 +75,7 @@ type result = {
 
 exception Synthesis_failed of string
 
-(* The acceptance test of every module, cleanup and repair labeling: its
+(* The acceptance test of every module and cleanup labeling: its
    expansion has no more semi-modularity violations than [g]'s own.
    Comparing against the graph's baseline (rather than demanding zero)
    keeps module-level checks meaningful: a quotient can carry artifact
@@ -107,7 +107,7 @@ let add_signals ~fresh_name add g columns =
   in
   (g, List.rev names)
 
-(* A whole-graph pass (the cleanup, a repair round, the global redo):
+(* A whole-graph pass (the cleanup or the global redo):
    separate the [resolve] pairs of [g] with new state signals, keeping
    only labelings [accept] allows.  Returns the grown graph, the new
    names and the formulas tried.
@@ -333,16 +333,14 @@ let implement ~config ~deadline ~fresh_name ~modules complete current =
      serializes the inserted transition before each of the diamond's
      events, withdrawing the enabledness of one when the other fires: a
      semi-modularity violation the conformance oracle observes as a
-     gate-level hazard.  So a labeling is accepted only when its
-     expansion both satisfies CSC and stays semi-modular; minimization
-     steps that would break either are dropped, and remaining
-     expansion-born conflicts are repaired with bounded direct passes.
-     Every such check is decided on the folded graph ({!Sg_expand}), so
-     a repair round materializes one expansion: the one [Derive] reads. *)
+     gate-level hazard.  So a labeling is implementable only when its
+     expansion both satisfies CSC and stays semi-modular, decided on
+     the folded graph ({!Sg_expand.implementable}): minimization keeps
+     one extra's step only when the labeling stays implementable, and
+     the minimized labeling is judged once.  The graph that passes is
+     [final], expanded once: the graph [Derive] reads. *)
   Log.debug (fun m -> m "minimizing excitation regions");
   let minimize_safely sg0 =
-    (* one extra at a time, keeping a minimization only when the expanded
-       graph still satisfies CSC and semi-modularity *)
     let acc = ref sg0 in
     for index = 0 to Sg.n_extras sg0 - 1 do
       let candidate = Region_minimize.minimize_extra !acc ~index in
@@ -350,44 +348,19 @@ let implement ~config ~deadline ~fresh_name ~modules complete current =
     done;
     !acc
   in
-  let final =
-    if Sg_expand.implementable current then minimize_safely current
-    else current
-  in
-  let rec repair expanded round =
-    Log.debug (fun m ->
-        m "expansion round %d: %d states, %d conflicts" round
-          (Sg.n_states expanded) (Csc.n_conflicts expanded));
-    if Csc.csc_satisfied expanded then expanded
-    else if round > 4 then
-      raise (Synthesis_failed "expansion repair did not converge")
-    else begin
-      let solved, _, _ =
-        global_pass ~config ~deadline ~fresh_name
-          ~accept:(no_new_violations expanded)
-          ~what:"expansion repair exhausted its SAT budget"
-          ~resolve:(Csc.conflict_pairs expanded) expanded
-      in
-      let solved' =
-        let m = Region_minimize.minimize solved in
-        if Sg_expand.csc_satisfied m then m else solved
-      in
-      repair (Sg_expand.expand solved') (round + 1)
-    end
-  in
-  let expanded = repair (Sg_expand.expand final) 0 in
-  (* Safety net: if the composition of per-module insertions is still
-     hazardous globally (modules validate against their quotient views,
-     which can hide a diamond two signals share), redo the whole
+  (* Safety net: if the composition of per-module insertions is not
+     implementable globally (modules validate against their quotient
+     views, which can hide a diamond two signals share), redo the whole
      insertion on the source graph with every candidate labeling
-     validated against global expansion semi-modularity.  Module
-     supports are dropped — the redone signals owe nothing to the
-     per-module input sets. *)
-  let expanded, supports, redo =
-    if Persistency.is_semi_modular expanded then (expanded, supports, None)
+     validated against global implementability.  Module supports are
+     dropped — the redone signals owe nothing to the per-module input
+     sets. *)
+  let final, supports, redo =
+    let minimized = minimize_safely current in
+    if Sg_expand.implementable minimized then (minimized, supports, None)
     else begin
       Log.debug (fun m ->
-          m "modular composition lost semi-modularity; global re-insertion");
+          m "modular composition is not implementable; global re-insertion");
       let pairs = Csc.conflict_pairs complete in
       let ((g, _, _) as pass) =
         global_pass ~config ~deadline ~fresh_name
@@ -395,12 +368,14 @@ let implement ~config ~deadline ~fresh_name ~modules complete current =
           ~what:"no semi-modular state-signal insertion within the SAT budget"
           ~resolve:pairs complete
       in
-      ( Sg_expand.expand (minimize_safely g),
+      ( minimize_safely g,
         [],
         Some (global_report "<global redo>" ~conflicts:(List.length pairs) pass)
       )
     end
   in
+  let expanded = Sg_expand.expand final in
+  Log.debug (fun m -> m "expansion: %d states" (Sg.n_states expanded));
   (* Logic derivation: outputs over their module supports; inserted state
      signals over a greedily reduced support. *)
   let support_of s =
@@ -452,7 +427,7 @@ let synthesize_complete ~config ~deadline complete =
 
 (* The same flow from an already-derived complete state graph.  Its
    [config.time_limit] becomes one wall-clock deadline that every
-   module, cleanup, repair and global pass shares, so the limit bounds
+   module, cleanup and global pass shares, so the limit bounds
    the whole run. *)
 let synthesize_sg ?(config = default_config) complete =
   synthesize_complete ~config

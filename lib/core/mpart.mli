@@ -5,7 +5,7 @@
     + derive its input signal set and modular state graph
       ({!Input_derivation}, Figure 2);
     + resolve the modular graph's CSC conflicts with a small SAT formula,
-      adding state signals as needed (Figure 4, via {!Csc_direct} on the
+      adding state signals as needed (Figure 4, via {!Modular_sat} on the
       modular graph);
     + propagate the new assignments to the complete state graph
       ({!Propagation}, Figure 5).
@@ -15,24 +15,27 @@
     direct pass — the paper relies on this never happening in practice
     ("in the worst case, all the CSC conflicts … will be removed after
     all the modular state graphs … are derived"); the fallback keeps the
-    implementation total.  The complete graph is then expanded
-    ({!Sg_expand}) and each output's logic is minimized over its module's
-    support ({!Derive}).
+    implementation total.  The labeling is region-minimized and judged
+    once by {!Sg_expand.implementable}; one that fails goes to the
+    global redo, a whole-graph insertion on Σ accepting only
+    implementable labelings.  The graph that passes is expanded once
+    ({!Sg_expand}) and each output's logic is minimized over its
+    module's support ({!Derive}).
 
     Every entry point runs this one flow once: the partition plan
     (every output's module analyzed against Σ, in the M4 order of
     {!Partition_check.solve_order}), then the insertion (one
     sequential loop of module SAT and propagation, then the fallback
-    pass), then the implementation (region minimization, expansion
-    repair, covers). *)
+    pass), then the implementation (region minimization, one
+    implementability decision, expansion, covers). *)
 
 type config = {
   backtrack_limit : int option;  (** per SAT call *)
   time_limit : float option;
       (** wall-clock seconds for the whole run: each {!synthesize} or
           {!synthesize_sg} call makes one {!Deadline} that the module
-          solves, the cleanup pass and the implementation's repair and
-          global passes share *)
+          solves, the cleanup pass and the implementation's global
+          redo share *)
   hazard_free : bool;  (** enlarge covers to kill static-1 hazards *)
   backend : [ `Sat | `Dpll | `Bdd ];
       (** constraint engine: WalkSAT+DPLL hybrid, DPLL alone, or
@@ -81,11 +84,12 @@ type module_report = {
 type result = {
   complete : Sg.t;  (** the initial complete state graph Σ *)
   final : Sg.t;  (** Σ with all inserted state signals (extras) *)
-  expanded : Sg.t;  (** state-signal transitions inserted *)
+  expanded : Sg.t;  (** [final]'s expansion *)
   functions : Derive.func list;
   modules : module_report list;
   fallback : module_report option;
-      (** the final direct pass, when modules left conflicts behind *)
+      (** the final direct pass (["<global>"]), when modules left
+          conflicts behind, or the global redo (["<global redo>"]) *)
   certificate : bool;
       (** the complete graph Σ already satisfied CSC
           ({!Csc.csc_satisfied}), so no module invoked a solver *)
@@ -106,7 +110,8 @@ type result = {
 exception Synthesis_failed of string
 (** Raised when a SAT budget is exhausted before CSC is satisfied.  A
     module's message names the bound that ran out: the backtrack limit,
-    the time limit, or the state-signal limit. *)
+    the time limit, or the state-signal limit; the cleanup pass and
+    the global redo each have one fixed message. *)
 
 (** [synthesize ?config stg] runs the full modular flow.  Σ is built by
     {!Sg.of_stg} under {!state_cap}, which picks the

@@ -7,6 +7,7 @@ let sim = Atomic.make 0
 let expansion = Atomic.make 0
 let cache_hit = Atomic.make 0
 let cache_miss = Atomic.make 0
+let cache_scan = Atomic.make 0
 let bump = Atomic.incr
 let get = Atomic.get
 let reset c = Atomic.set c 0

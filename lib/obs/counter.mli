@@ -6,7 +6,7 @@
     ([solver] stays put), the prefix rules explore once per complete
     prefix ([reach], [symbolic]), a hazard certificate skips dynamic simulation ([sim]),
     a warm cache serves lookups ([cache_hit]), and synthesis
-    materializes one expanded graph per repair round ([expansion]).
+    materializes exactly one expanded graph ([expansion]).
 
     Counters are atomic, so events issued from pool domains ({!Pool})
     are counted exactly under [--jobs N]. *)
@@ -36,6 +36,11 @@ val cache_hit : t
 
 (** One failed {!Cache_store.get}: absent, corrupt or truncated entry. *)
 val cache_miss : t
+
+(** One listing of a cache store's directory with a stat of every
+    entry: at {!Cache_store.open_dir}, in {!Cache_store.total_bytes},
+    and when a {!Cache_store.put} passes the size bound. *)
+val cache_scan : t
 
 val bump : t -> unit
 

@@ -8,7 +8,7 @@
     partitioning removes; the [backtrack_limit] reproduces the "SAT
     Backtrack Limit" aborts. *)
 
-type formula_size = { vars : int; clauses : int }
+type formula_size = Csc_search.formula_size = { vars : int; clauses : int }
 
 type outcome =
   | Solved of Sg.t  (** graph with the new state signals attached *)
@@ -18,7 +18,6 @@ type report = {
   outcome : outcome;
   n_new : int;  (** state signals in the solution (0 if aborted) *)
   formulas : formula_size list;  (** one entry per SAT attempt *)
-  solver_stats : Dpll.stats list;
 }
 
 (** [solve ?backtrack_limit ?time_limit ?accept sg] resolves all CSC
@@ -29,10 +28,12 @@ type report = {
            every SAT attempt; running out gives up with [Time_limit]
            (default: none)
     @param accept extra validation of a solved labeling (default accepts
-           everything); a rejected labeling is excluded with a blocking
-           clause and the solver produces the next model, escalating to
-           one more signal after a bounded number of rejections.  Used
-           by the conformance oracle to discard labelings whose
+           everything).  The search is {!Csc_search.search} over the
+           strict encodings from the lower bound up, with plain
+           {!Dpll.solve} as its model source: a rejected labeling is
+           blocked and the next model tried, escalating to one more
+           signal after 32 rejections.
+           Used by the conformance oracle to discard labelings whose
            expansion loses semi-modularity. *)
 val solve :
   ?backtrack_limit:int ->

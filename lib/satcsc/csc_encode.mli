@@ -36,20 +36,14 @@ type t = {
            stable 1, which keeps models quiet and survives expansion
            unconditionally; [`Loose] only demands different binary
            values, admitting solutions with fewer state signals at the
-           price of wider excitation regions (the expansion repair loop
-           covers the rare post-expansion collision). *)
+           price of wider excitation regions (a post-expansion
+           collision fails [Sg_expand.implementable]). *)
 val encode :
   ?resolve:(int * int) list ->
   ?mode:[ `Strict | `Loose ] ->
   Sg.t ->
   n_new:int ->
   t
-
-(** [var_a enc ~state ~k] / [var_b enc ~state ~k] are the two value bits
-    of new signal [k] in [state]. *)
-val var_a : t -> state:int -> k:int -> int
-
-val var_b : t -> state:int -> k:int -> int
 
 (** [decode enc model] extracts, for each new signal, its per-state
     4-valued assignment from a satisfying model. *)

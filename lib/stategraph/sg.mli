@@ -239,6 +239,16 @@ val distinct_edges :
   int ->
   int array * int array * int array
 
+(** {1 Union-find} *)
+
+(** Path-compressing union-find over [0 .. n-1] as a parent array
+    ([create n]); the root of a class is its lowest member. *)
+module Uf : sig
+  val create : int -> int array
+  val find : int array -> int -> int
+  val union : int array -> int -> int -> unit
+end
+
 (** {1 Content digest} *)
 
 (** [digest sg] is a hex digest of the graph's logical content (name,

@@ -300,10 +300,6 @@ let folded_violations ~stop f =
 let csc_satisfied sg =
   if Sg.n_extras sg = 0 then Csc.csc_satisfied sg else folded_csc (fold sg)
 
-let is_semi_modular sg =
-  if Sg.n_extras sg = 0 then Persistency.is_semi_modular sg
-  else folded_violations ~stop:true (fold sg) = 0
-
 let n_violations sg =
   if Sg.n_extras sg = 0 then List.length (Persistency.violations sg)
   else folded_violations ~stop:false (fold sg)

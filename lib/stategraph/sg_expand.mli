@@ -67,9 +67,6 @@ val expand : Sg.t -> Sg.t
 (** [csc_satisfied sg] = [Csc.csc_satisfied (expand sg)]. *)
 val csc_satisfied : Sg.t -> bool
 
-(** [is_semi_modular sg] = [Persistency.is_semi_modular (expand sg)]. *)
-val is_semi_modular : Sg.t -> bool
-
 (** [n_violations sg] = [List.length (Persistency.violations (expand sg))]. *)
 val n_violations : Sg.t -> int
 

@@ -51,8 +51,8 @@ let with_store ?max_bytes f =
     ~finally:(fun () -> remove_tree dir)
     (fun () -> f dir (Cache_store.open_dir ?max_bytes dir))
 
-(* The entry subdirectory is the schema major version ("10" for
-   mpsyn-cache/10, since state graphs keep flat edge arrays) — derived here the same way the store derives it, so
+(* The entry subdirectory is the schema major version ("11" for
+   mpsyn-cache/11) — derived here the same way the store derives it, so
    the corruption tests can reach the files without new API surface. *)
 let entry_dir root =
   let v = Cache_store.schema_version in
@@ -322,6 +322,37 @@ let test_store_eviction () =
         (Cache_store.total_bytes store <= 100_000);
       Alcotest.(check bool) "newest survives LRU" true
         (Cache_store.get store "20" = Some (String.make 10_000 'x')))
+
+(* A write lists and stats the entry directory only when the store's
+   running size estimate passes the bound.  Counted, not timed: 4,000
+   puts far under the bound scan never, and 4,000 puts that overflow a
+   small bound scan about once per quarter of the bound written (each
+   scan evicts down to three quarters of it), not once per put. *)
+let test_store_scans () =
+  let scans f =
+    let before = Counter.get Counter.cache_scan in
+    f ();
+    Counter.get Counter.cache_scan - before
+  in
+  let puts store =
+    for i = 1 to 4_000 do
+      Cache_store.put store (string_of_int i) (String.make 200 'v')
+    done
+  in
+  with_store (fun _dir store ->
+      Alcotest.(check int) "under the bound: no scan" 0
+        (scans (fun () -> puts store));
+      Alcotest.(check int) "every entry kept" 4_000 (Cache_store.entries store));
+  with_store ~max_bytes:100_000 (fun _dir store ->
+      (* an entry is about 270 bytes, so the puts write about 1.1 MB:
+         some 40 scans *)
+      let n = scans (fun () -> puts store) in
+      Alcotest.(check bool)
+        (Printf.sprintf "over the bound: %d scans, not one per put" n)
+        true
+        (n >= 1 && n <= 100);
+      Alcotest.(check bool) "under the bound" true
+        (Cache_store.total_bytes store <= 100_000))
 
 let test_store_clear () =
   with_store (fun _dir store ->
@@ -635,6 +666,8 @@ let () =
           Alcotest.test_case "LRU eviction enforces the bound" `Quick
             test_store_eviction;
           Alcotest.test_case "clear empties the store" `Quick test_store_clear;
+          Alcotest.test_case "puts scan only past the bound" `Quick
+            test_store_scans;
         ] );
       ( "cold vs warm differential",
         [

@@ -480,6 +480,50 @@ let test_expand_once () =
       ("pulsers 5", Bench_gen.concurrent_pulsers ~branches:5);
     ]
 
+(* [final] is the graph that was expanded, and it is implementable: the
+   implementation stage judges the minimized labeling once and expands
+   the graph that passed, once.  The one net whose minimized labeling
+   fails is [steal] (an input can withdraw the output's excitation, so
+   its spec is itself not semi-modular): it goes through the global
+   redo, whose graph is then [final]. *)
+let steal_stg () =
+  Stg_builder.(
+    compile ~name:"steal" ~inputs:[ "b" ] ~outputs:[ "x" ]
+      (choice [ seq [ plus "x"; minus "x" ]; seq [ plus "b"; minus "b" ] ]))
+
+let test_final_expanded () =
+  let parsed stg = Gformat.parse_string ~name:(Stg.name stg) (Gformat.to_string stg) in
+  let data =
+    Sys.readdir (Filename.concat ".." "data")
+    |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".g")
+    |> List.sort compare
+    |> List.map (fun f -> (f, data_stg f))
+  in
+  List.iter
+    (fun (what, stg) ->
+      let r = Mpart.synthesize stg in
+      Alcotest.(check string)
+        (what ^ ": expanded = expand final")
+        (Sg.digest r.Mpart.expanded)
+        (Sg.digest (Sg_expand.expand r.Mpart.final));
+      let redo =
+        match r.Mpart.fallback with
+        | Some f -> f.Mpart.output_name = "<global redo>"
+        | None -> false
+      in
+      check (what ^ ": global redo") (what = "steal") redo;
+      if what <> "steal" then
+        check (what ^ ": final implementable") true
+          (Sg_expand.implementable r.Mpart.final))
+    (data
+    @ [
+        ("pulsers 5", parsed (Bench_gen.concurrent_pulsers ~branches:5));
+        ("mixed 3x3", parsed (Bench_gen.mixed ~stages:3 ~branches:3));
+        ("parrings 6", parsed (Bench_gen.parallel_rings ~rings:6));
+        ("steal", steal_stg ());
+      ])
+
 let mpsyn = Filename.concat ".." (Filename.concat "bin" "mpsyn.exe")
 
 let read_file f =
@@ -907,6 +951,8 @@ let () =
             test_cli_lint_prefix_inconsistent;
           Alcotest.test_case "one expansion" `Quick test_expand_once;
           Alcotest.test_case "63 signals exceed the cap" `Quick test_signal_cap;
+          Alcotest.test_case "final is what was expanded" `Quick
+            test_final_expanded;
         ] );
       ( "properties",
         [

@@ -142,6 +142,60 @@ let test_direct_expansion_valid () =
     check_int "no mismatches" 0 (List.length (Derive.check fs ex))
   | _ -> Alcotest.fail "must solve"
 
+(* ---------------- The shared search loop ---------------- *)
+
+(* [Csc_search.search] with plain DPLL as its model source, on the
+   double pulse (one signal cannot separate its conflicts, two can in
+   more than 32 ways): a refuted rung climbs, a rejected labeling is
+   blocked so the next model is a different labeling, 32 rejections
+   climb to the next rung, and an abort stops the whole search. *)
+let test_search_loop () =
+  let sg = double_pulse_sg () in
+  let realize enc model =
+    Csc_encode.apply sg enc model
+      ~names:(Array.init enc.Csc_encode.n_new (Printf.sprintf "s%d"))
+  in
+  let search ?accept
+      ?(propose = fun cnf -> Csc_search.dpll ~deadline:Deadline.none cnf)
+      ladder =
+    Csc_search.search ?accept ~ladder ~propose ~realize sg
+  in
+  let formulas r = List.length r.Csc_search.formulas in
+  let r = search [ (1, `Strict); (2, `Strict) ] in
+  (match r.Csc_search.outcome with
+  | Csc_search.Found (solved, 2) ->
+    check "climbed past the refuted rung" true (Csc.csc_satisfied solved)
+  | _ -> Alcotest.fail "two signals solve");
+  check_int "both rungs encoded" 2 (formulas r);
+  let seen = ref [] in
+  let accept g =
+    seen := Sg.digest g :: !seen;
+    List.length !seen = 2
+  in
+  (match (search ~accept [ (2, `Strict) ]).Csc_search.outcome with
+  | Csc_search.Found _ -> (
+    match !seen with
+    | [ second; first ] ->
+      check "the blocked labeling is not proposed again" true (first <> second)
+    | _ -> Alcotest.fail "two labelings judged")
+  | Csc_search.Gave_up _ -> Alcotest.fail "the second labeling is accepted");
+  let judged = ref 0 in
+  let r =
+    search ~accept:(fun _ -> incr judged; false) [ (2, `Strict); (3, `Strict) ]
+  in
+  (match r.Csc_search.outcome with
+  | Csc_search.Gave_up Dpll.Signal_limit -> ()
+  | _ -> Alcotest.fail "every labeling rejected: signal limit");
+  check_int "32 rejections per rung" 64 !judged;
+  let r =
+    search ~propose:(fun _ -> Csc_search.Abort Dpll.Time_limit)
+      [ (2, `Strict); (3, `Strict) ]
+  in
+  (match r.Csc_search.outcome with
+  | Csc_search.Gave_up Dpll.Time_limit -> ()
+  | _ -> Alcotest.fail "an abort ends the search");
+  check_int "no rung after the abort" 1 (formulas r)
+
 (* property: on random pipeline controllers, the direct method solves and
    the result satisfies CSC after expansion *)
 let prop_direct_pipelines =
@@ -178,5 +232,8 @@ let () =
             test_direct_expansion_valid;
           Alcotest.test_case "time abort" `Quick test_direct_time_abort;
         ] );
+      ( "search loop",
+        [ Alcotest.test_case "climb, block, abort" `Quick test_search_loop ]
+      );
       ("properties", [ Qseed.to_alcotest prop_direct_pipelines ]);
     ]

@@ -338,15 +338,48 @@ let implement ~config ~deadline ~fresh_name ~modules complete current =
      the folded graph ({!Sg_expand.implementable}): minimization keeps
      one extra's step only when the labeling stays implementable, and
      the minimized labeling is judged once.  The graph that passes is
-     [final], expanded once: the graph [Derive] reads. *)
-  Log.debug (fun m -> m "minimizing excitation regions");
+     [final], expanded once: the graph [Derive] reads.
+
+     Once a candidate is accepted, the labeling [minimize_safely]
+     returns is the last accepted candidate, so it is implementable and
+     the judgement after minimization is skipped: one folded check per
+     extra, and one more only when every candidate was rejected.
+
+     At debug level each extra's line reports the visits of
+     [Region_minimize.minimize_extra] (read off {!Counter.minimize_visit},
+     exact on one domain) and the check's time; the counter and the
+     clock are read only at that level. *)
+  let debug = Logs.Src.level src = Some Logs.Debug in
+  let stamp () =
+    if debug then (Counter.get Counter.minimize_visit, Unix.gettimeofday ())
+    else (0, 0.)
+  in
   let minimize_safely sg0 =
-    let acc = ref sg0 in
+    let acc = ref sg0 and accepted = ref false in
     for index = 0 to Sg.n_extras sg0 - 1 do
-      let candidate = Region_minimize.minimize_extra !acc ~index in
-      if Sg_expand.implementable candidate then acc := candidate
+      let before = !acc in
+      let v0, _ = stamp () in
+      let candidate = Region_minimize.minimize_extra before ~index in
+      let v1, t1 = stamp () in
+      let ok = Sg_expand.implementable candidate in
+      let _, t2 = stamp () in
+      if ok then begin
+        acc := candidate;
+        accepted := true
+      end;
+      Log.debug (fun m ->
+          let excited g =
+            Array.fold_left
+              (fun n v -> if Fourval.excited v then n + 1 else n)
+              0 (Sg.extras g).(index).Sg.values
+          in
+          m "minimized extra %d (%s): excited states %d -> %d (%d visits), %s, folded check %.2f ms"
+            index (Sg.extras before).(index).Sg.xname (excited before)
+            (excited candidate) (v1 - v0)
+            (if ok then "accepted" else "rejected")
+            (1000. *. (t2 -. t1)))
     done;
-    !acc
+    (!acc, !accepted)
   in
   (* Safety net: if the composition of per-module insertions is not
      implementable globally (modules validate against their quotient
@@ -356,8 +389,9 @@ let implement ~config ~deadline ~fresh_name ~modules complete current =
      dropped — the redone signals owe nothing to the per-module input
      sets. *)
   let final, supports, redo =
-    let minimized = minimize_safely current in
-    if Sg_expand.implementable minimized then (minimized, supports, None)
+    let minimized, accepted = minimize_safely current in
+    if accepted || Sg_expand.implementable minimized then
+      (minimized, supports, None)
     else begin
       Log.debug (fun m ->
           m "modular composition is not implementable; global re-insertion");
@@ -368,7 +402,7 @@ let implement ~config ~deadline ~fresh_name ~modules complete current =
           ~what:"no semi-modular state-signal insertion within the SAT budget"
           ~resolve:pairs complete
       in
-      ( minimize_safely g,
+      ( fst (minimize_safely g),
         [],
         Some (global_report "<global redo>" ~conflicts:(List.length pairs) pass)
       )

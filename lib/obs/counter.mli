@@ -5,8 +5,11 @@
     claim: a static certificate makes synthesis skip constraint solving
     ([solver] stays put), the prefix rules explore once per complete
     prefix ([reach], [symbolic]), a hazard certificate skips dynamic simulation ([sim]),
-    a warm cache serves lookups ([cache_hit]), and synthesis
-    materializes exactly one expanded graph ([expansion]).
+    a warm cache serves lookups ([cache_hit]), synthesis
+    materializes exactly one expanded graph ([expansion]), makes one
+    implementability decision per state signal ([implementability]),
+    and the region minimizer examines each excited state a bounded
+    number of times ([minimize_visit]).
 
     Counters are atomic, so events issued from pool domains ({!Pool})
     are counted exactly under [--jobs N]. *)
@@ -42,7 +45,17 @@ val cache_miss : t
     and when a {!Cache_store.put} passes the size bound. *)
 val cache_scan : t
 
+(** One implementability decision, {!Sg_expand.implementable}. *)
+val implementability : t
+
+(** One excited state examined by {!Region_minimize.minimize_extra},
+    added once per call. *)
+val minimize_visit : t
+
 val bump : t -> unit
+
+(** [add c n] counts [n] events at once. *)
+val add : t -> int -> unit
 
 (** [get c] is the count since start (or the last [reset c]). *)
 val get : t -> int

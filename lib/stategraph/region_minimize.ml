@@ -2,45 +2,47 @@
    signature, so the global conflict count moves exactly by the change in
    conflicts involving that state.  We therefore keep per-state codes and
    signatures incrementally and never rebuild the graph inside the loop;
-   the graph is reconstructed once per extra at the end. *)
+   the graph is reconstructed once per extra at the end.
 
-let stable_candidates = function
-  | Fourval.Up -> [ Fourval.V1; Fourval.V0 ]
-  | Fourval.Dn -> [ Fourval.V0; Fourval.V1 ]
-  | Fourval.V0 | Fourval.V1 -> []
+   The decision at an excited state [m] reads [m]'s neighbours' values
+   (edge legality) and the codes and excitation masks of [m]'s group:
+   the states whose full code equals [m]'s up to the own bit, the only
+   ones a flip of [m] can newly conflict with.  A flip changes only the
+   own bit of a code, so groups never change.  After a flip at [p],
+   the states whose inputs changed are [p]'s predecessors and
+   successors and [p]'s group; only those are visited again.  A state
+   marked ahead of the cursor is visited in the same pass, one marked
+   behind it in the next, exactly where a full re-scan would reach it
+   next: every state a re-scan would skip decides as it did at its last
+   visit, so the flip sequence is the re-scan's. *)
 
 let minimize_extra sg ~index =
   let n = Sg.n_states sg in
-  let x = (Sg.extras sg).(index) in
-  let values = Array.copy x.Sg.values in
+  let values = Array.copy (Sg.extras sg).(index).Sg.values in
   let own = 1 lsl (Sg.n_signals sg + index) in
   (* Signature of a state: the pair of excitation masks, non-input
      events and every extra's Up/Dn ([Sg.full_excitation_masks]).  Only
      the own extra's bit changes on a flip, and a flip always lands on a
-     stable value, so the flipped state's new signature is its [base]:
-     the masks with the own bit cleared. *)
+     stable value, so the flipped state's new signature is its masks
+     with the own bit cleared. *)
   let rise, fall = Sg.full_excitation_masks sg in
-  let base_rise = Array.map (fun r -> r land lnot own) rise in
-  let base_fall = Array.map (fun f -> f land lnot own) fall in
   let code = Array.init n (Sg.full_code sg) in
-  (* States by current full code: only states sharing the new code can
-     conflict with the flipped state after the flip. *)
-  let bucket = Hashtbl.create n in
-  let members c = Option.value (Hashtbl.find_opt bucket c) ~default:[] in
-  for m = n - 1 downto 0 do
-    Hashtbl.replace bucket code.(m) (m :: members code.(m))
-  done;
+  let head, next = Sg.group_by n (fun m -> code.(m) land lnot own) in
   (* A flip is admissible only when it creates no conflict pair that did
      not already exist — merely trading one conflict for another would
      leak unresolved pairs past the modules responsible for them. *)
-  let no_new_conflicts m old_c new_c =
-    let differs m' r f = rise.(m') <> r || fall.(m') <> f in
-    List.for_all
-      (fun m' ->
-        let before = new_c = old_c && differs m' rise.(m) fall.(m) in
-        let after = differs m' base_rise.(m) base_fall.(m) in
-        m' = m || before || not after)
-      (members new_c)
+  let no_new_conflicts m new_c =
+    let r = rise.(m) land lnot own and f = fall.(m) land lnot own in
+    let rec ok m' =
+      m' < 0
+      || (m' = m
+         || code.(m') <> new_c
+         || new_c = code.(m)
+            && (rise.(m') <> rise.(m) || fall.(m') <> fall.(m))
+         || (rise.(m') = r && fall.(m') = f))
+         && ok next.(m')
+    in
+    ok head.(m)
   in
   let edges_ok m v =
     (not
@@ -50,33 +52,56 @@ let minimize_extra sg ~index =
          (Sg.exists_pred sg m (fun e ->
               not (Fourval.edge_ok values.(Sg.edge_src sg e) v)))
   in
-  let changed = ref true in
-  while !changed do
-    changed := false;
+  (* the excited states whose inputs changed since their last visit *)
+  let pending = Array.map Fourval.excited values in
+  let n_pending =
+    ref (Array.fold_left (fun a p -> if p then a + 1 else a) 0 pending)
+  in
+  let mark m =
+    if (not pending.(m)) && Fourval.excited values.(m) then begin
+      pending.(m) <- true;
+      incr n_pending
+    end
+  in
+  let flip m v =
+    edges_ok m v
+    &&
+    let new_c =
+      if Fourval.binary v then code.(m) lor own else code.(m) land lnot own
+    in
+    no_new_conflicts m new_c
+    && begin
+         values.(m) <- v;
+         code.(m) <- new_c;
+         rise.(m) <- rise.(m) land lnot own;
+         fall.(m) <- fall.(m) land lnot own;
+         Sg.iter_succ sg m (fun e -> mark (Sg.edge_dst sg e));
+         Sg.iter_pred sg m (fun e -> mark (Sg.edge_src sg e));
+         let rec group m' =
+           if m' >= 0 then begin
+             mark m';
+             group next.(m')
+           end
+         in
+         group head.(m);
+         true
+       end
+  in
+  let visits = ref 0 in
+  while !n_pending > 0 do
     for m = 0 to n - 1 do
-      List.iter
-        (fun v ->
-          if Fourval.excited values.(m) && edges_ok m v then begin
-            let new_code =
-              if Fourval.binary v then code.(m) lor own
-              else code.(m) land lnot own
-            in
-            if no_new_conflicts m code.(m) new_code then begin
-              if new_code <> code.(m) then begin
-                Hashtbl.replace bucket code.(m)
-                  (List.filter (( <> ) m) (members code.(m)));
-                Hashtbl.replace bucket new_code (m :: members new_code)
-              end;
-              values.(m) <- v;
-              code.(m) <- new_code;
-              rise.(m) <- base_rise.(m);
-              fall.(m) <- base_fall.(m);
-              changed := true
-            end
-          end)
-        (stable_candidates values.(m))
+      if pending.(m) then begin
+        pending.(m) <- false;
+        decr n_pending;
+        incr visits;
+        match values.(m) with
+        | Fourval.Up -> ignore (flip m Fourval.V1 || flip m Fourval.V0)
+        | Fourval.Dn -> ignore (flip m Fourval.V0 || flip m Fourval.V1)
+        | Fourval.V0 | Fourval.V1 -> ()
+      end
     done
   done;
+  Counter.add Counter.minimize_visit !visits;
   Sg.set_extra_values sg ~index ~values
 
 let minimize sg =

@@ -238,6 +238,61 @@ let classes uf n =
   done;
   (Array.init n (fun m -> class_id.(Uf.find uf m)), !n_classes)
 
+(* ------------------------------------------------------------------ *)
+(* Grouping by an int key                                              *)
+(* ------------------------------------------------------------------ *)
+
+module Slots = struct
+  type t = { bits : int; owner : int array; key : int array; value : int array }
+
+  let create n =
+    let bits = ref 1 in
+    while 1 lsl !bits < 2 * n do
+      incr bits
+    done;
+    let size = 1 lsl !bits in
+    {
+      bits = !bits;
+      owner = Array.make size (-1);
+      key = Array.make size 0;
+      value = Array.make size (-1);
+    }
+
+  (* linear probing from a multiplicative hash of [x]; a slot held by
+     another owner is free *)
+  let slot t ~owner x =
+    let mask = Array.length t.owner - 1 in
+    let h = ref ((x * 0x2545F4914F6CDD1D) lsr (63 - t.bits)) in
+    while t.owner.(!h) = owner && t.key.(!h) <> x do
+      h := (!h + 1) land mask
+    done;
+    if t.owner.(!h) <> owner then begin
+      t.owner.(!h) <- owner;
+      t.key.(!h) <- x;
+      t.value.(!h) <- -1
+    end;
+    !h
+
+  let get t h = t.value.(h)
+  let set t h v = t.value.(h) <- v
+end
+
+let group_by n key =
+  let t = Slots.create n in
+  let head = Array.make n 0 and next = Array.make n (-1) in
+  (* from the last state down, each slot's value is the least state
+     with its key so far *)
+  for m = n - 1 downto 0 do
+    let h = Slots.slot t ~owner:0 (key m) in
+    next.(m) <- Slots.get t h;
+    Slots.set t h m;
+    head.(m) <- h
+  done;
+  for m = 0 to n - 1 do
+    head.(m) <- Slots.get t head.(m)
+  done;
+  (head, next)
+
 (* An edge labelled [l] into [d] is among the kept edges chained from
    [j] on. *)
 let rec chained lab dst prev l d j =

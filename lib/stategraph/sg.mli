@@ -249,6 +249,31 @@ module Uf : sig
   val union : int array -> int -> int -> unit
 end
 
+(** {1 Grouping by an int key} *)
+
+(** An open-addressing table from int keys to int values, with room
+    for [n] keys ([create n]) at most half full.  Every slot belongs to
+    an [owner]; a slot held by another owner counts as free, so one
+    table serves a sequence of groups, one owner each, as long as each
+    group has at most [n] keys and is entered before the next. *)
+module Slots : sig
+  type t
+
+  val create : int -> t
+
+  (** [slot t ~owner x] is the slot holding key [x] for [owner].  When
+      there is none it claims a free one, whose value is [-1]. *)
+  val slot : t -> owner:int -> int -> int
+
+  val get : t -> int -> int
+  val set : t -> int -> int -> unit
+end
+
+(** [group_by n key] groups [0 .. n-1] by [key] in time linear in [n]:
+    [head.(m)] is the least member with [m]'s key and [next.(m)] the
+    next larger one, [-1] after the last. *)
+val group_by : int -> (int -> int) -> int array * int array
+
 (** {1 Content digest} *)
 
 (** [digest sg] is a hex digest of the graph's logical content (name,

@@ -62,7 +62,22 @@ val expand : Sg.t -> Sg.t
     A graph with no extras is its own expansion and is checked directly
     ({!Csc.csc_satisfied}, {!Persistency}).
     @raise Sg.Inconsistent when the expansion would have more than 62
-    signals, as {!expand} does. *)
+    signals, as {!expand} does.
+
+    {b Kernel.}  A check costs the copies it looks at, with no table
+    sized to the copies beyond the two mask arrays:
+    - the layout keeps two masks over extras per state, the extras
+      excited there and their values in copy 0; copy [c]'s extra values
+      are copy 0's XORed with the excited extras whose bit [c] sets,
+      and the copies of a state are visited in Gray-code order, so each
+      copy's values cost one XOR;
+    - each original edge's route (leaving bits and free bits at both
+      ends) is computed once per check and read by both the excitation
+      fill and the violation scan;
+    - CSC groups the states by base code ({!Sg.group_by}) and reuses
+      one open-addressing table ({!Sg.Slots}), sized to the largest
+      class's copies, for every class;
+    - {!implementable} stops at the first violating copy edge. *)
 
 (** [csc_satisfied sg] = [Csc.csc_satisfied (expand sg)]. *)
 val csc_satisfied : Sg.t -> bool
@@ -71,5 +86,7 @@ val csc_satisfied : Sg.t -> bool
 val n_violations : Sg.t -> int
 
 (** [implementable sg] holds when [expand sg] satisfies CSC and is
-    semi-modular: both checks on one folded view. *)
+    semi-modular: both checks on one folded view.  Bumps
+    {!Counter.implementability}. *)
 val implementable : Sg.t -> bool
+

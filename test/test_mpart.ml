@@ -480,6 +480,124 @@ let test_expand_once () =
       ("pulsers 5", Bench_gen.concurrent_pulsers ~branches:5);
     ]
 
+(* The implementation stage of one synthesis, observed from outside:
+   its [minimized extra] debug lines, parsed as (index, lifted,
+   candidate, visits, verdict), its [expansion] line, and the
+   implementability decisions it made. *)
+type implementation_trace = {
+  result : Mpart.result;
+  extras : (int * int * int * int * string) list;
+  expansion : string list;
+  decisions : int;
+}
+
+let trace_implementation stg =
+  let lines = ref [] in
+  let capture src level ~over k msgf =
+    if Logs.Src.name src = "mpsyn.mpart" && level = Logs.Debug then
+      msgf (fun ?header:_ ?tags:_ fmt ->
+          Format.kasprintf
+            (fun line ->
+              lines := line :: !lines;
+              over ();
+              k ())
+            fmt)
+    else begin
+      over ();
+      k ()
+    end
+  in
+  let reporter = Logs.reporter () and level = Logs.level () in
+  Logs.set_reporter { Logs.report = capture };
+  Logs.set_level (Some Logs.Debug);
+  let before = Counter.get Counter.implementability in
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        Logs.set_reporter reporter;
+        Logs.set_level level)
+      (fun () -> Mpart.synthesize stg)
+  in
+  let decisions = Counter.get Counter.implementability - before in
+  let lines = List.rev !lines in
+  let extras =
+    List.filter_map
+      (fun line ->
+        try
+          Some
+            (Scanf.sscanf line
+               "minimized extra %d (%_[^)]): excited states %d -> %d (%d visits), %[a-z]"
+               (fun i lifted candidate visits verdict ->
+                 (i, lifted, candidate, visits, verdict)))
+        with Scanf.Scan_failure _ | End_of_file -> None)
+      lines
+  in
+  let expansion = List.filter (String.starts_with ~prefix:"expansion:") lines in
+  { result; extras; expansion; decisions }
+
+let parsed_stg stg =
+  Gformat.parse_string ~name:(Stg.name stg) (Gformat.to_string stg)
+
+let expand_j2_traces =
+  lazy
+    (List.map
+       (fun (what, stg) -> (what, trace_implementation (parsed_stg stg)))
+       [
+         ("pulsers 5", Bench_gen.concurrent_pulsers ~branches:5);
+         ("mixed 3x3", Bench_gen.mixed ~stages:3 ~branches:3);
+       ])
+
+(* The implementation stage costs its work, counted rather than timed:
+   one folded decision per state signal (the minimized labeling is the
+   last accepted candidate, so it is not checked again), and a region minimizer that
+   examines each excited state a bounded number of times per extra. *)
+let test_implementation_work () =
+  List.iter
+    (fun (what, t) ->
+      let final = t.result.Mpart.final in
+      let n = Sg.n_states final in
+      check_int (what ^ ": one decision per extra") (Sg.n_extras final)
+        t.decisions;
+      check_int (what ^ ": a line per extra") (Sg.n_extras final)
+        (List.length t.extras);
+      List.iter
+        (fun (i, _, _, visits, _) ->
+          if visits > 3 * n then
+            Alcotest.failf "%s: extra %d took %d visits over %d states" what i
+              visits n)
+        t.extras)
+    (Lazy.force expand_j2_traces)
+
+(* Under MPSYN_LOG=debug the implementation stage reports, per extra,
+   the excited states it lifted and the minimized candidate's, and the
+   verdict; then the expansion's size. *)
+let test_implementation_lines () =
+  let expect what t rows size =
+    Alcotest.(check (list (triple int int string)))
+      (what ^ ": lifted -> candidate, verdict")
+      rows
+      (List.map (fun (_, l, c, _, v) -> (l, c, v)) t.extras);
+    Alcotest.(check (list int))
+      (what ^ ": extras in order")
+      (List.init (List.length rows) Fun.id)
+      (List.map (fun (i, _, _, _, _) -> i) t.extras);
+    Alcotest.(check (list string))
+      (what ^ ": the expansion")
+      [ Printf.sprintf "expansion: %d states" size ]
+      t.expansion
+  in
+  let traces = Lazy.force expand_j2_traces in
+  let accepted = (1876, 1250, "accepted") in
+  expect "pulsers 5"
+    (List.assoc "pulsers 5" traces)
+    [ accepted; accepted; accepted; accepted; (1876, 626, "accepted") ]
+    14408;
+  let kept = (322, 50, "accepted") and lost = (322, 35, "rejected") in
+  expect "mixed 3x3"
+    (List.assoc "mixed 3x3" traces)
+    [ kept; kept; lost; kept; kept; lost; kept; kept; lost ]
+    4680
+
 (* [final] is the graph that was expanded, and it is implementable: the
    implementation stage judges the minimized labeling once and expands
    the graph that passed, once.  The one net whose minimized labeling
@@ -492,7 +610,6 @@ let steal_stg () =
       (choice [ seq [ plus "x"; minus "x" ]; seq [ plus "b"; minus "b" ] ]))
 
 let test_final_expanded () =
-  let parsed stg = Gformat.parse_string ~name:(Stg.name stg) (Gformat.to_string stg) in
   let data =
     Sys.readdir (Filename.concat ".." "data")
     |> Array.to_list
@@ -518,9 +635,9 @@ let test_final_expanded () =
           (Sg_expand.implementable r.Mpart.final))
     (data
     @ [
-        ("pulsers 5", parsed (Bench_gen.concurrent_pulsers ~branches:5));
-        ("mixed 3x3", parsed (Bench_gen.mixed ~stages:3 ~branches:3));
-        ("parrings 6", parsed (Bench_gen.parallel_rings ~rings:6));
+        ("pulsers 5", parsed_stg (Bench_gen.concurrent_pulsers ~branches:5));
+        ("mixed 3x3", parsed_stg (Bench_gen.mixed ~stages:3 ~branches:3));
+        ("parrings 6", parsed_stg (Bench_gen.parallel_rings ~rings:6));
         ("steal", steal_stg ());
       ])
 
@@ -953,6 +1070,10 @@ let () =
           Alcotest.test_case "63 signals exceed the cap" `Quick test_signal_cap;
           Alcotest.test_case "final is what was expanded" `Quick
             test_final_expanded;
+          Alcotest.test_case "implementation work is counted" `Quick
+            test_implementation_work;
+          Alcotest.test_case "implementation debug lines" `Quick
+            test_implementation_lines;
         ] );
       ( "properties",
         [

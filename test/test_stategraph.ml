@@ -732,12 +732,91 @@ let test_early_exit_agrees () =
     [ ("csc", true); ("csc", false); ("semi-modular", true);
       ("semi-modular", false) ]
 
+(* The labelings the implementation stage judges.  Every output's
+   module solution, propagated through its cover onto the complete
+   graph: one module at a time, as bench/e2e's replay lifts them, and
+   all modules together, as the insertion leaves them for
+   minimization.  Then the minimize-then-check sequence over the
+   latter: every candidate [Region_minimize.minimize_extra] proposes
+   and every labeling it keeps.  The sequence keeps a candidate by the
+   checks on its materialized expansion, so that a wrong folded verdict
+   cannot steer it onto other (and larger) labelings. *)
+let lifted_labelings stg =
+  match Sg.of_stg stg with
+  | exception _ -> [] (* inconsistent or oversized random STG *)
+  | complete ->
+    let solution o =
+      let inp = Input_derivation.determine complete ~output:o in
+      let msg = inp.Input_derivation.module_sg in
+      let output = Sg.find_signal msg (Sg.signal_name complete o) in
+      if Csc.n_output_conflicts msg ~output = 0 then None
+      else
+        let baseline = Sg_expand.n_violations msg in
+        match
+          (Modular_sat.solve ~deadline:(Deadline.of_limit (Some 1.0))
+             ~accept:(fun g -> Sg_expand.n_violations g <= baseline)
+             ~output msg)
+            .Modular_sat.outcome
+        with
+        | Modular_sat.Solved { new_extras; _ } ->
+          Some (o, inp.Input_derivation.cover, new_extras)
+        | Modular_sat.Gave_up _ -> None
+    in
+    let solutions =
+      List.filter_map solution
+        (List.filter (Sg.non_input complete)
+           (List.init (Sg.n_signals complete) Fun.id))
+    in
+    let lift g (o, cover, extras) =
+      fst
+        (Array.fold_left
+           (fun (g, i) (x : Sg.extra) ->
+             ( Propagation.propagate g ~cover
+                 ~name:(Printf.sprintf "n%d_%d" o i)
+                 ~values:x.Sg.values,
+               i + 1 ))
+           (g, 0) extras)
+    in
+    let lifted sol = try [ lift complete sol ] with Sg.Inconsistent _ -> [] in
+    let sequence =
+      match List.fold_left lift complete solutions with
+      | exception Sg.Inconsistent _ -> []
+      | current ->
+        let acc = ref current and seen = ref [ current ] in
+        for index = 0 to Sg.n_extras current - 1 do
+          let candidate = Region_minimize.minimize_extra !acc ~index in
+          seen := candidate :: !seen;
+          let e = Sg_expand.expand candidate in
+          if Csc.csc_satisfied e && Persistency.is_semi_modular e then
+            acc := candidate
+        done;
+        List.rev !seen
+    in
+    List.concat_map lifted solutions @ sequence
+
+let parsed stg =
+  Gformat.parse_string ~name:(Stg.name stg) (Gformat.to_string stg)
+
+let kernel_labelings =
+  lazy
+    (let rand = Qseed.state () in
+     List.concat_map lifted_labelings
+       ([
+          parsed (Bench_gen.concurrent_pulsers ~branches:4);
+          parsed (Bench_gen.concurrent_pulsers ~branches:5);
+          parsed (Bench_gen.mixed ~stages:2 ~branches:3);
+          parsed (Bench_gen.mixed ~stages:3 ~branches:3);
+        ]
+       @ List.init (50 * Qseed.soak) (fun _ -> Bench_gen.random ~rand)))
+
 (* The folded decisions answer CSC, semi-modularity and the violation
    count of [Sg_expand.expand g] without building it; they must equal
    the checks on the materialized graph on every graph above, on each
-   one's [minimize_extra] candidates, and on the final graphs of the
-   generated mixed 3x3 and pulsers 5 nets.  Both verdicts must occur,
-   and the graphs of mr0, mmu1 and mixed 3x3 must include a refusal. *)
+   one's [minimize_extra] candidates, on the final graphs of the
+   generated mixed 3x3 and pulsers 5 nets, and on the labelings the
+   implementation stage judges ([kernel_labelings]).  Both verdicts
+   must occur, and the graphs of mr0, mmu1 and mixed 3x3 must include a
+   refusal. *)
 let expand_j2_finals =
   lazy
     (List.map
@@ -780,7 +859,7 @@ let test_folded_agrees () =
       Hashtbl.replace seen ("csc", csc) ();
       Hashtbl.replace seen ("semi-modular", sm) ();
       if not (csc && sm) then Hashtbl.replace refused (Sg.name g) ())
-    (List.concat_map with_candidates graphs);
+    (List.concat_map with_candidates graphs @ Lazy.force kernel_labelings);
   List.iter
     (fun key ->
       check

@@ -300,11 +300,12 @@ let insert ~config ~deadline ~fresh_name ~certificate analyses complete =
     analyses;
   (!current, List.rev !reports, List.rev !replayed, !stale)
 
-(* The cleanup pass: conflicts invisible to every module. *)
-let cleanup ~config ~deadline ~fresh_name g =
+(* The cleanup pass: conflicts invisible to every module.  Under the
+   certificate no module solved, so [g] is Σ and has CSC. *)
+let cleanup ~config ~deadline ~fresh_name ~certificate g =
   Log.debug (fun m ->
       m "modules done: %d conflicts remain" (Csc.n_conflicts g));
-  if Csc.csc_satisfied g then (g, None)
+  if certificate || Csc.csc_satisfied g then (g, None)
   else
     let remaining = Csc.conflict_pairs g in
     let ((g, _, _) as pass) =
@@ -317,7 +318,8 @@ let cleanup ~config ~deadline ~fresh_name g =
 (* Stage 3, the implementation of the post-insertion graph: the
    minimized labeling, its expansion, the logic, and the global redo's
    report if one ran. *)
-let implement ~config ~deadline ~fresh_name ~modules complete current =
+let implement ~config ~deadline ~fresh_name ~modules ~certificate complete
+    current =
   let supports =
     List.map
       (fun m -> (m.output_name, m.input_set @ m.kept_extras @ m.new_signals))
@@ -344,6 +346,10 @@ let implement ~config ~deadline ~fresh_name ~modules complete current =
      returns is the last accepted candidate, so it is implementable and
      the judgement after minimization is skipped: one folded check per
      extra, and one more only when every candidate was rejected.
+
+     Under the certificate [current] is Σ, with CSC and no state
+     signal: the one decision is semi-modularity alone
+     ({!Sg_expand.implementable_csc}).
 
      At debug level each extra's line reports the visits of
      [Region_minimize.minimize_extra] (read off {!Counter.minimize_visit},
@@ -390,7 +396,11 @@ let implement ~config ~deadline ~fresh_name ~modules complete current =
      sets. *)
   let final, supports, redo =
     let minimized, accepted = minimize_safely current in
-    if accepted || Sg_expand.implementable minimized then
+    let judge =
+      if certificate then Sg_expand.implementable_csc
+      else Sg_expand.implementable
+    in
+    if accepted || judge minimized then
       (minimized, supports, None)
     else begin
       Log.debug (fun m ->
@@ -443,9 +453,12 @@ let synthesize_complete ~config ~deadline complete =
   let inserted, modules, replayed, stale_analyses =
     insert ~config ~deadline ~fresh_name ~certificate analyses complete
   in
-  let inserted, fallback = cleanup ~config ~deadline ~fresh_name inserted in
+  let inserted, fallback =
+    cleanup ~config ~deadline ~fresh_name ~certificate inserted
+  in
   let final, expanded, functions, redo =
-    implement ~config ~deadline ~fresh_name ~modules complete inserted
+    implement ~config ~deadline ~fresh_name ~modules ~certificate complete
+      inserted
   in
   {
     complete;

@@ -34,7 +34,10 @@ let decompose sg ~signal ~support =
   let reset_on = falling
   and reset_off = List.sort_uniq Int.compare (stable1 @ rising) in
   let grow vars ~onset ~offset =
-    try Support.grow ~width ~vars ~onset ~offset
+    try
+      Support.grow (Support.scratch ()) ~width ~vars
+        ~onset:(Array.of_list onset)
+        ~offset:(Array.of_list offset)
     with Invalid_argument _ ->
       raise
         (Derive.Not_csc
@@ -63,9 +66,9 @@ let decompose_all sg =
         let rising, falling, stable0, stable1 = regions sg ~signal:s in
         let width = Sg.n_signals sg in
         let support =
-          Support.reduce ~width
-            ~onset:(rising @ falling)
-            ~offset:(stable0 @ stable1)
+          Support.reduce (Support.scratch ()) ~width
+            ~onset:(Array.of_list (rising @ falling))
+            ~offset:(Array.of_list (stable0 @ stable1))
           (* a rough starting point; decompose grows it as needed *)
         in
         Some (decompose sg ~signal:s ~support)

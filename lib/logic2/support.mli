@@ -15,20 +15,57 @@ val project : vars:int list -> int -> int
     and duplicate-free; one merge walk, linear in their lengths. *)
 val first_overlap : onset:int list -> offset:int list -> int option
 
+(** {1 Sets of codes}
+
+    The functions below take a function's on- and off-set as int arrays
+    of codes, in any order, duplicates allowed.  They decide on codes
+    masked to the variables in question and find equal ones by hashing
+    into one open-addressing table ({!Sg.Slots}), so no set is sorted or
+    re-projected per test. *)
+
+(** Working space for those functions: the table and two code buffers,
+    grown to the largest [onset] plus [offset] a call has passed and
+    kept for the next.  A caller that runs many of them (one per signal
+    of a graph, say) passes one scratch to all, so the space is made
+    once. *)
+type scratch
+
+val scratch : unit -> scratch
+
 (** [sufficient ~vars ~onset ~offset] holds when the projections of the
     two sets onto [vars] are disjoint — i.e. [vars] suffices to implement
     the function. *)
-val sufficient : vars:int list -> onset:int list -> offset:int list -> bool
+val sufficient : vars:int list -> onset:int array -> offset:int array -> bool
+
+(** [project_sets ~vars ~onset ~offset] is the sufficiency test and the
+    projection in one pass: [Some (on, off)], the two sets projected
+    onto [vars] ({!project}), each sorted and duplicate-free, when they
+    are disjoint, and [None] when they are not ([vars] is not
+    {!sufficient}). *)
+val project_sets :
+  scratch ->
+  vars:int list ->
+  onset:int array ->
+  offset:int array ->
+  (int list * int list) option
 
 (** [reduce ~width ~onset ~offset] greedily drops variables (highest id
     first) while the remaining support stays {!sufficient}; returns the
-    kept variables in increasing order. *)
-val reduce : width:int -> onset:int list -> offset:int list -> int list
+    kept variables in increasing order.  Each drop is decided by one
+    lookup per distinct off-code. *)
+val reduce :
+  scratch -> width:int -> onset:int array -> offset:int array -> int list
 
 (** [grow ~width ~vars ~onset ~offset] extends an insufficient support
     [vars] greedily (each step adds the variable resolving the most
-    on/off projection collisions) until sufficient.  Returns the grown
-    support in increasing order.  Raises [Invalid_argument] if even the
-    full support is insufficient (on- and off-sets intersect). *)
+    on/off projection collisions, counted with multiplicity) until
+    sufficient.  Returns the grown support in increasing order.  Raises
+    [Invalid_argument] if even the full support is insufficient (on-
+    and off-sets intersect). *)
 val grow :
-  width:int -> vars:int list -> onset:int list -> offset:int list -> int list
+  scratch ->
+  width:int ->
+  vars:int list ->
+  onset:int array ->
+  offset:int array ->
+  int list

@@ -1,19 +1,15 @@
-let classes_tbl sg =
-  let tbl = Hashtbl.create (Sg.n_states sg) in
-  for m = Sg.n_states sg - 1 downto 0 do
-    let c = Sg.full_code sg m in
-    let cur = Option.value (Hashtbl.find_opt tbl c) ~default:[] in
-    Hashtbl.replace tbl c (m :: cur)
-  done;
-  tbl
+(* The states grouped by full code ({!Sg.group_by}): [head.(m)] is the
+   least state with [m]'s code and [next.(m)] the next larger one. *)
+let classes sg = Sg.group_by (Sg.n_states sg) (Sg.full_code sg)
 
 let code_classes sg =
-  let tbl = classes_tbl sg in
-  Hashtbl.fold
-    (fun _ members acc -> match members with [] | [ _ ] -> acc | ms -> ms :: acc)
-    tbl []
-  |> List.map (List.sort Int.compare)
-  |> List.sort compare
+  let head, next = classes sg in
+  let rec members m = if m < 0 then [] else m :: members next.(m) in
+  let acc = ref [] in
+  for m = Sg.n_states sg - 1 downto 0 do
+    if head.(m) = m && next.(m) >= 0 then acc := members m :: !acc
+  done;
+  !acc
 
 (* Pairs of equal-code states whose [Sg.full_excitation_masks] differ;
    [visible_only] keeps only the pairs whose non-input visible
@@ -45,22 +41,39 @@ let mask_conflicts ~visible_only sg =
 
 let conflict_pairs sg = mask_conflicts ~visible_only:false sg
 
-(* [List.length (conflict_pairs sg)] without listing the pairs: all
-   pairs of each code class, less the pairs that also agree on both
-   excitation masks. *)
+(* [List.length (conflict_pairs sg)] without listing the pairs: each
+   state, taken in increasing order, conflicts with the earlier members
+   of its code class less those with its excitation masks.  The first
+   member of a class with given masks stands for them ([same.(r)] counts
+   the members agreeing with [r]); a class's representatives are chained
+   from its least member through [next_rep]. *)
 let n_conflicts sg =
+  let n = Sg.n_states sg in
   let rise, fall = Sg.full_excitation_masks sg in
-  let by_code = Hashtbl.create 64 and by_masks = Hashtbl.create 64 in
-  let bump tbl k =
-    Hashtbl.replace tbl k (1 + Option.value (Hashtbl.find_opt tbl k) ~default:0)
+  let head, _ = classes sg in
+  let size = Array.make n 0 and same = Array.make n 0 in
+  let next_rep = Array.make n (-1) in
+  let rec rep r m =
+    if r < 0 || (rise.(r) = rise.(m) && fall.(r) = fall.(m)) then r
+    else rep next_rep.(r) m
   in
-  for m = 0 to Sg.n_states sg - 1 do
-    let c = Sg.full_code sg m in
-    bump by_code c;
-    bump by_masks (c, rise.(m), fall.(m))
+  let count = ref 0 in
+  for m = 0 to n - 1 do
+    let h = head.(m) in
+    let r = rep h m in
+    if r >= 0 then begin
+      count := !count + size.(h) - same.(r);
+      same.(r) <- same.(r) + 1
+    end
+    else begin
+      count := !count + size.(h);
+      same.(m) <- 1;
+      next_rep.(m) <- next_rep.(h);
+      next_rep.(h) <- m
+    end;
+    size.(h) <- size.(h) + 1
   done;
-  let pairs tbl = Hashtbl.fold (fun _ k acc -> acc + (k * (k - 1) / 2)) tbl 0 in
-  pairs by_code - pairs by_masks
+  !count
 
 let output_conflict_pairs sg ~output =
   let pairs = ref [] in
@@ -89,24 +102,22 @@ let lower_bound sg =
   let rec bits m acc = if m >= k then acc else bits (m * 2) (acc + 1) in
   if k <= 1 then 0 else bits 1 0
 
-(* Equal-code states must agree on every excitation; comparing each
-   state with the first of its code class decides that without listing
+(* Equal-code states must agree on every excitation.  Sorted by full
+   code ({!Sg.sort_by}), equal-code states are adjacent, so comparing
+   each state with the one before it decides that without listing
    pairs. *)
 let csc_satisfied sg =
-  let n = Sg.n_states sg in
   let rise, fall = Sg.full_excitation_masks sg in
-  let first = Hashtbl.create n in
-  let rec go m =
-    m >= n
+  let code = Sg.full_code sg in
+  let order = Sg.sort_by (Sg.n_states sg) ~bits:(Sg.full_width sg) code in
+  let rec go k =
+    k >= Array.length order
     ||
-    let c = Sg.full_code sg m in
-    match Hashtbl.find_opt first c with
-    | None ->
-      Hashtbl.add first c m;
-      go (m + 1)
-    | Some m0 -> rise.(m0) = rise.(m) && fall.(m0) = fall.(m) && go (m + 1)
+    let m = order.(k) and p = order.(k - 1) in
+    (code m <> code p || (rise.(m) = rise.(p) && fall.(m) = fall.(p)))
+    && go (k + 1)
   in
-  go 0
+  go 1
 
 let usc_satisfied sg = code_classes sg = []
 

@@ -157,11 +157,10 @@ let set_extra_values sg ~index ~values =
 let full_width sg = n_signals sg + n_extras sg
 
 let full_code sg m =
-  let c = ref sg.codes.(m) in
-  Array.iteri
-    (fun i x ->
-      if Fourval.binary x.values.(m) then c := !c lor (1 lsl (n_signals sg + i)))
-    sg.extras;
+  let c = ref sg.codes.(m) and ns = n_signals sg in
+  for i = 0 to Array.length sg.extras - 1 do
+    if Fourval.binary sg.extras.(i).values.(m) then c := !c lor (1 lsl (ns + i))
+  done;
   !c
 
 let excited_events sg m =
@@ -258,20 +257,29 @@ module Slots = struct
       value = Array.make size (-1);
     }
 
-  (* linear probing from a multiplicative hash of [x]; a slot held by
+  (* linear probing from a multiplicative hash of [x]: the slot holding
+     [x] for [owner], or the free slot where it would go; a slot held by
      another owner is free *)
-  let slot t ~owner x =
+  let probe t ~owner x =
     let mask = Array.length t.owner - 1 in
     let h = ref ((x * 0x2545F4914F6CDD1D) lsr (63 - t.bits)) in
     while t.owner.(!h) = owner && t.key.(!h) <> x do
       h := (!h + 1) land mask
     done;
-    if t.owner.(!h) <> owner then begin
-      t.owner.(!h) <- owner;
-      t.key.(!h) <- x;
-      t.value.(!h) <- -1
-    end;
     !h
+
+  let slot t ~owner x =
+    let h = probe t ~owner x in
+    if t.owner.(h) <> owner then begin
+      t.owner.(h) <- owner;
+      t.key.(h) <- x;
+      t.value.(h) <- -1
+    end;
+    h
+
+  let find t ~owner x =
+    let h = probe t ~owner x in
+    if t.owner.(h) = owner then h else -1
 
   let get t h = t.value.(h)
   let set t h v = t.value.(h) <- v
@@ -292,6 +300,32 @@ let group_by n key =
     head.(m) <- Slots.get t head.(m)
   done;
   (head, next)
+
+let sort_by n ~bits key =
+  let order = ref (Array.init n Fun.id) and into = ref (Array.make n 0) in
+  let count = Array.make 257 0 in
+  let shift = ref 0 in
+  while !shift < bits do
+    let a = !order and b = !into and sh = !shift in
+    Array.fill count 0 257 0;
+    for k = 0 to n - 1 do
+      let j = ((key a.(k) lsr sh) land 255) + 1 in
+      count.(j) <- count.(j) + 1
+    done;
+    for j = 1 to 256 do
+      count.(j) <- count.(j) + count.(j - 1)
+    done;
+    for k = 0 to n - 1 do
+      let m = a.(k) in
+      let j = (key m lsr sh) land 255 in
+      b.(count.(j)) <- m;
+      count.(j) <- count.(j) + 1
+    done;
+    order := b;
+    into := a;
+    shift := sh + 8
+  done;
+  !order
 
 (* An edge labelled [l] into [d] is among the kept edges chained from
    [j] on. *)

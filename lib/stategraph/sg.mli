@@ -265,6 +265,10 @@ module Slots : sig
       there is none it claims a free one, whose value is [-1]. *)
   val slot : t -> owner:int -> int -> int
 
+  (** [find t ~owner x] is the slot holding key [x] for [owner], or [-1]
+      when there is none; unlike {!slot} it claims nothing. *)
+  val find : t -> owner:int -> int -> int
+
   val get : t -> int -> int
   val set : t -> int -> int -> unit
 end
@@ -273,6 +277,13 @@ end
     [head.(m)] is the least member with [m]'s key and [next.(m)] the
     next larger one, [-1] after the last. *)
 val group_by : int -> (int -> int) -> int array * int array
+
+(** [sort_by n ~bits key] is [0 .. n-1] in increasing order of [key],
+    equal keys in increasing order, for keys from 0 to [2^bits - 1]: a
+    least-significant-digit radix sort, one counting pass per byte of
+    [bits], so it costs [n] times the bytes, makes no comparison and
+    allocates two arrays of [n]. *)
+val sort_by : int -> bits:int -> (int -> int) -> int array
 
 (** {1 Content digest} *)
 

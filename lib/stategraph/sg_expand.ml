@@ -350,10 +350,14 @@ let n_violations sg =
   if Sg.n_extras sg = 0 then List.length (Persistency.violations sg)
   else folded_violations ~stop:false (fold sg)
 
-let implementable sg =
+(* [csc] is already known to hold of the expansion, or is decided here *)
+let decide ~csc sg =
   Counter.bump Counter.implementability;
   if Sg.n_extras sg = 0 then
-    Csc.csc_satisfied sg && Persistency.is_semi_modular sg
+    (csc || Csc.csc_satisfied sg) && Persistency.is_semi_modular sg
   else
     let f = fold sg in
-    folded_csc f && folded_violations ~stop:true f = 0
+    (csc || folded_csc f) && folded_violations ~stop:true f = 0
+
+let implementable sg = decide ~csc:false sg
+let implementable_csc sg = decide ~csc:true sg

@@ -90,3 +90,9 @@ val n_violations : Sg.t -> int
     {!Counter.implementability}. *)
 val implementable : Sg.t -> bool
 
+(** [implementable_csc sg] is [implementable sg] for a graph whose
+    expansion is known to satisfy CSC (a graph with CSC and no state
+    signal, say): only semi-modularity is decided.  Bumps
+    {!Counter.implementability}. *)
+val implementable_csc : Sg.t -> bool
+

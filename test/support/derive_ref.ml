@@ -62,17 +62,22 @@ let grow ~width ~vars ~onset ~offset =
   in
   go (List.sort_uniq Int.compare vars)
 
-(* [synthesize sg] is [Derive.synthesize sg] (no proposed supports)
+(* [synthesize ?support_of sg] is [Derive.synthesize ?support_of sg]
    built on the functions above: (signal, support, onset, offset, cover)
-   per non-input signal, the sets projected onto the support. *)
-let synthesize sg =
+   per non-input signal, the sets projected onto the support, which is
+   the proposed one grown, or the reduced one. *)
+let synthesize ?(support_of = fun _ -> None) sg =
   let width = Sg.n_signals sg in
   List.filter_map
     (fun s ->
       if not (Sg.non_input sg s) then None
       else
         let onset, offset = on_off_sets sg ~signal:s in
-        let support = reduce ~width ~onset ~offset in
+        let support =
+          match support_of s with
+          | Some vars -> vars
+          | None -> reduce ~width ~onset ~offset
+        in
         let support = grow ~width ~vars:support ~onset ~offset in
         let proj = Support.project ~vars:support in
         let onset = List.sort_uniq Int.compare (List.map proj onset) in
@@ -95,3 +100,22 @@ let check (fs : Derive.func list) sg =
       done)
     fs;
   List.rev !bad
+
+(* The supports [Mpart.implement] proposes to [Derive.synthesize] for
+   [r.expanded]: each module's input set, kept extras and new signals,
+   as signal ids of the expanded graph, for the module's output. *)
+let module_supports (r : Mpart.result) s =
+  let ex = r.Mpart.expanded in
+  List.find_map
+    (fun (m : Mpart.module_report) ->
+      if m.Mpart.output_name <> Sg.signal_name ex s then None
+      else
+        Some
+          (List.sort_uniq Int.compare
+             (List.filter_map
+                (fun n ->
+                  match Sg.find_signal ex n with
+                  | id -> Some id
+                  | exception Not_found -> None)
+                (m.Mpart.input_set @ m.Mpart.kept_extras @ m.Mpart.new_signals))))
+    r.Mpart.modules

@@ -240,31 +240,54 @@ let test_project () =
 
 let test_sufficient () =
   (* f = x0 xor x1, x2 irrelevant *)
-  let onset = [ 0b001; 0b010; 0b101; 0b110 ] in
-  let offset = [ 0b000; 0b011; 0b100; 0b111 ] in
+  let onset = [| 0b001; 0b010; 0b101; 0b110 |] in
+  let offset = [| 0b000; 0b011; 0b100; 0b111 |] in
   check "x0 x1 sufficient" true
     (Support.sufficient ~vars:[ 0; 1 ] ~onset ~offset);
   check "x0 alone insufficient" false
     (Support.sufficient ~vars:[ 0 ] ~onset ~offset)
 
+(* The test and the projection in one pass: the sets projected, sorted
+   and duplicate-free, or [None] when the projections meet; one scratch
+   serves calls of every size. *)
+let test_project_sets () =
+  let onset = [| 0b110; 0b001; 0b101; 0b010; 0b001 |] in
+  let offset = [| 0b111; 0b000; 0b011; 0b100 |] in
+  let scratch = Support.scratch () in
+  Alcotest.(check (option (pair (list int) (list int))))
+    "x0 x1" (Some ([ 0b01; 0b10 ], [ 0b00; 0b11 ]))
+    (Support.project_sets scratch ~vars:[ 0; 1 ] ~onset ~offset);
+  Alcotest.(check (option (pair (list int) (list int))))
+    "x0 alone" None
+    (Support.project_sets scratch ~vars:[ 0 ] ~onset ~offset);
+  Alcotest.(check (option (pair (list int) (list int))))
+    "x2 of a larger set" (Some ([ 0; 1 ], []))
+    (Support.project_sets scratch ~vars:[ 2 ]
+       ~onset:(Array.init 40 (fun i -> i land 0b111))
+       ~offset:[||])
+
 let test_reduce () =
-  let onset = [ 0b001; 0b010; 0b101; 0b110 ] in
-  let offset = [ 0b000; 0b011; 0b100; 0b111 ] in
+  let onset = [| 0b001; 0b010; 0b101; 0b110 |] in
+  let offset = [| 0b000; 0b011; 0b100; 0b111 |] in
   Alcotest.(check (list int))
     "x2 dropped" [ 0; 1 ]
-    (Support.reduce ~width:3 ~onset ~offset)
+    (Support.reduce (Support.scratch ()) ~width:3 ~onset ~offset)
 
 let test_grow () =
-  let onset = [ 0b001; 0b010; 0b101; 0b110 ] in
-  let offset = [ 0b000; 0b011; 0b100; 0b111 ] in
-  let grown = Support.grow ~width:3 ~vars:[ 0 ] ~onset ~offset in
+  let onset = [| 0b001; 0b010; 0b101; 0b110 |] in
+  let offset = [| 0b000; 0b011; 0b100; 0b111 |] in
+  let grown =
+    Support.grow (Support.scratch ()) ~width:3 ~vars:[ 0 ] ~onset ~offset
+  in
   check "grown sufficient" true (Support.sufficient ~vars:grown ~onset ~offset);
   check "keeps seed" true (List.mem 0 grown)
 
 let test_grow_impossible () =
   check "raises" true
     (try
-       ignore (Support.grow ~width:2 ~vars:[] ~onset:[ 1 ] ~offset:[ 1 ]);
+       ignore
+         (Support.grow (Support.scratch ()) ~width:2 ~vars:[] ~onset:[| 1 |]
+            ~offset:[| 1 |]);
        false
      with Invalid_argument _ -> true)
 
@@ -463,6 +486,7 @@ let () =
         [
           Alcotest.test_case "project" `Quick test_project;
           Alcotest.test_case "sufficient" `Quick test_sufficient;
+          Alcotest.test_case "project_sets" `Quick test_project_sets;
           Alcotest.test_case "reduce" `Quick test_reduce;
           Alcotest.test_case "grow" `Quick test_grow;
           Alcotest.test_case "grow impossible" `Quick test_grow_impossible;

@@ -9,7 +9,8 @@
    - the reduced and the grown supports, on those sets as given and
      shuffled with duplicates;
    - every derived function (support, projected sets, cover) and the
-     mismatches [Derive.check] reports;
+     mismatches [Derive.check] reports, with no proposed supports and
+     with the module supports synthesis proposes;
    - the CSC and orphan conflict pairs, and the CSC pair count;
    - the labeling [Region_minimize.minimize_extra] leaves, for every
      extra index.
@@ -93,46 +94,61 @@ let check_labeled net complete g =
     extras;
   check_one net g
 
-let check_expanded net ex =
+(* Every [Support] call below shares one scratch, as [Derive] does, so
+   the calls also check that a pass sees nothing of the one before. *)
+let check_expanded net (r : Mpart.result) =
+  let ex = r.Mpart.expanded in
   let width = Sg.n_signals ex in
   let non_inputs = List.filter (Sg.non_input ex) (List.init width Fun.id) in
+  let scratch = Support.scratch () and arr = Array.of_list in
   List.iter2
-    (fun s (onset, offset) ->
+    (fun s (on_a, off_a) ->
       let what w = fail_at net (Sg.signal_name ex s ^ ": " ^ w) in
+      let onset = Array.to_list on_a and offset = Array.to_list off_a in
       if (onset, offset) <> Derive_ref.on_off_sets ex ~signal:s then
         what "on/off sets";
       let shuffled l = List.rev l @ l in
       let onset' = shuffled onset and offset' = shuffled offset in
       let reduced = Derive_ref.reduce ~width ~onset ~offset in
-      if Support.reduce ~width ~onset ~offset <> reduced then what "reduce";
-      if Support.reduce ~width ~onset:onset' ~offset:offset' <> reduced then
-        what "reduce (shuffled)";
+      if Support.reduce scratch ~width ~onset:on_a ~offset:off_a <> reduced then
+        what "reduce";
+      if
+        Support.reduce scratch ~width ~onset:(arr onset') ~offset:(arr offset')
+        <> reduced
+      then what "reduce (shuffled)";
       (* with a code in both sets no variable can be dropped *)
       let onset_x = offset @ onset in
       if
         offset <> []
-        && Support.reduce ~width ~onset:onset_x ~offset
+        && Support.reduce scratch ~width ~onset:(arr onset_x) ~offset:off_a
            <> Derive_ref.reduce ~width ~onset:onset_x ~offset
       then what "reduce (overlapping)";
       if Sg.n_states ex <= small_expanded then
         List.iter
           (fun vars ->
             if
-              Support.grow ~width ~vars ~onset ~offset
+              Support.grow scratch ~width ~vars ~onset:on_a ~offset:off_a
               <> Derive_ref.grow ~width ~vars ~onset ~offset
-              || Support.grow ~width ~vars ~onset:onset' ~offset:offset'
+              || Support.grow scratch ~width ~vars ~onset:(arr onset')
+                   ~offset:(arr offset')
                  <> Derive_ref.grow ~width ~vars ~onset:onset' ~offset:offset'
             then what "grow")
           ([] :: List.map (fun v -> [ v ]) (List.init width Fun.id)))
     non_inputs
     (Derive.on_off_sets ex ~signals:non_inputs);
+  let fields =
+    List.map (fun (f : Derive.func) ->
+        (f.signal, f.support, f.onset, f.offset, f.cover))
+  in
   let fs = Derive.synthesize ex in
-  if
-    List.map
-      (fun (f : Derive.func) -> (f.signal, f.support, f.onset, f.offset, f.cover))
-      fs
-    <> Derive_ref.synthesize ex
-  then fail_at net "Derive.synthesize";
+  if fields fs <> Derive_ref.synthesize ex then fail_at net "Derive.synthesize";
+  (* the path synthesis takes: the module supports, grown where short *)
+  let support_of = Derive_ref.module_supports r in
+  let fs_modular = Derive.synthesize ~support_of ex in
+  if fields fs_modular <> Derive_ref.synthesize ~support_of ex then
+    fail_at net "Derive.synthesize ~support_of";
+  if Derive.check fs_modular ex <> Derive_ref.check fs_modular ex then
+    fail_at net "Derive.check (module supports)";
   (* every cover emptied: each on-state is a mismatch *)
   let broken =
     List.map
@@ -157,14 +173,45 @@ let test_agree () =
       Option.iter
         (check_labeled (net ^ " (unnormalized)") complete)
         (unnormalized complete);
-      check_expanded net r.Mpart.expanded)
+      check_expanded net r)
     (nets ());
   Alcotest.(check bool) "labeled graphs with conflicts" true (!with_conflicts > 0);
   Alcotest.(check bool) "graphs with orphan pairs" true (!with_orphans > 0)
+
+(* A graph that violates CSC has no functions: [Derive.synthesize] on
+   the complete graph of a conflicted net names the first non-input
+   signal, in id order, whose on- and off-set meet, and the smallest
+   code they share. *)
+let test_not_csc () =
+  let complete =
+    Sg.of_stg (Gformat.parse_file (Filename.concat data_dir "fifo.g"))
+  in
+  let expected =
+    List.find_map
+      (fun s ->
+        if not (Sg.non_input complete s) then None
+        else
+          let onset, offset = Derive_ref.on_off_sets complete ~signal:s in
+          List.find_opt (fun c -> List.mem c offset) onset
+          |> Option.map
+               (Printf.sprintf "signal %s: code %d implies both values"
+                  (Sg.signal_name complete s)))
+      (List.init (Sg.n_signals complete) Fun.id)
+  in
+  Alcotest.(check bool) "fifo violates CSC" true (Option.is_some expected);
+  Alcotest.(check (option string))
+    "Not_csc message" expected
+    (match Derive.synthesize complete with
+    | _ -> None
+    | exception Derive.Not_csc msg -> Some msg)
 
 let () =
   Alcotest.run "masks"
     [
       ( "reference",
-        [ Alcotest.test_case "masks = references" `Quick test_agree ] );
+        [
+          Alcotest.test_case "masks = references" `Quick test_agree;
+          Alcotest.test_case "Not_csc names the smallest shared code" `Quick
+            test_not_csc;
+        ] );
     ]

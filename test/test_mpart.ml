@@ -568,6 +568,54 @@ let test_implementation_work () =
         t.extras)
     (Lazy.force expand_j2_traces)
 
+(* Under the certificate (CSC on Σ) no module solves, so the graph
+   implemented is Σ itself: one implementability decision, which decides
+   semi-modularity alone, and no state signal. *)
+let test_certified_decision () =
+  List.iter
+    (fun (what, stg) ->
+      let before = Counter.get Counter.implementability in
+      let r = Mpart.synthesize stg in
+      check (what ^ ": certified") true r.Mpart.certificate;
+      check_int (what ^ ": one decision") 1
+        (Counter.get Counter.implementability - before);
+      check_int (what ^ ": no state signal") 0 (Mpart.n_state_signals r))
+    [
+      ("lock_ring-5", Bench_gen.lock_ring ~signals:5);
+      ("parallel_rings-5", Bench_gen.parallel_rings ~rings:5);
+    ]
+
+(* Logic derivation allocates per distinct code, not per state and
+   signal: on the expanded graph of parsed pulsers-5 (14,408 states,
+   10 functions), with the supports synthesis proposes, words are
+   minor + major - promoted, after a minor collection.  When these
+   bounds were set [Derive.synthesize] took 15.6 words per expanded
+   state and [Derive.check] 2; sorting and projecting each signal's
+   full codes took about 275 and 115. *)
+let test_derive_allocation () =
+  let r = (List.assoc "pulsers 5" (Lazy.force expand_j2_traces)).result in
+  let ex = r.Mpart.expanded in
+  let support_of = Derive_ref.module_supports r in
+  let per_state f =
+    let words () =
+      let minor, promoted, major = Gc.counters () in
+      minor +. major -. promoted
+    in
+    Gc.minor ();
+    let before = words () in
+    ignore (Sys.opaque_identity (f ()));
+    (words () -. before) /. float (Sg.n_states ex)
+  in
+  let fs = Derive.synthesize ~support_of ex in
+  let synthesize = per_state (fun () -> Derive.synthesize ~support_of ex) in
+  let verify = per_state (fun () -> Derive.check fs ex) in
+  Printf.printf "pulsers-5: synthesize %.2f, check %.2f words per expanded state\n"
+    synthesize verify;
+  if synthesize > 40. then
+    Alcotest.failf "Derive.synthesize allocated %.2f words per state" synthesize;
+  if verify > 8. then
+    Alcotest.failf "Derive.check allocated %.2f words per state" verify
+
 (* Under MPSYN_LOG=debug the implementation stage reports, per extra,
    the excited states it lifted and the minimized candidate's, and the
    verdict; then the expansion's size. *)
@@ -1074,6 +1122,9 @@ let () =
             test_implementation_work;
           Alcotest.test_case "implementation debug lines" `Quick
             test_implementation_lines;
+          Alcotest.test_case "certified: one decision" `Quick
+            test_certified_decision;
+          Alcotest.test_case "derive allocation" `Quick test_derive_allocation;
         ] );
       ( "properties",
         [

@@ -5,8 +5,18 @@ exception Too_big
 let solve_with_stats ?(node_limit = 300_000) cnf =
   Counter.bump Counter.solver;
   (* the clause-product build is the one blowup-prone workload in the
-     tree: worth a large computed table *)
-  let mgr = Bdd.manager ~cache_bits:16 () in
+     tree: worth a computed table of up to 2^16 entries, four words
+     each.  A module formula needs a fraction of that (pulsers-5's: 41
+     clauses over 10 variables, 470 nodes), and a 2 MB table per call
+     was the largest block the insertion allocated, so the table grows
+     with the formula (variables times clauses) from the default 2^12.
+     The table only memoizes: the nodes built, and so the verdict and
+     the model, do not depend on its size. *)
+  let mgr =
+    let size = Cnf.n_vars cnf * Cnf.n_clauses cnf in
+    let rec bits b = if b >= 16 || 1 lsl b >= size then b else bits (b + 1) in
+    Bdd.manager ~cache_bits:(bits 12) ()
+  in
   let finish r = (r, Bdd.stats mgr) in
   if Cnf.has_empty_clause cnf then finish Unsat
   else begin

@@ -7,35 +7,42 @@ type t = {
   cover : int array;
 }
 
-(* [excitation.(m)]: bit 0 when [m] has an [output]+ edge, bit 1 for -. *)
-let output_excitation sg ~output =
-  let excitation = Array.make (Sg.n_states sg) 0 in
-  for e = 0 to Sg.n_edges sg - 1 do
-    if Sg.edge_signal sg e = output then begin
-      let m = Sg.edge_src sg e in
-      excitation.(m) <-
-        excitation.(m) lor match Sg.edge_dir sg e with Sg.R -> 1 | Sg.F -> 2
-    end
-  done;
-  excitation
-
-let triggers_of sg ~output excitation =
-  (* s triggers o when firing s enables a transition of o: o is excited
-     after the s edge but was not before.  Concurrent signals whose firing
-     merely interleaves with o's excitation do not qualify — this is the
-     state-graph image of a direct causal STG arc. *)
-  let trig = Array.make (Sg.n_signals sg) false in
+(* [trig.(o)]: the signals triggering output [o], one bit each, from
+   one pass over the edges.  [s] triggers [o] when firing [s] enables a
+   transition of [o]: [o] is excited after the [s] edge but was not
+   before.  Concurrent signals whose firing merely interleaves with
+   [o]'s excitation do not qualify — this is the state-graph image of a
+   direct causal STG arc.  [rise] and [fall] are {!Sg.excitation_masks},
+   so only non-inputs have triggers. *)
+let trigger_masks sg rise fall =
+  let trig = Array.make (Sg.n_signals sg) 0 in
   for e = 0 to Sg.n_edges sg - 1 do
     let s = Sg.edge_signal sg e in
-    if
-      s <> output
-      && excitation.(Sg.edge_dst sg e) <> 0
-      && excitation.(Sg.edge_src sg e) = 0
-    then trig.(s) <- true
+    let a = Sg.edge_src sg e and b = Sg.edge_dst sg e in
+    let fresh =
+      ref ((rise.(b) lor fall.(b)) land lnot (rise.(a) lor fall.(a) lor (1 lsl s)))
+    in
+    let o = ref 0 in
+    while !fresh <> 0 do
+      if !fresh land 1 <> 0 then trig.(!o) <- trig.(!o) lor (1 lsl s);
+      fresh := !fresh lsr 1;
+      incr o
+    done
   done;
-  List.filter (fun s -> trig.(s)) (List.init (Sg.n_signals sg) Fun.id)
+  trig
 
-let triggers sg ~output = triggers_of sg ~output (output_excitation sg ~output)
+let signals_of mask ns = List.filter (fun s -> mask land (1 lsl s) <> 0) (List.init ns Fun.id)
+
+let require_output sg output what =
+  if not (Sg.non_input sg output) then
+    invalid_arg
+      (Printf.sprintf "Input_derivation.%s: %s is an input" what
+         (Sg.signal_name sg output))
+
+let triggers sg ~output =
+  require_output sg output "triggers";
+  let rise, fall = Sg.excitation_masks sg in
+  signals_of (trigger_masks sg rise fall).(output) (Sg.n_signals sg)
 
 exception Reject
 
@@ -95,8 +102,8 @@ let contract v parent ~drop ~cls cover =
     cover.(m) <- cls.(cover.(m))
   done
 
-(* The implied values of [output] seen per full code, for at most [size]
-   distinct codes at a time: open addressing over preallocated arrays,
+(* The implied values of [output] seen per full code: open addressing
+   over preallocated arrays of at least twice as many slots as codes,
    emptied in O(1) by advancing [epoch]. *)
 type code_table = {
   keys : int array;
@@ -128,33 +135,92 @@ let rec record t code value i =
   end
   else record t code value ((i + 1) land (Array.length t.keys - 1))
 
+(* a multiply-xor mix of the code picks the first slot *)
 let record t code value =
-  record t code value (Hashtbl.hash code land (Array.length t.keys - 1))
+  let h = code * 0x2545F4914F6CDD1D in
+  record t code value ((h lxor (h lsr 29)) land (Array.length t.keys - 1))
 
-let determine sg ~output =
-  let n = Sg.n_states sg and ns = Sg.n_signals sg in
-  let n_edges = Sg.n_edges sg and extras = Sg.extras sg in
-  let excitation = output_excitation sg ~output in
-  let immediate = triggers_of sg ~output excitation in
-  let src e = Sg.edge_src sg e and dst e = Sg.edge_dst sg e in
-  let signal e = Sg.edge_signal sg e in
-  (* The edges of each signal are [by_signal.(k)] for
-     [start.(s) <= k < start.(s + 1)], in edge order: each signal's
-     count, summed so that [start.(s)] ends its block, then filled from
-     the last edge down. *)
+type context = {
+  sigma : Sg.t;
+  codes : int array;  (** Σ's state codes *)
+  start : int array;
+  by_signal : int array;
+      (** the edges of signal [s] are [by_signal.(k)] for
+          [start.(s) <= k < start.(s + 1)], in edge order *)
+  rise : int array;
+  fall : int array;  (** {!Sg.excitation_masks} of Σ *)
+  trig : int array;  (** per output, its trigger signals, one bit each *)
+  (* scratch of one determination: the first view's slots, the
+     partition, and the per-class arrays of [evaluate] *)
+  view_code : int array;
+  view_implied : int array;
+  view_excitation : int array;
+  parent : int array;
+  cls : int array;
+  root : int array;
+  class_implied : int array;
+  class_excitation : int array;
+  class_code : int array;
+  mutable class_presence : Fourval.presence array;
+  mutable merged : Fourval.t array;
+  mutable table : code_table;
+}
+
+let context sigma =
+  let n = Sg.n_states sigma and ns = Sg.n_signals sigma in
+  let n_edges = Sg.n_edges sigma in
+  (* each signal's count, summed so that [start.(s)] ends its block,
+     then filled from the last edge down *)
   let start = Array.make (ns + 1) 0 in
   for e = 0 to n_edges - 1 do
-    start.(signal e) <- start.(signal e) + 1
+    let s = Sg.edge_signal sigma e in
+    start.(s) <- start.(s) + 1
   done;
   for s = 1 to ns do
     start.(s) <- start.(s) + start.(s - 1)
   done;
   let by_signal = Array.make n_edges 0 in
   for e = n_edges - 1 downto 0 do
-    let s = signal e in
+    let s = Sg.edge_signal sigma e in
     start.(s) <- start.(s) - 1;
     by_signal.(start.(s)) <- e
   done;
+  let rise, fall = Sg.excitation_masks sigma in
+  let scratch () = Array.make n 0 in
+  {
+    sigma;
+    codes = Array.init n (Sg.code sigma);
+    start;
+    by_signal;
+    rise;
+    fall;
+    trig = trigger_masks sigma rise fall;
+    view_code = scratch ();
+    view_implied = scratch ();
+    view_excitation = scratch ();
+    parent = scratch ();
+    cls = scratch ();
+    root = scratch ();
+    class_implied = scratch ();
+    class_excitation = scratch ();
+    class_code = scratch ();
+    class_presence = [||];
+    merged = [||];
+    table = code_table 0;
+  }
+
+let determine_in c sg ~output =
+  if not (Sg.shares_edges c.sigma sg) then
+    invalid_arg
+      "Input_derivation.determine_in: the graph's states and edges are not the \
+       context's";
+  require_output sg output "determine_in";
+  let n = Sg.n_states sg and ns = Sg.n_signals sg in
+  let n_edges = Sg.n_edges sg and extras = Sg.extras sg in
+  let immediate = signals_of c.trig.(output) ns in
+  let src e = Sg.edge_src sg e and dst e = Sg.edge_dst sg e in
+  let signal e = Sg.edge_signal sg e in
+  let start = c.start and by_signal = c.by_signal in
   let iter_signal s f =
     for k = start.(s) to start.(s + 1) - 1 do
       f by_signal.(k)
@@ -174,16 +240,27 @@ let determine sg ~output =
         bad)
       extras
   in
-  (* The first view: one node per state. *)
+  (* The first view: one node per state, [output]'s excitation read off
+     the masks (bit 0 for a rise, bit 1 for a fall). *)
+  let out_bit = 1 lsl output in
+  let excitation = c.view_excitation and implied = c.view_implied in
+  Array.blit c.codes 0 c.view_code 0 n;
+  for m = 0 to n - 1 do
+    let x =
+      (if c.rise.(m) land out_bit <> 0 then 1 else 0)
+      lor if c.fall.(m) land out_bit <> 0 then 2 else 0
+    in
+    excitation.(m) <- x;
+    implied.(m) <-
+      (if (if c.codes.(m) land out_bit <> 0 then x land 2 = 0 else x land 1 <> 0)
+       then 2
+       else 1)
+  done;
   let v =
     {
       n;
-      code = Array.init n (Sg.code sg);
-      implied =
-        Array.init n (fun m ->
-            let x = excitation.(m) in
-            if (if Sg.bit sg m output then x land 2 = 0 else x land 1 <> 0) then 2
-            else 1);
+      code = c.view_code;
+      implied;
       excitation;
       presence =
         Array.map
@@ -191,18 +268,21 @@ let determine sg ~output =
           extras;
     }
   in
-  let parent = Sg.Uf.create n and cls = Array.make n 0 in
+  let parent = c.parent and cls = c.cls in
   let cover = Array.init n Fun.id in
   let hidden = Array.make ns false and dropped = Array.make (Array.length extras) false in
   (* Per-class scratch, indexed by class root. *)
-  let root = Array.make v.n 0 and class_implied = Array.make v.n 0 in
-  let class_excitation = Array.make v.n 0 and code = Array.make v.n 0 in
-  let n_extra_slots = if Array.length extras = 0 then 0 else v.n in
-  let class_presence = Array.make n_extra_slots Fourval.absent in
-  let merged = Array.make n_extra_slots Fourval.V0 in
+  let root = c.root and class_implied = c.class_implied in
+  let class_excitation = c.class_excitation and code = c.class_code in
+  if Array.length extras > 0 && Array.length c.merged = 0 then begin
+    c.class_presence <- Array.make n Fourval.absent;
+    c.merged <- Array.make n Fourval.V0
+  end;
+  let class_presence = c.class_presence and merged = c.merged in
   let width = ns + Array.length extras in
-  let codes_seen = code_table (if width >= 30 then v.n else min v.n (1 lsl width)) in
-  let out_bit = 1 lsl output in
+  let bound = if width >= 30 then n else min n (1 lsl width) in
+  if Array.length c.table.keys < 2 * bound then c.table <- code_table bound;
+  let codes_seen = c.table in
   (* The decision a quotient + homogeneity + conflict count would make
      on the view of [v]'s classes under [parent], with [hide] (or no
      signal, when [-1]) hidden as well, read off the classes without
@@ -330,10 +410,9 @@ let determine sg ~output =
       end
   done;
   (* The module is the last view, its kept signals renumbered in order
-     and each of their edges kept at its first occurrence. *)
+     and each of their edges kept at its first occurrence: the kept
+     signals' edge blocks merged back into edge order. *)
   let kept = Array.of_list (List.filter (fun s -> not hidden.(s)) (List.init ns Fun.id)) in
-  let new_of_old = Array.make ns (-1) in
-  Array.iteri (fun nw old -> new_of_old.(old) <- nw) kept;
   let codes =
     Array.init v.n (fun c ->
         let out = ref 0 in
@@ -342,19 +421,29 @@ let determine sg ~output =
           kept;
         !out)
   in
+  let nk = Array.length kept in
+  let next = Array.map (fun s -> start.(s)) kept in
+  let stop = Array.map (fun s -> start.(s + 1)) kept in
   let n_kept = Array.fold_left (fun k s -> k + start.(s + 1) - start.(s)) 0 kept in
   let msrc = Array.make n_kept 0 and mlab = Array.make n_kept 0 in
-  let mdst = Array.make n_kept 0 and len = ref 0 in
-  for e = 0 to n_edges - 1 do
-    let s = signal e in
-    if not hidden.(s) then begin
-      msrc.(!len) <- cover.(src e);
-      mlab.(!len) <- Sg.label_code new_of_old.(s) (Sg.edge_dir sg e);
-      mdst.(!len) <- cover.(dst e);
-      incr len
-    end
+  let mdst = Array.make n_kept 0 in
+  for k = 0 to n_kept - 1 do
+    (* the kept signal whose next edge comes first *)
+    let first = ref (-1) and e = ref n_edges in
+    for nw = 0 to nk - 1 do
+      let i = next.(nw) in
+      if i < stop.(nw) && by_signal.(i) < !e then begin
+        first := nw;
+        e := by_signal.(i)
+      end
+    done;
+    let nw = !first and e = !e in
+    next.(nw) <- next.(nw) + 1;
+    msrc.(k) <- cover.(src e);
+    mlab.(k) <- Sg.label_code nw (Sg.edge_dir sg e);
+    mdst.(k) <- cover.(dst e)
   done;
-  let src, lab, dst = Sg.distinct_edges ~n:v.n ~src:msrc ~lab:mlab ~dst:mdst !len in
+  let src, lab, dst = Sg.distinct_edges ~n:v.n ~src:msrc ~lab:mlab ~dst:mdst n_kept in
   let module_sg =
     ref @@ Sg.make ~name:(Sg.name sg)
       ~signals:
@@ -380,3 +469,5 @@ let determine sg ~output =
     module_sg = !module_sg;
     cover;
   }
+
+let determine sg ~output = determine_in (context sg) sg ~output

@@ -63,9 +63,32 @@ type t = {
 }
 
 (** [triggers sg ~output] is the immediate input set: signals firing on
-    an edge that enters a state where [output] is excited. *)
+    an edge that enters a state where [output] is excited.
+    @raise Invalid_argument if [output] is an input signal. *)
 val triggers : Sg.t -> output:int -> int list
 
-(** [determine sg ~output] runs the greedy derivation on the complete
-    state graph [sg]. *)
+(** What every output's derivation reads of the complete graph Σ,
+    built once: the edges grouped by signal (per-signal blocks in edge
+    order), every output's excitation (read off {!Sg.excitation_masks})
+    and trigger set (one pass over the edges), the state codes, and the
+    scratch arrays and code table one derivation works in.  The plan
+    derives every output's module from one context, and the insertion's
+    re-analyses reuse it: a graph grown from Σ by {!Sg.add_extra} shares
+    Σ's states, codes and edges, and only its state signals are read
+    afresh.  A context holds scratch, so it serves one derivation at a
+    time. *)
+type context
+
+(** [context sigma] indexes [sigma]. *)
+val context : Sg.t -> context
+
+(** [determine_in ctx sg ~output] runs the greedy derivation on [sg],
+    a graph with the states and edges of the one [ctx] was built from
+    (that graph itself, or one grown from it by {!Sg.add_extra}).
+    @raise Invalid_argument if [sg] does not share those states and
+      edges ({!Sg.shares_edges}), or [output] is an input signal. *)
+val determine_in : context -> Sg.t -> output:int -> t
+
+(** [determine sg ~output] is [determine_in (context sg) sg ~output],
+    for a single derivation. *)
 val determine : Sg.t -> output:int -> t

@@ -179,10 +179,11 @@ let module_report complete (inp : Input_derivation.t) ~formulas ~conflicts
    has CSC ([certificate]), the module quotients need no state signals:
    conflict counting and the SAT engine are skipped outright.  Artifact
    conflicts a quotient would show are exactly the pairs the complete
-   graph proves spurious. *)
-let analyze ~certificate g o =
+   graph proves spurious.  [context] indexes Σ, which [g] is or was
+   grown from. *)
+let analyze context ~certificate g o =
   Log.debug (fun m -> m "deriving module for output %s" (Sg.signal_name g o));
-  let inp = Input_derivation.determine g ~output:o in
+  let inp = Input_derivation.determine_in context g ~output:o in
   let conflicts =
     if certificate then 0
     else
@@ -193,15 +194,15 @@ let analyze ~certificate g o =
   (o, inp, conflicts)
 
 (* Every output's module analyzed against the complete graph, in
-   output order. *)
-let analyze_outputs ~certificate complete =
+   output order, from one context. *)
+let analyze_outputs context ~certificate complete =
   List.filter (Sg.non_input complete) (List.init (Sg.n_signals complete) Fun.id)
-  |> List.map (analyze ~certificate complete)
+  |> List.map (analyze context ~certificate complete)
 
 (* Stage 1, the partition plan: every output's analysis in the M4 solve
    order, low-risk modules first. *)
-let plan ~certificate complete =
-  let analyses = analyze_outputs ~certificate complete in
+let plan context ~certificate complete =
+  let analyses = analyze_outputs context ~certificate complete in
   Partition_check.solve_order
     (List.map
        (fun (o, (inp : Input_derivation.t), conflicts) ->
@@ -215,9 +216,11 @@ let plan ~certificate complete =
    the plan's analyses (made against Σ) are stale — a new signal can
    separate an output's conflicts or join its module — so each later
    output is analyzed again against the current graph just before it
-   is consumed.  Returns the post-insertion graph, the module reports,
-   the replayed outputs and the re-analysis count. *)
-let insert ~config ~deadline ~fresh_name ~certificate analyses complete =
+   is consumed, from the plan's [context]: every graph the loop meets
+   is Σ grown by {!Sg.add_extra}.  Returns the post-insertion graph, the
+   module reports, the replayed outputs and the re-analysis count. *)
+let insert ~config ~deadline ~fresh_name ~certificate context analyses complete
+    =
   (* M3 consumption: canonicalized CSC solutions keyed by the cone
      digest of the module they solved.  A later module with the same
      digest is the same graph up to state renaming, so the stored
@@ -282,7 +285,7 @@ let insert ~config ~deadline ~fresh_name ~certificate analyses complete =
         if !current == complete then (inp, conflicts)
         else begin
           incr stale;
-          let _, inp, conflicts = analyze ~certificate !current o in
+          let _, inp, conflicts = analyze context ~certificate !current o in
           (inp, conflicts)
         end
       in
@@ -448,10 +451,11 @@ let implement ~config ~deadline ~fresh_name ~modules ~certificate complete
    clean up, implement. *)
 let synthesize_complete ~config ~deadline complete =
   let certificate = Csc.csc_satisfied complete in
-  let analyses = plan ~certificate complete in
+  let context = Input_derivation.context complete in
+  let analyses = plan context ~certificate complete in
   let fresh_name = fresh_names () in
   let inserted, modules, replayed, stale_analyses =
-    insert ~config ~deadline ~fresh_name ~certificate analyses complete
+    insert ~config ~deadline ~fresh_name ~certificate context analyses complete
   in
   let inserted, fallback =
     cleanup ~config ~deadline ~fresh_name ~certificate inserted
@@ -532,7 +536,8 @@ let partition_summary config stg =
           c_conflicts = conflicts;
         }
       in
-      analyze_outputs ~certificate:false complete
+      analyze_outputs (Input_derivation.context complete) ~certificate:false
+        complete
       |> List.map cone_of
       |> Partition_check.summarize ~complete)
 

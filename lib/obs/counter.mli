@@ -20,7 +20,10 @@ type t
     the BDD backend. *)
 val solver : t
 
-(** One explicit exploration, {!Reach.explore}. *)
+(** One explicit exploration: {!Reach.explore}, or the bitmask probe
+    ({!Symbolic.probe_edges}) that {!Sg.reachable} runs capped at the
+    engine threshold, which lists the same edges; a probe that hands an
+    unsafe net to {!Reach.explore} counts once, there. *)
 val reach : t
 
 (** One exploration that completed symbolically ({!Symbolic.explore_edges});

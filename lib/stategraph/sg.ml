@@ -121,6 +121,9 @@ let out_degree sg m = sg.out_start.(m + 1) - sg.out_start.(m)
 let extras sg = sg.extras
 let n_extras sg = Array.length sg.extras
 
+let shares_edges a b =
+  a.codes == b.codes && a.src == b.src && a.lab == b.lab && a.dst == b.dst
+
 (* [Fourval.edge_ok] along every edge, or [fail] with the first edge
    that breaks it. *)
 let check_values sg values fail_edge =
@@ -593,14 +596,17 @@ let explore ?max_states engine stg =
     (Reach.n_states g, g.Reach.edges, Reach.n_edges g)
   | `Symbolic -> Symbolic.explore_edges ?max_states net
 
-(* The explicit sweep first, capped at [engine_threshold]; a net that
-   overflows it is explored again symbolically under the caller's cap,
-   the default one of both engines when absent.  A net the symbolic
-   engine cannot encode is swept explicitly once, under the caller's
-   cap.  The debug line names the engine that ran: for a symbolic run,
-   its clusters and BDD nodes; for an explicit run the encoding
-   refused, or a symbolic one that fell back to the explicit sweep,
-   why. *)
+(* A capped sweep first, at [engine_threshold]; a net that overflows
+   it is explored again symbolically under the caller's cap, the
+   default one of both engines when absent.  On an encodable net the
+   capped sweep is the symbolic engine's own bitmask sweep
+   ([Symbolic.probe_edges], the explicit sweep's edges at a mask test
+   per edge), and the encoding is built once for it and the fixpoint.
+   A net the symbolic engine cannot encode is swept explicitly once,
+   under the caller's cap.  The debug line names the engine that ran:
+   for a symbolic run, its clusters and BDD nodes; for an explicit run
+   the encoding refused, or a symbolic one that fell back to the
+   explicit sweep, why. *)
 let reachable ?(max_states = 100_000) stg =
   let cap = min engine_threshold max_states in
   let engine, detail, ((n, _, _) as g) =
@@ -610,10 +616,11 @@ let reachable ?(max_states = 100_000) stg =
         "",
         explore ~max_states `Explicit stg )
     | None -> (
-      match explore ~max_states:cap `Explicit stg with
+      let enc = Symenc.make (Stg.net stg) in
+      match Symbolic.probe_edges ~max_states:cap enc with
       | g -> ("explicit engine", "", g)
       | exception Reach.Too_many_states _ when max_states > cap -> (
-        let g, info = Symbolic.explore_edges_info ~max_states (Stg.net stg) in
+        let g, info = Symbolic.explore_encoded_info ~max_states enc in
         match info.Symbolic.i_fallback with
         | None ->
           ( "symbolic engine",

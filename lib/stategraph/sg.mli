@@ -71,20 +71,25 @@ val engine_threshold : int
 (** [reachable ?max_states stg] is the reachability graph of [stg] as
     [(n_states, edge buffer, n_edges)], the form
     {!of_transition_edges} reads, explored by the one engine choice
-    every Σ shares: the explicit sweep ({!Reach.explore}) capped at
-    [min engine_threshold max_states], and on overflow, when
-    [max_states] is larger, the symbolic engine
-    ({!Symbolic.explore_edges}) capped at [max_states] (default
-    [100_000], both engines' default).  A net the symbolic engine cannot
-    encode ({!Symenc.unsupported}) is swept explicitly once, capped at
-    [max_states].  Both engines number states and order edges
+    every Σ shares: a sweep capped at [min engine_threshold max_states],
+    and on overflow, when [max_states] is larger, the symbolic engine
+    ({!Symbolic.explore_encoded_info}) capped at [max_states] (default
+    [100_000], both engines' default).  On a net the symbolic engine can
+    encode, the capped sweep is its bitmask probe
+    ({!Symbolic.probe_edges}, the explicit sweep's edges without a
+    marking array or a string key per state), and the encoding is built
+    once for the probe and the fixpoint; a firing that breaks 1-safety
+    hands the probe to {!Reach.explore}.  A net the symbolic engine
+    cannot encode ({!Symenc.unsupported}) is swept explicitly once,
+    capped at [max_states].  Every path numbers states and orders edges
     identically, so the choice decides only time and memory.  The
-    chosen engine is logged at debug level, a symbolic run with its
-    transition-relation cluster count and BDD node count, an explicit
-    run the encoding refused or a symbolic fallback to the explicit
-    sweep with its reason.
-    @raise Reach.Too_many_states if more than [max_states] markings are
-      reachable. *)
+    chosen engine is logged at debug level (the probe as the explicit
+    engine), a symbolic run with its transition-relation cluster count
+    and BDD node count, an explicit run the encoding refused or a
+    symbolic fallback to the explicit sweep with its reason.  The
+    buffer may be longer than [3 n_edges] cells.
+    @raise Reach.Too_many_states [max_states] if more than
+      [max_states] markings are reachable. *)
 val reachable : ?max_states:int -> Stg.t -> int * int array * int
 
 (** [of_stg ?max_states ?backend stg] derives the state graph Σ: hands
@@ -167,6 +172,12 @@ val out_degree : t -> int -> int
 
 val extras : t -> extra array
 val n_extras : t -> int
+
+(** [shares_edges a b] holds when [b] has [a]'s very state codes and
+    edges — the same arrays, as {!add_extra} and {!set_extra_values}
+    leave them — so whatever is indexed by [a]'s states and edges
+    indexes [b]'s. *)
+val shares_edges : t -> t -> bool
 
 (** [add_extra sg ~name ~values] attaches a new state signal.  Checks
     {!Fourval.edge_ok} along every edge.

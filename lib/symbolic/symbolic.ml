@@ -16,9 +16,18 @@
    end-to-end speedup over the explicit sweep comes from, since the
    fixpoint itself is orders of magnitude faster than enumeration.
 
+   The replay is one kernel, [mask_sweep], a breadth-first sweep over
+   bitmask markings.  After the fixpoint it runs sized exactly: the
+   onset count sizes the marking table, and the edge buffer is resized
+   from that count and the out-degree seen so far instead of doubling.
+   The same kernel, capped and grown as it goes, is the probe
+   [Sg.reachable] runs first on every encodable net ([probe_edges]):
+   it lists exactly the edges [Reach.explore] lists, at the cost of a
+   mask test and a table lookup per edge.
+
    Boolean semantics equals token-counting semantics only while the net
-   stays 1-safe, so every firing replayed is audited (one mask test)
-   for re-marking a fanout place it does not consume; any hit (like a
+   stays 1-safe, so every firing swept is audited (one mask test) for
+   re-marking a fanout place it does not consume; any hit (like a
    non-1-safe initial marking or a net wider than the mask encoding)
    falls back to the explicit sweep, keeping behaviour on ill-formed
    nets exactly as before. *)
@@ -120,125 +129,154 @@ let unsafe_transition mgr enc reached =
 
 exception Unsafe_fire of int
 
-(* Replay the breadth-first sweep of [Reach.explore] over bitmask
-   markings: state 0 is the initial marking, each state fires its
-   enabled transitions in increasing id order, successors are interned
-   through a flat open-addressing table — no packed strings, no
-   polymorphic hashing, no per-step allocation (edges land in a
-   growable flat int buffer), and the exact state count from
-   [onset_count] sizes everything up front.  Discovery order is FIFO,
-   so the marking table doubles as its own work queue.  Each firing is
-   audited for 1-safety on the way (one mask test): a transition about
-   to re-mark a fanout place it does not consume raises [Unsafe_fire],
-   and the caller hands over to the explicit sweep.  The audit is
-   exact, because the enabling marking of the first unsafe firing is
-   reached through 1-safe markings only, where boolean and counting
-   semantics coincide.
+(* Bits of an open-addressing table holding [n] keys at load factor at
+   most 1/2. *)
+let table_bits n =
+  let rec go b = if 1 lsl b >= 2 * n then b else go (b + 1) in
+  go 4
 
-   Returns the edges as one flat buffer of [(src, t, dst)] int triples
-   and their count. *)
-let replay enc n_states =
+(* The one bitmask sweep: the breadth-first sweep of [Reach.explore]
+   over bitmask markings.  State 0 is the initial marking, each state
+   fires its enabled transitions in increasing id order, successors are
+   interned through a flat open-addressing table — no packed strings,
+   no polymorphic hashing, no per-step allocation.  Discovery order is
+   FIFO, so the marking array doubles as its own work queue.
+
+   The arrays start sized for [size] states and double, up to [cap],
+   when a new marking finds them full; a marking past the [cap]-th
+   raises [Reach.Too_many_states cap], as the explicit sweep does.  The
+   replay after the fixpoint passes the exact state count as both, so
+   nothing grows there; the capped probe starts small.  The edge buffer
+   starts at one edge per state and, when full, is resized to the
+   out-degree seen so far times the states the arrays hold (plus a
+   sixteenth, and at least half again): on the replay that is the exact
+   state count, so the buffer is resized about once.
+
+   Each firing is audited for 1-safety on the way (one mask test): a
+   transition about to re-mark a fanout place it does not consume raises
+   [Unsafe_fire], and the caller hands over to the explicit sweep.  The
+   audit is exact, because the enabling marking of the first unsafe
+   firing is reached through 1-safe markings only, where boolean and
+   counting semantics coincide; so is everything interned before it.
+
+   Returns the state count and the edges as one flat buffer of
+   [(src, t, dst)] int triples with their count. *)
+let mask_sweep enc ~size ~cap =
   let open Symenc in
-  let nt = enc.n_transitions in
+  let nt = enc.n_transitions and np = enc.n_places in
   let pre = enc.pre_mask in
-  (* per-transition masks hoisted out of the replay loop: the fanout
-     places not consumed (the 1-safety audit) and the complement of the
-     fanin (the firing rule) *)
-  let strict =
-    Array.init nt (fun t -> enc.post_mask.(t) land lnot pre.(t))
-  in
+  (* per-transition masks hoisted out of the loop: the fanout places
+     not consumed (the 1-safety audit) and the complement of the fanin
+     (the firing rule) *)
+  let strict = Array.init nt (fun t -> enc.post_mask.(t) land lnot pre.(t)) in
   let fire_or = enc.post_mask and fire_and = Array.map lnot pre in
-  let masks = Array.make n_states 0 in
-  (* Open addressing at load factor <= 1/2; this lookup is the only
-     memory-random work per edge, so the layout is chosen to touch as
-     few cache lines per probe as possible. *)
-  let tbits =
-    let rec go b = if 1 lsl b >= 2 * n_states then b else go (b + 1) in
-    go 4
-  in
-  let tmask = (1 lsl tbits) - 1 in
+  (* The table lookup is the only memory-random work per edge, so the
+     layout is chosen to touch as few cache lines per probe as possible:
+     one word per slot, [id lsl np lor mask], when [cap] ids fit beside
+     the mask, else key and id interleaved, still one cache line. *)
+  let narrow = np + table_bits cap <= 62 in
+  let kmask = (1 lsl np) - 1 in
+  let masks = ref [||] and tbl = ref [||] and tmask = ref 0 in
   let assigned = ref 0 in
-  (* the replay stays inside the onset until the first unsafe firing,
-     which the audit in the sweep below catches before its result is
-     interned — hence the [id < n_states] assertions *)
-  let np = enc.n_places in
-  let intern =
-    if np + tbits <= 62 then begin
-      (* entry = [id lsl np lor mask], one word per slot: a probe
-         touches half the cache lines of the two-word layout *)
-      let tbl = Array.make (tmask + 1) (-1) in
-      let kmask = (1 lsl np) - 1 in
-      fun mask ->
-        let i = ref (hash_mask mask land tmask) in
-        let v = ref tbl.(!i) in
-        while !v >= 0 && !v land kmask <> mask do
-          i := (!i + 1) land tmask;
-          v := tbl.(!i)
-        done;
-        if !v >= 0 then !v lsr np
-        else begin
-          let id = !assigned in
-          assert (id < n_states);
-          tbl.(!i) <- (id lsl np) lor mask;
-          masks.(id) <- mask;
-          incr assigned;
-          id
-        end
+  (* the empty slot where [mask] goes, which no key holds yet *)
+  let free_slot mask =
+    let t = !tbl and tm = !tmask in
+    let i = ref (hash_mask mask land tm) in
+    if narrow then
+      while t.(!i) >= 0 do
+        i := (!i + 1) land tm
+      done
+    else
+      while t.((2 * !i) + 1) >= 0 do
+        i := (!i + 1) land tm
+      done;
+    !i
+  in
+  let set i mask id =
+    let t = !tbl in
+    if narrow then t.(i) <- (id lsl np) lor mask
+    else begin
+      t.(2 * i) <- mask;
+      t.((2 * i) + 1) <- id
+    end
+  in
+  let resize n =
+    let old = !masks in
+    masks := Array.make n 0;
+    Array.blit old 0 !masks 0 !assigned;
+    let bits = table_bits n in
+    tmask := (1 lsl bits) - 1;
+    tbl := Array.make ((if narrow then 1 else 2) lsl bits) (-1);
+    for id = 0 to !assigned - 1 do
+      set (free_slot old.(id)) old.(id) id
+    done
+  in
+  resize (max 0 size);
+  (* a new marking, bound for slot [i] *)
+  let add mask i =
+    let id = !assigned in
+    if id >= cap then raise (Reach.Too_many_states cap);
+    if id < Array.length !masks then set i mask id
+    else begin
+      resize (min cap (max 16 (2 * id)));
+      set (free_slot mask) mask id
+    end;
+    !masks.(id) <- mask;
+    incr assigned;
+    id
+  in
+  let intern mask =
+    let t = !tbl and tm = !tmask in
+    let i = ref (hash_mask mask land tm) in
+    if narrow then begin
+      let v = ref t.(!i) in
+      while !v >= 0 && !v land kmask <> mask do
+        i := (!i + 1) land tm;
+        v := t.(!i)
+      done;
+      if !v >= 0 then !v lsr np else add mask !i
     end
     else begin
-      (* wide nets: key and id interleaved, still one cache line *)
-      let smask = (2 * (tmask + 1)) - 1 in
-      let tbl = Array.make (2 * (tmask + 1)) (-1) in
-      fun mask ->
-        let j = ref ((hash_mask mask land tmask) * 2) in
-        while tbl.(!j + 1) >= 0 && tbl.(!j) <> mask do
-          j := (!j + 2) land smask
-        done;
-        let id = tbl.(!j + 1) in
-        if id >= 0 then id
-        else begin
-          let id = !assigned in
-          assert (id < n_states);
-          tbl.(!j) <- mask;
-          tbl.(!j + 1) <- id;
-          masks.(id) <- mask;
-          incr assigned;
-          id
-        end
+      while t.((2 * !i) + 1) >= 0 && t.(2 * !i) <> mask do
+        i := (!i + 1) land tm
+      done;
+      let id = t.((2 * !i) + 1) in
+      if id >= 0 then id else add mask !i
     end
   in
-  let edata = ref (Array.make (3 * max 64 n_states) 0) in
-  let elen = ref 0 in
-  ignore (intern enc.init_mask : int);
+  let edata = ref (Array.make (3 * max 64 size) 0) and elen = ref 0 in
   let i = ref 0 in
+  let grow_edges () =
+    let old = !edata in
+    let len = Array.length old in
+    let est = !elen * Array.length !masks / max 1 !i in
+    let d = Array.make (max (est + (est / 16) + (3 * nt)) (len + (len / 2))) 0 in
+    Array.blit old 0 d 0 !elen;
+    edata := d
+  in
+  ignore (intern enc.init_mask : int);
   while !i < !assigned do
-    let m = masks.(!i) in
+    let m = !masks.(!i) in
     for t = 0 to nt - 1 do
       let p = pre.(t) in
       if m land p = p then begin
         if m land strict.(t) <> 0 then raise (Unsafe_fire t);
-        if !elen + 3 > Array.length !edata then begin
-          let d = Array.make (2 * Array.length !edata) 0 in
-          Array.blit !edata 0 d 0 !elen;
-          edata := d
-        end;
+        if !elen + 3 > Array.length !edata then grow_edges ();
+        let dst = intern ((m land fire_and.(t)) lor fire_or.(t)) in
         let e = !edata in
         e.(!elen) <- !i;
         e.(!elen + 1) <- t;
-        e.(!elen + 2) <- intern (m land fire_and.(t) lor fire_or.(t));
+        e.(!elen + 2) <- dst;
         elen := !elen + 3
       end
     done;
     incr i
   done;
-  assert (!assigned = n_states);
-  (!edata, !elen / 3)
+  (!assigned, !edata, !elen / 3)
 
-(* The fixpoint itself.  Returns the manager, encoding, relation,
-   reached set, iteration count and exact state count, or [Error reason]
-   when the net is outside the encoding. *)
+(* The fixpoint itself: the manager, relation, reached set, iteration
+   count and exact state count. *)
 type fixpoint = {
-  fx_enc : Symenc.t;
   fx_mgr : Bdd.manager;
   fx_rel : Symrel.t;
   fx_reached : Bdd.node;
@@ -246,31 +284,25 @@ type fixpoint = {
   fx_states : int;
 }
 
-let fixpoint net =
-  match Symenc.unsupported net with
-  | Some reason -> Error reason
-  | None ->
-    let enc = Symenc.make net in
-    let mgr = Bdd.manager ~cache_bits:15 () in
-    let rel = Symrel.build mgr enc in
-    let init = Symenc.marking_bdd mgr enc enc.Symenc.init_mask in
-    let reached = ref init and frontier = ref init and iters = ref 0 in
-    while not (Bdd.is_false !frontier) do
-      let img = Symrel.image rel !frontier in
-      let fresh = Bdd.band mgr img (Bdd.bnot mgr !reached) in
-      reached := Bdd.bor mgr !reached fresh;
-      frontier := fresh;
-      incr iters
-    done;
-    Ok
-      {
-        fx_enc = enc;
-        fx_mgr = mgr;
-        fx_rel = rel;
-        fx_reached = !reached;
-        fx_iters = iters.contents;
-        fx_states = onset_count mgr enc.Symenc.n_places !reached;
-      }
+let fixpoint enc =
+  let mgr = Bdd.manager ~cache_bits:15 () in
+  let rel = Symrel.build mgr enc in
+  let init = Symenc.marking_bdd mgr enc enc.Symenc.init_mask in
+  let reached = ref init and frontier = ref init and iters = ref 0 in
+  while not (Bdd.is_false !frontier) do
+    let img = Symrel.image rel !frontier in
+    let fresh = Bdd.band mgr img (Bdd.bnot mgr !reached) in
+    reached := Bdd.bor mgr !reached fresh;
+    frontier := fresh;
+    incr iters
+  done;
+  {
+    fx_mgr = mgr;
+    fx_rel = rel;
+    fx_reached = !reached;
+    fx_iters = iters.contents;
+    fx_states = onset_count mgr enc.Symenc.n_places !reached;
+  }
 
 let unsafe_reason net t =
   Printf.sprintf "transition %s can fire unsafely" (Petri.transition_name net t)
@@ -285,36 +317,48 @@ let sym_info fx =
     i_bdd_nodes = Bdd.n_nodes fx.fx_mgr;
   }
 
-(* [run] drives one exploration to either a symbolic result (via
-   [finish], which may still discover an unsafe firing during the
-   replay) or an explicit fallback (via [fall], handed the reason). *)
-let run ?(max_states = 100_000) net ~finish ~fall =
-  match fixpoint net with
-  | Error reason -> fall ~reason
-  | Ok fx ->
-    if fx.fx_states > max_states then (
-      (* Over budget.  The boolean onset only over-approximates the
-         real state count when some firing breaks 1-safety, so audit
-         that symbolically before deciding: an unsafe net belongs to
-         the explicit sweep (whose own cap keeps the same contract), a
-         safe one raises exactly what the explicit sweep would have. *)
-      match unsafe_transition fx.fx_mgr fx.fx_enc fx.fx_reached with
-      | Some t -> fall ~reason:(unsafe_reason net t)
-      | None -> raise (Reach.Too_many_states max_states))
-    else (
-      match finish fx with
-      | r -> r
-      | exception Unsafe_fire t -> fall ~reason:(unsafe_reason net t))
+(* The explicit sweep, for a net outside the encoding or one that
+   fires unsafely. *)
+let fall_back ?max_states net ~reason =
+  let g = Reach.explore ?max_states net in
+  ((Reach.n_states g, g.Reach.edges, Reach.n_edges g), explicit_info ~reason g)
+
+let probe_edges ~max_states enc =
+  match mask_sweep enc ~size:(min max_states 256) ~cap:max_states with
+  | g ->
+    Counter.bump Counter.reach;
+    g
+  | exception (Reach.Too_many_states _ as overflow) ->
+    Counter.bump Counter.reach;
+    raise overflow
+  | exception Unsafe_fire t ->
+    let net = enc.Symenc.net in
+    fst (fall_back ~max_states net ~reason:(unsafe_reason net t))
+
+let explore_encoded_info ?(max_states = 100_000) enc =
+  let net = enc.Symenc.net in
+  let fx = fixpoint enc in
+  if fx.fx_states > max_states then
+    (* Over budget.  The boolean onset only over-approximates the real
+       state count when some firing breaks 1-safety, so audit that
+       symbolically before deciding: an unsafe net belongs to the
+       explicit sweep (whose own cap keeps the same contract), a safe
+       one raises exactly what the explicit sweep would have. *)
+    match unsafe_transition fx.fx_mgr enc fx.fx_reached with
+    | Some t -> fall_back ~max_states net ~reason:(unsafe_reason net t)
+    | None -> raise (Reach.Too_many_states max_states)
+  else
+    match mask_sweep enc ~size:fx.fx_states ~cap:fx.fx_states with
+    | (n, _, _) as g ->
+      assert (n = fx.fx_states);
+      Counter.bump Counter.symbolic;
+      (g, sym_info fx)
+    | exception Unsafe_fire t ->
+      fall_back ~max_states net ~reason:(unsafe_reason net t)
 
 let explore_edges_info ?max_states net =
-  run ?max_states net
-    ~finish:(fun fx ->
-      let edata, n_edges = replay fx.fx_enc fx.fx_states in
-      Counter.bump Counter.symbolic;
-      ((fx.fx_states, edata, n_edges), sym_info fx))
-    ~fall:(fun ~reason ->
-      let g = Reach.explore ?max_states net in
-      ( (Reach.n_states g, g.Reach.edges, Reach.n_edges g),
-        explicit_info ~reason g ))
+  match Symenc.unsupported net with
+  | Some reason -> fall_back ?max_states net ~reason
+  | None -> explore_encoded_info ?max_states (Symenc.make net)
 
 let explore_edges ?max_states net = fst (explore_edges_info ?max_states net)

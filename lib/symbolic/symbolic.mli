@@ -52,3 +52,23 @@ val explore_edges : ?max_states:int -> Petri.t -> int * int array * int
 (** [explore_edges_info] additionally reports how it went. *)
 val explore_edges_info :
   ?max_states:int -> Petri.t -> (int * int array * int) * info
+
+(** [explore_encoded_info ?max_states enc] is {!explore_edges_info} on
+    the net of an encoding already built ([enc.net], which
+    {!Symenc.unsupported} accepted), so a caller that probed the net
+    with {!probe_edges} first builds the encoding once. *)
+val explore_encoded_info :
+  ?max_states:int -> Symenc.t -> (int * int array * int) * info
+
+(** [probe_edges ~max_states enc] is the reachability graph of
+    [enc.net] as [(n_states, buf, n_edges)], the same numbering, edge
+    order and used buffer cells as the [edges] of [Reach.explore
+    ~max_states], listed by the replay's bitmask sweep with no fixpoint:
+    its table starts small and grows as markings are discovered.  It
+    counts as one explicit exploration ([Counter.reach]).  A firing that
+    breaks 1-safety hands the net to [Reach.explore ~max_states], which
+    counts itself.  This is the capped sweep {!Sg.reachable} runs before
+    deciding whether the symbolic engine is worth its fixpoint.
+    @raise Reach.Too_many_states [max_states] if more markings than
+      [max_states] are reachable. *)
+val probe_edges : max_states:int -> Symenc.t -> int * int array * int

@@ -102,6 +102,50 @@ let test_determine_allocation () =
     end
   done
 
+(* One context serves every output: over all outputs of parsed
+   parallel_rings-6 (15,624 states), the context and the six
+   derivations together allocate a few words per state and output — the
+   cover each derivation returns, its module and the context's arrays
+   shared six ways — where a derivation that rebuilt its own edge index,
+   view and scratch arrays allocated about 20. *)
+let test_determine_context_allocation () =
+  let stg = Gformat.parse_string (Gformat.to_string (Bench_gen.parallel_rings ~rings:6)) in
+  let sg = Sg.of_stg stg in
+  let outputs = List.filter (Sg.non_input sg) (List.init (Sg.n_signals sg) Fun.id) in
+  let before = Gc.allocated_bytes () in
+  let modules =
+    let context = Input_derivation.context sg in
+    List.map (fun o -> Input_derivation.determine_in context sg ~output:o) outputs
+  in
+  let words = (Gc.allocated_bytes () -. before) /. float (Sys.word_size / 8) in
+  ignore (Sys.opaque_identity modules);
+  let per = words /. float (Sg.n_states sg * List.length outputs) in
+  check (Printf.sprintf "%.1f words per state and output <= 10" per) true (per <= 10.)
+
+(* A context indexes one graph's states and edges: a graph that does not
+   share them — even an equal rebuild of the same specification — is
+   refused rather than read through the wrong index, and so is an input
+   signal. *)
+let test_determine_context_mismatch () =
+  let stg = two_outputs_stg () in
+  let sg = Sg.of_stg stg in
+  let context = Input_derivation.context sg in
+  let x = Sg.find_signal sg "x" and r = Sg.find_signal sg "r" in
+  let refused f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  check "a rebuilt graph is refused" true
+    (refused (fun () -> Input_derivation.determine_in context (Sg.of_stg stg) ~output:x));
+  check "another graph is refused" true
+    (refused (fun () ->
+         Input_derivation.determine_in context (Sg.of_stg (pulse_stg ())) ~output:0));
+  check "an input signal is refused" true
+    (refused (fun () -> Input_derivation.determine_in context sg ~output:r));
+  let grown =
+    Sg.add_extra sg ~name:"z" ~values:(Array.make (Sg.n_states sg) Fourval.V0)
+  in
+  check "a graph grown by add_extra is served" true
+    ((Input_derivation.determine_in context grown ~output:x).Input_derivation.input_set
+    = (Input_derivation.determine grown ~output:x).Input_derivation.input_set)
+
 (* ---------------- Modular SAT ---------------- *)
 
 let test_modular_sat_pulse () =
@@ -954,11 +998,12 @@ let prop_pulser_family =
 (* [Input_derivation.determine], which contracts to each accepted hide's
    classes, against [Determine_ref], which tests every hide on the
    complete graph's states and builds the module by one [Sg_ref.quotient]:
-   every field agrees for every output. *)
-let check_determine_ref name sg =
+   every field agrees for every output.  [context] indexes the complete
+   graph [sg] is or was grown from, as in [Mpart]. *)
+let check_determine_ref context name sg =
   for o = 0 to Sg.n_signals sg - 1 do
     if Sg.non_input sg o then begin
-      let a = Input_derivation.determine sg ~output:o in
+      let a = Input_derivation.determine_in context sg ~output:o in
       let b = Determine_ref.determine sg ~output:o in
       let tag field = Printf.sprintf "%s/%s: %s" name (Sg.signal_name sg o) field in
       let open Input_derivation in
@@ -979,6 +1024,7 @@ let check_determine_ref name sg =
    Returns how many of those graphs carried state signals. *)
 let check_determine_ref_insertion name stg =
   let sg = Sg.of_stg stg in
+  let context = Input_derivation.context sg in
   let r = Mpart.synthesize stg in
   let counter = ref 0 and with_extras = ref 0 in
   ignore
@@ -986,8 +1032,10 @@ let check_determine_ref_insertion name stg =
        (fun g (m : Mpart.module_report) ->
          let o = Sg.find_signal g m.Mpart.output_name in
          if Sg.n_extras g > 0 then incr with_extras;
-         check_determine_ref (Printf.sprintf "%s+%d" name (Sg.n_extras g)) g;
-         let inp = Input_derivation.determine g ~output:o in
+         check_determine_ref context
+           (Printf.sprintf "%s+%d" name (Sg.n_extras g))
+           g;
+         let inp = Input_derivation.determine_in context g ~output:o in
          let msg = inp.Input_derivation.module_sg in
          let mo = Sg.find_signal msg m.Mpart.output_name in
          if r.Mpart.certificate || Csc.n_output_conflicts msg ~output:mo = 0 then g
@@ -1028,11 +1076,18 @@ let test_determine_reference () =
     ]
   in
   let nets = List.map (fun f -> (f, data_stg f)) files @ generated in
-  List.iter (fun (name, stg) -> check_determine_ref name (Sg.of_stg stg)) nets;
+  List.iter
+    (fun (name, stg) ->
+      let sg = Sg.of_stg stg in
+      check_determine_ref (Input_derivation.context sg) name sg)
+    nets;
   let rand = Qseed.state () in
   for i = 1 to 50 * Qseed.soak do
     match Sg.of_stg (Bench_gen.random ~rand) with
-    | sg -> check_determine_ref (Printf.sprintf "random %d" i) sg
+    | sg ->
+      check_determine_ref (Input_derivation.context sg)
+        (Printf.sprintf "random %d" i)
+        sg
     | exception Sg.Inconsistent _ -> ()
   done;
   let with_extras =
@@ -1061,6 +1116,10 @@ let () =
           Alcotest.test_case "allocation" `Quick test_determine_allocation;
           Alcotest.test_case "determine = reference" `Slow
             test_determine_reference;
+          Alcotest.test_case "allocation with one context" `Quick
+            test_determine_context_allocation;
+          Alcotest.test_case "context of another graph" `Quick
+            test_determine_context_mismatch;
         ] );
       ( "modular sat",
         [

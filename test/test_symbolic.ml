@@ -329,6 +329,104 @@ let test_unsupported_single_sweep () =
   check_int "one explicit sweep" (before + 1) (Counter.get Counter.reach);
   check "past the threshold" true (Sg.n_states sg > Sg.engine_threshold)
 
+(* ---------------- the bitmask probe ---------------- *)
+
+(* [Symbolic.probe_edges] is the capped sweep [Sg.reachable] runs first:
+   the symbolic engine's bitmask sweep with no fixpoint.  It must list
+   what [Reach.explore] lists under the same cap — the same state count
+   and the same [src; t; dst] cells — or raise the same overflow. *)
+let outcome f =
+  match f () with
+  | g -> Ok (used g)
+  | exception Reach.Too_many_states n -> Error n
+
+let check_probe ?max_states what net =
+  match Symenc.unsupported net with
+  | Some _ -> ()
+  | None ->
+    let cap = Option.value max_states ~default:100_000 in
+    let probe =
+      outcome (fun () -> Symbolic.probe_edges ~max_states:cap (Symenc.make net))
+    in
+    let explicit = outcome (fun () -> explicit_edges ~max_states:cap net) in
+    match (explicit, probe) with
+    | Ok e, Ok p -> check_same_edges what e p
+    | Error n, Error n' -> check_int (what ^ ": overflow cap") n n'
+    | Ok _, Error n -> Alcotest.failf "%s: the probe overflowed at %d" what n
+    | Error n, Ok _ -> Alcotest.failf "%s: the probe missed the overflow at %d" what n
+
+let probe_nets () =
+  let gen =
+    List.map
+      (fun k -> (Printf.sprintf "parrings-%d" k, Bench_gen.parallel_rings ~rings:k))
+      [ 3; 4; 5; 6 ]
+    @ List.map
+        (fun k -> (Printf.sprintf "pulsers-%d" k, Bench_gen.concurrent_pulsers ~branches:k))
+        [ 3; 4; 5 ]
+    @ List.map
+        (fun (a, b) -> (Printf.sprintf "mixed-%dx%d" a b, Bench_gen.mixed ~stages:a ~branches:b))
+        [ (2, 2); (2, 3); (3, 2); (3, 3) ]
+    @ List.map
+        (fun k -> (Printf.sprintf "lockring-%d" k, Bench_gen.lock_ring ~signals:k))
+        [ 4; 5; 6 ]
+  in
+  List.map (fun f -> (f, Gformat.parse_file (Filename.concat data_dir f))) (g_files ())
+  @ gen
+  @ List.map (fun (name, stg) -> (name ^ " parsed", parsed stg)) gen
+
+let test_probe_agreement () =
+  List.iter
+    (fun (name, stg) ->
+      let net = Stg.net stg in
+      check (name ^ ": encodable") true (Symenc.unsupported net = None);
+      check_probe name net;
+      check_probe ~max_states:Sg.engine_threshold (name ^ " at the threshold") net)
+    (probe_nets ())
+
+let test_probe_fuzz () =
+  let rand = Qseed.state () in
+  for i = 1 to 50 * Qseed.soak do
+    let stg = Bench_gen.random ~rand in
+    check_probe (Printf.sprintf "random %d" i) (Stg.net stg);
+    check_probe ~max_states:20 (Printf.sprintf "random %d capped at 20" i) (Stg.net stg)
+  done
+
+(* [Too_many_states] carries the caller's cap on both sides of the
+   threshold, from the probe and from [Sg.reachable]; at the exact count
+   nothing raises. *)
+let test_probe_cap () =
+  let raised f = match f () with _ -> None | exception Reach.Too_many_states n -> Some n in
+  let rings4 = Bench_gen.parallel_rings ~rings:4 in
+  let enc = Symenc.make (Stg.net rings4) in
+  List.iter
+    (fun cap ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "probe cap %d" cap) (Some cap)
+        (raised (fun () -> Symbolic.probe_edges ~max_states:cap enc)))
+    [ 0; 1; 100 ];
+  let n, _, _ = Symbolic.probe_edges ~max_states:100_000 enc in
+  Alcotest.(check (option int)) "probe at the exact count" None
+    (raised (fun () -> Symbolic.probe_edges ~max_states:n enc));
+  let rings6 = Bench_gen.parallel_rings ~rings:6 in
+  List.iter
+    (fun cap ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "reachable cap %d" cap) (Some cap)
+        (raised (fun () -> Sg.reachable ~max_states:cap rings6)))
+    [ 100; Sg.engine_threshold; Sg.engine_threshold + 1; 5000 ]
+
+(* A firing that breaks 1-safety hands the probe over to the explicit
+   sweep, which counts itself: one explicit exploration, no symbolic
+   one, and the explicit sweep's edges. *)
+let test_probe_unsafe () =
+  let net = unsafe_net () in
+  let enc = Symenc.make net in
+  let reach0 = Counter.get Counter.reach and sym0 = Counter.get Counter.symbolic in
+  let g = Symbolic.probe_edges ~max_states:100 enc in
+  check_int "one explicit exploration" (reach0 + 1) (Counter.get Counter.reach);
+  check_int "no symbolic exploration" sym0 (Counter.get Counter.symbolic);
+  check_same_edges "unsafe" (explicit_edges ~max_states:100 net) g
+
 (* ---------------- CLI: budget exit codes ---------------- *)
 
 let mpsyn = Filename.concat ".." (Filename.concat "bin" "mpsyn.exe")
@@ -495,6 +593,14 @@ let () =
             test_auto_state_cap;
           Alcotest.test_case "an unencodable net is swept once" `Quick
             test_unsupported_single_sweep;
+        ] );
+      ( "probe",
+        [
+          Alcotest.test_case "= the explicit sweep" `Quick test_probe_agreement;
+          Alcotest.test_case "= the explicit sweep on random STGs" `Quick
+            test_probe_fuzz;
+          Alcotest.test_case "the caller's cap" `Quick test_probe_cap;
+          Alcotest.test_case "unsafe fire" `Quick test_probe_unsafe;
         ] );
       ( "cli",
         [

@@ -854,7 +854,7 @@ let () =
     ~unlock:(fun () -> Mutex.unlock m);
   Logs.set_reporter (Logs_fmt.reporter ~app:Format.err_formatter ());
   (* MPSYN_LOG raises the level so the library's debug lines (Sg's
-     engine choice, Mpart's stages) can be seen *)
+     sweep, Mpart's stages) can be seen *)
   (match Sys.getenv_opt "MPSYN_LOG" with
   | None | Some "" -> ()
   | Some ("debug" | "info" | "warning" as s) ->

@@ -17,7 +17,7 @@
       {!exact_mutex}.
     - {b U3} ([U3-coding]): USC/CSC conflict detection on the state
       graph Σ, read from the reachability every Σ shares
-      ({!Sg.reachable}, so the engine {!Sg.of_stg} would pick) and
+      ({!Sg.reachable}, the one sweep {!Sg.of_stg} runs) and
       built by synthesis' own builder ({!Sg.of_transition_edges}), then
       judged by {!Csc}.  A conflict-free verdict is a static CSC
       certificate for lint; synthesis reads the same verdict off the
@@ -28,8 +28,8 @@
     - {b U4} ([U4-statebound]): exact state-graph size (markings and
       ε-classes) reported as a diagnostic, or, on a complete prefix
       past the marking cap, an info naming the cap at which U3 and U4
-      abstained.  Synthesis picks its engines from the complete state
-      graph instead (see {!Sg.engine_threshold}).
+      abstained.  Synthesis picks its constraint backend from the
+      complete state graph instead (see {!Mpart.choose_backend}).
 
     U1 and U2 are decided on the prefix alone; U3 and U4 explore only
     when the prefix is complete, up to 262,144 markings.  All verdicts

@@ -162,10 +162,10 @@ let evict t =
       end)
 
 let put t key v =
+  let tmp = temp_path t in
   match
     let payload = Marshal.to_string v [] in
     let sum = Digest.to_hex (Digest.string payload) in
-    let tmp = temp_path t in
     let oc = open_out_bin tmp in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
@@ -184,7 +184,9 @@ let put t key v =
     if Atomic.fetch_and_add t.estimate size + size > t.max_bytes then evict t
   | exception (Sys_error _ | Unix.Unix_error _ as e) ->
     (* Disk full, read-only mount, racing delete of the entry dir: a
-       cache that cannot persist silently stops accelerating. *)
+       cache that cannot persist stops accelerating.  [evict] never sees
+       a temp file, so a failed write removes its own. *)
+    (try Sys.remove tmp with Sys_error _ -> ());
     Log.warn (fun m -> m "cache write for %s failed (%s)" key (Printexc.to_string e))
 
 let clear t =

@@ -494,19 +494,22 @@ let prefix_summary config stg =
     (fun () -> Cache_key.stg_digest stg)
     (fun () -> Prefix_rules.analyze stg)
 
+let bdd_threshold = 2048
+
 (* The constraint engine: BDD-first for big state spaces, the default
    WalkSAT+DPLL hybrid otherwise.  Only the default [`Sat] is
    overridden; an explicit --backend always wins. *)
 let choose_backend (config : config) ~state_bound =
   match (config.backend, state_bound) with
-  | `Sat, Some n when n >= Sg.engine_threshold -> `Bdd
+  | `Sat, Some n when n >= bdd_threshold -> `Bdd
   | b, _ -> b
 
 (* Reachability exploration + consistent state assignment under
    [state_cap], keyed by the canonical [.g] digest of the specification.
-   [Sg.of_stg] picks the engine (and logs it); both build the same graph
-   byte for byte, so one "sg" stage serves either.  Only a successful Σ
-   is cached, and a successful Σ does not depend on the cap. *)
+   [Sg.of_stg] explores with its one sweep (and logs it); every engine
+   builds the same graph byte for byte, so the "sg" stage names none.
+   Only a successful Σ is cached, and a successful Σ does not depend on
+   the cap. *)
 let complete_of_stg config stg =
   Cache_store.memoize config.cache ~stage:"sg" ~params:[]
     (fun () -> Cache_key.stg_digest stg)

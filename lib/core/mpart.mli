@@ -146,9 +146,13 @@ val prefix_summary : config -> Stg.t -> Prefix_rules.summary
     deterministic data keyed by the canonical [.g] digest only. *)
 val partition_summary : config -> Stg.t -> Partition_check.summary
 
+(** The state count (2048) of Σ from which {!choose_backend} flips the
+    default [`Sat] backend to [`Bdd]. *)
+val bdd_threshold : int
+
 (** [choose_backend config ~state_bound] picks the constraint engine:
     the default [`Sat] backend becomes [`Bdd] when the state bound
-    reaches {!Sg.engine_threshold}; explicit choices pass through.
+    reaches {!bdd_threshold}; explicit choices pass through.
     Synthesis passes the state count of Σ. *)
 val choose_backend :
   config -> state_bound:int option -> [ `Sat | `Dpll | `Bdd ]

@@ -20,14 +20,17 @@ type t
     the BDD backend. *)
 val solver : t
 
-(** One explicit exploration: {!Reach.explore}, or the bitmask probe
-    ({!Symbolic.probe_edges}) that {!Sg.reachable} runs capped at the
-    engine threshold, which lists the same edges; a probe that hands an
-    unsafe net to {!Reach.explore} counts once, there. *)
+(** One explicit exploration: {!Reach.explore}, or the bitmask sweep
+    ({!Symbolic.probe_edges}) that {!Sg.reachable} runs on every
+    encodable net, which lists the same edges; a sweep that hands an
+    unsafe net to {!Reach.explore} counts once, there.  Every Σ that
+    synthesis, the prefix rules and the partition plan build costs one. *)
 val reach : t
 
-(** One exploration that completed symbolically ({!Symbolic.explore_edges});
-    a fallback to the explicit sweep counts under [reach] instead. *)
+(** One exploration that completed by the BDD fixpoint
+    ({!Symbolic.explore_edges}, which only the [`Symbolic] override of
+    [Sg.of_stg] and the benches call); a fallback to the explicit sweep
+    counts under [reach] instead. *)
 val symbolic : t
 
 (** One dynamic conformance exploration, {!Conform.check}. *)

@@ -582,8 +582,6 @@ let log_src = Logs.Src.create "mpsyn.sg" ~doc:"state-graph construction"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-let engine_threshold = 2048
-
 (* Both engines return identical edge buffers (the symbolic builder
    replays the explicit numbering from its fixpoint and falls back
    outside the 1-safe encoding), so everything downstream is
@@ -596,46 +594,22 @@ let explore ?max_states engine stg =
     (Reach.n_states g, g.Reach.edges, Reach.n_edges g)
   | `Symbolic -> Symbolic.explore_edges ?max_states net
 
-(* A capped sweep first, at [engine_threshold]; a net that overflows
-   it is explored again symbolically under the caller's cap, the
-   default one of both engines when absent.  On an encodable net the
-   capped sweep is the symbolic engine's own bitmask sweep
-   ([Symbolic.probe_edges], the explicit sweep's edges at a mask test
-   per edge), and the encoding is built once for it and the fixpoint.
-   A net the symbolic engine cannot encode is swept explicitly once,
-   under the caller's cap.  The debug line names the engine that ran:
-   for a symbolic run, its clusters and BDD nodes; for an explicit run
-   the encoding refused, or a symbolic one that fell back to the
-   explicit sweep, why. *)
+(* One sweep under the caller's cap: on an encodable net the symbolic
+   engine's bitmask sweep ([Symbolic.probe_edges], the explicit sweep's
+   edges at a mask test per edge, handing an unsafe firing to
+   [Reach.explore]), on any other net [Reach.explore].  The debug line
+   names the sweep, and for a net the encoding refused, why. *)
 let reachable ?(max_states = 100_000) stg =
-  let cap = min engine_threshold max_states in
-  let engine, detail, ((n, _, _) as g) =
-    match Symenc.unsupported (Stg.net stg) with
+  let net = Stg.net stg in
+  let engine, ((n, _, _) as g) =
+    match Symenc.unsupported net with
     | Some reason ->
       ( Printf.sprintf "explicit engine (%s)" reason,
-        "",
         explore ~max_states `Explicit stg )
-    | None -> (
-      let enc = Symenc.make (Stg.net stg) in
-      match Symbolic.probe_edges ~max_states:cap enc with
-      | g -> ("explicit engine", "", g)
-      | exception Reach.Too_many_states _ when max_states > cap -> (
-        let g, info = Symbolic.explore_encoded_info ~max_states enc in
-        match info.Symbolic.i_fallback with
-        | None ->
-          ( "symbolic engine",
-            Printf.sprintf ", %d clusters, %d BDD nodes"
-              info.Symbolic.i_clusters info.Symbolic.i_bdd_nodes,
-            g )
-        | Some reason ->
-          ( Printf.sprintf
-              "symbolic engine fell back to the explicit sweep (%s)" reason,
-            "",
-            g )))
+    | None ->
+      ("explicit engine", Symbolic.probe_edges ~max_states (Symenc.make net))
   in
-  Log.debug (fun m ->
-      m "reachability: %s, %d states (threshold %d)%s" engine n
-        engine_threshold detail);
+  Log.debug (fun m -> m "reachability: %s, %d states" engine n);
   g
 
 let of_stg ?max_states ?backend stg =

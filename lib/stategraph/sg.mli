@@ -62,44 +62,35 @@ val make :
   initial:int ->
   t
 
-(** The marking count (2048) up to which {!reachable} explores
-    explicitly; a net with more markings is explored symbolically.
-    Synthesis' constraint backend flips to BDDs from this many states
-    of Σ on ([Mpart.choose_backend]). *)
-val engine_threshold : int
-
 (** [reachable ?max_states stg] is the reachability graph of [stg] as
     [(n_states, edge buffer, n_edges)], the form
-    {!of_transition_edges} reads, explored by the one engine choice
-    every Σ shares: a sweep capped at [min engine_threshold max_states],
-    and on overflow, when [max_states] is larger, the symbolic engine
-    ({!Symbolic.explore_encoded_info}) capped at [max_states] (default
-    [100_000], both engines' default).  On a net the symbolic engine can
-    encode, the capped sweep is its bitmask probe
+    {!of_transition_edges} reads, listed by one sweep capped at
+    [max_states] (default [100_000], both engines' default).  On a net
+    the symbolic engine can encode, the sweep is its bitmask sweep
     ({!Symbolic.probe_edges}, the explicit sweep's edges without a
-    marking array or a string key per state), and the encoding is built
-    once for the probe and the fixpoint; a firing that breaks 1-safety
-    hands the probe to {!Reach.explore}.  A net the symbolic engine
-    cannot encode ({!Symenc.unsupported}) is swept explicitly once,
-    capped at [max_states].  Every path numbers states and orders edges
-    identically, so the choice decides only time and memory.  The
-    chosen engine is logged at debug level (the probe as the explicit
-    engine), a symbolic run with its transition-relation cluster count
-    and BDD node count, an explicit run the encoding refused or a
-    symbolic fallback to the explicit sweep with its reason.  The
+    marking array or a string key per state), and a firing that breaks
+    1-safety hands it to {!Reach.explore}.  A net the symbolic engine
+    cannot encode ({!Symenc.unsupported}) is swept by {!Reach.explore}.
+    Either way the net is explored once, with no threshold, retry or
+    BDD fixpoint, and every path numbers states and orders edges
+    identically.  The sweep is logged at debug level as the explicit
+    engine, with the reason when the encoding refused the net.  The
     buffer may be longer than [3 n_edges] cells.
     @raise Reach.Too_many_states [max_states] if more than
       [max_states] markings are reachable. *)
 val reachable : ?max_states:int -> Stg.t -> int * int array * int
 
 (** [of_stg ?max_states ?backend stg] derives the state graph Σ: hands
-    the reachability graph's edges to {!of_transition_edges}.
-    @param backend overrides the engine choice of {!reachable}:
+    the reachability graph's edges to {!of_transition_edges}.  Without
+    [backend], the edges are those of {!reachable}, which every
+    Σ-building command uses.
+    @param backend names an engine instead of {!reachable}'s sweep:
       [`Explicit] enumerates markings one at a time ({!Reach.explore});
       [`Symbolic] runs partitioned-transition-relation BDD image
-      computation ({!Symbolic.explore_edges}) and replays the same
-      numbering.  All three produce identical graphs and identical
-      {!digest}s — only the time and memory profile differs.
+      computation to the fixpoint ({!Symbolic.explore_edges}) and
+      replays the same numbering.  All three produce identical graphs
+      and identical {!digest}s — only the time and memory profile
+      differs.
     @raise Inconsistent if no consistent assignment exists.
     @raise Reach.Too_many_states if exploration exceeds the cap. *)
 val of_stg : ?max_states:int -> ?backend:[ `Explicit | `Symbolic ] -> Stg.t -> t

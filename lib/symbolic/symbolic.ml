@@ -1,7 +1,4 @@
-(* Symbolic reachability: BFS image computation over the partitioned
-   transition relation to the reachable-set fixpoint, then a replay of
-   the explicit sweep over the fixpoint that rebuilds the explicit
-   graph field-for-field.
+(* Symbolic reachability: two entry points over one bitmask kernel.
 
    The contract is byte-identity with [Reach.explore]'s edges: state 0
    is the initial marking, states are numbered in breadth-first
@@ -12,18 +9,18 @@
 
    The one result is the state count and a flat edge buffer, which is
    everything the state-graph derivation reads; no marking, adjacency
-   list or edge tuple is materialized, which is where most of the
-   end-to-end speedup over the explicit sweep comes from, since the
-   fixpoint itself is orders of magnitude faster than enumeration.
+   list or edge tuple is materialized.
 
-   The replay is one kernel, [mask_sweep], a breadth-first sweep over
-   bitmask markings.  After the fixpoint it runs sized exactly: the
-   onset count sizes the marking table, and the edge buffer is resized
-   from that count and the out-degree seen so far instead of doubling.
-   The same kernel, capped and grown as it goes, is the probe
-   [Sg.reachable] runs first on every encodable net ([probe_edges]):
-   it lists exactly the edges [Reach.explore] lists, at the cost of a
-   mask test and a table lookup per edge.
+   The kernel, [mask_sweep], is a breadth-first sweep over bitmask
+   markings.  [probe_edges] is the sweep synthesis runs: [Sg.reachable]
+   calls it on every encodable net, its table growing from 256 markings
+   up to the caller's cap, and it lists exactly the edges
+   [Reach.explore] lists at the cost of a mask test and a table lookup
+   per edge.  [explore_edges] is the [`Symbolic] override of
+   [Sg.of_stg]: BFS image computation over the partitioned transition
+   relation to the reachable-set fixpoint, whose exact onset count
+   checks the cap before any enumeration and sizes the same sweep's
+   table and edge buffer.
 
    Boolean semantics equals token-counting semantics only while the net
    stays 1-safe, so every firing swept is audited (one mask test) for
@@ -335,30 +332,28 @@ let probe_edges ~max_states enc =
     let net = enc.Symenc.net in
     fst (fall_back ~max_states net ~reason:(unsafe_reason net t))
 
-let explore_encoded_info ?(max_states = 100_000) enc =
-  let net = enc.Symenc.net in
-  let fx = fixpoint enc in
-  if fx.fx_states > max_states then
-    (* Over budget.  The boolean onset only over-approximates the real
-       state count when some firing breaks 1-safety, so audit that
-       symbolically before deciding: an unsafe net belongs to the
-       explicit sweep (whose own cap keeps the same contract), a safe
-       one raises exactly what the explicit sweep would have. *)
-    match unsafe_transition fx.fx_mgr enc fx.fx_reached with
-    | Some t -> fall_back ~max_states net ~reason:(unsafe_reason net t)
-    | None -> raise (Reach.Too_many_states max_states)
-  else
-    match mask_sweep enc ~size:fx.fx_states ~cap:fx.fx_states with
-    | (n, _, _) as g ->
-      assert (n = fx.fx_states);
-      Counter.bump Counter.symbolic;
-      (g, sym_info fx)
-    | exception Unsafe_fire t ->
-      fall_back ~max_states net ~reason:(unsafe_reason net t)
-
-let explore_edges_info ?max_states net =
+let explore_edges_info ?(max_states = 100_000) net =
   match Symenc.unsupported net with
-  | Some reason -> fall_back ?max_states net ~reason
-  | None -> explore_encoded_info ?max_states (Symenc.make net)
+  | Some reason -> fall_back ~max_states net ~reason
+  | None ->
+    let enc = Symenc.make net in
+    let fx = fixpoint enc in
+    if fx.fx_states > max_states then
+      (* Over budget.  The boolean onset only over-approximates the real
+         state count when some firing breaks 1-safety, so audit that
+         symbolically before deciding: an unsafe net belongs to the
+         explicit sweep (whose own cap keeps the same contract), a safe
+         one raises exactly what the explicit sweep would have. *)
+      match unsafe_transition fx.fx_mgr enc fx.fx_reached with
+      | Some t -> fall_back ~max_states net ~reason:(unsafe_reason net t)
+      | None -> raise (Reach.Too_many_states max_states)
+    else
+      match mask_sweep enc ~size:fx.fx_states ~cap:fx.fx_states with
+      | (n, _, _) as g ->
+        assert (n = fx.fx_states);
+        Counter.bump Counter.symbolic;
+        (g, sym_info fx)
+      | exception Unsafe_fire t ->
+        fall_back ~max_states net ~reason:(unsafe_reason net t)
 
 let explore_edges ?max_states net = fst (explore_edges_info ?max_states net)

@@ -1,12 +1,16 @@
-(** Symbolic reachability — the drop-in replacement for
-    {!Reach.explore} on large 1-safe nets.
+(** Symbolic reachability — two entry points that list exactly the
+    edges of {!Reach.explore} on 1-safe nets.
 
-    The engine encodes markings as BDD variables ({!Symenc}), builds a
-    partitioned transition relation clustered by support overlap
-    ({!Symrel}), runs breadth-first image computation with the fused
-    relational product {!Bdd.and_exists} to the reachable-set fixpoint,
-    and then lists the explicit graph's edges by canonical enumeration
-    of the onset.
+    {!probe_edges} is the sweep synthesis runs ({!Sg.reachable}): a
+    breadth-first sweep over bitmask markings ({!Symenc}), with no
+    marking array or string key per state.
+
+    {!explore_edges} is the [`Symbolic] override of {!Sg.of_stg}: it
+    builds a partitioned transition relation clustered by support
+    overlap ({!Symrel}), runs breadth-first image computation with the
+    fused relational product {!Bdd.and_exists} to the reachable-set
+    fixpoint, and then lists the explicit graph's edges with the same
+    bitmask sweep, sized by the fixpoint's exact state count.
 
     The result is one flat edge buffer, {e identical} to the
     [edges] buffer of what [Reach.explore] returns — same state
@@ -18,8 +22,8 @@
     Nets outside the encoding (more than {!Symenc.max_places} places,
     a non-1-safe initial marking) and nets where a reachable transition
     firing would break 1-safety fall back to the explicit sweep, which
-    reproduces the old behaviour exactly; the audit for the latter is
-    performed symbolically on the fixpoint and is exact. *)
+    reproduces the old behaviour exactly; past the cap, the fixpoint's
+    audit for the latter is performed symbolically and is exact. *)
 
 (** How an exploration went, for benches and diagnostics. *)
 type info = {
@@ -53,13 +57,6 @@ val explore_edges : ?max_states:int -> Petri.t -> int * int array * int
 val explore_edges_info :
   ?max_states:int -> Petri.t -> (int * int array * int) * info
 
-(** [explore_encoded_info ?max_states enc] is {!explore_edges_info} on
-    the net of an encoding already built ([enc.net], which
-    {!Symenc.unsupported} accepted), so a caller that probed the net
-    with {!probe_edges} first builds the encoding once. *)
-val explore_encoded_info :
-  ?max_states:int -> Symenc.t -> (int * int array * int) * info
-
 (** [probe_edges ~max_states enc] is the reachability graph of
     [enc.net] as [(n_states, buf, n_edges)], the same numbering, edge
     order and used buffer cells as the [edges] of [Reach.explore
@@ -67,8 +64,8 @@ val explore_encoded_info :
     its table starts small and grows as markings are discovered.  It
     counts as one explicit exploration ([Counter.reach]).  A firing that
     breaks 1-safety hands the net to [Reach.explore ~max_states], which
-    counts itself.  This is the capped sweep {!Sg.reachable} runs before
-    deciding whether the symbolic engine is worth its fixpoint.
+    counts itself.  This is the one sweep {!Sg.reachable} runs on every
+    net the encoding accepts, capped at the caller's [max_states].
     @raise Reach.Too_many_states [max_states] if more markings than
       [max_states] are reachable. *)
 val probe_edges : max_states:int -> Symenc.t -> int * int array * int

@@ -303,6 +303,42 @@ let test_store_foreign () =
       Alcotest.(check (option string)) "foreign file misses" None
         (Cache_store.get store "k"))
 
+(* A write whose rename fails (the entry's final path is a non-empty
+   directory, which a root user cannot overwrite either) leaves the
+   lookup a logged miss: [memoize] returns the computed value, logs the
+   failed write, and removes its temp file, which [evict] would never
+   see. *)
+let test_store_failed_rename () =
+  with_store (fun dir store ->
+      let digest = Cache_key.string_digest "failed rename" in
+      let key = Cache_key.entry ~stage:"t" ~params:[] digest in
+      let final = Filename.concat (entry_dir dir) key in
+      Unix.mkdir final 0o755;
+      write_file (Filename.concat final "occupant") "x";
+      let temps () =
+        Sys.readdir (entry_dir dir) |> Array.to_list
+        |> List.filter (fun n -> String.starts_with ~prefix:".tmp." n)
+      in
+      let before = !log_warnings and computed = ref 0 in
+      Counter.reset Counter.cache_miss;
+      Counter.reset Counter.cache_hit;
+      let v =
+        Cache_store.memoize (Some store) ~stage:"t" ~params:[]
+          (fun () -> digest)
+          (fun () ->
+            incr computed;
+            [ 4; 2 ])
+      in
+      Alcotest.(check (list int)) "the uncached value" [ 4; 2 ] v;
+      Alcotest.(check int) "computed once" 1 !computed;
+      Alcotest.(check int) "one miss" 1 (Counter.get Counter.cache_miss);
+      Alcotest.(check int) "no hit" 0 (Counter.get Counter.cache_hit);
+      Alcotest.(check bool) "the failed write was logged" true
+        (!log_warnings > before);
+      Alcotest.(check (list string)) "no temp file left" [] (temps ());
+      Alcotest.(check bool) "the directory is untouched" true
+        (Sys.file_exists (Filename.concat final "occupant")))
+
 let test_store_eviction () =
   with_store ~max_bytes:1 (fun _dir store ->
       Cache_store.put store "a" (String.make 100 'a');
@@ -663,6 +699,8 @@ let () =
           Alcotest.test_case "bit-flipped entry is a miss" `Quick
             test_store_bitflip;
           Alcotest.test_case "foreign file is a miss" `Quick test_store_foreign;
+          Alcotest.test_case "failed rename is a logged miss" `Quick
+            test_store_failed_rename;
           Alcotest.test_case "LRU eviction enforces the bound" `Quick
             test_store_eviction;
           Alcotest.test_case "clear empties the store" `Quick test_store_clear;

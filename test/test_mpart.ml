@@ -867,8 +867,7 @@ let test_cli_log_level () =
       Alcotest.(check string) (file ^ ": stdout unchanged") quiet loud;
       let line =
         let n, _, _ = Sg.reachable (data_stg file) in
-        Printf.sprintf "reachability: explicit engine, %d states (threshold %d)"
-          n Sg.engine_threshold
+        Printf.sprintf "reachability: explicit engine, %d states" n
       in
       check (file ^ ": " ^ line) true
         (List.exists

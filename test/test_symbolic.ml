@@ -271,70 +271,98 @@ let test_adjacency_no_allocation () =
   let after = Gc.allocated_bytes () in
   check "no per-call allocation" true (after -. before < 1024.0)
 
-(* ---------------- Auto engine selection in Mpart ---------------- *)
+(* ---------------- One sweep for every Σ ---------------- *)
 
-(* parallel_rings 5 has 3126 states: it overflows the explicit sweep
-   capped at [Sg.engine_threshold], so a plain [synthesize] must take
-   the BDD path — counter-proven — while parallel_rings 3 (126 states)
-   stays on the explicit sweep. *)
+(* [f ()] with the explicit (sweep) and symbolic (fixpoint) explorations
+   it ran. *)
+let explorations f =
+  let reach0 = Counter.get Counter.reach
+  and sym0 = Counter.get Counter.symbolic in
+  let v = f () in
+  (v, (Counter.get Counter.reach - reach0, Counter.get Counter.symbolic - sym0))
+
+let one_sweep what calls =
+  Alcotest.(check (pair int int)) (what ^ ": one sweep, no fixpoint") (1, 0) calls
+
+let sweep_nets () =
+  [
+    ("parallel_rings 3", Bench_gen.parallel_rings ~rings:3);
+    ("parallel_rings 5", Bench_gen.parallel_rings ~rings:5);
+    ("parallel_rings 6", Bench_gen.parallel_rings ~rings:6);
+    ("pulsers-5", Bench_gen.concurrent_pulsers ~branches:5);
+  ]
+
+(* A plain [synthesize] explores once, by the bitmask sweep, whatever
+   the size: parallel_rings 3 (126 states) as well as parallel_rings 5
+   and 6 and pulsers-5, past the 2,048 markings where a BDD fixpoint
+   used to take over.  Its Σ is the explicit build's, and the result
+   verifies. *)
 let test_auto_reach () =
-  let before = Counter.get Counter.symbolic in
-  let r = Mpart.synthesize (Bench_gen.parallel_rings ~rings:5) in
-  check "U4 bound picked the symbolic engine" true
-    (Counter.get Counter.symbolic > before);
-  check "verifies" true (Mpart.verify r = None);
-  let before = Counter.get Counter.symbolic in
-  let _ = Mpart.synthesize (Bench_gen.parallel_rings ~rings:3) in
-  check_int "a small net keeps the explicit sweep" before
-    (Counter.get Counter.symbolic)
+  List.iter
+    (fun (name, stg) ->
+      let r, calls = explorations (fun () -> Mpart.synthesize stg) in
+      one_sweep name calls;
+      Alcotest.(check string) (name ^ ": Σ = the explicit build")
+        (Sg.digest (Sg.of_stg ~backend:`Explicit stg))
+        (Sg.digest r.Mpart.complete);
+      check (name ^ ": verifies") true (Mpart.verify r = None))
+    (sweep_nets ())
 
-(* The partition plan takes its engine from the same exploration. *)
+(* The partition plan takes its Σ from the same single sweep. *)
 let test_partition_reach () =
-  let before = Counter.get Counter.symbolic in
-  let _ =
-    Mpart.partition_summary Mpart.default_config
-      (Bench_gen.parallel_rings ~rings:5)
-  in
-  check "partition plan took the symbolic engine" true
-    (Counter.get Counter.symbolic > before)
+  List.iter
+    (fun (name, stg) ->
+      let _, calls =
+        explorations (fun () -> Mpart.partition_summary Mpart.default_config stg)
+      in
+      one_sweep name calls)
+    (sweep_nets ())
 
-(* The caller's state cap holds across the engine switch: below the
-   threshold the capped sweep's overflow is final (no symbolic retry),
-   above it the symbolic engine reports the caller's cap, not the
-   threshold. *)
+(* The caller's state cap is what the sweep reports, on both sides of
+   2,048 markings (where the engine used to switch), and an overflow
+   costs the one sweep, with no retry; at the exact count nothing
+   raises. *)
 let test_auto_state_cap () =
   let stg = Bench_gen.parallel_rings ~rings:6 in
   let raised max_states =
-    match Sg.of_stg ~max_states stg with
-    | _ -> None
-    | exception Reach.Too_many_states n -> Some n
+    explorations (fun () ->
+        match Sg.of_stg ~max_states stg with
+        | _ -> None
+        | exception Reach.Too_many_states n -> Some n)
   in
-  let before = Counter.get Counter.symbolic in
-  Alcotest.(check (option int)) "cap 1000 raised as 1000" (Some 1000)
-    (raised 1000);
-  check_int "no symbolic retry below the threshold" before
-    (Counter.get Counter.symbolic);
-  Alcotest.(check (option int)) "cap 3000 raised as 3000" (Some 3000)
-    (raised 3000)
+  List.iter
+    (fun cap ->
+      let r, calls = raised cap in
+      Alcotest.(check (option int)) (Printf.sprintf "cap %d raised as %d" cap cap)
+        (Some cap) r;
+      one_sweep (Printf.sprintf "cap %d" cap) calls)
+    [ 1000; 2047; 2048; 2049; 3000; 15_625 ];
+  let r, calls = raised 15_626 in
+  Alcotest.(check (option int)) "the exact count raises nothing" None r;
+  one_sweep "the exact count" calls
 
-(* A net the symbolic engine cannot encode is swept once: mixed-4x4
-   (84 places, 2,504 markings) overflows the threshold, but only one
-   explicit exploration runs, not a capped one thrown away first. *)
+(* A net the symbolic engine cannot encode is swept once, by
+   [Reach.explore]: mixed-4x4 (84 places, 2,504 markings). *)
 let test_unsupported_single_sweep () =
   let stg = Bench_gen.mixed ~stages:4 ~branches:4 in
   check "outside the encoding" true
     (Symenc.unsupported (Stg.net stg) <> None);
-  let before = Counter.get Counter.reach in
-  let sg = Sg.of_stg stg in
-  check_int "one explicit sweep" (before + 1) (Counter.get Counter.reach);
-  check "past the threshold" true (Sg.n_states sg > Sg.engine_threshold)
+  let sg, calls = explorations (fun () -> Sg.of_stg stg) in
+  one_sweep "mixed-4x4" calls;
+  check_int "2,504 markings" 2504
+    (let n, _, _ = Sg.reachable stg in
+     n);
+  Alcotest.(check string) "Σ = the explicit build"
+    (Sg.digest (Sg.of_stg ~backend:`Explicit stg))
+    (Sg.digest sg)
 
 (* ---------------- the bitmask probe ---------------- *)
 
-(* [Symbolic.probe_edges] is the capped sweep [Sg.reachable] runs first:
-   the symbolic engine's bitmask sweep with no fixpoint.  It must list
-   what [Reach.explore] lists under the same cap — the same state count
-   and the same [src; t; dst] cells — or raise the same overflow. *)
+(* [Symbolic.probe_edges] is the one sweep [Sg.reachable] runs on every
+   encodable net: the symbolic engine's bitmask sweep with no fixpoint.
+   It must list what [Reach.explore] lists under the same cap — the same
+   state count and the same [src; t; dst] cells — or raise the same
+   overflow. *)
 let outcome f =
   match f () with
   | g -> Ok (used g)
@@ -362,7 +390,7 @@ let probe_nets () =
       [ 3; 4; 5; 6 ]
     @ List.map
         (fun k -> (Printf.sprintf "pulsers-%d" k, Bench_gen.concurrent_pulsers ~branches:k))
-        [ 3; 4; 5 ]
+        [ 3; 4; 5; 6 ]
     @ List.map
         (fun (a, b) -> (Printf.sprintf "mixed-%dx%d" a b, Bench_gen.mixed ~stages:a ~branches:b))
         [ (2, 2); (2, 3); (3, 2); (3, 3) ]
@@ -374,14 +402,31 @@ let probe_nets () =
   @ gen
   @ List.map (fun (name, stg) -> (name ^ " parsed", parsed stg)) gen
 
+(* Every net at the default cap and at 2,048, and [Sg.reachable] at the
+   default cap on the parsed nets past 2,048 markings, which the sweep
+   serves alone. *)
 let test_probe_agreement () =
   List.iter
     (fun (name, stg) ->
       let net = Stg.net stg in
       check (name ^ ": encodable") true (Symenc.unsupported net = None);
       check_probe name net;
-      check_probe ~max_states:Sg.engine_threshold (name ^ " at the threshold") net)
-    (probe_nets ())
+      check_probe ~max_states:2048 (name ^ " capped at 2048") net)
+    (probe_nets ());
+  List.iter
+    (fun (name, stg) ->
+      let stg = parsed stg in
+      let g = Sg.reachable stg in
+      let n, _, _ = g in
+      check (name ^ " parsed: past 2048 markings") true (n > 2048);
+      check_same_edges (name ^ " parsed: Sg.reachable")
+        (explicit_edges (Stg.net stg)) g)
+    [
+      ("parrings-5", Bench_gen.parallel_rings ~rings:5);
+      ("parrings-6", Bench_gen.parallel_rings ~rings:6);
+      ("pulsers-5", Bench_gen.concurrent_pulsers ~branches:5);
+      ("pulsers-6", Bench_gen.concurrent_pulsers ~branches:6);
+    ]
 
 let test_probe_fuzz () =
   let rand = Qseed.state () in
@@ -391,8 +436,8 @@ let test_probe_fuzz () =
     check_probe ~max_states:20 (Printf.sprintf "random %d capped at 20" i) (Stg.net stg)
   done
 
-(* [Too_many_states] carries the caller's cap on both sides of the
-   threshold, from the probe and from [Sg.reachable]; at the exact count
+(* [Too_many_states] carries the caller's cap, from the probe and from
+   [Sg.reachable], on both sides of 2,048 markings; at the exact count
    nothing raises. *)
 let test_probe_cap () =
   let raised f = match f () with _ -> None | exception Reach.Too_many_states n -> Some n in
@@ -413,7 +458,7 @@ let test_probe_cap () =
       Alcotest.(check (option int))
         (Printf.sprintf "reachable cap %d" cap) (Some cap)
         (raised (fun () -> Sg.reachable ~max_states:cap rings6)))
-    [ 100; Sg.engine_threshold; Sg.engine_threshold + 1; 5000 ]
+    [ 100; 2048; 2049; 5000 ]
 
 (* A firing that breaks 1-safety hands the probe over to the explicit
    sweep, which counts itself: one explicit exploration, no symbolic
@@ -502,10 +547,10 @@ let test_cli_verify_time_limit_exit () =
          mem_sub stdout "FAIL (synthesis: module ro: SAT time limit exceeded)"))
     [ 1; 2 ]
 
-(* parallel_rings 6 is past [Sg.engine_threshold], so `info` and `dot`
-   build Σ symbolically; what they print must be what the explicit
-   build prints, byte for byte.  The debug line reports the symbolic
-   run's cluster and BDD node counts. *)
+(* parallel_rings 6 (15,626 markings) is swept once by `info` and `dot`
+   too; what they print must be what the explicit build prints, byte for
+   byte.  The debug line names the sweep and its state count, and no
+   symbolic engine. *)
 let test_cli_engine_choice () =
   let g = Filename.temp_file "mpsyn_rings6" ".g" in
   Out_channel.with_open_bin g (fun oc ->
@@ -518,17 +563,15 @@ let test_cli_engine_choice () =
       let code, dot, stderr = run_cli ~env:"MPSYN_LOG=debug" ("dot " ^ g) in
       check_int "dot: exit 0" 0 code;
       let line =
-        let (n, _, _), info = Symbolic.explore_edges_info (Stg.net stg) in
-        Printf.sprintf
-          "reachability: symbolic engine, %d states (threshold %d), %d \
-           clusters, %d BDD nodes"
-          n Sg.engine_threshold info.Symbolic.i_clusters
-          info.Symbolic.i_bdd_nodes
+        let n, _, _ = explicit_edges (Stg.net stg) in
+        Printf.sprintf "reachability: explicit engine, %d states" n
       in
+      let lines = String.split_on_char '\n' stderr in
       check ("dot: " ^ line) true
-        (List.exists
-           (String.ends_with ~suffix:line)
-           (String.split_on_char '\n' stderr));
+        (List.exists (String.ends_with ~suffix:line) lines);
+      check "dot: one reachability line" true
+        (List.length (List.filter (fun l -> mem_sub l "reachability:") lines) = 1);
+      check "dot: no symbolic engine" false (mem_sub stderr "symbolic");
       Alcotest.(check string) "dot = the explicit build's" (Sg.to_dot sg) dot;
       let code, info, _ = run_cli ("info " ^ g) in
       check_int "info: exit 0" 0 code;
@@ -586,10 +629,10 @@ let () =
             test_adjacency_no_allocation ] );
       ( "auto",
         [
-          Alcotest.test_case "U4 bound flips the engine" `Quick test_auto_reach;
-          Alcotest.test_case "partition plan follows the flip" `Quick
+          Alcotest.test_case "synthesis sweeps once" `Quick test_auto_reach;
+          Alcotest.test_case "partition plan sweeps once" `Quick
             test_partition_reach;
-          Alcotest.test_case "state cap survives the engine switch" `Quick
+          Alcotest.test_case "state cap survives the engine sweep" `Quick
             test_auto_state_cap;
           Alcotest.test_case "an unencodable net is swept once" `Quick
             test_unsupported_single_sweep;

@@ -197,10 +197,10 @@ let test_cert_replay name () =
 
 (* ---------------- counters prove the elisions ---------------------- *)
 
-(* U3/U4 explore once per analysis of a complete prefix, by the engine
-   [Sg.of_stg] picks: the explicit sweep up to [Sg.engine_threshold]
-   markings, the symbolic engine above (after the capped sweep that
-   overflowed).  A truncated prefix explores nothing. *)
+(* U3/U4 explore once per analysis of a complete prefix, by the one
+   sweep [Sg.of_stg] runs, whatever the marking count: no BDD fixpoint
+   runs, past 2,048 markings either.  A truncated prefix explores
+   nothing. *)
 let explorations f =
   let reach0 = Counter.get Counter.reach
   and sym0 = Counter.get Counter.symbolic in
@@ -212,14 +212,19 @@ let test_one_engine_call () =
   let p, calls = explorations (fun () -> Prefix_rules.analyze vbe4a) in
   check p.Prefix_rules.s_complete "vbe4a: complete prefix";
   Alcotest.(check (pair int int)) "vbe4a: one explicit sweep" (1, 0) calls;
-  let rings = Bench_gen.parallel_rings ~rings:5 in
-  let p, calls = explorations (fun () -> Prefix_rules.analyze rings) in
-  check
-    (Option.get p.Prefix_rules.s_markings > Sg.engine_threshold)
-    "parallel_rings 5: past the threshold";
-  Alcotest.(check (pair int int))
-    "parallel_rings 5: one capped sweep, one symbolic exploration" (1, 1)
-    calls;
+  List.iter
+    (fun (name, stg, markings) ->
+      let p, calls = explorations (fun () -> Prefix_rules.analyze stg) in
+      check p.Prefix_rules.s_complete (name ^ ": complete prefix");
+      Alcotest.(check (option int)) (name ^ ": markings") (Some markings)
+        p.Prefix_rules.s_markings;
+      Alcotest.(check (pair int int)) (name ^ ": one sweep, no fixpoint")
+        (1, 0) calls)
+    [
+      ("parallel_rings 5", Bench_gen.parallel_rings ~rings:5, 3126);
+      ("parallel_rings 6", Bench_gen.parallel_rings ~rings:6, 15_626);
+      ("pulsers-5", Bench_gen.concurrent_pulsers ~branches:5, 3128);
+    ];
   let p, calls =
     explorations (fun () -> Prefix_rules.analyze ~max_events:4 vbe4a)
   in
@@ -289,11 +294,12 @@ let test_lockring_bound signals () =
 let test_choose_backend () =
   let cfg = Mpart.default_config in
   Alcotest.(check bool) "under threshold stays sat" true
-    (Mpart.choose_backend cfg ~state_bound:(Some (Sg.engine_threshold - 1))
+    (Mpart.choose_backend cfg ~state_bound:(Some (Mpart.bdd_threshold - 1))
     = `Sat);
   Alcotest.(check bool) "over threshold goes bdd" true
-    (Mpart.choose_backend cfg ~state_bound:(Some Sg.engine_threshold)
+    (Mpart.choose_backend cfg ~state_bound:(Some Mpart.bdd_threshold)
     = `Bdd);
+  Alcotest.(check int) "the flip stays at 2048" 2048 Mpart.bdd_threshold;
   Alcotest.(check bool) "no bound stays sat" true
     (Mpart.choose_backend cfg ~state_bound:None = `Sat);
   Alcotest.(check bool) "explicit choice wins" true
@@ -310,8 +316,9 @@ let data_stg f = Gformat.parse_file (Filename.concat data_dir f)
 
 (* The engine decisions synthesis made before it read them off the
    complete graph, kept as the reference: the certificate from A6, then
-   the exact U3 verdict of the complete prefix; both engines from the U4
-   state bound (the marking lower bound when the prefix stopped short). *)
+   the exact U3 verdict of the complete prefix; the backend from the U4
+   state bound (the marking lower bound when the prefix stopped short).
+   Reachability is one sweep on every net, whatever the bound. *)
 let reference stg =
   let p = Prefix_rules.analyze stg in
   let certificate =
@@ -324,16 +331,12 @@ let reference stg =
     | Some _ as b -> b
     | None -> p.Prefix_rules.s_markings
   in
-  let reach =
-    match bound with
-    | Some n when n >= Sg.engine_threshold -> `Symbolic
-    | _ -> `Explicit
-  in
-  (p, certificate, bound, reach)
+  (p, certificate, bound, `Explicit)
 
 (* One cold [Mpart.synthesize]: its certificate, its backend (chosen
    from the state count of the complete graph), the reachability engine
-   it ran, read from the exploration counters, and its solver calls. *)
+   it ran, read from the exploration counters (exactly one exploration),
+   and its solver calls. *)
 let decisions ?(config = Mpart.default_config) stg =
   let reach0 = Counter.get Counter.reach
   and sym0 = Counter.get Counter.symbolic
@@ -344,7 +347,7 @@ let decisions ?(config = Mpart.default_config) stg =
   let explicit = Counter.get Counter.reach - reach0 in
   let reach =
     match (symbolic, explicit) with
-    | 1, (0 | 1) -> `Symbolic
+    | 1, 0 -> `Symbolic
     | 0, 1 -> `Explicit
     | _ ->
       Alcotest.failf "%d symbolic and %d explicit explorations" symbolic
@@ -359,7 +362,8 @@ let decisions ?(config = Mpart.default_config) stg =
 (* The decisions taken from the complete graph against the reference,
    on every Table-1 STG, the generated families and a seeded sweep of
    random nets: A6 is sound for the graph certificate, a complete
-   prefix's U3 verdict equals it, and both engines flip as before.  A
+   prefix's U3 verdict equals it, the backend flips as before, and
+   every net is explored by the one sweep.  A
    run that takes the BDD backend makes the solver calls an explicit
    [`Bdd] run makes.  The pinned rows fix the reference's certificate
    source too.  Every
@@ -423,9 +427,9 @@ let test_resolve_table () =
     (Bench_gen.lock_ring ~signals:5);
   expect ~pin:(`Prefix, `Sat, `Explicit) "parallel_rings 3"
     (Bench_gen.parallel_rings ~rings:3);
-  expect ~pin:(`Prefix, `Bdd, `Symbolic) "parallel_rings 5"
+  expect ~pin:(`Prefix, `Bdd, `Explicit) "parallel_rings 5"
     (Bench_gen.parallel_rings ~rings:5);
-  expect ~pin:(`None, `Bdd, `Symbolic) "pulsers-5"
+  expect ~pin:(`None, `Bdd, `Explicit) "pulsers-5"
     (Bench_gen.concurrent_pulsers ~branches:5)
 
 (* Both entry points run one flow, so they record the same certificate. *)
@@ -444,10 +448,8 @@ let test_entry_points_agree () =
       ("vbe-ex1", data_stg "vbe-ex1.g", false);
     ]
 
-(* The state space is explored once per synthesis: a net past the
-   threshold costs one capped explicit sweep and one symbolic
-   exploration, a small one a single explicit sweep — at any pool
-   width. *)
+(* The state space is explored once per synthesis, by one sweep and no
+   BDD fixpoint, past 2,048 markings as below — at any pool width. *)
 let test_one_exploration () =
   List.iter
     (fun jobs ->
@@ -460,8 +462,8 @@ let test_one_exploration () =
       in
       let name what = Printf.sprintf "%s, jobs %d" what jobs in
       let explicit, symbolic = explorations (Bench_gen.parallel_rings ~rings:6) in
-      Alcotest.(check int) (name "parallel_rings 6: symbolic") 1 symbolic;
-      check (explicit <= 1) (name "parallel_rings 6: at most one capped sweep");
+      Alcotest.(check int) (name "parallel_rings 6: explicit") 1 explicit;
+      Alcotest.(check int) (name "parallel_rings 6: symbolic") 0 symbolic;
       let explicit, symbolic = explorations (data_stg "mr1.g") in
       Alcotest.(check int) (name "mr1: explicit") 1 explicit;
       Alcotest.(check int) (name "mr1: symbolic") 0 symbolic)

@@ -256,15 +256,14 @@ let probe_prefix stg =
   in
   { summary = p; prefix_s; reach = g; explicit_s; agree }
 
-(* E14's layer: the symbolic engine must rebuild the explicit state
-   graph byte for byte.  Returns that verdict and the wall time of the
-   symbolic build. *)
-let probe_symbolic ?max_states stg =
-  let explicit = Sg.digest (Sg.of_stg ?max_states ~backend:`Explicit stg) in
-  let symbolic, t =
-    wall (fun () -> Sg.digest (Sg.of_stg ?max_states ~backend:`Symbolic stg))
-  in
-  (symbolic = explicit, t)
+(* The trajectory's sweep columns: the default [Sg.of_stg] (the one
+   sweep every command runs) must rebuild the [Reach.explore]
+   reference's state graph byte for byte.  Returns that verdict and the
+   wall time of the default build. *)
+let probe_sweep stg =
+  let explicit = Sg.digest (Sg.of_stg ~backend:`Explicit stg) in
+  let sweep, t = wall (fun () -> Sg.digest (Sg.of_stg stg)) in
+  (sweep = explicit, t)
 
 (* E10's layer: a cold run populates [store]; a warm run must then hit
    it and print the cold netlist byte for byte. *)
@@ -305,7 +304,7 @@ let probe_partition stg =
   in
   (plan, plan_s, dups)
 
-(* The verdict line of a gated table (E10-E14): the first failing
+(* The verdict line of a gated table (E10-E13): the first failing
    check prints its FAIL line, otherwise the ok line prints.  Returns
    the exit code. *)
 let verdict name ~ok checks =
@@ -375,13 +374,12 @@ let measure name stg =
   (* the partition columns: plan cost, how many twins the audit found,
      and how many modules the uncached run replayed from a twin *)
   let _, plan_s, dups = probe_partition stg in
-  (* the symbolic-engine columns: the BDD fixpoint must rebuild the
-     byte-identical state graph (digest gated absolutely by check), and
-     its wall time and node count travel with the trajectory so growth
-     gates as a regression; peak heap words close the row so a memory
-     blowup anywhere above also gates *)
-  let symbolic_agree, t_symbolic_time = probe_symbolic stg in
-  let _, sym_info = Symbolic.explore_edges_info (Stg.net stg) in
+  (* the sweep columns: the default Σ must be the explicit reference's
+     byte for byte (digest gated absolutely by check), and its wall time
+     travels with the trajectory so growth gates as a regression; peak
+     heap words close the row so a memory blowup anywhere above also
+     gates *)
+  let sweep_agree, t_sweep_time = probe_sweep stg in
   let time t = Json.fixed 6 t in
   let ratio a b = Json.fixed 3 (if b > 0.0 then a /. b else 1.0) in
   Json.Obj
@@ -413,9 +411,8 @@ let measure name stg =
       ("partition_dup", Json.int dups);
       ("partition_replayed", Json.int (List.length r.Mpart.replayed));
       ("partition_time", time plan_s);
-      ("symbolic_time", time t_symbolic_time);
-      ("symbolic_nodes", Json.int sym_info.Symbolic.i_bdd_nodes);
-      ("symbolic_agree", Bool symbolic_agree);
+      ("sweep_time", time t_sweep_time);
+      ("sweep_agree", Bool sweep_agree);
       (* Gc top_heap_words after this row's measurements; [json] runs
          each row in a fresh process, so this is the row's own peak *)
       ("peak_live_words", Json.int (Gc.quick_stat ()).Gc.top_heap_words);
@@ -522,7 +519,7 @@ let regression_floor = 0.05
    finds. *)
 let gates =
   (* absolute: cache divergence, a prefix verdict disagreeing with the
-     explicit ground truth, or a symbolic state graph that is not the
+     explicit ground truth, or a swept state graph that is not the
      explicit one fails whatever the baseline says *)
   let holds key what _ f =
     if column Json.to_bool key f then None else Some what
@@ -536,7 +533,7 @@ let gates =
            regression_factor)
     else None
   in
-  (* deterministic counts (solver counters, fixpoint nodes, peak heap)
+  (* deterministic counts (solver counters, peak heap)
      gate on the factor; the floor ignores trivial instances *)
   let grows key (what, unit) floor b f =
     let bn = column Json.to_int key b and fn = column Json.to_int key f in
@@ -573,9 +570,8 @@ let gates =
       if fn < bn then
         Some (Printf.sprintf "dedup replays %d cone(s) vs baseline %d" fn bn)
       else None);
-    holds "symbolic_agree" "symbolic state graph diverges from explicit";
-    slower "symbolic_time" "symbolic engine" regression_floor;
-    grows "symbolic_nodes" ("symbolic fixpoint", " nodes") 1000;
+    holds "sweep_agree" "the sweep's state graph diverges from explicit";
+    slower "sweep_time" "reachability sweep" regression_floor;
     (* a 1M-word (8 MB) floor keeps minor-heap sizing noise out *)
     grows "peak_live_words" ("peak heap", " words") 1_000_000;
     slower "partition_time" "partition audit" regression_floor;
@@ -794,7 +790,7 @@ module type Engine = sig
   val bor : manager -> node -> node -> node
   val bnot : manager -> node -> node
   val bxor : manager -> node -> node -> node
-  val exists : manager -> int list -> node -> node
+  val restrict : manager -> node -> var:int -> value:bool -> node
   val is_false : node -> bool
   val size : manager -> node -> int
   val n_nodes : manager -> int
@@ -820,7 +816,7 @@ end
 
 (* The hazard-checker kernel: build per-signal region BDDs from state
    codes by recursive cofactoring, then sweep pairwise combinations —
-   the op mix (ite-build, or/and/not/xor, single-var quantification)
+   the op mix (ite-build, or/and/not/xor, quantification by cofactors)
    of [Hazard_check.analyze] without its graph bookkeeping. *)
 let region_kernel (module E : Engine) ~n_signals codes =
   let mgr = E.manager () in
@@ -836,13 +832,22 @@ let region_kernel (module E : Engine) ~n_signals codes =
     Array.init n_signals (fun s ->
         of_codes 0 (List.filter (fun c -> c land (1 lsl s) <> 0) codes))
   in
+  (* quantification by cofactors, one variable at a time *)
+  let exists vars f =
+    List.fold_left
+      (fun f v ->
+        E.bor mgr
+          (E.restrict mgr f ~var:v ~value:false)
+          (E.restrict mgr f ~var:v ~value:true))
+      f vars
+  in
   let checksum = ref 0 in
   for i = 0 to n_signals - 1 do
     for j = i + 1 to n_signals - 1 do
       let union = E.bor mgr regions.(i) regions.(j) in
       let uncovered = E.band mgr regions.(i) (E.bnot mgr regions.(j)) in
       let flips = E.bxor mgr regions.(i) regions.(j) in
-      let quant = E.exists mgr [ i; j ] union in
+      let quant = exists [ i; j ] union in
       checksum :=
         !checksum + E.size mgr union + E.size mgr uncovered
         + E.size mgr flips + E.size mgr quant
@@ -1157,152 +1162,6 @@ let partition_table () =
     [ (!failures > 0, Printf.sprintf "%d failure(s)" !failures) ]
 
 (* ------------------------------------------------------------------ *)
-(* E14: symbolic reachability — BDD fixpoint vs explicit sweep         *)
-(* ------------------------------------------------------------------ *)
-
-(* Best of [reps] wall-clocked runs, each from a compacted heap: the
-   engines allocate at very different rates, so without the compaction
-   whichever runs second pays the other's major-heap float, and the
-   minimum defeats scheduler noise on shared machines. *)
-let best reps f =
-  let m = ref infinity in
-  for _ = 1 to reps do
-    Gc.compact ();
-    let _, t = wall f in
-    if t < !m then m := t
-  done;
-  !m
-
-(* Head-to-head on the engine being replaced (the reachability sweep,
-   where the asymptotic win lives) and end-to-end through [Sg.of_stg]
-   (where marking materialization is already skipped but the derivation
-   stages amortize the win — reported honestly, not gated).  Rows are
-   the acceptance set: parallel_rings 5..8, whose reachable sets grow
-   4^k while the BDD for k independent rings stays linear in k, plus
-   the largest shipped Table 1 nets.  Gates: the symbolic state graph
-   is digest-identical to the explicit one on every row, the engine
-   actually ran symbolically (no silent fallback), and the aggregate
-   reachability speedup — total explicit seconds over total symbolic
-   seconds, so microsecond rows can't vote down the rows that matter —
-   clears 5x.  The parallel_rings rows also time the symbolic engine on
-   the form a user hands it, the net printed to .g text and parsed back
-   (the canonical printer sorts lines, so place ids no longer follow the
-   structure): that form must run symbolically with at most twice the
-   generator form's BDD nodes.  It gets no explicit sweep of its own;
-   the generator form's already bounds the table's time and heap. *)
-let symbolic_table () =
-  print_endline
-    "== E14: symbolic reachability — partitioned-transition-relation BDD \
-     fixpoint vs explicit sweep ==";
-  Printf.printf
-    "%-16s %8s | %9s %9s %7s | %9s %9s %7s | %6s %5s %8s %9s | %9s %7s\n"
-    "instance" "states" "reach(s)" "bdd(s)" "speedup" "sg(s)" "sg-bdd(s)"
-    "speedup" "nodes" "iters" "alloc-dv" "digests" "parsed(s)" "p-nodes";
-  let cap = 2_000_000 in
-  let failures = ref 0 in
-  let sum_explicit = ref 0.0 and sum_symbolic = ref 0.0 in
-  let alloc_mwords f =
-    Gc.compact ();
-    let a0 = Gc.allocated_bytes () in
-    ignore (f ());
-    (Gc.allocated_bytes () -. a0) /. 8e6
-  in
-  let row ?(parsed = false) name stg =
-    let net = Stg.net stg in
-    (* the digest-identity gate runs first and doubles as warm-up for
-       both engines: the very first cold run of either pays the OS
-       first-touch page faults for its working set, which would be
-       charged to whichever engine happened to run first — measured
-       2-3x inflation on the largest rows *)
-    let identical, _ = probe_symbolic ~max_states:cap stg in
-    let (n_states, _, _), info =
-      Symbolic.explore_edges_info ~max_states:cap net
-    in
-    let te = best 3 (fun () -> Reach.explore ~max_states:cap net) in
-    let ts = best 3 (fun () -> Symbolic.explore_edges ~max_states:cap net) in
-    let tse =
-      best 2 (fun () ->
-          Sg.digest (Sg.of_stg ~max_states:cap ~backend:`Explicit stg))
-    in
-    let tss =
-      best 2 (fun () ->
-          Sg.digest (Sg.of_stg ~max_states:cap ~backend:`Symbolic stg))
-    in
-    let ae = alloc_mwords (fun () -> Reach.explore ~max_states:cap net) in
-    let asym =
-      alloc_mwords (fun () -> Symbolic.explore_edges ~max_states:cap net)
-    in
-    if not identical then begin
-      incr failures;
-      Printf.printf "%-16s FAIL: symbolic digest diverges\n" name
-    end;
-    if not info.Symbolic.i_symbolic then begin
-      incr failures;
-      Printf.printf "%-16s FAIL: fell back to the explicit sweep (%s)\n" name
-        (Option.value info.Symbolic.i_fallback ~default:"?")
-    end;
-    let parsed_columns =
-      if not parsed then Printf.sprintf "%9s %7s" "-" "-"
-      else begin
-        let net = Stg.net (Gformat.parse_string (Gformat.to_string stg)) in
-        let _, pinfo = Symbolic.explore_edges_info ~max_states:cap net in
-        let tp =
-          best 3 (fun () -> Symbolic.explore_edges ~max_states:cap net)
-        in
-        if not pinfo.Symbolic.i_symbolic then begin
-          incr failures;
-          Printf.printf "%-16s FAIL: the parsed form fell back (%s)\n" name
-            (Option.value pinfo.Symbolic.i_fallback ~default:"?")
-        end
-        else if pinfo.Symbolic.i_bdd_nodes > 2 * info.Symbolic.i_bdd_nodes
-        then begin
-          incr failures;
-          Printf.printf
-            "%-16s FAIL: the parsed form has %d BDD nodes, over 2x the \
-             generator form's %d\n"
-            name pinfo.Symbolic.i_bdd_nodes info.Symbolic.i_bdd_nodes
-        end;
-        Printf.sprintf "%9.4f %7d" tp pinfo.Symbolic.i_bdd_nodes
-      end
-    in
-    sum_explicit := !sum_explicit +. te;
-    sum_symbolic := !sum_symbolic +. ts;
-    Printf.printf
-      "%-16s %8d | %9.4f %9.4f %6.2fx | %9.4f %9.4f %6.2fx | %6d %5d %7.1fM \
-       %9s | %s\n%!"
-      name n_states te ts (te /. ts) tse tss (tse /. tss)
-      info.Symbolic.i_bdd_nodes info.Symbolic.i_iterations (ae -. asym)
-      (if identical then "identical" else "DIVERGE")
-      parsed_columns
-  in
-  List.iter
-    (fun rings ->
-      row ~parsed:true
-        (Printf.sprintf "parallel_rings-%d" rings)
-        (Bench_gen.parallel_rings ~rings))
-    [ 5; 6; 7; 8 ];
-  List.iter
-    (fun name -> row name ((Bench_suite.find name).Bench_suite.build ()))
-    [ "mr0"; "mr1"; "mmu0"; "mmu1" ];
-  let aggregate = !sum_explicit /. !sum_symbolic in
-  Printf.printf
-    "aggregate reachability speedup: %.2fx (%.3fs explicit / %.3fs symbolic; \
-     target 5x)\n"
-    aggregate !sum_explicit !sum_symbolic;
-  Printf.printf "peak heap after the table: %d words\n"
-    (Gc.quick_stat ()).Gc.top_heap_words;
-  if aggregate < 5.0 then begin
-    incr failures;
-    Printf.printf "E14 FAIL: aggregate speedup %.2fx below the 5x target\n"
-      aggregate
-  end;
-  verdict "E14"
-    ~ok:
-      "digest-identical on every row, no fallback, parsed forms within 2x \
-       nodes, aggregate speedup over 5x"
-    [ (!failures > 0, Printf.sprintf "%d failure(s)" !failures) ]
-
-(* ------------------------------------------------------------------ *)
 (* Ablations: the design choices DESIGN.md calls out                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1352,7 +1211,6 @@ let experiments =
     ("prefix", Table prefix_table);  (* E11: prefix vs explicit graph *)
     ("solver", Table solver_table);  (* E12: solver-core micro *)
     ("partition", Table partition_table);  (* E13: plan audit + replay *)
-    ("symbolic", Table symbolic_table);  (* E14: BDD vs explicit reach *)
     ("ablation", table ablation);  (* default vs BDD backend *)
     (* [json NAME..]: write BENCH_results.json, one [row] per child *)
     ("json", Command json);

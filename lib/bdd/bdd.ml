@@ -29,12 +29,6 @@ let op_or = -2
 let op_xor = -3
 let op_not = -4
 let op_restrict = -5
-let op_exists = -6
-
-(* [and_exists] entries carry their cube in the opcode slot as
-   [op_and_exists_base - cube]; cube nodes are >= 2, so these keys are
-   <= -18, disjoint from the opcodes above and from [ite] entries. *)
-let op_and_exists_base = -16
 
 type manager = {
   mutable var_ : int array; (* variable of node i; max_int for constants *)
@@ -324,123 +318,11 @@ let rec restrict m f ~var:v ~value =
     end
   end
 
-(* Existential quantification over a positive cube of the variables,
-   cached on the (function, cube) pair. *)
-let exists m vars f =
-  let cube =
-    List.fold_left
-      (fun acc v ->
-        if v < 0 then invalid_arg "Bdd.exists: negative variable";
-        band m acc (var m v))
-      1
-      (List.sort_uniq Int.compare vars)
-  in
-  let rec ex f cube =
-    if cube = 1 || f < 2 then f
-    else begin
-      let vf = m.var_.(f) and vc = m.var_.(cube) in
-      if vc < vf then ex f m.hi_.(cube)
-      else begin
-        let r = cache_find m f cube op_exists in
-        if r >= 0 then r
-        else begin
-          let r =
-            if vf < vc then mk m vf (ex m.lo_.(f) cube) (ex m.hi_.(f) cube)
-            else bor m (ex m.lo_.(f) m.hi_.(cube)) (ex m.hi_.(f) m.hi_.(cube))
-          in
-          cache_store m f cube op_exists r;
-          r
-        end
-      end
-    end
-  in
-  ex f cube
-
-(* Fused relational product: existential quantification pushed through
-   the conjunction in a single recursion, so the product f ∧ g is never
-   materialized.  This is the inner loop of symbolic image computation,
-   where f is a state set and g a (clustered) transition relation; the
-   quantified intermediate would often dwarf both operands. *)
-let and_exists m vars f g =
-  let cube =
-    List.fold_left
-      (fun acc v ->
-        if v < 0 then invalid_arg "Bdd.and_exists: negative variable";
-        band m acc (var m v))
-      1
-      (List.sort_uniq Int.compare vars)
-  in
-  let rec ax f g cube =
-    if f = 0 || g = 0 then 0
-    else if cube = 1 then band m f g
-    else if f = 1 && g = 1 then 1
-    else begin
-      let f, g = if f <= g then (f, g) else (g, f) in
-      let r = cache_find m f g (op_and_exists_base - cube) in
-      if r >= 0 then r
-      else begin
-        let vf = m.var_.(f) and vg = m.var_.(g) and vc = m.var_.(cube) in
-        let v = if vf <= vg then vf else vg in
-        let r =
-          if vc < v then ax f g m.hi_.(cube)
-          else begin
-            let f0 = if vf = v then m.lo_.(f) else f
-            and f1 = if vf = v then m.hi_.(f) else f in
-            let g0 = if vg = v then m.lo_.(g) else g
-            and g1 = if vg = v then m.hi_.(g) else g in
-            if vc = v then begin
-              (* quantified level: disjoin the cofactors, short-cutting
-                 when the low half already covers everything *)
-              let r0 = ax f0 g0 m.hi_.(cube) in
-              if r0 = 1 then 1 else bor m r0 (ax f1 g1 m.hi_.(cube))
-            end
-            else mk m v (ax f0 g0 cube) (ax f1 g1 cube)
-          end
-        in
-        cache_store m f g (op_and_exists_base - cube) r;
-        r
-      end
-    end
-  in
-  ax f g cube
-
-(* ---------------- structural access / renaming ---------------- *)
-
-let top_var m f = if f < 2 then max_int else m.var_.(f)
-let low m f = if f < 2 then invalid_arg "Bdd.low: constant node" else m.lo_.(f)
-
-let high m f =
-  if f < 2 then invalid_arg "Bdd.high: constant node" else m.hi_.(f)
-
-(* Rename every odd variable 2p+1 to its even partner 2p.  Under the
-   interleaved current/next variable convention this folds a next-state
-   function back onto the current-state rail.  The caller guarantees the
-   even partner of every odd variable is absent (image computation
-   quantifies the current-state variables first), which makes the
-   renaming order-preserving, so a single structural pass rebuilt
-   through [mk] stays canonical. *)
-let unprime m f =
-  let memo = Hashtbl.create 64 in
-  let rec go u =
-    if u < 2 then u
-    else
-      match Hashtbl.find_opt memo u with
-      | Some r -> r
-      | None ->
-        let v = m.var_.(u) in
-        let v' = if v land 1 = 1 then v - 1 else v in
-        let r = mk m v' (go m.lo_.(u)) (go m.hi_.(u)) in
-        Hashtbl.add memo u r;
-        r
-  in
-  go f
-
 (* ---------------- observers ---------------- *)
 
 let is_true f = f = 1
 let is_false f = f = 0
 let equal (a : node) (b : node) = a = b
-let index (f : node) : int = f
 let n_nodes m = m.n - 2
 
 type stats = {

@@ -6,7 +6,7 @@
     [(var, low, high)] triple and grows by rehashing; the computed table
     is a fixed-size lossy cache, so a long-lived manager's memory stays
     bounded and correctness never depends on a cache hit.  Each
-    connective ({!band}, {!bor}, {!bnot}, {!bxor}, {!exists}) has a
+    connective ({!band}, {!bor}, {!bnot}, {!bxor}) has a
     dedicated recursion instead of detouring through {!ite}.
 
     Variables are non-negative integers ordered by value (smaller =
@@ -65,38 +65,6 @@ val disj : manager -> node list -> node
 (** [restrict mgr n ~var ~value] is the cofactor of [n]. *)
 val restrict : manager -> node -> var:int -> value:bool -> node
 
-(** [exists mgr vars n] existentially quantifies [vars], recursing over
-    a cube of the variables in one pass (not one restrict per
-    variable).  Raises [Invalid_argument] on a negative variable. *)
-val exists : manager -> int list -> node -> node
-
-(** [and_exists mgr vars f g] is [exists mgr vars (band mgr f g)]
-    computed as one fused recursion — the relational product.  The
-    conjunction [f ∧ g] is never built, which is what makes partitioned
-    symbolic image computation viable: with [f] a reachable-state set
-    and [g] a transition-relation cluster, the un-quantified product
-    routinely dwarfs both operands and the result.  Raises
-    [Invalid_argument] on a negative variable. *)
-val and_exists : manager -> int list -> node -> node -> node
-
-(** Structural observers, for external traversals such as the symbolic
-    reachability layer's canonical onset enumeration.  [top_var] is
-    [max_int] on the constants; [low] and [high] raise
-    [Invalid_argument] on them. *)
-val top_var : manager -> node -> int
-
-val low : manager -> node -> node
-val high : manager -> node -> node
-
-(** [unprime mgr n] renames every odd variable [2p+1] — a next-state
-    variable under the interleaved current/next convention — to its even
-    partner [2p].  Precondition: [n] must not also depend on the even
-    partner of any odd variable it mentions (image computation
-    guarantees this by quantifying the current-state variables away
-    first); the renaming is then order-preserving and the result
-    canonical. *)
-val unprime : manager -> node -> node
-
 (** [is_true n] / [is_false n] test for the constants. *)
 val is_true : node -> bool
 
@@ -104,12 +72,6 @@ val is_false : node -> bool
 
 (** [equal a b] is constant-time (hash-consing). *)
 val equal : node -> node -> bool
-
-(** [index n] is the node's dense non-negative id within its manager,
-    strictly below [n_nodes mgr + 2] at the time of the call — the key
-    for external array-backed memo tables (the symbolic layer's suffix
-    counts), which beat any hashed table on these dense ints. *)
-val index : node -> int
 
 (** [size mgr n] counts the distinct internal nodes of [n]. *)
 val size : manager -> node -> int

@@ -2,7 +2,6 @@ type t = int Atomic.t
 
 let solver = Atomic.make 0
 let reach = Atomic.make 0
-let symbolic = Atomic.make 0
 let sim = Atomic.make 0
 let expansion = Atomic.make 0
 let cache_hit = Atomic.make 0

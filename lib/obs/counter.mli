@@ -4,7 +4,7 @@
     {e prove} that a stage ran or was skipped, rather than trusting the
     claim: a static certificate makes synthesis skip constraint solving
     ([solver] stays put), the prefix rules explore once per complete
-    prefix ([reach], [symbolic]), a hazard certificate skips dynamic simulation ([sim]),
+    prefix ([reach]), a hazard certificate skips dynamic simulation ([sim]),
     a warm cache serves lookups ([cache_hit]), synthesis
     materializes exactly one expanded graph ([expansion]), makes one
     implementability decision per state signal ([implementability]),
@@ -20,18 +20,13 @@ type t
     the BDD backend. *)
 val solver : t
 
-(** One explicit exploration: {!Reach.explore}, or the bitmask sweep
-    ({!Symbolic.probe_edges}) that {!Sg.reachable} runs on every
-    encodable net, which lists the same edges; a sweep that hands an
-    unsafe net to {!Reach.explore} counts once, there.  Every Σ that
-    synthesis, the prefix rules and the partition plan build costs one. *)
+(** One reachability exploration: {!Reach.explore}, or the bitmask
+    sweep ({!Symbolic.probe_edges}) that {!Symbolic.explore_edges} runs
+    on every encodable net, which lists the same edges; a sweep that
+    hands an unsafe net to {!Reach.explore} counts once, there.  Every Σ
+    that synthesis, the prefix rules and the partition plan build costs
+    one. *)
 val reach : t
-
-(** One exploration that completed by the BDD fixpoint
-    ({!Symbolic.explore_edges}, which only the [`Symbolic] override of
-    [Sg.of_stg] and the benches call); a fallback to the explicit sweep
-    counts under [reach] instead. *)
-val symbolic : t
 
 (** One dynamic conformance exploration, {!Conform.check}. *)
 val sim : t

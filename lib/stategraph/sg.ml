@@ -578,45 +578,20 @@ let of_transition_edges stg ~n_states:n ~n_edges buf =
   in
   build ~name:(Stg.name stg) ~signals ~codes ~src ~lab ~dst ~initial:cls.(0)
 
-let log_src = Logs.Src.create "mpsyn.sg" ~doc:"state-graph construction"
+(* The one sweep, [Symbolic.explore_edges]: the bitmask sweep on an
+   encodable net, [Reach.explore] on any other.  It logs itself. *)
+let reachable ?max_states stg = Symbolic.explore_edges ?max_states (Stg.net stg)
 
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
-(* Both engines return identical edge buffers (the symbolic builder
-   replays the explicit numbering from its fixpoint and falls back
-   outside the 1-safe encoding), so everything downstream is
-   engine-oblivious and the digests agree — tests enforce it. *)
-let explore ?max_states engine stg =
-  let net = Stg.net stg in
-  match engine with
-  | `Explicit ->
-    let g = Reach.explore ?max_states net in
-    (Reach.n_states g, g.Reach.edges, Reach.n_edges g)
-  | `Symbolic -> Symbolic.explore_edges ?max_states net
-
-(* One sweep under the caller's cap: on an encodable net the symbolic
-   engine's bitmask sweep ([Symbolic.probe_edges], the explicit sweep's
-   edges at a mask test per edge, handing an unsafe firing to
-   [Reach.explore]), on any other net [Reach.explore].  The debug line
-   names the sweep, and for a net the encoding refused, why. *)
-let reachable ?(max_states = 100_000) stg =
-  let net = Stg.net stg in
-  let engine, ((n, _, _) as g) =
-    match Symenc.unsupported net with
-    | Some reason ->
-      ( Printf.sprintf "explicit engine (%s)" reason,
-        explore ~max_states `Explicit stg )
-    | None ->
-      ("explicit engine", Symbolic.probe_edges ~max_states (Symenc.make net))
-  in
-  Log.debug (fun m -> m "reachability: %s, %d states" engine n);
-  g
-
+(* [`Explicit] is the [Reach.explore] reference tests and benches
+   compare against; [`Symbolic] is the default sweep under the name
+   bench/e2e still passes. *)
 let of_stg ?max_states ?backend stg =
   let n, buf, n_edges =
     match backend with
-    | None -> reachable ?max_states stg
-    | Some engine -> explore ?max_states engine stg
+    | Some `Explicit ->
+      let g = Reach.explore ?max_states (Stg.net stg) in
+      (Reach.n_states g, g.Reach.edges, Reach.n_edges g)
+    | None | Some `Symbolic -> reachable ?max_states stg
   in
   of_transition_edges stg ~n_states:n ~n_edges buf
 

@@ -64,18 +64,18 @@ val make :
 
 (** [reachable ?max_states stg] is the reachability graph of [stg] as
     [(n_states, edge buffer, n_edges)], the form
-    {!of_transition_edges} reads, listed by one sweep capped at
-    [max_states] (default [100_000], both engines' default).  On a net
-    the symbolic engine can encode, the sweep is its bitmask sweep
-    ({!Symbolic.probe_edges}, the explicit sweep's edges without a
+    {!of_transition_edges} reads: {!Symbolic.explore_edges} on [stg]'s
+    net, one sweep capped at [max_states] (default [100_000]).  On a
+    net the bitmask encoding accepts, the sweep is
+    {!Symbolic.probe_edges} (the explicit sweep's edges without a
     marking array or a string key per state), and a firing that breaks
-    1-safety hands it to {!Reach.explore}.  A net the symbolic engine
-    cannot encode ({!Symenc.unsupported}) is swept by {!Reach.explore}.
-    Either way the net is explored once, with no threshold, retry or
-    BDD fixpoint, and every path numbers states and orders edges
-    identically.  The sweep is logged at debug level as the explicit
-    engine, with the reason when the encoding refused the net.  The
-    buffer may be longer than [3 n_edges] cells.
+    1-safety hands it to {!Reach.explore}; a net the encoding refuses
+    ({!Symenc.unsupported}) is swept by {!Reach.explore}.  Either way
+    the net is explored once, with no threshold or retry, and every
+    path numbers states and orders edges identically.  The sweep is
+    logged at debug level as the explicit engine, with the reason when
+    the encoding refused the net.  The buffer may be longer than
+    [3 n_edges] cells.
     @raise Reach.Too_many_states [max_states] if more than
       [max_states] markings are reachable. *)
 val reachable : ?max_states:int -> Stg.t -> int * int array * int
@@ -84,13 +84,12 @@ val reachable : ?max_states:int -> Stg.t -> int * int array * int
     the reachability graph's edges to {!of_transition_edges}.  Without
     [backend], the edges are those of {!reachable}, which every
     Σ-building command uses.
-    @param backend names an engine instead of {!reachable}'s sweep:
-      [`Explicit] enumerates markings one at a time ({!Reach.explore});
-      [`Symbolic] runs partitioned-transition-relation BDD image
-      computation to the fixpoint ({!Symbolic.explore_edges}) and
-      replays the same numbering.  All three produce identical graphs
-      and identical {!digest}s — only the time and memory profile
-      differs.
+    @param backend [`Explicit] enumerates markings one at a time with
+      {!Reach.explore}, the reference tests and benches compare the
+      sweep against; [`Symbolic] runs {!reachable}'s sweep, the same as
+      no [backend].  [`Symbolic] is kept only because bench/e2e passes
+      it.  Both produce graphs identical to the default's, with
+      identical {!digest}s.
     @raise Inconsistent if no consistent assignment exists.
     @raise Reach.Too_many_states if exploration exceeds the cap. *)
 val of_stg : ?max_states:int -> ?backend:[ `Explicit | `Symbolic ] -> Stg.t -> t
@@ -109,8 +108,8 @@ val of_stg : ?max_states:int -> ?backend:[ `Explicit | `Symbolic ] -> Stg.t -> t
     dummy transitions are then merged and the graph built once:
     classes are numbered by first member and each projected edge kept
     at its first occurrence ({!distinct_edges}).  The single Σ
-    builder: {!of_stg} passes the edges of {!reachable} or of the
-    engine its caller names, the prefix rules those of {!reachable}.
+    builder: {!of_stg} passes the edges of {!reachable} or of
+    {!Reach.explore}, the prefix rules those of {!reachable}.
     @raise Inconsistent if no consistent assignment exists — the message
       names the lowest such signal and the state where assigning it one
       signal at a time first fails — or [stg] has more than 62

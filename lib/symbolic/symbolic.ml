@@ -1,26 +1,22 @@
-(* Symbolic reachability: two entry points over one bitmask kernel.
+(* Reachability over bitmask markings, the one sweep behind every Σ.
 
    The contract is byte-identity with [Reach.explore]'s edges: state 0
    is the initial marking, states are numbered in breadth-first
    discovery order, and each state fires its enabled transitions in
    increasing id order.  Everything downstream (state-graph derivation,
    CSC solving, netlists, digests) is therefore oblivious to which
-   engine ran.
+   sweep ran.
 
    The one result is the state count and a flat edge buffer, which is
    everything the state-graph derivation reads; no marking, adjacency
    list or edge tuple is materialized.
 
    The kernel, [mask_sweep], is a breadth-first sweep over bitmask
-   markings.  [probe_edges] is the sweep synthesis runs: [Sg.reachable]
-   calls it on every encodable net, its table growing from 256 markings
-   up to the caller's cap, and it lists exactly the edges
-   [Reach.explore] lists at the cost of a mask test and a table lookup
-   per edge.  [explore_edges] is the [`Symbolic] override of
-   [Sg.of_stg]: BFS image computation over the partitioned transition
-   relation to the reachable-set fixpoint, whose exact onset count
-   checks the cap before any enumeration and sizes the same sweep's
-   table and edge buffer.
+   markings, its table growing from 256 markings up to the caller's
+   cap; it lists exactly the edges [Reach.explore] lists at the cost of
+   a mask test and a table lookup per edge.  [explore_edges] is the one
+   dispatch: [probe_edges] on every net the encoding accepts,
+   [Reach.explore] on any other.
 
    Boolean semantics equals token-counting semantics only while the net
    stays 1-safe, so every firing swept is audited (one mask test) for
@@ -29,102 +25,20 @@
    falls back to the explicit sweep, keeping behaviour on ill-formed
    nets exactly as before. *)
 
-type info = {
-  i_symbolic : bool;
-  i_fallback : string option;
-  i_states : int;
-  i_clusters : int;
-  i_iterations : int;
-  i_bdd_nodes : int;
-}
+let log_src = Logs.Src.create "mpsyn.reach" ~doc:"reachability sweep"
 
-let explicit_info ~reason g =
-  {
-    i_symbolic = false;
-    i_fallback = Some reason;
-    i_states = Reach.n_states g;
-    i_clusters = 0;
-    i_iterations = 0;
-    i_bdd_nodes = 0;
-  }
+module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* saturating arithmetic: counts are compared against the exploration
-   cap, so past [max_int] the exact value is irrelevant *)
-let sat_add a b =
-  let s = a + b in
-  if s < 0 then max_int else s
-
-let sat_shift a k =
-  if a = 0 then 0
-  else if k >= 62 then max_int
-  else
-    let s = a lsl k in
-    if s < 0 || s asr k <> a then max_int else s
-
-(* Exact number of onset markings over the current-state (even)
-   variables, from memoized per-node suffix counts.  The memo is a
-   dense array over [Bdd.index] — no hashing — and the count is exact
-   up to saturation, so the exploration-cap check happens before any
-   per-state work. *)
-let onset_count mgr n_places root =
-  let memo = Array.make (Bdd.n_nodes mgr + 2) (-1) in
-  let rec cnt u =
-    let i = Bdd.index u in
-    if memo.(i) >= 0 then memo.(i)
-    else begin
-      let p = Bdd.top_var mgr u / 2 in
-      let c =
-        sat_add (below (Bdd.low mgr u) (p + 1)) (below (Bdd.high mgr u) (p + 1))
-      in
-      memo.(i) <- c;
-      c
-    end
-  and below u p =
-    if Bdd.is_false u then 0
-    else if Bdd.is_true u then sat_shift 1 (n_places - p)
-    else sat_shift (cnt u) ((Bdd.top_var mgr u / 2) - p)
-  in
-  below root 0
-
-(* Multiply-xor avalanche over one mask, mirroring the BDD engine's
-   unique-table hash: the replay's interning must never fall back to
-   polymorphic hashing, and masks are single immediates, so one round
-   of mixing suffices. *)
+(* Multiply-xor avalanche over one mask: the sweep's interning must
+   never fall back to polymorphic hashing, and masks are single
+   immediates, so one round of mixing suffices. *)
 let hash_mask x =
   let x = (x lxor (x lsr 31)) * 0x9E3779B1 in
   let x = x lxor (x lsr 16) in
   let x = x * 0x45D9F3B in
   x lxor (x lsr 16)
 
-(* Symbolic 1-safety audit, used only when the onset is too large to
-   replay: transition [t] fires unsafely from some reachable marking
-   iff R ∧ (fanins of t marked) ∧ (some fanout of t outside the fanins
-   already marked) is non-empty.  The enabling marking of the *first*
-   unsafe firing is reached through 1-safe markings only, so it is
-   correctly inside R and the audit is exact.  (The replay performs the
-   same audit inline, one mask test per edge, so the hot path never
-   pays for these conjunctions.) *)
-let unsafe_transition mgr enc reached =
-  let open Symenc in
-  let exception Found of int in
-  try
-    for t = 0 to enc.n_transitions - 1 do
-      let strict = enc.post_mask.(t) land lnot enc.pre_mask.(t) in
-      if strict <> 0 then begin
-        let en = ref reached and clash = ref Bdd.bdd_false in
-        for p = 0 to enc.n_places - 1 do
-          if enc.pre_mask.(t) land (1 lsl p) <> 0 then
-            en := Bdd.band mgr !en (Bdd.var mgr (cur_var enc p));
-          if strict land (1 lsl p) <> 0 then
-            clash := Bdd.bor mgr !clash (Bdd.var mgr (cur_var enc p))
-        done;
-        if not (Bdd.is_false (Bdd.band mgr !en !clash)) then raise (Found t)
-      end
-    done;
-    None
-  with Found t -> Some t
-
-exception Unsafe_fire of int
+exception Unsafe_fire
 
 (* Bits of an open-addressing table holding [n] keys at load factor at
    most 1/2. *)
@@ -139,15 +53,12 @@ let table_bits n =
    no polymorphic hashing, no per-step allocation.  Discovery order is
    FIFO, so the marking array doubles as its own work queue.
 
-   The arrays start sized for [size] states and double, up to [cap],
-   when a new marking finds them full; a marking past the [cap]-th
-   raises [Reach.Too_many_states cap], as the explicit sweep does.  The
-   replay after the fixpoint passes the exact state count as both, so
-   nothing grows there; the capped probe starts small.  The edge buffer
-   starts at one edge per state and, when full, is resized to the
-   out-degree seen so far times the states the arrays hold (plus a
-   sixteenth, and at least half again): on the replay that is the exact
-   state count, so the buffer is resized about once.
+   The arrays start sized for 256 states (fewer under a smaller [cap])
+   and double, up to [cap], when a new marking finds them full; a
+   marking past the [cap]-th raises [Reach.Too_many_states cap], as the
+   explicit sweep does.  The edge buffer starts at one edge per state
+   and, when full, is resized to the out-degree seen so far times the
+   states the arrays hold (plus a sixteenth, and at least half again).
 
    Each firing is audited for 1-safety on the way (one mask test): a
    transition about to re-mark a fanout place it does not consume raises
@@ -158,7 +69,8 @@ let table_bits n =
 
    Returns the state count and the edges as one flat buffer of
    [(src, t, dst)] int triples with their count. *)
-let mask_sweep enc ~size ~cap =
+let mask_sweep enc ~cap =
+  let size = min cap 256 in
   let open Symenc in
   let nt = enc.n_transitions and np = enc.n_places in
   let pre = enc.pre_mask in
@@ -257,7 +169,7 @@ let mask_sweep enc ~size ~cap =
     for t = 0 to nt - 1 do
       let p = pre.(t) in
       if m land p = p then begin
-        if m land strict.(t) <> 0 then raise (Unsafe_fire t);
+        if m land strict.(t) <> 0 then raise Unsafe_fire;
         if !elen + 3 > Array.length !edata then grow_edges ();
         let dst = intern ((m land fire_and.(t)) lor fire_or.(t)) in
         let e = !edata in
@@ -271,89 +183,30 @@ let mask_sweep enc ~size ~cap =
   done;
   (!assigned, !edata, !elen / 3)
 
-(* The fixpoint itself: the manager, relation, reached set, iteration
-   count and exact state count. *)
-type fixpoint = {
-  fx_mgr : Bdd.manager;
-  fx_rel : Symrel.t;
-  fx_reached : Bdd.node;
-  fx_iters : int;
-  fx_states : int;
-}
-
-let fixpoint enc =
-  let mgr = Bdd.manager ~cache_bits:15 () in
-  let rel = Symrel.build mgr enc in
-  let init = Symenc.marking_bdd mgr enc enc.Symenc.init_mask in
-  let reached = ref init and frontier = ref init and iters = ref 0 in
-  while not (Bdd.is_false !frontier) do
-    let img = Symrel.image rel !frontier in
-    let fresh = Bdd.band mgr img (Bdd.bnot mgr !reached) in
-    reached := Bdd.bor mgr !reached fresh;
-    frontier := fresh;
-    incr iters
-  done;
-  {
-    fx_mgr = mgr;
-    fx_rel = rel;
-    fx_reached = !reached;
-    fx_iters = iters.contents;
-    fx_states = onset_count mgr enc.Symenc.n_places !reached;
-  }
-
-let unsafe_reason net t =
-  Printf.sprintf "transition %s can fire unsafely" (Petri.transition_name net t)
-
-let sym_info fx =
-  {
-    i_symbolic = true;
-    i_fallback = None;
-    i_states = fx.fx_states;
-    i_clusters = Symrel.n_clusters fx.fx_rel;
-    i_iterations = fx.fx_iters;
-    i_bdd_nodes = Bdd.n_nodes fx.fx_mgr;
-  }
-
-(* The explicit sweep, for a net outside the encoding or one that
-   fires unsafely. *)
-let fall_back ?max_states net ~reason =
-  let g = Reach.explore ?max_states net in
-  ((Reach.n_states g, g.Reach.edges, Reach.n_edges g), explicit_info ~reason g)
+(* The explicit sweep, for a net outside the encoding or one that fires
+   unsafely; [Reach.explore] counts itself. *)
+let explicit ~max_states net =
+  let g = Reach.explore ~max_states net in
+  (Reach.n_states g, g.Reach.edges, Reach.n_edges g)
 
 let probe_edges ~max_states enc =
-  match mask_sweep enc ~size:(min max_states 256) ~cap:max_states with
+  match mask_sweep enc ~cap:max_states with
   | g ->
     Counter.bump Counter.reach;
     g
   | exception (Reach.Too_many_states _ as overflow) ->
     Counter.bump Counter.reach;
     raise overflow
-  | exception Unsafe_fire t ->
-    let net = enc.Symenc.net in
-    fst (fall_back ~max_states net ~reason:(unsafe_reason net t))
+  | exception Unsafe_fire -> explicit ~max_states enc.Symenc.net
 
-let explore_edges_info ?(max_states = 100_000) net =
-  match Symenc.unsupported net with
-  | Some reason -> fall_back ~max_states net ~reason
-  | None ->
-    let enc = Symenc.make net in
-    let fx = fixpoint enc in
-    if fx.fx_states > max_states then
-      (* Over budget.  The boolean onset only over-approximates the real
-         state count when some firing breaks 1-safety, so audit that
-         symbolically before deciding: an unsafe net belongs to the
-         explicit sweep (whose own cap keeps the same contract), a safe
-         one raises exactly what the explicit sweep would have. *)
-      match unsafe_transition fx.fx_mgr enc fx.fx_reached with
-      | Some t -> fall_back ~max_states net ~reason:(unsafe_reason net t)
-      | None -> raise (Reach.Too_many_states max_states)
-    else
-      match mask_sweep enc ~size:fx.fx_states ~cap:fx.fx_states with
-      | (n, _, _) as g ->
-        assert (n = fx.fx_states);
-        Counter.bump Counter.symbolic;
-        (g, sym_info fx)
-      | exception Unsafe_fire t ->
-        fall_back ~max_states net ~reason:(unsafe_reason net t)
-
-let explore_edges ?max_states net = fst (explore_edges_info ?max_states net)
+(* The one dispatch.  The debug line names the sweep, and for a net the
+   encoding refused, why. *)
+let explore_edges ?(max_states = 100_000) net =
+  let engine, ((n, _, _) as g) =
+    match Symenc.unsupported net with
+    | Some reason ->
+      (Printf.sprintf "explicit engine (%s)" reason, explicit ~max_states net)
+    | None -> ("explicit engine", probe_edges ~max_states (Symenc.make net))
+  in
+  Log.debug (fun m -> m "reachability: %s, %d states" engine n);
+  g

@@ -112,14 +112,6 @@ let rec restrict mgr n ~var:v ~value =
         (restrict mgr lo ~var:v ~value)
         (restrict mgr hi ~var:v ~value)
 
-let exists mgr vars n =
-  List.fold_left
-    (fun acc v ->
-      or_ mgr
-        (restrict mgr acc ~var:v ~value:false)
-        (restrict mgr acc ~var:v ~value:true))
-    n vars
-
 let is_true n = n == True
 let is_false n = n == False
 let equal a b = a == b

@@ -27,7 +27,6 @@ val imp : manager -> node -> node -> node
 val conj : manager -> node list -> node
 val disj : manager -> node list -> node
 val restrict : manager -> node -> var:int -> value:bool -> node
-val exists : manager -> int list -> node -> node
 val is_true : node -> bool
 val is_false : node -> bool
 val equal : node -> node -> bool

@@ -298,17 +298,17 @@ let of_transition_edges stg ~n_states:n edges =
 
 let of_stg ?max_states ?(backend = `Explicit) stg =
   let net = Stg.net stg in
-  (* Both engines return field-for-field identical graphs (the symbolic
-     builder replays the explicit numbering from its fixpoint and falls
-     back outside the 1-safe encoding), so everything from here on is
-     backend-oblivious and the digests must agree — tests enforce it. *)
+  (* Both sweeps return field-for-field identical graphs (the bitmask
+     sweep lists the explicit numbering and falls back outside the
+     1-safe encoding), so everything from here on is backend-oblivious
+     and the digests must agree — tests enforce it. *)
   match backend with
   | `Explicit ->
     let g = Reach.explore ?max_states net in
     of_transition_edges stg ~n_states:(Reach.n_states g) (reach_edges g)
   | `Symbolic ->
     (* the derivation reads nothing but the state count and the edges,
-       so the symbolic engine skips the rest of the [Reach.t]
+       so the bitmask sweep skips the rest of the [Reach.t]
        materialization and hands over its flat edge buffer *)
     let n, buf, n_edges = Symbolic.explore_edges ?max_states net in
     of_transition_edges stg ~n_states:n

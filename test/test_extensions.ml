@@ -31,15 +31,13 @@ let test_bdd_hash_consing () =
   let b = Bdd.band m x y in
   check "structural sharing" true (Bdd.equal a b)
 
-let test_bdd_restrict_exists () =
+let test_bdd_restrict () =
   let m = Bdd.manager () in
   let x = Bdd.var m 0 and y = Bdd.var m 1 in
   let f = Bdd.band m x y in
   check "f|x=1 = y" true (Bdd.equal (Bdd.restrict m f ~var:0 ~value:true) y);
   check "f|x=0 = 0" true
-    (Bdd.is_false (Bdd.restrict m f ~var:0 ~value:false));
-  check "exists x. x&y = y" true (Bdd.equal (Bdd.exists m [ 0 ] f) y);
-  check "exists both = 1" true (Bdd.is_true (Bdd.exists m [ 0; 1 ] f))
+    (Bdd.is_false (Bdd.restrict m f ~var:0 ~value:false))
 
 let test_bdd_any_sat () =
   let m = Bdd.manager () in
@@ -238,7 +236,7 @@ let () =
           Alcotest.test_case "constants" `Quick test_bdd_constants;
           Alcotest.test_case "var ops" `Quick test_bdd_var_ops;
           Alcotest.test_case "hash consing" `Quick test_bdd_hash_consing;
-          Alcotest.test_case "restrict/exists" `Quick test_bdd_restrict_exists;
+          Alcotest.test_case "restrict" `Quick test_bdd_restrict;
           Alcotest.test_case "any_sat" `Quick test_bdd_any_sat;
           Alcotest.test_case "sat_count" `Quick test_bdd_sat_count;
           Alcotest.test_case "solver blowup" `Quick test_bdd_solver_blowup;

@@ -943,8 +943,8 @@ let test_fallback_gives_up () =
            (orphan_sg ())))
 
 (* Synthesis builds Σ under [Mpart.state_cap]: parallel_rings-8 has
-   390,626 markings, and the symbolic engine's onset count refuses it
-   before enumerating any. *)
+   390,626 markings, and the sweep refuses it at the first marking past
+   the cap. *)
 let test_state_cap () =
   Alcotest.(check (option int))
     "reachability cap surfaces" (Some Mpart.state_cap)

@@ -124,10 +124,11 @@ let test_implied_value () =
 
 (* ---------------- Σ golden ---------------- *)
 
-(* [Sg.digest] of the complete state graph under each reachability
-   engine, one "name explicit symbolic" line of sg_golden.txt per net:
-   every data/*.g net plus seven generated ones.  [Sg.of_stg]'s own
-   engine choice must match the explicit column too.  The digest covers
+(* [Sg.digest] of the complete state graph under each [Sg.of_stg]
+   backend tag, one "name explicit symbolic" line of sg_golden.txt per
+   net: every data/*.g net plus seven generated ones.  [`Explicit] is
+   [Reach.explore]; [`Symbolic] and no tag both run the one sweep,
+   which must match the explicit column too.  The digest covers
    codes, the ε-merged state numbering and the edge order, so a rewrite
    of the derivation must keep every line; the netlist golden only pins
    what synthesis makes of Σ. *)

@@ -1,13 +1,10 @@
-(* The symbolic engine's whole contract is byte-identity: the
-   partitioned-transition-relation fixpoint plus canonical onset
-   enumeration must list exactly the edges the explicit sweep
-   enumerates, on every shipped benchmark and on fuzzed STGs, so the
-   digests downstream can never tell which engine ran.  The BDD variable
-   order comes from the net's structure, not its place ids, so the same
-   holds under any renumbering of the places, and a net parsed from
-   text costs about what the generator's form costs.  The remaining
-   tests pin the safety-fallback and cap-parity edges of that contract,
-   and the allocation profile of the precomputed Sg adjacency. *)
+(* The bitmask sweep's whole contract is byte-identity: it must list
+   exactly the edges the explicit sweep enumerates, on every shipped
+   benchmark and on fuzzed STGs, so the digests downstream can never
+   tell which sweep ran.  A mask bit is a place id, so the same holds
+   under any renumbering of the places.  The remaining tests pin the
+   safety-fallback and cap-parity edges of that contract, the one sweep
+   per Σ, and the allocation profile of the precomputed Sg adjacency. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -23,11 +20,12 @@ let g_files () =
 let test_benchmark_digest file () =
   let stg = Gformat.parse_file (Filename.concat data_dir file) in
   let explicit = Sg.of_stg ~backend:`Explicit stg in
-  let before = Counter.get Counter.symbolic in
-  let symbolic = Sg.of_stg ~backend:`Symbolic stg in
+  check "encodable" true (Symenc.unsupported (Stg.net stg) = None);
+  let before = Counter.get Counter.reach in
+  let swept = Sg.of_stg stg in
   Alcotest.(check string)
-    "digest agrees" (Sg.digest explicit) (Sg.digest symbolic);
-  check "took the symbolic path" true (Counter.get Counter.symbolic > before)
+    "digest agrees" (Sg.digest explicit) (Sg.digest swept);
+  check_int "one sweep" (before + 1) (Counter.get Counter.reach)
 
 (* ---------------- digest identity: fuzzed STGs ---------------- *)
 
@@ -38,8 +36,8 @@ let test_fuzz_digest () =
   for i = 1 to n_fuzz do
     let stg = Bench_gen.random ~rand in
     let explicit = Sg.of_stg ~backend:`Explicit stg in
-    let symbolic = Sg.of_stg ~backend:`Symbolic stg in
-    if Sg.digest explicit <> Sg.digest symbolic then
+    let swept = Sg.of_stg stg in
+    if Sg.digest explicit <> Sg.digest swept then
       Alcotest.failf "fuzz case %d/%d (QCHECK_SEED=%d): digests diverge@\n%s" i
         n_fuzz Qseed.seed (Gformat.to_string stg)
   done
@@ -62,15 +60,15 @@ let check_same_edges what a b =
    derivation: numbering and edge order. *)
 let test_reach_identity () =
   let net = Stg.net (Bench_gen.parallel_rings ~rings:3) in
-  let sym, info = Symbolic.explore_edges_info net in
-  check "took the symbolic path" true info.Symbolic.i_symbolic;
-  check_same_edges "parallel_rings-3" (explicit_edges net) sym
+  check "encodable" true (Symenc.unsupported net = None);
+  check_same_edges "parallel_rings-3" (explicit_edges net)
+    (Symbolic.explore_edges net)
 
 (* ---------------- fallback edges of the contract ---------------- *)
 
 (* q -> t -> p with both p and q initially marked: firing t re-marks p,
-   so the boolean encoding would lie; the engine must detect it on the
-   fixpoint and hand over to the explicit sweep. *)
+   so the boolean encoding would lie; the sweep must detect it and hand
+   over to the explicit sweep. *)
 let unsafe_net () =
   let b = Petri.Builder.create () in
   let p = Petri.Builder.add_place b ~name:"p" ~tokens:1 in
@@ -82,9 +80,11 @@ let unsafe_net () =
 
 let test_unsafe_fallback () =
   let net = unsafe_net () in
-  let g, info = Symbolic.explore_edges_info net in
-  check "fell back" false info.Symbolic.i_symbolic;
-  check "reason recorded" true (info.Symbolic.i_fallback <> None);
+  check "encodable" true (Symenc.unsupported net = None);
+  let reach0 = Counter.get Counter.reach in
+  let g = Symbolic.explore_edges net in
+  check_int "one exploration, the explicit sweep's" (reach0 + 1)
+    (Counter.get Counter.reach);
   check_same_edges "explicit" (explicit_edges net) g
 
 let test_unsafe_initial_fallback () =
@@ -92,12 +92,11 @@ let test_unsafe_initial_fallback () =
   let _p = Petri.Builder.add_place b ~name:"p" ~tokens:2 in
   let _t = Petri.Builder.add_transition b ~name:"t" in
   let net = Petri.Builder.build b in
-  let _, info = Symbolic.explore_edges_info net in
-  check "fell back" false info.Symbolic.i_symbolic
+  check "outside the encoding" true (Symenc.unsupported net <> None);
+  check_same_edges "explicit" (explicit_edges net) (Symbolic.explore_edges net)
 
 (* Exceeding the cap must raise the same typed exception with the same
-   budget, even though the symbolic engine knows the exact count before
-   enumerating anything. *)
+   budget from either sweep. *)
 let test_cap_parity () =
   let net = Stg.net (Bench_gen.parallel_rings ~rings:4) in
   let expect f =
@@ -106,7 +105,7 @@ let test_cap_parity () =
     | _ -> Alcotest.fail "expected Too_many_states"
   in
   check_int "explicit cap" 100 (expect (fun () -> Reach.explore ~max_states:100 net));
-  check_int "symbolic cap" 100
+  check_int "sweep cap" 100
     (expect (fun () -> Symbolic.explore_edges ~max_states:100 net));
   (* at the exact count, neither raises *)
   let n = Reach.n_states (Reach.explore net) in
@@ -114,31 +113,7 @@ let test_cap_parity () =
     (explicit_edges ~max_states:n net)
     (Symbolic.explore_edges ~max_states:n net)
 
-(* ---------------- clustering sanity ---------------- *)
-
 let parsed stg = Gformat.parse_string (Gformat.to_string stg)
-
-let test_clustering_partitions () =
-  List.iter
-    (fun stg ->
-      let net = Stg.net stg in
-      let enc = Symenc.make net in
-      let groups = Symrel.plan enc ~cluster_max:Symrel.default_cluster_max in
-      let members = List.concat_map fst groups in
-      check_int "every transition in exactly one cluster"
-        (Petri.n_transitions net) (List.length members);
-      check "transition ids partitioned" true
-        (List.sort_uniq Int.compare members
-        = List.init (Petri.n_transitions net) Fun.id);
-      List.iter
-        (fun (ms, support) ->
-          check "members increasing" true (List.sort_uniq Int.compare ms = ms);
-          check "support within cap" true
-            (List.length support <= Symrel.default_cluster_max
-            || List.length support <= Symenc.max_places))
-        groups)
-    (let stg = Bench_gen.parallel_rings ~rings:4 in
-     [ stg; parsed stg ])
 
 (* ---------------- variable order: place-order invariance ---------------- *)
 
@@ -174,11 +149,10 @@ let gen_order stg =
 
 let print_order order = String.concat " " (List.map string_of_int order)
 
-(* Renumbering the places changes the BDD variable order the encoding
-   derives from the structure, and nothing else: both engines return
-   the original net's explicit edge buffer, and Σ's digest is the
-   original's.  (Transition ids do fix the state numbering, so they
-   stay.) *)
+(* Renumbering the places changes the bit each place takes in the
+   sweep's masks, and nothing else: both sweeps return the original
+   net's explicit edge buffer, and Σ's digest is the original's.
+   (Transition ids do fix the state numbering, so they stay.) *)
 let order_invariant stg order =
   let reference = used (explicit_edges (Stg.net stg)) in
   let digest = Sg.digest (Sg.of_stg ~backend:`Explicit stg) in
@@ -187,7 +161,7 @@ let order_invariant stg order =
   used (explicit_edges net') = reference
   && used (Symbolic.explore_edges net') = reference
   && Sg.digest (Sg.of_stg ~backend:`Explicit stg') = digest
-  && Sg.digest (Sg.of_stg ~backend:`Symbolic stg') = digest
+  && Sg.digest (Sg.of_stg stg') = digest
 
 let test_order_invariance (name, stg) =
   Qseed.to_alcotest
@@ -226,23 +200,6 @@ let order_nets () =
   @ rings [ 4; 5; 6 ]
   @ pulsers [ 4; 5 ]
 
-(* The parsed form (the canonical printer sorts lines, so place ids no
-   longer follow the structure) costs at most twice the generator
-   form's BDD nodes. *)
-let test_parsed_nodes () =
-  List.iter
-    (fun (name, stg) ->
-      let nodes stg =
-        let _, info = Symbolic.explore_edges_info (Stg.net stg) in
-        check (name ^ ": symbolic") true info.Symbolic.i_symbolic;
-        info.Symbolic.i_bdd_nodes
-      in
-      let gen = nodes stg and text = nodes (parsed stg) in
-      if text > 2 * gen then
-        Alcotest.failf "%s: parsed form %d BDD nodes, generator form %d" name
-          text gen)
-    (rings [ 5; 6; 7 ] @ pulsers [ 4; 5 ])
-
 (* ---------------- Sg adjacency allocation profile ---------------- *)
 
 (* The successor and predecessor iterators walk the CSR indexes
@@ -273,16 +230,13 @@ let test_adjacency_no_allocation () =
 
 (* ---------------- One sweep for every Σ ---------------- *)
 
-(* [f ()] with the explicit (sweep) and symbolic (fixpoint) explorations
-   it ran. *)
+(* [f ()] with the explorations it ran. *)
 let explorations f =
-  let reach0 = Counter.get Counter.reach
-  and sym0 = Counter.get Counter.symbolic in
+  let reach0 = Counter.get Counter.reach in
   let v = f () in
-  (v, (Counter.get Counter.reach - reach0, Counter.get Counter.symbolic - sym0))
+  (v, Counter.get Counter.reach - reach0)
 
-let one_sweep what calls =
-  Alcotest.(check (pair int int)) (what ^ ": one sweep, no fixpoint") (1, 0) calls
+let one_sweep what calls = check_int (what ^ ": one sweep") 1 calls
 
 let sweep_nets () =
   [
@@ -294,8 +248,7 @@ let sweep_nets () =
 
 (* A plain [synthesize] explores once, by the bitmask sweep, whatever
    the size: parallel_rings 3 (126 states) as well as parallel_rings 5
-   and 6 and pulsers-5, past the 2,048 markings where a BDD fixpoint
-   used to take over.  Its Σ is the explicit build's, and the result
+   and 6 and pulsers-5, past 2,048 markings.  Its Σ is the explicit build's, and the result
    verifies. *)
 let test_auto_reach () =
   List.iter
@@ -319,7 +272,7 @@ let test_partition_reach () =
     (sweep_nets ())
 
 (* The caller's state cap is what the sweep reports, on both sides of
-   2,048 markings (where the engine used to switch), and an overflow
+   2,048 markings (the BDD backend flip), and an overflow
    costs the one sweep, with no retry; at the exact count nothing
    raises. *)
 let test_auto_state_cap () =
@@ -341,7 +294,7 @@ let test_auto_state_cap () =
   Alcotest.(check (option int)) "the exact count raises nothing" None r;
   one_sweep "the exact count" calls
 
-(* A net the symbolic engine cannot encode is swept once, by
+(* A net the bitmask encoding refuses is swept once, by
    [Reach.explore]: mixed-4x4 (84 places, 2,504 markings). *)
 let test_unsupported_single_sweep () =
   let stg = Bench_gen.mixed ~stages:4 ~branches:4 in
@@ -359,7 +312,7 @@ let test_unsupported_single_sweep () =
 (* ---------------- the bitmask probe ---------------- *)
 
 (* [Symbolic.probe_edges] is the one sweep [Sg.reachable] runs on every
-   encodable net: the symbolic engine's bitmask sweep with no fixpoint.
+   encodable net.
    It must list what [Reach.explore] lists under the same cap — the same
    state count and the same [src; t; dst] cells — or raise the same
    overflow. *)
@@ -461,15 +414,14 @@ let test_probe_cap () =
     [ 100; 2048; 2049; 5000 ]
 
 (* A firing that breaks 1-safety hands the probe over to the explicit
-   sweep, which counts itself: one explicit exploration, no symbolic
-   one, and the explicit sweep's edges. *)
+   sweep, which counts itself: one exploration, and the explicit
+   sweep's edges. *)
 let test_probe_unsafe () =
   let net = unsafe_net () in
   let enc = Symenc.make net in
-  let reach0 = Counter.get Counter.reach and sym0 = Counter.get Counter.symbolic in
+  let reach0 = Counter.get Counter.reach in
   let g = Symbolic.probe_edges ~max_states:100 enc in
   check_int "one explicit exploration" (reach0 + 1) (Counter.get Counter.reach);
-  check_int "no symbolic exploration" sym0 (Counter.get Counter.symbolic);
   check_same_edges "unsafe" (explicit_edges ~max_states:100 net) g
 
 (* ---------------- CLI: budget exit codes ---------------- *)
@@ -614,16 +566,9 @@ let () =
             test_unsafe_initial_fallback;
           Alcotest.test_case "cap parity" `Quick test_cap_parity;
         ] );
-      ( "clustering",
-        [ Alcotest.test_case "partition of transitions" `Quick
-            test_clustering_partitions ] );
       ( "variable-order",
         List.map test_order_invariance (order_nets ())
-        @ [
-            test_order_invariance_fuzz;
-            Alcotest.test_case "parsed form within 2x nodes" `Quick
-              test_parsed_nodes;
-          ] );
+        @ [ test_order_invariance_fuzz ] );
       ( "adjacency",
         [ Alcotest.test_case "no per-call allocation" `Quick
             test_adjacency_no_allocation ] );

@@ -198,28 +198,25 @@ let test_cert_replay name () =
 (* ---------------- counters prove the elisions ---------------------- *)
 
 (* U3/U4 explore once per analysis of a complete prefix, by the one
-   sweep [Sg.of_stg] runs, whatever the marking count: no BDD fixpoint
-   runs, past 2,048 markings either.  A truncated prefix explores
-   nothing. *)
+   sweep [Sg.of_stg] runs, whatever the marking count, past 2,048
+   markings too.  A truncated prefix explores nothing. *)
 let explorations f =
-  let reach0 = Counter.get Counter.reach
-  and sym0 = Counter.get Counter.symbolic in
+  let reach0 = Counter.get Counter.reach in
   let p = f () in
-  (p, (Counter.get Counter.reach - reach0, Counter.get Counter.symbolic - sym0))
+  (p, Counter.get Counter.reach - reach0)
 
 let test_one_engine_call () =
   let vbe4a = (List.assoc "vbe4a" Bench_data.all) () in
   let p, calls = explorations (fun () -> Prefix_rules.analyze vbe4a) in
   check p.Prefix_rules.s_complete "vbe4a: complete prefix";
-  Alcotest.(check (pair int int)) "vbe4a: one explicit sweep" (1, 0) calls;
+  Alcotest.(check int) "vbe4a: one sweep" 1 calls;
   List.iter
     (fun (name, stg, markings) ->
       let p, calls = explorations (fun () -> Prefix_rules.analyze stg) in
       check p.Prefix_rules.s_complete (name ^ ": complete prefix");
       Alcotest.(check (option int)) (name ^ ": markings") (Some markings)
         p.Prefix_rules.s_markings;
-      Alcotest.(check (pair int int)) (name ^ ": one sweep, no fixpoint")
-        (1, 0) calls)
+      Alcotest.(check int) (name ^ ": one sweep") 1 calls)
     [
       ("parallel_rings 5", Bench_gen.parallel_rings ~rings:5, 3126);
       ("parallel_rings 6", Bench_gen.parallel_rings ~rings:6, 15_626);
@@ -229,7 +226,7 @@ let test_one_engine_call () =
     explorations (fun () -> Prefix_rules.analyze ~max_events:4 vbe4a)
   in
   check (not p.Prefix_rules.s_complete) "vbe4a at 4 events: truncated";
-  Alcotest.(check (pair int int)) "truncated: no exploration" (0, 0) calls;
+  Alcotest.(check int) "truncated: no exploration" 0 calls;
   check (p.Prefix_rules.s_markings = None) "truncated: U4 abstains"
 
 (* Past 262,144 markings U3 and U4 abstain, like a truncated prefix,
@@ -331,28 +328,17 @@ let reference stg =
     | Some _ as b -> b
     | None -> p.Prefix_rules.s_markings
   in
-  (p, certificate, bound, `Explicit)
+  (p, certificate, bound)
 
 (* One cold [Mpart.synthesize]: its certificate, its backend (chosen
-   from the state count of the complete graph), the reachability engine
-   it ran, read from the exploration counters (exactly one exploration),
-   and its solver calls. *)
+   from the state count of the complete graph), its exploration count
+   (read from [Counter.reach]) and its solver calls. *)
 let decisions ?(config = Mpart.default_config) stg =
   let reach0 = Counter.get Counter.reach
-  and sym0 = Counter.get Counter.symbolic
   and solver0 = Counter.get Counter.solver in
   let r = Mpart.synthesize ~config stg in
   let solver = Counter.get Counter.solver - solver0 in
-  let symbolic = Counter.get Counter.symbolic - sym0 in
-  let explicit = Counter.get Counter.reach - reach0 in
-  let reach =
-    match (symbolic, explicit) with
-    | 1, 0 -> `Symbolic
-    | 0, 1 -> `Explicit
-    | _ ->
-      Alcotest.failf "%d symbolic and %d explicit explorations" symbolic
-        explicit
-  in
+  let reach = Counter.get Counter.reach - reach0 in
   let backend =
     Mpart.choose_backend Mpart.default_config
       ~state_bound:(Some (Sg.n_states r.Mpart.complete))
@@ -370,7 +356,7 @@ let decisions ?(config = Mpart.default_config) stg =
    Table-1 STG is small (at most 382 states) and needs state signals. *)
 let test_resolve_table () =
   let expect ?pin name stg =
-    let p, source, bound, reach0 = reference stg in
+    let p, source, bound = reference stg in
     let certificate, backend, reach, solver = decisions stg in
     if source = `Lockrel then check certificate (name ^ ": A6 is sound");
     if p.Prefix_rules.s_complete then
@@ -380,7 +366,7 @@ let test_resolve_table () =
     check
       (backend = Mpart.choose_backend Mpart.default_config ~state_bound:bound)
       (name ^ ": backend");
-    check (reach = reach0) (name ^ ": reach");
+    Alcotest.(check int) (name ^ ": one exploration") 1 reach;
     if backend = `Bdd && not certificate then begin
       let config = { Mpart.default_config with Mpart.backend = `Bdd } in
       let _, _, _, bdd_solver = decisions ~config stg in
@@ -388,11 +374,10 @@ let test_resolve_table () =
         bdd_solver solver
     end;
     Option.iter
-      (fun (source', backend', reach') ->
+      (fun (source', backend') ->
         check (source = source') (name ^ ": pinned certificate source");
         check (certificate = (source' <> `None)) (name ^ ": pinned certificate");
-        check (backend = backend') (name ^ ": pinned backend");
-        check (reach = reach') (name ^ ": pinned reach"))
+        check (backend = backend') (name ^ ": pinned backend"))
       pin
   in
   let files =
@@ -401,7 +386,7 @@ let test_resolve_table () =
   in
   Alcotest.(check int) "Table-1 STGs" 23 (List.length files);
   List.iter
-    (fun f -> expect ~pin:(`None, `Sat, `Explicit) f (data_stg f))
+    (fun f -> expect ~pin:(`None, `Sat) f (data_stg f))
     files;
   for signals = 2 to 12 do
     expect
@@ -423,13 +408,13 @@ let test_resolve_table () =
   for i = 1 to 40 do
     expect (Printf.sprintf "random %d" i) (Bench_gen.random ~rand)
   done;
-  expect ~pin:(`Lockrel, `Sat, `Explicit) "lock_ring 5"
+  expect ~pin:(`Lockrel, `Sat) "lock_ring 5"
     (Bench_gen.lock_ring ~signals:5);
-  expect ~pin:(`Prefix, `Sat, `Explicit) "parallel_rings 3"
+  expect ~pin:(`Prefix, `Sat) "parallel_rings 3"
     (Bench_gen.parallel_rings ~rings:3);
-  expect ~pin:(`Prefix, `Bdd, `Explicit) "parallel_rings 5"
+  expect ~pin:(`Prefix, `Bdd) "parallel_rings 5"
     (Bench_gen.parallel_rings ~rings:5);
-  expect ~pin:(`None, `Bdd, `Explicit) "pulsers-5"
+  expect ~pin:(`None, `Bdd) "pulsers-5"
     (Bench_gen.concurrent_pulsers ~branches:5)
 
 (* Both entry points run one flow, so they record the same certificate. *)
@@ -448,25 +433,22 @@ let test_entry_points_agree () =
       ("vbe-ex1", data_stg "vbe-ex1.g", false);
     ]
 
-(* The state space is explored once per synthesis, by one sweep and no
-   BDD fixpoint, past 2,048 markings as below — at any pool width. *)
+(* The state space is explored once per synthesis, by one sweep, past
+   2,048 markings as below — at any pool width. *)
 let test_one_exploration () =
   List.iter
     (fun jobs ->
       let explorations stg =
-        let reach0 = Counter.get Counter.reach
-        and sym0 = Counter.get Counter.symbolic in
+        let reach0 = Counter.get Counter.reach in
         ignore
           (Mpart.synthesize ~config:{ Mpart.default_config with jobs } stg);
-        (Counter.get Counter.reach - reach0, Counter.get Counter.symbolic - sym0)
+        Counter.get Counter.reach - reach0
       in
       let name what = Printf.sprintf "%s, jobs %d" what jobs in
-      let explicit, symbolic = explorations (Bench_gen.parallel_rings ~rings:6) in
-      Alcotest.(check int) (name "parallel_rings 6: explicit") 1 explicit;
-      Alcotest.(check int) (name "parallel_rings 6: symbolic") 0 symbolic;
-      let explicit, symbolic = explorations (data_stg "mr1.g") in
-      Alcotest.(check int) (name "mr1: explicit") 1 explicit;
-      Alcotest.(check int) (name "mr1: symbolic") 0 symbolic)
+      Alcotest.(check int) (name "parallel_rings 6: one sweep") 1
+        (explorations (Bench_gen.parallel_rings ~rings:6));
+      Alcotest.(check int) (name "mr1: one sweep") 1
+        (explorations (data_stg "mr1.g")))
     [ 1; 2 ]
 
 (* ---------------- U1/U2 refute with witnesses ---------------------- *)

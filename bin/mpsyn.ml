@@ -28,10 +28,14 @@ let exit_verification = 4
 let exit_refuted = 5
 let exit_budget = 6
 
+(* Table 1's budget for the whole-graph baselines; [exits] and [time_arg] say so. *)
+let baseline_time_limit = 20.0
+
 let exits =
   [
     Cmd.Exit.info 0 ~doc:"on success.";
-    Cmd.Exit.info 1 ~doc:"on synthesis failure (exhausted SAT budget or abort).";
+    Cmd.Exit.info 1 ~doc:"on synthesis failure (exhausted SAT budget or abort, by \
+      default after 20 s for $(b,synth --method direct) and $(b,sequential)).";
     Cmd.Exit.info exit_usage
       ~doc:"on command-line errors or unreadable/unknown STG inputs.";
     Cmd.Exit.info exit_lint
@@ -209,7 +213,11 @@ let backtrack_arg =
   Arg.(value & opt (some int) None & info [ "backtrack-limit" ] ~doc)
 
 let time_arg =
-  let doc = "Abort after this many wall-clock seconds for the whole run." in
+  let doc =
+    "Abort after this many wall-clock seconds for the whole run.  Without it, \
+     $(b,synth --method direct) and $(b,--method sequential) abort after 20 s \
+     (Table 1's budget) and each $(b,verify --fuzz) backend run after 10 s."
+  in
   Arg.(value & opt (some float) None & info [ "time-limit" ] ~doc)
 
 let hazard_arg =
@@ -500,6 +508,7 @@ let synth_cmd =
     let cache = resolve_cache cache_opt in
     lint_gate ~skip:no_lint stg_name;
     let stg = load_stg stg_name in
+    let baseline_limit = Option.value time_limit ~default:baseline_time_limit in
     match method_ with
     | `Modular ->
       let config =
@@ -541,7 +550,7 @@ let synth_cmd =
       in
       match
         timed "direct CSC solve finished" (fun () ->
-            Direct_method.synthesize ?backtrack_limit ?time_limit sg)
+            Direct_method.synthesize ?backtrack_limit ~time_limit:baseline_limit sg)
       with
       | Either.Right (reason, r) ->
         print_formulas r;
@@ -561,7 +570,7 @@ let synth_cmd =
       let sg = Sg.of_stg stg in
       match
         timed "sequential insertion finished" (fun () ->
-            Sequential_insertion.synthesize ?backtrack_limit ?time_limit sg)
+            Sequential_insertion.synthesize ?backtrack_limit ~time_limit:baseline_limit sg)
       with
       | Either.Right reason ->
         Format.printf "sequential method aborted (%s)@."

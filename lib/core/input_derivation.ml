@@ -56,8 +56,6 @@ type view = {
   implied : int array;
       (** implied values of the output among the members: bit 0 for 0,
           bit 1 for 1 *)
-  excitation : int array;
-      (** bit 0 when a member has an output+ edge, bit 1 for output- *)
   presence : Fourval.presence array array;
       (** per state signal, the values among the members; [[||]] once
           the signal is dropped *)
@@ -80,7 +78,6 @@ let contract v parent ~drop ~cls cover =
       cls.(i) <- c;
       v.code.(c) <- v.code.(i) land mask;
       v.implied.(c) <- v.implied.(i);
-      v.excitation.(c) <- v.excitation.(i);
       for x = 0 to Array.length v.presence - 1 do
         let p = v.presence.(x) in
         if Array.length p > 0 then p.(c) <- p.(i)
@@ -90,7 +87,6 @@ let contract v parent ~drop ~cls cover =
       let c = cls.(r) in
       cls.(i) <- c;
       v.implied.(c) <- v.implied.(c) lor v.implied.(i);
-      v.excitation.(c) <- v.excitation.(c) lor v.excitation.(i);
       for x = 0 to Array.length v.presence - 1 do
         let p = v.presence.(x) in
         if Array.length p > 0 then p.(c) <- Fourval.union p.(c) p.(i)
@@ -150,21 +146,44 @@ type context = {
   rise : int array;
   fall : int array;  (** {!Sg.excitation_masks} of Σ *)
   trig : int array;  (** per output, its trigger signals, one bit each *)
+  first : int array;  (** per output, its conflict count on Σ *)
   (* scratch of one determination: the first view's slots, the
      partition, and the per-class arrays of [evaluate] *)
   view_code : int array;
   view_implied : int array;
-  view_excitation : int array;
   parent : int array;
   cls : int array;
   root : int array;
   class_implied : int array;
-  class_excitation : int array;
   class_code : int array;
   mutable class_presence : Fourval.presence array;
   mutable merged : Fourval.t array;
   mutable table : code_table;
 }
+
+(* Every output's conflict count on Σ, from one grouping of the states
+   by code: per code, the OR over its states of their implied-1 bits
+   ([(code land lnot fall) lor rise]) and of their complement.  A bit
+   set in both is an output whose value that code leaves ambiguous. *)
+let first_conflicts codes rise fall ns =
+  let n = Array.length codes in
+  let head, _ = Sg.group_by n (Array.get codes) in
+  let ones = Array.make n 0 and zeros = Array.make n 0 in
+  for m = 0 to n - 1 do
+    let h = head.(m) and one = (codes.(m) land lnot fall.(m)) lor rise.(m) in
+    ones.(h) <- ones.(h) lor one;
+    zeros.(h) <- zeros.(h) lor lnot one
+  done;
+  let count = Array.make ns 0 in
+  for m = 0 to n - 1 do
+    if head.(m) = m then begin
+      let both = ones.(m) land zeros.(m) in
+      for o = 0 to ns - 1 do
+        if both land (1 lsl o) <> 0 then count.(o) <- count.(o) + 1
+      done
+    end
+  done;
+  count
 
 let context sigma =
   let n = Sg.n_states sigma and ns = Sg.n_signals sigma in
@@ -186,23 +205,23 @@ let context sigma =
     by_signal.(start.(s)) <- e
   done;
   let rise, fall = Sg.excitation_masks sigma in
+  let codes = Array.init n (Sg.code sigma) in
   let scratch () = Array.make n 0 in
   {
     sigma;
-    codes = Array.init n (Sg.code sigma);
+    codes;
     start;
     by_signal;
     rise;
     fall;
     trig = trigger_masks sigma rise fall;
+    first = first_conflicts codes rise fall ns;
     view_code = scratch ();
     view_implied = scratch ();
-    view_excitation = scratch ();
     parent = scratch ();
     cls = scratch ();
     root = scratch ();
     class_implied = scratch ();
-    class_excitation = scratch ();
     class_code = scratch ();
     class_presence = [||];
     merged = [||];
@@ -216,64 +235,29 @@ let determine_in c sg ~output =
        context's";
   require_output sg output "determine_in";
   let n = Sg.n_states sg and ns = Sg.n_signals sg in
-  let n_edges = Sg.n_edges sg and extras = Sg.extras sg in
+  let extras = Sg.extras sg in
   let immediate = signals_of c.trig.(output) ns in
   let src e = Sg.edge_src sg e and dst e = Sg.edge_dst sg e in
-  let signal e = Sg.edge_signal sg e in
   let start = c.start and by_signal = c.by_signal in
   let iter_signal s f =
     for k = start.(s) to start.(s + 1) - 1 do
       f by_signal.(k)
     done
   in
-  (* [unmergeable.(x).(s)]: some edge of signal s carries a pair of
-     extra x's values that fails [Fourval.edge_ok], so no view hiding s
-     can keep x. *)
-  let unmergeable =
-    Array.map
-      (fun (x : Sg.extra) ->
-        let bad = Array.make ns false in
-        for e = 0 to n_edges - 1 do
-          if not (Fourval.edge_ok x.Sg.values.(src e) x.Sg.values.(dst e)) then
-            bad.(signal e) <- true
-        done;
-        bad)
-      extras
-  in
-  (* The first view: one node per state, [output]'s excitation read off
-     the masks (bit 0 for a rise, bit 1 for a fall). *)
-  let out_bit = 1 lsl output in
-  let excitation = c.view_excitation and implied = c.view_implied in
+  (* Per-class scratch, indexed by class root. *)
+  let root = c.root and class_implied = c.class_implied and code = c.class_code in
+  (* The first view: one node per state, its own root, [output]'s
+     implied value read off the masks. *)
+  let out_bit = 1 lsl output and implied = c.view_implied in
   Array.blit c.codes 0 c.view_code 0 n;
   for m = 0 to n - 1 do
-    let x =
-      (if c.rise.(m) land out_bit <> 0 then 1 else 0)
-      lor if c.fall.(m) land out_bit <> 0 then 2 else 0
-    in
-    excitation.(m) <- x;
-    implied.(m) <-
-      (if (if c.codes.(m) land out_bit <> 0 then x land 2 = 0 else x land 1 <> 0)
-       then 2
-       else 1)
+    root.(m) <- m;
+    let ones = (c.codes.(m) land lnot c.fall.(m)) lor c.rise.(m) in
+    implied.(m) <- (if ones land out_bit <> 0 then 2 else 1)
   done;
-  let v =
-    {
-      n;
-      code = c.view_code;
-      implied;
-      excitation;
-      presence =
-        Array.map
-          (fun (x : Sg.extra) -> Array.map (Fourval.present Fourval.absent) x.Sg.values)
-          extras;
-    }
-  in
   let parent = c.parent and cls = c.cls in
   let cover = Array.init n Fun.id in
   let hidden = Array.make ns false and dropped = Array.make (Array.length extras) false in
-  (* Per-class scratch, indexed by class root. *)
-  let root = c.root and class_implied = c.class_implied in
-  let class_excitation = c.class_excitation and code = c.class_code in
   if Array.length extras > 0 && Array.length c.merged = 0 then begin
     c.class_presence <- Array.make n Fourval.absent;
     c.merged <- Array.make n Fourval.V0
@@ -283,40 +267,91 @@ let determine_in c sg ~output =
   let bound = if width >= 30 then n else min n (1 lsl width) in
   if Array.length c.table.keys < 2 * bound then c.table <- code_table bound;
   let codes_seen = c.table in
+  (* The number of codes [code.(i) land keep], over the roots [i < k],
+     that carry both implied values of [output], [value.(i)] those of
+     root [i]. *)
+  let count_conflicts k ~keep value =
+    codes_seen.epoch <- codes_seen.epoch + 1;
+    let conflicts = ref 0 in
+    for i = 0 to k - 1 do
+      if root.(i) = i then begin
+        let x = value.(i) in
+        let seen = record codes_seen (code.(i) land keep) x in
+        if seen lor x = 3 && seen <> 3 then incr conflicts
+      end
+    done;
+    !conflicts
+  in
+  (* The identity partition: every class one state carrying its own
+     values, so every merge succeeds and every edge stays legal ({!Sg}
+     admits no other extra), and the count reads full codes.  On Σ itself
+     the context has it. *)
+  let n_csc = ref c.first.(output) in
+  let kept_extras = ref [] in
+  if Array.length extras > 0 then begin
+    for m = 0 to n - 1 do
+      code.(m) <- Sg.full_code sg m
+    done;
+    n_csc := count_conflicts n ~keep:(-1) implied;
+    let keep = ref (-1) in
+    (* State signals first: an inserted signal that is irrelevant to
+       this output would otherwise block the ε-merging of the region it
+       toggles in (its rise and fall would land in one class), inflating
+       the module.  Dropping is safe whenever this output's conflicts do
+       not increase. *)
+    Array.iteri
+      (fun xi (x : Sg.extra) ->
+        let without = !keep land lnot (1 lsl (ns + xi)) in
+        let n' = count_conflicts n ~keep:without implied in
+        if n' <= !n_csc then begin
+          n_csc := n';
+          keep := without;
+          dropped.(xi) <- true
+        end
+        else kept_extras := x.Sg.xname :: !kept_extras)
+      extras
+  end;
+  let v =
+    {
+      n;
+      code = c.view_code;
+      implied;
+      presence =
+        Array.mapi
+          (fun xi (x : Sg.extra) ->
+            if dropped.(xi) then [||]
+            else Array.map (Fourval.present Fourval.absent) x.Sg.values)
+          extras;
+    }
+  in
   (* The decision a quotient + homogeneity + conflict count would make
-     on the view of [v]'s classes under [parent], with [hide] (or no
-     signal, when [-1]) hidden as well, read off the classes without
-     building it: [None] when the view does not exist or (with
-     [~homogeneity]) a class mixes both implied values of [output], else
-     the number of full codes of the view whose classes imply both
-     values of [output].  Full codes put the [xi]-th state signal at bit
-     [ns + xi], as {!Sg.full_code} does. *)
-  let evaluate ~homogeneity ~hide =
-    let hbit = if hide < 0 then 0 else 1 lsl hide in
+     on the view of [v]'s classes under [parent], with [hide] hidden as
+     well, read off the classes without building it: [None] when the
+     view does not exist or a class mixes both implied values of
+     [output], else the number of full codes of the view whose classes
+     imply both values of [output]. *)
+  let evaluate hide =
+    let hbit = 1 lsl hide in
     for i = 0 to v.n - 1 do
       (* a root is its class's lowest node, so it is met first *)
       let r = Sg.Uf.find parent i in
       root.(i) <- r;
       if r = i then begin
         class_implied.(i) <- 0;
-        class_excitation.(i) <- 0;
         code.(i) <- v.code.(i) land lnot hbit
       end;
       let im = class_implied.(r) lor v.implied.(i) in
       (* A merge class mixing both implied values of [output] would make
          the output's logic ill-defined over the module, and would hide a
          conflict this module is responsible for. *)
-      if homogeneity && im = 3 then raise Reject;
-      class_implied.(r) <- im;
-      class_excitation.(r) <- class_excitation.(r) lor v.excitation.(i)
+      if im = 3 then raise Reject;
+      class_implied.(r) <- im
     done;
     (* kept extras merged with the Figure-3 rules; the signals hidden
        before [hide] passed the same test *)
     Array.iteri
       (fun xi (p : Fourval.presence array) ->
         if not dropped.(xi) then begin
-          let bad = unmergeable.(xi) in
-          if hide >= 0 && bad.(hide) then raise Reject;
           for i = 0 to v.n - 1 do
             let r = root.(i) in
             class_presence.(r) <-
@@ -341,51 +376,12 @@ let determine_in c sg ~output =
           done
         end)
       v.presence;
-    (* Conflict classes of the view: full codes carried by classes of both
-       implied values of [output].  [output] is never hidden, so each of
-       its edges leaves its class, and a class is excited on [output]
-       exactly when one of its members is. *)
-    codes_seen.epoch <- codes_seen.epoch + 1;
-    let conflicts = ref 0 in
-    for i = 0 to v.n - 1 do
-      if root.(i) = i then begin
-        let x = class_excitation.(i) in
-        let implies_1 =
-          if v.code.(i) land out_bit <> 0 then x land 2 = 0 else x land 1 <> 0
-        in
-        let value = if implies_1 then 2 else 1 in
-        let seen = record codes_seen code.(i) value in
-        if seen lor value = 3 && seen <> 3 then incr conflicts
-      end
-    done;
-    !conflicts
+    (* Conflict classes of the view: full codes carried by classes of
+       both implied values of [output].  Each class has one, as no class
+       mixes them. *)
+    count_conflicts v.n ~keep:(-1) class_implied
   in
-  let evaluate ~homogeneity ~hide =
-    try Some (evaluate ~homogeneity ~hide) with Reject -> None
-  in
-  let identity () =
-    for i = 0 to v.n - 1 do
-      parent.(i) <- i
-    done
-  in
-  identity ();
-  let n_csc = ref (Option.get (evaluate ~homogeneity:false ~hide:(-1))) in
-  (* State signals first: an inserted signal that is irrelevant to this
-     output would otherwise block the ε-merging of the region it toggles
-     in (its rise and fall would land in one class), inflating the
-     module.  Dropping is safe whenever this output's conflicts do not
-     increase. *)
-  let kept_extras = ref [] in
-  Array.iteri
-    (fun xi (x : Sg.extra) ->
-      dropped.(xi) <- true;
-      match evaluate ~homogeneity:false ~hide:(-1) with
-      | Some n' when n' <= !n_csc -> n_csc := n'
-      | Some _ | None ->
-        dropped.(xi) <- false;
-        kept_extras := x.Sg.xname :: !kept_extras)
-    extras;
-  Array.iteri (fun xi d -> if d then v.presence.(xi) <- [||]) dropped;
+  let evaluate hide = try Some (evaluate hide) with Reject -> None in
   (* Hides: each candidate is tested on the current view, and an
      accepted one contracts it, so later tests scan the module's
      classes, not the complete graph's states. *)
@@ -394,14 +390,16 @@ let determine_in c sg ~output =
     if s <> output then
       if List.mem s immediate then input_set := s :: !input_set
       else begin
-        identity ();
+        for i = 0 to v.n - 1 do
+          parent.(i) <- i
+        done;
         for k = start.(s) to start.(s + 1) - 1 do
           let e = by_signal.(k) in
           Sg.Uf.union parent cover.(src e) cover.(dst e)
         done;
         (* [None]: a state signal would lose its representation, or a
            class would mix both implied values of [output] *)
-        match evaluate ~homogeneity:true ~hide:s with
+        match evaluate s with
         | Some n' when n' <= !n_csc ->
           n_csc := n';
           hidden.(s) <- true;
@@ -429,7 +427,7 @@ let determine_in c sg ~output =
   let mdst = Array.make n_kept 0 in
   for k = 0 to n_kept - 1 do
     (* the kept signal whose next edge comes first *)
-    let first = ref (-1) and e = ref n_edges in
+    let first = ref (-1) and e = ref (Sg.n_edges sg) in
     for nw = 0 to nk - 1 do
       let i = next.(nw) in
       if i < stop.(nw) && by_signal.(i) < !e then begin

@@ -29,28 +29,31 @@
 
     Candidates are decided on a shrinking quotient.  The first view is
     the complete graph: one node per state, carrying its code, the
-    implied value and excitation of [o] there, and each state signal's
-    value.  A node of a later view is a class of states, carrying the
-    class's code with the hidden bits cleared, the implied values and
-    excitation of [o] among its members, and each state signal's set of
-    values.  Edges stay the complete graph's, read through the cover
-    (complete state → node), grouped once by signal.
-    A candidate hide unions the nodes its edges join, and the test reads
-    the union exactly as it would read the quotient of the complete
-    graph by every hidden signal:
+    implied value of [o] there, and each state signal's value.  A node
+    of a later view is a class of states, carrying the class's code with
+    the hidden bits cleared, the implied values of [o] among its
+    members, and each state signal's set of values.  Edges stay the
+    complete graph's, read through the cover (complete state → node),
+    grouped once by signal.  A candidate hide unions the nodes its edges
+    join, and the test reads the union exactly as it would read the
+    quotient of the complete graph by every hidden signal:
     - a kept state signal survives when the {!Fourval.merge} rules,
       applied to the union of its value sets in each class, succeed and
       every edge of a kept signal stays {!Fourval.edge_ok};
     - homogeneity reads the union of the implied values per class;
-    - the conflict count groups classes by full code.  [o] is never
-      hidden, so its edges always cross classes and a class's implied
-      value of [o] is read off its members' excitation.
-    An accepted hide contracts the view in place to its classes, and
-    later candidates are tested on that smaller view.  Classes are
-    numbered by first member at every step, so the composed cover is the
-    one the quotient by every hidden signal has; the module is the last
-    view with its kept signals renumbered, each kept edge at its first
-    occurrence.  No quotient of the complete graph is built. *)
+    - the conflict count groups classes by full code, each class
+      carrying the one implied value homogeneity leaves it.
+    An accepted hide contracts the view in place to its classes.
+    Classes are numbered by first member at every step, so the composed
+    cover is the one the quotient by every hidden signal has; the module
+    is the last view with its kept signals renumbered, each kept edge at
+    its first occurrence.  No quotient of the complete graph is built.
+
+    State signals are legal along every edge ({!Sg.add_extra} and
+    {!Sg.set_extra_values} refuse any other), so the first view, one
+    state per class, needs no merge and no edge check: its conflict
+    count and each state-signal drop read full codes alone, and on Σ
+    every output's first count comes with the {!context}. *)
 
 type t = {
   output : int;  (** signal id in the complete graph *)
@@ -69,8 +72,8 @@ val triggers : Sg.t -> output:int -> int list
 
 (** What every output's derivation reads of the complete graph Σ,
     built once: the edges grouped by signal (per-signal blocks in edge
-    order), every output's excitation (read off {!Sg.excitation_masks})
-    and trigger set (one pass over the edges), the state codes, and the
+    order), every output's excitation ({!Sg.excitation_masks}), trigger
+    set and conflict count on Σ ({!Sg.group_by}), the state codes, and the
     scratch arrays and code table one derivation works in.  The plan
     derives every output's module from one context, and the insertion's
     re-analyses reuse it: a graph grown from Σ by {!Sg.add_extra} shares

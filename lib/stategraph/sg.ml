@@ -470,8 +470,10 @@ let of_transition_edges stg ~n_states:n ~n_edges buf =
             | Signal.Fall -> Kfall
             | Signal.Toggle -> Ktoggle ))
   in
-  let ((start, inc) as incident) = incidence ~n ~n_edges buf in
-  let solve_signal = solve_signal stg ~n ~n_edges buf incident kinds in
+  (* the one-signal-at-a-time solver, replayed for its message on the
+     error paths only, which alone build the index it walks *)
+  let incident = lazy (incidence ~n ~n_edges buf) in
+  let solve_signal s = solve_signal stg ~n ~n_edges buf (Lazy.force incident) kinds s in
   if ns > 62 then begin
     for s = 0 to ns - 1 do
       solve_signal s
@@ -480,52 +482,35 @@ let of_transition_edges stg ~n_states:n ~n_edges buf =
   end;
   (* the code bits a transition flips *)
   let delta = Array.map (fun (s, k) -> if k = Ksilent then 0 else 1 lsl s) kinds in
-  (* One BFS per connected component, from its lowest state [root.(m)]:
-     [rel.(m)] is [m]'s code relative to the root's. *)
-  let rel = Array.make n 0 and root = Array.make n (-1) in
-  let queue = Array.make n 0 in
-  for r = 0 to n - 1 do
-    if root.(r) < 0 then begin
-      root.(r) <- r;
-      queue.(0) <- r;
-      let head = ref 0 and tail = ref 1 in
-      while !head < !tail do
-        let m = queue.(!head) in
-        incr head;
-        for i = start.(m) to start.(m + 1) - 1 do
-          let e = inc.(i) in
-          let m' = if e_src buf e = m then e_dst buf e else e_src buf e in
-          if root.(m') < 0 then begin
-            root.(m') <- r;
-            rel.(m') <- rel.(m) lxor delta.(e_trans buf e);
-            queue.(!tail) <- m';
-            incr tail
-          end
-        done
-      done
-    end
-  done;
-  (* One check of every edge.  [bad] collects the signals whose
-     flip-parity fails on some edge, or whose rises and falls disagree
-     on the root's value; [known.(r)] holds the root bits a rise or fall
-     has fixed and [base.(r)] their values.  A bit nothing fixes (a
-     pure-toggle signal) reads 0 at the root, its component's lowest
-     state. *)
-  let known = Array.make n 0 and base = Array.make n 0 and bad = ref 0 in
+  (* One forward pass over the edges.  [rel.(m)] is [m]'s code relative
+     to state 0's, given by the first edge into [m] from its source's
+     ([-1] until then).  [bad] collects the signals whose flip-parity
+     fails on some edge, or whose rises and falls disagree on state 0's
+     value; [known] holds the bits of state 0 a rise or fall has fixed
+     and [base] their values.  A bit nothing fixes (a pure-toggle
+     signal) reads 0 at state 0. *)
+  let rel = Array.make n (-1) in
+  rel.(0) <- 0;
+  let unreached m =
+    invalid_arg (Printf.sprintf "Sg.of_transition_edges: no earlier edge reaches state %d" m)
+  in
+  let known = ref 0 and base = ref 0 and bad = ref 0 in
   for e = 0 to n_edges - 1 do
-    let src = e_src buf e and t = e_trans buf e in
+    let src = e_src buf e and t = e_trans buf e and dst = e_dst buf e in
+    if rel.(src) < 0 then unreached src;
     let d = delta.(t) in
-    bad := !bad lor (rel.(src) lxor rel.(e_dst buf e) lxor d);
+    if rel.(dst) < 0 then rel.(dst) <- rel.(src) lxor d;
+    bad := !bad lor (rel.(src) lxor rel.(dst) lxor d);
     match snd kinds.(t) with
     | (Krise | Kfall) as k ->
-      (* the root bit that makes [src] read 0 before a rise, 1 before a fall *)
+      (* the bit of state 0 that makes [src] read 0 before a rise, 1
+         before a fall *)
       let want = (rel.(src) lxor if k = Kfall then d else 0) land d in
-      let r = root.(src) in
-      if known.(r) land d = 0 then begin
-        known.(r) <- known.(r) lor d;
-        base.(r) <- base.(r) lor want
+      if !known land d = 0 then begin
+        known := !known lor d;
+        base := !base lor want
       end
-      else bad := !bad lor ((base.(r) land d) lxor want)
+      else bad := !bad lor ((!base land d) lxor want)
     | Ktoggle | Ksilent -> ()
   done;
   if !bad <> 0 then begin
@@ -546,7 +531,8 @@ let of_transition_edges stg ~n_states:n ~n_edges buf =
   let cls, nc = classes uf n in
   let codes = Array.make nc 0 in
   for m = 0 to n - 1 do
-    codes.(cls.(m)) <- rel.(m) lxor base.(root.(m))
+    if rel.(m) < 0 then unreached m;
+    codes.(cls.(m)) <- rel.(m) lxor !base
   done;
   (* the projected edges, labels coded as [label_code] does *)
   let src = Array.make n_edges 0 and lab = Array.make n_edges 0 in

@@ -98,22 +98,26 @@ val of_stg : ?max_states:int -> ?backend:[ `Explicit | `Symbolic ] -> Stg.t -> t
     reachability graph of [stg] with [n_states] states, state 0 the
     initial one, and [n_edges] edges, edge [e] being the
     [(source, transition, target)] triple at [buf.(3e)], [buf.(3e + 1)]
-    and [buf.(3e + 2)] (the buffer of {!Reach.t}).  One breadth-first pass
-    over the edges gives every state its code relative to its
-    component's lowest state ([code(dst) = code(src) lxor delta(t)],
-    where [delta(t)] is the bit of [t]'s signal, 0 for a dummy); a
-    second pass checks every edge's parity and fixes each signal's
-    value at the root from any of its rises or falls.  A signal that
-    only toggles reads 0 at that lowest state.  The states joined by
-    dummy transitions are then merged and the graph built once:
-    classes are numbered by first member and each projected edge kept
-    at its first occurrence ({!distinct_edges}).  The single Σ
-    builder: {!of_stg} passes the edges of {!reachable} or of
-    {!Reach.explore}, the prefix rules those of {!reachable}.
+    and [buf.(3e + 2)] (the buffer of {!Reach.t}).  Every edge must
+    leave state 0 or a state an earlier edge reached, and every state be
+    reached, as in the breadth-first order both sweeps list.  One forward
+    pass then codes each state on the first edge into it
+    ([code(dst) = code(src) lxor delta(t)], [delta(t)] the bit of [t]'s
+    signal, 0 for a dummy), checks every edge's parity and fixes each
+    signal's value at state 0 from any of its rises or falls (a signal
+    that only toggles reads 0 there).  The states joined by dummy
+    transitions are then merged and the graph built once: classes are
+    numbered by first member and each projected edge kept at its first
+    occurrence ({!distinct_edges}).  Only the error paths index the edges
+    at each state, to replay the one-signal-at-a-time solver for its
+    message.  The single Σ builder: {!of_stg} passes the edges of
+    {!reachable} or of {!Reach.explore}, the prefix rules those of
+    {!reachable}.
     @raise Inconsistent if no consistent assignment exists — the message
       names the lowest such signal and the state where assigning it one
       signal at a time first fails — or [stg] has more than 62
-      signals. *)
+      signals.
+    @raise Invalid_argument if the edges break that order. *)
 val of_transition_edges :
   Stg.t -> n_states:int -> n_edges:int -> int array -> t
 

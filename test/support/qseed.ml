@@ -6,19 +6,24 @@
    first time any randomized test asks for it — on failure, dune shows
    the captured output, so the seed is always part of a failure report. *)
 
-let seed =
-  match Sys.getenv_opt "QCHECK_SEED" with
-  | None | Some "" -> 20260806
+(* [name]'s integer value, [default] when unset or empty. *)
+let int_env name ~default =
+  match Sys.getenv_opt name with
+  | None | Some "" -> default
   | Some s -> (
     match int_of_string_opt (String.trim s) with
     | Some n -> n
-    | None -> invalid_arg ("QCHECK_SEED is not an integer: " ^ s))
+    | None -> invalid_arg (Printf.sprintf "%s is not an integer: %s" name s))
+
+let seed = int_env "QCHECK_SEED" ~default:20260806
 
 (* The soak factor: each engine-agreement property (a library engine
    against its reference in this library, or against brute force)
-   multiplies its iteration count by it.  The committed 1 is the CI
-   smoke; raise it by hand, to 20 say, for a long soak run. *)
-let soak = 1
+   multiplies its iteration count by it.  QCHECK_SOAK sets it, parsed
+   like QCHECK_SEED; the default 1 is the plain test run, and CI also
+   runs the agreement suites at 5.  Raise it, to 20 say, for a long
+   soak run. *)
+let soak = int_env "QCHECK_SOAK" ~default:1
 
 let announced = ref false
 

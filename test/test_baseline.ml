@@ -157,6 +157,54 @@ let prop_sequential_vs_direct =
         Sg.n_extras s >= Sg.n_extras d
       | _ -> false)
 
+(* The output of [mpsyn ARGS] (stdout only), its exit code and its wall
+   time. *)
+let run_mpsyn args =
+  let t0 = Unix.gettimeofday () in
+  let ic = Unix.open_process_in (Printf.sprintf "%s %s 2>/dev/null" mpsyn args) in
+  let out = In_channel.input_all ic in
+  let status = Unix.close_process_in ic in
+  (out, status, Unix.gettimeofday () -. t0)
+
+(* [synth --method direct] on a net the whole-graph formula cannot solve
+   in time stops at its budget with exit 1 and the abort line. *)
+let test_cli_direct_budget () =
+  let file = Filename.temp_file "mpsyn_pulsers" ".g" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let _, status, _ =
+        run_mpsyn (Printf.sprintf "gen pulsers -k 4 > %s" (Filename.quote file))
+      in
+      check "gen exits 0" true (status = Unix.WEXITED 0);
+      let out, status, wall =
+        run_mpsyn
+          (Printf.sprintf "synth --method direct --time-limit 1 %s" (Filename.quote file))
+      in
+      check "exits 1" true (status = Unix.WEXITED 1);
+      check "prints the abort" true
+        (List.mem "direct method aborted (time limit)" (String.split_on_char '\n' out));
+      check (Printf.sprintf "stops within 10 s (%.1f s)" wall) true (wall < 10.))
+
+(* [synth --help] states the baselines' default budget. *)
+let test_cli_default_budget_documented () =
+  let out, status, _ = run_mpsyn "synth --help=plain" in
+  check "help exits 0" true (status = Unix.WEXITED 0);
+  (* the help text as one line, its words single-spaced *)
+  let words =
+    String.split_on_char '\n' out
+    |> List.concat_map (String.split_on_char ' ')
+    |> List.filter (( <> ) "")
+    |> String.concat " "
+  in
+  let has s =
+    let n = String.length s in
+    let rec go i = i + n <= String.length words && (String.sub words i n = s || go (i + 1)) in
+    go 0
+  in
+  check "--time-limit names the 20 s default" true
+    (has "synth --method direct and --method sequential abort after 20 s")
+
 let () =
   Alcotest.run "baseline"
     [
@@ -178,6 +226,9 @@ let () =
         [
           Alcotest.test_case "mpsyn bench agrees with Table 1" `Quick
             test_cli_bench_matches_drivers;
+          Alcotest.test_case "direct stops at its budget" `Quick test_cli_direct_budget;
+          Alcotest.test_case "help names the default budget" `Quick
+            test_cli_default_budget_documented;
         ] );
       ("properties", [ Qseed.to_alcotest prop_sequential_vs_direct ]);
     ]

@@ -1074,7 +1074,18 @@ let test_determine_reference () =
       ("pipeline-4", Bench_gen.pipeline ~stages:4);
     ]
   in
-  let nets = List.map (fun f -> (f, data_stg f)) files @ generated in
+  (* the forms the CLI and the benchmark read, numbered apart from the
+     generators' *)
+  let parsed =
+    List.map
+      (fun (name, stg) -> ("parsed " ^ name, parsed_stg stg))
+      [
+        ("pulsers-5", Bench_gen.concurrent_pulsers ~branches:5);
+        ("mixed-3x3", Bench_gen.mixed ~stages:3 ~branches:3);
+        ("parallel_rings-6", Bench_gen.parallel_rings ~rings:6);
+      ]
+  in
+  let nets = List.map (fun f -> (f, data_stg f)) files @ generated @ parsed in
   List.iter
     (fun (name, stg) ->
       let sg = Sg.of_stg stg in
@@ -1095,7 +1106,8 @@ let test_determine_reference () =
       0
       (List.filter
          (fun (name, _) ->
-           name = "pulsers-5" || name = "mixed-3x3" || Filename.check_suffix name ".g")
+           name = "pulsers-5" || name = "mixed-3x3" || Filename.check_suffix name ".g"
+           || List.mem_assoc name parsed)
          nets)
   in
   check (Printf.sprintf "%d re-analyzed graphs carry state signals" with_extras)

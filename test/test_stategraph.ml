@@ -84,6 +84,26 @@ let test_of_stg_inconsistent () =
        false
      with Sg.Inconsistent _ -> true)
 
+(* [Sg.of_transition_edges] codes every state in one pass over the
+   edges, from state 0 on, so it refuses a buffer in which an edge
+   leaves a state no earlier edge reached, or a state no edge reaches,
+   rather than return a code for it. *)
+let test_of_transition_edges_order () =
+  let stg = pulse_stg () in
+  let n, buf, n_edges = Sg.reachable stg in
+  let outcome n buf =
+    match Sg.of_transition_edges stg ~n_states:n ~n_edges buf with
+    | sg -> Sg.digest sg
+    | exception Invalid_argument _ -> "refused"
+  in
+  let reorder order = Array.concat (List.map (fun e -> Array.sub buf (3 * e) 3) order) in
+  let edges = List.init n_edges Fun.id in
+  Alcotest.(check string) "the sweep's order" (Sg.digest (Sg.of_stg stg)) (outcome n buf);
+  Alcotest.(check string) "first edge last" "refused"
+    (outcome n (reorder (List.tl edges @ [ 0 ])));
+  Alcotest.(check string) "reversed" "refused" (outcome n (reorder (List.rev edges)));
+  Alcotest.(check string) "a state no edge reaches" "refused" (outcome (n + 1) buf)
+
 let test_of_stg_dummy_contraction () =
   let open Stg_builder in
   (* nop compiles to a dummy transition that must disappear *)
@@ -316,6 +336,16 @@ let inconsistent_nets () =
 let test_sigma_reference () =
   List.iter (fun (name, build) -> check_sigma_ref name (build ())) (golden_nets ());
   check_sigma_ref "parallel_rings-7" (Bench_gen.parallel_rings ~rings:7);
+  (* the forms the CLI and the benchmark read: parsed nets number their
+     places and transitions, and so their states and edges, apart from
+     the generators' *)
+  List.iter
+    (fun (name, stg) -> check_sigma_ref ("parsed " ^ name) (parsed stg))
+    [
+      ("pulsers-5", Bench_gen.concurrent_pulsers ~branches:5);
+      ("mixed-3x3", Bench_gen.mixed ~stages:3 ~branches:3);
+      ("parallel_rings-6", Bench_gen.parallel_rings ~rings:6);
+    ];
   List.iter
     (fun (name, stg) ->
       check (name ^ ": rejected") true
@@ -405,6 +435,37 @@ let test_set_extra_values () =
   values.(m0) <- Fourval.V0;
   let sg' = Sg.set_extra_values sg ~index:0 ~values in
   check "still resolves" true (Csc.csc_satisfied sg')
+
+(* Every graph's state signals are legal along every edge: [add_extra]
+   and [set_extra_values] refuse each value pair [Fourval.edge_ok]
+   refuses, on a one-edge graph, and accept every other.  The input-set
+   derivation relies on it and checks no edge of a graph's own extras. *)
+let test_extra_pairs () =
+  let values = Fourval.[ V0; V1; Up; Dn ] in
+  let sg =
+    Sg.make ~name:"edge"
+      ~signals:[| { Sg.sname = "a"; non_input = true } |]
+      ~codes:[| 0; 1 |] ~src:[| 0 |]
+      ~lab:[| Sg.label_code 0 Sg.R |]
+      ~dst:[| 1 |] ~initial:0
+  in
+  let with_extra = Sg.add_extra sg ~name:"x" ~values:Fourval.[| V0; V0 |] in
+  let refused build = match build () with _ -> false | exception Sg.Inconsistent _ -> true in
+  let n_refused = ref 0 in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let pair = Printf.sprintf "%s -> %s" (Fourval.to_string a) (Fourval.to_string b) in
+          let legal = Fourval.edge_ok a b in
+          if not legal then incr n_refused;
+          check ("add_extra " ^ pair) (not legal)
+            (refused (fun () -> Sg.add_extra sg ~name:"y" ~values:[| a; b |]));
+          check ("set_extra_values " ^ pair) (not legal)
+            (refused (fun () -> Sg.set_extra_values with_extra ~index:0 ~values:[| a; b |])))
+        values)
+    values;
+  check_int "refused pairs" 8 !n_refused
 
 (* ---------------- Quotient ---------------- *)
 
@@ -897,6 +958,8 @@ let () =
           Alcotest.test_case "adjacency = edge arrays" `Quick test_adjacency;
           Alcotest.test_case "sigma = per-signal reference" `Slow
             test_sigma_reference;
+          Alcotest.test_case "edge order precondition" `Quick
+            test_of_transition_edges_order;
         ] );
       ( "csc",
         [
@@ -909,6 +972,7 @@ let () =
           Alcotest.test_case "add" `Quick test_add_extra;
           Alcotest.test_case "invalid" `Quick test_add_extra_invalid;
           Alcotest.test_case "set values" `Quick test_set_extra_values;
+          Alcotest.test_case "every illegal pair refused" `Quick test_extra_pairs;
         ] );
       ( "quotient",
         [

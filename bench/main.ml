@@ -14,9 +14,6 @@
    "SAT Backtrack Limit" rows); rows beyond the budget print as aborts,
    which *is* the headline result. *)
 
-let direct_time_budget = 20.0
-let direct_backtrack_budget = 2_000_000
-
 (* Wall clock, not process CPU time: CPU time sums over every domain of
    the pool, which is exactly the wrong metric for multicore speedup. *)
 let wall f =
@@ -52,8 +49,8 @@ let run_modular stg =
    the bounded SAT budget: [Ok] a method's row, or [Error] the wall time
    of an abort.  An expansion that lacks CSC counts as an abort. *)
 let baselines sg =
-  let backtrack_limit = direct_backtrack_budget
-  and time_limit = direct_time_budget in
+  let backtrack_limit = Direct_method.backtrack_budget
+  and time_limit = Direct_method.time_budget in
   let row synth =
     match wall (fun () -> try synth () with Derive.Not_csc _ -> None) with
     | Some (ex, fs), t ->

@@ -28,14 +28,15 @@ let exit_verification = 4
 let exit_refuted = 5
 let exit_budget = 6
 
-(* Table 1's budget for the whole-graph baselines; [exits] and [time_arg] say so. *)
-let baseline_time_limit = 20.0
-
 let exits =
   [
     Cmd.Exit.info 0 ~doc:"on success.";
-    Cmd.Exit.info 1 ~doc:"on synthesis failure (exhausted SAT budget or abort, by \
-      default after 20 s for $(b,synth --method direct) and $(b,sequential)).";
+    Cmd.Exit.info 1
+      ~doc:
+        (Printf.sprintf
+           "on synthesis failure (exhausted SAT budget or abort, by default \
+            after %g s for $(b,synth --method direct) and $(b,sequential))."
+           Direct_method.time_budget);
     Cmd.Exit.info exit_usage
       ~doc:"on command-line errors or unreadable/unknown STG inputs.";
     Cmd.Exit.info exit_lint
@@ -214,9 +215,12 @@ let backtrack_arg =
 
 let time_arg =
   let doc =
-    "Abort after this many wall-clock seconds for the whole run.  Without it, \
-     $(b,synth --method direct) and $(b,--method sequential) abort after 20 s \
-     (Table 1's budget) and each $(b,verify --fuzz) backend run after 10 s."
+    Printf.sprintf
+      "Abort after this many wall-clock seconds for the whole run.  Without \
+       it, $(b,synth --method direct) and $(b,--method sequential) abort \
+       after %g s (Table 1's budget) and each $(b,verify --fuzz) backend run \
+       after 10 s."
+      Direct_method.time_budget
   in
   Arg.(value & opt (some float) None & info [ "time-limit" ] ~doc)
 
@@ -508,7 +512,7 @@ let synth_cmd =
     let cache = resolve_cache cache_opt in
     lint_gate ~skip:no_lint stg_name;
     let stg = load_stg stg_name in
-    let baseline_limit = Option.value time_limit ~default:baseline_time_limit in
+    let baseline_limit = Direct_method.resolve_time_limit time_limit in
     match method_ with
     | `Modular ->
       let config =
@@ -607,6 +611,8 @@ let bench_cmd =
         Format.printf "%-11s aborted after %6.3fs@." (name ^ ":")
           (Unix.gettimeofday () -. t0)
     in
+    let backtrack_limit = Direct_method.backtrack_budget
+    and time_limit = Direct_method.time_budget in
     let baseline = function
       | Either.Left (expanded, fs, _) ->
         Some
@@ -618,12 +624,10 @@ let bench_cmd =
         Some (Mpart.final_signals r, Mpart.final_states r, Mpart.area_literals r));
     row "direct" (fun () ->
         baseline
-          (Direct_method.synthesize ~backtrack_limit:2_000_000 ~time_limit:60.0
-             sg));
+          (Direct_method.synthesize ~backtrack_limit ~time_limit sg));
     row "sequential" (fun () ->
         baseline
-          (Sequential_insertion.synthesize ~backtrack_limit:2_000_000
-             ~time_limit:60.0 sg));
+          (Sequential_insertion.synthesize ~backtrack_limit ~time_limit sg));
     0
   in
   Cmd.v

@@ -49,10 +49,11 @@ let () =
         | Dpll.Signal_limit -> "abort(sig)")
   in
   let implementation (ex, fs, _) = (ex, fs) in
+  let backtrack_limit = Direct_method.backtrack_budget
+  and time_limit = Direct_method.time_budget in
   baseline "direct" (fun () ->
-      Direct_method.synthesize ~backtrack_limit:2_000_000 ~time_limit:60.0 sg
+      Direct_method.synthesize ~backtrack_limit ~time_limit sg
       |> Either.map ~left:implementation ~right:fst);
   baseline "sequential" (fun () ->
-      Sequential_insertion.synthesize ~backtrack_limit:2_000_000
-        ~time_limit:60.0 sg
+      Sequential_insertion.synthesize ~backtrack_limit ~time_limit sg
       |> Either.map_left implementation)

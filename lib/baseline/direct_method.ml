@@ -1,3 +1,7 @@
+let time_budget = 20.0
+let backtrack_budget = 2_000_000
+let resolve_time_limit = Option.value ~default:time_budget
+
 let synthesize ?backtrack_limit ?time_limit sg =
   let r = Csc_direct.solve ?backtrack_limit ?time_limit sg in
   match r.Csc_direct.outcome with

@@ -2,6 +2,18 @@
     Table 1 as one driver, so the bench, the CLI and the examples report
     the same row. *)
 
+(** Table 1's budget for the whole-graph baselines (this method and
+    {!Sequential_insertion}): wall-clock seconds for a run, and SAT
+    backtracks. *)
+val time_budget : float
+
+val backtrack_budget : int
+
+(** [resolve_time_limit l] is [l], or {!time_budget} when [l] is [None]:
+    the limit [mpsyn synth --method direct] and [--method sequential]
+    run under. *)
+val resolve_time_limit : float option -> float
+
 (** [synthesize ?backtrack_limit ?time_limit sg] resolves CSC on the
     whole graph with {!Csc_direct.solve}, then implements the labeling:
     region minimization ({!Region_minimize.minimize}) is kept only when

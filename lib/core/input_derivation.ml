@@ -146,7 +146,6 @@ type context = {
   rise : int array;
   fall : int array;  (** {!Sg.excitation_masks} of Σ *)
   trig : int array;  (** per output, its trigger signals, one bit each *)
-  first : int array;  (** per output, its conflict count on Σ *)
   (* scratch of one determination: the first view's slots, the
      partition, and the per-class arrays of [evaluate] *)
   view_code : int array;
@@ -160,30 +159,6 @@ type context = {
   mutable merged : Fourval.t array;
   mutable table : code_table;
 }
-
-(* Every output's conflict count on Σ, from one grouping of the states
-   by code: per code, the OR over its states of their implied-1 bits
-   ([(code land lnot fall) lor rise]) and of their complement.  A bit
-   set in both is an output whose value that code leaves ambiguous. *)
-let first_conflicts codes rise fall ns =
-  let n = Array.length codes in
-  let head, _ = Sg.group_by n (Array.get codes) in
-  let ones = Array.make n 0 and zeros = Array.make n 0 in
-  for m = 0 to n - 1 do
-    let h = head.(m) and one = (codes.(m) land lnot fall.(m)) lor rise.(m) in
-    ones.(h) <- ones.(h) lor one;
-    zeros.(h) <- zeros.(h) lor lnot one
-  done;
-  let count = Array.make ns 0 in
-  for m = 0 to n - 1 do
-    if head.(m) = m then begin
-      let both = ones.(m) land zeros.(m) in
-      for o = 0 to ns - 1 do
-        if both land (1 lsl o) <> 0 then count.(o) <- count.(o) + 1
-      done
-    end
-  done;
-  count
 
 let context sigma =
   let n = Sg.n_states sigma and ns = Sg.n_signals sigma in
@@ -215,7 +190,6 @@ let context sigma =
     rise;
     fall;
     trig = trigger_masks sigma rise fall;
-    first = first_conflicts codes rise fall ns;
     view_code = scratch ();
     view_implied = scratch ();
     parent = scratch ();
@@ -284,33 +258,28 @@ let determine_in c sg ~output =
   in
   (* The identity partition: every class one state carrying its own
      values, so every merge succeeds and every edge stays legal ({!Sg}
-     admits no other extra), and the count reads full codes.  On Σ itself
-     the context has it. *)
-  let n_csc = ref c.first.(output) in
-  let kept_extras = ref [] in
-  if Array.length extras > 0 then begin
-    for m = 0 to n - 1 do
-      code.(m) <- Sg.full_code sg m
-    done;
-    n_csc := count_conflicts n ~keep:(-1) implied;
-    let keep = ref (-1) in
-    (* State signals first: an inserted signal that is irrelevant to
-       this output would otherwise block the ε-merging of the region it
-       toggles in (its rise and fall would land in one class), inflating
-       the module.  Dropping is safe whenever this output's conflicts do
-       not increase. *)
-    Array.iteri
-      (fun xi (x : Sg.extra) ->
-        let without = !keep land lnot (1 lsl (ns + xi)) in
-        let n' = count_conflicts n ~keep:without implied in
-        if n' <= !n_csc then begin
-          n_csc := n';
-          keep := without;
-          dropped.(xi) <- true
-        end
-        else kept_extras := x.Sg.xname :: !kept_extras)
-      extras
-  end;
+     admits no other extra), and the count reads full codes. *)
+  for m = 0 to n - 1 do
+    code.(m) <- Sg.full_code sg m
+  done;
+  let n_csc = ref (count_conflicts n ~keep:(-1) implied) in
+  let kept_extras = ref [] and keep = ref (-1) in
+  (* State signals first: an inserted signal that is irrelevant to this
+     output would otherwise block the ε-merging of the region it toggles
+     in (its rise and fall would land in one class), inflating the
+     module.  Dropping is safe whenever this output's conflicts do not
+     increase. *)
+  Array.iteri
+    (fun xi (x : Sg.extra) ->
+      let without = !keep land lnot (1 lsl (ns + xi)) in
+      let n' = count_conflicts n ~keep:without implied in
+      if n' <= !n_csc then begin
+        n_csc := n';
+        keep := without;
+        dropped.(xi) <- true
+      end
+      else kept_extras := x.Sg.xname :: !kept_extras)
+    extras;
   let v =
     {
       n;

@@ -52,8 +52,8 @@
     State signals are legal along every edge ({!Sg.add_extra} and
     {!Sg.set_extra_values} refuse any other), so the first view, one
     state per class, needs no merge and no edge check: its conflict
-    count and each state-signal drop read full codes alone, and on Σ
-    every output's first count comes with the {!context}. *)
+    count and each state-signal drop read full codes ({!Sg.full_code})
+    alone. *)
 
 type t = {
   output : int;  (** signal id in the complete graph *)
@@ -72,9 +72,9 @@ val triggers : Sg.t -> output:int -> int list
 
 (** What every output's derivation reads of the complete graph Σ,
     built once: the edges grouped by signal (per-signal blocks in edge
-    order), every output's excitation ({!Sg.excitation_masks}), trigger
-    set and conflict count on Σ ({!Sg.group_by}), the state codes, and the
-    scratch arrays and code table one derivation works in.  The plan
+    order), every output's excitation ({!Sg.excitation_masks}) and
+    trigger set, the state codes, and the scratch arrays and code table
+    one derivation works in.  The plan
     derives every output's module from one context, and the insertion's
     re-analyses reuse it: a graph grown from Σ by {!Sg.add_extra} shares
     Σ's states, codes and edges, and only its state signals are read

@@ -120,7 +120,8 @@ let test_cli_bench_matches_drivers () =
         | Either.Left r -> row r
         | Either.Right _ -> Alcotest.failf "%s: baseline gave up" name
       in
-      let backtrack_limit = 2_000_000 and time_limit = 60.0 in
+      let backtrack_limit = Direct_method.backtrack_budget
+      and time_limit = Direct_method.time_budget in
       let expected =
         [
           ( "modular",
@@ -203,7 +204,19 @@ let test_cli_default_budget_documented () =
     go 0
   in
   check "--time-limit names the 20 s default" true
-    (has "synth --method direct and --method sequential abort after 20 s")
+    (has
+       (Printf.sprintf
+          "synth --method direct and --method sequential abort after %g s"
+          Direct_method.time_budget))
+
+(* Without [--time-limit] the baselines run under Table 1's 20 s; a
+   given limit wins. *)
+let test_default_budget () =
+  Alcotest.(check (float 0.)) "Table 1's budget" 20.0 Direct_method.time_budget;
+  Alcotest.(check (float 0.)) "no limit: the budget" 20.0
+    (Direct_method.resolve_time_limit None);
+  Alcotest.(check (float 0.)) "a given limit" 1.5
+    (Direct_method.resolve_time_limit (Some 1.5))
 
 let () =
   Alcotest.run "baseline"
@@ -229,6 +242,8 @@ let () =
           Alcotest.test_case "direct stops at its budget" `Quick test_cli_direct_budget;
           Alcotest.test_case "help names the default budget" `Quick
             test_cli_default_budget_documented;
+          Alcotest.test_case "no limit means the default budget" `Quick
+            test_default_budget;
         ] );
       ("properties", [ Qseed.to_alcotest prop_sequential_vs_direct ]);
     ]

@@ -1053,7 +1053,7 @@ let solver_table () =
   in
   List.iter
     (fun name -> cnf_row (Printf.sprintf "csc:%s" name) (csc_encoding name))
-    [ "vbe4a"; "nak-pa"; "sbuf-ram-write"; "atod" ];
+    [ "alex-nonfc"; "nak-pa"; "sbuf-ram-write"; "atod" ];
   List.iter
     (fun seed ->
       cnf_row

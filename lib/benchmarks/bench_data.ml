@@ -1,265 +1,15 @@
-(* Reconstructions of the DAC'94 benchmark suite.
-
-   The original 1994 STG files (SIS tapes, HP benchmarks) are not
-   distributable; every entry here is rebuilt from scratch as a live,
-   1-safe, consistent STG with the same name, the same signal count
-   where Table 1 publishes it, a state count of the same order, and
-   genuine CSC conflicts, so the full synthesis pipeline is exercised the
-   way the paper exercised it (see DESIGN.md §2, substitutions).
-
-   Recurring fragments:
-   - [hs r a]    four-phase handshake r+ a+ r- a-; adds no conflicts by
-                 itself (all four codes are distinct);
-   - [pulse r a] r+ a+ a- r-; the state after a- repeats the code of the
-                 state after r+ (with different excitation), so each
-                 pulse is a CSC conflict source. *)
-
-open Stg_builder
-
-let hs r a = seq [ plus r; plus a; minus r; minus a ]
-let pulse r a = seq [ plus r; plus a; minus a; minus r ]
-
-(* up-down pulse on a single wire: x+ x- *)
-let blip x = seq [ plus x; minus x ]
-
-(* ---- the 23 entries, smallest first (Table 1 order reversed) ---- *)
-
-let vbe_ex1 () =
-  compile ~name:"vbe-ex1" ~inputs:[ "a" ] ~outputs:[ "b" ]
-    (seq [ plus "a"; par [ minus "a"; plus "b" ]; minus "b" ])
-
-let sendr_done () =
-  compile ~name:"sendr-done" ~inputs:[ "req" ] ~outputs:[ "sendr"; "done" ]
-    (seq
-       [ plus "req"; plus "sendr"; minus "sendr"; plus "done"; minus "req";
-         minus "done" ])
-
-let nousc_ser () =
-  compile ~name:"nousc-ser" ~inputs:[ "a" ] ~outputs:[ "b"; "c" ]
-    (seq [ plus "a"; plus "b"; minus "b"; plus "c"; minus "c"; minus "a" ])
-
-let vbe_ex2 () =
-  compile ~name:"vbe-ex2" ~inputs:[ "a" ] ~outputs:[ "b" ]
-    (seq [ plus "a"; par [ blip "b"; minus "a" ]; plus "b"; minus "b" ])
-
-let nouse () =
-  compile ~name:"nouse" ~inputs:[ "a" ] ~outputs:[ "b"; "c" ]
-    (seq [ plus "a"; par [ blip "b"; blip "c" ]; minus "a" ])
-
-let sbuf_read_ctl () =
-  compile ~name:"sbuf-read-ctl" ~inputs:[ "req"; "prb" ]
-    ~outputs:[ "ack"; "busy"; "ramcs"; "pab" ]
-    (seq
-       [ plus "req"; plus "busy"; plus "ramcs"; minus "ramcs"; plus "prb";
-         plus "pab"; minus "prb"; minus "pab"; plus "ack"; minus "busy";
-         minus "req"; minus "ack" ])
-
-let fifo () =
-  compile ~name:"fifo" ~inputs:[ "ri"; "ao" ] ~outputs:[ "ai"; "ro" ]
-    (seq
-       [ plus "ri"; plus "ai";
-         par
-           [ seq [ minus "ri"; minus "ai" ];
-             seq [ plus "ro"; plus "ao"; minus "ro"; minus "ao" ] ] ])
-
-let wrdata () =
-  compile ~name:"wrdata" ~inputs:[ "req" ] ~outputs:[ "wr"; "dat"; "ack" ]
-    (seq
-       [ plus "req";
-         par [ seq [ plus "wr"; plus "dat"; minus "dat"; minus "wr" ]; blip "ack" ];
-         minus "req" ])
-
-let alloc_outbound () =
-  compile ~name:"alloc-outbound" ~inputs:[ "req"; "alloc" ]
-    ~outputs:[ "ack"; "sendline"; "rts"; "tack"; "free" ]
-    (seq
-       [ plus "req"; plus "alloc";
-         par [ pulse "sendline" "rts"; blip "tack" ];
-         plus "free"; minus "alloc"; plus "ack"; minus "req"; minus "free";
-         minus "ack" ])
-
-let pa () =
-  compile ~name:"pa" ~inputs:[ "pr"; "mr" ] ~outputs:[ "pack"; "mack" ]
-    (choice
-       [ seq [ plus "pr"; par [ blip "pack"; blip "mack" ]; minus "pr" ];
-         seq [ plus "mr"; plus "mack"; minus "mack"; minus "mr" ] ])
-
-let atod () =
-  compile ~name:"atod" ~inputs:[ "go"; "cmp" ]
-    ~outputs:[ "smp"; "cnv"; "dne"; "ldr" ]
-    (seq
-       [ plus "go"; plus "smp";
-         par [ seq [ plus "cnv"; plus "cmp"; minus "cnv"; minus "cmp" ]; blip "ldr" ];
-         minus "smp"; plus "dne"; minus "go"; minus "dne" ])
-
-let sbuf_send_ctl () =
-  compile ~name:"sbuf-send-ctl" ~inputs:[ "req"; "done" ]
-    ~outputs:[ "ack"; "sendgnt"; "latch"; "idle" ]
-    (seq
-       [ plus "req"; minus "idle";
-         par [ pulse "sendgnt" "latch"; blip "done" ];
-         plus "ack"; minus "req"; plus "idle"; minus "ack" ])
-
-let sbuf_send_pkt2 () =
-  compile ~name:"sbuf-send-pkt2" ~inputs:[ "req"; "tack" ]
-    ~outputs:[ "ack"; "rts"; "line"; "send" ]
-    (seq
-       [ plus "req"; plus "rts";
-         par [ seq [ plus "line"; plus "tack"; minus "line"; minus "tack" ];
-               blip "send" ];
-         minus "rts"; plus "ack"; minus "req"; minus "ack" ])
-
-(* alex-nonfc is kept in .g text: its shared-resource place (two consumer
-   transitions with private request inputs) is not free choice, which the
-   combinators cannot express. *)
-let alex_nonfc_g =
-  {|.model alex-nonfc
-.inputs a b
-.outputs x y z w
-.graph
-p0 a+ b+
-a+ x+
-p x+
-x+ z+
-z+ z-
-z- z+/2
-z+/2 z-/2
-z-/2 a-
-a- x-
-x- p
-x- p0
-b+ y+
-p y+
-y+ w+
-w+ w-
-w- w+/2
-w+/2 w-/2
-w-/2 b-
-b- y-
-y- p
-y- p0
-.marking { p0 p }
-.end
-|}
-
-let alex_nonfc () = Gformat.parse_string alex_nonfc_g
-
-let ram_read_sbuf () =
-  compile ~name:"ram-read-sbuf" ~inputs:[ "req"; "prb" ]
-    ~outputs:[ "ack"; "ramcs"; "ramwe"; "bus"; "wen"; "rd"; "pab"; "dack" ]
-    (seq
-       [ plus "req"; plus "ramcs";
-         par [ pulse "ramwe" "bus"; seq [ plus "wen"; minus "wen" ] ];
-         minus "ramcs"; plus "rd"; plus "prb"; plus "pab"; minus "prb";
-         minus "pab"; minus "rd"; plus "dack"; plus "ack"; minus "req";
-         minus "dack"; minus "ack" ])
-
-let pe_rcv_ifc_fc () =
-  compile ~name:"pe-rcv-ifc-fc" ~inputs:[ "rdiq"; "pkt" ]
-    ~outputs:[ "aiq"; "rok"; "put"; "taken"; "rdo"; "ado" ]
-    (seq
-       [ plus "rdiq"; plus "rok";
-         par [ pulse "put" "taken"; pulse "rdo" "ado" ];
-         plus "pkt"; minus "pkt"; minus "rok"; plus "aiq"; minus "rdiq";
-         minus "aiq" ])
-
-let nak_pa () =
-  compile ~name:"nak-pa" ~inputs:[ "req"; "nak" ]
-    ~outputs:[ "ack"; "a"; "b"; "c"; "d"; "done"; "idle" ]
-    (seq
-       [ plus "req"; minus "idle";
-         par [ pulse "a" "b"; pulse "c" "d" ];
-         plus "nak"; minus "nak"; plus "done"; plus "ack"; minus "req";
-         minus "done"; plus "idle"; minus "ack" ])
-
-let vbe4a () =
-  compile ~name:"vbe4a" ~inputs:[ "r"; "e" ] ~outputs:[ "a"; "b"; "c"; "d" ]
-    (seq
-       [ plus "r";
-         par [ pulse "a" "b"; seq [ plus "c"; plus "d"; minus "c"; minus "d" ] ];
-         minus "r"; plus "e";
-         par [ pulse "c" "d"; blip "a"; blip "b" ];
-         minus "e" ])
-
-let sbuf_ram_write () =
-  compile ~name:"sbuf-ram-write" ~inputs:[ "req"; "prb" ]
-    ~outputs:[ "ack"; "ramcs"; "ramwe"; "wen"; "bus"; "dat"; "pab"; "dack" ]
-    (seq
-       [ plus "req"; plus "ramcs";
-         par
-           [ pulse "ramwe" "wen";
-             seq [ plus "bus"; plus "dat"; minus "dat"; minus "bus" ] ];
-         plus "dack"; minus "dack"; minus "ramcs"; plus "prb"; plus "pab";
-         minus "prb"; minus "pab"; plus "ack"; minus "req"; minus "ack" ])
-
-let mmu1 () =
-  compile ~name:"mmu1" ~inputs:[ "r"; "p1"; "p2" ]
-    ~outputs:[ "q1"; "q2"; "x"; "d"; "e" ]
-    (seq
-       [ plus "r";
-         par [ pulse "p1" "q1"; pulse "p2" "q2"; blip "x" ];
-         minus "r"; plus "d"; plus "e"; minus "d"; minus "e" ])
-
-let mmu0 () =
-  compile ~name:"mmu0" ~inputs:[ "r"; "p1"; "p2" ]
-    ~outputs:[ "q1"; "q2"; "x"; "y"; "w" ]
-    (seq
-       [ plus "r";
-         par
-           [ pulse "p1" "q1"; pulse "p2" "q2";
-             seq [ plus "x"; plus "y"; minus "y"; minus "x"; plus "w"; minus "w" ] ];
-         minus "r" ])
-
-let mr1 () =
-  compile ~name:"mr1" ~inputs:[ "r"; "p1"; "p2" ]
-    ~outputs:[ "q1"; "q2"; "x"; "y"; "w" ]
-    (seq
-       [ plus "r";
-         par
-           [ pulse "p1" "q1"; pulse "p2" "q2";
-             seq
-               [ plus "x"; plus "y"; minus "y"; minus "x"; plus "w"; plus "y";
-                 minus "y"; minus "w" ] ];
-         minus "r" ])
-
-let mr0 () =
-  compile ~name:"mr0" ~inputs:[ "r"; "p1"; "p2"; "p3" ]
-    ~outputs:[ "q1"; "q2"; "q3"; "x"; "d"; "e"; "f" ]
-    (seq
-       [ plus "r";
-         par [ pulse "p1" "q1"; pulse "p2" "q2"; pulse "p3" "q3"; blip "x" ];
-         minus "r"; plus "d"; plus "e"; minus "d"; plus "f"; minus "e";
-         minus "f" ])
+(* The 23 Table-1 nets, parsed from the data/*.g text compiled in by
+   [Bench_files] (see [Bench_suite] for their provenance). *)
 
 let all : (string * (unit -> Stg.t)) list =
-  [
-    ("vbe-ex1", vbe_ex1);
-    ("sendr-done", sendr_done);
-    ("nousc-ser", nousc_ser);
-    ("vbe-ex2", vbe_ex2);
-    ("nouse", nouse);
-    ("sbuf-read-ctl", sbuf_read_ctl);
-    ("fifo", fifo);
-    ("wrdata", wrdata);
-    ("alloc-outbound", alloc_outbound);
-    ("pa", pa);
-    ("atod", atod);
-    ("sbuf-send-ctl", sbuf_send_ctl);
-    ("sbuf-send-pkt2", sbuf_send_pkt2);
-    ("alex-nonfc", alex_nonfc);
-    ("ram-read-sbuf", ram_read_sbuf);
-    ("pe-rcv-ifc-fc", pe_rcv_ifc_fc);
-    ("nak-pa", nak_pa);
-    ("vbe4a", vbe4a);
-    ("sbuf-ram-write", sbuf_ram_write);
-    ("mmu1", mmu1);
-    ("mmu0", mmu0);
-    ("mr1", mr1);
-    ("mr0", mr0);
-    (* Beyond Table 1: lock-clean rings (every signal pair strictly
-       alternates), the family the A6 lock-relation prescreen certifies
-       statically — synthesis on these skips SAT entirely. *)
-    ("lock-ring2", fun () -> Bench_gen.lock_ring ~signals:2);
-    ("lock-ring3", fun () -> Bench_gen.lock_ring ~signals:3);
-    ("lock-ring5", fun () -> Bench_gen.lock_ring ~signals:5);
-  ]
+  List.map
+    (fun (name, text) -> (name, fun () -> Gformat.parse_string ~name text))
+    Bench_files.files
+  @ [
+      (* Beyond Table 1: lock-clean rings (every signal pair strictly
+         alternates), the family the A6 lock-relation prescreen certifies
+         statically — synthesis on these skips SAT entirely. *)
+      ("lock-ring2", fun () -> Bench_gen.lock_ring ~signals:2);
+      ("lock-ring3", fun () -> Bench_gen.lock_ring ~signals:3);
+      ("lock-ring5", fun () -> Bench_gen.lock_ring ~signals:5);
+    ]

@@ -143,17 +143,10 @@ let all =
       let build =
         match List.assoc_opt name Bench_data.all with
         | Some b -> b
-        | None -> invalid_arg ("Bench_suite: no reconstruction for " ^ name)
+        | None -> invalid_arg ("Bench_suite: no data/" ^ name ^ ".g")
       in
       { name; build; paper })
     paper_rows
 
 let find name = List.find (fun e -> e.name = name) all
 let names = List.map (fun e -> e.name) all
-
-let small ?(threshold = 120) () =
-  List.filter
-    (fun e ->
-      let sg = Sg.of_stg (e.build ()) in
-      Sg.n_states sg <= threshold)
-    all

@@ -1,5 +1,23 @@
-(** The benchmark registry: reconstructed STGs paired with the numbers
-    published in Table 1 of the paper, for paper-vs-measured reporting. *)
+(** The benchmark registry: the 23 Table-1 STGs of [data/*.g], compiled
+    in at build time and paired with the numbers published in Table 1 of
+    the paper, for paper-vs-measured reporting.
+
+    The files are reconstructions.  The 1994 originals (SIS tapes, HP
+    benchmarks) are not distributable, so each net is rebuilt as a live,
+    1-safe, consistent STG with the same name, the same signal count
+    where Table 1 publishes it, a state count of the same order, and
+    genuine CSC conflicts, so the whole pipeline runs the way the paper
+    ran it (DESIGN.md §2).  Two fragments recur:
+    - the four-phase handshake [r+ a+ r- a-], whose four codes are
+      distinct, so it adds no conflict by itself;
+    - the pulse [r+ a+ a- r-], whose state after [a-] repeats the code of
+      the state after [r+] with different excitation, so each pulse is a
+      CSC conflict source.
+
+    alex-nonfc is the one net that is not free choice: its shared-resource
+    place [p] has two consumer transitions, [x+] and [y+], each also
+    waiting on a private request input, which is the Non-Free-Choice case
+    Table 1 reports for Lavagno's method. *)
 
 (** What Table 1 reports for one method on one benchmark. *)
 type paper_method =
@@ -30,8 +48,3 @@ val find : string -> entry
 
 (** [names] in Table 1 order. *)
 val names : string list
-
-(** [small] lists the benchmarks whose reconstruction has at most
-    [threshold] states (default 120) — the set on which the direct
-    method still terminates quickly. *)
-val small : ?threshold:int -> unit -> entry list

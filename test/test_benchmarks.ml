@@ -80,14 +80,41 @@ let test_others_parse_as_g () =
       check_int (e.Bench_suite.name ^ " roundtrip") (n stg) (n stg'))
     Bench_suite.all
 
-let test_small_filter () =
-  let small = Bench_suite.small ~threshold:30 () in
-  check "nonempty" true (List.length small > 0);
+(* The registry is the data: one Table-1 row per data/*.g file, and a
+   builtin name prints the bytes its file prints. *)
+let data_dir = Filename.concat ".." "data"
+
+let test_registry_is_data () =
+  let files =
+    Sys.readdir data_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".g")
+    |> List.map Filename.chop_extension
+  in
+  Alcotest.(check (list string))
+    "Table-1 names = data/*.g basenames" (List.sort compare files)
+    (List.sort compare Bench_suite.names)
+
+let mpsyn = Filename.concat ".." (Filename.concat "bin" "mpsyn.exe")
+
+let cli args =
+  let ic = Unix.open_process_in (mpsyn ^ " " ^ args ^ " 2> /dev/null") in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> out
+  | _ -> Alcotest.failf "mpsyn %s failed" args
+
+let test_name_prints_file () =
   List.iter
-    (fun (e : Bench_suite.entry) ->
-      check "below threshold" true
-        (Sg.n_states (Sg.of_stg (e.Bench_suite.build ())) <= 30))
-    small
+    (fun name ->
+      let file = Filename.quote (Filename.concat data_dir (name ^ ".g")) in
+      List.iter
+        (fun cmd ->
+          Alcotest.(check string)
+            (Printf.sprintf "mpsyn %s %s" cmd name)
+            (cli (cmd ^ " " ^ file))
+            (cli (cmd ^ " " ^ Filename.quote name)))
+        [ "verilog"; "dot"; "info" ])
+    Bench_suite.names
 
 (* ---------------- Generators ---------------- *)
 
@@ -153,7 +180,9 @@ let () =
           Alcotest.test_case "conflicts present" `Quick test_all_have_conflicts;
           Alcotest.test_case "alex-nonfc" `Quick test_alex_nonfc_is_nonfc;
           Alcotest.test_case "g roundtrip" `Quick test_others_parse_as_g;
-          Alcotest.test_case "small filter" `Quick test_small_filter;
+          Alcotest.test_case "names are data/*.g" `Quick test_registry_is_data;
+          Alcotest.test_case "name prints its file" `Quick
+            test_name_prints_file;
         ] );
       ( "generators",
         [
